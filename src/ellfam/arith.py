@@ -18,54 +18,20 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
+from sympy.ntheory.primetest import isprime as _bpsw_isprime
+
 
 class Unfactored(Exception):
     """A factorization budget ran out before the answer was certain."""
 
 
-# deterministic Miller-Rabin witness set, valid for n < 3.317e24
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_MR_DETERMINISTIC_LIMIT = 3317044064679887385961981
+def is_prime(n: int) -> bool:
+    """Primality test: sympy's ``isprime``.
 
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
-
-
-def is_prime(n: int, extra_rounds: int = 16) -> bool:
-    """Miller-Rabin primality test.
-
-    Deterministic below 3.317e24; above that the fixed witnesses are
-    supplemented with ``extra_rounds`` pseudo-random bases, making a false
-    positive astronomically unlikely.
+    Deterministic Miller-Rabin below 3.317e24; at and above that bound,
+    Baillie-PSW (no counterexample is known).
     """
-    if n < 2:
-        return False
-    for p in _SMALL_PRIMES:
-        if n % p == 0:
-            return n == p
-    d = n - 1
-    r = (d & -d).bit_length() - 1
-    d >>= r
-    witnesses = list(_MR_WITNESSES)
-    if n >= _MR_DETERMINISTIC_LIMIT:
-        # deterministic seeding keeps results reproducible
-        rng_state = n
-        for _ in range(extra_rounds):
-            rng_state = (rng_state * 6364136223846793005 + 1442695040888963407) % (1 << 64)
-            witnesses.append(2 + rng_state % (n - 3))
-    for a in witnesses:
-        a %= n
-        if a == 0:
-            continue
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+    return _bpsw_isprime(n)
 
 
 @dataclass(frozen=True)
@@ -95,7 +61,7 @@ class FactoredInt:
     ``residue`` is 1 when the factorization is complete; otherwise it is a
     composite (or unproven) leftover with no prime factor below the trial
     bound that was used.  Every prime listed in ``factors`` has passed
-    Miller-Rabin.
+    ``is_prime``.
     """
 
     sign: int

@@ -55,8 +55,8 @@ class Config:
             raise ValueError("numeric settings must be positive")
         if self.parallelism < 1:
             raise ValueError("parallelism must be positive")
-        if self.output not in ("json", "csv", "text"):
-            raise ValueError("output must be json, csv, or text")
+        if self.output not in ("json", "csv"):
+            raise ValueError("output must be json or csv")
 
 
 def _default_budget() -> FactorBudget:
@@ -390,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--threshold", type=float, default=INDEPENDENCE_THRESHOLD,
                         help="independence determinant threshold")
     parser.add_argument("--jobs", type=int, default=1, help="parallel cell workers")
-    parser.add_argument("--format", choices=("json", "csv", "text"), default="json",
+    parser.add_argument("--format", choices=("json", "csv"), default="json",
                         help="output format (scan supports csv)")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -7,15 +7,23 @@ with monic denominator, so equality of canonical forms is structural
 equality.
 
 Heavy algebra (gcd, factorization into irreducibles over Q) is delegated to
-sympy's polynomial core; everything else is implemented directly.
+sympy's dense ``dup_*`` routines over ``ZZ``, applied to the coefficient
+lists with denominators cleared (highest degree first); no sympy expression
+is built.  Everything else is implemented directly; products are convolved
+over the integers too, so each output coefficient is reduced once instead
+of once per term.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Union
 
 import sympy
+from sympy.polys.domains import ZZ
+from sympy.polys.euclidtools import dup_gcd
+from sympy.polys.factortools import dup_factor_list
 
 from .arith import square_test
 
@@ -40,13 +48,10 @@ def _frac(x) -> Fraction:
     raise TypeError(f"not a rational scalar: {x!r}")
 
 
-_symbols: dict[str, sympy.Symbol] = {}
-
-
-def _sym(var: str) -> sympy.Symbol:
-    if var not in _symbols:
-        _symbols[var] = sympy.Symbol(var)
-    return _symbols[var]
+def _clear_denominators(coeffs: tuple[Fraction, ...]) -> tuple[list[int], int]:
+    """Integers n_i and d with coeffs[i] = n_i / d."""
+    d = math.lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (d // c.denominator) for c in coeffs], d
 
 
 class PolyQ:
@@ -72,20 +77,6 @@ class PolyQ:
     @staticmethod
     def variable(var: str = "u") -> "PolyQ":
         return PolyQ([0, 1], var)
-
-    @staticmethod
-    def from_sympy(expr, var: str) -> "PolyQ":
-        p = sympy.Poly(expr, _sym(var), domain="QQ")
-        if p.is_zero:
-            return PolyQ([], var)
-        cs = [0] * (p.degree() + 1)
-        for (e,), c in p.terms():
-            cs[e] = _frac(c)
-        return PolyQ(cs, var)
-
-    def to_sympy(self):
-        x = _sym(self.var)
-        return sum((sympy.Rational(c.numerator, c.denominator) * x**i for i, c in enumerate(self.coeffs)), sympy.Integer(0))
 
     # -- basic queries ----------------------------------------------------
     @property
@@ -161,13 +152,15 @@ class PolyQ:
         var = self._join_var(other)
         if self.is_zero() or other.is_zero():
             return PolyQ([], var)
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
+        xs, dx = _clear_denominators(self.coeffs)
+        ys, dy = _clear_denominators(other.coeffs)
+        out = [0] * (len(xs) + len(ys) - 1)
+        for i, a in enumerate(xs):
             if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        out[i + j] += a * b
-        return PolyQ(out, var)
+                for j, b in enumerate(ys):
+                    out[i + j] += a * b
+        d = dx * dy
+        return PolyQ([Fraction(c, d) for c in out], var)
 
     __rmul__ = __mul__
 
@@ -237,7 +230,7 @@ class PolyQ:
             return Fraction(0) if isinstance(x, Fraction) else 0 * x
         return acc
 
-    # -- gcd / factorization (sympy-backed) -------------------------------
+    # -- gcd / factorization (sympy dup_* routines) -----------------------
     def monic(self) -> "PolyQ":
         if self.is_zero():
             return self
@@ -250,9 +243,13 @@ class PolyQ:
         if other.is_zero():
             return self.monic()
         var = self._join_var(other)
-        x = _sym(var)
-        g = sympy.gcd(sympy.Poly(self.to_sympy(), x, domain="QQ"), sympy.Poly(other.to_sympy(), x, domain="QQ"))
-        return PolyQ.from_sympy(g.as_expr() if isinstance(g, sympy.Poly) else g, var).monic()
+        if self.is_constant() or other.is_constant():
+            return PolyQ([1], var)
+        xs, _ = _clear_denominators(self.coeffs)
+        ys, _ = _clear_denominators(other.coeffs)
+        g = dup_gcd(xs[::-1], ys[::-1], ZZ)
+        lc = int(g[0])  # int(): ZZ elements are mpz under gmpy ground types
+        return PolyQ([Fraction(int(c), lc) for c in reversed(g)], var)
 
     def factor(self) -> tuple[Fraction, list[tuple["PolyQ", int]]]:
         """Factor into content * prod(irreducible**e) over Q.
@@ -262,26 +259,19 @@ class PolyQ:
         """
         if self.is_zero():
             raise ValueError("cannot factor the zero polynomial")
-        x = _sym(self.var)
-        c, parts = sympy.factor_list(sympy.Poly(self.to_sympy(), x, domain="QQ"))
-        content = _frac(sympy.Rational(c))
-        out = []
-        for f, e in parts:
-            p = PolyQ.from_sympy(f.as_expr(), self.var)
-            out.append((p, int(e)))
-        return content, out
+        xs, d = _clear_denominators(self.coeffs)
+        c, parts = dup_factor_list(xs[::-1], ZZ)
+        return Fraction(int(c), d), [(PolyQ(map(int, reversed(f)), self.var), e) for f, e in parts]
 
     def content_and_primitive(self) -> tuple[Fraction, "PolyQ"]:
         """Positive rational content c and primitive integer part p, self = c*p."""
         if self.is_zero():
             return Fraction(0), self
-        import math as _m
-
         num_gcd = 0
         den_lcm = 1
         for c in self.coeffs:
-            num_gcd = _m.gcd(num_gcd, abs(c.numerator))
-            den_lcm = den_lcm * c.denominator // _m.gcd(den_lcm, c.denominator)
+            num_gcd = math.gcd(num_gcd, abs(c.numerator))
+            den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
         content = Fraction(num_gcd, den_lcm)
         return content, PolyQ([c / content for c in self.coeffs], self.var)
 
@@ -571,5 +561,6 @@ def to_string(p: Union[PolyQ, RatFunc]) -> str:
 
 def poly_from_string(s: str, var: str = "u") -> PolyQ:
     """Parse the serialization produced by to_string (polynomials only)."""
-    expr = sympy.sympify(s.replace("^", "**"), locals={var: _sym(var)}, rational=True)
-    return PolyQ.from_sympy(expr, var)
+    x = sympy.Symbol(var)
+    expr = sympy.sympify(s.replace("^", "**"), locals={var: x}, rational=True)
+    return PolyQ(reversed(sympy.Poly(expr, x, domain="QQ").all_coeffs()), var)

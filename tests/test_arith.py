@@ -4,6 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -44,6 +45,65 @@ class TestIsPrime:
     def test_matches_trial_division(self, n):
         ref = all(n % d for d in range(2, math.isqrt(n) + 1))
         assert is_prime(n) == ref
+
+    def test_strong_pseudoprime_to_first_twelve_prime_bases(self):
+        # psi_12 = 399165290221 * 798330580441 < 3.317e24 passes Miller-Rabin
+        # for every base 2..37; base 41 exposes it
+        assert not is_prime(318665857834031151167461)
+
+
+# first-13-prime-bases Miller-Rabin is proven only below this bound (psi_13)
+MR_DETERMINISTIC_LIMIT = 3317044064679887385961981
+
+# k with 6k+1, 12k+1 and 18k+1 all prime: their product is a Chernick
+# Carmichael number, here always above the deterministic limit
+CHERNICK_K = (
+    13679106, 13679690, 13679815, 13680576,
+    10000000111, 10000001686, 100000000000000008960,
+)
+LARGE_PRIMES = (
+    3317044064679887385962123,
+    100000000000000000000000000319,
+    9999999999999999999999999999999999999983,
+    2**127 - 1,
+    2**521 - 1,
+)
+
+
+class TestIsPrimeAboveDeterministicLimit:
+    """Above 3.317e24 is_prime is Baillie-PSW; it must agree with sympy."""
+
+    def test_limit_itself_is_composite(self):
+        assert not is_prime(MR_DETERMINISTIC_LIMIT)
+
+    @pytest.mark.parametrize("p", LARGE_PRIMES)
+    def test_large_primes(self, p):
+        assert p >= MR_DETERMINISTIC_LIMIT
+        assert is_prime(p) and sympy.isprime(p)
+
+    @pytest.mark.parametrize("p,q", [(LARGE_PRIMES[i], LARGE_PRIMES[j]) for i in range(4) for j in range(i, 4)])
+    def test_products_of_two_large_primes(self, p, q):
+        assert not is_prime(p * q) and not sympy.isprime(p * q)
+
+    def test_products_of_two_primes_straddling_the_limit(self):
+        p = sympy.nextprime(10**12)
+        q = sympy.nextprime(MR_DETERMINISTIC_LIMIT // p)
+        assert p * q >= MR_DETERMINISTIC_LIMIT
+        assert not is_prime(p * q)
+
+    @pytest.mark.parametrize("k", CHERNICK_K)
+    def test_chernick_carmichael_numbers(self, k):
+        factors = (6 * k + 1, 12 * k + 1, 18 * k + 1)
+        n = math.prod(factors)
+        assert n >= MR_DETERMINISTIC_LIMIT
+        assert all(sympy.isprime(f) for f in factors)
+        assert all((n - 1) % (f - 1) == 0 for f in factors)  # Korselt
+        assert not is_prime(n) and not sympy.isprime(n)
+
+    @given(st.integers(min_value=MR_DETERMINISTIC_LIMIT, max_value=10**40))
+    @settings(max_examples=200)
+    def test_matches_sympy(self, n):
+        assert is_prime(n) == sympy.isprime(n)
 
 
 class TestFactor:

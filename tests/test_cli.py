@@ -42,6 +42,12 @@ class TestExitCodes:
             main(["catalog"])
         assert exc.value.code == 2
 
+    def test_text_format_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--format", "text", "catalog"])
+        assert exc.value.code == 2
+        assert "text" in capsys.readouterr().err
+
     def test_env_budget_honored(self, capsys, monkeypatch):
         monkeypatch.setenv("ELLFAM_BUDGET", "10000,10000")
         code, out, _err = run(capsys, "torsion", "--curve", "0,0,0,0,16")

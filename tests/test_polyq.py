@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -87,6 +88,90 @@ class TestPolyRing:
     @settings(max_examples=40)
     def test_derivative_product_rule(self, a, b):
         assert (a * b).derivative() == a.derivative() * b + a * b.derivative()
+
+
+U = sympy.Symbol("u")
+wide_fracs = st.builds(
+    Fraction, st.integers(min_value=-10**6, max_value=10**6), st.integers(min_value=1, max_value=10**4)
+)
+
+
+def wide_polys(max_degree=6):
+    return st.lists(wide_fracs, min_size=0, max_size=max_degree + 1).map(lambda cs: PolyQ(cs, "u"))
+
+
+def sympy_poly(p):
+    return sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)] or [0], U, domain="QQ")
+
+
+def from_sympy_poly(P, var="u"):
+    return PolyQ(reversed(P.all_coeffs()), var)
+
+
+def naive_product(a, b):
+    out = [Fraction(0)] * (len(a.coeffs) + len(b.coeffs))
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs):
+            out[i + j] += x * y
+    return PolyQ(out, "u")
+
+
+class TestDenseCore:
+    """gcd, factor and multiply against sympy and the schoolbook definitions."""
+
+    @given(polys(4), polys(4), polys(3))
+    @settings(max_examples=150)
+    def test_gcd_monic_common_divisor_matches_sympy(self, a, b, c):
+        a, b = a * c, b * c
+        g = a.gcd(b)
+        assert g == b.gcd(a)
+        if a.is_zero() and b.is_zero():
+            assert g.is_zero()
+        else:
+            assert g.leading() == 1
+            assert divmod(a, g)[1].is_zero() and divmod(b, g)[1].is_zero()
+            if not c.is_zero():
+                assert divmod(g, c.monic())[1].is_zero()
+        assert g == from_sympy_poly(sympy.gcd(sympy_poly(a), sympy_poly(b)))
+
+    @given(wide_polys(4), wide_polys(4))
+    @settings(max_examples=60)
+    def test_gcd_wide_coefficients_matches_sympy(self, a, b):
+        assert a.gcd(b) == from_sympy_poly(sympy.gcd(sympy_poly(a), sympy_poly(b)))
+
+    @pytest.mark.parametrize("k", [Fraction(0), Fraction(3), Fraction(-2, 7)])
+    def test_gcd_with_constants_of_another_variable(self, k):
+        u = PolyQ.variable("u")
+        const = PolyQ([k], "v")
+        for p in (u**2 + 1, 3 * u - 6, PolyQ([], "u"), PolyQ([5], "u")):
+            expected = from_sympy_poly(sympy.gcd(sympy_poly(const), sympy_poly(p)))
+            assert const.gcd(p) == expected and p.gcd(const) == expected
+
+    def test_gcd_of_mismatched_variables_rejected(self):
+        with pytest.raises(ValueError):
+            PolyQ.variable("u").gcd(PolyQ.variable("v"))
+
+    @given(wide_polys(), wide_polys())
+    @settings(max_examples=150)
+    def test_product_is_naive_convolution(self, a, b):
+        assert (a * b).coeffs == naive_product(a, b).coeffs
+
+    @given(polys(3), polys(2), polys(2))
+    @settings(max_examples=100)
+    def test_factor_reconstructs_and_matches_sympy(self, a, b, c):
+        p = a * b * b * c
+        if p.is_zero():
+            return
+        content, parts = p.factor()
+        prod = PolyQ([content], "u")
+        for f, e in parts:
+            assert f.leading() > 0 and all(x.denominator == 1 for x in f.coeffs)
+            assert f.content_and_primitive()[0] == 1
+            prod = prod * f**e
+        assert prod == p
+        ref_content, ref_parts = sympy.factor_list(sympy_poly(p))
+        assert content == Fraction(int(ref_content.p), int(ref_content.q))
+        assert parts == [(from_sympy_poly(f), e) for f, e in ref_parts]
 
 
 class TestSquareDecompose:
