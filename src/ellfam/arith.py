@@ -16,7 +16,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import Iterable, Optional
 
 from sympy.ntheory.primetest import isprime as _bpsw_isprime
 
@@ -39,8 +39,10 @@ class FactorBudget:
     """Effort limit for integer factorization.
 
     trial_bound: trial-divide by primes up to this bound.
-    rho_iterations: total Brent-rho iteration allowance per factor() call.
-    time_cap: wall-clock seconds per factor() call (None = unlimited).
+    rho_iterations: total Brent-rho iteration allowance per factor() call;
+        factor_with_parts() grants it to each part it factors.
+    time_cap: wall-clock seconds per factor() call, likewise per part
+        (None = unlimited).
     """
 
     trial_bound: int = 10**6
@@ -58,10 +60,10 @@ DEFAULT_BUDGET = FactorBudget()
 class FactoredInt:
     """A partially factored integer: value = sign * prod(p**e) * residue.
 
-    ``residue`` is 1 when the factorization is complete; otherwise it is a
-    composite (or unproven) leftover with no prime factor below the trial
-    bound that was used.  Every prime listed in ``factors`` has passed
-    ``is_prime``.
+    ``residue`` is 1 when the factorization is complete; otherwise it is the
+    unfactored leftover (from factor(), a composite with no prime factor
+    below the trial bound that was used).  Every prime listed in
+    ``factors`` has passed ``is_prime``.
     """
 
     sign: int
@@ -176,10 +178,8 @@ def factor(n: int, budget: FactorBudget = DEFAULT_BUDGET) -> FactoredInt:
     deadline = None if budget.time_cap is None else time.monotonic() + budget.time_cap
     found: dict[int, int] = {}
 
-    limit = budget.trial_bound
-    if n > 1:
-        limit = min(limit, math.isqrt(n) + 1)
-    for p in primes_below(max(limit, 2)):
+    # one sieve per trial bound, cut short once p^2 > n
+    for p in primes_below(budget.trial_bound):
         if p * p > n:
             break
         if n % p == 0:
@@ -215,6 +215,68 @@ def factor(n: int, budget: FactorBudget = DEFAULT_BUDGET) -> FactoredInt:
         else:
             stack.extend([d, m // d])
     return FactoredInt(sign, tuple(sorted(found.items())), residue)
+
+
+def factor_with_parts(
+    n: int, parts: Iterable[int], budget: FactorBudget = DEFAULT_BUDGET
+) -> FactoredInt:
+    """Factor ``n`` through integers ``parts`` whose primes should cover n's.
+
+    Each nonzero part is factored on its own budget; the parts' unfactored
+    residues (with the primes found) are split into pairwise coprime pieces
+    by gcds, and every piece that is prime joins the primes.  |n| is then
+    divided by each prime, and what is left is the residue.  The result is
+    exact whatever the parts are: value() == n, and it is complete only
+    when the primes leave nothing of n over.
+    """
+    if n == 0:
+        raise ValueError("cannot factor 0")
+    primes: set[int] = set()
+    residues: list[int] = []
+    for part in parts:
+        if part == 0:
+            continue
+        fi = factor(part, budget)
+        primes.update(fi.primes())
+        if fi.residue > 1:
+            residues.append(fi.residue)
+    if residues:
+        for q in _coprime_pieces(sorted(primes) + residues):
+            if q not in primes and is_prime(q):
+                primes.add(q)
+    m = abs(n)
+    found: dict[int, int] = {}
+    for p in sorted(primes):
+        e = 0
+        while m % p == 0:
+            m //= p
+            e += 1
+        if e:
+            found[p] = e
+    return FactoredInt(-1 if n < 0 else 1, tuple(found.items()), m)
+
+
+def _coprime_pieces(values: list[int]) -> list[int]:
+    """Pairwise coprime integers > 1 with the same prime support as values.
+
+    Replacing two pieces x, q with g = gcd(x, q) > 1, x/g and q/g shrinks
+    their product, so the splitting ends.
+    """
+    pieces: list[int] = []
+    todo = list(values)
+    while todo:
+        x = todo.pop()
+        if x == 1:
+            continue
+        for i, q in enumerate(pieces):
+            g = math.gcd(x, q)
+            if g > 1:
+                del pieces[i]
+                todo.extend((g, x // g, q // g))
+                break
+        else:
+            pieces.append(x)
+    return pieces
 
 
 def isqrt_exact(n: int) -> Optional[int]:

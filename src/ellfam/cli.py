@@ -209,7 +209,7 @@ def _cmd_local(args, cfg: Config) -> int:
         primes = [args.prime]
         complete = True
     else:
-        fi = conductor(Emin, cfg.budget, partial=True)
+        fi = conductor(E, cfg.budget, partial=True)
         primes = [p for p, _e in fi.factors]
         complete = fi.complete
     data = []

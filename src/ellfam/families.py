@@ -146,10 +146,13 @@ def normalize_shifted_ab(
         lam *= Fraction(p) ** e
     A1 = lam * lam * A0
     B1 = lam**4 * B0
-    # strip square content common to both (weighted)
-    fa = factor(A1.numerator, budget)
+    # strip square content common to both (weighted); each such prime
+    # divides gcd(A', B'), a far smaller number than A', and its exponent
+    # e = min(v_p(A'), v_p(B')) there gives min(e//2, v_p(B')//4) =
+    # min(v_p(A')//2, v_p(B')//4)
+    fg = factor(math.gcd(A1.numerator, B1.numerator), budget)
     reduce_by = 1
-    for p, e in fa.factors:
+    for p, e in fg.factors:
         k = min(e // 2, valuation_fraction(B1, p) // 4)
         if k > 0:
             reduce_by *= p**k

@@ -19,6 +19,7 @@ from .arith import (
     FactoredInt,
     Unfactored,
     factor,
+    factor_with_parts,
     jacobi,
     valuation,
 )
@@ -605,6 +606,26 @@ def _steps_8_to_11(M: _Model, p: int, n: int) -> LocalData:
 # ---------------------------------------------------------------------------
 
 
+def discriminant_factorization(
+    E: WeierstrassCurve, budget: FactorBudget = DEFAULT_BUDGET
+) -> tuple[WeierstrassCurve, FactoredInt]:
+    """Global minimal model of E and a factorization of |disc_min|.
+
+    For an integral y^2 = x^3 + a2 x^2 + a4 x the discriminant is
+    16 a4^2 (a2^2 - 4 a4) and disc(E) = u^12 disc_min, so every prime of
+    disc_min divides 2, a4 or a2^2 - 4 a4: those small parts are factored
+    instead of disc_min as one number.  Any other model falls back to
+    factoring |disc_min| whole.  Either way the result is certified by
+    exact division (see factor_with_parts).
+    """
+    Emin, _pm = minimal_model(E, budget)
+    disc = abs(int(Emin.disc))
+    if E.is_integral() and E.a1 == E.a3 == E.a6 == 0:
+        a2, a4 = int(E.a2), int(E.a4)
+        return Emin, factor_with_parts(disc, (2, a4, a2 * a2 - 4 * a4), budget)
+    return Emin, factor(disc, budget)
+
+
 def conductor(
     E: WeierstrassCurve, budget: FactorBudget = DEFAULT_BUDGET, partial: bool = False
 ) -> FactoredInt:
@@ -616,9 +637,7 @@ def conductor(
     so the incompleteness stays explicit (complete=False).  The listed prime
     part is exact either way.
     """
-    Emin, _pm = minimal_model(E, budget)
-    disc = int(Emin.disc)
-    fi = factor(abs(disc), budget)
+    Emin, fi = discriminant_factorization(E, budget)
     if not fi.complete and not partial:
         raise Unfactored("discriminant factorization incomplete")
     out = []
@@ -633,9 +652,7 @@ def local_data_all(
     E: WeierstrassCurve, budget: FactorBudget = DEFAULT_BUDGET
 ) -> list[LocalData]:
     """LocalData at every prime dividing the minimal discriminant."""
-    Emin, _pm = minimal_model(E, budget)
-    disc = int(Emin.disc)
-    fi = factor(abs(disc), budget)
+    Emin, fi = discriminant_factorization(E, budget)
     if not fi.complete:
         raise Unfactored("discriminant factorization incomplete")
     return [tate_local(Emin, p) for p, _e in fi.factors]

@@ -17,14 +17,12 @@ from typing import Mapping
 from .arith import (
     DEFAULT_BUDGET,
     FactorBudget,
-    Unfactored,
-    factor,
     hilbert_symbol,
     jacobi,
     valuation,
 )
 from .curves import WeierstrassCurve
-from .localdata import LocalData, minimal_model, tate_local
+from .localdata import LocalData, discriminant_factorization, tate_local
 from ._rootnum_tables import RESIDUE_CLASS, TABLE_MODULI, TABLE_P2, TABLE_P3
 
 
@@ -101,8 +99,7 @@ def global_root_number(
     the known bad primes only and complete=False records that the sign is
     not certified — never a silent wrong sign.
     """
-    Emin, _pm = minimal_model(E, budget)
-    fi = factor(abs(int(Emin.disc)), budget)
+    Emin, fi = discriminant_factorization(E, budget)
     breakdown: dict[int, int] = {}
     value = -1
     for p, _e in fi.factors:

@@ -8,11 +8,14 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ellfam import arith
 from ellfam.arith import (
     DEFAULT_BUDGET,
     FactorBudget,
     Unfactored,
+    FactoredInt,
     factor,
+    factor_with_parts,
     hilbert_symbol,
     is_prime,
     isqrt_exact,
@@ -147,6 +150,73 @@ class TestFactor:
     def test_str(self):
         assert str(factor(3600)) == "2^4*3^2*5^2"
         assert str(factor(-1)) == "-1"
+
+
+    def test_one_sieve_per_trial_bound(self, monkeypatch):
+        monkeypatch.setattr(arith, "_sieve_cache", {})
+        budget = FactorBudget(10**5, 10**4)
+        for n in range(10**8, 10**8 + 200 * 7919, 7919):
+            assert factor(n, budget).value() == n
+        assert len(arith._sieve_cache) == 1
+
+
+M61, M89, M107, M127 = 2**61 - 1, 2**89 - 1, 2**107 - 1, 2**127 - 1
+NO_RHO = FactorBudget(10**3, 0)
+
+
+class TestFactorWithParts:
+    @given(
+        st.integers(min_value=-(10**30), max_value=10**30).filter(bool),
+        st.lists(st.integers(min_value=-(10**12), max_value=10**12), max_size=4),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_value_roundtrip(self, n, parts):
+        fi = factor_with_parts(n, parts, NO_RHO)
+        assert fi.value() == n
+        assert all(is_prime(p) and e >= 1 for p, e in fi.factors)
+        assert fi.complete == (fi.residue == 1)
+
+    @given(
+        st.integers(min_value=1, max_value=10**12),
+        st.sampled_from([2, 3, 101, 7919, M61, M89]),
+        st.lists(st.integers(min_value=1, max_value=10**12), max_size=4),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_missing_prime_never_complete(self, m, p, parts):
+        def without_p(x):
+            while x % p == 0:
+                x //= p
+            return x
+
+        fi = factor_with_parts(m * p, [without_p(x) for x in parts], NO_RHO)
+        assert not fi.complete
+        assert fi.residue % p == 0 and fi.value() == m * p
+
+    def test_covering_parts_match_factor(self):
+        n = -(2**6) * 3**5 * 7 * 1009**2
+        fi = factor_with_parts(n, [2, 3 * 7, 1009 * 3], NO_RHO)
+        assert fi == factor(n)
+
+    def test_residues_split_by_gcds(self):
+        # each part alone is a product of two primes rho would need to
+        # split; their gcd hands over all three
+        n = M61**2 * M89**3 * M107
+        fi = factor_with_parts(n, [M61 * M89, M61 * M107], NO_RHO)
+        assert fi.complete and fi.factors == ((M61, 2), (M89, 3), (M107, 1))
+
+    def test_found_prime_splits_other_residue(self):
+        n = M61 * M89 * 5
+        fi = factor_with_parts(n, [M61 * M89, 5 * M61], NO_RHO)
+        assert fi.complete and fi.primes() == (5, M61, M89)
+
+    def test_unsplit_residue_stays(self):
+        n = 2**3 * M89 * M127
+        fi = factor_with_parts(n, [2, M89 * M127], NO_RHO)
+        assert fi == FactoredInt(1, ((2, 3),), M89 * M127)
+
+    def test_zero_rejected(self):
+        with pytest.raises(ValueError):
+            factor_with_parts(0, [2])
 
 
 class TestSquareTest:

@@ -113,6 +113,19 @@ class TestLocalAndRootNumber:
         assert payload["places"][0]["p"] == 2
         assert payload["places"][0]["kodaira"] == "III"
 
+    def test_local_factors_discriminant_in_parts(self, capsys):
+        # disc = 16 P^2 (P-1)^4 with P = 2^89-1: without rho the whole
+        # number stops at P^2 * 2931542417^4, while a4 = P and
+        # a2^2 - 4 a4 = (P-1)^2 give every prime
+        P = 2**89 - 1
+        code, out, _ = run(
+            capsys, "--budget", "10000,0", "local", "--curve", f"0,{P + 1},0,{P},0"
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["complete"] is True
+        assert [pl["p"] for pl in payload["places"]][-2:] == [2931542417, P]
+
     def test_single_prime(self, capsys):
         code, out, _ = run(capsys, "local", "--curve", "0,0,0,0,16", "--prime", "3")
         assert code == 0

@@ -3,7 +3,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ellfam.arith import primes_below
 from ellfam.curves import CurvePoint, torsion_subgroup
 from ellfam.families import (
     CurveFamily,
@@ -409,6 +412,21 @@ class TestSpecialization:
         # square reduction: (4^2 A, 4^4 B) comes back down
         A2, B2, _ = normalize_shifted_ab(Fraction(49 * 16), Fraction(256 * 256))
         assert (A2, B2) == (49, 256)
+
+    @given(
+        st.fractions(-(10**6), 10**6, max_denominator=10**4).filter(bool),
+        st.fractions(-(10**6), 10**6, max_denominator=10**4).filter(bool),
+        st.integers(min_value=1, max_value=5 * 7 * 997),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_normalize_shifted_ab_square_reduced(self, A0, B0, k):
+        # square content k^2, k^4 must come back out
+        A0, B0 = A0 * k * k, B0 * k**4
+        A, B, lam = normalize_shifted_ab(A0, B0)
+        assert A.denominator == 1 and B.denominator == 1
+        assert (A, B) == (lam * lam * A0, lam**4 * B0)
+        for p in primes_below(1000):
+            assert A % (p * p) != 0 or B % p**4 != 0
 
     @pytest.mark.parametrize("label", ["Z8R2-1", "Z8R2-5", "Z2x6R2-1", "Z2x6R2-5"])
     def test_rank2_specialization_torsion(self, label):

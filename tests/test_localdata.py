@@ -4,12 +4,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ellfam.arith import FactorBudget, Unfactored, factor
+from ellfam.arith import FactorBudget, FactoredInt, Unfactored, factor
 from ellfam.curves import WeierstrassCurve, isomorphic_over_Q
 from ellfam.localdata import (
     LocalData,
     conductor,
+    discriminant_factorization,
     local_data_all,
     minimal_model,
     tate_local,
@@ -196,8 +199,50 @@ class TestConductor:
             assert conductor(E).value() > 1
 
     def test_budget_residue_surfaces(self):
-        # curve whose discriminant hides a large prime factor
-        P = 2**89 - 1
-        E = curve(0, 0, 0, -P, 0)  # disc = 64 P^3: residue P^3 is a cube
+        # a4 = -M61*M89 is a product of two large primes that neither a4
+        # nor a2^2 - 4 a4 = 1 + 4 M61 M89 reveals without rho
+        E = curve(0, 1, 0, -(2**61 - 1) * (2**89 - 1), 0)
         with pytest.raises(Unfactored):
             conductor(E, FactorBudget(10**3, 0))
+        fi = conductor(E, FactorBudget(10**3, 0), partial=True)
+        assert not fi.complete and fi.residue == ((2**61 - 1) * (2**89 - 1)) ** 2
+
+    def test_split_certifies_prime_cube(self):
+        # disc = 64 P^3 with P prime: the parts 2, -P and 4P give P at once
+        P = 2**89 - 1
+        fi = conductor(curve(0, 0, 0, -P, 0), FactorBudget(10**3, 0))
+        assert fi.complete and fi.factors == ((2, 6), (P, 2))
+
+
+class TestDiscriminantFactorization:
+    @given(
+        st.integers(min_value=-(10**5), max_value=10**5),
+        st.integers(min_value=-(10**7), max_value=10**7).filter(bool),
+        st.sampled_from([1, 2, 3, 6, 10, 49]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_split_agrees_with_whole_factor(self, A, B, lam):
+        # (lam^2 A, lam^4 B) puts square content in, so the minimal model
+        # differs from the input model
+        if A * A == 4 * B:
+            return
+        E = curve(0, lam**2 * A, 0, lam**4 * B, 0)
+        budget = FactorBudget(10**4, 10**5)
+        Emin, fi = discriminant_factorization(E, budget)
+        assert Emin == minimal_model(E, budget)[0]
+        assert fi.value() == abs(int(Emin.disc))
+        # parts below 10^17 always factor at this budget; disc_min may not
+        assert fi.complete
+        whole = factor(abs(int(Emin.disc)), budget)
+        if whole.complete:
+            assert fi.factors == whole.factors
+
+    def test_other_models_factor_whole(self):
+        Emin, fi = discriminant_factorization(E11A1)
+        assert fi == FactoredInt(1, ((11, 5),))
+        assert Emin == minimal_model(E11A1)[0]
+
+    def test_rational_model_falls_back(self):
+        E = curve(0, Fraction(1, 4), 0, Fraction(3, 16), 0)
+        Emin, fi = discriminant_factorization(E)
+        assert fi.complete and fi.value() == abs(int(Emin.disc))

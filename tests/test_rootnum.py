@@ -132,7 +132,22 @@ class TestInvariance:
 
 class TestBudget:
     def test_incomplete_flagged(self):
+        # a4 = -M61*M89: neither a4 nor a2^2 - 4 a4 splits it without rho
+        E = curve(0, 1, 0, -(2**61 - 1) * (2**89 - 1), 0)
+        rn = global_root_number(E, FactorBudget(10**3, 0))
+        assert rn.complete is False
+
+    def test_prime_cube_discriminant_certified(self):
+        # disc_min = 2^6 P^3: factoring the parts 2, -P, 4P finds P, which
+        # rho on P^3 never would
         P = 2**89 - 1
         E = curve(0, 0, 0, -P, 0)
         rn = global_root_number(E, FactorBudget(10**3, 0))
-        assert rn.complete is False
+        assert rn.complete is True
+        Emin, _ = minimal_model(E)
+        expected = {}
+        for p in (2, P):
+            ld = tate_local(Emin, p)
+            expected[p] = local_root_number(Emin, ld)
+        assert rn.local_breakdown == expected
+        assert rn == global_root_number(E)
