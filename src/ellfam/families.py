@@ -25,7 +25,7 @@ from .curves import (
     WeierstrassCurve,
     to_shifted_ab,
 )
-from .polyq import NotASquare, PolyQ, RatFunc, poly_sqrt, ratfunc_substitute
+from .polyq import NotASquare, PolyQ, RatFunc, homogenized_substitute, poly_sqrt
 
 
 def tate_normal_curve(b, c) -> WeierstrassCurve:
@@ -101,9 +101,18 @@ class CurveFamily:
         return " x ".join(f"Z/{n}" for n in self.torsion)
 
     def verify(self) -> bool:
-        """Check all stored points actually lie on the family curve."""
-        E = self.curve()
-        return all(E.contains(P) for P in self.torsion_points + self.sections)
+        """Check all stored points actually lie on the family curve.
+
+        For x = xn/xd and y = yn/yd, y^2 = x^3 + Ax^2 + Bx is checked as the
+        polynomial identity yn^2 xd^3 = yd^2 xn(xn^2 + A xn xd + B xd^2).
+        """
+        for P in self.torsion_points + self.sections:
+            if P.is_infinity:
+                continue
+            x, y = _ratfunc(P.x), _ratfunc(P.y)
+            if y.num * y.num * x.den**3 != y.den * y.den * _cleared_cubic(self, x.num, x.den):
+                return False
+        return True
 
     def specialize(
         self, value: Fraction | int, budget: FactorBudget = DEFAULT_BUDGET
@@ -123,6 +132,15 @@ class CurveFamily:
             points=tuple(spec_point(P) for P in self.sections),
             torsion_points=tuple(spec_point(P) for P in self.torsion_points),
         )
+
+
+def _ratfunc(f: RatFunc | PolyQ) -> RatFunc:
+    return RatFunc(f) if isinstance(f, PolyQ) else f
+
+
+def _cleared_cubic(family: CurveFamily, xn: PolyQ, xd: PolyQ) -> PolyQ:
+    """xd^3 (x^3 + Ax^2 + Bx) at x = xn/xd: xn(xn^2 + A xn xd + B xd^2)."""
+    return xn * (xn * xn + family.A * xn * xd + family.B * xd * xd)
 
 
 def normalize_shifted_ab(
@@ -231,21 +249,25 @@ def substitute_parameter(
     n, d = _integer_pair(sub)
     new_var = sub.var
     s = max(-(-family.A.degree // 2), -(-family.B.degree // 4))
-    lam = RatFunc(d) ** s
-    A1 = lam * lam * ratfunc_substitute(RatFunc(family.A), sub)
-    B1 = lam * lam * lam * lam * ratfunc_substitute(RatFunc(family.B), sub)
-    if not (A1.is_polynomial() and B1.is_polynomial()):
-        raise ValueError(f"substitution does not clear denominators for {label}")
-    Ap, Bp = A1.as_poly(), B1.as_poly()
+    # A1 = d^(2s) A(n/d) and B1 = d^(4s) B(n/d) are polynomials since
+    # 2s >= deg A and 4s >= deg B
+    Ap = homogenized_substitute(family.A, n, d, 2 * s)
+    Bp = homogenized_substitute(family.B, n, d, 4 * s)
     c = _square_content_reduction(Ap, Bp, budget)
     Ap = Ap * Fraction(1, c * c)
     Bp = Bp * Fraction(1, c**4)
-    scale = lam * Fraction(1, c)
+
+    def scaled(f, w: int) -> RatFunc:
+        """(d^s / c)^w f(n/d) = d^(k+ws) fn(n/d) / (c^w d^k fd(n/d))."""
+        f = _ratfunc(f)
+        k = max(f.num.degree, f.den.degree)
+        return RatFunc(
+            homogenized_substitute(f.num, n, d, k + w * s),
+            homogenized_substitute(f.den, n, d, k) * c**w,
+        )
 
     def transport(P: CurvePoint) -> CurvePoint:
-        x = scale * scale * ratfunc_substitute(P.x, sub)
-        y = scale**3 * ratfunc_substitute(P.y, sub)
-        return CurvePoint(x, y)
+        return CurvePoint(scaled(P.x, 2), scaled(P.y, 3))
 
     new = CurveFamily(
         label=label,
@@ -264,7 +286,7 @@ def substitute_parameter(
     if keep_sections:
         pts.extend(transport(P) for P in family.sections)
     for x in lift_sections:
-        pts.append(verify_section(new, scale * scale * ratfunc_substitute(x, sub)))
+        pts.append(verify_section(new, scaled(x, 2)))
     for x in sections:
         pts.append(verify_section(new, x))
     new = replace(new, sections=tuple(pts))
@@ -275,10 +297,8 @@ def substitute_parameter(
 
 def verify_section(family: CurveFamily, x: RatFunc | PolyQ) -> CurvePoint:
     """Lift an x-coordinate to a point of the family, or raise NotASquare."""
-    if isinstance(x, PolyQ):
-        x = RatFunc(x)
-    f = x * x * x + RatFunc(family.A) * x * x + RatFunc(family.B) * x
-    y = ratfunc_sqrt(f)
+    x = _ratfunc(x)
+    y = ratfunc_sqrt(RatFunc(_cleared_cubic(family, x.num, x.den), x.den**3))
     return CurvePoint(x, y)
 
 
@@ -371,8 +391,8 @@ def model_z2x6(var: str = "v") -> CurveFamily:
 
 def _z8_rank1_data():
     """(section x(v), square condition c(v), substitution v(w)) per entry."""
-    v = RatFunc.variable("v")
-    w = RatFunc.variable("w")
+    v = PolyQ.variable("v")
+    w = PolyQ.variable("w")
     return [
         (4 * v**4,
          4 * v**2 - 4 * v + 5,
@@ -434,8 +454,8 @@ def _z8_rank1_data():
 
 def _z8_rank2_data():
     """(parent index, substitution w(u), condition in w, spec value, [X1, X2])."""
-    u = RatFunc.variable("u")
-    w = RatFunc.variable("w")
+    u = PolyQ.variable("u")
+    w = PolyQ.variable("w")
     return [
         (3, (11 - u * u) / (10 * u), 25 * w * w + 11, 22,
          [-16 * (u - 11) ** 3 * (u - 1) * (u + 1) ** 3 * (u + 11)
@@ -488,8 +508,8 @@ def _z8_rank2_data():
 
 
 def _z2x6_rank1_data():
-    v = RatFunc.variable("v")
-    w = RatFunc.variable("w")
+    v = PolyQ.variable("v")
+    w = PolyQ.variable("w")
     return [
         (16 * (v - 2) * (1 + v) ** 2,
          3 * (v - 2) * v,
@@ -507,8 +527,8 @@ def _z2x6_rank1_data():
 
 
 def _z2x6_rank2_data():
-    u = RatFunc.variable("u")
-    w = RatFunc.variable("w")
+    u = PolyQ.variable("u")
+    w = PolyQ.variable("w")
     return [
         (1, 3 * (u * u - 8 * u + 14) / (u * u - 14),
          -(w * w - 3) * (7 * w * w + 9), 15,
@@ -565,28 +585,22 @@ def catalog() -> dict[str, CurveFamily]:
     out["Z8"] = z8
     out["Z2x6"] = z26
     for i, (x, cond, sub) in enumerate(_z8_rank1_data(), start=1):
-        cond_poly = cond.as_poly() if isinstance(cond, RatFunc) else cond
         out[f"Z8-{i}"] = substitute_parameter(
-            z8, sub, label=f"Z8-{i}", rank=1, lift_sections=[x],
-            condition=cond_poly,
+            z8, sub, label=f"Z8-{i}", rank=1, lift_sections=[x], condition=cond,
         )
     for i, (parent, sub, cond, hint, xs) in enumerate(_z8_rank2_data(), start=1):
-        cond_poly = None if cond is None else cond.as_poly()
         out[f"Z8R2-{i}"] = substitute_parameter(
             out[f"Z8-{parent}"], sub, label=f"Z8R2-{i}", rank=2,
-            sections=xs, condition=cond_poly, spec_hint=hint,
+            sections=xs, condition=cond, spec_hint=hint,
         )
     for i, (x, cond, sub) in enumerate(_z2x6_rank1_data(), start=1):
-        cond_poly = cond.as_poly() if isinstance(cond, RatFunc) else cond
         out[f"Z2x6-{i}"] = substitute_parameter(
-            z26, sub, label=f"Z2x6-{i}", rank=1, lift_sections=[x],
-            condition=cond_poly,
+            z26, sub, label=f"Z2x6-{i}", rank=1, lift_sections=[x], condition=cond,
         )
     for i, (parent, sub, cond, hint, xs) in enumerate(_z2x6_rank2_data(), start=1):
-        cond_poly = None if cond is None else cond.as_poly()
         out[f"Z2x6R2-{i}"] = substitute_parameter(
             out[f"Z2x6-{parent}"], sub, label=f"Z2x6R2-{i}", rank=2,
-            sections=xs, condition=cond_poly, spec_hint=hint,
+            sections=xs, condition=cond, spec_hint=hint,
         )
     _CATALOG_CACHE.update(out)
     return dict(out)

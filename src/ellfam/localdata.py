@@ -118,11 +118,19 @@ def minimal_model(
                 "gcd(c4, c6) residue could hide a 4th power; "
                 "minimality cannot be certified"
             )
+    Emin, u = _minimize_at(E, [p for p, e in fi.factors if p < 5 or e >= 4])
+    # the map E -> Emin: compose scaling by u with the translation aligning
+    # the (c4, c6)-standard model
+    pm = _isomorphism_with_scale(E, Emin, Fraction(u))
+    return Emin, pm
+
+
+def _minimize_at(E: WeierstrassCurve, primes) -> tuple[WeierstrassCurve, int]:
+    """The (c4, c6)-standard model of integral E, minimal at each of primes,
+    and the scale u it was reached by."""
+    c4, c6, disc = int(E.c4), int(E.c6), int(E.disc)
     u = 1
-    disc = int(E.disc)
-    for p, e in fi.factors:
-        if p >= 5 and e < 4:
-            continue
+    for p in primes:
         while True:
             g4, g6 = valuation(c4, p) if c4 else 10**9, valuation(c6, p) if c6 else 10**9
             if g4 < 4 or g6 < 6 or valuation(disc, p) < 12:
@@ -132,11 +140,7 @@ def minimal_model(
                 break
             c4, c6, disc = nc4, nc6, disc // p**12
             u *= p
-    Emin = _curve_from_c4c6(c4, c6)
-    # the map E -> Emin: compose scaling by u with the translation aligning
-    # the (c4, c6)-standard model
-    pm = _isomorphism_with_scale(E, Emin, Fraction(u))
-    return Emin, pm
+    return _curve_from_c4c6(c4, c6), u
 
 
 def _isomorphism_with_scale(E1, E2, u: Fraction) -> PointMap:
@@ -617,13 +621,38 @@ def discriminant_factorization(
     instead of disc_min as one number.  Any other model falls back to
     factoring |disc_min| whole.  Either way the result is certified by
     exact division (see factor_with_parts).
+
+    When minimal_model cannot certify minimality, the discriminant of E
+    is factored instead and E is minimized at every prime found.  Every
+    prime that can be scaled away divides disc(E), so the result is
+    complete, and the model certified minimal, exactly when that
+    factorization is; otherwise it covers the known primes (complete=False).
     """
-    Emin, _pm = minimal_model(E, budget)
-    disc = abs(int(Emin.disc))
+    try:
+        Emin, _pm = minimal_model(E, budget)
+    except Unfactored:
+        if not E.is_integral():
+            E, _pm = E.integral_model()
+        fE = _factor_disc(E, abs(int(E.disc)), budget)
+        Emin, _u = _minimize_at(E, fE.primes())
+        m = abs(int(Emin.disc))
+        found = []
+        for p in fE.primes():
+            e = valuation(m, p)
+            if e:
+                found.append((p, e))
+                m //= p**e
+        return Emin, FactoredInt(1, tuple(found), m)
+    return Emin, _factor_disc(E, abs(int(Emin.disc)), budget)
+
+
+def _factor_disc(E: WeierstrassCurve, disc: int, budget: FactorBudget) -> FactoredInt:
+    """Factor disc, a discriminant of a model isomorphic to E (see
+    discriminant_factorization)."""
     if E.is_integral() and E.a1 == E.a3 == E.a6 == 0:
         a2, a4 = int(E.a2), int(E.a4)
-        return Emin, factor_with_parts(disc, (2, a4, a2 * a2 - 4 * a4), budget)
-    return Emin, factor(disc, budget)
+        return factor_with_parts(disc, (2, a4, a2 * a2 - 4 * a4), budget)
+    return factor(disc, budget)
 
 
 def conductor(

@@ -9,9 +9,12 @@ equality.
 Heavy algebra (gcd, factorization into irreducibles over Q) is delegated to
 sympy's dense ``dup_*`` routines over ``ZZ``, applied to the coefficient
 lists with denominators cleared (highest degree first); no sympy expression
-is built.  Everything else is implemented directly; products are convolved
-over the integers too, so each output coefficient is reduced once instead
-of once per term.
+is built.  Everything else is implemented directly; products and
+substitutions are computed over the integers too, so each output
+coefficient is reduced once instead of once per term, and a rational
+function is normalized once per result: a substitution f(n/d) is formed as
+d^k num(n/d) / d^k den(n/d) on integer lists, and ``RatFunc`` takes both
+gcd cofactors from one ``dup_inner_gcd``.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from typing import Iterable, Optional, Union
 
 import sympy
 from sympy.polys.domains import ZZ
-from sympy.polys.euclidtools import dup_gcd
+from sympy.polys.euclidtools import dup_gcd, dup_inner_gcd
 from sympy.polys.factortools import dup_factor_list
 
 from .arith import square_test
@@ -52,6 +55,18 @@ def _clear_denominators(coeffs: tuple[Fraction, ...]) -> tuple[list[int], int]:
     """Integers n_i and d with coeffs[i] = n_i / d."""
     d = math.lcm(*(c.denominator for c in coeffs))
     return [c.numerator * (d // c.denominator) for c in coeffs], d
+
+
+def _zz_mul(xs: list[int], ys: list[int]) -> list[int]:
+    """Product of integer coefficient lists (index = degree)."""
+    if not xs or not ys:
+        return []
+    out = [0] * (len(xs) + len(ys) - 1)
+    for i, a in enumerate(xs):
+        if a:
+            for j, b in enumerate(ys):
+                out[i + j] += a * b
+    return out
 
 
 class PolyQ:
@@ -154,13 +169,8 @@ class PolyQ:
             return PolyQ([], var)
         xs, dx = _clear_denominators(self.coeffs)
         ys, dy = _clear_denominators(other.coeffs)
-        out = [0] * (len(xs) + len(ys) - 1)
-        for i, a in enumerate(xs):
-            if a:
-                for j, b in enumerate(ys):
-                    out[i + j] += a * b
         d = dx * dy
-        return PolyQ([Fraction(c, d) for c in out], var)
+        return PolyQ([Fraction(c, d) for c in _zz_mul(xs, ys)], var)
 
     __rmul__ = __mul__
 
@@ -217,17 +227,15 @@ class PolyQ:
         return PolyQ([i * c for i, c in enumerate(self.coeffs)][1:], self.var)
 
     def __call__(self, x):
-        """Evaluate by Horner; x may be a scalar, PolyQ or RatFunc."""
-        if isinstance(x, int):
-            x = Fraction(x)
-        acc = None
+        """Evaluate at a scalar (by Horner), a PolyQ (composition, a PolyQ)
+        or a RatFunc (see ratfunc_substitute)."""
+        if isinstance(x, RatFunc):
+            return ratfunc_substitute(self, x)
+        if isinstance(x, PolyQ):
+            return homogenized_substitute(self, x, PolyQ([1], x.var), self.degree)
+        acc = Fraction(0)
         for c in reversed(self.coeffs):
-            if acc is None:
-                acc = c if isinstance(x, Fraction) else 0 * x + c
-            else:
-                acc = acc * x + c
-        if acc is None:
-            return Fraction(0) if isinstance(x, Fraction) else 0 * x
+            acc = acc * x + c
         return acc
 
     # -- gcd / factorization (sympy dup_* routines) -----------------------
@@ -375,17 +383,22 @@ class RatFunc:
             den = PolyQ([den], num.var)
         if den.is_zero():
             raise ZeroDenominator("zero denominator")
-        if not num.is_zero():
-            g = num.gcd(den)
-            if not g.is_constant():
-                num = num.exact_div(g)
-                den = den.exact_div(g)
-        lc = den.leading()
-        if lc != 1:
-            num = num * (1 / lc)
-            den = den * (1 / lc)
         if num.is_zero():
             den = PolyQ([1], den.var)
+        elif num.is_constant() or den.is_constant():
+            lc = den.leading()
+            if lc != 1:
+                num = num * (1 / lc)
+                den = den * (1 / lc)
+        else:
+            # one gcd over Z gives both cofactors: num/den = xs dd / (ys dn)
+            var = num._join_var(den)
+            xs, dn = _clear_denominators(num.coeffs)
+            ys, dd = _clear_denominators(den.coeffs)
+            _g, cff, cfg = dup_inner_gcd(xs[::-1], ys[::-1], ZZ)
+            lc = int(cfg[0])  # int(): ZZ elements are mpz under gmpy ground types
+            num = PolyQ([Fraction(int(c) * dd, lc * dn) for c in reversed(cff)], var)
+            den = PolyQ([Fraction(int(c), lc) for c in reversed(cfg)], var)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
@@ -476,16 +489,15 @@ class RatFunc:
         return RatFunc(self.num**n, self.den**n)
 
     def __call__(self, x):
-        """Evaluate; x may be Fraction/int (returns Fraction) or Rat/PolyQ."""
-        if isinstance(x, int):
-            x = Fraction(x)
+        """Evaluate at a scalar (returns Fraction) or compose with a PolyQ or
+        RatFunc (see ratfunc_substitute)."""
+        if isinstance(x, (PolyQ, RatFunc)):
+            return ratfunc_substitute(self, x)
         num = self.num(x)
         den = self.den(x)
-        if isinstance(x, Fraction):
-            if den == 0:
-                raise ZeroDivisionError(f"pole at {x}")
-            return num / den
-        return _coerce(num, self.var if not isinstance(x, (PolyQ, RatFunc)) else x.var) / den
+        if den == 0:
+            raise ZeroDivisionError(f"pole at {x}")
+        return num / den
 
     def substitute(self, sub: "RatFunc") -> "RatFunc":
         """Exact composition self(sub), reduced to canonical form."""
@@ -514,19 +526,49 @@ def _coerce(x, var: str) -> Optional[RatFunc]:
     return None
 
 
-def ratfunc_substitute(f: Union[RatFunc, PolyQ], sub: RatFunc) -> RatFunc:
-    """Compose f with u := sub(w), exactly."""
-    if isinstance(f, PolyQ):
-        f = RatFunc(f, PolyQ([1], f.var))
-    if isinstance(sub, PolyQ):
-        sub = RatFunc(sub, PolyQ([1], sub.var))
-    num = f.num(sub)
-    den = f.den(sub)
-    if not isinstance(num, RatFunc):
-        num = RatFunc.const(num, sub.var)
-    if not isinstance(den, RatFunc):
-        den = RatFunc.const(den, sub.var)
-    return num / den
+def homogenized_substitute(p: PolyQ, n: PolyQ, d: PolyQ, k: int) -> PolyQ:
+    """d^k p(n/d) = sum p_i n^i d^(k-i) for deg p <= k, exactly: a
+    polynomial in the variable of n and d.
+
+    Computed on integer lists (n and d share one cleared denominator L) by
+    Horner on the homogenized form, acc -> acc*n + p_i d^(m-i) from the top
+    coefficient p_m down, then one factor d^(k-m); the result is scaled
+    back once per coefficient.
+    """
+    if p.degree > k:
+        raise ValueError(f"degree {p.degree} exceeds the homogenizing degree {k}")
+    var = n._join_var(d)
+    if p.is_zero():
+        return PolyQ([], var)
+    ps, dp = _clear_denominators(p.coeffs)
+    nds, L = _clear_denominators(n.coeffs + d.coeffs)
+    ns, ds = nds[: len(n.coeffs)], nds[len(n.coeffs):]
+    m = p.degree
+    dpow = [[1]]
+    for _ in range(max(m, k - m)):
+        dpow.append(_zz_mul(dpow[-1], ds))
+    acc = [ps[m]]
+    for i in range(m - 1, -1, -1):
+        acc = _zz_mul(acc, ns)
+        if ps[i]:
+            term = dpow[m - i]
+            acc += [0] * (len(term) - len(acc))
+            for j, c in enumerate(term):
+                acc[j] += ps[i] * c
+    scale = dp * L**k
+    return PolyQ([Fraction(c, scale) for c in _zz_mul(acc, dpow[k - m])], var)
+
+
+def ratfunc_substitute(f: Union[RatFunc, PolyQ], sub: Union[RatFunc, PolyQ]) -> RatFunc:
+    """Compose f with u := sub(w), exactly.
+
+    For sub = n/d and k = max(deg num f, deg den f), f(sub) is
+    d^k num(n/d) / d^k den(n/d): two polynomials, normalized once.
+    """
+    num, den = (f, PolyQ([1], f.var)) if isinstance(f, PolyQ) else (f.num, f.den)
+    n, d = (sub, PolyQ([1], sub.var)) if isinstance(sub, PolyQ) else (sub.num, sub.den)
+    k = max(num.degree, den.degree)
+    return RatFunc(homogenized_substitute(num, n, d, k), homogenized_substitute(den, n, d, k))
 
 
 # -- textual serialization ------------------------------------------------

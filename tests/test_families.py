@@ -1,5 +1,7 @@
 """Family construction, catalog fidelity and specialization tests."""
 
+import hashlib
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -125,6 +127,56 @@ class TestSections:
         f = RatFunc(4 * v**2 - 4 * v + 1) / RatFunc(v * v)
         r = ratfunc_sqrt(f)
         assert r * r == f
+
+
+# sha1 of the catalog content: labels, A, B, section and torsion points as
+# strings, sorted by label
+CATALOG_HASH = "dba418eaa43a6e8536632ca34afdb688a6f6f230"
+
+
+def catalog_content_hash(cat) -> str:
+    h = hashlib.sha1()
+    for label in sorted(cat):
+        fam = cat[label]
+        h.update(repr((
+            label,
+            str(fam.A),
+            str(fam.B),
+            [(str(P.x), str(P.y)) for P in fam.sections],
+            [(str(P.x), str(P.y)) for P in fam.torsion_points],
+        )).encode())
+    return h.hexdigest()
+
+
+class TestCatalogPin:
+    def test_content_hash(self):
+        cat = catalog()
+        assert catalog_content_hash(cat) == CATALOG_HASH
+        assert all(fam.verify() for fam in cat.values())
+
+    @pytest.mark.parametrize("label", ["Z8R2-1", "Z2x6R2-3", "Z8-9"])
+    @pytest.mark.parametrize(
+        "move", [lambda P: CurvePoint(P.x + 1, P.y), lambda P: CurvePoint(P.x, 2 * P.y)]
+    )
+    def test_verify_rejects_moved_points(self, label, move):
+        fam = catalog()[label]
+        for i, P in enumerate(fam.sections):
+            moved = fam.sections[:i] + (move(P),) + fam.sections[i + 1:]
+            assert not replace(fam, sections=moved).verify()
+        for i, P in enumerate(fam.torsion_points):
+            if move(P) == P:  # a 2-torsion point has y = 2y = 0
+                continue
+            moved = fam.torsion_points[:i] + (move(P),) + fam.torsion_points[i + 1:]
+            assert not replace(fam, torsion_points=moved).verify()
+
+    def test_verify_section_rejects_moved_x(self):
+        # Z8R2-1's second section has x-denominator u^2
+        fam = catalog()["Z8R2-1"]
+        for P in fam.sections:
+            assert verify_section(fam, P.x).y in (P.y, -P.y)
+            for x in (P.x + 1, 4 * P.x, P.x / 2):
+                with pytest.raises(NotASquare):
+                    verify_section(fam, x)
 
 
 class TestCatalogShape:

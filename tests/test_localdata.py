@@ -207,6 +207,18 @@ class TestConductor:
         fi = conductor(E, FactorBudget(10**3, 0), partial=True)
         assert not fi.complete and fi.residue == ((2**61 - 1) * (2**89 - 1)) ** 2
 
+    def test_partial_when_minimality_uncertified(self):
+        # c6 = 0: minimal_model cannot certify minimality at this budget
+        M = (2**61 - 1) * (2**89 - 1)
+        E = curve(0, 0, 0, -M, 0)
+        budget = FactorBudget(10**3, 0)
+        with pytest.raises(Unfactored):
+            minimal_model(E, budget)
+        with pytest.raises(Unfactored):
+            conductor(E, budget)
+        fi = conductor(E, budget, partial=True)
+        assert not fi.complete and fi.residue == M**3 and fi.primes() == (2,)
+
     def test_split_certifies_prime_cube(self):
         # disc = 64 P^3 with P prime: the parts 2, -P and 4P give P at once
         P = 2**89 - 1

@@ -12,6 +12,7 @@ from ellfam.polyq import (
     PolyQ,
     RatFunc,
     disc_shifted_cubic,
+    homogenized_substitute,
     poly_from_string,
     poly_sqrt,
     ratfunc_substitute,
@@ -24,9 +25,9 @@ small_fracs = st.builds(
 )
 
 
-def polys(max_degree=5):
+def polys(max_degree=5, var="u"):
     return st.lists(small_fracs, min_size=0, max_size=max_degree + 1).map(
-        lambda cs: PolyQ(cs, "u")
+        lambda cs: PolyQ(cs, var)
     )
 
 
@@ -266,6 +267,113 @@ class TestRatFunc:
         f = (u**3 - 2) / (u**2 + 1)
         g = ratfunc_substitute(f, u + shift)
         assert g(x) == f(x + shift)
+
+
+def reference_normalize(num, den):
+    """RatFunc normalization by gcd, two exact divisions and a monic den."""
+    if not num.is_zero():
+        g = num.gcd(den)
+        if not g.is_constant():
+            num, den = num.exact_div(g), den.exact_div(g)
+    lc = den.leading()
+    num, den = num * (1 / lc), den * (1 / lc)
+    if num.is_zero():
+        den = PolyQ([1], den.var)
+    return num, den
+
+
+def reference_substitute(f, sub):
+    """f(sub) by Horner on num and den in RatFunc arithmetic."""
+
+    def horner(p):
+        acc = RatFunc.const(0, sub.var)
+        for c in reversed(p.coeffs):
+            acc = acc * sub + c
+        return acc
+
+    return horner(f.num) / horner(f.den)
+
+
+class TestNormalizeOnce:
+    """The cofactor normalization and the homogenized substitution agree
+    with the reference paths above."""
+
+    @given(polys(4), polys(4).filter(lambda p: not p.is_zero()))
+    @settings(max_examples=80, deadline=None)
+    def test_cofactors_match_reference(self, num, den):
+        f = RatFunc(num, den)
+        assert (f.num, f.den) == reference_normalize(num, den)
+        assert f.den.leading() == 1
+
+    @pytest.mark.parametrize(
+        "num,den",
+        [
+            (PolyQ([], "u"), PolyQ([3, 0, -2], "u")),  # zero numerator
+            (PolyQ([Fraction(-5, 3)], "u"), PolyQ([1, 2, -7], "u")),  # constant numerator
+            (PolyQ([1, 2, -7], "u"), PolyQ([Fraction(-4, 9)], "u")),  # constant denominator
+            (PolyQ([-6, 0, 6], "u"), PolyQ([-3, -3], "u")),  # negative leading coefficients
+            (PolyQ([2, 3, 1], "u") * PolyQ([Fraction(1, 2), 5], "u"),
+             PolyQ([2, 3, 1], "u") * PolyQ([7, 0, -3], "u")),  # shared quadratic, non-monic
+        ],
+    )
+    def test_cofactor_edge_cases(self, num, den):
+        f = RatFunc(num, den)
+        assert (f.num, f.den) == reference_normalize(num, den)
+
+    @given(
+        polys(4),
+        polys(4).filter(lambda p: not p.is_zero()),
+        polys(2, "w"),
+        polys(2, "w").filter(lambda p: not p.is_zero()),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_substitute_matches_horner(self, a, b, c, d):
+        f, sub = RatFunc(a, b), RatFunc(c, d)
+        try:
+            expected = reference_substitute(f, sub)
+        except ZeroDivisionError:
+            with pytest.raises(ZeroDivisionError):
+                ratfunc_substitute(f, sub)
+            return
+        got = ratfunc_substitute(f, sub)
+        assert (got.num, got.den) == (expected.num, expected.den)
+        assert f.substitute(sub) == got and f(sub) == got
+        if not got.is_constant():
+            assert got.var == "w"
+
+    @pytest.mark.parametrize(
+        "f,sub",
+        [
+            (RatFunc(PolyQ([], "u")), RatFunc(PolyQ([1, 1], "w"), PolyQ([0, 2], "w"))),
+            (RatFunc(PolyQ([Fraction(7, 2)], "u")), RatFunc(PolyQ([0, 0, 1], "w"))),
+            (RatFunc(PolyQ([1, -3, 0, -2], "u"), PolyQ([Fraction(5, 4)], "u")),
+             RatFunc(PolyQ([-1, 0, -3], "w"), PolyQ([2, -5], "w"))),
+            (RatFunc(PolyQ([0, -2], "u"), PolyQ([1, 0, -1], "u")),
+             RatFunc(PolyQ([Fraction(1, 3)], "w"))),  # constant substitution
+            (RatFunc(PolyQ([4, 0, -1], "u"), PolyQ([0, 0, 0, 3], "u")),
+             RatFunc(PolyQ([1, -2], "w"), PolyQ([Fraction(-1, 2), 0, 3], "w"))),
+        ],
+    )
+    def test_substitute_edge_cases(self, f, sub):
+        assert ratfunc_substitute(f, sub) == reference_substitute(f, sub)
+        assert ratfunc_substitute(f.num, sub) == reference_substitute(RatFunc(f.num), sub)
+
+    @given(polys(4), polys(2, "w"), polys(2, "w").filter(lambda p: not p.is_zero()),
+           st.integers(min_value=0, max_value=3))
+    @settings(max_examples=60, deadline=None)
+    def test_homogenized_is_cleared_substitution(self, p, n, d, extra):
+        k = max(p.degree, 0) + extra
+        h = homogenized_substitute(p, n, d, k)
+        assert RatFunc(h) == RatFunc(d) ** k * reference_substitute(RatFunc(p), RatFunc(n, d))
+        # composition with a polynomial is the d = 1 case; Horner in PolyQ
+        acc = PolyQ([], "w")
+        for c in reversed(p.coeffs):
+            acc = acc * n + c
+        assert p(n) == acc
+
+    def test_homogenizing_degree_too_small(self):
+        with pytest.raises(ValueError):
+            homogenized_substitute(PolyQ([1, 0, 1], "u"), PolyQ([0, 1], "w"), PolyQ([1], "w"), 1)
 
 
 class TestSerialization:

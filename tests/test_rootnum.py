@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from ellfam.arith import FactorBudget, jacobi
+from ellfam.arith import FactorBudget, Unfactored, jacobi
 from ellfam.curves import WeierstrassCurve
 from ellfam.localdata import minimal_model, tate_local
 from ellfam.rootnum import RootNumber, global_root_number, local_root_number
@@ -151,3 +151,25 @@ class TestBudget:
             expected[p] = local_root_number(Emin, ld)
         assert rn.local_breakdown == expected
         assert rn == global_root_number(E)
+
+    def test_uncertified_minimality_returns_incomplete(self):
+        # c6 = 0, so minimal_model factors 48|a4| whole and cannot rule out
+        # a 4th power in the residue M61*M89: the answer covers p = 2 only
+        E = curve(0, 0, 0, -(2**61 - 1) * (2**89 - 1), 0)
+        rn = global_root_number(E, FactorBudget(10**3, 0))
+        assert rn.complete is False and set(rn.local_breakdown) == {2}
+
+    @pytest.mark.parametrize("lam", [1, 7, 100003])
+    def test_minimality_certified_through_discriminant(self, lam):
+        # a2 = PQ, a4 = P^2 Q with Q = 4 + 33P: the residue P^2 Q of
+        # gcd(c4, c6) is too big to certify, but a2^2 - 4a4 = 33 P^3 Q
+        # splits P from Q, so the discriminant is fully factored
+        P, Q = 100003, 3300103
+        E = curve(0, lam**2 * P * Q, 0, lam**4 * P * P * Q, 0)
+        small = FactorBudget(10**3, 0)
+        with pytest.raises(Unfactored):
+            minimal_model(E, small)
+        rn = global_root_number(E, small)
+        assert rn.complete is True
+        assert rn == global_root_number(E)
+
