@@ -47,16 +47,11 @@ class Config:
     budget: FactorBudget = DEFAULT_BUDGET
     height_eps: float = DEFAULT_EPS
     independence_threshold: float = INDEPENDENCE_THRESHOLD
-    parallelism: int = 1
     output: str = "json"
 
     def __post_init__(self):
         if self.height_eps <= 0 or self.independence_threshold <= 0:
             raise ValueError("numeric settings must be positive")
-        if self.parallelism < 1:
-            raise ValueError("parallelism must be positive")
-        if self.output not in ("json", "csv"):
-            raise ValueError("output must be json or csv")
 
 
 def _default_budget() -> FactorBudget:
@@ -78,12 +73,11 @@ def _config(args) -> Config:
         budget=args.budget if args.budget is not None else _default_budget(),
         height_eps=args.eps,
         independence_threshold=args.threshold,
-        parallelism=args.jobs,
         output=args.format,
     )
 
 
-def _emit(payload, cfg: Config) -> None:
+def _emit(payload) -> None:
     sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
@@ -146,7 +140,7 @@ def _cmd_catalog(args, cfg: Config) -> int:
             }
             for fam in cat.values()
         ]
-        _emit(payload, cfg)
+        _emit(payload)
         return 0
     fam = cat.get(args.label)
     if fam is None:
@@ -166,7 +160,7 @@ def _cmd_catalog(args, cfg: Config) -> int:
         if fam.spec_hint is None
         else rational_to_string(fam.spec_hint),
     }
-    _emit(payload, cfg)
+    _emit(payload)
     return 0
 
 
@@ -185,7 +179,7 @@ def _cmd_specialize(args, cfg: Config) -> int:
         "points": [_point_json(P) for P in sp.points],
         "torsion_points": [_point_json(P) for P in sp.torsion_points],
     }
-    _emit(payload, cfg)
+    _emit(payload)
     return 0
 
 
@@ -198,7 +192,7 @@ def _cmd_torsion(args, cfg: Config) -> int:
         "label": tg.label(),
         "generators": [_point_json(P) for P in tg.generators],
     }
-    _emit(payload, cfg)
+    _emit(payload)
     return 0
 
 
@@ -225,7 +219,7 @@ def _cmd_local(args, cfg: Config) -> int:
                 "vp_disc_min": ld.vp_disc_min,
             }
         )
-    _emit({"complete": complete, "places": data}, cfg)
+    _emit({"complete": complete, "places": data})
     return 0
 
 
@@ -241,7 +235,7 @@ def _cmd_rootnumber(args, cfg: Config) -> int:
         "complete": rn.complete,
         "local": {str(p): w for p, w in sorted(rn.local_breakdown.items())},
     }
-    _emit(payload, cfg)
+    _emit(payload)
     return 0
 
 
@@ -262,7 +256,7 @@ def _cmd_heights(args, cfg: Config) -> int:
         "determinant": f"{M.gram_determinant():.12e}",
         "certificate": cert,
     }
-    _emit(payload, cfg)
+    _emit(payload)
     return 0
 
 
@@ -285,7 +279,7 @@ def _cmd_sections(args, cfg: Config) -> int:
         "points_on_curve": fam.verify(),
         "sections": results,
     }
-    _emit(payload, cfg)
+    _emit(payload)
     return 0 if ok and payload["points_on_curve"] else 1
 
 
@@ -307,7 +301,7 @@ def _cmd_scan(args, cfg: Config) -> int:
         print(f"unknown scan: {name}; known: {sorted(specs)}", file=sys.stderr)
         return 2
     spec = specs[name]
-    grid = lattice_scan(spec, workers=cfg.parallelism)
+    grid = lattice_scan(spec)
     rep = symmetry_audit(grid, spec.symmetry)
     out = grid.to_json() if cfg.output == "json" else grid.to_csv()
     if args.out:
@@ -389,7 +383,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="height precision")
     parser.add_argument("--threshold", type=float, default=INDEPENDENCE_THRESHOLD,
                         help="independence determinant threshold")
-    parser.add_argument("--jobs", type=int, default=1, help="parallel cell workers")
     parser.add_argument("--format", choices=("json", "csv"), default="json",
                         help="output format (scan supports csv)")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -409,9 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("local", help="reduction data at bad primes")
     _add_curve_source(p)
-    p.add_argument("--prime", type=int)
-    p.add_argument("--all", action="store_true",
-                   help="all bad primes (the default when --prime is absent)")
+    p.add_argument("--prime", type=int, help="one prime (default: every bad prime)")
     p.set_defaults(fn=_cmd_local)
 
     p = sub.add_parser("rootnumber", help="global root number with local factors")

@@ -11,7 +11,9 @@ import math
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+
+from sympy.polys.domains import ZZ
+from sympy.polys.galoistools import gf_from_int_poly, gf_gcd, gf_pow_mod, gf_sub
 
 from .arith import (
     DEFAULT_BUDGET,
@@ -162,179 +164,47 @@ def _vp(n: int, p: int) -> int:
     return valuation(n, p) if n else 10**9
 
 
-def _poly_roots_mod_p(coeffs: list[int], p: int) -> list[int]:
-    """Roots in F_p of a polynomial given by ascending coefficients."""
-    cs = [c % p for c in coeffs]
-    while cs and cs[-1] == 0:
-        cs.pop()
-    if not cs:
-        return list(range(p))
-    if p <= 50:
-        return [x for x in range(p) if sum(c * pow(x, i, p) for i, c in enumerate(cs)) % p == 0]
-    deg = len(cs) - 1
-    if deg == 1:
-        return [(-cs[0] * pow(cs[1], -1, p)) % p]
-    if deg == 2:
-        return sorted(set(_quad_roots(cs, p)))
-    # cubic: the gcd with x^p - x is the product of the distinct linear factors
-    g = _gcd_mod_p(cs, _xp_minus_x_mod(cs, p), p)
-    gdeg = len(g) - 1
-    if gdeg == 0:
-        return []
-    if gdeg == 1:
-        return [(-g[0] * pow(g[1], -1, p)) % p]
-    if gdeg == 2:
-        return sorted(set(_quad_roots(g, p)))
-    # fully split cubic: extract one root, deflate, finish with the formula
-    r = _one_root_split_cubic(g, p)
-    return sorted(set([r] + _quad_roots(_deflate(g, r, p), p)))
+def _has_root_quadratic(a: int, b: int, c: int, p: int) -> bool:
+    """Whether a y^2 + b y + c has a root in F_p.
+
+    For odd p this reads off the discriminant, so a and b must not both
+    vanish mod p (Tate's algorithm only asks with a = 1 or with a nonzero
+    discriminant).
+    """
+    if p == 2:
+        return c % 2 == 0 or (a + b + c) % 2 == 0
+    d = (b * b - 4 * a * c) % p
+    return d == 0 or jacobi(d, p) == 1
 
 
-def sqrt_mod(a: int, p: int) -> int:
-    """Square root modulo an odd prime (Tonelli-Shanks)."""
-    a %= p
-    if a == 0:
-        return 0
-    assert jacobi(a, p) == 1
-    if p % 4 == 3:
-        return pow(a, (p + 1) // 4, p)
-    # Tonelli-Shanks
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while jacobi(z, p) != -1:
-        z += 1
-    m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
-    while t != 1:
-        i, t2 = 0, t
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        m, c, t, r = i, b * b % p, t * b * b % p, r * b % p
-    return r
+def _repeated_root(cs: list[int], p: int) -> int:
+    """The repeated root in F_p (p >= 5) of a T^3 + b T^2 + c T + d, given
+    by ascending coefficients, whose discriminant vanishes mod p.
 
-
-def _quad_roots(cs: list[int], p: int) -> list[int]:
-    a, b, c = cs[2] % p, cs[1] % p, cs[0] % p
-    disc = (b * b - 4 * a * c) % p
-    if disc == 0:
-        return [(-b * pow(2 * a, -1, p)) % p]
-    if jacobi(disc, p) != 1:
-        return []
-    s = sqrt_mod(disc, p)
-    inv2a = pow(2 * a, -1, p)
-    return [((-b + s) * inv2a) % p, ((-b - s) * inv2a) % p]
-
-
-def _one_root_split_cubic(cs: list[int], p: int) -> int:
-    """A root of a cubic known to split completely mod p (p odd, large)."""
-    # depress and use the fact that gcd((x+a)^((p-1)/2) - 1, f) is a proper
-    # factor for random a; a handful of tries suffices
-    import random
-
-    rng = random.Random(p)
-    for _ in range(64):
-        a = rng.randrange(p)
-        g = _gcd_mod_p(cs, _power_poly_mod(cs, a, (p - 1) // 2, p), p)
-        if 1 <= len(g) - 1 < len(cs) - 1:
-            if len(g) - 1 == 1:
-                return (-g[0] * pow(g[1], -1, p)) % p
-            return _quad_roots(g, p)[0]
-    raise RuntimeError("root extraction failed")  # pragma: no cover
-
-
-def _polymulmod(a, b, mod, p):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return _polyrem(out, mod, p)
-
-
-def _polyrem(a, mod, p):
-    a = [x % p for x in a]
-    dm = len(mod) - 1
-    inv = pow(mod[-1], -1, p)
-    while len(a) - 1 >= dm and any(a):
-        while a and a[-1] % p == 0:
-            a.pop()
-        if len(a) - 1 < dm:
-            break
-        coef = a[-1] * inv % p
-        shift = len(a) - 1 - dm
-        for i, m in enumerate(mod):
-            a[shift + i] = (a[shift + i] - coef * m) % p
-        while a and a[-1] % p == 0:
-            a.pop()
-    return a if a else [0]
-
-
-def _xp_minus_x_mod(f, p):
-    """x^p - x reduced mod (f, p)."""
-    base = [0, 1]
-    result = [1]
-    e = p
-    cur = base
-    while e:
-        if e & 1:
-            result = _polymulmod(result, cur, f, p)
-        cur = _polymulmod(cur, cur, f, p)
-        e >>= 1
-    # subtract x
-    out = list(result) + [0] * max(0, 2 - len(result))
-    out[1] = (out[1] - 1) % p
-    return out
-
-
-def _power_poly_mod(f, shift, e, p):
-    """(x + shift)^e - 1 reduced mod (f, p)."""
-    cur = [shift % p, 1]
-    result = [1]
-    while e:
-        if e & 1:
-            result = _polymulmod(result, cur, f, p)
-        cur = _polymulmod(cur, cur, f, p)
-        e >>= 1
-    out = list(result)
-    out[0] = (out[0] - 1) % p
-    return out
-
-
-def _gcd_mod_p(a, b, p):
-    def trim(c):
-        c = [x % p for x in c]
-        while c and c[-1] == 0:
-            c.pop()
-        return c
-
-    a, b = trim(list(a)), trim(list(b))
-    while b:
-        a, b = b, trim(_polyrem(a, b, p))
-    if not a:
-        return [0]
-    inv = pow(a[-1], -1, p)
-    return [x * inv % p for x in a]
-
-
-def _deflate(cs, r, p):
-    """Divide a polynomial by (x - r) mod p."""
-    out = [0] * (len(cs) - 1)
-    acc = 0
-    for i in range(len(cs) - 1, 0, -1):
-        acc = (acc * r + cs[i]) % p
-        out[i - 1] = acc
-    return out
+    For a (T - r)^2 (T - s): b^2 - 3ac = a^2 (r - s)^2 and
+    9ad - bc = 2 a^2 r (r - s)^2, so the double root is their quotient
+    over 2; when b^2 - 3ac vanishes the root is triple, -b/(3a).
+    """
+    d, c, b, a = (x % p for x in cs)
+    h = (b * b - 3 * a * c) % p
+    if h == 0:
+        return (-b * pow(3 * a, -1, p)) % p
+    return (9 * a * d - b * c) * pow(2 * h, -1, p) % p
 
 
 def _count_roots_cubic(cs: list[int], p: int) -> int:
-    if p <= 50:
-        return len(_poly_roots_mod_p(cs, p))
-    g = _gcd_mod_p(cs, _xp_minus_x_mod(cs, p), p)
-    return len(g) - 1
+    """Number of distinct roots in F_p of a cubic given by ascending
+    coefficients, nonzero mod p: the degree of gcd(f, T^p - T).
+
+    Below p = 500, trying every residue is faster than that gcd.
+    """
+    d, c, b, a = (x % p for x in cs)
+    if p < 500:
+        return sum((((a * x + b) * x + c) * x + d) % p == 0 for x in range(p))
+    f = gf_from_int_poly([a, b, c, d], p)
+    x = [ZZ(1), ZZ(0)]
+    h = gf_sub(gf_pow_mod(x, p, f, p, ZZ), x, p, ZZ)
+    return len(gf_gcd(f, h, p, ZZ)) - 1
 
 
 class _Model:
@@ -400,8 +270,8 @@ def tate_local(E: WeierstrassCurve, p: int) -> LocalData:
             return LocalData(p, "III", n - 1, 2, "additive", n)
         if b6 % p3 != 0:
             # type IV: c depends on Y^2 + (a3/p) Y - a6/p^2 splitting
-            roots = _poly_roots_mod_p([-(M.a6 // p2), M.a3 // p, 1], p)
-            return LocalData(p, "IV", n - 2, 3 if roots else 1, "additive", n)
+            root = _has_root_quadratic(1, M.a3 // p, -(M.a6 // p2), p)
+            return LocalData(p, "IV", n - 2, 3 if root else 1, "additive", n)
         _arrange_step7(M, p)
         assert M.a1 % p == 0 and M.a2 % p == 0
         assert M.a3 % p2 == 0 and M.a4 % p2 == 0 and M.a6 % p3 == 0
@@ -432,17 +302,8 @@ def _move_singular_point(M: _Model, p: int):
                     return
         raise RuntimeError("no singular point found")  # pragma: no cover
     b2, b4, b6, b8, c4, c6, disc = M.invariants()
-    # double root of 4x^3 + b2 x^2 + 2 b4 x + b6 mod p
-    cub = [b6 % p, (2 * b4) % p, b2 % p, 4 % p]
-    dcub = [(2 * b4) % p, (2 * b2) % p, 12 % p]
-    g = _gcd_mod_p(cub, dcub, p)
-    if len(g) - 1 == 1:
-        x0 = (-g[0] * pow(g[1], -1, p)) % p
-    elif len(g) - 1 == 2:
-        rts = _quad_roots(g, p)
-        x0 = next(r for r in rts if sum(c * pow(r, i, p) for i, c in enumerate(cub)) % p == 0)
-    else:  # triple root of the cubic
-        x0 = (-b2 * pow(12, -1, p)) % p
+    # repeated root of 4x^3 + b2 x^2 + 2 b4 x + b6 mod p
+    x0 = _repeated_root([b6, 2 * b4, b2, 4], p)
     y0 = (-(M.a1 * x0 + M.a3) * pow(2, -1, p)) % p
     M.translate(x0, 0, y0)
     assert M.a3 % p == 0 and M.a4 % p == 0 and M.a6 % p == 0
@@ -537,11 +398,7 @@ def _cubic_double_root(cs, p) -> int:
             if nd % p == 0 and nc % p == 0:
                 return r
         raise RuntimeError("double root lost")  # pragma: no cover
-    d, c, b, _a = cs
-    der = [c % p, (2 * b) % p, 3 % p]
-    g = _gcd_mod_p([d, c, b, 1], der, p)
-    assert len(g) - 1 == 1
-    return (-g[0] * pow(g[1], -1, p)) % p
+    return _repeated_root(cs, p)
 
 
 def _instar_loop(M: _Model, p: int, n: int) -> LocalData:
@@ -553,8 +410,7 @@ def _instar_loop(M: _Model, p: int, n: int) -> LocalData:
         a3t = M.a3 // p**q
         a6t = M.a6 // p ** (2 * q)
         if (a3t * a3t + 4 * a6t) % p != 0:
-            roots = _poly_roots_mod_p([-a6t, a3t, 1], p)
-            c = 4 if roots else 2
+            c = 4 if _has_root_quadratic(1, a3t, -a6t, p) else 2
             return LocalData(p, f"I{m}*", n - 4 - m, c, "additive", n)
         if p == 2:
             alpha = next(
@@ -569,8 +425,7 @@ def _instar_loop(M: _Model, p: int, n: int) -> LocalData:
         a4t = M.a4 // p ** (q + 1)
         a6t = M.a6 // p ** (2 * q + 1)
         if (a4t * a4t - 4 * a2t * a6t) % p != 0:
-            roots = _poly_roots_mod_p([a6t, a4t, a2t], p)
-            c = 4 if roots else 2
+            c = 4 if _has_root_quadratic(a2t, a4t, a6t, p) else 2
             return LocalData(p, f"I{m}*", n - 4 - m, c, "additive", n)
         if p == 2:
             alpha = next(
@@ -589,8 +444,8 @@ def _steps_8_to_11(M: _Model, p: int, n: int) -> LocalData:
     a3t = M.a3 // p2
     a6t = M.a6 // p4
     if (a3t * a3t + 4 * a6t) % p != 0:
-        roots = _poly_roots_mod_p([-a6t, a3t, 1], p)
-        return LocalData(p, "IV*", n - 6, 3 if roots else 1, "additive", n)
+        root = _has_root_quadratic(1, a3t, -a6t, p)
+        return LocalData(p, "IV*", n - 6, 3 if root else 1, "additive", n)
     if p == 2:
         alpha = next(y for y in range(2) if (y * y + a3t * y - a6t) % 2 == 0)
     else:

@@ -14,18 +14,16 @@ sign conventions are pinned so the group origin lands on a designated base
 point; ``negate`` composes the identification with [-1] for the other
 equally valid choice.
 
-Cells are independent tasks; results are merged in (n, m) order, so the
-grid is deterministic for a fixed spec and budget regardless of the number
-of workers.
+Cells are computed one after another in (n, m) order, so the grid is
+deterministic for a fixed spec and budget.
 """
 
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import sympy
 
@@ -37,14 +35,12 @@ from .arith import (
     squarefree_decompose,
 )
 from .curves import (
-    INFINITY,
     CurvePoint,
     WeierstrassCurve,
     isomorphic_over_Q,
     torsion_subgroup,
 )
 from .families import CurveFamily, catalog
-from .localdata import minimal_model
 from .polyq import PolyQ
 from .rootnum import MissingLocalCase, global_root_number
 from .sections import QuarticModel, quartic_jacobian
@@ -203,7 +199,8 @@ class ParameterMap:
     """Exact map from parametrizer points to family parameter values.
 
     ``parameter(P)`` gives the kept coordinate r; ``coordinates(P)`` also
-    returns the companion coordinate on the attached biquadratic curve.
+    returns the companion coordinate s on the attached biquadratic curve,
+    the root of its quadratic in s taken with the quartic's t.
     Points sitting over the quartic's fiber at infinity raise
     DegenerateFiber.
     """
@@ -213,8 +210,6 @@ class ParameterMap:
         parametrizer: WeierstrassCurve,
         quartic: QuarticModel,
         correspondence: Optional[BiquadraticCurve] = None,
-        eliminated: str = "s",
-        companion_sign: int = 1,
         negate: bool = False,
     ):
         if quartic.known_point is None:
@@ -222,7 +217,6 @@ class ParameterMap:
         self.parametrizer = parametrizer
         self.quartic = quartic
         self.correspondence = correspondence
-        self.companion_sign = companion_sign
         self.negate = negate
         self._jacobian, self._fwd, self._inv = quartic_jacobian(quartic)
         iso = isomorphic_over_Q(parametrizer, self._jacobian)
@@ -230,8 +224,8 @@ class ParameterMap:
             raise ValueError("parametrizer is not isomorphic to the quartic model")
         _, self._pm = parametrizer.transform(*iso)
         if correspondence is not None:
-            a, b, _ = correspondence.quadratic_polys(eliminated)
-            _, mult = _square_reduced_disc(correspondence, eliminated)
+            a, b, _ = correspondence.quadratic_polys("s")
+            _, mult = _square_reduced_disc(correspondence, "s")
             self._companion = (a, b, mult)
         else:
             self._companion = None
@@ -258,7 +252,7 @@ class ParameterMap:
         av = a(r)
         if av == 0:
             raise DegenerateFiber("companion fiber degenerates at this parameter")
-        s = (-b(r) + self.companion_sign * mult(r) * t) / (2 * av)
+        s = (-b(r) + mult(r) * t) / (2 * av)
         return r, s
 
 
@@ -272,20 +266,16 @@ class ScanSpec:
     """Everything needed to run one lattice scan.
 
     ``symmetry = (a, b)`` declares that the cells (n, m) and (a-n, b-m)
-    carry Q-isomorphic curves.  ``identified_translates`` lists the
-    torsion translates of the lattice under which cells are identified
-    (the grid enumerates one representative per coset).
+    carry Q-isomorphic curves.
     """
 
     name: str
     parametrizer: WeierstrassCurve
     generators: tuple[CurvePoint, CurvePoint]
-    torsion_generators: tuple[CurvePoint, ...]
     family: CurveFamily
     mapping: ParameterMap
     symmetry: tuple[int, int]
     radius: int = 2
-    identified_translates: tuple[CurvePoint, ...] = ()
     companion: Optional[BiquadraticCurve] = None
     companion_family: Optional[CurveFamily] = None
     budget: FactorBudget = DEFAULT_BUDGET
@@ -293,9 +283,9 @@ class ScanSpec:
     def __post_init__(self):
         if self.radius < 0:
             raise ValueError("radius must be nonnegative")
-        for P in self.generators + self.torsion_generators + self.identified_translates:
+        for P in self.generators:
             if not self.parametrizer.contains(P):
-                raise ValueError("all designated points must lie on the parametrizer")
+                raise ValueError("the generators must lie on the parametrizer")
 
     def lattice_point(self, n: int, m: int) -> CurvePoint:
         E = self.parametrizer
@@ -439,25 +429,18 @@ def _scan_cell(spec: ScanSpec, n: int, m: int) -> ScanCell:
     )
 
 
-def lattice_scan(spec: ScanSpec, workers: int = 1) -> ScanGrid:
+def lattice_scan(spec: ScanSpec) -> ScanGrid:
     """Run the scan over the full (2*radius+1)^2 grid.
 
     Per-cell failures never abort the scan: degenerate parameters are
     flagged skipped, and cells whose discriminants exceed the factoring
-    budget are flagged incomplete.  The output is deterministic and
-    independent of ``workers``.
+    budget are flagged incomplete.  The output is deterministic.
     """
-    coords = [
-        (n, m)
+    cells = tuple(
+        _scan_cell(spec, n, m)
         for n in range(-spec.radius, spec.radius + 1)
         for m in range(-spec.radius, spec.radius + 1)
-    ]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda c: _scan_cell(spec, *c), coords))
-    else:
-        results = [_scan_cell(spec, n, m) for n, m in coords]
-    cells = tuple(sorted(results, key=lambda c: (c.n, c.m)))
+    )
     return ScanGrid(
         name=spec.name, radius=spec.radius, cells=cells, counts=_tally(cells)
     )
@@ -482,31 +465,26 @@ class SymmetryReport:
 
 def symmetry_audit(
     grid: ScanGrid,
-    symmetry: Union[tuple[int, int], Callable[[int, int], tuple[int, int]]],
+    symmetry: tuple[int, int],
     spec: Optional[ScanSpec] = None,
     samples: int = 2,
 ) -> SymmetryReport:
     """Check that symmetric cells carry equal root numbers.
 
-    ``symmetry`` is either a pair (a, b), declaring the involution
-    (n, m) -> (a - n, b - m), or an arbitrary callable on cell indices.
-    Complete symmetric pairs with differing signs are reported as
-    violations.  When the spec is supplied, the first ``samples``
-    non-skipped symmetric pairs are additionally certified by an exact
-    Q-isomorphism of the underlying curves.
+    ``symmetry`` is a pair (a, b), declaring the involution
+    (n, m) -> (a - n, b - m).  Complete symmetric pairs with differing
+    signs are reported as violations.  When the spec is supplied, the
+    first ``samples`` non-skipped symmetric pairs are additionally
+    certified by an exact Q-isomorphism of the underlying curves.
     """
-    if callable(symmetry):
-        sym = symmetry
-    else:
-        a, b = symmetry
-        sym = lambda n, m: (a - n, b - m)
+    a, b = symmetry
     index = {(c.n, c.m): c for c in grid.cells}
     checked = 0
     violations = []
     sampled = 0
     iso_failures = []
     for c in grid.cells:
-        o = sym(c.n, c.m)
+        o = (a - c.n, b - c.m)
         if o not in index or o < (c.n, c.m):
             continue
         oc = index[o]
@@ -582,26 +560,22 @@ def scan_spec_z8_first(
 
     Parameter pairs live on CURVE_C; the base cell maps to its rational
     point (-1, 0).  Cells (n, m) and (1-n, -1-m) carry the same curve, as
-    do cells differing by any of the three 2-torsion translates.
+    do lattice points differing by any of the three 2-torsion translates.
     """
     E = WeierstrassCurve(1, 1, 1, -1595, -4768)
     G1 = CurvePoint(Fraction(-57, 4), Fraction(1043, 8))
     G2 = CurvePoint(Fraction(42), Fraction(-89))
-    T1 = CurvePoint(Fraction(-3), Fraction(1))
-    T2 = CurvePoint(Fraction(-39), Fraction(19))
     quartic = _quartic_with_point(CURVE_C, "s", (-1, 60))
-    mapping = ParameterMap(E, quartic, CURVE_C, "s", companion_sign=1, negate=negate)
+    mapping = ParameterMap(E, quartic, CURVE_C, negate=negate)
     cat = catalog()
     return ScanSpec(
         name="Z8-scan-1",
         parametrizer=E,
         generators=(G1, G2),
-        torsion_generators=(T1, T2),
         family=cat["Z8R2-1"],
         mapping=mapping,
         symmetry=(1, -1),
         radius=radius,
-        identified_translates=(T1, T2, E.add(T1, T2)),
         companion=CURVE_C,
         companion_family=cat["Z8R2-2"],
         budget=budget,
@@ -625,21 +599,14 @@ def scan_spec_z8_second(
     q = 9 * u**4 - 90 * u**3 + 453 * u * u - 2610 * u + 7569
     quartic = QuarticModel(q, (Fraction(0), Fraction(87)))
     mapping = ParameterMap(E, quartic, negate=negate)
-    torsion = tuple(
-        sorted(
-            (P for P in _two_torsion(E)), key=lambda P: (P.x, P.y)
-        )
-    )
     return ScanSpec(
         name="Z8-scan-2",
         parametrizer=E,
         generators=(G1, G2),
-        torsion_generators=torsion,
         family=catalog()["Z8R2-2"],
         mapping=mapping,
         symmetry=(-1, 0),
         radius=radius,
-        identified_translates=torsion,
         budget=budget,
     )
 
@@ -659,29 +626,20 @@ def scan_spec_z2x6(
     G1 = CurvePoint(Fraction(20), Fraction(-44))
     G2 = CurvePoint(Fraction(4, 9), Fraction(-1540, 27))
     quartic = _quartic_with_point(CURVE_D1, "s", (0, 180))
-    mapping = ParameterMap(E, quartic, CURVE_D1, "s", companion_sign=1, negate=negate)
+    mapping = ParameterMap(E, quartic, CURVE_D1, negate=negate)
     cat = catalog()
-    torsion = tuple(sorted(_two_torsion(E), key=lambda P: (P.x, P.y)))
     return ScanSpec(
         name="Z2x6-scan-1",
         parametrizer=E,
         generators=(G1, G2),
-        torsion_generators=torsion,
         family=cat["Z2x6R2-3"],
         mapping=mapping,
         symmetry=(1, 1),
         radius=radius,
-        identified_translates=torsion,
         companion=CURVE_D1,
         companion_family=cat["Z2x6R2-1"],
         budget=budget,
     )
-
-
-def _two_torsion(E: WeierstrassCurve):
-    from .curves import two_torsion_points
-
-    return two_torsion_points(E)
 
 
 def builtin_scans(

@@ -48,6 +48,15 @@ class TestExitCodes:
         assert exc.value.code == 2
         assert "text" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["--jobs", "2", "catalog"], ["local", "--all", "--curve", "0,0,0,-1,0"]],
+    )
+    def test_removed_options_are_usage_errors(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
     def test_env_budget_honored(self, capsys, monkeypatch):
         monkeypatch.setenv("ELLFAM_BUDGET", "10000,10000")
         code, out, _err = run(capsys, "torsion", "--curve", "0,0,0,0,16")

@@ -7,10 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ellfam.arith import FactorBudget, FactoredInt, Unfactored, factor
+from ellfam.arith import FactorBudget, FactoredInt, Unfactored, factor, primes_below
 from ellfam.curves import WeierstrassCurve, isomorphic_over_Q
 from ellfam.localdata import (
     LocalData,
+    _count_roots_cubic,
+    _has_root_quadratic,
+    _repeated_root,
     conductor,
     discriminant_factorization,
     local_data_all,
@@ -141,6 +144,146 @@ class TestTateAdditive:
                     assert ld.reduction == "additive"
                     assert ld.f_p >= 2
         assert found
+
+
+# brute-force references for the residue-field questions of Tate's algorithm
+
+PRIMES = primes_below(300)
+# _count_roots_cubic tries every residue below 500 and takes a gcd above
+COUNT_PRIMES = PRIMES + [503, 1009, 10007]
+COEFF = st.integers(min_value=-(10**6), max_value=10**6)
+
+
+def _eval(cs, x, p):
+    return sum(c * x**i for i, c in enumerate(cs)) % p
+
+
+def _roots_brute(cs, p):
+    return [x for x in range(p) if _eval(cs, x, p) == 0]
+
+
+def _is_square_mod(a, p):
+    # Euler's criterion, independent of the Jacobi symbol
+    return a % p == 0 or pow(a, (p - 1) // 2, p) == 1
+
+
+def _cubic_from_roots(a, roots):
+    """Ascending coefficients of a * prod(T - r)."""
+    cs = [a]
+    for r in roots:
+        cs = [(cs[i - 1] if i else 0) - r * (cs[i] if i < len(cs) else 0)
+              for i in range(len(cs) + 1)]
+    return cs
+
+
+class TestResidueFieldHelpers:
+    @given(st.sampled_from(PRIMES), COEFF, COEFF, COEFF)
+    @settings(max_examples=300, deadline=None)
+    def test_has_root_quadratic(self, p, a, b, c):
+        # for odd p the helper is asked only with a or b nonzero mod p
+        if p > 2 and a % p == 0 and b % p == 0:
+            return
+        assert _has_root_quadratic(a, b, c, p) == bool(_roots_brute([c, b, a], p))
+
+    @given(st.sampled_from(PRIMES[2:]), COEFF, COEFF, COEFF, COEFF)
+    @settings(max_examples=300, deadline=None)
+    def test_repeated_root(self, p, a, r, s, lift):
+        if a % p == 0:
+            return
+        cs = _cubic_from_roots(a, [r, r, s])
+        cs[lift % 4] += lift * p  # coefficients need not be reduced
+        root = _repeated_root(cs, p)
+        der = [i * c for i, c in enumerate(cs)][1:]
+        assert _eval(cs, root, p) == 0 and _eval(der, root, p) == 0
+        assert root == r % p
+
+    @given(st.sampled_from(PRIMES[2:]), COEFF, COEFF, COEFF)
+    @settings(max_examples=100, deadline=None)
+    def test_triple_root(self, p, a, r, lift):
+        if a % p == 0:
+            return
+        cs = _cubic_from_roots(a, [r, r, r + lift * p])
+        assert _repeated_root(cs, p) == r % p
+
+    @given(st.sampled_from(COUNT_PRIMES), COEFF, COEFF, COEFF, COEFF)
+    @settings(max_examples=300, deadline=None)
+    def test_count_roots_random_cubic(self, p, a, b, c, d):
+        if a % p == 0:
+            return
+        cs = [d, c, b, a]
+        assert _count_roots_cubic(cs, p) == len(_roots_brute(cs, p))
+
+    @given(st.sampled_from(COUNT_PRIMES), COEFF, COEFF, COEFF, COEFF)
+    @settings(max_examples=200, deadline=None)
+    def test_count_roots_split_cubic(self, p, a, r1, r2, r3):
+        if a % p == 0:
+            return
+        cs = _cubic_from_roots(a, [r1, r2, r3])
+        assert _count_roots_cubic(cs, p) == len({r1 % p, r2 % p, r3 % p})
+
+
+def _non_residue(p):
+    return next(n for n in range(2, p) if not _is_square_mod(n, p))
+
+
+def _local(E, p):
+    ld = tate_local(E, p)
+    assert ld.f_p == ld.vp_disc_min + 1 - ld.components()
+    return ld
+
+
+@pytest.mark.parametrize("p", [1009, 10007])
+class TestTateLargePrimes:
+    """Additive reduction at p > 50, checked against brute-force counts."""
+
+    def test_I0_star_components(self, p):
+        # y^2 = x^3 + p^2 a x + p^3 b: the cubic is T^3 + a T + b mod p
+        seen = {}
+        for a in range(-6, 7):
+            for b in range(-6, 7):
+                if (4 * a**3 + 27 * b * b) % p == 0:
+                    continue
+                c = 1 + len(_roots_brute([b, a, 0, 1], p))
+                seen.setdefault(c, (a, b))
+        assert sorted(seen) == [1, 2, 4]
+        for c, (a, b) in seen.items():
+            ld = _local(curve(0, 0, 0, p * p * a, p**3 * b), p)
+            assert ld == LocalData(p, "I0*", 2, c, "additive", 6)
+
+    @pytest.mark.parametrize("v6,kodaira,n", [(2, "IV", 4), (4, "IV*", 8)])
+    def test_IV_and_IV_star(self, p, v6, kodaira, n):
+        # y^2 = x^3 + p^v6 b: c = 3 exactly when Y^2 - b has a root
+        for b, c in ((1, 3), (_non_residue(p), 1)):
+            ld = _local(curve(0, 0, 0, 0, p**v6 * b), p)
+            assert ld == LocalData(p, kodaira, 2, c, "additive", n)
+
+    def test_I1_star(self, p):
+        # y^2 = x^3 + p x^2 + p^4 b: c = 4 exactly when Y^2 - b has a root
+        for b, c in ((1, 4), (_non_residue(p), 2)):
+            ld = _local(curve(0, p, 0, 0, p**4 * b), p)
+            assert ld == LocalData(p, "I1*", 2, c, "additive", 7)
+
+    def test_I2_star(self, p):
+        # y^2 = x^3 + p x^2 + p^3 x + p^5 b: c = 4 exactly when
+        # X^2 + X + b has a root, i.e. 1 - 4b is a square
+        found = set()
+        for b in range(1, 40):
+            if (1 - 4 * b) % p == 0:
+                continue
+            c = 4 if _is_square_mod(1 - 4 * b, p) else 2
+            found.add(c)
+            ld = _local(curve(0, p, 0, p**3, p**5 * b), p)
+            assert ld == LocalData(p, "I2*", 2, c, "additive", 8)
+        assert found == {2, 4}
+
+    def test_singular_point_off_origin(self, p):
+        # translating x moves the cusp and node of the reduction away from
+        # (0, 0); the repeated root of 4x^3 + b2 x^2 + 2 b4 x + b6 finds it
+        for E in (curve(0, 0, 0, p * p, p**3 * 2), curve(0, p, 0, 0, p**4),
+                  curve(0, 0, 0, 0, p * p), curve(0, 1, 0, 0, p)):
+            for r in (1, 17, -p // 3):
+                moved, _pm = E.transform(1, r, 3, -r)
+                assert _local(moved, p) == _local(E, p)
 
 
 class TestInvariance:

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from ellfam.arith import FactorBudget
-from ellfam.curves import INFINITY, isomorphic_over_Q
+from ellfam.curves import INFINITY, isomorphic_over_Q, two_torsion_points
 from ellfam.polyq import PolyQ
 from ellfam.scan import (
     CURVE_C,
@@ -160,13 +160,16 @@ class TestParameterMap:
             E = spec.parametrizer
             G = spec.lattice_point(0, 1)
             base = spec.family.specialize(spec.mapping.parameter(G), BUD).curve()
-            for T in spec.identified_translates:
+            checked = 0
+            for T in two_torsion_points(E):
                 try:
                     param = spec.mapping.parameter(E.add(G, T))
                 except DegenerateFiber:
                     continue
                 other = spec.family.specialize(param, BUD).curve()
                 assert isomorphic_over_Q(base, other) is not None
+                checked += 1
+            assert checked >= 2, name
 
 
 class TestLatticeScan:
@@ -191,10 +194,6 @@ class TestLatticeScan:
         assert again.to_csv() == grids["Z2x6-scan-1"].to_csv()
         assert again.to_json() == grids["Z2x6-scan-1"].to_json()
 
-    def test_workers_do_not_change_output(self, specs, grids):
-        spec = specs["Z2x6-scan-1"]
-        assert lattice_scan(spec, workers=3).to_csv() == grids["Z2x6-scan-1"].to_csv()
-
     def test_csv_shape(self, grids):
         grid = grids["Z8-scan-1"]
         lines = grid.to_csv().strip().split("\n")
@@ -218,10 +217,6 @@ class TestSymmetryAudit:
             assert rep.violations == ()
             assert rep.isomorphism_failures == ()
             assert rep.isomorphism_samples >= 1
-
-    def test_identity_symmetry_trivial(self, grids):
-        rep = symmetry_audit(grids["Z8-scan-1"], lambda n, m: (n, m))
-        assert rep.violations == ()
 
     def test_fault_injection(self, specs, grids):
         grid = grids["Z8-scan-2"]
