@@ -2,8 +2,9 @@
 
 Everything downstream (polynomials, curves, local data, scans) sits on top of
 this module: budgeted integer factorization, primality testing, rational
-square detection and Jacobi symbols.  All values are immutable and all
-functions are pure, so they are safe to share across threads.
+square detection and Jacobi symbols.  All values are immutable and every
+result depends on the arguments alone; the one shared state is sympy's prime
+sieve, which factor() grows in place and which is not thread-safe.
 
 Rationals are plain ``fractions.Fraction`` objects; the stdlib type already
 keeps gcd(num, den) = 1 and den >= 1, which is exactly the canonical form we
@@ -18,6 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional
 
+from sympy import sieve
 from sympy.ntheory.primetest import isprime as _bpsw_isprime
 
 
@@ -48,9 +50,6 @@ class FactorBudget:
     trial_bound: int = 10**6
     rho_iterations: int = 2 * 10**6
     time_cap: Optional[float] = None
-
-    def tiny(self) -> "FactorBudget":
-        return FactorBudget(trial_bound=min(self.trial_bound, 10**4), rho_iterations=0)
 
 
 DEFAULT_BUDGET = FactorBudget()
@@ -107,25 +106,9 @@ class FactoredInt:
         return ("-" if self.sign < 0 else "") + body
 
 
-_sieve_cache: dict[int, list[int]] = {}
-
-
 def primes_below(bound: int) -> list[int]:
-    """Cached prime list via sieve of Eratosthenes."""
-    key = bound
-    got = _sieve_cache.get(key)
-    if got is not None:
-        return got
-    sieve = bytearray([1]) * bound if bound > 0 else bytearray()
-    out = []
-    if bound > 2:
-        sieve[0] = sieve[1] = 0
-        for i in range(2, int(math.isqrt(bound - 1)) + 1):
-            if sieve[i]:
-                sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
-        out = [i for i in range(2, bound) if sieve[i]]
-    _sieve_cache[key] = out
-    return out
+    """The primes below bound, from sympy's shared sieve."""
+    return list(sieve.primerange(bound))
 
 
 def _brent_rho(n: int, max_iters: int, deadline: Optional[float]) -> Optional[int]:
@@ -178,18 +161,24 @@ def factor(n: int, budget: FactorBudget = DEFAULT_BUDGET) -> FactoredInt:
     deadline = None if budget.time_cap is None else time.monotonic() + budget.time_cap
     found: dict[int, int] = {}
 
-    # one sieve per trial bound, cut short once p^2 > n
-    for p in primes_below(budget.trial_bound):
-        if p * p > n:
-            break
-        if n % p == 0:
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            found[p] = e
+    # walk sympy's shared sieve, which grows in place, in segments
+    # [lo, lo^2) cut at the square root of what is left of n, so that small
+    # or smooth n never make it sieve far
+    lo = 2
+    while lo < budget.trial_bound and lo * lo <= n:
+        hi = min(budget.trial_bound, math.isqrt(n) + 1, lo * lo)
+        for p in sieve.primerange(lo, hi):
+            if p * p > n:
+                break
+            if n % p == 0:
+                e = 0
+                while n % p == 0:
+                    n //= p
+                    e += 1
+                found[p] = e
         if deadline is not None and time.monotonic() > deadline:
             break
+        lo = hi
 
     # remaining part: peel off factors with rho until budget exhausted
     residue = 1

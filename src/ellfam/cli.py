@@ -21,6 +21,7 @@ from .arith import (
     DEFAULT_BUDGET,
     FactorBudget,
     Unfactored,
+    is_prime,
     rational_from_string,
     rational_to_string,
 )
@@ -33,7 +34,7 @@ from .heights import (
     independence_certificate,
     pairing_matrix,
 )
-from .localdata import conductor, minimal_model, tate_local
+from .localdata import discriminant_factorization, tate_local
 from .rootnum import MissingLocalCase, global_root_number
 from .scan import builtin_scans, lattice_scan, symmetry_audit
 
@@ -79,6 +80,13 @@ def _config(args) -> Config:
 
 def _emit(payload) -> None:
     sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+
+
+def _parse_prime(raw: str) -> int:
+    p = int(raw)
+    if not is_prime(p):
+        raise argparse.ArgumentTypeError(f"{raw} is not a prime")
+    return p
 
 
 def _parse_curve(raw: str) -> WeierstrassCurve:
@@ -198,27 +206,25 @@ def _cmd_torsion(args, cfg: Config) -> int:
 
 def _cmd_local(args, cfg: Config) -> int:
     E, _pts, _tors = _resolve_curve(args, cfg)
-    Emin, _pm = minimal_model(E, cfg.budget)
     if args.prime is not None:
-        primes = [args.prime]
+        # Tate's algorithm minimizes at the prime it runs at
+        places = [tate_local(E.integral_model()[0], args.prime)]
         complete = True
     else:
-        fi = conductor(E, cfg.budget, partial=True)
-        primes = [p for p, _e in fi.factors]
+        Emin, fi = discriminant_factorization(E, cfg.budget)
+        places = [tate_local(Emin, p) for p in fi.primes()]
         complete = fi.complete
-    data = []
-    for p in sorted(primes):
-        ld = tate_local(Emin, p)
-        data.append(
-            {
-                "p": p,
-                "kodaira": ld.kodaira,
-                "reduction": ld.reduction,
-                "f_p": ld.f_p,
-                "c_p": ld.c_p,
-                "vp_disc_min": ld.vp_disc_min,
-            }
-        )
+    data = [
+        {
+            "p": ld.p,
+            "kodaira": ld.kodaira,
+            "reduction": ld.reduction,
+            "f_p": ld.f_p,
+            "c_p": ld.c_p,
+            "vp_disc_min": ld.vp_disc_min,
+        }
+        for ld in places
+    ]
     _emit({"complete": complete, "places": data})
     return 0
 
@@ -247,14 +253,11 @@ def _cmd_heights(args, cfg: Config) -> int:
               file=sys.stderr)
         return 2
     M = pairing_matrix(E, pts, cfg.height_eps, cfg.budget)
-    cert = independence_certificate(
-        E, pts, cfg.height_eps, cfg.independence_threshold, cfg.budget
-    )
     payload = {
         "heights": [f"{M.entries[i][i]:.12f}" for i in range(len(pts))],
         "pairing": [[f"{e:.12f}" for e in row] for row in M.entries],
         "determinant": f"{M.gram_determinant():.12e}",
-        "certificate": cert,
+        "certificate": M.certificate(cfg.independence_threshold),
     }
     _emit(payload)
     return 0
@@ -402,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("local", help="reduction data at bad primes")
     _add_curve_source(p)
-    p.add_argument("--prime", type=int, help="one prime (default: every bad prime)")
+    p.add_argument("--prime", type=_parse_prime, help="one prime (default: every bad prime)")
     p.set_defaults(fn=_cmd_local)
 
     p = sub.add_parser("rootnumber", help="global root number with local factors")

@@ -14,7 +14,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
-from .arith import is_prime, primes_below, square_test
+from sympy import integer_nthroot, nextprime
+
+from .arith import square_test
 from .polyq import PolyQ, RatFunc
 
 FieldElem = Union[Fraction, RatFunc]
@@ -302,9 +304,6 @@ class ShiftedABCurve:
         zero = self.A * 0
         return WeierstrassCurve(zero, self.A, zero, self.B, zero)
 
-    def two_torsion_origin(self) -> CurvePoint:
-        return CurvePoint(self.A * 0, self.A * 0)
-
     def __repr__(self):
         return f"ShiftedABCurve(A={self.A}, B={self.B})"
 
@@ -329,10 +328,6 @@ def _one_like(x):
     return Fraction(1)
 
 
-def j_invariant(E: WeierstrassCurve):
-    return E.j
-
-
 # -- point counting over F_p ---------------------------------------------
 
 def count_points_mod_p(E: WeierstrassCurve, p: int) -> int:
@@ -354,13 +349,11 @@ def count_points_mod_p(E: WeierstrassCurve, p: int) -> int:
 def good_odd_primes(E: WeierstrassCurve, how_many: int, start: int = 5) -> list[int]:
     disc_num = E.disc.numerator * E.disc.denominator
     out = []
-    for p in primes_below(100000):
-        if p < start:
-            continue
+    p = start - 1
+    while len(out) < how_many:
+        p = nextprime(p)
         if disc_num % p:
             out.append(p)
-            if len(out) >= how_many:
-                break
     return out
 
 
@@ -562,20 +555,21 @@ def _point_of_exact_order(E: WeierstrassCurve, n: int) -> Optional[CurvePoint]:
 # -- isomorphism over Q ---------------------------------------------------
 
 def _nth_root_rational(q: Fraction, n: int) -> Optional[Fraction]:
-    if q <= 0 and n % 2 == 0:
+    """The positive rational n-th root of q > 0, if there is one."""
+    if q <= 0:
         return None
-    sign = 1
-    if q < 0:
-        sign, q = -1, -q
-    num = round(q.numerator ** (1.0 / n))
-    # exact check around the float guess
-    for cand in (num - 1, num, num + 1):
-        if cand > 0 and cand**n == q.numerator:
-            den_f = round(q.denominator ** (1.0 / n))
-            for cand_d in (den_f - 1, den_f, den_f + 1):
-                if cand_d > 0 and cand_d**n == q.denominator:
-                    return Fraction(sign * cand, cand_d)
-    return None
+    num, num_exact = integer_nthroot(q.numerator, n)
+    den, den_exact = integer_nthroot(q.denominator, n)
+    return Fraction(num, den) if num_exact and den_exact else None
+
+
+def _translation_for_scale(E1: WeierstrassCurve, E2: WeierstrassCurve, u):
+    """The (r, s, t) that, with scale u, carry E1 onto E2 when some change
+    of coordinates with that scale does."""
+    s = (u * E2.a1 - E1.a1) / 2
+    r = (u * u * E2.a2 - E1.a2 + s * E1.a1 + s * s) / 3
+    t = (u**3 * E2.a3 - E1.a3 - r * E1.a1) / 2
+    return r, s, t
 
 
 def isomorphic_over_Q(
@@ -608,9 +602,7 @@ def isomorphic_over_Q(
     for u in candidates:
         if u == 0:
             continue
-        s = (u * E2.a1 - E1.a1) / 2
-        r = (u * u * E2.a2 - E1.a2 + s * E1.a1 + s * s) / 3
-        t = (u**3 * E2.a3 - E1.a3 - r * E1.a1) / 2
+        r, s, t = _translation_for_scale(E1, E2, u)
         try:
             cand, _ = E1.transform(u, r, s, t)
         except ZeroDivisionError:

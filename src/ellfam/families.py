@@ -15,7 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Optional, Sequence
+from types import MappingProxyType
+from typing import Mapping, Optional, Sequence
 
 from .arith import DEFAULT_BUDGET, FactorBudget, factor, valuation_fraction
 from .curves import (
@@ -570,15 +571,17 @@ def _z2x6_rank2_data():
 
 
 _CATALOG_CACHE: dict[str, CurveFamily] = {}
+_CATALOG = MappingProxyType(_CATALOG_CACHE)
 
 
-def catalog() -> dict[str, CurveFamily]:
+def catalog() -> Mapping[str, CurveFamily]:
     """All families keyed by label: the base models, the rank-1 entries
     obtained from them by a single quadratic-section substitution, and the
-    rank-2 entries obtained by one more.
+    rank-2 entries obtained by one more.  Every call returns the same
+    read-only mapping, built on the first call.
     """
     if _CATALOG_CACHE:
-        return dict(_CATALOG_CACHE)
+        return _CATALOG
     out: dict[str, CurveFamily] = {}
     z8 = model_z8()
     z26 = model_z2x6()
@@ -603,4 +606,4 @@ def catalog() -> dict[str, CurveFamily]:
             sections=xs, condition=cond, spec_hint=hint,
         )
     _CATALOG_CACHE.update(out)
-    return dict(out)
+    return _CATALOG

@@ -197,6 +197,20 @@ class HeightPairingMatrix:
                     m[r][c] -= f * m[i][c]
         return det
 
+    def certificate(self, threshold: float) -> str:
+        """"independent" iff the Gram determinant clears the threshold and
+        the error bound propagated from the entries' precision; otherwise
+        "inconclusive" (never "dependent": that claim would require exact
+        linear relations)."""
+        det = self.gram_determinant()
+        n = len(self.points)
+        eps = self.precision
+        scale = max((abs(e) for row in self.entries for e in row), default=0.0) + eps
+        err_bound = n * math.factorial(n) * scale ** (n - 1) * eps
+        if det > max(threshold, err_bound):
+            return "independent"
+        return "inconclusive"
+
 
 def pairing_matrix(
     E: WeierstrassCurve,
@@ -250,14 +264,6 @@ def independence_certificate(
     threshold: float = INDEPENDENCE_THRESHOLD,
     budget: FactorBudget = DEFAULT_BUDGET,
 ) -> str:
-    """"independent" iff the Gram determinant clears the threshold and the
-    propagated error bound; otherwise "inconclusive" (never "dependent":
-    that claim would require exact linear relations)."""
-    M = pairing_matrix(E, pts, eps, budget)
-    det = M.gram_determinant()
-    n = len(pts)
-    scale = max((abs(e) for row in M.entries for e in row), default=0.0) + eps
-    err_bound = n * math.factorial(n) * scale ** (n - 1) * eps
-    if det > max(threshold, err_bound):
-        return "independent"
-    return "inconclusive"
+    """The certificate (HeightPairingMatrix.certificate) of pts' pairing
+    matrix."""
+    return pairing_matrix(E, pts, eps, budget).certificate(threshold)

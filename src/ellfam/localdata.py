@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_from_int_poly, gf_gcd, gf_pow_mod, gf_sub
@@ -25,7 +24,7 @@ from .arith import (
     jacobi,
     valuation,
 )
-from .curves import PointMap, WeierstrassCurve
+from .curves import PointMap, WeierstrassCurve, _translation_for_scale
 
 
 @dataclass(frozen=True)
@@ -52,13 +51,9 @@ class LocalData:
 
 
 def _int_invariants(E: WeierstrassCurve) -> tuple[int, int, int, int, int]:
-    ai = []
-    for a in (E.a1, E.a2, E.a3, E.a4, E.a6):
-        a = Fraction(a)
-        if a.denominator != 1:
-            raise ValueError("integral model required")
-        ai.append(a.numerator)
-    return tuple(ai)
+    if not E.is_integral():
+        raise ValueError("integral model required")
+    return tuple(int(a) for a in E.a_invariants())
 
 
 # ---------------------------------------------------------------------------
@@ -97,7 +92,21 @@ def _curve_from_c4c6(c4: int, c6: int) -> WeierstrassCurve:
 def minimal_model(
     E: WeierstrassCurve, budget: FactorBudget = DEFAULT_BUDGET
 ) -> tuple[WeierstrassCurve, PointMap]:
-    """Global minimal model over Q, with the point map onto it.
+    """Global minimal model over Q, with the point map from E onto it.
+
+    The primes to scale away come from _scalable_primes, which raises
+    Unfactored when minimality cannot be certified.
+    """
+    Ei, pm = E.integral_model()
+    Emin, u = _minimize_at(Ei, _scalable_primes(Ei, budget))
+    u *= pm.u
+    check, pm = E.transform(u, *_translation_for_scale(E, Emin, u))
+    assert check == Emin
+    return Emin, pm
+
+
+def _scalable_primes(E: WeierstrassCurve, budget: FactorBudget) -> list[int]:
+    """Every prime that can be scaled away from the integral model E.
 
     A prime p can be scaled away only when p^4 | c4 and p^6 | c6, so the
     candidate primes are read off a factorization of gcd(c4, c6) (of the
@@ -105,26 +114,18 @@ def minimal_model(
     never factored; an unfactorable gcd residue raises Unfactored unless it
     is certifiably 4th-power-free.
     """
-    if not E.is_integral():
-        E, _pm = E.integral_model()
-    _int_invariants(E)
     c4, c6 = int(E.c4), int(E.c6)
     g = math.gcd(c4, c6) if c4 and c6 else abs(c4 or c6)
     fi = factor(g, budget)
-    if not fi.complete:
-        # every prime factor of the residue exceeds the trial bound, so a
-        # hidden candidate prime p (with p^4 dividing the residue) would
-        # force the residue to be at least trial_bound^4
-        if fi.residue >= budget.trial_bound**4:
-            raise Unfactored(
-                "gcd(c4, c6) residue could hide a 4th power; "
-                "minimality cannot be certified"
-            )
-    Emin, u = _minimize_at(E, [p for p, e in fi.factors if p < 5 or e >= 4])
-    # the map E -> Emin: compose scaling by u with the translation aligning
-    # the (c4, c6)-standard model
-    pm = _isomorphism_with_scale(E, Emin, Fraction(u))
-    return Emin, pm
+    # every prime factor of the residue exceeds the trial bound, so a hidden
+    # candidate prime p (with p^4 dividing the residue) would force the
+    # residue to be at least trial_bound^4
+    if not fi.complete and fi.residue >= budget.trial_bound**4:
+        raise Unfactored(
+            "gcd(c4, c6) residue could hide a 4th power; "
+            "minimality cannot be certified"
+        )
+    return [p for p, e in fi.factors if p < 5 or e >= 4]
 
 
 def _minimize_at(E: WeierstrassCurve, primes) -> tuple[WeierstrassCurve, int]:
@@ -133,10 +134,7 @@ def _minimize_at(E: WeierstrassCurve, primes) -> tuple[WeierstrassCurve, int]:
     c4, c6, disc = int(E.c4), int(E.c6), int(E.disc)
     u = 1
     for p in primes:
-        while True:
-            g4, g6 = valuation(c4, p) if c4 else 10**9, valuation(c6, p) if c6 else 10**9
-            if g4 < 4 or g6 < 6 or valuation(disc, p) < 12:
-                break
+        while _vp(c4, p) >= 4 and _vp(c6, p) >= 6 and _vp(disc, p) >= 12:
             nc4, nc6 = c4 // p**4, c6 // p**6
             if p in (2, 3) and not _kraus_ok(nc4, nc6, p):
                 break
@@ -145,23 +143,38 @@ def _minimize_at(E: WeierstrassCurve, primes) -> tuple[WeierstrassCurve, int]:
     return _curve_from_c4c6(c4, c6), u
 
 
-def _isomorphism_with_scale(E1, E2, u: Fraction) -> PointMap:
-    """PointMap from E1 to E2 for a known scale factor u (c4_2 = c4_1/u^4)."""
-    s = (u * E2.a1 - E1.a1) / 2
-    r = (u * u * E2.a2 - E1.a2 + s * E1.a1 + s * s) / 3
-    t = (u**3 * E2.a3 - E1.a3 - r * E1.a1) / 2
-    check, pm = E1.transform(u, r, s, t)
-    assert check == E2
-    return pm
-
-
 # ---------------------------------------------------------------------------
-# Tate's algorithm
+# Tate's algorithm (Cremona, Algorithms for Modular Elliptic Curves, 3.2),
+# one loop on the integer a-invariants
 # ---------------------------------------------------------------------------
 
 
 def _vp(n: int, p: int) -> int:
     return valuation(n, p) if n else 10**9
+
+
+def _translate(a: tuple, r: int, s: int, t: int) -> tuple:
+    """a-invariants after (x, y) -> (x + r, y + s x + t): the u = 1 change."""
+    a1, a2, a3, a4, a6 = a
+    return (
+        a1 + 2 * s,
+        a2 - s * a1 + 3 * r - s * s,
+        a3 + r * a1 + 2 * t,
+        a4 - s * a3 + 2 * r * a2 - (t + r * s) * a1 + 3 * r * r - 2 * s * t,
+        a6 + r * a4 + r * r * a2 + r**3 - t * a3 - t * t - r * t * a1,
+    )
+
+
+def _invariants(a: tuple) -> tuple[int, int, int, int, int, int]:
+    """(b2, b4, b6, b8, c4, disc) of the a-invariants a."""
+    a1, a2, a3, a4, a6 = a
+    b2 = a1 * a1 + 4 * a2
+    b4 = 2 * a4 + a1 * a3
+    b6 = a3 * a3 + 4 * a6
+    b8 = a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4
+    c4 = b2 * b2 - 24 * b4
+    disc = -(b2 * b2 * b8) - 8 * b4**3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
+    return b2, b4, b6, b8, c4, disc
 
 
 def _has_root_quadratic(a: int, b: int, c: int, p: int) -> bool:
@@ -177,19 +190,45 @@ def _has_root_quadratic(a: int, b: int, c: int, p: int) -> bool:
     return d == 0 or jacobi(d, p) == 1
 
 
-def _repeated_root(cs: list[int], p: int) -> int:
-    """The repeated root in F_p (p >= 5) of a T^3 + b T^2 + c T + d, given
-    by ascending coefficients, whose discriminant vanishes mod p.
+def _double_root(a: int, b: int, c: int, p: int) -> int:
+    """The root in F_p of a y^2 + b y + c, a a unit mod p, whose
+    discriminant vanishes mod p."""
+    if p == 2:
+        return next(y for y in range(2) if (a * y * y + b * y + c) % 2 == 0)
+    return -b * pow(2 * a, -1, p) % p
 
-    For a (T - r)^2 (T - s): b^2 - 3ac = a^2 (r - s)^2 and
-    9ad - bc = 2 a^2 r (r - s)^2, so the double root is their quotient
-    over 2; when b^2 - 3ac vanishes the root is triple, -b/(3a).
+
+def _multiple_root(cs: list[int], p: int) -> tuple[int, bool] | None:
+    """The multiple root r in F_p of a T^3 + b T^2 + c T + d, given by
+    ascending coefficients with a a unit mod p, and whether it is triple;
+    None when the discriminant is a unit mod p (three distinct roots).
+
+    A multiple root of a cubic over F_p lies in F_p, so the cubic is
+    a (T - r)^2 (T - s).  Then b^2 - 3ac = a^2 (r - s)^2, so the root is
+    triple exactly when b^2 - 3ac vanishes, in every characteristic.  For
+    p >= 5, 9ad - bc = 2 a^2 r (r - s)^2 gives the double root as their
+    quotient over 2, and a triple root is -b/(3a); for p <= 3 the residue
+    with f(r) = f'(r) = 0 is found by trial.
     """
     d, c, b, a = (x % p for x in cs)
+    disc = (
+        18 * a * b * c * d - 4 * b**3 * d + b * b * c * c - 4 * a * c**3 - 27 * a * a * d * d
+    )
+    if disc % p:
+        return None
     h = (b * b - 3 * a * c) % p
-    if h == 0:
-        return (-b * pow(3 * a, -1, p)) % p
-    return (9 * a * d - b * c) * pow(2 * h, -1, p) % p
+    if p <= 3:
+        r = next(
+            x
+            for x in range(p)
+            if (((a * x + b) * x + c) * x + d) % p == 0
+            and ((3 * a * x + 2 * b) * x + c) % p == 0
+        )
+    elif h == 0:
+        r = -b * pow(3 * a, -1, p) % p
+    else:
+        r = (9 * a * d - b * c) * pow(2 * h, -1, p) % p
+    return r, h == 0
 
 
 def _count_roots_cubic(cs: list[int], p: int) -> int:
@@ -207,257 +246,134 @@ def _count_roots_cubic(cs: list[int], p: int) -> int:
     return len(gf_gcd(f, h, p, ZZ)) - 1
 
 
-class _Model:
-    """Mutable integral model while Tate's algorithm runs."""
-
-    def __init__(self, ai):
-        self.a1, self.a2, self.a3, self.a4, self.a6 = [int(a) for a in ai]
-
-    def invariants(self):
-        a1, a2, a3, a4, a6 = self.a1, self.a2, self.a3, self.a4, self.a6
-        b2 = a1 * a1 + 4 * a2
-        b4 = 2 * a4 + a1 * a3
-        b6 = a3 * a3 + 4 * a6
-        b8 = a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4
-        c4 = b2 * b2 - 24 * b4
-        c6 = -(b2**3) + 36 * b2 * b4 - 216 * b6
-        disc = (
-            -(b2 * b2 * b8) - 8 * b4**3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
-        )
-        return b2, b4, b6, b8, c4, c6, disc
-
-    def translate(self, r: int, s: int, t: int):
-        """Apply (x, y) -> (x + r, y + s x + t): the u = 1 coordinate change."""
-        a1, a2, a3, a4, a6 = self.a1, self.a2, self.a3, self.a4, self.a6
-        self.a1 = a1 + 2 * s
-        self.a2 = a2 - s * a1 + 3 * r - s * s
-        self.a3 = a3 + r * a1 + 2 * t
-        self.a4 = a4 - s * a3 + 2 * r * a2 - (t + r * s) * a1 + 3 * r * r - 2 * s * t
-        self.a6 = a6 + r * a4 + r * r * a2 + r**3 - t * a3 - t * t - r * t * a1
-
-    def unscale(self, p: int):
-        self.a1 //= p
-        self.a2 //= p * p
-        self.a3 //= p**3
-        self.a4 //= p**4
-        self.a6 //= p**6
-
-
 def tate_local(E: WeierstrassCurve, p: int) -> LocalData:
     """Complete local reduction data at p (Tate's algorithm)."""
-    M = _Model(_int_invariants(E))
+    a = _int_invariants(E)
+    p2, p3, p4, p6 = p * p, p**3, p**4, p**6
     while True:
-        b2, b4, b6, b8, c4, c6, disc = M.invariants()
+        _b2, _b4, _b6, _b8, c4, disc = _invariants(a)
         assert disc != 0
         n = _vp(disc, p)
         if n == 0:
             return LocalData(p, "I0", 0, 1, "good", 0)
-        # move the singular point of the reduction to (0, 0)
-        _move_singular_point(M, p)
-        b2, b4, b6, b8, c4, c6, disc = M.invariants()
+        # move the singular point of the reduction to (0, 0); c4 and disc
+        # are unchanged by the translation
+        a = _move_singular_point(a, p)
+        a1, a2, a3, a4, a6 = a
         if c4 % p != 0:
             # multiplicative reduction, type In
-            split = _tangent_splits(M, p)
-            if split:
-                red, c = "split-multiplicative", n
-            else:
-                red, c = "nonsplit-multiplicative", (2 if n % 2 == 0 else 1)
-            return LocalData(p, f"I{n}", 1, c, red, n)
-        p2, p3, p4 = p * p, p**3, p**4
-        if M.a6 % p2 != 0:
+            if _tangent_splits(a, p):
+                return LocalData(p, f"I{n}", 1, n, "split-multiplicative", n)
+            c = 2 if n % 2 == 0 else 1
+            return LocalData(p, f"I{n}", 1, c, "nonsplit-multiplicative", n)
+        _b2, _b4, b6, b8, _c4, _disc = _invariants(a)
+        if a6 % p2 != 0:
             return LocalData(p, "II", n, 1, "additive", n)
         if b8 % p3 != 0:
             return LocalData(p, "III", n - 1, 2, "additive", n)
         if b6 % p3 != 0:
             # type IV: c depends on Y^2 + (a3/p) Y - a6/p^2 splitting
-            root = _has_root_quadratic(1, M.a3 // p, -(M.a6 // p2), p)
+            root = _has_root_quadratic(1, a3 // p, -(a6 // p2), p)
             return LocalData(p, "IV", n - 2, 3 if root else 1, "additive", n)
-        _arrange_step7(M, p)
-        assert M.a1 % p == 0 and M.a2 % p == 0
-        assert M.a3 % p2 == 0 and M.a4 % p2 == 0 and M.a6 % p3 == 0
+        a = _arrange_step7(a, p)
+        a1, a2, a3, a4, a6 = a
+        assert a1 % p == 0 and a2 % p == 0
+        assert a3 % p2 == 0 and a4 % p2 == 0 and a6 % p3 == 0
         # cubic P(T) = T^3 + (a2/p) T^2 + (a4/p^2) T + a6/p^3 mod p
-        cub = [M.a6 // p3, M.a4 // p2, M.a2 // p, 1]
-        disc_cub = _cubic_disc(cub) % p
-        if disc_cub != 0:
+        cub = [a6 // p3, a4 // p2, a2 // p, 1]
+        root = _multiple_root(cub, p)
+        if root is None:
             c = 1 + _count_roots_cubic(cub, p)
             return LocalData(p, "I0*", n - 4, c, "additive", n)
-        if _cubic_has_triple_root(cub, p):
-            r0 = _cubic_triple_root(cub, p)
-            M.translate(p * r0, 0, 0)
-            return _steps_8_to_11(M, p, n)
-        # double (not triple) root: the In* family
-        r0 = _cubic_double_root(cub, p)
-        M.translate(p * r0, 0, 0)
-        return _instar_loop(M, p, n)
+        r, triple = root
+        a = _translate(a, p * r, 0, 0)
+        if not triple:
+            return _instar_loop(a, p, n)
+        # triple root: IV*, III*, II*, or a model that is not minimal at p
+        a3t, a6t = a[2] // p2, a[4] // p4
+        if (a3t * a3t + 4 * a6t) % p != 0:
+            root = _has_root_quadratic(1, a3t, -a6t, p)
+            return LocalData(p, "IV*", n - 6, 3 if root else 1, "additive", n)
+        a = _translate(a, 0, 0, p2 * _double_root(1, a3t, -a6t, p))
+        a1, a2, a3, a4, a6 = a
+        if a4 % p4 != 0:
+            return LocalData(p, "III*", n - 7, 2, "additive", n)
+        if a6 % p6 != 0:
+            return LocalData(p, "II*", n - 8, 1, "additive", n)
+        a = (a1 // p, a2 // p2, a3 // p3, a4 // p4, a6 // p6)
 
 
-def _move_singular_point(M: _Model, p: int):
+def _move_singular_point(a: tuple, p: int) -> tuple:
     if p <= 3:
         for r in range(p):
             for t in range(p):
-                T = _Model((M.a1, M.a2, M.a3, M.a4, M.a6))
-                T.translate(r, 0, t)
-                if T.a3 % p == 0 and T.a4 % p == 0 and T.a6 % p == 0:
-                    M.translate(r, 0, t)
-                    return
+                moved = _translate(a, r, 0, t)
+                if moved[2] % p == 0 and moved[3] % p == 0 and moved[4] % p == 0:
+                    return moved
         raise RuntimeError("no singular point found")  # pragma: no cover
-    b2, b4, b6, b8, c4, c6, disc = M.invariants()
+    b2, b4, b6, _b8, _c4, _disc = _invariants(a)
     # repeated root of 4x^3 + b2 x^2 + 2 b4 x + b6 mod p
-    x0 = _repeated_root([b6, 2 * b4, b2, 4], p)
-    y0 = (-(M.a1 * x0 + M.a3) * pow(2, -1, p)) % p
-    M.translate(x0, 0, y0)
-    assert M.a3 % p == 0 and M.a4 % p == 0 and M.a6 % p == 0
+    x0, _triple = _multiple_root([b6, 2 * b4, b2, 4], p)
+    y0 = (-(a[0] * x0 + a[2]) * pow(2, -1, p)) % p
+    moved = _translate(a, x0, 0, y0)
+    assert moved[2] % p == 0 and moved[3] % p == 0 and moved[4] % p == 0
+    return moved
 
 
-def _tangent_splits(M: _Model, p: int) -> bool:
+def _tangent_splits(a: tuple, p: int) -> bool:
     """Split vs nonsplit multiplicative: do the tangent directions at the
     node lie in F_p?  They are the roots of T^2 + a1 T - a2."""
+    a1, a2 = a[0], a[1]
     if p == 2:
-        return (-M.a2) % 2 == 0 or (1 + M.a1 - M.a2) % 2 == 0
-    b2 = M.a1 * M.a1 + 4 * M.a2
-    return jacobi(b2 % p, p) == 1
+        return (-a2) % 2 == 0 or (1 + a1 - a2) % 2 == 0
+    return jacobi((a1 * a1 + 4 * a2) % p, p) == 1
 
 
-def _arrange_step7(M: _Model, p: int):
+def _arrange_step7(a: tuple, p: int) -> tuple:
     """Translate so that p | a1, a2; p^2 | a3, a4; p^3 | a6."""
     if p == 2:
         for r in (0, 2, 4, 6):
             for s in (0, 1):
                 for t in range(8):
-                    T = _Model((M.a1, M.a2, M.a3, M.a4, M.a6))
-                    T.translate(r, s, t)
+                    T = _translate(a, r, s, t)
                     if (
-                        T.a1 % 2 == 0
-                        and T.a2 % 2 == 0
-                        and T.a3 % 4 == 0
-                        and T.a4 % 4 == 0
-                        and T.a6 % 8 == 0
+                        T[0] % 2 == 0
+                        and T[1] % 2 == 0
+                        and T[2] % 4 == 0
+                        and T[3] % 4 == 0
+                        and T[4] % 8 == 0
                     ):
-                        M.translate(r, s, t)
-                        return
+                        return T
         raise RuntimeError("step 7 arrangement failed")  # pragma: no cover
     # p odd: kill a1 and a3 modulo p^3; the remaining valuations then follow
     # from the b6 and b8 divisibility already established
     p3 = p**3
     inv2 = pow(2, -1, p3)
-    s = (-M.a1 * inv2) % p3
-    M.translate(0, s, 0)
-    t = (-M.a3 * inv2) % p3
-    M.translate(0, 0, t)
+    return _translate(a, 0, (-a[0] * inv2) % p3, (-a[2] * inv2) % p3)
 
 
-def _cubic_disc(cs) -> int:
-    d, c, b, a = cs  # a T^3 + b T^2 + c T + d with a = 1
-    return (
-        18 * a * b * c * d - 4 * b**3 * d + b * b * c * c - 4 * a * c**3 - 27 * a * a * d * d
-    )
-
-
-def _cubic_has_triple_root(cs, p) -> bool:
-    # monic cubic T^3 + bT^2 + cT + d has a triple root mod p iff it equals
-    # (T + b/3)^3, i.e. b^2 = 3c and b c = 9 d (valid for p != 3 via the
-    # depressed form; check directly mod p)
-    d, c, b, _a = [x % p for x in cs]
-    if p == 3:
-        # triple root r satisfies r^3 = -(d) and c = 0 and b = 0 mod 3 after
-        # depressing is unavailable; test all residues
-        for r in range(3):
-            if all(
-                x % 3 == 0
-                for x in _expand_shift_cubic(cs, r)
-            ):
-                return True
-        return False
-    return (b * b - 3 * c) % p == 0 and (b * c - 9 * d) % p == 0
-
-
-def _expand_shift_cubic(cs, r):
-    """Coefficients (below leading) of the cubic shifted by T -> T + r."""
-    d, c, b, a = cs
-    # (T + r)^3 + b (T + r)^2 + c (T + r) + d
-    nb = 3 * r * a + b
-    nc = 3 * r * r * a + 2 * b * r + c
-    nd = a * r**3 + b * r * r + c * r + d
-    return [nd, nc, nb]
-
-
-def _cubic_triple_root(cs, p) -> int:
-    if p == 3:
-        for r in range(3):
-            if all(x % 3 == 0 for x in _expand_shift_cubic(cs, r)):
-                return r
-        raise RuntimeError("triple root lost")  # pragma: no cover
-    b = cs[2]
-    return (-b * pow(3, -1, p)) % p
-
-
-def _cubic_double_root(cs, p) -> int:
-    if p <= 3:
-        for r in range(p):
-            nd, nc, _nb = _expand_shift_cubic(cs, r)
-            if nd % p == 0 and nc % p == 0:
-                return r
-        raise RuntimeError("double root lost")  # pragma: no cover
-    return _repeated_root(cs, p)
-
-
-def _instar_loop(M: _Model, p: int, n: int) -> LocalData:
+def _instar_loop(a: tuple, p: int, n: int) -> LocalData:
     """Types Im* for m >= 1: the double-root sub-procedure."""
     q = 2
     while True:
         # quadratic in Y: Y^2 + (a3/p^q) Y - a6/p^(2q)
         m = 2 * q - 3
-        a3t = M.a3 // p**q
-        a6t = M.a6 // p ** (2 * q)
+        a3t = a[2] // p**q
+        a6t = a[4] // p ** (2 * q)
         if (a3t * a3t + 4 * a6t) % p != 0:
             c = 4 if _has_root_quadratic(1, a3t, -a6t, p) else 2
             return LocalData(p, f"I{m}*", n - 4 - m, c, "additive", n)
-        if p == 2:
-            alpha = next(
-                y for y in range(2) if (y * y + a3t * y - a6t) % 2 == 0
-            )
-        else:
-            alpha = (-a3t * pow(2, -1, p)) % p
-        M.translate(0, 0, p**q * alpha)
+        a = _translate(a, 0, 0, p**q * _double_root(1, a3t, -a6t, p))
         # quadratic in X: (a2/p) X^2 + (a4/p^(q+1)) X + a6/p^(2q+1)
         m = 2 * q - 2
-        a2t = M.a2 // p
-        a4t = M.a4 // p ** (q + 1)
-        a6t = M.a6 // p ** (2 * q + 1)
+        a2t = a[1] // p
+        a4t = a[3] // p ** (q + 1)
+        a6t = a[4] // p ** (2 * q + 1)
         if (a4t * a4t - 4 * a2t * a6t) % p != 0:
             c = 4 if _has_root_quadratic(a2t, a4t, a6t, p) else 2
             return LocalData(p, f"I{m}*", n - 4 - m, c, "additive", n)
-        if p == 2:
-            alpha = next(
-                x for x in range(2) if (a2t * x * x + a4t * x + a6t) % 2 == 0
-            )
-        else:
-            alpha = (-a4t * pow(2 * a2t, -1, p)) % p
-        M.translate(p**q * alpha, 0, 0)
+        a = _translate(a, p**q * _double_root(a2t, a4t, a6t, p), 0, 0)
         q += 1
-
-
-def _steps_8_to_11(M: _Model, p: int, n: int) -> LocalData:
-    """Triple-root tail of the algorithm: IV*, III*, II* or restart."""
-    p2, p3, p4, p5, p6 = p * p, p**3, p**4, p**5, p**6
-    # quadratic Y^2 + (a3/p^2) Y - a6/p^4 mod p
-    a3t = M.a3 // p2
-    a6t = M.a6 // p4
-    if (a3t * a3t + 4 * a6t) % p != 0:
-        root = _has_root_quadratic(1, a3t, -a6t, p)
-        return LocalData(p, "IV*", n - 6, 3 if root else 1, "additive", n)
-    if p == 2:
-        alpha = next(y for y in range(2) if (y * y + a3t * y - a6t) % 2 == 0)
-    else:
-        alpha = (-a3t * pow(2, -1, p)) % p
-    M.translate(0, 0, p2 * alpha)
-    if M.a4 % p4 != 0:
-        return LocalData(p, "III*", n - 7, 2, "additive", n)
-    if M.a6 % p6 != 0:
-        return LocalData(p, "II*", n - 8, 1, "additive", n)
-    # non-minimal at p: rescale and rerun
-    M.unscale(p)
-    return tate_local(WeierstrassCurve(M.a1, M.a2, M.a3, M.a4, M.a6), p)
 
 
 # ---------------------------------------------------------------------------
@@ -477,17 +393,17 @@ def discriminant_factorization(
     factoring |disc_min| whole.  Either way the result is certified by
     exact division (see factor_with_parts).
 
-    When minimal_model cannot certify minimality, the discriminant of E
-    is factored instead and E is minimized at every prime found.  Every
+    When minimality cannot be certified (see _scalable_primes), the
+    discriminant of E is factored instead and E is minimized at every prime found.  Every
     prime that can be scaled away divides disc(E), so the result is
     complete, and the model certified minimal, exactly when that
     factorization is; otherwise it covers the known primes (complete=False).
     """
+    if not E.is_integral():
+        E, _pm = E.integral_model()
     try:
-        Emin, _pm = minimal_model(E, budget)
+        primes = _scalable_primes(E, budget)
     except Unfactored:
-        if not E.is_integral():
-            E, _pm = E.integral_model()
         fE = _factor_disc(E, abs(int(E.disc)), budget)
         Emin, _u = _minimize_at(E, fE.primes())
         m = abs(int(Emin.disc))
@@ -498,6 +414,7 @@ def discriminant_factorization(
                 found.append((p, e))
                 m //= p**e
         return Emin, FactoredInt(1, tuple(found), m)
+    Emin, _u = _minimize_at(E, primes)
     return Emin, _factor_disc(E, abs(int(Emin.disc)), budget)
 
 

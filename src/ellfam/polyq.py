@@ -283,13 +283,6 @@ class PolyQ:
         content = Fraction(num_gcd, den_lcm)
         return content, PolyQ([c / content for c in self.coeffs], self.var)
 
-    def squarefree_part(self) -> "PolyQ":
-        return self.exact_div_gcd_derivative().monic()
-
-    def exact_div_gcd_derivative(self) -> "PolyQ":
-        g = self.gcd(self.derivative())
-        return self.exact_div(g)
-
     # -- display ----------------------------------------------------------
     def __repr__(self):
         return f"PolyQ({to_string(self)!r})"

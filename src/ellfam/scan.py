@@ -291,7 +291,7 @@ class ScanSpec:
         E = self.parametrizer
         return E.add(E.mul(n, self.generators[0]), E.mul(m, self.generators[1]))
 
-    def validate(self, budget: Optional[FactorBudget] = None) -> None:
+    def validate(self) -> None:
         """Exact consistency checks of the parameter map.
 
         The base cell lands on the designated base point of the
@@ -299,7 +299,6 @@ class ScanSpec:
         equation exactly; and when a companion family is attached, the two
         coordinates specialize both families to Q-isomorphic curves.
         """
-        budget = budget or self.budget
         E = self.parametrizer
         G = None
         for cand in (
@@ -320,15 +319,15 @@ class ScanSpec:
             if self.companion.value(r, s) != 0:
                 raise AssertionError("generator image misses the correspondence")
             if self.companion_family is not None:
-                Ea = self.family.specialize(r, budget).curve()
-                Eb = self.companion_family.specialize(s, budget).curve()
+                Ea = self.family.specialize(r, self.budget).curve()
+                Eb = self.companion_family.specialize(s, self.budget).curve()
                 if isomorphic_over_Q(Ea, Eb) is None:
                     raise AssertionError(
                         "companion family member is not isomorphic at the mapped pair"
                     )
         else:
             r = self.mapping.parameter(G)
-            self.family.specialize(r, budget)
+            self.family.specialize(r, self.budget)
 
 
 @dataclass(frozen=True)
@@ -463,18 +462,21 @@ class SymmetryReport:
         return not self.violations and not self.isomorphism_failures
 
 
+# symmetric pairs per audit whose curves are also proven Q-isomorphic
+_ISOMORPHISM_SAMPLES = 2
+
+
 def symmetry_audit(
     grid: ScanGrid,
     symmetry: tuple[int, int],
     spec: Optional[ScanSpec] = None,
-    samples: int = 2,
 ) -> SymmetryReport:
     """Check that symmetric cells carry equal root numbers.
 
     ``symmetry`` is a pair (a, b), declaring the involution
     (n, m) -> (a - n, b - m).  Complete symmetric pairs with differing
     signs are reported as violations.  When the spec is supplied, the
-    first ``samples`` non-skipped symmetric pairs are additionally
+    first ``_ISOMORPHISM_SAMPLES`` non-skipped symmetric pairs are additionally
     certified by an exact Q-isomorphism of the underlying curves.
     """
     a, b = symmetry
@@ -494,7 +496,7 @@ def symmetry_audit(
                 violations.append(((c.n, c.m), o))
         if (
             spec is not None
-            and sampled < samples
+            and sampled < _ISOMORPHISM_SAMPLES
             and o != (c.n, c.m)
             and not c.skipped
             and not oc.skipped

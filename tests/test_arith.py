@@ -152,12 +152,20 @@ class TestFactor:
         assert str(factor(-1)) == "-1"
 
 
-    def test_one_sieve_per_trial_bound(self, monkeypatch):
-        monkeypatch.setattr(arith, "_sieve_cache", {})
-        budget = FactorBudget(10**5, 10**4)
-        for n in range(10**8, 10**8 + 200 * 7919, 7919):
-            assert factor(n, budget).value() == n
-        assert len(arith._sieve_cache) == 1
+    def test_sieve_grows_to_the_needed_bound(self, monkeypatch):
+        # trial division walks sympy's one shared sieve only as far as
+        # min(trial_bound, the square root of the cofactor left) needs
+        assert arith.sieve is sympy.sieve
+        fresh = sympy.ntheory.generate.Sieve()
+        monkeypatch.setattr(arith, "sieve", fresh)
+        smooth = 2**13 * 3**14 * 5**8  # > 10^16, as in the catalog build
+        assert factor(smooth).factors == ((2, 13), (3, 14), (5, 8))
+        assert fresh._list[-1] < 100
+        assert factor(101 * 103).factors == ((101, 1), (103, 1))
+        assert fresh._list[-1] <= math.isqrt(101 * 103) + 1
+        fi = factor(M61 * M89, FactorBudget(10**3, 0))
+        assert fi.residue == M61 * M89
+        assert 990 < fresh._list[-1] < 10**3
 
 
 M61, M89, M107, M127 = 2**61 - 1, 2**89 - 1, 2**107 - 1, 2**127 - 1

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from ellfam import cli, heights, localdata
 from ellfam.cli import main
 
 
@@ -47,6 +48,15 @@ class TestExitCodes:
             main(["--format", "text", "catalog"])
         assert exc.value.code == 2
         assert "text" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("prime", ["1", "15", "-5"])
+    def test_local_prime_must_be_prime(self, capsys, prime):
+        # p = 1 would never leave valuation(n, 1); a composite p would
+        # yield a made-up fiber
+        with pytest.raises(SystemExit) as exc:
+            main(["local", "--curve", "0,0,0,-25,0", f"--prime={prime}"])
+        assert exc.value.code == 2
+        assert "not a prime" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv",
@@ -135,6 +145,36 @@ class TestLocalAndRootNumber:
         assert payload["complete"] is True
         assert [pl["p"] for pl in payload["places"]][-2:] == [2931542417, P]
 
+    def test_local_runs_one_pass(self, capsys, monkeypatch):
+        # one minimization, and Tate's algorithm once per bad prime
+        calls = {"minimize": 0, "tate": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(localdata, "_minimize_at", counted("minimize", localdata._minimize_at))
+        monkeypatch.setattr(cli, "tate_local", counted("tate", cli.tate_local))
+        code, out, _ = run(capsys, "local", "--curve", "0,0,0,-25,0")
+        assert code == 0
+        places = json.loads(out)["places"]
+        assert [(pl["p"], pl["kodaira"]) for pl in places] == [(2, "III"), (5, "I0*")]
+        assert calls == {"minimize": 1, "tate": 2}
+
+    def test_local_when_minimality_uncertified(self, capsys):
+        # c6 = 0 and a4 = -M with M = M61 * M89: without rho gcd(c4, c6)
+        # keeps a residue that could hide a 4th power
+        M = (2**61 - 1) * (2**89 - 1)
+        code, out, _ = run(
+            capsys, "--budget", "1000,0", "local", "--curve", f"0,0,0,{-M},0"
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["complete"] is False
+        assert [pl["p"] for pl in payload["places"]] == [2]
+
     def test_single_prime(self, capsys):
         code, out, _ = run(capsys, "local", "--curve", "0,0,0,0,16", "--prime", "3")
         assert code == 0
@@ -159,6 +199,30 @@ class TestHeights:
         payload = json.loads(out)
         assert payload["certificate"] == "independent"
         assert float(payload["heights"][0]) > 0
+
+    def test_one_pairing_matrix(self, capsys, monkeypatch):
+        calls = []
+        original = heights.pairing_matrix
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(heights, "pairing_matrix", counted)
+        monkeypatch.setattr(cli, "pairing_matrix", counted)
+        code, out, _ = run(
+            capsys, "heights", "--curve", "0,0,0,-25,0", "--points=-4,6;45,300"
+        )
+        assert code == 0
+        assert len(calls) == 1
+        E, pts = calls[0][0], calls[0][1]
+        M = original(E, pts)
+        assert json.loads(out) == {
+            "heights": [f"{M.entries[i][i]:.12f}" for i in range(2)],
+            "pairing": [[f"{e:.12f}" for e in row] for row in M.entries],
+            "determinant": f"{M.gram_determinant():.12e}",
+            "certificate": heights.independence_certificate(E, pts),
+        }
 
     def test_no_points_is_usage_error(self, capsys):
         code, _out, err = run(capsys, "heights", "--curve", "0,0,0,0,-2")

@@ -284,6 +284,17 @@ class TestIsomorphism:
         assert isomorphic_over_Q(E1, WeierstrassCurve(0, 0, 0, 0, 64)) is not None
         assert isomorphic_over_Q(E1, WeierstrassCurve(0, 0, 0, 0, 2)) is None
 
+    @pytest.mark.parametrize("u", [1009, 10**20 + 7, 10**90 + 1])
+    @pytest.mark.parametrize("a4,a6", [(-1, 0), (0, 1)])
+    def test_j0_and_j1728_large_scalings(self, a4, a6, u):
+        # u^4 and u^6 are far beyond a float's exact range
+        E1 = WeierstrassCurve(0, 0, 0, a4, a6)
+        for scale in (Fraction(1, u), Fraction(u, 2)):
+            E2, _ = E1.transform(scale, 1, 2, 3)
+            iso = isomorphic_over_Q(E1, E2)
+            assert iso is not None
+            assert E1.transform(*iso)[0] == E2
+
     def test_quadratic_twist_not_isomorphic(self):
         E = ShiftedABCurve(49, 256).weierstrass()
         twist = ShiftedABCurve(49 * 5, 256 * 25).weierstrass()

@@ -13,7 +13,7 @@ from ellfam.localdata import (
     LocalData,
     _count_roots_cubic,
     _has_root_quadratic,
-    _repeated_root,
+    _multiple_root,
     conductor,
     discriminant_factorization,
     local_data_all,
@@ -69,6 +69,18 @@ class TestMinimalModel:
         E, _ = minimal_model(E0)
         assert abs(int(E.disc)) == 2**8 * 3**4 * 17
         assert isomorphic_over_Q(E, E0) is not None
+
+    def test_point_map_from_rational_model(self):
+        # y^2 = x^3 - 25x/16: the map starts on the given model, not on
+        # its integral model
+        from ellfam.curves import CurvePoint
+
+        small, pm0 = E_CONG5.transform(2, 0, 0, 0)
+        P = pm0.forward(CurvePoint(Fraction(-4), Fraction(6)))
+        assert small.contains(P) and not small.is_integral()
+        E, pm = minimal_model(small)
+        assert E.disc == E_CONG5.disc
+        assert E.contains(pm.forward(P))
 
 
 def _map_point(E_small, E_big, P):
@@ -185,25 +197,41 @@ class TestResidueFieldHelpers:
             return
         assert _has_root_quadratic(a, b, c, p) == bool(_roots_brute([c, b, a], p))
 
-    @given(st.sampled_from(PRIMES[2:]), COEFF, COEFF, COEFF, COEFF)
+    @given(st.sampled_from(PRIMES), COEFF, COEFF, COEFF, COEFF)
     @settings(max_examples=300, deadline=None)
-    def test_repeated_root(self, p, a, r, s, lift):
+    def test_multiple_root_double(self, p, a, r, s, lift):
         if a % p == 0:
             return
         cs = _cubic_from_roots(a, [r, r, s])
         cs[lift % 4] += lift * p  # coefficients need not be reduced
-        root = _repeated_root(cs, p)
-        der = [i * c for i, c in enumerate(cs)][1:]
-        assert _eval(cs, root, p) == 0 and _eval(der, root, p) == 0
-        assert root == r % p
+        assert _multiple_root(cs, p) == (r % p, (r - s) % p == 0)
 
-    @given(st.sampled_from(PRIMES[2:]), COEFF, COEFF, COEFF)
+    @given(st.sampled_from(PRIMES), COEFF, COEFF, COEFF)
     @settings(max_examples=100, deadline=None)
-    def test_triple_root(self, p, a, r, lift):
+    def test_multiple_root_triple(self, p, a, r, lift):
         if a % p == 0:
             return
         cs = _cubic_from_roots(a, [r, r, r + lift * p])
-        assert _repeated_root(cs, p) == r % p
+        assert _multiple_root(cs, p) == (r % p, True)
+
+    @given(st.sampled_from(PRIMES), COEFF, COEFF, COEFF, COEFF)
+    @settings(max_examples=300, deadline=None)
+    def test_multiple_root_random_cubic(self, p, a, b, c, d):
+        if a % p == 0:
+            return
+        assert _multiple_root([d, c, b, a], p) == _multiple_root_brute([d, c, b, a], p)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_multiple_root_every_cubic(self, p):
+        seen = set()
+        for a in range(1, p):
+            for b in range(p):
+                for c in range(p):
+                    for d in range(p):
+                        got = _multiple_root([d, c, b, a], p)
+                        assert got == _multiple_root_brute([d, c, b, a], p)
+                        seen.add(None if got is None else got[1])
+        assert seen == {None, False, True}
 
     @given(st.sampled_from(COUNT_PRIMES), COEFF, COEFF, COEFF, COEFF)
     @settings(max_examples=300, deadline=None)
@@ -220,6 +248,21 @@ class TestResidueFieldHelpers:
             return
         cs = _cubic_from_roots(a, [r1, r2, r3])
         assert _count_roots_cubic(cs, p) == len({r1 % p, r2 % p, r3 % p})
+
+
+def _multiple_root_brute(cs, p):
+    """(r, triple) for the common root r of f and f' in F_p, None if none.
+
+    A multiple root of a cubic over F_p lies in F_p; it is triple when f is
+    a (T - r)^3 mod p.
+    """
+    der = [i * c for i, c in enumerate(cs)][1:]
+    common = [x for x in _roots_brute(cs, p) if _eval(der, x, p) == 0]
+    if not common:
+        return None
+    (r,) = common
+    cube = _cubic_from_roots(cs[3], [r, r, r])
+    return r, all((x - y) % p == 0 for x, y in zip(cs, cube))
 
 
 def _non_residue(p):
@@ -305,6 +348,18 @@ class TestInvariance:
                 E2, _pm = E.transform(1, r, s, t)
                 for p in (2, 3, 5, 11):
                     assert tate_local(E, p) == tate_local(E2, p)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_scaling_invariance(self, p):
+        # E scaled by 1/u is not minimal at p; Tate's algorithm unscales it
+        rng = random.Random(p)
+        for E in (E11A1, E37A, E32A, E27A3, E36A, E20A, E_CONG5,
+                  curve(0, 49, 0, 256, 0), curve(1, -1, 0, -14, 29)):
+            ld = tate_local(E, p)
+            for u in (p, p * p):
+                r, s, t = (rng.randrange(-9, 10) for _ in range(3))
+                scaled, _pm = E.transform(Fraction(1, u), r, s, t)
+                assert tate_local(scaled, p) == ld
 
     def test_fp_caps(self):
         for E in (E11A1, E32A, E36A, E20A, E27A3, E_CONG5):
