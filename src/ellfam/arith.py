@@ -41,8 +41,10 @@ class FactorBudget:
     """Effort limit for integer factorization.
 
     trial_bound: trial-divide by primes up to this bound.
-    rho_iterations: total Brent-rho iteration allowance per factor() call;
-        factor_with_parts() grants it to each part it factors.
+    rho_iterations: Brent-rho iteration allowance per factor() call (and
+        per part in factor_with_parts()).  Each rho call may spend whatever
+        is left of it, and is then charged a flat 10^4, however many
+        iterations it actually took; rho stops once the charges use it up.
     time_cap: wall-clock seconds per factor() call, likewise per part
         (None = unlimited).
     """
@@ -50,6 +52,12 @@ class FactorBudget:
     trial_bound: int = 10**6
     rho_iterations: int = 2 * 10**6
     time_cap: Optional[float] = None
+
+    def __post_init__(self):
+        if self.trial_bound < 0 or self.rho_iterations < 0:
+            raise ValueError("trial_bound and rho_iterations must be nonnegative")
+        if self.time_cap is not None and self.time_cap <= 0:
+            raise ValueError("time_cap must be positive")
 
 
 DEFAULT_BUDGET = FactorBudget()
@@ -60,8 +68,8 @@ class FactoredInt:
     """A partially factored integer: value = sign * prod(p**e) * residue.
 
     ``residue`` is 1 when the factorization is complete; otherwise it is the
-    unfactored leftover (from factor(), a composite with no prime factor
-    below the trial bound that was used).  Every prime listed in
+    unfactored leftover (from factor(), with no prime factor below the
+    trial bound that was used).  Every prime listed in
     ``factors`` has passed ``is_prime``.
     """
 
@@ -171,39 +179,50 @@ def factor(n: int, budget: FactorBudget = DEFAULT_BUDGET) -> FactoredInt:
             if p * p > n:
                 break
             if n % p == 0:
-                e = 0
-                while n % p == 0:
-                    n //= p
-                    e += 1
-                found[p] = e
+                n, found[p] = _strip(n, p)
         if deadline is not None and time.monotonic() > deadline:
             break
         lo = hi
 
-    # remaining part: peel off factors with rho until budget exhausted
-    residue = 1
+    # remaining part: split it with rho until the budget runs out.  Each
+    # prime is proven once and divided out of every cofactor popped after
+    # it; a perfect square is pushed once, as its root; a cofactor rho
+    # cannot split is dropped, and is left in the residue below
+    primes: list[int] = []
     stack = [n] if n > 1 else []
     iters = budget.rho_iterations
     while stack:
         m = stack.pop()
+        for p in primes:
+            m = _strip(m, p)[0]
         if m == 1:
             continue
         if is_prime(m):
-            found[m] = found.get(m, 0) + 1
+            primes.append(m)
             continue
         root = math.isqrt(m)
         if root * root == m:
-            stack.extend([root, root])
+            stack.append(root)
             continue
-        d = None
         if iters > 0 and (deadline is None or time.monotonic() <= deadline):
             d = _brent_rho(m, iters, deadline)
             iters = max(0, iters - 10**4)
-        if d is None:
-            residue *= m
-        else:
-            stack.extend([d, m // d])
-    return FactoredInt(sign, tuple(sorted(found.items())), residue)
+            if d is not None:
+                # d is popped first, so a prime d is stripped from m // d
+                stack.extend([m // d, d])
+    # exponents and the residue by exact division of what trial division left
+    for p in primes:
+        n, found[p] = _strip(n, p)
+    return FactoredInt(sign, tuple(sorted(found.items())), n)
+
+
+def _strip(n: int, p: int) -> tuple[int, int]:
+    """(n / p^e, e) with p^e the exact power of p dividing n."""
+    e = 0
+    while n % p == 0:
+        n //= p
+        e += 1
+    return n, e
 
 
 def factor_with_parts(
@@ -236,10 +255,7 @@ def factor_with_parts(
     m = abs(n)
     found: dict[int, int] = {}
     for p in sorted(primes):
-        e = 0
-        while m % p == 0:
-            m //= p
-            e += 1
+        m, e = _strip(m, p)
         if e:
             found[p] = e
     return FactoredInt(-1 if n < 0 else 1, tuple(found.items()), m)

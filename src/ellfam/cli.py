@@ -26,7 +26,7 @@ from .arith import (
     rational_to_string,
 )
 from .curves import CurvePoint, INFINITY, WeierstrassCurve, torsion_subgroup
-from .families import catalog, verify_section
+from .families import SingularMember, catalog, verify_section
 from .heights import (
     DEFAULT_EPS,
     INDEPENDENCE_THRESHOLD,
@@ -66,7 +66,10 @@ def _parse_budget(raw: str) -> FactorBudget:
     parts = raw.split(",")
     if len(parts) != 2:
         raise argparse.ArgumentTypeError("budget must be 'trial_bound,rho_iterations'")
-    return FactorBudget(int(parts[0]), int(parts[1]))
+    try:
+        return FactorBudget(int(parts[0]), int(parts[1]))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"budget {raw!r}: {exc}") from None
 
 
 def _config(args) -> Config:
@@ -450,6 +453,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except Unfactored as exc:
         print(f"factorization budget exhausted: {exc}", file=sys.stderr)
         return 1
+    except SingularMember as exc:
+        print(f"no curve at this parameter: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

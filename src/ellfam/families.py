@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
@@ -57,9 +58,17 @@ def ratfunc_sqrt(f: RatFunc) -> RatFunc:
     return RatFunc(poly_sqrt(num * den), den)
 
 
+class SingularMember(ValueError):
+    """The family's model is singular or degenerate at the parameter value:
+    A(u) B(u) (A^2 - 4B)(u) = 0."""
+
+
 @dataclass(frozen=True)
 class SpecializedCurve:
-    """A member of a family at a rational parameter value, in integral form."""
+    """A member of a family at a rational parameter value, in integral form.
+
+    (A, B) = (scale^2 A(value), scale^4 B(value)).
+    """
 
     label: str
     value: Fraction
@@ -67,6 +76,7 @@ class SpecializedCurve:
     B: int
     points: tuple[CurvePoint, ...]
     torsion_points: tuple[CurvePoint, ...]
+    scale: Fraction
 
     def curve(self) -> WeierstrassCurve:
         return ShiftedABCurve(self.A, self.B).weierstrass()
@@ -118,12 +128,21 @@ class CurveFamily:
     def specialize(
         self, value: Fraction | int, budget: FactorBudget = DEFAULT_BUDGET
     ) -> SpecializedCurve:
+        """The member at ``value``; raises SingularMember where the model
+        degenerates.  A section with a pole at ``value`` meets the zero
+        section on this fiber and specializes to the point at infinity."""
         value = Fraction(value)
         A0, B0 = self.A(value), self.B(value)
+        if A0 * B0 * (A0 * A0 - 4 * B0) == 0:
+            raise SingularMember(f"{self.label} degenerates at u = {value}")
         A1, B1, lam = normalize_shifted_ab(A0, B0, budget)
 
         def spec_point(P: CurvePoint) -> CurvePoint:
-            return CurvePoint(lam * lam * P.x(value), lam**3 * P.y(value))
+            try:
+                x = P.x(value)
+            except ZeroDivisionError:
+                return CurvePoint.infinity()
+            return CurvePoint(lam * lam * x, lam**3 * P.y(value))
 
         return SpecializedCurve(
             label=self.label,
@@ -132,11 +151,53 @@ class CurveFamily:
             B=int(B1),
             points=tuple(spec_point(P) for P in self.sections),
             torsion_points=tuple(spec_point(P) for P in self.torsion_points),
+            scale=lam,
         )
+
+    @cached_property
+    def discriminant_factors(self) -> tuple[tuple[Fraction, ...], tuple[PolyQ, ...]]:
+        """The contents of B and A^2 - 4B, and their distinct irreducible
+        factors over Q[u] (primitive, integer coefficients).
+
+        Computed once per family object and kept on it.
+        """
+        contents: list[Fraction] = []
+        factors: list[PolyQ] = []
+        for f in (self.B, self.A * self.A - 4 * self.B):
+            c, parts = f.factor()
+            contents.append(c)
+            factors.extend(g for g, _e in parts if g not in factors)
+        return tuple(contents), tuple(factors)
+
+    def discriminant_parts(self, sp: SpecializedCurve) -> tuple[int, ...]:
+        """Integers whose primes cover those of disc(sp.curve()).
+
+        With u = p/q and scale l, disc = 16 l^12 B(u)^2 (A^2 - 4B)(u), and
+        each factor g of B or A^2 - 4B contributes the integer
+        q^deg(g) g(p/q); the rest is 2, l, q and the two contents.  Pass
+        them to global_root_number(..., parts=...).
+        """
+        p, q = sp.value.numerator, sp.value.denominator
+        contents, factors = self.discriminant_factors
+        parts = [2, sp.scale.numerator, sp.scale.denominator, q]
+        for c in contents:
+            parts += [c.numerator, c.denominator]
+        parts += [_homogeneous_value(g, p, q) for g in factors]
+        return tuple(parts)
 
 
 def _ratfunc(f: RatFunc | PolyQ) -> RatFunc:
     return RatFunc(f) if isinstance(f, PolyQ) else f
+
+
+def _homogeneous_value(g: PolyQ, p: int, q: int) -> int:
+    """q^deg(g) g(p/q) for g with integer coefficients, by Horner."""
+    cs = g.coeffs[::-1]
+    acc, qk = int(cs[0]), 1
+    for c in cs[1:]:
+        qk *= q
+        acc = acc * p + int(c) * qk
+    return acc
 
 
 def _cleared_cubic(family: CurveFamily, xn: PolyQ, xd: PolyQ) -> PolyQ:

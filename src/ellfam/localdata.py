@@ -8,8 +8,8 @@ or truncated p-adic expansions.
 from __future__ import annotations
 
 import math
-
 from dataclasses import dataclass
+from typing import Optional, Sequence
 
 from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_from_int_poly, gf_gcd, gf_pow_mod, gf_sub
@@ -382,7 +382,10 @@ def _instar_loop(a: tuple, p: int, n: int) -> LocalData:
 
 
 def discriminant_factorization(
-    E: WeierstrassCurve, budget: FactorBudget = DEFAULT_BUDGET
+    E: WeierstrassCurve,
+    budget: FactorBudget = DEFAULT_BUDGET,
+    *,
+    parts: Optional[Sequence[int]] = None,
 ) -> tuple[WeierstrassCurve, FactoredInt]:
     """Global minimal model of E and a factorization of |disc_min|.
 
@@ -390,8 +393,11 @@ def discriminant_factorization(
     16 a4^2 (a2^2 - 4 a4) and disc(E) = u^12 disc_min, so every prime of
     disc_min divides 2, a4 or a2^2 - 4 a4: those small parts are factored
     instead of disc_min as one number.  Any other model falls back to
-    factoring |disc_min| whole.  Either way the result is certified by
-    exact division (see factor_with_parts).
+    factoring |disc_min| whole.  ``parts``, when given, replaces both:
+    integers whose primes cover those of disc(E) for the integral E (a
+    family member passes CurveFamily.discriminant_parts).  Either way the
+    result is certified by exact division (see factor_with_parts), so parts
+    that miss a prime give complete=False, never a wrong factorization.
 
     When minimality cannot be certified (see _scalable_primes), the
     discriminant of E is factored instead and E is minimized at every prime found.  Every
@@ -404,7 +410,7 @@ def discriminant_factorization(
     try:
         primes = _scalable_primes(E, budget)
     except Unfactored:
-        fE = _factor_disc(E, abs(int(E.disc)), budget)
+        fE = _factor_disc(E, abs(int(E.disc)), budget, parts)
         Emin, _u = _minimize_at(E, fE.primes())
         m = abs(int(Emin.disc))
         found = []
@@ -415,12 +421,16 @@ def discriminant_factorization(
                 m //= p**e
         return Emin, FactoredInt(1, tuple(found), m)
     Emin, _u = _minimize_at(E, primes)
-    return Emin, _factor_disc(E, abs(int(Emin.disc)), budget)
+    return Emin, _factor_disc(E, abs(int(Emin.disc)), budget, parts)
 
 
-def _factor_disc(E: WeierstrassCurve, disc: int, budget: FactorBudget) -> FactoredInt:
+def _factor_disc(
+    E: WeierstrassCurve, disc: int, budget: FactorBudget, parts: Optional[Sequence[int]]
+) -> FactoredInt:
     """Factor disc, a discriminant of a model isomorphic to E (see
     discriminant_factorization)."""
+    if parts is not None:
+        return factor_with_parts(disc, parts, budget)
     if E.is_integral() and E.a1 == E.a3 == E.a6 == 0:
         a2, a4 = int(E.a2), int(E.a4)
         return factor_with_parts(disc, (2, a4, a2 * a2 - 4 * a4), budget)

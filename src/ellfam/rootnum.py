@@ -12,7 +12,7 @@ a numeric functional-equation oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, Optional, Sequence
 
 from .arith import (
     DEFAULT_BUDGET,
@@ -91,15 +91,19 @@ def local_root_number(E: WeierstrassCurve, ld: LocalData) -> int:
 
 
 def global_root_number(
-    E: WeierstrassCurve, budget: FactorBudget = DEFAULT_BUDGET
+    E: WeierstrassCurve,
+    budget: FactorBudget = DEFAULT_BUDGET,
+    *,
+    parts: Optional[Sequence[int]] = None,
 ) -> RootNumber:
     """Product of the archimedean factor (-1) and all finite local factors.
 
-    When the minimal discriminant cannot be fully factored, the value covers
-    the known bad primes only and complete=False records that the sign is
-    not certified — never a silent wrong sign.
+    ``parts`` goes to discriminant_factorization.  When the minimal
+    discriminant cannot be fully factored, the value covers the known bad
+    primes only and complete=False records that the sign is not certified —
+    never a silent wrong sign.
     """
-    Emin, fi = discriminant_factorization(E, budget)
+    Emin, fi = discriminant_factorization(E, budget, parts=parts)
     breakdown: dict[int, int] = {}
     value = -1
     for p, _e in fi.factors:

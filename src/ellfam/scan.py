@@ -40,7 +40,7 @@ from .curves import (
     isomorphic_over_Q,
     torsion_subgroup,
 )
-from .families import CurveFamily, catalog
+from .families import CurveFamily, SingularMember, catalog
 from .polyq import PolyQ
 from .rootnum import MissingLocalCase, global_root_number
 from .sections import QuarticModel, quartic_jacobian
@@ -411,8 +411,7 @@ def _scan_cell(spec: ScanSpec, n: int, m: int) -> ScanCell:
         return ScanCell(n, m, root=None, complete=False, skipped=True)
     try:
         sp = spec.family.specialize(param, spec.budget)
-    except (ValueError, ZeroDivisionError):
-        # the parameter hits a vanishing-discriminant locus of the family
+    except SingularMember:
         return ScanCell(n, m, root=None, complete=False, skipped=True, parameter=param)
     E = sp.curve()
     tg = torsion_subgroup(E, hints=sp.torsion_points)
@@ -420,7 +419,9 @@ def _scan_cell(spec: ScanSpec, n: int, m: int) -> ScanCell:
         # outside the family's generic isomorphism class
         return ScanCell(n, m, root=None, complete=False, skipped=True, parameter=param)
     try:
-        rn = global_root_number(E, spec.budget)
+        rn = global_root_number(
+            E, spec.budget, parts=spec.family.discriminant_parts(sp)
+        )
     except (Unfactored, MissingLocalCase):
         return ScanCell(n, m, root=None, complete=False, skipped=False, parameter=param)
     return ScanCell(

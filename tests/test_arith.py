@@ -109,6 +109,12 @@ class TestIsPrimeAboveDeterministicLimit:
         assert is_prime(n) == sympy.isprime(n)
 
 
+M61, M89, M107, M127 = 2**61 - 1, 2**89 - 1, 2**107 - 1, 2**127 - 1
+P7, Q7 = 10000019, 20000003  # primes above the trial bounds below
+NO_RHO = FactorBudget(10**3, 0)
+RHO = FactorBudget(10**3, 10**6)
+
+
 class TestFactor:
     def test_complete_small(self):
         fi = factor(3600)
@@ -168,8 +174,77 @@ class TestFactor:
         assert 990 < fresh._list[-1] < 10**3
 
 
-M61, M89, M107, M127 = 2**61 - 1, 2**89 - 1, 2**107 - 1, 2**127 - 1
-NO_RHO = FactorBudget(10**3, 0)
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"trial_bound": -5},
+            {"rho_iterations": -1},
+            {"time_cap": 0},
+            {"time_cap": -1.5},
+        ],
+    )
+    def test_budget_rejects_negative_settings(self, kwargs):
+        with pytest.raises(ValueError):
+            FactorBudget(**kwargs)
+
+    def test_square_is_split_once(self, monkeypatch):
+        # (P*Q)^2 is pushed once, as its root P*Q: one rho call
+        calls = _count_rho(monkeypatch)
+        fi = factor((P7 * Q7) ** 2, RHO)
+        assert fi.factors == ((P7, 2), (Q7, 2)) and fi.complete
+        assert len(calls) == 1
+
+    def test_each_prime_found_once(self, monkeypatch):
+        # after rho returns P, the cofactor P^2 * Q loses P by division,
+        # not by two more rho calls
+        calls = _count_rho(monkeypatch)
+        proven = []
+        is_prime_ = arith.is_prime
+
+        def recorded(n):
+            if is_prime_(n):
+                proven.append(n)
+                return True
+            return False
+
+        monkeypatch.setattr(arith, "is_prime", recorded)
+        fi = factor(P7**3 * Q7, RHO)
+        assert fi.factors == ((P7, 3), (Q7, 1)) and fi.complete
+        assert len(calls) == 1
+        assert sorted(proven) == [P7, Q7]
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from([2, 3, 101, 7919, P7, Q7, 1000003, M61]),
+                st.integers(min_value=1, max_value=4),
+            ),
+            max_size=5,
+        ),
+        st.integers(min_value=1, max_value=10**20),
+        st.sampled_from([NO_RHO, FactorBudget(10**2, 10**4), RHO]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_primes_proven_and_coprime_to_residue(self, powers, cofactor, budget):
+        n = cofactor * math.prod(p**e for p, e in powers)
+        fi = factor(n, budget)
+        assert fi.value() == n
+        for p, e in fi.factors:
+            assert is_prime(p) and e >= 1
+            assert math.gcd(fi.residue, p) == 1
+
+
+def _count_rho(monkeypatch) -> list[int]:
+    """Record the argument of every _brent_rho call."""
+    calls: list[int] = []
+    rho = arith._brent_rho
+
+    def counted(n, *args):
+        calls.append(n)
+        return rho(n, *args)
+
+    monkeypatch.setattr(arith, "_brent_rho", counted)
+    return calls
 
 
 class TestFactorWithParts:

@@ -43,6 +43,27 @@ class TestExitCodes:
             main(["catalog"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("budget", ["-5,0", "100,-1"])
+    def test_negative_budget_is_usage_error(self, capsys, budget):
+        with pytest.raises(SystemExit) as exc:
+            main([f"--budget={budget}", "catalog"])
+        assert exc.value.code == 2
+        assert "nonnegative" in capsys.readouterr().err
+
+    def test_negative_env_budget_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("ELLFAM_BUDGET", "-5,0")
+        with pytest.raises(SystemExit) as exc:
+            main(["catalog"])
+        assert exc.value.code == 2
+        assert "nonnegative" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["specialize", "rootnumber"])
+    def test_singular_member_is_usage_error(self, capsys, command):
+        # B vanishes at u = 15 on Z2x6R2-3
+        code, _out, err = run(capsys, command, "Z2x6R2-3", "--u", "15")
+        assert code == 2
+        assert "Z2x6R2-3" in err and "15" in err
+
     def test_text_format_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--format", "text", "catalog"])

@@ -1,6 +1,7 @@
 """Family construction, catalog fidelity and specialization tests."""
 
 import hashlib
+import math
 from dataclasses import replace
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from ellfam.arith import primes_below
 from ellfam.curves import CurvePoint, torsion_subgroup
 from ellfam.families import (
     CurveFamily,
+    SingularMember,
     catalog,
     model_z8,
     model_z2x6,
@@ -479,6 +481,52 @@ class TestSpecialization:
         assert (A, B) == (lam * lam * A0, lam**4 * B0)
         for p in primes_below(1000):
             assert A % (p * p) != 0 or B % p**4 != 0
+
+    def test_scale(self):
+        fam = catalog()["Z8R2-2"]
+        value = Fraction(7, 3)
+        s = fam.specialize(value)
+        assert (s.A, s.B) == (s.scale**2 * fam.A(value), s.scale**4 * fam.B(value))
+
+    def test_section_pole_is_the_point_at_infinity(self):
+        # the second section of Z8R2-1 has x = (...)/u^2, and the fiber at
+        # u = 0 is smooth: there the section meets the zero section
+        s = catalog()["Z8R2-1"].specialize(0)
+        assert s.points[1].is_infinity
+        assert s.curve().contains(s.points[0])
+
+    def test_singular_member(self):
+        fam = catalog()["Z2x6R2-3"]
+        assert fam.B(15) == 0
+        with pytest.raises(SingularMember):
+            fam.specialize(15)
+        assert issubclass(SingularMember, ValueError)
+
+    @pytest.mark.parametrize("label", ["Z8R2-1", "Z8R2-2", "Z2x6R2-3", "Z8-4"])
+    @given(value=st.fractions(-50, 50, max_denominator=60))
+    @settings(max_examples=15, deadline=None)
+    def test_discriminant_parts_cover_the_discriminant(self, label, value):
+        fam = catalog()[label]
+        try:
+            s = fam.specialize(value)
+        except SingularMember:
+            return
+        disc = abs(int(s.curve().disc))
+        for part in fam.discriminant_parts(s):
+            g = abs(part)
+            while g > 1 and math.gcd(disc, g) > 1:
+                disc //= math.gcd(disc, g)
+        assert disc == 1
+
+    def test_discriminant_factors_cached(self):
+        fam = catalog()["Z2x6R2-3"]
+        assert fam.discriminant_factors is fam.discriminant_factors
+        contents, factors = fam.discriminant_factors
+        product = contents[0]
+        for g, e in fam.B.factor()[1]:
+            assert g in factors
+            product *= g**e
+        assert product == fam.B
 
     @pytest.mark.parametrize("label", ["Z8R2-1", "Z8R2-5", "Z2x6R2-1", "Z2x6R2-5"])
     def test_rank2_specialization_torsion(self, label):

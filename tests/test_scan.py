@@ -5,9 +5,13 @@ from fractions import Fraction
 
 import pytest
 
+from ellfam import families
 from ellfam.arith import FactorBudget
 from ellfam.curves import INFINITY, isomorphic_over_Q, two_torsion_points
+from ellfam.families import SingularMember
+from ellfam.localdata import discriminant_factorization
 from ellfam.polyq import PolyQ
+from ellfam.rootnum import global_root_number
 from ellfam.scan import (
     CURVE_C,
     CURVE_D1,
@@ -247,3 +251,74 @@ class TestSymmetryAudit:
         )
         rep = symmetry_audit(bad, spec.symmetry)
         assert len(rep.violations) == 1
+
+
+@pytest.fixture(scope="module")
+def radius2_specs():
+    return builtin_scans(radius=2, budget=BUD)
+
+
+def _members(spec):
+    """The specialized curves of the grid's non-skipped cells."""
+    out = []
+    for n in range(-spec.radius, spec.radius + 1):
+        for m in range(-spec.radius, spec.radius + 1):
+            try:
+                param = spec.mapping.parameter(spec.lattice_point(n, m))
+                out.append(spec.family.specialize(param, spec.budget))
+            except (DegenerateFiber, SingularMember):
+                continue
+    return out
+
+
+class TestFamilyParts:
+    def test_same_factorization_as_generic_parts(self, radius2_specs):
+        # the family's Q[u] factors against (2, a4, a2^2 - 4 a4)
+        compared = 0
+        for spec in radius2_specs.values():
+            for sp in _members(spec):
+                E = sp.curve()
+                parts = spec.family.discriminant_parts(sp)
+                Ef, ff = discriminant_factorization(E, BUD, parts=parts)
+                Eg, fg = discriminant_factorization(E, BUD)
+                assert Ef == Eg and ff.value() == fg.value()
+                assert ff.complete or not fg.complete
+                if ff.complete and fg.complete:
+                    assert ff == fg
+                    compared += 1
+        assert compared >= 20
+
+    def test_missing_prime_is_never_complete(self, radius2_specs):
+        spec = radius2_specs["Z2x6-scan-1"]
+        checked = 0
+        for sp in _members(spec):
+            E = sp.curve()
+            parts = spec.family.discriminant_parts(sp)
+            rn = global_root_number(E, BUD, parts=parts)
+            if not rn.complete:
+                continue
+            for p in rn.local_breakdown:
+                def without_p(x):
+                    while x % p == 0:
+                        x //= p
+                    return x
+
+                stripped = [without_p(x) for x in parts]
+                assert not global_root_number(E, BUD, parts=stripped).complete
+                checked += 1
+        assert checked >= 100
+
+
+class TestSingularMembers:
+    def test_root_of_B_is_skipped(self):
+        fam = families.catalog()["Z2x6R2-3"]
+        with pytest.raises(SingularMember):
+            fam.specialize(15)
+
+    def test_other_errors_propagate(self, specs, monkeypatch):
+        def broken(*args):
+            raise ValueError("not a degenerate member")
+
+        monkeypatch.setattr(families, "normalize_shifted_ab", broken)
+        with pytest.raises(ValueError, match="not a degenerate member"):
+            lattice_scan(specs["Z8-scan-2"])
