@@ -14,7 +14,6 @@ need.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional
@@ -45,19 +44,14 @@ class FactorBudget:
         per part in factor_with_parts()).  Each rho call may spend whatever
         is left of it, and is then charged a flat 10^4, however many
         iterations it actually took; rho stops once the charges use it up.
-    time_cap: wall-clock seconds per factor() call, likewise per part
-        (None = unlimited).
     """
 
     trial_bound: int = 10**6
     rho_iterations: int = 2 * 10**6
-    time_cap: Optional[float] = None
 
     def __post_init__(self):
         if self.trial_bound < 0 or self.rho_iterations < 0:
             raise ValueError("trial_bound and rho_iterations must be nonnegative")
-        if self.time_cap is not None and self.time_cap <= 0:
-            raise ValueError("time_cap must be positive")
 
 
 DEFAULT_BUDGET = FactorBudget()
@@ -119,7 +113,7 @@ def primes_below(bound: int) -> list[int]:
     return list(sieve.primerange(bound))
 
 
-def _brent_rho(n: int, max_iters: int, deadline: Optional[float]) -> Optional[int]:
+def _brent_rho(n: int, max_iters: int) -> Optional[int]:
     """Brent's cycle variant of Pollard rho. Returns a nontrivial factor or None."""
     if n % 2 == 0:
         return 2
@@ -143,8 +137,6 @@ def _brent_rho(n: int, max_iters: int, deadline: Optional[float]) -> Optional[in
                 k += m
                 iters_left -= min(m, r - k + m)
             r *= 2
-            if deadline is not None and time.monotonic() > deadline:
-                return None
         if g == n:
             g = 1
             while g == 1:
@@ -166,7 +158,6 @@ def factor(n: int, budget: FactorBudget = DEFAULT_BUDGET) -> FactoredInt:
         raise ValueError("cannot factor 0")
     sign = -1 if n < 0 else 1
     n = abs(n)
-    deadline = None if budget.time_cap is None else time.monotonic() + budget.time_cap
     found: dict[int, int] = {}
 
     # walk sympy's shared sieve, which grows in place, in segments
@@ -180,8 +171,6 @@ def factor(n: int, budget: FactorBudget = DEFAULT_BUDGET) -> FactoredInt:
                 break
             if n % p == 0:
                 n, found[p] = _strip(n, p)
-        if deadline is not None and time.monotonic() > deadline:
-            break
         lo = hi
 
     # remaining part: split it with rho until the budget runs out.  Each
@@ -204,8 +193,8 @@ def factor(n: int, budget: FactorBudget = DEFAULT_BUDGET) -> FactoredInt:
         if root * root == m:
             stack.append(root)
             continue
-        if iters > 0 and (deadline is None or time.monotonic() <= deadline):
-            d = _brent_rho(m, iters, deadline)
+        if iters > 0:
+            d = _brent_rho(m, iters)
             iters = max(0, iters - 10**4)
             if d is not None:
                 # d is popped first, so a prime d is stripped from m // d

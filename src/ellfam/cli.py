@@ -35,6 +35,7 @@ from .heights import (
     pairing_matrix,
 )
 from .localdata import discriminant_factorization, tate_local
+from .polyq import NotASquare
 from .rootnum import MissingLocalCase, global_root_number
 from .scan import builtin_scans, lattice_scan, symmetry_audit
 
@@ -236,7 +237,7 @@ def _cmd_rootnumber(args, cfg: Config) -> int:
     E, _pts, _tors = _resolve_curve(args, cfg)
     try:
         rn = global_root_number(E, cfg.budget)
-    except (Unfactored, MissingLocalCase) as exc:
+    except MissingLocalCase as exc:
         print(f"root number not determined: {exc}", file=sys.stderr)
         return 1
     payload = {
@@ -277,7 +278,7 @@ def _cmd_sections(args, cfg: Config) -> int:
         try:
             verify_section(fam, P.x)
             results.append({"x": str(P.x), "verified": True})
-        except (ValueError, ArithmeticError) as exc:
+        except NotASquare as exc:
             ok = False
             results.append({"x": str(P.x), "verified": False, "error": str(exc)})
     payload = {
@@ -290,23 +291,11 @@ def _cmd_sections(args, cfg: Config) -> int:
 
 
 def _cmd_scan(args, cfg: Config) -> int:
-    name = args.name
-    radius = args.radius
-    negate = args.negate
-    if args.spec:
-        with open(args.spec) as fh:
-            raw = json.load(fh)
-        name = raw.get("name", name)
-        radius = raw.get("radius", radius)
-        negate = raw.get("negate", negate)
-    if name is None:
-        print("scan needs --name or a --spec file naming a scan", file=sys.stderr)
+    specs = builtin_scans(radius=args.radius, budget=cfg.budget)
+    if args.name not in specs:
+        print(f"unknown scan: {args.name}; known: {sorted(specs)}", file=sys.stderr)
         return 2
-    specs = builtin_scans(radius=radius, budget=cfg.budget, negate=negate)
-    if name not in specs:
-        print(f"unknown scan: {name}; known: {sorted(specs)}", file=sys.stderr)
-        return 2
-    spec = specs[name]
+    spec = specs[args.name]
     grid = lattice_scan(spec)
     rep = symmetry_audit(grid, spec.symmetry)
     out = grid.to_json() if cfg.output == "json" else grid.to_csv()
@@ -315,12 +304,13 @@ def _cmd_scan(args, cfg: Config) -> int:
             fh.write(out)
     else:
         sys.stdout.write(out)
+    plus, minus, incomplete, skipped = grid.counts
     summary = {
         "counts": {
-            "plus": grid.counts[0],
-            "minus": grid.counts[1],
-            "incomplete": grid.counts[2],
-            "skipped": grid.counts[3],
+            "plus": plus,
+            "minus": minus,
+            "incomplete": incomplete,
+            "skipped": skipped,
         },
         "symmetry_violations": len(rep.violations),
     }
@@ -425,11 +415,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_sections)
 
     p = sub.add_parser("scan", help="run a lattice scan")
-    p.add_argument("--spec", help="JSON file with {name, radius, negate}")
-    p.add_argument("--name", help="built-in scan name")
+    p.add_argument("--name", required=True, help="built-in scan name")
     p.add_argument("--radius", type=int, default=2)
-    p.add_argument("--negate", action="store_true",
-                   help="compose the parameter map with [-1]")
     p.add_argument("--out", help="output path (default stdout)")
     p.set_defaults(fn=_cmd_scan)
 

@@ -299,8 +299,6 @@ def square_decompose_poly(p: PolyQ) -> tuple[PolyQ, PolyQ]:
     """
     if p.is_zero():
         raise ValueError("zero polynomial")
-    from .arith import squarefree_decompose
-
     content, parts = p.factor()
     sign = -1 if content < 0 else 1
     cn, cfree_n = _int_square_split(abs(content.numerator))

@@ -11,8 +11,7 @@ an exact Q-isomorphism, a point then determines ``r`` through the inverse
 quartic map, and - when a biquadratic compatibility curve links two
 families - the companion coordinate ``s`` by the quadratic formula.  The
 sign conventions are pinned so the group origin lands on a designated base
-point; ``negate`` composes the identification with [-1] for the other
-equally valid choice.
+point.
 
 Cells are computed one after another in (n, m) order, so the grid is
 deterministic for a fixed spec and budget.
@@ -21,16 +20,18 @@ deterministic for a fixed spec and budget.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
-import sympy
+from sympy.polys.densebasic import dmp_strip, dup_strip
+from sympy.polys.domains import ZZ
+from sympy.polys.factortools import dmp_factor_list
 
 from .arith import (
     DEFAULT_BUDGET,
     FactorBudget,
-    Unfactored,
     rational_to_string,
     squarefree_decompose,
 )
@@ -83,14 +84,12 @@ class BiquadraticCurve:
             raise ValueError("the defining polynomial must be irreducible")
 
     def _is_irreducible(self) -> bool:
-        r, s = sympy.symbols("r s")
-        expr = sum(
-            sympy.Rational(c.numerator, c.denominator) * r**i * s**j
-            for i, row in enumerate(self.coeffs)
-            for j, c in enumerate(row)
-            if c
-        )
-        _const, parts = sympy.factor_list(expr, r, s)
+        den = math.lcm(*(c.denominator for row in self.coeffs for c in row))
+        # dense over ZZ[r][s], highest powers first; dmp_factor_list needs
+        # every level stripped of leading zeros
+        rows = [[(c * den).numerator for c in row[::-1]] for row in self.coeffs[::-1]]
+        f = dmp_strip([dup_strip(row) for row in rows], 1)
+        _const, parts = dmp_factor_list(f, 1, ZZ)
         return len(parts) == 1 and parts[0][1] == 1
 
     def value(self, r: Scalar, s: Scalar) -> Fraction:
@@ -176,9 +175,13 @@ def _square_reduced_disc(C: BiquadraticCurve, eliminate: str) -> tuple[PolyQ, Po
     return q, mult
 
 
-def quartic_correspondence(C: BiquadraticCurve, eliminate: str) -> QuarticModel:
+def quartic_correspondence(
+    C: BiquadraticCurve,
+    eliminate: str,
+    point: Optional[tuple[Scalar, Scalar]] = None,
+) -> QuarticModel:
     """Quartic model t^2 = q(x) whose square values give the rational
-    fibers of C over the kept variable.
+    fibers of C over the kept variable, with ``point`` as its known point.
 
     q is the discriminant of the quadratic in the eliminated variable,
     reduced modulo square factors (squarefree, with squarefree integer
@@ -187,7 +190,7 @@ def quartic_correspondence(C: BiquadraticCurve, eliminate: str) -> QuarticModel:
     F = s^2 - q(r)) returns q itself.
     """
     q, _ = _square_reduced_disc(C, eliminate)
-    return QuarticModel(q)
+    return QuarticModel(q, point)
 
 
 # ---------------------------------------------------------------------------
@@ -210,16 +213,10 @@ class ParameterMap:
         parametrizer: WeierstrassCurve,
         quartic: QuarticModel,
         correspondence: Optional[BiquadraticCurve] = None,
-        negate: bool = False,
     ):
-        if quartic.known_point is None:
-            raise ValueError("the quartic needs a known rational point")
-        self.parametrizer = parametrizer
-        self.quartic = quartic
         self.correspondence = correspondence
-        self.negate = negate
-        self._jacobian, self._fwd, self._inv = quartic_jacobian(quartic)
-        iso = isomorphic_over_Q(parametrizer, self._jacobian)
+        jacobian, _fwd, self._inv = quartic_jacobian(quartic)
+        iso = isomorphic_over_Q(parametrizer, jacobian)
         if iso is None:
             raise ValueError("parametrizer is not isomorphic to the quartic model")
         _, self._pm = parametrizer.transform(*iso)
@@ -232,8 +229,6 @@ class ParameterMap:
 
     def _quartic_point(self, P: CurvePoint) -> tuple[Fraction, Fraction]:
         Q = self._pm.forward(P)
-        if self.negate:
-            Q = self._jacobian.mul(-1, Q)
         try:
             return self._inv(Q)
         except ValueError:
@@ -276,7 +271,6 @@ class ScanSpec:
     mapping: ParameterMap
     symmetry: tuple[int, int]
     radius: int = 2
-    companion: Optional[BiquadraticCurve] = None
     companion_family: Optional[CurveFamily] = None
     budget: FactorBudget = DEFAULT_BUDGET
 
@@ -314,9 +308,10 @@ class ScanSpec:
             break
         if G is None:
             raise AssertionError("no test point avoids the degenerate fibers")
-        if self.companion is not None:
+        C = self.mapping.correspondence
+        if C is not None:
             r, s = self.mapping.coordinates(G)
-            if self.companion.value(r, s) != 0:
+            if C.value(r, s) != 0:
                 raise AssertionError("generator image misses the correspondence")
             if self.companion_family is not None:
                 Ea = self.family.specialize(r, self.budget).curve()
@@ -342,16 +337,22 @@ class ScanCell:
 
 @dataclass(frozen=True)
 class ScanGrid:
-    """Scan results: one cell per lattice point, with tallied counts
-    (#+1 among complete, #-1 among complete, #incomplete, #skipped)."""
+    """Scan results: one cell per lattice point."""
 
     name: str
     radius: int
     cells: tuple[ScanCell, ...]
-    counts: tuple[int, int, int, int]
 
-    def __post_init__(self):
-        assert self.counts == _tally(self.cells), "counts must equal cell tallies"
+    @property
+    def counts(self) -> tuple[int, int, int, int]:
+        """(#+1 among complete, #-1 among complete, #incomplete, #skipped)."""
+        cells = self.cells
+        return (
+            sum(1 for c in cells if c.complete and c.root == 1),
+            sum(1 for c in cells if c.complete and c.root == -1),
+            sum(1 for c in cells if not c.skipped and not c.complete),
+            sum(1 for c in cells if c.skipped),
+        )
 
     def cell(self, n: int, m: int) -> ScanCell:
         for c in self.cells:
@@ -369,14 +370,15 @@ class ScanGrid:
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
+        plus, minus, incomplete, skipped = self.counts
         payload = {
             "name": self.name,
             "radius": self.radius,
             "counts": {
-                "plus": self.counts[0],
-                "minus": self.counts[1],
-                "incomplete": self.counts[2],
-                "skipped": self.counts[3],
+                "plus": plus,
+                "minus": minus,
+                "incomplete": incomplete,
+                "skipped": skipped,
             },
             "cells": [
                 {
@@ -393,14 +395,6 @@ class ScanGrid:
             ],
         }
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-
-
-def _tally(cells: Sequence[ScanCell]) -> tuple[int, int, int, int]:
-    plus = sum(1 for c in cells if c.complete and c.root == 1)
-    minus = sum(1 for c in cells if c.complete and c.root == -1)
-    skipped = sum(1 for c in cells if c.skipped)
-    incomplete = sum(1 for c in cells if not c.skipped and not c.complete)
-    return (plus, minus, incomplete, skipped)
 
 
 def _scan_cell(spec: ScanSpec, n: int, m: int) -> ScanCell:
@@ -422,7 +416,7 @@ def _scan_cell(spec: ScanSpec, n: int, m: int) -> ScanCell:
         rn = global_root_number(
             E, spec.budget, parts=spec.family.discriminant_parts(sp)
         )
-    except (Unfactored, MissingLocalCase):
+    except MissingLocalCase:
         return ScanCell(n, m, root=None, complete=False, skipped=False, parameter=param)
     return ScanCell(
         n, m, root=rn.value, complete=rn.complete, skipped=False, parameter=param
@@ -441,9 +435,7 @@ def lattice_scan(spec: ScanSpec) -> ScanGrid:
         for n in range(-spec.radius, spec.radius + 1)
         for m in range(-spec.radius, spec.radius + 1)
     )
-    return ScanGrid(
-        name=spec.name, radius=spec.radius, cells=cells, counts=_tally(cells)
-    )
+    return ScanGrid(name=spec.name, radius=spec.radius, cells=cells)
 
 
 # ---------------------------------------------------------------------------
@@ -547,113 +539,54 @@ CURVE_D2 = BiquadraticCurve((
 ))
 
 
-def _quartic_with_point(
-    C: BiquadraticCurve, eliminate: str, point: tuple[Scalar, Scalar]
-) -> QuarticModel:
-    q, _ = _square_reduced_disc(C, eliminate)
-    return QuarticModel(q, (Fraction(point[0]), Fraction(point[1])))
-
-
-def scan_spec_z8_first(
-    radius: int = 2,
-    budget: FactorBudget = DEFAULT_BUDGET,
-    negate: bool = False,
-) -> ScanSpec:
-    """Scan of Z8R2-1 members carrying a second independent section.
-
-    Parameter pairs live on CURVE_C; the base cell maps to its rational
-    point (-1, 0).  Cells (n, m) and (1-n, -1-m) carry the same curve, as
-    do lattice points differing by any of the three 2-torsion translates.
-    """
-    E = WeierstrassCurve(1, 1, 1, -1595, -4768)
-    G1 = CurvePoint(Fraction(-57, 4), Fraction(1043, 8))
-    G2 = CurvePoint(Fraction(42), Fraction(-89))
-    quartic = _quartic_with_point(CURVE_C, "s", (-1, 60))
-    mapping = ParameterMap(E, quartic, CURVE_C, negate=negate)
-    cat = catalog()
-    return ScanSpec(
-        name="Z8-scan-1",
-        parametrizer=E,
-        generators=(G1, G2),
-        family=cat["Z8R2-1"],
-        mapping=mapping,
-        symmetry=(1, -1),
-        radius=radius,
-        companion=CURVE_C,
-        companion_family=cat["Z8R2-2"],
-        budget=budget,
-    )
-
-
-def scan_spec_z8_second(
-    radius: int = 2,
-    budget: FactorBudget = DEFAULT_BUDGET,
-    negate: bool = False,
-) -> ScanSpec:
-    """Scan of Z8R2-2 members carrying a second independent section.
-
-    The extra-section condition is the single quartic t^2 = q(u); the base
-    cell maps to u = 0.  Cells (n, m) and (-1-n, -m) carry the same curve.
-    """
-    E = WeierstrassCurve(0, 0, 0, -105987, 11743634)
-    G1 = CurvePoint(Fraction(-77), Fraction(-4410))
-    G2 = CurvePoint(Fraction(805), Fraction(21168))
-    u = PolyQ.variable("u")
-    q = 9 * u**4 - 90 * u**3 + 453 * u * u - 2610 * u + 7569
-    quartic = QuarticModel(q, (Fraction(0), Fraction(87)))
-    mapping = ParameterMap(E, quartic, negate=negate)
-    return ScanSpec(
-        name="Z8-scan-2",
-        parametrizer=E,
-        generators=(G1, G2),
-        family=catalog()["Z8R2-2"],
-        mapping=mapping,
-        symmetry=(-1, 0),
-        radius=radius,
-        budget=budget,
-    )
-
-
-def scan_spec_z2x6(
-    radius: int = 2,
-    budget: FactorBudget = DEFAULT_BUDGET,
-    negate: bool = False,
-) -> ScanSpec:
-    """Scan of Z2x6R2-3 members carrying a second independent section.
-
-    Parameter pairs live on CURVE_D1 (equivalently CURVE_D2); the base
-    cell maps to its rational point (0, 4).  Cells (n, m) and
-    (1-n, 1-m) carry the same curve.
-    """
-    E = WeierstrassCurve(0, -1, 0, -456, 3456)
-    G1 = CurvePoint(Fraction(20), Fraction(-44))
-    G2 = CurvePoint(Fraction(4, 9), Fraction(-1540, 27))
-    quartic = _quartic_with_point(CURVE_D1, "s", (0, 180))
-    mapping = ParameterMap(E, quartic, CURVE_D1, negate=negate)
-    cat = catalog()
-    return ScanSpec(
-        name="Z2x6-scan-1",
-        parametrizer=E,
-        generators=(G1, G2),
-        family=cat["Z2x6R2-3"],
-        mapping=mapping,
-        symmetry=(1, 1),
-        radius=radius,
-        companion=CURVE_D1,
-        companion_family=cat["Z2x6R2-1"],
-        budget=budget,
-    )
+# One row per built-in scan: name, parametrizer a-invariants, generators,
+# family, symmetry (a, b) as in ScanSpec, the quartic t^2 = q (None: the
+# correspondence's discriminant in s) with its known point, the
+# correspondence, and the family of its second coordinate.
+_SCANS = (
+    # Z8R2-1 members with a second independent section.  Parameter pairs
+    # live on CURVE_C, and the base cell maps to its point (-1, 0).  Cells
+    # (n, m) and (1-n, -1-m) carry the same curve, as do lattice points
+    # that differ by a 2-torsion point.
+    ("Z8-scan-1", (1, 1, 1, -1595, -4768),
+     ((Fraction(-57, 4), Fraction(1043, 8)), (42, -89)),
+     "Z8R2-1", (1, -1), None, (-1, 60), CURVE_C, "Z8R2-2"),
+    # Z8R2-2 members with a second independent section.  The condition is
+    # the single quartic t^2 = q(u), and the base cell maps to u = 0.
+    # Cells (n, m) and (-1-n, -m) carry the same curve.
+    ("Z8-scan-2", (0, 0, 0, -105987, 11743634), ((-77, -4410), (805, 21168)),
+     "Z8R2-2", (-1, 0), (7569, -2610, 453, -90, 9), (0, 87), None, None),
+    # Z2x6R2-3 members with a second independent section.  Parameter pairs
+    # live on CURVE_D1 (equivalently CURVE_D2), and the base cell maps to
+    # its point (0, 4).  Cells (n, m) and (1-n, 1-m) carry the same curve.
+    ("Z2x6-scan-1", (0, -1, 0, -456, 3456),
+     ((20, -44), (Fraction(4, 9), Fraction(-1540, 27))),
+     "Z2x6R2-3", (1, 1), None, (0, 180), CURVE_D1, "Z2x6R2-1"),
+)
 
 
 def builtin_scans(
     radius: int = 2,
     budget: FactorBudget = DEFAULT_BUDGET,
-    negate: bool = False,
 ) -> dict[str, ScanSpec]:
     """The three shipped scan setups keyed by name."""
-    specs = [
-        scan_spec_z8_first(radius, budget, negate),
-        scan_spec_z8_second(radius, budget, negate),
-        scan_spec_z2x6(radius, budget, negate),
-    ]
-    return {s.name: s for s in specs}
+    cat = catalog()
+    specs = {}
+    for name, ainvs, gens, label, symmetry, q, point, C, companion in _SCANS:
+        E = WeierstrassCurve(*ainvs)
+        if C is None:
+            quartic = QuarticModel(PolyQ(q, "u"), point)
+        else:
+            quartic = quartic_correspondence(C, "s", point)
+        specs[name] = ScanSpec(
+            name=name,
+            parametrizer=E,
+            generators=tuple(CurvePoint(Fraction(x), Fraction(y)) for x, y in gens),
+            family=cat[label],
+            mapping=ParameterMap(E, quartic, C),
+            symmetry=symmetry,
+            radius=radius,
+            companion_family=None if companion is None else cat[companion],
+            budget=budget,
+        )
+    return specs

@@ -179,8 +179,6 @@ class TestFactor:
         [
             {"trial_bound": -5},
             {"rho_iterations": -1},
-            {"time_cap": 0},
-            {"time_cap": -1.5},
         ],
     )
     def test_budget_rejects_negative_settings(self, kwargs):

@@ -3,11 +3,14 @@
 import json
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
 from ellfam import cli, heights, localdata
 from ellfam.cli import main
+from ellfam.curves import CurvePoint
+from ellfam.families import catalog
 
 
 def run(capsys, *argv):
@@ -259,6 +262,18 @@ class TestSections:
         assert payload["points_on_curve"] is True
         assert all(s["verified"] for s in payload["sections"])
 
+    def test_unliftable_section_is_reported(self, capsys, monkeypatch):
+        fam = catalog()["Z8R2-1"]
+        P = fam.sections[0]
+        wrong = replace(fam, sections=(CurvePoint(P.x + 1, P.y),) + fam.sections[1:])
+        monkeypatch.setattr(cli, "catalog", lambda: {"Z8R2-1": wrong})
+        code, out, _ = run(capsys, "sections", "Z8R2-1")
+        assert code == 1
+        payload = json.loads(out)
+        assert [s["verified"] for s in payload["sections"]] == [False] + [
+            True
+        ] * (len(fam.sections) - 1)
+
 
 class TestScan:
     def test_csv_output(self, capsys, tmp_path):
@@ -276,19 +291,18 @@ class TestScan:
         summary = json.loads(err.strip().split("\n")[-1])
         assert summary["symmetry_violations"] == 0
 
-    def test_spec_file(self, capsys, tmp_path):
-        spec_file = tmp_path / "spec.json"
-        spec_file.write_text(json.dumps({"name": "Z8-scan-2", "radius": 1}))
-        out_file = tmp_path / "grid.json"
-        code, _out, _err = run(
-            capsys,
-            "--budget", "10000,10000",
-            "scan", "--spec", str(spec_file), "--out", str(out_file),
-        )
-        assert code == 0
-        payload = json.loads(out_file.read_text())
-        assert payload["name"] == "Z8-scan-2"
-        assert len(payload["cells"]) == 9
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["scan", "--radius", "1"],
+            ["scan", "--name", "Z8-scan-2", "--negate"],
+            ["scan", "--spec", "spec.json"],
+        ],
+    )
+    def test_usage_errors(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
 
 def test_console_script_help():
