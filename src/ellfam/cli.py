@@ -3,7 +3,7 @@
 Subcommands: catalog, specialize, torsion, local, rootnumber, heights,
 sections, scan, verify-all.  Exact rationals are serialized as "p/q"
 strings; output is deterministic byte-for-byte for a fixed invocation and
-configuration.  Exit codes: 0 success, 1 verification/computation failure,
+budget.  Exit codes: 0 success, 1 verification/computation failure,
 2 usage error.
 """
 
@@ -13,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -26,41 +25,14 @@ from .arith import (
     rational_to_string,
 )
 from .curves import CurvePoint, INFINITY, WeierstrassCurve, torsion_subgroup
-from .families import SingularMember, catalog, verify_section
-from .heights import (
-    DEFAULT_EPS,
-    INDEPENDENCE_THRESHOLD,
-    canonical_height,
-    independence_certificate,
-    pairing_matrix,
-)
+from .families import CurveFamily, SingularMember, catalog, verify_section
+from .heights import independence_certificate, pairing_matrix
 from .localdata import discriminant_factorization, tate_local
 from .polyq import NotASquare
 from .rootnum import MissingLocalCase, global_root_number
 from .scan import builtin_scans, lattice_scan, symmetry_audit
 
 BUDGET_ENV = "ELLFAM_BUDGET"
-
-
-@dataclass(frozen=True)
-class Config:
-    """Shared settings honored by every subcommand."""
-
-    budget: FactorBudget = DEFAULT_BUDGET
-    height_eps: float = DEFAULT_EPS
-    independence_threshold: float = INDEPENDENCE_THRESHOLD
-    output: str = "json"
-
-    def __post_init__(self):
-        if self.height_eps <= 0 or self.independence_threshold <= 0:
-            raise ValueError("numeric settings must be positive")
-
-
-def _default_budget() -> FactorBudget:
-    raw = os.environ.get(BUDGET_ENV)
-    if not raw:
-        return DEFAULT_BUDGET
-    return _parse_budget(raw)
 
 
 def _parse_budget(raw: str) -> FactorBudget:
@@ -73,15 +45,6 @@ def _parse_budget(raw: str) -> FactorBudget:
         raise argparse.ArgumentTypeError(f"budget {raw!r}: {exc}") from None
 
 
-def _config(args) -> Config:
-    return Config(
-        budget=args.budget if args.budget is not None else _default_budget(),
-        height_eps=args.eps,
-        independence_threshold=args.threshold,
-        output=args.format,
-    )
-
-
 def _emit(payload) -> None:
     sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
@@ -91,6 +54,13 @@ def _parse_prime(raw: str) -> int:
     if not is_prime(p):
         raise argparse.ArgumentTypeError(f"{raw} is not a prime")
     return p
+
+
+def _parse_radius(raw: str) -> int:
+    r = int(raw)
+    if r < 0:
+        raise argparse.ArgumentTypeError("radius must be nonnegative")
+    return r
 
 
 def _parse_curve(raw: str) -> WeierstrassCurve:
@@ -111,21 +81,26 @@ def _parse_points(raw: str) -> list[CurvePoint]:
     return pts
 
 
-def _resolve_curve(args, cfg: Config):
-    """(curve, section points, torsion points) from --curve or LABEL --u."""
-    if getattr(args, "curve", None):
-        return _parse_curve(args.curve), (), ()
-    label = getattr(args, "label", None)
-    if not label:
-        raise SystemExit(2)
+def _family(label: str) -> CurveFamily:
+    """The catalog entry for label; an unknown label is a usage error."""
     fam = catalog().get(label)
     if fam is None:
         print(f"unknown catalog label: {label}", file=sys.stderr)
         raise SystemExit(2)
-    if getattr(args, "u", None) is None:
+    return fam
+
+
+def _resolve_curve(args):
+    """(curve, section points, torsion points) from --curve or LABEL --u."""
+    if args.curve:
+        return _parse_curve(args.curve), (), ()
+    if not args.label:
+        raise SystemExit(2)
+    fam = _family(args.label)
+    if args.u is None:
         print("a parameter value --u is required with a catalog label", file=sys.stderr)
         raise SystemExit(2)
-    sp = fam.specialize(rational_from_string(args.u), cfg.budget)
+    sp = fam.specialize(rational_from_string(args.u), args.budget)
     return sp.curve(), sp.points, sp.torsion_points
 
 
@@ -140,8 +115,7 @@ def _point_json(P: CurvePoint):
 # ---------------------------------------------------------------------------
 
 
-def _cmd_catalog(args, cfg: Config) -> int:
-    cat = catalog()
+def _cmd_catalog(args) -> int:
     if args.label is None:
         payload = [
             {
@@ -150,14 +124,11 @@ def _cmd_catalog(args, cfg: Config) -> int:
                 "rank": fam.rank,
                 "parent": fam.parent,
             }
-            for fam in cat.values()
+            for fam in catalog().values()
         ]
         _emit(payload)
         return 0
-    fam = cat.get(args.label)
-    if fam is None:
-        print(f"unknown catalog label: {args.label}", file=sys.stderr)
-        return 2
+    fam = _family(args.label)
     payload = {
         "label": fam.label,
         "torsion": fam.torsion_label(),
@@ -176,12 +147,8 @@ def _cmd_catalog(args, cfg: Config) -> int:
     return 0
 
 
-def _cmd_specialize(args, cfg: Config) -> int:
-    fam = catalog().get(args.label)
-    if fam is None:
-        print(f"unknown catalog label: {args.label}", file=sys.stderr)
-        return 2
-    sp = fam.specialize(rational_from_string(args.u), cfg.budget)
+def _cmd_specialize(args) -> int:
+    sp = _family(args.label).specialize(rational_from_string(args.u), args.budget)
     payload = {
         "label": sp.label,
         "u": rational_to_string(sp.value),
@@ -195,8 +162,8 @@ def _cmd_specialize(args, cfg: Config) -> int:
     return 0
 
 
-def _cmd_torsion(args, cfg: Config) -> int:
-    E, _pts, tors = _resolve_curve(args, cfg)
+def _cmd_torsion(args) -> int:
+    E, _pts, tors = _resolve_curve(args)
     tg = torsion_subgroup(E, hints=tors)
     payload = {
         "structure": list(tg.structure),
@@ -208,14 +175,14 @@ def _cmd_torsion(args, cfg: Config) -> int:
     return 0
 
 
-def _cmd_local(args, cfg: Config) -> int:
-    E, _pts, _tors = _resolve_curve(args, cfg)
+def _cmd_local(args) -> int:
+    E, _pts, _tors = _resolve_curve(args)
     if args.prime is not None:
         # Tate's algorithm minimizes at the prime it runs at
         places = [tate_local(E.integral_model()[0], args.prime)]
         complete = True
     else:
-        Emin, fi = discriminant_factorization(E, cfg.budget)
+        Emin, fi = discriminant_factorization(E, args.budget)
         places = [tate_local(Emin, p) for p in fi.primes()]
         complete = fi.complete
     data = [
@@ -233,10 +200,10 @@ def _cmd_local(args, cfg: Config) -> int:
     return 0
 
 
-def _cmd_rootnumber(args, cfg: Config) -> int:
-    E, _pts, _tors = _resolve_curve(args, cfg)
+def _cmd_rootnumber(args) -> int:
+    E, _pts, _tors = _resolve_curve(args)
     try:
-        rn = global_root_number(E, cfg.budget)
+        rn = global_root_number(E, args.budget)
     except MissingLocalCase as exc:
         print(f"root number not determined: {exc}", file=sys.stderr)
         return 1
@@ -249,29 +216,26 @@ def _cmd_rootnumber(args, cfg: Config) -> int:
     return 0
 
 
-def _cmd_heights(args, cfg: Config) -> int:
-    E, sect, _tors = _resolve_curve(args, cfg)
+def _cmd_heights(args) -> int:
+    E, sect, _tors = _resolve_curve(args)
     pts = _parse_points(args.points) if args.points else list(sect)
     if not pts:
         print("no points given and the curve carries no stored sections",
               file=sys.stderr)
         return 2
-    M = pairing_matrix(E, pts, cfg.height_eps, cfg.budget)
+    M = pairing_matrix(E, pts, args.budget)
     payload = {
         "heights": [f"{M.entries[i][i]:.12f}" for i in range(len(pts))],
         "pairing": [[f"{e:.12f}" for e in row] for row in M.entries],
         "determinant": f"{M.gram_determinant():.12e}",
-        "certificate": M.certificate(cfg.independence_threshold),
+        "certificate": M.certificate(),
     }
     _emit(payload)
     return 0
 
 
-def _cmd_sections(args, cfg: Config) -> int:
-    fam = catalog().get(args.label)
-    if fam is None:
-        print(f"unknown catalog label: {args.label}", file=sys.stderr)
-        return 2
+def _cmd_sections(args) -> int:
+    fam = _family(args.label)
     results = []
     ok = True
     for P in fam.sections:
@@ -290,15 +254,15 @@ def _cmd_sections(args, cfg: Config) -> int:
     return 0 if ok and payload["points_on_curve"] else 1
 
 
-def _cmd_scan(args, cfg: Config) -> int:
-    specs = builtin_scans(radius=args.radius, budget=cfg.budget)
+def _cmd_scan(args) -> int:
+    specs = builtin_scans(radius=args.radius, budget=args.budget)
     if args.name not in specs:
         print(f"unknown scan: {args.name}; known: {sorted(specs)}", file=sys.stderr)
         return 2
     spec = specs[args.name]
     grid = lattice_scan(spec)
     rep = symmetry_audit(grid, spec.symmetry)
-    out = grid.to_json() if cfg.output == "json" else grid.to_csv()
+    out = grid.to_json() if args.format == "json" else grid.to_csv()
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(out)
@@ -318,7 +282,7 @@ def _cmd_scan(args, cfg: Config) -> int:
     return 0
 
 
-def _cmd_verify_all(args, cfg: Config) -> int:
+def _cmd_verify_all(args) -> int:
     failures = 0
     for label, fam in catalog().items():
         problems = []
@@ -326,23 +290,17 @@ def _cmd_verify_all(args, cfg: Config) -> int:
             problems.append("stored points miss the family curve")
         if fam.rank == 2 and fam.spec_hint is not None:
             try:
-                sp = fam.specialize(fam.spec_hint, cfg.budget)
+                sp = fam.specialize(fam.spec_hint, args.budget)
                 E = sp.curve()
                 tg = torsion_subgroup(E, hints=sp.torsion_points)
                 if tg.structure != fam.torsion:
                     problems.append(
                         f"torsion {tg.structure} != expected {fam.torsion}"
                     )
-                cert = independence_certificate(
-                    E,
-                    list(sp.points),
-                    cfg.height_eps,
-                    cfg.independence_threshold,
-                    cfg.budget,
-                )
+                cert = independence_certificate(E, list(sp.points), args.budget)
                 if cert != "independent":
                     problems.append(f"independence certificate: {cert}")
-            except (ValueError, Unfactored) as exc:
+            except (SingularMember, Unfactored) as exc:
                 problems.append(str(exc))
         status = "ok" if not problems else "FAIL: " + "; ".join(problems)
         print(f"{label}: {status}")
@@ -368,17 +326,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact tools for elliptic-curve families with torsion "
         "Z/8 and Z/2 x Z/6 over Q(u).",
     )
+    # argparse runs a string default, such as $ELLFAM_BUDGET, through type
     parser.add_argument(
         "--budget",
         type=_parse_budget,
-        default=None,
+        default=os.environ.get(BUDGET_ENV) or DEFAULT_BUDGET,
         help=f"factoring budget 'trial_bound,rho_iterations' "
         f"(default from ${BUDGET_ENV} or built-in)",
     )
-    parser.add_argument("--eps", type=float, default=DEFAULT_EPS,
-                        help="height precision")
-    parser.add_argument("--threshold", type=float, default=INDEPENDENCE_THRESHOLD,
-                        help="independence determinant threshold")
     parser.add_argument("--format", choices=("json", "csv"), default="json",
                         help="output format (scan supports csv)")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -416,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scan", help="run a lattice scan")
     p.add_argument("--name", required=True, help="built-in scan name")
-    p.add_argument("--radius", type=int, default=2)
+    p.add_argument("--radius", type=_parse_radius, default=2)
     p.add_argument("--out", help="output path (default stdout)")
     p.set_defaults(fn=_cmd_scan)
 
@@ -430,13 +385,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _config(args)
-    except (ValueError, argparse.ArgumentTypeError) as exc:
-        parser.error(str(exc))
-    try:
-        return args.fn(args, cfg)
-    except SystemExit as exc:
-        raise
+        return args.fn(args)
     except Unfactored as exc:
         print(f"factorization budget exhausted: {exc}", file=sys.stderr)
         return 1

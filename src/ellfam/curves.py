@@ -200,10 +200,11 @@ class WeierstrassCurve:
             n >>= 1
         return R
 
-    def point_order(self, P: CurvePoint, bound: int = 12) -> Optional[int]:
-        """Exact order of P if <= bound, else None."""
+    def point_order(self, P: CurvePoint) -> Optional[int]:
+        """Exact order of P if it is at most 12, else None: by Mazur's
+        theorem a rational point of larger order has infinite order."""
         R = P
-        for n in range(1, bound + 1):
+        for n in range(1, 13):
             if R.is_infinity:
                 return n
             R = self.add(R, P, check=False)
@@ -346,10 +347,11 @@ def count_points_mod_p(E: WeierstrassCurve, p: int) -> int:
     return count
 
 
-def good_odd_primes(E: WeierstrassCurve, how_many: int, start: int = 5) -> list[int]:
+def good_odd_primes(E: WeierstrassCurve, how_many: int) -> list[int]:
+    """The first how_many primes p >= 5 not dividing disc(E)."""
     disc_num = E.disc.numerator * E.disc.denominator
     out = []
-    p = start - 1
+    p = 4
     while len(out) < how_many:
         p = nextprime(p)
         if disc_num % p:
@@ -460,11 +462,11 @@ class TorsionGroup:
         return " x ".join(f"Z/{n}" for n in self.structure)
 
 
-def torsion_bound(E: WeierstrassCurve, primes: int = 16) -> int:
-    """gcd of #E(F_p) over good odd primes: the torsion order divides this."""
+def torsion_bound(E: WeierstrassCurve) -> int:
+    """gcd of #E(F_p) over 16 good odd primes: the torsion order divides this."""
     Ei, _ = E.integral_model()
     g = 0
-    for p in good_odd_primes(Ei, primes):
+    for p in good_odd_primes(Ei, 16):
         g = math.gcd(g, count_points_mod_p(Ei, p))
         if g == 1:
             break
@@ -482,11 +484,7 @@ def two_torsion_points(E: WeierstrassCurve) -> list[CurvePoint]:
     return pts
 
 
-def torsion_subgroup(
-    E: WeierstrassCurve,
-    hints: Sequence[CurvePoint] = (),
-    gcd_primes: int = 16,
-) -> TorsionGroup:
+def torsion_subgroup(E: WeierstrassCurve, hints: Sequence[CurvePoint] = ()) -> TorsionGroup:
     """Exact rational torsion subgroup, certified by explicit points.
 
     The #E(F_p) gcd over good primes gives an upper bound; points of the
@@ -494,7 +492,7 @@ def torsion_subgroup(
     polynomial rational roots) realize it.  Mazur's classification closes the
     remaining gap in the two ambiguous cases.
     """
-    bound = torsion_bound(E, gcd_primes)
+    bound = torsion_bound(E)
     t2 = two_torsion_points(E)
     best: tuple[int, CurvePoint] = (1, INFINITY)
     for P in list(hints) + t2:

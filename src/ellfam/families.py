@@ -36,17 +36,17 @@ def tate_normal_curve(b, c) -> WeierstrassCurve:
     return WeierstrassCurve(1 - c, -b, -b, zero, zero, check=False)
 
 
-def tate_point_multiples(b, c, upto: int = 4) -> dict[int, CurvePoint]:
-    """Multiples n*P of P = (0,0) on the Tate normal curve, |n| <= upto."""
+def tate_point_multiples(b, c) -> dict[int, CurvePoint]:
+    """Multiples n*P of P = (0,0) on the Tate normal curve, |n| <= 4."""
     E = tate_normal_curve(b, c)
     zero = b * 0
     P = CurvePoint(zero, zero)
     out = {0: CurvePoint.infinity()}
     R = P
-    for n in range(1, upto + 1):
+    for n in range(1, 5):
         out[n] = R
         out[-n] = E.neg(R)
-        if n < upto:
+        if n < 4:
             R = E.add(R, P, check=False)
     return out
 
@@ -262,25 +262,9 @@ def _integer_pair(sub: RatFunc) -> tuple[PolyQ, PolyQ]:
     return n, d
 
 
-def _square_content_reduction(A: PolyQ, B: PolyQ, budget: FactorBudget) -> int:
-    """Largest integer c with c^2 dividing A and c^4 dividing B coefficientwise."""
-
-    def content(p: PolyQ) -> int:
-        g = 0
-        for c in p.coeffs:
-            g = math.gcd(g, abs(int(c)))
-        return g
-
-    ca, cb = content(A), content(B)
-    if ca == 0 or cb == 0:
-        raise ValueError("zero polynomial")
-    out = 1
-    fb = factor(cb, budget)
-    for p, e in factor(ca, budget).factors:
-        k = min(e // 2, fb.exponent(p) // 4)
-        if k > 0:
-            out *= p**k
-    return out
+def _content(f: PolyQ) -> Fraction:
+    """gcd of the (integer) coefficients of f."""
+    return Fraction(math.gcd(*(int(c) for c in f.coeffs)))
 
 
 def substitute_parameter(
@@ -290,7 +274,6 @@ def substitute_parameter(
     rank: Optional[int] = None,
     sections: Sequence[RatFunc] = (),
     lift_sections: Sequence[RatFunc] = (),
-    keep_sections: bool = False,
     condition: Optional[PolyQ] = None,
     spec_hint: Optional[Fraction | int] = None,
     budget: FactorBudget = DEFAULT_BUDGET,
@@ -303,10 +286,9 @@ def substitute_parameter(
     rational square content is then stripped.  Torsion generators are
     transported; ``sections`` provides the x-coordinates of new
     infinite-order points (their y-coordinates must exist in the new
-    function field), ``lift_sections`` provides x-coordinates still written
-    in the parent's parameter (they only acquire rational y-coordinates
-    after the substitution), and keep_sections additionally transports the
-    parent's sections.
+    function field), and ``lift_sections`` provides x-coordinates still
+    written in the parent's parameter (they only acquire rational
+    y-coordinates after the substitution).
     """
     n, d = _integer_pair(sub)
     new_var = sub.var
@@ -315,7 +297,9 @@ def substitute_parameter(
     # 2s >= deg A and 4s >= deg B
     Ap = homogenized_substitute(family.A, n, d, 2 * s)
     Bp = homogenized_substitute(family.B, n, d, 4 * s)
-    c = _square_content_reduction(Ap, Bp, budget)
+    # strip the largest c with c^2 | A and c^4 | B coefficientwise: square
+    # reducing the two contents scales them by l = 1/c
+    c = normalize_shifted_ab(_content(Ap), _content(Bp), budget)[2].denominator
     Ap = Ap * Fraction(1, c * c)
     Bp = Bp * Fraction(1, c**4)
 
@@ -345,8 +329,6 @@ def substitute_parameter(
         spec_hint=None if spec_hint is None else Fraction(spec_hint),
     )
     pts: list[CurvePoint] = []
-    if keep_sections:
-        pts.extend(transport(P) for P in family.sections)
     for x in lift_sections:
         pts.append(verify_section(new, scaled(x, 2)))
     for x in sections:

@@ -5,7 +5,7 @@ where ``k`` is the smallest multiple moving the point to nonsingular
 reduction at every bad prime of the minimal model.  For such points the
 non-archimedean contribution is exactly half the log-denominator, and the
 archimedean part is a telescoping duplication series with error below
-``4^(-terms)``, far inside the requested precision.
+``4^(-terms)``, far inside DEFAULT_EPS.
 
 Normalization: ``ĥ(P) = lim 4^(-n) · log H(x(2^n P))`` with ``H`` the naive
 multiplicative height of the x-coordinate, so ``ĥ(2P) = 4·ĥ(P)``.
@@ -24,11 +24,14 @@ from .arith import DEFAULT_BUDGET, FactorBudget, Unfactored, factor, valuation_f
 from .curves import INFINITY, CurvePoint, WeierstrassCurve
 from .localdata import LocalData, minimal_model, tate_local
 
+# DEFAULT_EPS bounds the error of each height and pairing entry: the
+# archimedean series stops after _SERIES_TERMS = 64 duplications, so its
+# tail is below 4^-64 (about 3e-39); it is summed with _WORK_DPS = 60
+# digits; and the float64 result is off by a relative 2^-53 (about 1e-16).
 DEFAULT_EPS = 1e-10
 INDEPENDENCE_THRESHOLD = 1e-6
 _SERIES_TERMS = 64
 _WORK_DPS = 60
-_TORSION_BOUND = 12  # the largest rational torsion order
 
 
 def _lambda_inf(E: WeierstrassCurve, x0: Fraction) -> mp.mpf:
@@ -140,12 +143,9 @@ def _good_position_multiple(
 
 
 def canonical_height(
-    E: WeierstrassCurve,
-    P: CurvePoint,
-    eps: float = DEFAULT_EPS,
-    budget: FactorBudget = DEFAULT_BUDGET,
+    E: WeierstrassCurve, P: CurvePoint, budget: FactorBudget = DEFAULT_BUDGET
 ) -> float:
-    """Canonical height ĥ(P) with error well below eps.
+    """Canonical height ĥ(P), within DEFAULT_EPS.
 
     Raises Unfactored when the minimal discriminant cannot be factored
     within budget (bad primes would be unknown).
@@ -156,7 +156,7 @@ def canonical_height(
     Q0 = pm.forward(P)
     if not Emin.contains(Q0):
         raise ValueError("point is not on the curve")
-    if Emin.point_order(Q0, bound=_TORSION_BOUND) is not None:
+    if Emin.point_order(Q0) is not None:
         return 0.0
     return _height_on_minimal(Emin, Q0, budget)
 
@@ -177,7 +177,6 @@ def _height_on_minimal(
 class HeightPairingMatrix:
     points: tuple[CurvePoint, ...]
     entries: tuple[tuple[float, ...], ...]
-    precision: float
 
     def gram_determinant(self) -> float:
         n = len(self.points)
@@ -185,7 +184,7 @@ class HeightPairingMatrix:
         det = 1.0
         for i in range(n):
             pivot = max(range(i, n), key=lambda r: abs(m[r][i]))
-            if abs(m[pivot][i]) < self.precision:
+            if abs(m[pivot][i]) < DEFAULT_EPS:
                 return 0.0
             if pivot != i:
                 m[i], m[pivot] = m[pivot], m[i]
@@ -197,26 +196,22 @@ class HeightPairingMatrix:
                     m[r][c] -= f * m[i][c]
         return det
 
-    def certificate(self, threshold: float) -> str:
-        """"independent" iff the Gram determinant clears the threshold and
-        the error bound propagated from the entries' precision; otherwise
-        "inconclusive" (never "dependent": that claim would require exact
-        linear relations)."""
+    def certificate(self) -> str:
+        """"independent" iff the Gram determinant clears
+        INDEPENDENCE_THRESHOLD and the error bound propagated from the
+        entries' DEFAULT_EPS; otherwise "inconclusive" (never "dependent":
+        that claim would require exact linear relations)."""
         det = self.gram_determinant()
         n = len(self.points)
-        eps = self.precision
-        scale = max((abs(e) for row in self.entries for e in row), default=0.0) + eps
-        err_bound = n * math.factorial(n) * scale ** (n - 1) * eps
-        if det > max(threshold, err_bound):
+        scale = max((abs(e) for row in self.entries for e in row), default=0.0) + DEFAULT_EPS
+        err_bound = n * math.factorial(n) * scale ** (n - 1) * DEFAULT_EPS
+        if det > max(INDEPENDENCE_THRESHOLD, err_bound):
             return "independent"
         return "inconclusive"
 
 
 def pairing_matrix(
-    E: WeierstrassCurve,
-    pts: Sequence[CurvePoint],
-    eps: float = DEFAULT_EPS,
-    budget: FactorBudget = DEFAULT_BUDGET,
+    E: WeierstrassCurve, pts: Sequence[CurvePoint], budget: FactorBudget = DEFAULT_BUDGET
 ) -> HeightPairingMatrix:
     """Néron–Tate pairing matrix ⟨Pᵢ, Pⱼ⟩ = (ĥ(Pᵢ+Pⱼ) − ĥ(Pᵢ) − ĥ(Pⱼ))/2."""
     Emin, pm = minimal_model(E, budget)
@@ -228,7 +223,7 @@ def pairing_matrix(
         qs.append(Q)
 
     def h(Q: CurvePoint) -> float:
-        if Q.is_infinity or Emin.point_order(Q, bound=_TORSION_BOUND) is not None:
+        if Q.is_infinity or Emin.point_order(Q) is not None:
             return 0.0
         return _height_on_minimal(Emin, Q, budget)
 
@@ -243,27 +238,19 @@ def pairing_matrix(
     return HeightPairingMatrix(
         points=tuple(pts),
         entries=tuple(tuple(row) for row in entries),
-        precision=eps,
     )
 
 
 def regulator(
-    E: WeierstrassCurve,
-    pts: Sequence[CurvePoint],
-    eps: float = DEFAULT_EPS,
-    budget: FactorBudget = DEFAULT_BUDGET,
+    E: WeierstrassCurve, pts: Sequence[CurvePoint], budget: FactorBudget = DEFAULT_BUDGET
 ) -> float:
     """Gram determinant of the height pairing on pts."""
-    return pairing_matrix(E, pts, eps, budget).gram_determinant()
+    return pairing_matrix(E, pts, budget).gram_determinant()
 
 
 def independence_certificate(
-    E: WeierstrassCurve,
-    pts: Sequence[CurvePoint],
-    eps: float = DEFAULT_EPS,
-    threshold: float = INDEPENDENCE_THRESHOLD,
-    budget: FactorBudget = DEFAULT_BUDGET,
+    E: WeierstrassCurve, pts: Sequence[CurvePoint], budget: FactorBudget = DEFAULT_BUDGET
 ) -> str:
     """The certificate (HeightPairingMatrix.certificate) of pts' pairing
     matrix."""
-    return pairing_matrix(E, pts, eps, budget).certificate(threshold)
+    return pairing_matrix(E, pts, budget).certificate()

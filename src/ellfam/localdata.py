@@ -437,26 +437,21 @@ def _factor_disc(
     return factor(disc, budget)
 
 
-def conductor(
-    E: WeierstrassCurve, budget: FactorBudget = DEFAULT_BUDGET, partial: bool = False
-) -> FactoredInt:
+def conductor(E: WeierstrassCurve, budget: FactorBudget = DEFAULT_BUDGET) -> FactoredInt:
     """Conductor of E as a factored integer.
 
-    When the minimal discriminant cannot be fully factored within budget,
-    Unfactored is raised by default; with partial=True the best-effort
-    value is returned instead, carrying the unfactored discriminant residue
-    so the incompleteness stays explicit (complete=False).  The listed prime
-    part is exact either way.
+    Raises Unfactored when the minimal discriminant cannot be fully
+    factored within budget (discriminant_factorization reports the residue).
     """
     Emin, fi = discriminant_factorization(E, budget)
-    if not fi.complete and not partial:
+    if not fi.complete:
         raise Unfactored("discriminant factorization incomplete")
     out = []
     for p, _e in fi.factors:
         ld = tate_local(Emin, p)
         if ld.f_p:
             out.append((p, ld.f_p))
-    return FactoredInt(1, tuple(out), fi.residue)
+    return FactoredInt(1, tuple(out))
 
 
 def local_data_all(

@@ -17,7 +17,7 @@ from math import gcd
 from typing import Callable, Optional, Sequence
 
 import sympy
-from sympy.solvers.diophantine import diophantine
+from sympy.solvers.diophantine.diophantine import diop_ternary_quadratic_normal
 
 from .arith import (
     DEFAULT_BUDGET,
@@ -260,6 +260,31 @@ def local_obstruction(C: Conic, budget: FactorBudget = DEFAULT_BUDGET):
     return None
 
 
+def _make_pairwise_coprime(sf: list[int], scales: list[Fraction]) -> None:
+    """Rewrite sum(sf[i] * v[i]^2) = 0, v[i] = scales[i] * y[i], in place so
+    the squarefree sf[i] are pairwise coprime, which sympy's ternary solver
+    assumes without checking.
+
+    With g = gcd(sf[i], sf[j]) and k the third index, g times the form is
+    (sf[i]/g)(g v[i])^2 + (sf[j]/g)(g v[j])^2 + (g sf[k]) v[k]^2: the
+    coefficients stay squarefree and |sf[0] sf[1] sf[2]| drops by g.
+    """
+    g = gcd(*sf)
+    sf[:] = [f // g for f in sf]
+    while True:
+        for i, j in itertools.combinations(range(3), 2):
+            g = gcd(sf[i], sf[j])
+            if g > 1:
+                break
+        else:
+            return
+        sf[i] //= g
+        sf[j] //= g
+        sf[3 - i - j] *= g
+        scales[i] *= g
+        scales[j] *= g
+
+
 def solve_conic(
     C: Conic, budget: FactorBudget = DEFAULT_BUDGET
 ) -> Optional[tuple[Fraction, Fraction, Fraction]]:
@@ -275,41 +300,19 @@ def solve_conic(
         return sol
     if local_obstruction(C, budget) is not None:
         return None
-    # solvable; find a diagonal solution with sympy's ternary machinery
+    # solvable: sum(sf[i] * (scales[i] * y[i])^2) = 0 in the diagonal
+    # coordinates y, with each sf[i] a squarefree integer
     sf: list[int] = []
     scales: list[Fraction] = []
     for q in diag:
         f, scale = _squarefree_scale(q, budget)
         sf.append(f)
         scales.append(scale)
+    _make_pairwise_coprime(sf, scales)
     x, y, z = sympy.symbols("x y z", integer=True)
-    eq = sf[0] * x**2 + sf[1] * y**2 + sf[2] * z**2
-    vals = None
-    for sol in diophantine(eq):
-        symbols = sorted(
-            {s for expr in sol for s in sympy.sympify(expr).free_symbols},
-            key=str,
-        )
-        if not symbols:
-            cand = [Fraction(int(v)) for v in sol]
-            if any(cand):
-                vals = cand
-                break
-            continue
-        # parametric family: substitute small integers until a nonzero
-        # representative appears
-        for assignment in itertools.product(range(-3, 4), repeat=len(symbols)):
-            subs = dict(zip(symbols, assignment))
-            cand = [Fraction(int(sympy.sympify(expr).subs(subs))) for expr in sol]
-            if any(cand):
-                vals = cand
-                break
-        if vals is not None:
-            break
-    if vals is None:  # pragma: no cover - contradicts the local certificate
-        raise RuntimeError("no point found for a locally solvable conic")
+    vals = diop_ternary_quadratic_normal(sf[0] * x**2 + sf[1] * y**2 + sf[2] * z**2)
     # undo the squarefree scaling, then the diagonalizing change of basis
-    yvec = [v / s for v, s in zip(vals, scales)]
+    yvec = [int(v) / s for v, s in zip(vals, scales)]
     out = tuple(
         sum(T[i][j] * yvec[j] for j in range(3)) for i in range(3)
     )

@@ -179,11 +179,11 @@ def test_criterion_05_independence_certificates(cat):
         E = sp.curve()
         pts = list(sp.points)
         assert len(pts) == 2
-        cert = independence_certificate(E, pts, 1e-10, 1e-6)
+        cert = independence_certificate(E, pts)
         assert cert == "independent", fam.label
     # same for the generator pairs on the three parametrizing curves
     for E, G1, G2 in SCAN_GENERATORS:
-        assert independence_certificate(E, [G1, G2], 1e-10, 1e-6) == "independent"
+        assert independence_certificate(E, [G1, G2]) == "independent"
 
 
 def test_criterion_06_quartic_to_cubic_models():

@@ -25,10 +25,16 @@ class TestExitCodes:
             main([])
         assert exc.value.code == 2
 
-    def test_unknown_catalog_label(self, capsys):
-        code, _out, err = run(capsys, "catalog", "NOPE-99")
-        assert code == 2
-        assert "NOPE-99" in err
+    @pytest.mark.parametrize(
+        "command",
+        [["catalog"], ["specialize", "--u", "3"], ["sections"], ["torsion", "--u", "3"]],
+        ids=lambda command: command[0],
+    )
+    def test_unknown_catalog_label(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command[0], "NOPE-99", *command[1:]])
+        assert exc.value.code == 2
+        assert "NOPE-99" in capsys.readouterr().err
 
     def test_unknown_scan_name(self, capsys):
         code, _out, err = run(capsys, "scan", "--name", "bogus", "--radius", "1")
@@ -84,7 +90,12 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "argv",
-        [["--jobs", "2", "catalog"], ["local", "--all", "--curve", "0,0,0,-1,0"]],
+        [
+            ["--jobs", "2", "catalog"],
+            ["local", "--all", "--curve", "0,0,0,-1,0"],
+            ["--eps", "1", "catalog"],
+            ["--threshold", "1", "catalog"],
+        ],
     )
     def test_removed_options_are_usage_errors(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
@@ -297,12 +308,25 @@ class TestScan:
             ["scan", "--radius", "1"],
             ["scan", "--name", "Z8-scan-2", "--negate"],
             ["scan", "--spec", "spec.json"],
+            ["scan", "--name", "Z8-scan-2", "--radius", "-1"],
         ],
     )
     def test_usage_errors(self, argv):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
+
+
+class TestVerifyAll:
+    def test_unexpected_error_propagates(self, monkeypatch):
+        # only SingularMember and Unfactored become FAIL lines; any other
+        # exception is a bug and must not read as a failed check
+        def broken(*args, **kwargs):
+            raise ValueError("bug")
+
+        monkeypatch.setattr(cli, "torsion_subgroup", broken)
+        with pytest.raises(ValueError, match="bug"):
+            main(["verify-all"])
 
 
 def test_console_script_help():

@@ -402,7 +402,7 @@ class TestConductor:
         E = curve(0, 1, 0, -(2**61 - 1) * (2**89 - 1), 0)
         with pytest.raises(Unfactored):
             conductor(E, FactorBudget(10**3, 0))
-        fi = conductor(E, FactorBudget(10**3, 0), partial=True)
+        _Emin, fi = discriminant_factorization(E, FactorBudget(10**3, 0))
         assert not fi.complete and fi.residue == ((2**61 - 1) * (2**89 - 1)) ** 2
 
     def test_partial_when_minimality_uncertified(self):
@@ -414,7 +414,7 @@ class TestConductor:
             minimal_model(E, budget)
         with pytest.raises(Unfactored):
             conductor(E, budget)
-        fi = conductor(E, budget, partial=True)
+        _Emin, fi = discriminant_factorization(E, budget)
         assert not fi.complete and fi.residue == M**3 and fi.primes() == (2,)
 
     def test_split_certifies_prime_cube(self):

@@ -1,5 +1,6 @@
 """Quadratic-section engine tests: conditions, conics, quartic Jacobians."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -129,6 +130,38 @@ class TestConic:
         C = Conic.from_quadratic(4, -1, 5, 0, -4, 0)  # vars (v, t, z)
         pt = solve_conic(C)
         assert pt is not None and C.value(pt) == 0
+
+    @pytest.mark.parametrize(
+        "coeffs, point",
+        [
+            # sympy's solver, given coefficients with a common factor,
+            # returns (7, 48, 1), which is not on the conic
+            ((6, -14, 3486), (112, 75, 1)),
+            # and here finds no point at all
+            ((17, 15, -139910), (175, 51, 2)),
+        ],
+    )
+    def test_diagonal_with_shared_factors(self, coeffs, point):
+        C = Conic.from_quadratic(*coeffs, 0, 0, 0)
+        assert C.value(point) == 0
+        pt = solve_conic(C)
+        assert pt is not None and C.value(pt) == 0 and any(pt)
+
+    def test_every_locally_solvable_conic_is_solved(self):
+        rng = random.Random(1)
+        solved = 0
+        for _ in range(200):
+            try:
+                C = Conic.from_quadratic(*(rng.randint(-20, 20) for _ in range(6)))
+            except ValueError:
+                continue  # degenerate
+            pt = solve_conic(C)
+            if local_obstruction(C) is None:
+                assert pt is not None and C.value(pt) == 0 and any(pt)
+                solved += 1
+            else:
+                assert pt is None
+        assert solved > 100
 
     def test_zero_diagonal_gives_instant_point(self):
         # xy = z^2 has the obvious point (1, 0, 0)
