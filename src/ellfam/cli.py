@@ -14,7 +14,7 @@ import json
 import os
 import sys
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NoReturn, Optional, Sequence
 
 from .arith import (
     DEFAULT_BUDGET,
@@ -63,44 +63,58 @@ def _parse_radius(raw: str) -> int:
     return r
 
 
+def _parse_rational(raw: str) -> Fraction:
+    try:
+        return rational_from_string(raw.strip())
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"{raw!r} is not a rational 'p/q'") from None
+
+
 def _parse_curve(raw: str) -> WeierstrassCurve:
-    parts = [rational_from_string(p.strip()) for p in raw.split(",")]
+    parts = [_parse_rational(p) for p in raw.split(",")]
     if len(parts) != 5:
         raise argparse.ArgumentTypeError("curve must be 'a1,a2,a3,a4,a6'")
-    return WeierstrassCurve(*parts)
+    try:
+        return WeierstrassCurve(*parts)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"curve {raw!r}: {exc}") from None
 
 
 def _parse_points(raw: str) -> list[CurvePoint]:
     pts = []
     for chunk in raw.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
+        if not chunk.strip():
             continue
-        x, y = (rational_from_string(c.strip()) for c in chunk.split(","))
-        pts.append(CurvePoint(x, y))
+        xy = chunk.split(",")
+        if len(xy) != 2:
+            raise argparse.ArgumentTypeError(f"point {chunk.strip()!r} must be 'x,y'")
+        pts.append(CurvePoint(*(_parse_rational(c) for c in xy)))
     return pts
+
+
+def _usage_error(message: str) -> NoReturn:
+    print(message, file=sys.stderr)
+    raise SystemExit(2)
 
 
 def _family(label: str) -> CurveFamily:
     """The catalog entry for label; an unknown label is a usage error."""
     fam = catalog().get(label)
     if fam is None:
-        print(f"unknown catalog label: {label}", file=sys.stderr)
-        raise SystemExit(2)
+        _usage_error(f"unknown catalog label: {label}")
     return fam
 
 
 def _resolve_curve(args):
     """(curve, section points, torsion points) from --curve or LABEL --u."""
-    if args.curve:
-        return _parse_curve(args.curve), (), ()
+    if args.curve is not None:
+        return args.curve, (), ()
     if not args.label:
-        raise SystemExit(2)
+        _usage_error("a catalog label or --curve is required")
     fam = _family(args.label)
     if args.u is None:
-        print("a parameter value --u is required with a catalog label", file=sys.stderr)
-        raise SystemExit(2)
-    sp = fam.specialize(rational_from_string(args.u), args.budget)
+        _usage_error("a parameter value --u is required with a catalog label")
+    sp = fam.specialize(args.u, args.budget)
     return sp.curve(), sp.points, sp.torsion_points
 
 
@@ -148,7 +162,7 @@ def _cmd_catalog(args) -> int:
 
 
 def _cmd_specialize(args) -> int:
-    sp = _family(args.label).specialize(rational_from_string(args.u), args.budget)
+    sp = _family(args.label).specialize(args.u, args.budget)
     payload = {
         "label": sp.label,
         "u": rational_to_string(sp.value),
@@ -218,10 +232,14 @@ def _cmd_rootnumber(args) -> int:
 
 def _cmd_heights(args) -> int:
     E, sect, _tors = _resolve_curve(args)
-    pts = _parse_points(args.points) if args.points else list(sect)
+    pts = args.points or list(sect)
     if not pts:
         print("no points given and the curve carries no stored sections",
               file=sys.stderr)
+        return 2
+    off = next((P for P in pts if not E.contains(P)), None)
+    if off is not None:
+        print(f"point {off} is not on the curve", file=sys.stderr)
         return 2
     M = pairing_matrix(E, pts, args.budget)
     payload = {
@@ -316,8 +334,10 @@ def _cmd_verify_all(args) -> int:
 
 def _add_curve_source(p: argparse.ArgumentParser) -> None:
     p.add_argument("label", nargs="?", help="catalog label (with --u)")
-    p.add_argument("--u", help="parameter value for the catalog label, as p/q")
-    p.add_argument("--curve", help="explicit model 'a1,a2,a3,a4,a6' (rationals as p/q)")
+    p.add_argument("--u", type=_parse_rational,
+                   help="parameter value for the catalog label, as p/q")
+    p.add_argument("--curve", type=_parse_curve,
+                   help="explicit model 'a1,a2,a3,a4,a6' (rationals as p/q)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -344,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("specialize", help="specialize a family at u")
     p.add_argument("label")
-    p.add_argument("--u", required=True)
+    p.add_argument("--u", type=_parse_rational, required=True)
     p.set_defaults(fn=_cmd_specialize)
 
     p = sub.add_parser("torsion", help="certified rational torsion subgroup")
@@ -362,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("heights", help="canonical heights and independence")
     _add_curve_source(p)
-    p.add_argument("--points", help="semicolon-separated 'x,y' pairs")
+    p.add_argument("--points", type=_parse_points, help="semicolon-separated 'x,y' pairs")
     p.set_defaults(fn=_cmd_heights)
 
     p = sub.add_parser("sections", help="verify the stored sections of a family")

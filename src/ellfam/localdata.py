@@ -389,52 +389,31 @@ def discriminant_factorization(
 ) -> tuple[WeierstrassCurve, FactoredInt]:
     """Global minimal model of E and a factorization of |disc_min|.
 
-    For an integral y^2 = x^3 + a2 x^2 + a4 x the discriminant is
-    16 a4^2 (a2^2 - 4 a4) and disc(E) = u^12 disc_min, so every prime of
-    disc_min divides 2, a4 or a2^2 - 4 a4: those small parts are factored
-    instead of disc_min as one number.  Any other model falls back to
-    factoring |disc_min| whole.  ``parts``, when given, replaces both:
-    integers whose primes cover those of disc(E) for the integral E (a
-    family member passes CurveFamily.discriminant_parts).  Either way the
-    result is certified by exact division (see factor_with_parts), so parts
-    that miss a prime give complete=False, never a wrong factorization.
+    The discriminant of the integral model is factored once, and the model
+    is minimized at every prime found.  Every prime that can be scaled away
+    divides disc(E) = u^12 disc_min, so the model is certified minimal, and
+    the result complete, exactly when that factorization is; otherwise it
+    covers the known primes (complete=False).
 
-    When minimality cannot be certified (see _scalable_primes), the
-    discriminant of E is factored instead and E is minimized at every prime found.  Every
-    prime that can be scaled away divides disc(E), so the result is
-    complete, and the model certified minimal, exactly when that
-    factorization is; otherwise it covers the known primes (complete=False).
+    For y^2 = x^3 + a2 x^2 + a4 x the discriminant is 16 a4^2 (a2^2 - 4 a4),
+    so the parts 2, a4 and a2^2 - 4 a4 are factored instead of disc(E) as
+    one number.  ``parts``, when given, replaces them: integers whose primes
+    cover those of disc(E) for the integral E (a family member passes
+    CurveFamily.discriminant_parts).  Either way the result is certified by
+    exact division (see factor_with_parts), so parts that miss a prime give
+    complete=False, never a wrong factorization.
     """
     if not E.is_integral():
         E, _pm = E.integral_model()
-    try:
-        primes = _scalable_primes(E, budget)
-    except Unfactored:
-        fE = _factor_disc(E, abs(int(E.disc)), budget, parts)
-        Emin, _u = _minimize_at(E, fE.primes())
-        m = abs(int(Emin.disc))
-        found = []
-        for p in fE.primes():
-            e = valuation(m, p)
-            if e:
-                found.append((p, e))
-                m //= p**e
-        return Emin, FactoredInt(1, tuple(found), m)
-    Emin, _u = _minimize_at(E, primes)
-    return Emin, _factor_disc(E, abs(int(Emin.disc)), budget, parts)
-
-
-def _factor_disc(
-    E: WeierstrassCurve, disc: int, budget: FactorBudget, parts: Optional[Sequence[int]]
-) -> FactoredInt:
-    """Factor disc, a discriminant of a model isomorphic to E (see
-    discriminant_factorization)."""
-    if parts is not None:
-        return factor_with_parts(disc, parts, budget)
-    if E.is_integral() and E.a1 == E.a3 == E.a6 == 0:
+    disc = abs(int(E.disc))
+    if parts is None and E.a1 == E.a3 == E.a6 == 0:
         a2, a4 = int(E.a2), int(E.a4)
-        return factor_with_parts(disc, (2, a4, a2 * a2 - 4 * a4), budget)
-    return factor(disc, budget)
+        parts = (2, a4, a2 * a2 - 4 * a4)
+    fE = factor(disc, budget) if parts is None else factor_with_parts(disc, parts, budget)
+    Emin, u = _minimize_at(E, fE.primes())
+    # u is a product of primes found, so the residue is disc_min's too
+    found = ((p, e - 12 * valuation(u, p)) for p, e in fE.factors)
+    return Emin, FactoredInt(1, tuple((p, e) for p, e in found if e), fE.residue)
 
 
 def conductor(E: WeierstrassCurve, budget: FactorBudget = DEFAULT_BUDGET) -> FactoredInt:

@@ -28,7 +28,7 @@ from sympy.polys.domains import ZZ
 from sympy.polys.euclidtools import dup_gcd, dup_inner_gcd
 from sympy.polys.factortools import dup_factor_list
 
-from .arith import square_test
+from .arith import square_test, squarefree_decompose
 
 Scalar = Union[int, Fraction]
 
@@ -301,8 +301,8 @@ def square_decompose_poly(p: PolyQ) -> tuple[PolyQ, PolyQ]:
         raise ValueError("zero polynomial")
     content, parts = p.factor()
     sign = -1 if content < 0 else 1
-    cn, cfree_n = _int_square_split(abs(content.numerator))
-    cd, cfree_d = _int_square_split(content.denominator)
+    cn, cfree_n = squarefree_decompose(abs(content.numerator))
+    cd, cfree_d = squarefree_decompose(content.denominator)
     s = PolyQ([Fraction(cn, cd)], p.var)
     q = PolyQ([Fraction(sign * cfree_n, cfree_d)], p.var)
     for f, e in parts:
@@ -313,15 +313,6 @@ def square_decompose_poly(p: PolyQ) -> tuple[PolyQ, PolyQ]:
     if s.leading() < 0:
         s = -s
     return s, q
-
-
-def _int_square_split(n: int) -> tuple[int, int]:
-    """n = s*s*f with f squarefree, for positive n (small contents only)."""
-    from .arith import squarefree_decompose
-
-    if n == 1:
-        return 1, 1
-    return squarefree_decompose(n)
 
 
 def poly_sqrt(p: PolyQ) -> PolyQ:

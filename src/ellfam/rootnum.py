@@ -7,6 +7,12 @@ symbol (-c6*c4, -1)_p — or potentially good: for p >= 5 a Kronecker symbol
 driven by v_p(disc_min), and for p in {2, 3} a frozen finite case table
 (see _rootnum_tables).  All three rules were validated exhaustively against
 a numeric functional-equation oracle.
+
+A table key (_table_key) is the Kodaira type, the valuations of c4, c6 and
+disc, and their unit parts modulo TABLE_MODULI[p], which a unit change of
+model leaves fixed: at p = 2 that is (8, 8, 16).  The 2-adic table was first
+keyed by c6 mod 16; where keys differing by 8 in c6 were both present they
+agreed, and merging them lets a key that only one of them had answer both.
 """
 
 from __future__ import annotations

@@ -102,6 +102,26 @@ class TestExitCodes:
             main(argv)
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["heights", "--curve", "0,0,0,0,-2", "--points", "1,2"], "(1, 2) is not on the curve"),
+            (["heights", "--curve", "0,0,0,0,-2", "--points", "1,2,3"], "must be 'x,y'"),
+            (["heights", "--curve", "0,0,0,0,-2", "--points", "a,b"], "'a' is not a rational"),
+            (["torsion", "--curve", "0,0,0,0,0"], "singular"),
+            (["torsion", "Z8R2-1", "--u", "abc"], "'abc' is not a rational"),
+            (["torsion"], "a catalog label or --curve is required"),
+        ],
+        ids=["off-curve", "three-coordinates", "not-rational", "singular", "bad-u", "no-curve"],
+    )
+    def test_bad_input_is_usage_error(self, capsys, argv, message):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 2
+        assert message in capsys.readouterr().err
+
     def test_env_budget_honored(self, capsys, monkeypatch):
         monkeypatch.setenv("ELLFAM_BUDGET", "10000,10000")
         code, out, _err = run(capsys, "torsion", "--curve", "0,0,0,0,16")
@@ -199,8 +219,8 @@ class TestLocalAndRootNumber:
         assert calls == {"minimize": 1, "tate": 2}
 
     def test_local_when_minimality_uncertified(self, capsys):
-        # c6 = 0 and a4 = -M with M = M61 * M89: without rho gcd(c4, c6)
-        # keeps a residue that could hide a 4th power
+        # a4 = -M with M = M61 * M89: without rho the discriminant 64 M^3
+        # keeps the residue M^3, which could hide a scalable prime
         M = (2**61 - 1) * (2**89 - 1)
         code, out, _ = run(
             capsys, "--budget", "1000,0", "local", "--curve", f"0,0,0,{-M},0"

@@ -129,6 +129,38 @@ class TestInvariance:
                 base11 = global_root_number(E).local_breakdown[11]
                 assert rn.local_breakdown[11] == base11
 
+    def test_unit_rescaling_at_2(self):
+        # u = 1/3 is a 2-adic unit: it multiplies c6 by 3^6 = 9 mod 16 and
+        # changes no valuation, so the local factor at 2 must not move
+        rows = [
+            row for row in ORACLE
+            if any(p == 2 and red == "additive" for p, _kod, red, _vd in row["bad"])
+        ]
+        assert len(rows) == 498
+        bad = []
+        for row in rows:
+            Emin, _ = minimal_model(curve(*row["a"]))
+            E3, _pm = Emin.transform(Fraction(1, 3), 0, 0, 0)
+            w = local_root_number(Emin, tate_local(Emin, 2))
+            if local_root_number(E3, tate_local(E3, 2)) != w:
+                bad.append(row["a"])
+        assert not bad, f"{len(bad)} rescaled models disagree, first: {bad[:3]}"
+
+    @pytest.mark.parametrize(
+        "d,a4,a6,expected",
+        [(5, -486000, -34992000, 1), (-7, -952560, 96018048, -1)],
+    )
+    def test_twist_rule_additive_at_2(self, d, a4, a6, expected):
+        # E = (0,0,0,-15,-6) has N = 12528 = 2^4 3^3 29 and W = -1, and
+        # w(E^d) = chi_d(-N) W.  The Kronecker symbol's factors at -1, 2^4
+        # and 29 are 1 except (-7/-1) = -1, so chi_5(-N) = (5/3)^3 = -1
+        # and chi_-7(-N) = -(-7/3)^3 = +1
+        E = curve(0, 0, 0, -15, -6)
+        c4, c6 = int(E.c4), int(E.c6)
+        assert (-27 * c4 * d * d, -54 * c6 * d**3) == (a4, a6)
+        rn = global_root_number(curve(0, 0, 0, a4, a6))
+        assert rn.complete and rn.value == expected
+
 
 class TestBudget:
     def test_incomplete_flagged(self):
@@ -153,8 +185,8 @@ class TestBudget:
         assert rn == global_root_number(E)
 
     def test_uncertified_minimality_returns_incomplete(self):
-        # c6 = 0, so minimal_model factors 48|a4| whole and cannot rule out
-        # a 4th power in the residue M61*M89: the answer covers p = 2 only
+        # disc = 64 M^3 with M = M61*M89: without rho the parts 2, -M and
+        # 4M leave M unsplit, so the answer covers p = 2 only
         E = curve(0, 0, 0, -(2**61 - 1) * (2**89 - 1), 0)
         rn = global_root_number(E, FactorBudget(10**3, 0))
         assert rn.complete is False and set(rn.local_breakdown) == {2}
