@@ -54,16 +54,40 @@ class CurvePoint:
 INFINITY = CurvePoint.infinity()
 
 
-class WeierstrassCurve:
-    """y^2 + a1 x y + a3 y = x^3 + a2 x^2 + a4 x + a6 with nonzero discriminant."""
+def weierstrass_invariants(a1, a2, a3, a4, a6) -> tuple:
+    """(b2, b4, b6, b8, c4, c6, disc) of the a-invariants, over any ring."""
+    b2 = a1 * a1 + 4 * a2
+    b4 = 2 * a4 + a1 * a3
+    b6 = a3 * a3 + 4 * a6
+    b8 = a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4
+    c4 = b2 * b2 - 24 * b4
+    c6 = -b2 * b2 * b2 + 36 * b2 * b4 - 216 * b6
+    disc = -b2 * b2 * b8 - 8 * b4 * b4 * b4 - 27 * b6 * b6 + 9 * b2 * b4 * b6
+    return b2, b4, b6, b8, c4, c6, disc
 
-    __slots__ = ("a1", "a2", "a3", "a4", "a6", "_cache")
+
+def _invariant(i: int) -> property:
+    return property(lambda E: E._invariants()[i])
+
+
+class WeierstrassCurve:
+    """y^2 + a1 x y + a3 y = x^3 + a2 x^2 + a4 x + a6 with nonzero discriminant.
+
+    An integral model keeps its a-invariants as an int tuple (``_ints``,
+    None otherwise), and its seven invariants b2 ... disc are computed once,
+    in int arithmetic, and stored as Fractions.
+    """
+
+    __slots__ = ("a1", "a2", "a3", "a4", "a6", "_ints", "_invs", "_cache")
 
     def __init__(self, a1, a2, a3, a4, a6, check: bool = True):
         vals = [a1, a2, a3, a4, a6]
         vals = [Fraction(v) if isinstance(v, int) else v for v in vals]
         for name, v in zip(("a1", "a2", "a3", "a4", "a6"), vals):
             object.__setattr__(self, name, v)
+        integral = all(isinstance(v, Fraction) and v.denominator == 1 for v in vals)
+        object.__setattr__(self, "_ints", tuple(v.numerator for v in vals) if integral else None)
+        object.__setattr__(self, "_invs", None)
         object.__setattr__(self, "_cache", {})
         if check and _is_zero(self.disc):
             raise ValueError("singular model: discriminant is zero")
@@ -72,56 +96,23 @@ class WeierstrassCurve:
         raise AttributeError("WeierstrassCurve is immutable")
 
     # -- invariants -------------------------------------------------------
-    def _inv(self, key, fn):
-        c = self._cache
-        if key not in c:
-            c[key] = fn()
-        return c[key]
+    def _invariants(self) -> tuple:
+        if self._invs is None:
+            if self._ints is None:
+                invs = weierstrass_invariants(*self.a_invariants())
+            else:
+                invs = tuple(map(Fraction, weierstrass_invariants(*self._ints)))
+            object.__setattr__(self, "_invs", invs)
+        return self._invs
 
-    @property
-    def b2(self):
-        return self._inv("b2", lambda: self.a1 * self.a1 + 4 * self.a2)
-
-    @property
-    def b4(self):
-        return self._inv("b4", lambda: 2 * self.a4 + self.a1 * self.a3)
-
-    @property
-    def b6(self):
-        return self._inv("b6", lambda: self.a3 * self.a3 + 4 * self.a6)
-
-    @property
-    def b8(self):
-        return self._inv(
-            "b8",
-            lambda: self.a1 * self.a1 * self.a6
-            + 4 * self.a2 * self.a6
-            - self.a1 * self.a3 * self.a4
-            + self.a2 * self.a3 * self.a3
-            - self.a4 * self.a4,
-        )
-
-    @property
-    def c4(self):
-        return self._inv("c4", lambda: self.b2 * self.b2 - 24 * self.b4)
-
-    @property
-    def c6(self):
-        return self._inv(
-            "c6", lambda: -self.b2 * self.b2 * self.b2 + 36 * self.b2 * self.b4 - 216 * self.b6
-        )
-
-    @property
-    def disc(self):
-        def compute():
-            b2, b4, b6, b8 = self.b2, self.b4, self.b6, self.b8
-            return -b2 * b2 * b8 - 8 * b4 * b4 * b4 - 27 * b6 * b6 + 9 * b2 * b4 * b6
-
-        return self._inv("disc", compute)
+    b2, b4, b6, b8, c4, c6, disc = map(_invariant, range(7))
 
     @property
     def j(self):
-        return self._inv("j", lambda: self.c4 * self.c4 * self.c4 / self.disc)
+        c = self._cache
+        if "j" not in c:
+            c["j"] = self.c4 * self.c4 * self.c4 / self.disc
+        return c["j"]
 
     def a_invariants(self):
         return (self.a1, self.a2, self.a3, self.a4, self.a6)
@@ -228,18 +219,15 @@ class WeierstrassCurve:
         return new, PointMap(u, r, s, t)
 
     def is_integral(self) -> bool:
-        return all(
-            isinstance(a, Fraction) and a.denominator == 1 for a in self.a_invariants()
-        )
+        return self._ints is not None
 
     def integral_model(self) -> tuple["WeierstrassCurve", "PointMap"]:
-        """Clear denominators by (x, y) -> (L^2 x, L^3 y) scaling."""
-        dens = [a.denominator for a in self.a_invariants()]
-        L = 1
-        for d in dens:
-            L = L * d // math.gcd(L, d)
-        new, pm = self.transform(Fraction(1, L), 0, 0, 0)
-        return new, pm
+        """Clear denominators by (x, y) -> (L^2 x, L^3 y) scaling; an
+        integral model is its own, by the identity map."""
+        if self._ints is not None:
+            return self, PointMap(Fraction(1), 0, 0, 0)
+        L = math.lcm(*(a.denominator for a in self.a_invariants()))
+        return self.transform(Fraction(1, L), 0, 0, 0)
 
     def short_model(self) -> tuple["WeierstrassCurve", "PointMap"]:
         """Complete the square: model with a1 = a3 = 0 (and a2 kept)."""

@@ -24,7 +24,12 @@ from .arith import (
     jacobi,
     valuation,
 )
-from .curves import PointMap, WeierstrassCurve, _translation_for_scale
+from .curves import (
+    PointMap,
+    WeierstrassCurve,
+    _translation_for_scale,
+    weierstrass_invariants,
+)
 
 
 @dataclass(frozen=True)
@@ -51,9 +56,9 @@ class LocalData:
 
 
 def _int_invariants(E: WeierstrassCurve) -> tuple[int, int, int, int, int]:
-    if not E.is_integral():
+    if E._ints is None:
         raise ValueError("integral model required")
-    return tuple(int(a) for a in E.a_invariants())
+    return E._ints
 
 
 # ---------------------------------------------------------------------------
@@ -165,18 +170,6 @@ def _translate(a: tuple, r: int, s: int, t: int) -> tuple:
     )
 
 
-def _invariants(a: tuple) -> tuple[int, int, int, int, int, int]:
-    """(b2, b4, b6, b8, c4, disc) of the a-invariants a."""
-    a1, a2, a3, a4, a6 = a
-    b2 = a1 * a1 + 4 * a2
-    b4 = 2 * a4 + a1 * a3
-    b6 = a3 * a3 + 4 * a6
-    b8 = a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4
-    c4 = b2 * b2 - 24 * b4
-    disc = -(b2 * b2 * b8) - 8 * b4**3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
-    return b2, b4, b6, b8, c4, disc
-
-
 def _has_root_quadratic(a: int, b: int, c: int, p: int) -> bool:
     """Whether a y^2 + b y + c has a root in F_p.
 
@@ -251,7 +244,7 @@ def tate_local(E: WeierstrassCurve, p: int) -> LocalData:
     a = _int_invariants(E)
     p2, p3, p4, p6 = p * p, p**3, p**4, p**6
     while True:
-        _b2, _b4, _b6, _b8, c4, disc = _invariants(a)
+        _b2, _b4, _b6, _b8, c4, _c6, disc = weierstrass_invariants(*a)
         assert disc != 0
         n = _vp(disc, p)
         if n == 0:
@@ -266,7 +259,7 @@ def tate_local(E: WeierstrassCurve, p: int) -> LocalData:
                 return LocalData(p, f"I{n}", 1, n, "split-multiplicative", n)
             c = 2 if n % 2 == 0 else 1
             return LocalData(p, f"I{n}", 1, c, "nonsplit-multiplicative", n)
-        _b2, _b4, b6, b8, _c4, _disc = _invariants(a)
+        _b2, _b4, b6, b8, _c4, _c6, _disc = weierstrass_invariants(*a)
         if a6 % p2 != 0:
             return LocalData(p, "II", n, 1, "additive", n)
         if b8 % p3 != 0:
@@ -311,7 +304,7 @@ def _move_singular_point(a: tuple, p: int) -> tuple:
                 if moved[2] % p == 0 and moved[3] % p == 0 and moved[4] % p == 0:
                     return moved
         raise RuntimeError("no singular point found")  # pragma: no cover
-    b2, b4, b6, _b8, _c4, _disc = _invariants(a)
+    b2, b4, b6, _b8, _c4, _c6, _disc = weierstrass_invariants(*a)
     # repeated root of 4x^3 + b2 x^2 + 2 b4 x + b6 mod p
     x0, _triple = _multiple_root([b6, 2 * b4, b2, 4], p)
     y0 = (-(a[0] * x0 + a[2]) * pow(2, -1, p)) % p
@@ -403,8 +396,7 @@ def discriminant_factorization(
     exact division (see factor_with_parts), so parts that miss a prime give
     complete=False, never a wrong factorization.
     """
-    if not E.is_integral():
-        E, _pm = E.integral_model()
+    E, _pm = E.integral_model()
     disc = abs(int(E.disc))
     if parts is None and E.a1 == E.a3 == E.a6 == 0:
         a2, a4 = int(E.a2), int(E.a4)

@@ -3,13 +3,14 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ellfam.curves import (
     INFINITY,
     CurvePoint,
     OffCurve,
+    PointMap,
     ShiftedABCurve,
     WeierstrassCurve,
     count_points_mod_p,
@@ -28,7 +29,59 @@ def E37():
     return WeierstrassCurve(0, 0, 1, -1, 0)
 
 
+def textbook_invariants(a1, a2, a3, a4, a6):
+    """(b2, b4, b6, b8, c4, c6, disc) as in Silverman, III.1: the reference
+    the curve's invariants are checked against."""
+    b2 = a1**2 + 4 * a2
+    b4 = 2 * a4 + a1 * a3
+    b6 = a3**2 + 4 * a6
+    b8 = a1**2 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3**2 - a4**2
+    c4 = b2**2 - 24 * b4
+    c6 = -(b2**3) + 36 * b2 * b4 - 216 * b6
+    disc = -(b2**2) * b8 - 8 * b4**3 - 27 * b6**2 + 9 * b2 * b4 * b6
+    return b2, b4, b6, b8, c4, c6, disc
+
+
+def curve_invariants(E):
+    return E.b2, E.b4, E.b6, E.b8, E.c4, E.c6, E.disc
+
+
+BIG = st.integers(min_value=-(10**40), max_value=10**40)
+
+
 class TestInvariants:
+    @given(st.lists(BIG, min_size=5, max_size=5))
+    @example([1, -1, 1, -10**30 - 1, 3])
+    @example([-3, 5, 7, -11, 13])
+    @settings(max_examples=200)
+    def test_integral_invariants_match_textbook(self, a):
+        E = WeierstrassCurve(*a, check=False)
+        assert E.is_integral()
+        got = curve_invariants(E)
+        assert got == textbook_invariants(*map(Fraction, a))
+        assert all(type(v) is Fraction for v in got)
+        assert E.c4**3 - E.c6**2 == 1728 * E.disc
+
+    @given(st.lists(st.fractions(max_denominator=10**6), min_size=5, max_size=5))
+    @example([Fraction(1, 2), Fraction(-1, 3), Fraction(3, 5), Fraction(-7), Fraction(5, 9)])
+    @settings(max_examples=200)
+    def test_rational_invariants_match_textbook(self, a):
+        E = WeierstrassCurve(*a, check=False)
+        assert E.is_integral() == all(v.denominator == 1 for v in a)
+        got = curve_invariants(E)
+        assert got == textbook_invariants(*a)
+        assert all(type(v) is Fraction for v in got)
+        assert E.c4**3 - E.c6**2 == 1728 * E.disc
+
+    def test_family_invariants_match_textbook(self):
+        from ellfam.families import catalog
+
+        E = catalog()["Z8-1"].curve()
+        got = curve_invariants(E)
+        assert all(isinstance(v, RatFunc) for v in got)
+        assert got == textbook_invariants(*E.a_invariants())
+        assert E.c4**3 - E.c6**2 == 1728 * E.disc
+
     def test_known_discriminants(self):
         assert E37().disc == 37
         E = WeierstrassCurve(1, 1, 1, -1595, -4768)
@@ -125,6 +178,14 @@ class TestTransform:
         comp = pm1.compose(pm2)
         assert comp.forward(P) == pm2.forward(pm1.forward(P))
         assert comp.backward(comp.forward(P)) == P
+
+    def test_integral_model_of_integral_curve_is_itself(self):
+        E = WeierstrassCurve(0, -1, 1, -10, -20)
+        Ei, pm = E.integral_model()
+        assert Ei is E
+        assert pm == PointMap(Fraction(1), 0, 0, 0) == E.transform(Fraction(1), 0, 0, 0)[1]
+        P = CurvePoint(Fraction(5), Fraction(5))
+        assert E.contains(P) and pm.forward(P) == P == pm.backward(P)
 
     def test_integral_model(self):
         E = WeierstrassCurve(0, Fraction(49, 16), 0, Fraction(1, 4), 0)
