@@ -27,7 +27,7 @@ from .curves import (
     WeierstrassCurve,
     to_shifted_ab,
 )
-from .polyq import NotASquare, PolyQ, RatFunc, homogenized_substitute, poly_sqrt
+from .polyq import NotASquare, PolyQ, RatFunc, homogeneous_value, homogenized_substitute, poly_sqrt
 
 
 def tate_normal_curve(b, c) -> WeierstrassCurve:
@@ -182,22 +182,12 @@ class CurveFamily:
         parts = [2, sp.scale.numerator, sp.scale.denominator, q]
         for c in contents:
             parts += [c.numerator, c.denominator]
-        parts += [_homogeneous_value(g, p, q) for g in factors]
+        parts += [homogeneous_value(g.ints, p, q) for g in factors]
         return tuple(parts)
 
 
 def _ratfunc(f: RatFunc | PolyQ) -> RatFunc:
     return RatFunc(f) if isinstance(f, PolyQ) else f
-
-
-def _homogeneous_value(g: PolyQ, p: int, q: int) -> int:
-    """q^deg(g) g(p/q) for g with integer coefficients, by Horner."""
-    cs = g.coeffs[::-1]
-    acc, qk = int(cs[0]), 1
-    for c in cs[1:]:
-        qk *= q
-        acc = acc * p + int(c) * qk
-    return acc
 
 
 def _cleared_cubic(family: CurveFamily, xn: PolyQ, xd: PolyQ) -> PolyQ:
@@ -244,27 +234,13 @@ def normalize_shifted_ab(
 
 
 def _integer_pair(sub: RatFunc) -> tuple[PolyQ, PolyQ]:
-    """Rewrite sub = n/d with coprime integer coefficients, leading(d) > 0."""
+    """Rewrite sub = n/d with coprime integer coefficients, leading(d) > 0
+    (sub.den is monic, so its numerators lead with sub.den.den > 0)."""
     num, den = sub.num, sub.den
-    scale = 1
-    for c in num.coeffs + den.coeffs:
-        scale = scale * c.denominator // math.gcd(scale, c.denominator)
-    n = num * scale
-    d = den * scale
-    g = 0
-    for c in n.coeffs + d.coeffs:
-        g = math.gcd(g, abs(int(c)))
-    if g > 1:
-        n = n * Fraction(1, g)
-        d = d * Fraction(1, g)
-    if d.leading() < 0:
-        n, d = -n, -d
-    return n, d
-
-
-def _content(f: PolyQ) -> Fraction:
-    """gcd of the (integer) coefficients of f."""
-    return Fraction(math.gcd(*(int(c) for c in f.coeffs)))
+    ns = [c * den.den for c in num.ints]
+    ds = [c * num.den for c in den.ints]
+    g = math.gcd(*ns, *ds)
+    return PolyQ([c // g for c in ns], num.var), PolyQ([c // g for c in ds], den.var)
 
 
 def substitute_parameter(
@@ -299,7 +275,9 @@ def substitute_parameter(
     Bp = homogenized_substitute(family.B, n, d, 4 * s)
     # strip the largest c with c^2 | A and c^4 | B coefficientwise: square
     # reducing the two contents scales them by l = 1/c
-    c = normalize_shifted_ab(_content(Ap), _content(Bp), budget)[2].denominator
+    c = normalize_shifted_ab(
+        Ap.content_and_primitive()[0], Bp.content_and_primitive()[0], budget
+    )[2].denominator
     Ap = Ap * Fraction(1, c * c)
     Bp = Bp * Fraction(1, c**4)
 

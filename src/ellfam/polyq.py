@@ -1,34 +1,32 @@
 """Univariate polynomials and rational functions over Q.
 
 This is the symbolic engine in which curve families, parameter substitutions
-and section identities live.  Polynomials are dense lists of ``Fraction``
-coefficients (index = degree); rational functions are reduced num/den pairs
-with monic denominator, so equality of canonical forms is structural
-equality.
+and section identities live.  A polynomial is a dense tuple of integer
+numerators (index = degree) over one positive denominator, reduced so that
+the two share no factor; rational functions are reduced num/den pairs with
+monic denominator, so equality of canonical forms is structural equality.
 
 Heavy algebra (gcd, factorization into irreducibles over Q) is delegated to
-sympy's dense ``dup_*`` routines over ``ZZ``, applied to the coefficient
-lists with denominators cleared (highest degree first); no sympy expression
-is built.  Everything else is implemented directly; products and
-substitutions are computed over the integers too, so each output
-coefficient is reduced once instead of once per term, and a rational
-function is normalized once per result: a substitution f(n/d) is formed as
-d^k num(n/d) / d^k den(n/d) on integer lists, and ``RatFunc`` takes both
-gcd cofactors from one ``dup_inner_gcd``.
+sympy's dense ``dup_*`` routines over ``ZZ``, applied to the integer
+numerators (highest degree first); no sympy expression is built.
+Everything else is implemented directly on the integers, with one gcd per
+result, and a rational function is normalized once per result: a
+substitution f(n/d) is formed as d^k num(n/d) / d^k den(n/d) on integer
+lists, and ``RatFunc`` takes both gcd cofactors from one ``dup_inner_gcd``.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional, Sequence, Union
 
 import sympy
 from sympy.polys.domains import ZZ
 from sympy.polys.euclidtools import dup_gcd, dup_inner_gcd
 from sympy.polys.factortools import dup_factor_list
 
-from .arith import square_test, squarefree_decompose
+from .arith import isqrt_exact, squarefree_decompose
 
 Scalar = Union[int, Fraction]
 
@@ -41,20 +39,12 @@ class ZeroDenominator(ZeroDivisionError):
     pass
 
 
-def _frac(x) -> Fraction:
-    if isinstance(x, Fraction):
+def _rational(x) -> Scalar:
+    if isinstance(x, (int, Fraction)):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
     if isinstance(x, sympy.Rational):
         return Fraction(int(x.p), int(x.q))
     raise TypeError(f"not a rational scalar: {x!r}")
-
-
-def _clear_denominators(coeffs: tuple[Fraction, ...]) -> tuple[list[int], int]:
-    """Integers n_i and d with coeffs[i] = n_i / d."""
-    d = math.lcm(*(c.denominator for c in coeffs))
-    return [c.numerator * (d // c.denominator) for c in coeffs], d
 
 
 def _zz_mul(xs: list[int], ys: list[int]) -> list[int]:
@@ -70,16 +60,20 @@ def _zz_mul(xs: list[int], ys: list[int]) -> list[int]:
 
 
 class PolyQ:
-    """Dense univariate polynomial over Q. Immutable."""
+    """Dense univariate polynomial over Q. Immutable.
 
-    __slots__ = ("coeffs", "var")
+    Stored in integer-content form: ``ints`` (index = degree, no trailing
+    zero) over one denominator ``den`` > 0 with gcd(den, *ints) = 1, so
+    equal polynomials have equal ``(ints, den)``.  ``coeffs`` is the
+    ``Fraction`` view, computed on first read.
+    """
+
+    __slots__ = ("ints", "den", "var", "_coeffs")
 
     def __init__(self, coeffs: Iterable[Scalar] = (), var: str = "u"):
-        cs = [_frac(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
-        object.__setattr__(self, "var", var)
+        cs = [_rational(c) for c in coeffs]
+        den = math.lcm(*(c.denominator for c in cs))
+        _reduce_into(self, [c.numerator * (den // c.denominator) for c in cs], den, var)
 
     def __setattr__(self, *a):
         raise AttributeError("PolyQ is immutable")
@@ -95,36 +89,43 @@ class PolyQ:
 
     # -- basic queries ----------------------------------------------------
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        try:
+            return self._coeffs
+        except AttributeError:
+            cs = tuple(Fraction(c, self.den) for c in self.ints)
+            object.__setattr__(self, "_coeffs", cs)
+            return cs
+
+    @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1  # -1 for the zero polynomial
+        return len(self.ints) - 1  # -1 for the zero polynomial
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.ints
 
     def is_constant(self) -> bool:
-        return len(self.coeffs) <= 1
+        return len(self.ints) <= 1
 
     def leading(self) -> Fraction:
-        if not self.coeffs:
-            return Fraction(0)
-        return self.coeffs[-1]
+        return Fraction(self.ints[-1], self.den) if self.ints else Fraction(0)
 
     def constant_value(self) -> Fraction:
         if not self.is_constant():
             raise ValueError("not a constant polynomial")
-        return self.coeffs[0] if self.coeffs else Fraction(0)
+        return self.leading()
 
     def __hash__(self):
-        return hash((self.coeffs, self.var if not self.is_constant() else ""))
+        # == ignores the variable, and a constant equals its scalar
+        if self.is_constant():
+            return hash(self.leading())
+        return hash((self.ints, self.den))
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = PolyQ([other], self.var)
-        if isinstance(other, RatFunc):
+        other = _as_poly(other, self.var)
+        if other is None:
             return NotImplemented
-        if not isinstance(other, PolyQ):
-            return NotImplemented
-        return self.coeffs == other.coeffs
+        return self.ints == other.ints and self.den == other.den
 
     def _join_var(self, other: "PolyQ") -> str:
         if self.is_constant():
@@ -135,42 +136,43 @@ class PolyQ:
 
     # -- ring operations --------------------------------------------------
     def __add__(self, other):
-        if isinstance(other, RatFunc):
+        other = _as_poly(other, self.var)
+        if other is None:
             return NotImplemented
-        if isinstance(other, (int, Fraction)):
-            other = PolyQ([other], self.var)
         var = self._join_var(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [Fraction(0)] * (n - len(self.coeffs))
-        for i, c in enumerate(other.coeffs):
-            a[i] += c
-        return PolyQ(a, var)
+        xs, ys, d = self.ints, other.ints, self.den
+        if d != other.den:
+            d = math.lcm(d, other.den)
+            xs = [c * (d // self.den) for c in xs]
+            ys = [c * (d // other.den) for c in ys]
+        if len(xs) < len(ys):
+            xs, ys = ys, xs
+        out = list(xs)
+        for i, c in enumerate(ys):
+            out[i] += c
+        return _make(out, d, var)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return PolyQ([-c for c in self.coeffs], self.var)
+        return _make([-c for c in self.ints], self.den, self.var)
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, (PolyQ, int, Fraction)) else NotImplemented)
+        other = _as_poly(other, self.var)
+        if other is None:
+            return NotImplemented
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, RatFunc):
-            return NotImplemented
         if isinstance(other, (int, Fraction)):
-            return PolyQ([c * other for c in self.coeffs], self.var)
+            ints = [c * other.numerator for c in self.ints]
+            return _make(ints, self.den * other.denominator, self.var)
         if not isinstance(other, PolyQ):
             return NotImplemented
-        var = self._join_var(other)
-        if self.is_zero() or other.is_zero():
-            return PolyQ([], var)
-        xs, dx = _clear_denominators(self.coeffs)
-        ys, dy = _clear_denominators(other.coeffs)
-        d = dx * dy
-        return PolyQ([Fraction(c, d) for c in _zz_mul(xs, ys)], var)
+        return _make(_zz_mul(self.ints, other.ints), self.den * other.den, self._join_var(other))
 
     __rmul__ = __mul__
 
@@ -224,7 +226,7 @@ class PolyQ:
 
     # -- calculus-ish -----------------------------------------------------
     def derivative(self) -> "PolyQ":
-        return PolyQ([i * c for i, c in enumerate(self.coeffs)][1:], self.var)
+        return _make([i * c for i, c in enumerate(self.ints)][1:], self.den, self.var)
 
     def __call__(self, x):
         """Evaluate at a scalar (by Horner), a PolyQ (composition, a PolyQ)
@@ -233,17 +235,15 @@ class PolyQ:
             return ratfunc_substitute(self, x)
         if isinstance(x, PolyQ):
             return homogenized_substitute(self, x, PolyQ([1], x.var), self.degree)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        q = x.denominator
+        value = homogeneous_value(self.ints, x.numerator, q)
+        return Fraction(value, self.den * q ** max(self.degree, 0))
 
     # -- gcd / factorization (sympy dup_* routines) -----------------------
     def monic(self) -> "PolyQ":
         if self.is_zero():
             return self
-        lc = self.leading()
-        return PolyQ([c / lc for c in self.coeffs], self.var)
+        return _make(self.ints, self.ints[-1], self.var)
 
     def gcd(self, other: "PolyQ") -> "PolyQ":
         if self.is_zero():
@@ -253,11 +253,9 @@ class PolyQ:
         var = self._join_var(other)
         if self.is_constant() or other.is_constant():
             return PolyQ([1], var)
-        xs, _ = _clear_denominators(self.coeffs)
-        ys, _ = _clear_denominators(other.coeffs)
-        g = dup_gcd(xs[::-1], ys[::-1], ZZ)
-        lc = int(g[0])  # int(): ZZ elements are mpz under gmpy ground types
-        return PolyQ([Fraction(int(c), lc) for c in reversed(g)], var)
+        g = dup_gcd(list(self.ints[::-1]), list(other.ints[::-1]), ZZ)
+        # int(): ZZ elements are mpz under gmpy ground types
+        return _make([int(c) for c in reversed(g)], int(g[0]), var)
 
     def factor(self) -> tuple[Fraction, list[tuple["PolyQ", int]]]:
         """Factor into content * prod(irreducible**e) over Q.
@@ -267,21 +265,17 @@ class PolyQ:
         """
         if self.is_zero():
             raise ValueError("cannot factor the zero polynomial")
-        xs, d = _clear_denominators(self.coeffs)
-        c, parts = dup_factor_list(xs[::-1], ZZ)
-        return Fraction(int(c), d), [(PolyQ(map(int, reversed(f)), self.var), e) for f, e in parts]
+        c, parts = dup_factor_list(list(self.ints[::-1]), ZZ)
+        return Fraction(int(c), self.den), [
+            (_make([int(x) for x in reversed(f)], 1, self.var), e) for f, e in parts
+        ]
 
     def content_and_primitive(self) -> tuple[Fraction, "PolyQ"]:
         """Positive rational content c and primitive integer part p, self = c*p."""
         if self.is_zero():
             return Fraction(0), self
-        num_gcd = 0
-        den_lcm = 1
-        for c in self.coeffs:
-            num_gcd = math.gcd(num_gcd, abs(c.numerator))
-            den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
-        content = Fraction(num_gcd, den_lcm)
-        return content, PolyQ([c / content for c in self.coeffs], self.var)
+        g = math.gcd(*self.ints)
+        return Fraction(g, self.den), _make([c // g for c in self.ints], 1, self.var)
 
     # -- display ----------------------------------------------------------
     def __repr__(self):
@@ -289,6 +283,53 @@ class PolyQ:
 
     def __str__(self):
         return to_string(self)
+
+
+def homogeneous_value(ints: Sequence[int], p: int, q: int) -> int:
+    """q^deg(f) f(p/q) for the integer polynomial f = sum ints[i] u^i, by
+    Horner on the homogenized form (0 for f = 0)."""
+    if not ints:
+        return 0
+    acc, qk = ints[-1], 1
+    for c in ints[-2::-1]:
+        qk *= q
+        acc = acc * p + c * qk
+    return acc
+
+
+def _reduce_into(p: PolyQ, ints: Sequence[int], den: int, var: str) -> None:
+    """Store ints/den on p in integer-content form: strip trailing zeros,
+    divide out gcd(den, *ints) and make den positive."""
+    n = len(ints)
+    while n and not ints[n - 1]:
+        n -= 1
+    if not n:
+        ints, den = (), 1
+    else:
+        g = math.gcd(den, *ints)
+        if den < 0:
+            g = -g
+        ints = tuple(c // g for c in ints[:n])
+        den //= g
+    object.__setattr__(p, "ints", ints)
+    object.__setattr__(p, "den", den)
+    object.__setattr__(p, "var", var)
+
+
+def _make(ints: Sequence[int], den: int, var: str) -> PolyQ:
+    """The polynomial sum(ints[i] u^i) / den (den != 0)."""
+    p = object.__new__(PolyQ)
+    _reduce_into(p, ints, den, var)
+    return p
+
+
+def _as_poly(x, var: str) -> Optional[PolyQ]:
+    """x as a PolyQ when it is one or a rational scalar, else None."""
+    if isinstance(x, PolyQ):
+        return x
+    if isinstance(x, (int, Fraction)):
+        return _make([x.numerator], x.denominator, var)
+    return None
 
 
 def square_decompose_poly(p: PolyQ) -> tuple[PolyQ, PolyQ]:
@@ -316,29 +357,31 @@ def square_decompose_poly(p: PolyQ) -> tuple[PolyQ, PolyQ]:
 
 
 def poly_sqrt(p: PolyQ) -> PolyQ:
-    """Exact polynomial square root, or raise NotASquare."""
+    """Exact polynomial square root with positive leading coefficient, or
+    raise NotASquare.
+
+    p = P/den^2 for the integer polynomial P = den*ints.  A root of P over
+    Q has integer coefficients (Gauss's lemma), so the root S of P is found
+    top down by exact integer division; then p = (S/den)^2.
+    """
     if p.is_zero():
         return p
     if p.degree % 2:
         raise NotASquare("odd degree")
     m = p.degree // 2
-    lc = p.leading()
-    r = square_test(lc)
+    P = [c * p.den for c in p.ints]
+    r = isqrt_exact(P[-1])
     if r is None:
         raise NotASquare("leading coefficient is not a rational square")
-    s = [Fraction(0)] * (m + 1)
+    s = [0] * (m + 1)
     s[m] = r
-    inv2lc = 1 / (2 * r)
     for k in range(m - 1, -1, -1):
-        acc = p.coeffs[m + k] if m + k < len(p.coeffs) else Fraction(0)
-        for i in range(k + 1, m):
-            j = m + k - i
-            if k < j <= m:
-                acc -= s[i] * s[j]
-        s[k] = acc * inv2lc
-    cand = PolyQ(s, p.var)
-    if cand * cand == p:
-        return cand
+        acc = P[m + k] - sum(s[i] * s[m + k - i] for i in range(k + 1, m))
+        s[k], rem = divmod(acc, 2 * r)
+        if rem:
+            raise NotASquare("not a perfect square")
+    if _zz_mul(s, s) == P:
+        return _make(s, p.den, p.var)
     raise NotASquare("not a perfect square")
 
 
@@ -373,14 +416,14 @@ class RatFunc:
                 num = num * (1 / lc)
                 den = den * (1 / lc)
         else:
-            # one gcd over Z gives both cofactors: num/den = xs dd / (ys dn)
+            # one gcd over Z gives both cofactors: with num = xs/dn and
+            # den = ys/dd, num/den = cff dd / (cfg dn)
             var = num._join_var(den)
-            xs, dn = _clear_denominators(num.coeffs)
-            ys, dd = _clear_denominators(den.coeffs)
-            _g, cff, cfg = dup_inner_gcd(xs[::-1], ys[::-1], ZZ)
+            dn, dd = num.den, den.den
+            _g, cff, cfg = dup_inner_gcd(list(num.ints[::-1]), list(den.ints[::-1]), ZZ)
             lc = int(cfg[0])  # int(): ZZ elements are mpz under gmpy ground types
-            num = PolyQ([Fraction(int(c) * dd, lc * dn) for c in reversed(cff)], var)
-            den = PolyQ([Fraction(int(c), lc) for c in reversed(cfg)], var)
+            num = _make([int(c) * dd for c in reversed(cff)], lc * dn, var)
+            den = _make([int(c) for c in reversed(cfg)], lc, var)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
@@ -411,12 +454,15 @@ class RatFunc:
     def as_poly(self) -> PolyQ:
         if not self.is_polynomial():
             raise ValueError(f"not a polynomial: denominator {self.den}")
-        return self.num * (1 / self.den.constant_value())
+        return self.num  # den is monic, so a constant den is 1
 
     def constant_value(self) -> Fraction:
         return self.as_poly().constant_value()
 
     def __hash__(self):
+        # den is monic, so a constant den is 1 and self equals its numerator
+        if self.den.is_constant():
+            return hash(self.num)
         return hash((self.num, self.den))
 
     def __eq__(self, other) -> bool:
@@ -514,17 +560,18 @@ def homogenized_substitute(p: PolyQ, n: PolyQ, d: PolyQ, k: int) -> PolyQ:
 
     Computed on integer lists (n and d share one cleared denominator L) by
     Horner on the homogenized form, acc -> acc*n + p_i d^(m-i) from the top
-    coefficient p_m down, then one factor d^(k-m); the result is scaled
-    back once per coefficient.
+    coefficient p_m down, then one factor d^(k-m), over the one denominator
+    den(p) L^k.
     """
     if p.degree > k:
         raise ValueError(f"degree {p.degree} exceeds the homogenizing degree {k}")
     var = n._join_var(d)
     if p.is_zero():
         return PolyQ([], var)
-    ps, dp = _clear_denominators(p.coeffs)
-    nds, L = _clear_denominators(n.coeffs + d.coeffs)
-    ns, ds = nds[: len(n.coeffs)], nds[len(n.coeffs):]
+    ps = p.ints
+    L = math.lcm(n.den, d.den)
+    ns = [c * (L // n.den) for c in n.ints]
+    ds = [c * (L // d.den) for c in d.ints]
     m = p.degree
     dpow = [[1]]
     for _ in range(max(m, k - m)):
@@ -537,8 +584,7 @@ def homogenized_substitute(p: PolyQ, n: PolyQ, d: PolyQ, k: int) -> PolyQ:
             acc += [0] * (len(term) - len(acc))
             for j, c in enumerate(term):
                 acc[j] += ps[i] * c
-    scale = dp * L**k
-    return PolyQ([Fraction(c, scale) for c in _zz_mul(acc, dpow[k - m])], var)
+    return _make(_zz_mul(acc, dpow[k - m]), p.den * L**k, var)
 
 
 def ratfunc_substitute(f: Union[RatFunc, PolyQ], sub: Union[RatFunc, PolyQ]) -> RatFunc:

@@ -1,5 +1,7 @@
 """Polynomial and rational-function layer tests."""
 
+import math
+import operator
 from fractions import Fraction
 
 import pytest
@@ -386,3 +388,219 @@ class TestSerialization:
     @settings(max_examples=40)
     def test_roundtrip(self, p):
         assert poly_from_string(to_string(p), "u") == p
+
+
+# -- the integer-content form against a plain Fraction-list reference -----
+
+def ref_trim(cs):
+    cs = list(cs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def ref_add(a, b):
+    n = max(len(a), len(b))
+    return ref_trim(
+        (a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)
+    )
+
+
+def ref_mul(a, b):
+    out = [Fraction(0)] * (len(a) + len(b))
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return ref_trim(out)
+
+
+def ref_divmod(a, b):
+    quo, rem = [Fraction(0)] * max(len(a) - len(b) + 1, 0), list(a)
+    for k in range(len(quo) - 1, -1, -1):
+        c = rem[k + len(b) - 1] / b[-1]
+        quo[k] = c
+        for j, y in enumerate(b):
+            rem[k + j] -= c * y
+    return ref_trim(quo), ref_trim(rem)
+
+
+def ref_monic(a):
+    return tuple(c / a[-1] for c in a)
+
+
+def ref_gcd(a, b):
+    while b:
+        a, b = b, ref_divmod(a, b)[1]
+    return ref_monic(a)
+
+
+def ref_sqrt(a):
+    """The positive-leading square root by the Fraction recursion, or None."""
+    if not a:
+        return ()
+    if len(a) % 2 == 0 or a[-1] < 0:
+        return None
+    m = len(a) // 2
+    r = Fraction(math.isqrt(a[-1].numerator), math.isqrt(a[-1].denominator))
+    s = [Fraction(0)] * (m + 1)
+    s[m] = r
+    for k in range(m - 1, -1, -1):
+        acc = a[m + k] - sum(s[i] * s[m + k - i] for i in range(k + 1, m))
+        s[k] = acc / (2 * r)
+    return tuple(s) if ref_mul(s, s) == a else None
+
+
+def assert_form(p):
+    """den > 0, gcd(den, *ints) = 1, integer numerators, no trailing zero."""
+    assert type(p.den) is int and p.den > 0
+    assert all(type(c) is int for c in p.ints)
+    assert math.gcd(p.den, *p.ints) == 1
+    assert not p.ints or p.ints[-1] != 0
+
+
+def check(p, ref):
+    assert_form(p)
+    assert p.coeffs == ref_trim(ref)
+    assert p.ints == tuple(c * p.den for c in p.coeffs)
+
+
+huge_fracs = st.builds(
+    Fraction, st.integers(min_value=-10**30, max_value=10**30), st.integers(min_value=1, max_value=10**30)
+)
+frac_lists = st.builds(
+    lambda cs, pad: cs + [Fraction(0)] * pad,
+    st.lists(huge_fracs | st.just(Fraction(0)), max_size=6),
+    st.integers(min_value=0, max_value=3),
+)
+
+
+class TestIntegerContentForm:
+    @given(frac_lists, frac_lists, huge_fracs, st.integers(min_value=-10**30, max_value=10**30))
+    @settings(max_examples=150, deadline=None)
+    def test_ring_operations(self, a, b, k, n):
+        p, q = PolyQ(a, "u"), PolyQ(b, "u")
+        check(p, a)
+        check(p + q, ref_add(a, b))
+        check(p - q, ref_add(a, [-c for c in b]))
+        check(-p, [-c for c in a])
+        check(p * q, ref_mul(a, b))
+        check(p * k, [c * k for c in a])
+        check(n * p, [n * c for c in a])
+        check(p / k if k else p, [c / k for c in a] if k else a)
+        check(p.derivative(), [i * c for i, c in enumerate(a)][1:])
+        if not p.is_zero():
+            check(p.monic(), ref_monic(ref_trim(a)))
+
+    @given(frac_lists, huge_fracs)
+    @settings(max_examples=100, deadline=None)
+    def test_evaluation_at_a_fraction(self, a, x):
+        value = PolyQ(a, "u")(x)
+        assert type(value) is Fraction
+        assert value == sum((c * x**i for i, c in enumerate(a)), Fraction(0))
+
+    @given(frac_lists)
+    @settings(max_examples=100, deadline=None)
+    def test_sqrt_of_a_square(self, s):
+        s = ref_trim(s)
+        root = poly_sqrt(PolyQ(s, "u") * PolyQ(s, "u"))
+        check(root, s if not s or s[-1] > 0 else [-c for c in s])
+
+    @given(frac_lists, huge_fracs.filter(lambda e: e != 0), st.integers(min_value=0, max_value=12))
+    @settings(max_examples=150, deadline=None)
+    def test_sqrt_of_a_perturbed_square(self, s, e, j):
+        # s^2 + e u^j is a square only in special cases: follow the reference
+        a = ref_add(ref_mul(s, s), [Fraction(0)] * j + [e])
+        expected = ref_sqrt(a)
+        if expected is None:
+            with pytest.raises(NotASquare):
+                poly_sqrt(PolyQ(a, "u"))
+        else:
+            check(poly_sqrt(PolyQ(a, "u")), expected)
+
+    @pytest.mark.parametrize(
+        "a",
+        [
+            [Fraction(-1)],                      # negative constant
+            [0, 0, Fraction(2, 9)],              # 2/9 is not a rational square
+            [1, 0, 0, 1],                        # odd degree
+            [Fraction(1, 4), 1, 1, 0, 1],        # (u^2 + 1/2)^2 + u
+            [Fraction(1, 9), 0, Fraction(2, 3), 0, 1, 0, 0],  # (u^2 + 1/3)^2 with zero padding
+        ],
+    )
+    def test_sqrt_edge_cases(self, a):
+        expected = ref_sqrt(ref_trim(map(Fraction, a)))
+        if expected is None:
+            with pytest.raises(NotASquare):
+                poly_sqrt(PolyQ(a, "u"))
+        else:
+            check(poly_sqrt(PolyQ(a, "u")), expected)
+
+    @given(frac_lists, frac_lists.filter(lambda cs: any(cs)), frac_lists)
+    @settings(max_examples=100, deadline=None)
+    def test_ratfunc_normalization(self, a, b, c):
+        # a shared factor c (when nonzero) must cancel
+        if any(c):
+            a, b = ref_mul(a, c), ref_mul(ref_trim(b), c)
+        a, b = ref_trim(a), ref_trim(b)
+        f = RatFunc(PolyQ(a, "u"), PolyQ(b, "u"))
+        if not a:
+            num, den = (), (Fraction(1),)
+        else:
+            g = ref_gcd(a, b)
+            num, den = ref_divmod(a, g)[0], ref_divmod(b, g)[0]
+            num, den = tuple(x / den[-1] for x in num), ref_monic(den)
+        check(f.num, num)
+        check(f.den, den)
+
+
+class TestHashAgreesWithEq:
+    def test_variable_is_ignored(self):
+        a, b = PolyQ([0, 1], "u"), PolyQ([0, 1], "v")
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+
+    @pytest.mark.parametrize("k", [0, 1, -7, Fraction(3, 7), Fraction(-10**40, 3)])
+    def test_constants_hash_as_their_value(self, k):
+        for x in (PolyQ.const(k, "u"), PolyQ.const(k, "v"), RatFunc.const(k, "w")):
+            assert x == k and hash(x) == hash(k)
+            assert x == Fraction(k) and hash(x) == hash(Fraction(k))
+
+    def test_polynomial_ratfunc_hashes_as_its_numerator(self):
+        u = PolyQ.variable("u")
+        for p in (u, 3 * u**2 - Fraction(1, 2), PolyQ.const(Fraction(5, 2))):
+            f = RatFunc(p * 6, PolyQ.const(6))
+            assert f == p and hash(f) == hash(p)
+        assert RatFunc(u, u + 1) != u
+
+    @given(st.lists(st.lists(st.sampled_from([0, 1, -1, Fraction(1, 2)]), max_size=3), min_size=2, max_size=6))
+    @settings(max_examples=80, deadline=None)
+    def test_equal_objects_hash_equal(self, lists):
+        pool = []
+        for cs in lists:
+            pool += [PolyQ(cs, "u"), PolyQ(cs, "v"), RatFunc(PolyQ(cs, "u") * 2, PolyQ.const(2, "u"))]
+            p = PolyQ(cs, "u")
+            if p.is_constant():
+                k = p.constant_value()
+                pool += [k] + ([int(k)] if k.denominator == 1 else [])
+            if not p.is_zero():
+                pool.append(RatFunc(PolyQ([1], "u"), p))
+        for x in pool:
+            for y in pool:
+                if x == y:
+                    assert hash(x) == hash(y), (x, y)
+
+
+class TestMixedTypeOperators:
+    def test_polyq_minus_ratfunc_reaches_ratfunc(self):
+        u = PolyQ.variable("u")
+        f = RatFunc(PolyQ.const(1), u + 1)
+        assert u - f == RatFunc(u * u + u - 1, u + 1)
+        assert u + f == RatFunc(u * u + u + 1, u + 1)
+        assert f - u == RatFunc(1 - u * u - u, u + 1)
+
+    @pytest.mark.parametrize("op", [operator.add, operator.sub])
+    def test_float_raises_type_error(self, op):
+        u = PolyQ.variable("u")
+        with pytest.raises(TypeError):
+            op(u, 1.5)
+        with pytest.raises(TypeError):
+            op(1.5, u)
