@@ -354,8 +354,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"factoring budget 'trial_bound,rho_iterations' "
         f"(default from ${BUDGET_ENV} or built-in)",
     )
-    parser.add_argument("--format", choices=("json", "csv"), default="json",
-                        help="output format (scan supports csv)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("catalog", help="list catalog entries or show one")
@@ -393,6 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--name", required=True, help="built-in scan name")
     p.add_argument("--radius", type=_parse_radius, default=2)
     p.add_argument("--out", help="output path (default stdout)")
+    p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(fn=_cmd_scan)
 
     p = sub.add_parser("verify-all", help="run the full catalog verification suite")

@@ -1,11 +1,14 @@
 """Canonical heights, height pairings, and independence certificates.
 
-The canonical height is computed as ``(2·λ∞(kP) + log den x(kP)) / k²``
-where ``k`` is the smallest multiple moving the point to nonsingular
-reduction at every bad prime of the minimal model.  For such points the
-non-archimedean contribution is exactly half the log-denominator, and the
-archimedean part is a telescoping duplication series with error below
-``4^(-terms)``, far inside DEFAULT_EPS.
+For a point Q = (x, y) of infinite order on the minimal model,
+``ĥ(Q) = 2·λ∞(x) + log den x + Σ z_p·log p``.  The archimedean part is a
+telescoping duplication series with error below ``4^(-terms)``, far inside
+DEFAULT_EPS.  At a prime where Q reduces to a nonsingular point the local
+height is half of ``v_p(den x)·log p``, which ``log den x`` already holds.
+At the few primes where Q reduces to a singular point, Silverman's closed
+form (*Math. Comp.* 51, 1988; Cohen, *GTM* 138, Alg. 7.5.7) gives the
+correction z_p from three valuations at Q itself, so no multiple of Q has
+to be moved to nonsingular reduction first.
 
 Normalization: ``ĥ(P) = lim 4^(-n) · log H(x(2^n P))`` with ``H`` the naive
 multiplicative height of the x-coordinate, so ``ĥ(2P) = 4·ĥ(P)``.
@@ -20,9 +23,9 @@ from typing import Sequence
 
 import mpmath as mp
 
-from .arith import DEFAULT_BUDGET, FactorBudget, Unfactored, factor, valuation_fraction
-from .curves import INFINITY, CurvePoint, WeierstrassCurve
-from .localdata import LocalData, minimal_model, tate_local
+from .arith import DEFAULT_BUDGET, FactorBudget, Unfactored, factor, valuation
+from .curves import CurvePoint, WeierstrassCurve
+from .localdata import minimal_model
 
 # DEFAULT_EPS bounds the error of each height and pairing entry: the
 # archimedean series stops after _SERIES_TERMS = 64 duplications, so its
@@ -62,37 +65,21 @@ def _lambda_inf(E: WeierstrassCurve, x0: Fraction) -> mp.mpf:
     return lam
 
 
-def _mod_p(q: Fraction, p: int) -> int:
-    num, den = q.numerator, q.denominator
-    return num * pow(den, -1, p) % p
-
-
-def _nonsingular_at(E: WeierstrassCurve, Q: CurvePoint, p: int) -> bool:
-    """Does Q reduce to a nonsingular point of the fiber at p?"""
-    if Q.is_infinity:
-        return True
-    x_frac = Fraction(Q.x)
-    if x_frac != 0 and valuation_fraction(x_frac, p) < 0:
-        return True  # reduces to the (nonsingular) point at infinity
-    x = _mod_p(Fraction(Q.x), p)
-    y = _mod_p(Fraction(Q.y), p)
-    a1, a2, a3, a4 = (int(E.a1) % p, int(E.a2) % p, int(E.a3) % p, int(E.a4) % p)
-    fy = (2 * y + a1 * x + a3) % p
-    fx = (a1 * y - 3 * x * x - 2 * a2 * x - a4) % p
-    return not (fx == 0 and fy == 0)
-
-
-def _singular_local_data(
+def _singular_corrections(
     E: WeierstrassCurve, Q: CurvePoint, budget: FactorBudget
-) -> list[LocalData]:
-    """LocalData at the primes where Q reduces to a singular point.
+) -> list[tuple[int, Fraction]]:
+    """(p, z) at each prime p where Q reduces to a singular point.
 
     Such a prime divides both integralized partial derivatives at Q, so the
-    candidates come from one small gcd — the (often enormous) discriminant
-    is never factored.
+    primes come from one small gcd — the (often enormous) discriminant is
+    never factored — and every prime left in it is singular.  z·log p is
+    the local height's correction to log den x at p (Silverman 1988),
+    from N = v_p(Δ), B = v_p(2y + a1x + a3) and
+    C = v_p(3x⁴ + b2x³ + 3b4x² + 3b6x + b8) on the minimal model E.
+
+    Q must be affine and of order above 3: 2y + a1x + a3 vanishes only at
+    2-torsion, ψ3 only at 3-torsion.
     """
-    if Q.is_infinity:
-        return []
     x, y = Fraction(Q.x), Fraction(Q.y)
     e2 = x.denominator
     e = math.isqrt(e2)
@@ -102,9 +89,10 @@ def _singular_local_data(
     assert b.denominator == 1, "integral model denominators must be cubes"
     b = b.numerator
     a1, a2, a3, a4 = (int(E.a1), int(E.a2), int(E.a3), int(E.a4))
+    disc = int(E.disc)
     fy = 2 * b + a1 * a * e + a3 * e**3
     fx = a1 * b * e - 3 * a * a - 2 * a2 * a * e * e - a4 * e**4
-    g = math.gcd(fy, fx, int(E.disc))
+    g = math.gcd(fy, fx, disc)
     # strip denominator primes: they reduce Q to the smooth point at infinity
     d = math.gcd(g, e)
     while d > 1:
@@ -118,28 +106,47 @@ def _singular_local_data(
         raise Unfactored("singular-prime gcd factorization incomplete")
     out = []
     for p, _exp in fi.factors:
-        if not _nonsingular_at(E, Q, p):
-            out.append(tate_local(E, p))
+        N = valuation(disc, p)
+        B = valuation(fy, p)
+        if int(E.c4) % p:  # multiplicative
+            M = min(Fraction(B), Fraction(N, 2))
+            z = M * (M - N) / N
+        else:  # additive
+            b2, b4, b6, b8 = (int(E.b2), int(E.b4), int(E.b6), int(E.b8))
+            psi3 = (
+                3 * a**4 + b2 * a**3 * e2 + 3 * b4 * a * a * e2**2
+                + 3 * b6 * a * e2**3 + b8 * e2**4
+            )
+            C = valuation(psi3, p)
+            z = Fraction(-2 * B, 3) if C >= 3 * B else Fraction(-C, 4)
+        out.append((p, z))
     return out
 
 
-def _good_position_multiple(
-    E: WeierstrassCurve, P: CurvePoint, bad: Sequence[LocalData]
-) -> tuple[int, CurvePoint]:
-    """Smallest k with kP nonsingular at every bad prime, together with kP.
+def _on_minimal(
+    E: WeierstrassCurve, pts: Sequence[CurvePoint], budget: FactorBudget
+) -> tuple[WeierstrassCurve, list[CurvePoint]]:
+    """The minimal model of E and pts mapped onto it."""
+    Emin, pm = minimal_model(E, budget)
+    qs = [pm.forward(P) for P in pts]
+    if not all(Emin.contains(Q) for Q in qs):
+        raise ValueError("point is not on the curve")
+    return Emin, qs
 
-    The component of P in the group of rational components at p has order
-    dividing the Tamagawa number, so k divides lcm of the c_p.
-    """
-    limit = math.lcm(*(ld.c_p for ld in bad)) if bad else 1
-    divisors = sorted(d for d in range(1, limit + 1) if limit % d == 0)
-    for k in divisors:
-        Q = E.mul(k, P)
-        if Q.is_infinity:
-            raise ValueError("torsion point reached inside good-position search")
-        if all(_nonsingular_at(E, Q, ld.p) for ld in bad):
-            return k, Q
-    raise AssertionError("lcm of Tamagawa numbers must reach good position")
+
+def _height_on_minimal(
+    Emin: WeierstrassCurve, Q: CurvePoint, budget: FactorBudget
+) -> float:
+    """ĥ(Q) for Q on the minimal model Emin: 0 at torsion, else
+    2·λ∞(x) + log den x + Σ z·log p over the singular primes."""
+    if Q.is_infinity or Emin.point_order(Q) is not None:
+        return 0.0
+    x = Fraction(Q.x)
+    with mp.workdps(_WORK_DPS):
+        h = 2 * _lambda_inf(Emin, x) + mp.log(x.denominator)
+        for p, z in _singular_corrections(Emin, Q, budget):
+            h += mp.mpf(z.numerator) / z.denominator * mp.log(p)
+        return float(h)
 
 
 def canonical_height(
@@ -147,30 +154,12 @@ def canonical_height(
 ) -> float:
     """Canonical height ĥ(P), within DEFAULT_EPS.
 
-    Raises Unfactored when the minimal discriminant cannot be factored
-    within budget (bad primes would be unknown).
+    Raises Unfactored when `minimal_model` cannot certify the minimal
+    model, or when the gcd that holds the singular primes of P cannot be
+    factored within budget.
     """
-    if P.is_infinity:
-        return 0.0
-    Emin, pm = minimal_model(E, budget)
-    Q0 = pm.forward(P)
-    if not Emin.contains(Q0):
-        raise ValueError("point is not on the curve")
-    if Emin.point_order(Q0) is not None:
-        return 0.0
-    return _height_on_minimal(Emin, Q0, budget)
-
-
-def _height_on_minimal(
-    Emin: WeierstrassCurve, Q0: CurvePoint, budget: FactorBudget
-) -> float:
-    bad = _singular_local_data(Emin, Q0, budget)
-    k, Q = _good_position_multiple(Emin, Q0, bad)
-    with mp.workdps(_WORK_DPS):
-        lam = _lambda_inf(Emin, Fraction(Q.x))
-        finite = mp.log(Fraction(Q.x).denominator) / 2
-        h = (2 * lam + 2 * finite) / k**2
-        return float(h)
+    Emin, (Q,) = _on_minimal(E, [P], budget)
+    return _height_on_minimal(Emin, Q, budget)
 
 
 @dataclass(frozen=True)
@@ -214,26 +203,14 @@ def pairing_matrix(
     E: WeierstrassCurve, pts: Sequence[CurvePoint], budget: FactorBudget = DEFAULT_BUDGET
 ) -> HeightPairingMatrix:
     """Néron–Tate pairing matrix ⟨Pᵢ, Pⱼ⟩ = (ĥ(Pᵢ+Pⱼ) − ĥ(Pᵢ) − ĥ(Pⱼ))/2."""
-    Emin, pm = minimal_model(E, budget)
-    qs = []
-    for P in pts:
-        Q = pm.forward(P)
-        if not Emin.contains(Q):
-            raise ValueError("point is not on the curve")
-        qs.append(Q)
-
-    def h(Q: CurvePoint) -> float:
-        if Q.is_infinity or Emin.point_order(Q) is not None:
-            return 0.0
-        return _height_on_minimal(Emin, Q, budget)
-
-    heights = [h(Q) for Q in qs]
+    Emin, qs = _on_minimal(E, pts, budget)
+    heights = [_height_on_minimal(Emin, Q, budget) for Q in qs]
     n = len(qs)
     entries = [[0.0] * n for _ in range(n)]
     for i in range(n):
         entries[i][i] = heights[i]
         for j in range(i + 1, n):
-            hij = h(Emin.add(qs[i], qs[j]))
+            hij = _height_on_minimal(Emin, Emin.add(qs[i], qs[j]), budget)
             entries[i][j] = entries[j][i] = (hij - heights[i] - heights[j]) / 2
     return HeightPairingMatrix(
         points=tuple(pts),

@@ -75,9 +75,22 @@ class TestExitCodes:
 
     def test_text_format_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["--format", "text", "catalog"])
+            main(["scan", "--format", "text"])
         assert exc.value.code == 2
         assert "text" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--format", "csv", "scan", "--name", "Z8-scan-2"],
+            ["--format", "csv", "heights", "Z8R2-1", "--u", "22"],
+        ],
+    )
+    def test_format_only_on_scan(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "csv" in capsys.readouterr().err
 
     @pytest.mark.parametrize("prime", ["1", "15", "-5"])
     def test_local_prime_must_be_prime(self, capsys, prime):
@@ -311,8 +324,8 @@ class TestScan:
         out_file = tmp_path / "grid.csv"
         code, _out, err = run(
             capsys,
-            "--format", "csv", "--budget", "10000,10000",
-            "scan", "--name", "Z8-scan-2", "--radius", "1",
+            "--budget", "10000,10000",
+            "scan", "--format", "csv", "--name", "Z8-scan-2", "--radius", "1",
             "--out", str(out_file),
         )
         assert code == 0

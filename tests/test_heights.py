@@ -42,6 +42,19 @@ E_SCAN3 = WeierstrassCurve(0, -1, 0, -456, 3456)
 R1 = pt(20, -44)
 R2 = pt(Fraction(4, 9), Fraction(-1540, 27))
 
+# one point for each branch of the local correction at a singular prime:
+# y^2 = x^3 + 100 is type IV at 5 (C >= 3B) and type III at 3 (C < 3B);
+# the first section of Z8R2-5 at u = 3 is additive (I3*) at 2 with C < 3B;
+# the first section of Z8R2-1 at u = 22 is multiplicative at 2
+E_J0 = WeierstrassCurve(0, 0, 0, 0, 100)
+S1 = pt(5, 15)
+E_Z8R2_5 = WeierstrassCurve(
+    0, 58169091849083986, 0, 23512816621167902794703306417841, 0
+)
+S2 = pt(181099731441031299, 88609168456320630830240412)
+E_Z8R2_1 = WeierstrassCurve(0, 3744364666317937, 0, 1411579235443770230589956526336, 0)
+S3 = pt(-433750428823824, 3253304752603211296368)
+
 
 def naive_limit_height(E, P, steps=9):
     """Independent reference: 4^-n * log H(x(2^n P)) via exact duplication."""
@@ -98,7 +111,15 @@ class TestTorsion:
 class TestQuadraticity:
     @pytest.mark.parametrize(
         "E,P",
-        [(E389, pt(-1, 1)), (E5077, pt(2, 0)), (E_SCAN3, R1), (E_SCAN1, P2)],
+        [
+            (E389, pt(-1, 1)),
+            (E5077, pt(2, 0)),
+            (E_SCAN3, R1),
+            (E_SCAN1, P2),
+            (E_J0, S1),
+            (E_Z8R2_5, S2),
+            (E_Z8R2_1, S3),
+        ],
     )
     def test_double(self, E, P):
         h1 = canonical_height(E, P)
