@@ -90,16 +90,6 @@ class FactoredInt:
     def primes(self) -> tuple[int, ...]:
         return tuple(p for p, _ in self.factors)
 
-    def __mul__(self, other: "FactoredInt") -> "FactoredInt":
-        merged: dict[int, int] = dict(self.factors)
-        for p, e in other.factors:
-            merged[p] = merged.get(p, 0) + e
-        return FactoredInt(
-            self.sign * other.sign,
-            tuple(sorted(merged.items())),
-            self.residue * other.residue,
-        )
-
     def __str__(self) -> str:
         parts = [f"{p}^{e}" if e > 1 else str(p) for p, e in self.factors]
         if self.residue != 1:

@@ -24,7 +24,7 @@ from .arith import (
     rational_from_string,
     rational_to_string,
 )
-from .curves import CurvePoint, INFINITY, WeierstrassCurve, torsion_subgroup
+from .curves import CurvePoint, WeierstrassCurve, torsion_subgroup
 from .families import CurveFamily, SingularMember, catalog, verify_section
 from .heights import independence_certificate, pairing_matrix
 from .localdata import discriminant_factorization, tate_local

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from sympy import integer_nthroot, nextprime
 
@@ -229,11 +229,6 @@ class WeierstrassCurve:
         L = math.lcm(*(a.denominator for a in self.a_invariants()))
         return self.transform(Fraction(1, L), 0, 0, 0)
 
-    def short_model(self) -> tuple["WeierstrassCurve", "PointMap"]:
-        """Complete the square: model with a1 = a3 = 0 (and a2 kept)."""
-        new, pm = self.transform(1, 0, -self.a1 / 2, -self.a3 / 2)
-        return new, pm
-
 
 @dataclass(frozen=True)
 class PointMap:
@@ -260,44 +255,8 @@ class PointMap:
         y = u * u * u * P.y + s * u * u * P.x + t
         return CurvePoint(x, y)
 
-    def compose(self, then: "PointMap") -> "PointMap":
-        """Map applying self first, then ``then``."""
-        u1, r1, s1, t1 = self.u, self.r, self.s, self.t
-        u2, r2, s2, t2 = then.u, then.r, then.s, then.t
-        # x'' = (x - (r1 + u1^2 r2))/(u1 u2)^2, and matching y composition
-        return PointMap(
-            u1 * u2,
-            r1 + u1 * u1 * r2,
-            s1 + u1 * s2,
-            t1 + s1 * u1 * u1 * r2 + u1 * u1 * u1 * t2,
-        )
 
-
-class ShiftedABCurve:
-    """y^2 = x^3 + A x^2 + B x: the shape carrying all catalog curves."""
-
-    __slots__ = ("A", "B")
-
-    def __init__(self, A, B):
-        A = Fraction(A) if isinstance(A, int) else A
-        B = Fraction(B) if isinstance(B, int) else B
-        if _is_zero(B) or _is_zero(A * A - 4 * B):
-            raise ValueError("singular: need B != 0 and A^2 != 4B")
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "B", B)
-
-    def __setattr__(self, *a):
-        raise AttributeError("immutable")
-
-    def weierstrass(self) -> WeierstrassCurve:
-        zero = self.A * 0
-        return WeierstrassCurve(zero, self.A, zero, self.B, zero)
-
-    def __repr__(self):
-        return f"ShiftedABCurve(A={self.A}, B={self.B})"
-
-
-def to_shifted_ab(E: WeierstrassCurve, T: CurvePoint) -> tuple[ShiftedABCurve, PointMap]:
+def to_shifted_ab(E: WeierstrassCurve, T: CurvePoint) -> tuple[WeierstrassCurve, PointMap]:
     """Move a rational 2-torsion point T to (0,0) and kill a1, a3.
 
     Returns the y^2 = x^3 + A x^2 + B x model and the point map E -> model.
@@ -308,7 +267,7 @@ def to_shifted_ab(E: WeierstrassCurve, T: CurvePoint) -> tuple[ShiftedABCurve, P
     short, pm1 = E.transform(one, T.x, -E.a1 / 2, -(E.a3 + E.a1 * T.x) / 2)
     if not (_is_zero(short.a1) and _is_zero(short.a3) and _is_zero(short.a6)):
         raise ValueError("shift did not produce y^2 = x^3 + Ax^2 + Bx")
-    return ShiftedABCurve(short.a2, short.a4), pm1
+    return WeierstrassCurve(*short.a_invariants()), pm1
 
 
 def _one_like(x):

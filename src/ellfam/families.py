@@ -20,13 +20,7 @@ from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
 from .arith import DEFAULT_BUDGET, FactorBudget, factor, valuation_fraction
-from .curves import (
-    CurvePoint,
-    PointMap,
-    ShiftedABCurve,
-    WeierstrassCurve,
-    to_shifted_ab,
-)
+from .curves import CurvePoint, WeierstrassCurve, to_shifted_ab
 from .polyq import NotASquare, PolyQ, RatFunc, homogeneous_value, homogenized_substitute, poly_sqrt
 
 
@@ -79,7 +73,7 @@ class SpecializedCurve:
     scale: Fraction
 
     def curve(self) -> WeierstrassCurve:
-        return ShiftedABCurve(self.A, self.B).weierstrass()
+        return WeierstrassCurve(0, self.A, 0, self.B, 0)
 
 
 @dataclass(frozen=True)
@@ -252,7 +246,6 @@ def substitute_parameter(
     lift_sections: Sequence[RatFunc] = (),
     condition: Optional[PolyQ] = None,
     spec_hint: Optional[Fraction | int] = None,
-    budget: FactorBudget = DEFAULT_BUDGET,
 ) -> CurveFamily:
     """Plug t := sub(new parameter) into a family and renormalize.
 
@@ -276,7 +269,7 @@ def substitute_parameter(
     # strip the largest c with c^2 | A and c^4 | B coefficientwise: square
     # reducing the two contents scales them by l = 1/c
     c = normalize_shifted_ab(
-        Ap.content_and_primitive()[0], Bp.content_and_primitive()[0], budget
+        Ap.content_and_primitive()[0], Bp.content_and_primitive()[0]
     )[2].denominator
     Ap = Ap * Fraction(1, c * c)
     Bp = Bp * Fraction(1, c**4)
@@ -326,30 +319,30 @@ def verify_section(family: CurveFamily, x: RatFunc | PolyQ) -> CurvePoint:
 
 # -- base models ----------------------------------------------------------
 
-def model_z8(var: str = "v") -> CurveFamily:
+def model_z8() -> CurveFamily:
     """The universal Z/8 family y^2 = x^3 + A8(v) x^2 + B8(v) x.
 
     Derived from the Tate normal form with b = (2v-1)(v-1), c = b/v, whose
     point (0,0) has order 8: the 2-torsion point 4P is moved to the origin
     and the model is rescaled by l = 2v.
     """
-    v = RatFunc.variable(var)
+    v = RatFunc.variable("v")
+    zero = RatFunc.const(0, "v")
     b = (2 * v - 1) * (v - 1)
     c = b / v
     E = tate_normal_curve(b, c)
     mult = tate_point_multiples(b, c)
-    S, pm = to_shifted_ab(E, mult[4])
-    W = S.weierstrass()
+    W, pm = to_shifted_ab(E, mult[4])
     # rescale (x, y) -> ((2v)^2 x, (2v)^3 y)
-    W2, pm2 = W.transform(1 / (2 * v), RatFunc.const(0, var), RatFunc.const(0, var), RatFunc.const(0, var))
-    gen = pm2.forward(pm.forward(CurvePoint(b * 0, b * 0)))
+    W2, pm2 = W.transform(1 / (2 * v), zero, zero, zero)
+    gen = pm2.forward(pm.forward(CurvePoint(zero, zero)))
     A, B = W2.a2, W2.a4
     if not (A.is_polynomial() and B.is_polynomial()):
         raise AssertionError("Z/8 model derivation failed")
     return CurveFamily(
         label="Z8",
         torsion=(8,),
-        var=var,
+        var="v",
         A=A.as_poly(),
         B=B.as_poly(),
         torsion_points=(gen,),
@@ -357,7 +350,7 @@ def model_z8(var: str = "v") -> CurveFamily:
     )
 
 
-def model_z2x6(var: str = "v") -> CurveFamily:
+def model_z2x6() -> CurveFamily:
     """The universal Z/2 x Z/6 family y^2 = x^3 + A26(v) x^2 + B26(v) x.
 
     The Tate normal form with b = d + d^2, c = d has a point of order 6;
@@ -367,38 +360,38 @@ def model_z2x6(var: str = "v") -> CurveFamily:
     d = (v^2-1)/(2(5-3v)), which parametrizes (d+1)(9d+1) = (3d+v)^2,
     yields the universal Z/2 x Z/6 model.
     """
-    d = RatFunc.variable(var)
+    d = RatFunc.variable("v")
+    zero = RatFunc.const(0, "v")
     b = d + d * d
     c = d
     E = tate_normal_curve(b, c)
     mult = tate_point_multiples(b, c)
-    S, pm = to_shifted_ab(E, mult[3])
-    W = S.weierstrass()
-    dd = PolyQ.variable(var)
+    W, pm = to_shifted_ab(E, mult[3])
+    dd = PolyQ.variable("v")
     A6 = RatFunc(1 + 6 * dd - 3 * dd**2)
     lam2 = A6 / W.a2
     lam = ratfunc_sqrt(lam2)
-    W2, pm2 = W.transform(1 / lam, RatFunc.const(0, var), RatFunc.const(0, var), RatFunc.const(0, var))
+    W2, pm2 = W.transform(1 / lam, zero, zero, zero)
     if W2.a2 != A6 or W2.a4 != RatFunc(-16 * dd**3):
         raise AssertionError("Z/6 model derivation failed")
-    gen6 = pm2.forward(pm.forward(CurvePoint(b * 0, b * 0)))
+    gen6 = pm2.forward(pm.forward(CurvePoint(zero, zero)))
     base = CurveFamily(
         label="Z6",
         torsion=(6,),
-        var=var,
+        var="v",
         A=W2.a2.as_poly(),
         B=W2.a4.as_poly(),
         torsion_points=(gen6,),
         rank=0,
     )
     # d = (v^2 - 1) / (2(5 - 3v)) splits the 2-torsion completely
-    v = RatFunc.variable(var)
+    v = RatFunc.variable("v")
     sub = (v * v - 1) / (2 * (5 - 3 * v))
     fam = substitute_parameter(base, sub, label="Z2x6")
     # second 2-torsion generator: a nonzero root of x^2 + Ax + B
     disc_root = poly_sqrt(fam.A * fam.A - 4 * fam.B)
     x2 = RatFunc(-1 * fam.A + disc_root) * Fraction(1, 2)
-    T2 = CurvePoint(x2, RatFunc.const(0, var))
+    T2 = CurvePoint(x2, zero)
     fam = replace(
         fam,
         torsion=(2, 6),

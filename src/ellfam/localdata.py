@@ -21,6 +21,7 @@ from .arith import (
     Unfactored,
     factor,
     factor_with_parts,
+    is_prime,
     jacobi,
     valuation,
 )
@@ -240,7 +241,9 @@ def _count_roots_cubic(cs: list[int], p: int) -> int:
 
 
 def tate_local(E: WeierstrassCurve, p: int) -> LocalData:
-    """Complete local reduction data at p (Tate's algorithm)."""
+    """Complete local reduction data at the prime p (Tate's algorithm); ValueError otherwise."""
+    if not is_prime(p):
+        raise ValueError(f"not a prime: {p}")
     a = _int_invariants(E)
     p2, p3, p4, p6 = p * p, p**3, p**4, p**6
     while True:
@@ -424,12 +427,3 @@ def conductor(E: WeierstrassCurve, budget: FactorBudget = DEFAULT_BUDGET) -> Fac
             out.append((p, ld.f_p))
     return FactoredInt(1, tuple(out))
 
-
-def local_data_all(
-    E: WeierstrassCurve, budget: FactorBudget = DEFAULT_BUDGET
-) -> list[LocalData]:
-    """LocalData at every prime dividing the minimal discriminant."""
-    Emin, fi = discriminant_factorization(E, budget)
-    if not fi.complete:
-        raise Unfactored("discriminant factorization incomplete")
-    return [tate_local(Emin, p) for p, _e in fi.factors]

@@ -21,7 +21,6 @@ import math
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
-import sympy
 from sympy.polys.domains import ZZ
 from sympy.polys.euclidtools import dup_gcd, dup_inner_gcd
 from sympy.polys.factortools import dup_factor_list
@@ -35,15 +34,9 @@ class NotASquare(Exception):
     """The polynomial is not the square of a polynomial over Q."""
 
 
-class ZeroDenominator(ZeroDivisionError):
-    pass
-
-
 def _rational(x) -> Scalar:
     if isinstance(x, (int, Fraction)):
         return x
-    if isinstance(x, sympy.Rational):
-        return Fraction(int(x.p), int(x.q))
     raise TypeError(f"not a rational scalar: {x!r}")
 
 
@@ -188,26 +181,6 @@ class PolyQ:
             n >>= 1
         return result
 
-    def __divmod__(self, other: "PolyQ"):
-        if isinstance(other, (int, Fraction)):
-            other = PolyQ([other], self.var)
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        var = self._join_var(other)
-        rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
-        if dq < 0:
-            return PolyQ([], var), self
-        quo = [Fraction(0)] * (dq + 1)
-        inv_lc = 1 / other.leading()
-        for k in range(dq, -1, -1):
-            c = rem[k + other.degree] * inv_lc
-            quo[k] = c
-            if c:
-                for j, b in enumerate(other.coeffs):
-                    rem[k + j] -= c * b
-        return PolyQ(quo, var), PolyQ(rem[: other.degree], var)
-
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
             return self * (1 / Fraction(other))
@@ -216,13 +189,9 @@ class PolyQ:
         return NotImplemented
 
     def __rtruediv__(self, other):
-        return RatFunc(PolyQ.const(other, self.var) if isinstance(other, (int, Fraction)) else other, self)
-
-    def exact_div(self, other: "PolyQ") -> "PolyQ":
-        q, r = divmod(self, other)
-        if not r.is_zero():
-            raise ValueError("division is not exact")
-        return q
+        if isinstance(other, (int, Fraction)):
+            return RatFunc(PolyQ.const(other, self.var), self)
+        return NotImplemented
 
     # -- calculus-ish -----------------------------------------------------
     def derivative(self) -> "PolyQ":
@@ -385,15 +354,6 @@ def poly_sqrt(p: PolyQ) -> PolyQ:
     raise NotASquare("not a perfect square")
 
 
-def disc_shifted_cubic(A: PolyQ | Scalar, B: PolyQ | Scalar) -> PolyQ:
-    """Discriminant-style quantity B^2(A^2-4B) of X^3+A X^2+B X."""
-    if isinstance(A, (int, Fraction)):
-        A = PolyQ([A], B.var if isinstance(B, PolyQ) else "u")
-    if isinstance(B, (int, Fraction)):
-        B = PolyQ([B], A.var)
-    return B * B * (A * A - 4 * B)
-
-
 class RatFunc:
     """Reduced rational function num/den over Q with monic denominator."""
 
@@ -407,7 +367,7 @@ class RatFunc:
         if isinstance(den, (int, Fraction)):
             den = PolyQ([den], num.var)
         if den.is_zero():
-            raise ZeroDenominator("zero denominator")
+            raise ZeroDivisionError("zero denominator")
         if num.is_zero():
             den = PolyQ([1], den.var)
         elif num.is_constant() or den.is_constant():
@@ -509,6 +469,8 @@ class RatFunc:
 
     def __rtruediv__(self, other):
         other = _coerce(other, self.var)
+        if other is None:
+            return NotImplemented
         return other / self
 
     def __pow__(self, n: int):
@@ -526,10 +488,6 @@ class RatFunc:
         if den == 0:
             raise ZeroDivisionError(f"pole at {x}")
         return num / den
-
-    def substitute(self, sub: "RatFunc") -> "RatFunc":
-        """Exact composition self(sub), reduced to canonical form."""
-        return ratfunc_substitute(self, sub)
 
     def derivative(self) -> "RatFunc":
         return RatFunc(
@@ -628,9 +586,3 @@ def to_string(p: Union[PolyQ, RatFunc]) -> str:
         out += f" {sign} {body}"
     return out
 
-
-def poly_from_string(s: str, var: str = "u") -> PolyQ:
-    """Parse the serialization produced by to_string (polynomials only)."""
-    x = sympy.Symbol(var)
-    expr = sympy.sympify(s.replace("^", "**"), locals={var: x}, rational=True)
-    return PolyQ(reversed(sympy.Poly(expr, x, domain="QQ").all_coeffs()), var)

@@ -28,7 +28,7 @@ from .arith import (
     squarefree_decompose,
 )
 from .curves import INFINITY, CurvePoint, WeierstrassCurve
-from .polyq import NotASquare, PolyQ, RatFunc, square_decompose_poly
+from .polyq import PolyQ, RatFunc, square_decompose_poly
 
 
 class DegenerateQuartic(ValueError):
@@ -50,9 +50,7 @@ def _divisors_of(n: int) -> list[int]:
     return sorted(divs)
 
 
-def divisor_conditions(
-    family, *, limit: int = 4096, budget: FactorBudget = DEFAULT_BUDGET
-) -> list[tuple[RatFunc, PolyQ]]:
+def divisor_conditions(family, *, limit: int = 4096) -> list[tuple[RatFunc, PolyQ]]:
     """Enumerate candidate sections x = d over the divisors d of B.
 
     For each divisor d = unit * (product of polynomial factors of B) the
@@ -226,11 +224,10 @@ def _diagonalize(M) -> tuple[list[Fraction], list[list[Fraction]], Optional[tupl
     return [A[0][0], A[1][1], A[2][2]], T, None
 
 
-def _squarefree_scale(q: Fraction, budget: FactorBudget) -> tuple[int, Fraction]:
-    """Write q = sf * scale^2 with sf a squarefree integer."""
-    n = q.numerator * q.denominator
-    s, f = squarefree_decompose(n, budget)
-    return f, Fraction(s, q.denominator)
+def _squarefree_diagonal(diag, budget: FactorBudget) -> tuple[list[int], list[Fraction]]:
+    """Lists sf, scale with diag[i] = sf[i] * scale[i]^2, each sf[i] a squarefree integer."""
+    parts = [squarefree_decompose(q.numerator * q.denominator, budget) for q in diag]
+    return [f for _s, f in parts], [Fraction(s, q.denominator) for (s, _f), q in zip(parts, diag)]
 
 
 REAL_PLACE = "real"
@@ -242,11 +239,12 @@ def local_obstruction(C: Conic, budget: FactorBudget = DEFAULT_BUDGET):
     diag, _T, pt = _diagonalize(C.M)
     if pt is not None:
         return None
-    coeffs = []
-    for q in diag:
-        f, _scale = _squarefree_scale(q, budget)
-        coeffs.append(f)
-    a, b, c = coeffs
+    return _diagonal_obstruction(_squarefree_diagonal(diag, budget)[0], budget)
+
+
+def _diagonal_obstruction(sf: Sequence[int], budget: FactorBudget):
+    """local_obstruction of sum(sf[i] * x[i]^2) = 0 for squarefree integers sf[i]."""
+    a, b, c = sf
     # a x^2 + b y^2 + c z^2 = 0  <=>  (-a c) X^2 + (-b c) Y^2 = Z^2
     places = {None, 2}
     for n in (a, b, c):
@@ -298,16 +296,11 @@ def solve_conic(
         sol = tuple(Fraction(v) for v in pt)
         assert C.value(sol) == 0
         return sol
-    if local_obstruction(C, budget) is not None:
+    # sum(sf[i] * (scales[i] * y[i])^2) = 0 in the diagonal coordinates y,
+    # with each sf[i] a squarefree integer
+    sf, scales = _squarefree_diagonal(diag, budget)
+    if _diagonal_obstruction(sf, budget) is not None:
         return None
-    # solvable: sum(sf[i] * (scales[i] * y[i])^2) = 0 in the diagonal
-    # coordinates y, with each sf[i] a squarefree integer
-    sf: list[int] = []
-    scales: list[Fraction] = []
-    for q in diag:
-        f, scale = _squarefree_scale(q, budget)
-        sf.append(f)
-        scales.append(scale)
     _make_pairwise_coprime(sf, scales)
     x, y, z = sympy.symbols("x y z", integer=True)
     vals = diop_ternary_quadratic_normal(sf[0] * x**2 + sf[1] * y**2 + sf[2] * z**2)

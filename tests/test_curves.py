@@ -11,7 +11,6 @@ from ellfam.curves import (
     CurvePoint,
     OffCurve,
     PointMap,
-    ShiftedABCurve,
     WeierstrassCurve,
     count_points_mod_p,
     division_poly,
@@ -97,10 +96,10 @@ class TestInvariants:
         with pytest.raises(ValueError):
             WeierstrassCurve(0, 0, 0, 0, 0)
         with pytest.raises(ValueError):
-            ShiftedABCurve(2, 1)  # A^2 = 4B
+            WeierstrassCurve(0, 2, 0, 1, 0)  # A^2 = 4B
 
     def test_shifted_discriminant_shape(self):
-        E = ShiftedABCurve(49, 256).weierstrass()
+        E = WeierstrassCurve(0, 49, 0, 256, 0)
         A, B = Fraction(49), Fraction(256)
         assert E.disc == 16 * B * B * (A * A - 4 * B)
 
@@ -170,15 +169,6 @@ class TestTransform:
         assert new.disc == E.disc / u**12
         assert new.j == E.j
 
-    def test_compose(self):
-        E = WeierstrassCurve(1, 1, 1, -1595, -4768)
-        P = CurvePoint(Fraction(42), Fraction(-89))
-        E1, pm1 = E.transform(Fraction(2, 3), Fraction(1, 2), -4, Fraction(7, 5))
-        E2, pm2 = E1.transform(3, -1, Fraction(1, 3), 2)
-        comp = pm1.compose(pm2)
-        assert comp.forward(P) == pm2.forward(pm1.forward(P))
-        assert comp.backward(comp.forward(P)) == P
-
     def test_integral_model_of_integral_curve_is_itself(self):
         E = WeierstrassCurve(0, -1, 1, -10, -20)
         Ei, pm = E.integral_model()
@@ -195,12 +185,6 @@ class TestTransform:
         if P is not None:
             assert Ei.contains(pm.forward(P))
 
-    def test_short_model(self):
-        E = WeierstrassCurve(1, 1, 1, -1595, -4768)
-        S, pm = E.short_model()
-        assert S.a1 == 0 and S.a3 == 0
-        assert S.j == E.j
-
 
 class TestShiftedAB:
     def test_to_shifted_ab_moves_two_torsion_to_origin(self):
@@ -208,10 +192,9 @@ class TestShiftedAB:
         E = WeierstrassCurve(1 - c, -b, -b, 0, 0)
         P = CurvePoint(Fraction(0), Fraction(0))
         T = E.mul(4, P)
-        S, pm = to_shifted_ab(E, T)
+        W, pm = to_shifted_ab(E, T)
         assert pm.forward(T) == CurvePoint(Fraction(0), Fraction(0))
         gen = pm.forward(P)
-        W = S.weierstrass()
         assert W.contains(gen) and W.point_order(gen) == 8
 
     def test_symbolic_family_derivation(self):
@@ -224,13 +207,13 @@ class TestShiftedAB:
         c = b / d
         E = WeierstrassCurve(1 - c, -b, -b, z, z)
         T = CurvePoint(d * (d - 1), d * d * (c - d + 1))
-        S, pm = to_shifted_ab(E, T)
+        W, pm = to_shifted_ab(E, T)
         v = PolyQ.variable("d")
         A8 = RatFunc(1 - 8 * v + 16 * v**2 - 16 * v**3 + 8 * v**4)
         B8 = RatFunc(16 * (v - 1) ** 4 * v**4)
         lam2 = 4 * RatFunc(v) ** 2
-        assert A8 == lam2 * S.A
-        assert B8 == lam2 * lam2 * S.B
+        assert A8 == lam2 * W.a2
+        assert B8 == lam2 * lam2 * W.a4
 
     def test_rejects_non_two_torsion(self):
         E = E37()
@@ -250,7 +233,7 @@ class TestPointCounting:
         assert count_points_mod_p(E37(), 5) == 8
 
     def test_torsion_order_divides_counts(self):
-        E = ShiftedABCurve(49, 256).weierstrass()
+        E = WeierstrassCurve(0, 49, 0, 256, 0)
         for p in (7, 11, 13, 19, 23):
             if int(E.disc) % p:
                 assert count_points_mod_p(E, p) % 8 == 0
@@ -268,7 +251,7 @@ class TestDivisionPolys:
             assert lift_x(E, x) is None
 
     def test_vanishing_on_actual_torsion(self):
-        E = ShiftedABCurve(49, 256).weierstrass()
+        E = WeierstrassCurve(0, 49, 0, 256, 0)
         T = torsion_subgroup(E)
         P = T.generators[0]
         g8 = division_poly(E, 8)
@@ -280,13 +263,13 @@ class TestTorsion:
         assert torsion_subgroup(E37()).structure == (1,)
 
     def test_z8_specimen(self):
-        E = ShiftedABCurve(49, 256).weierstrass()
+        E = WeierstrassCurve(0, 49, 0, 256, 0)
         T = torsion_subgroup(E)
         assert T.structure == (8,)
         assert E.point_order(T.generators[0]) == 8
 
     def test_z2x6_specimen(self):
-        E = ShiftedABCurve(37, 160).weierstrass()
+        E = WeierstrassCurve(0, 37, 0, 160, 0)
         T = torsion_subgroup(E)
         assert T.structure == (2, 6)
         assert T.label() == "Z/2 x Z/6"
@@ -316,7 +299,7 @@ class TestTorsion:
 
     def test_bound_is_multiple_of_order(self):
         for A, B in [(49, 256), (37, 160)]:
-            E = ShiftedABCurve(A, B).weierstrass()
+            E = WeierstrassCurve(0, A, 0, B, 0)
             b = torsion_bound(E)
             assert b % torsion_subgroup(E).order == 0
 
@@ -357,8 +340,8 @@ class TestIsomorphism:
             assert E1.transform(*iso)[0] == E2
 
     def test_quadratic_twist_not_isomorphic(self):
-        E = ShiftedABCurve(49, 256).weierstrass()
-        twist = ShiftedABCurve(49 * 5, 256 * 25).weierstrass()
+        E = WeierstrassCurve(0, 49, 0, 256, 0)
+        twist = WeierstrassCurve(0, 49 * 5, 0, 256 * 25, 0)
         assert E.j == twist.j
         assert isomorphic_over_Q(E, twist) is None
 

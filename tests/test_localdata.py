@@ -16,7 +16,6 @@ from ellfam.localdata import (
     _multiple_root,
     conductor,
     discriminant_factorization,
-    local_data_all,
     minimal_model,
     tate_local,
 )
@@ -103,6 +102,11 @@ class TestTateMultiplicative:
     def test_good_prime(self):
         ld = tate_local(E37A, 5)
         assert ld == LocalData(5, "I0", 0, 1, "good", 0)
+
+    @pytest.mark.parametrize("p", [1, 4, 0, -5])
+    def test_non_prime_rejected(self, p):
+        with pytest.raises(ValueError):
+            tate_local(E37A, p)
 
     def test_family_specialization_at_17(self):
         E = curve(0, 49, 0, 256, 0)
@@ -363,7 +367,10 @@ class TestInvariance:
 
     def test_fp_caps(self):
         for E in (E11A1, E32A, E36A, E20A, E27A3, E_CONG5):
-            for ld in local_data_all(E):
+            Emin, fi = discriminant_factorization(E)
+            assert fi.complete
+            for p, _e in fi.factors:
+                ld = tate_local(Emin, p)
                 cap = 8 if ld.p == 2 else (5 if ld.p == 3 else 2)
                 assert 0 <= ld.f_p <= cap
 

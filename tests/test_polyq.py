@@ -9,13 +9,12 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ellfam.curves import WeierstrassCurve, weierstrass_invariants
 from ellfam.polyq import (
     NotASquare,
     PolyQ,
     RatFunc,
-    disc_shifted_cubic,
     homogenized_substitute,
-    poly_from_string,
     poly_sqrt,
     ratfunc_substitute,
     square_decompose_poly,
@@ -43,8 +42,6 @@ class TestPolyRing:
         u = PolyQ.variable("u")
         p = (u + 1) * (u - 1)
         assert p == u**2 - 1
-        q, r = divmod(u**3 - 1, u - 1)
-        assert q == u**2 + u + 1 and r.is_zero()
 
     def test_variable_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -60,15 +57,6 @@ class TestPolyRing:
         assert a * b == b * a
         assert a * (b + c) == a * b + a * c
         assert (a * b) * c == a * (b * c)
-
-    @given(polys(), polys(4))
-    @settings(max_examples=60)
-    def test_divmod_invariant(self, a, b):
-        if b.is_zero():
-            return
-        q, r = divmod(a, b)
-        assert q * b + r == a
-        assert r.degree < b.degree
 
     @given(polys(), small_fracs)
     @settings(max_examples=60)
@@ -108,7 +96,7 @@ def sympy_poly(p):
 
 
 def from_sympy_poly(P, var="u"):
-    return PolyQ(reversed(P.all_coeffs()), var)
+    return PolyQ([Fraction(int(c.p), int(c.q)) for c in reversed(P.all_coeffs())], var)
 
 
 def naive_product(a, b):
@@ -132,9 +120,9 @@ class TestDenseCore:
             assert g.is_zero()
         else:
             assert g.leading() == 1
-            assert divmod(a, g)[1].is_zero() and divmod(b, g)[1].is_zero()
+            assert not ref_divmod(a.coeffs, g.coeffs)[1] and not ref_divmod(b.coeffs, g.coeffs)[1]
             if not c.is_zero():
-                assert divmod(g, c.monic())[1].is_zero()
+                assert not ref_divmod(g.coeffs, c.monic().coeffs)[1]
         assert g == from_sympy_poly(sympy.gcd(sympy_poly(a), sympy_poly(b)))
 
     @given(wide_polys(4), wide_polys(4))
@@ -214,18 +202,16 @@ class TestSquareDecompose:
 class TestDiscShiftedCubic:
     def test_matches_weierstrass_discriminant(self):
         # y^2 = x^3 + Ax^2 + Bx has discriminant 16 B^2 (A^2 - 4B)
-        from ellfam.curves import ShiftedABCurve
-
         for A, B in [(49, 256), (37, 160), (-3, 7)]:
-            E = ShiftedABCurve(A, B).weierstrass()
-            assert 16 * disc_shifted_cubic(Fraction(A), Fraction(B)) == E.disc
+            E = WeierstrassCurve(0, A, 0, B, 0)
+            assert E.disc == 16 * B * B * (A * A - 4 * B)
 
     def test_symbolic(self):
         d = PolyQ.variable("d")
         A6 = 1 + 6 * d - 3 * d**2
         B6 = -16 * d**3
-        disc = disc_shifted_cubic(A6, B6)
-        assert disc == 256 * d**6 * (d + 1) ** 3 * (9 * d + 1)
+        disc = weierstrass_invariants(0, A6, 0, B6, 0)[6]
+        assert disc == 16 * 256 * d**6 * (d + 1) ** 3 * (9 * d + 1)
 
 
 class TestRatFunc:
@@ -276,7 +262,8 @@ def reference_normalize(num, den):
     if not num.is_zero():
         g = num.gcd(den)
         if not g.is_constant():
-            num, den = num.exact_div(g), den.exact_div(g)
+            num = PolyQ(ref_divmod(num.coeffs, g.coeffs)[0], num.var)
+            den = PolyQ(ref_divmod(den.coeffs, g.coeffs)[0], den.var)
     lc = den.leading()
     num, den = num * (1 / lc), den * (1 / lc)
     if num.is_zero():
@@ -339,7 +326,7 @@ class TestNormalizeOnce:
             return
         got = ratfunc_substitute(f, sub)
         assert (got.num, got.den) == (expected.num, expected.den)
-        assert f.substitute(sub) == got and f(sub) == got
+        assert f(sub) == got
         if not got.is_constant():
             assert got.var == "w"
 
@@ -378,16 +365,23 @@ class TestNormalizeOnce:
             homogenized_substitute(PolyQ([1, 0, 1], "u"), PolyQ([0, 1], "w"), PolyQ([1], "w"), 1)
 
 
+def parse_poly(s, var):
+    """Reference parser of to_string's output (polynomials only)."""
+    x = sympy.Symbol(var)
+    expr = sympy.sympify(s.replace("^", "**"), locals={var: x}, rational=True)
+    return from_sympy_poly(sympy.Poly(expr, x, domain="QQ"), var)
+
+
 class TestSerialization:
     def test_to_string_poly(self):
         v = PolyQ.variable("v")
         s = to_string(16 * v**3 - v + Fraction(1, 2))
-        assert poly_from_string(s, "v") == 16 * v**3 - v + Fraction(1, 2)
+        assert parse_poly(s, "v") == 16 * v**3 - v + Fraction(1, 2)
 
     @given(polys(4))
     @settings(max_examples=40)
     def test_roundtrip(self, p):
-        assert poly_from_string(to_string(p), "u") == p
+        assert parse_poly(to_string(p), "u") == p
 
 
 # -- the integer-content form against a plain Fraction-list reference -----
@@ -597,10 +591,11 @@ class TestMixedTypeOperators:
         assert u + f == RatFunc(u * u + u + 1, u + 1)
         assert f - u == RatFunc(1 - u * u - u, u + 1)
 
-    @pytest.mark.parametrize("op", [operator.add, operator.sub])
+    @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.truediv])
     def test_float_raises_type_error(self, op):
         u = PolyQ.variable("u")
-        with pytest.raises(TypeError):
-            op(u, 1.5)
-        with pytest.raises(TypeError):
-            op(1.5, u)
+        for x in (u, RatFunc(PolyQ.const(1), u + 1)):
+            with pytest.raises(TypeError):
+                op(x, 1.5)
+            with pytest.raises(TypeError):
+                op(1.5, x)
