@@ -14,7 +14,7 @@ need.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
@@ -329,9 +329,11 @@ def jacobi(a: int, n: int) -> int:
 
 
 def valuation(n: int, p: int) -> int:
-    """p-adic valuation of a nonzero integer."""
+    """p-adic valuation of a nonzero integer, for an integer p >= 2."""
     if n == 0:
         raise ValueError("valuation of 0")
+    if p < 2:
+        raise ValueError(f"valuation needs p >= 2, not {p}")
     v = 0
     n = abs(n)
     while n % p == 0:
@@ -347,7 +349,10 @@ def valuation_fraction(q: Fraction, p: int) -> int:
 
 
 def hilbert_symbol(a: Fraction | int, b: Fraction | int, p: Optional[int]) -> int:
-    """Hilbert symbol (a, b)_p over Q_p (p=None means the real place)."""
+    """Hilbert symbol (a, b)_p over Q_p (p=None means the real place);
+    ValueError unless p is None or a prime."""
+    if p is not None and not is_prime(p):
+        raise ValueError(f"not a prime: {p}")
     a, b = Fraction(a), Fraction(b)
     if a == 0 or b == 0:
         raise ValueError("hilbert symbol needs nonzero arguments")

@@ -286,14 +286,8 @@ def _cmd_scan(args) -> int:
             fh.write(out)
     else:
         sys.stdout.write(out)
-    plus, minus, incomplete, skipped = grid.counts
     summary = {
-        "counts": {
-            "plus": plus,
-            "minus": minus,
-            "incomplete": incomplete,
-            "skipped": skipped,
-        },
+        "counts": grid.counts_by_name(),
         "symmetry_violations": len(rep.violations),
     }
     print(json.dumps(summary, sort_keys=True), file=sys.stderr)

@@ -26,12 +26,6 @@ class OffCurve(Exception):
     """A point failed the curve equation."""
 
 
-def _is_zero(x) -> bool:
-    if isinstance(x, RatFunc):
-        return x.is_zero()
-    return x == 0
-
-
 @dataclass(frozen=True)
 class CurvePoint:
     """Affine point (x, y) or the point at infinity (x = y = None)."""
@@ -66,6 +60,22 @@ def weierstrass_invariants(a1, a2, a3, a4, a6) -> tuple:
     return b2, b4, b6, b8, c4, c6, disc
 
 
+def change_coordinates(a: tuple, u, r, s, t) -> tuple:
+    """The a-invariants after x = u^2 x' + r, y = u^3 y' + s u^2 x' + t,
+    over any ring: for u == 1 nothing is divided, so int tuples stay int."""
+    a1, a2, a3, a4, a6 = a
+    new = (
+        a1 + 2 * s,
+        a2 - s * a1 + 3 * r - s * s,
+        a3 + r * a1 + 2 * t,
+        a4 - s * a3 + 2 * r * a2 - (t + r * s) * a1 + 3 * r * r - 2 * s * t,
+        a6 + r * a4 + r * r * a2 + r * r * r - t * a3 - t * t - r * t * a1,
+    )
+    if u == 1:
+        return new
+    return tuple(x / u**k for x, k in zip(new, (1, 2, 3, 4, 6)))
+
+
 def _invariant(i: int) -> property:
     return property(lambda E: E._invariants()[i])
 
@@ -89,7 +99,7 @@ class WeierstrassCurve:
         object.__setattr__(self, "_ints", tuple(v.numerator for v in vals) if integral else None)
         object.__setattr__(self, "_invs", None)
         object.__setattr__(self, "_cache", {})
-        if check and _is_zero(self.disc):
+        if check and self.disc == 0:
             raise ValueError("singular model: discriminant is zero")
 
     def __setattr__(self, *a):
@@ -141,7 +151,7 @@ class WeierstrassCurve:
     def contains(self, P: CurvePoint) -> bool:
         if P.is_infinity:
             return True
-        return _is_zero(self.equation_value(P))
+        return self.equation_value(P) == 0
 
     def _require(self, P: CurvePoint):
         if not self.contains(P):
@@ -161,8 +171,8 @@ class WeierstrassCurve:
         if Q.is_infinity:
             return P
         x1, y1, x2, y2 = P.x, P.y, Q.x, Q.y
-        if _is_zero(x1 - x2):
-            if _is_zero(y1 + y2 + self.a1 * x2 + self.a3):
+        if x1 - x2 == 0:
+            if y1 + y2 + self.a1 * x2 + self.a3 == 0:
                 return INFINITY
             # doubling
             lam = (3 * x1 * x1 + 2 * self.a2 * x1 + self.a4 - self.a1 * y1) / (
@@ -209,13 +219,7 @@ class WeierstrassCurve:
         """
         if isinstance(u, int):
             u = Fraction(u)
-        a1, a2, a3, a4, a6 = self.a_invariants()
-        na1 = (a1 + 2 * s) / u
-        na2 = (a2 - s * a1 + 3 * r - s * s) / (u * u)
-        na3 = (a3 + r * a1 + 2 * t) / (u * u * u)
-        na4 = (a4 - s * a3 + 2 * r * a2 - (t + r * s) * a1 + 3 * r * r - 2 * s * t) / (u**2 * u**2)
-        na6 = (a6 + r * a4 + r * r * a2 + r**2 * r - t * a3 - t * t - r * t * a1) / (u**3 * u**3)
-        new = WeierstrassCurve(na1, na2, na3, na4, na6, check=False)
+        new = WeierstrassCurve(*change_coordinates(self.a_invariants(), u, r, s, t), check=False)
         return new, PointMap(u, r, s, t)
 
     def is_integral(self) -> bool:
@@ -261,19 +265,12 @@ def to_shifted_ab(E: WeierstrassCurve, T: CurvePoint) -> tuple[WeierstrassCurve,
 
     Returns the y^2 = x^3 + A x^2 + B x model and the point map E -> model.
     """
-    if T.is_infinity or not _is_zero(2 * T.y + E.a1 * T.x + E.a3):
+    if T.is_infinity or 2 * T.y + E.a1 * T.x + E.a3 != 0:
         raise ValueError("T is not a 2-torsion point")
-    one = _one_like(E.a2)
-    short, pm1 = E.transform(one, T.x, -E.a1 / 2, -(E.a3 + E.a1 * T.x) / 2)
-    if not (_is_zero(short.a1) and _is_zero(short.a3) and _is_zero(short.a6)):
+    short, pm1 = E.transform(1, T.x, -E.a1 / 2, -(E.a3 + E.a1 * T.x) / 2)
+    if not (short.a1 == 0 and short.a3 == 0 and short.a6 == 0):
         raise ValueError("shift did not produce y^2 = x^3 + Ax^2 + Bx")
     return WeierstrassCurve(*short.a_invariants()), pm1
-
-
-def _one_like(x):
-    if isinstance(x, RatFunc):
-        return RatFunc.const(1, x.var)
-    return Fraction(1)
 
 
 # -- point counting over F_p ---------------------------------------------
@@ -520,38 +517,26 @@ def _translation_for_scale(E1: WeierstrassCurve, E2: WeierstrassCurve, u):
 def isomorphic_over_Q(
     E1: WeierstrassCurve, E2: WeierstrassCurve
 ) -> Optional[tuple[Fraction, Fraction, Fraction, Fraction]]:
-    """The (u, r, s, t) with transform(E1, u, r, s, t) == E2, if one exists."""
+    """The (u, r, s, t) with transform(E1, u, r, s, t) == E2, if one exists.
+
+    A scale u carries (c4, c6) to (c4/u^4, c6/u^6), so u^k = ratio with
+    (k, ratio) = (2, c4' c6 / (c4 c6')) when j is neither 0 nor 1728,
+    (4, c4 / c4') when j = 1728 (c6 = 0) and (6, c6 / c6') when j = 0
+    (c4 = 0); each of u and -u is then tried.
+    """
     if E1.j != E2.j:
         return None
-    j = E1.j
-    candidates: list[Fraction] = []
-    if j != 0 and j != 1728:
-        u2 = (E2.c4 * E1.c6) / (E1.c4 * E2.c6)
-        u = square_test(u2)
-        if u is None:
-            return None
-        candidates = [u, -u]
-    elif j == 1728:
-        ratio = E1.c4 / E2.c4
-        u = _nth_root_rational(ratio, 4)
-        if u is None:
-            # allow a square factor: u^4 = ratio has no rational solution
-            return None
-        candidates = [u, -u]
-    else:  # j == 0
-        ratio = E1.c6 / E2.c6
-        u = _nth_root_rational(ratio, 6)
-        if u is None:
-            return None
-        candidates = [u, -u]
-    for u in candidates:
-        if u == 0:
-            continue
+    if E1.c4 == 0:
+        k, ratio = 6, E1.c6 / E2.c6
+    elif E1.c6 == 0:
+        k, ratio = 4, E1.c4 / E2.c4
+    else:
+        k, ratio = 2, (E2.c4 * E1.c6) / (E1.c4 * E2.c6)
+    root = _nth_root_rational(ratio, k)
+    if root is None:
+        return None
+    for u in (root, -root):
         r, s, t = _translation_for_scale(E1, E2, u)
-        try:
-            cand, _ = E1.transform(u, r, s, t)
-        except ZeroDivisionError:
-            continue
-        if cand == E2:
+        if E1.transform(u, r, s, t)[0] == E2:
             return (u, r, s, t)
     return None

@@ -13,7 +13,7 @@ derived and are stored explicitly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 from fractions import Fraction
 from types import MappingProxyType
@@ -21,7 +21,7 @@ from typing import Mapping, Optional, Sequence
 
 from .arith import DEFAULT_BUDGET, FactorBudget, factor, valuation_fraction
 from .curves import CurvePoint, WeierstrassCurve, to_shifted_ab
-from .polyq import NotASquare, PolyQ, RatFunc, homogeneous_value, homogenized_substitute, poly_sqrt
+from .polyq import PolyQ, RatFunc, homogeneous_value, homogenized_substitute, poly_sqrt
 
 
 def tate_normal_curve(b, c) -> WeierstrassCurve:

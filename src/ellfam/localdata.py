@@ -29,6 +29,7 @@ from .curves import (
     PointMap,
     WeierstrassCurve,
     _translation_for_scale,
+    change_coordinates,
     weierstrass_invariants,
 )
 
@@ -140,11 +141,12 @@ def _minimize_at(E: WeierstrassCurve, primes) -> tuple[WeierstrassCurve, int]:
     c4, c6, disc = int(E.c4), int(E.c6), int(E.disc)
     u = 1
     for p in primes:
-        while _vp(c4, p) >= 4 and _vp(c6, p) >= 6 and _vp(disc, p) >= 12:
-            nc4, nc6 = c4 // p**4, c6 // p**6
+        p4, p6, p12 = p**4, p**6, p**12
+        while c4 % p4 == 0 and c6 % p6 == 0 and disc % p12 == 0:
+            nc4, nc6 = c4 // p4, c6 // p6
             if p in (2, 3) and not _kraus_ok(nc4, nc6, p):
                 break
-            c4, c6, disc = nc4, nc6, disc // p**12
+            c4, c6, disc = nc4, nc6, disc // p12
             u *= p
     return _curve_from_c4c6(c4, c6), u
 
@@ -153,22 +155,6 @@ def _minimize_at(E: WeierstrassCurve, primes) -> tuple[WeierstrassCurve, int]:
 # Tate's algorithm (Cremona, Algorithms for Modular Elliptic Curves, 3.2),
 # one loop on the integer a-invariants
 # ---------------------------------------------------------------------------
-
-
-def _vp(n: int, p: int) -> int:
-    return valuation(n, p) if n else 10**9
-
-
-def _translate(a: tuple, r: int, s: int, t: int) -> tuple:
-    """a-invariants after (x, y) -> (x + r, y + s x + t): the u = 1 change."""
-    a1, a2, a3, a4, a6 = a
-    return (
-        a1 + 2 * s,
-        a2 - s * a1 + 3 * r - s * s,
-        a3 + r * a1 + 2 * t,
-        a4 - s * a3 + 2 * r * a2 - (t + r * s) * a1 + 3 * r * r - 2 * s * t,
-        a6 + r * a4 + r * r * a2 + r**3 - t * a3 - t * t - r * t * a1,
-    )
 
 
 def _has_root_quadratic(a: int, b: int, c: int, p: int) -> bool:
@@ -249,7 +235,7 @@ def tate_local(E: WeierstrassCurve, p: int) -> LocalData:
     while True:
         _b2, _b4, _b6, _b8, c4, _c6, disc = weierstrass_invariants(*a)
         assert disc != 0
-        n = _vp(disc, p)
+        n = valuation(disc, p)
         if n == 0:
             return LocalData(p, "I0", 0, 1, "good", 0)
         # move the singular point of the reduction to (0, 0); c4 and disc
@@ -258,7 +244,10 @@ def tate_local(E: WeierstrassCurve, p: int) -> LocalData:
         a1, a2, a3, a4, a6 = a
         if c4 % p != 0:
             # multiplicative reduction, type In
-            if _tangent_splits(a, p):
+            # split exactly when the tangents at the node, the roots of
+            # T^2 + a1 T - a2, lie in F_p; their discriminant b2 is a unit,
+            # as c4 = b2^2 mod p
+            if _has_root_quadratic(1, a1, -a2, p):
                 return LocalData(p, f"I{n}", 1, n, "split-multiplicative", n)
             c = 2 if n % 2 == 0 else 1
             return LocalData(p, f"I{n}", 1, c, "nonsplit-multiplicative", n)
@@ -282,7 +271,7 @@ def tate_local(E: WeierstrassCurve, p: int) -> LocalData:
             c = 1 + _count_roots_cubic(cub, p)
             return LocalData(p, "I0*", n - 4, c, "additive", n)
         r, triple = root
-        a = _translate(a, p * r, 0, 0)
+        a = change_coordinates(a, 1, p * r, 0, 0)
         if not triple:
             return _instar_loop(a, p, n)
         # triple root: IV*, III*, II*, or a model that is not minimal at p
@@ -290,7 +279,7 @@ def tate_local(E: WeierstrassCurve, p: int) -> LocalData:
         if (a3t * a3t + 4 * a6t) % p != 0:
             root = _has_root_quadratic(1, a3t, -a6t, p)
             return LocalData(p, "IV*", n - 6, 3 if root else 1, "additive", n)
-        a = _translate(a, 0, 0, p2 * _double_root(1, a3t, -a6t, p))
+        a = change_coordinates(a, 1, 0, 0, p2 * _double_root(1, a3t, -a6t, p))
         a1, a2, a3, a4, a6 = a
         if a4 % p4 != 0:
             return LocalData(p, "III*", n - 7, 2, "additive", n)
@@ -303,7 +292,7 @@ def _move_singular_point(a: tuple, p: int) -> tuple:
     if p <= 3:
         for r in range(p):
             for t in range(p):
-                moved = _translate(a, r, 0, t)
+                moved = change_coordinates(a, 1, r, 0, t)
                 if moved[2] % p == 0 and moved[3] % p == 0 and moved[4] % p == 0:
                     return moved
         raise RuntimeError("no singular point found")  # pragma: no cover
@@ -311,18 +300,9 @@ def _move_singular_point(a: tuple, p: int) -> tuple:
     # repeated root of 4x^3 + b2 x^2 + 2 b4 x + b6 mod p
     x0, _triple = _multiple_root([b6, 2 * b4, b2, 4], p)
     y0 = (-(a[0] * x0 + a[2]) * pow(2, -1, p)) % p
-    moved = _translate(a, x0, 0, y0)
+    moved = change_coordinates(a, 1, x0, 0, y0)
     assert moved[2] % p == 0 and moved[3] % p == 0 and moved[4] % p == 0
     return moved
-
-
-def _tangent_splits(a: tuple, p: int) -> bool:
-    """Split vs nonsplit multiplicative: do the tangent directions at the
-    node lie in F_p?  They are the roots of T^2 + a1 T - a2."""
-    a1, a2 = a[0], a[1]
-    if p == 2:
-        return (-a2) % 2 == 0 or (1 + a1 - a2) % 2 == 0
-    return jacobi((a1 * a1 + 4 * a2) % p, p) == 1
 
 
 def _arrange_step7(a: tuple, p: int) -> tuple:
@@ -331,7 +311,7 @@ def _arrange_step7(a: tuple, p: int) -> tuple:
         for r in (0, 2, 4, 6):
             for s in (0, 1):
                 for t in range(8):
-                    T = _translate(a, r, s, t)
+                    T = change_coordinates(a, 1, r, s, t)
                     if (
                         T[0] % 2 == 0
                         and T[1] % 2 == 0
@@ -345,7 +325,7 @@ def _arrange_step7(a: tuple, p: int) -> tuple:
     # from the b6 and b8 divisibility already established
     p3 = p**3
     inv2 = pow(2, -1, p3)
-    return _translate(a, 0, (-a[0] * inv2) % p3, (-a[2] * inv2) % p3)
+    return change_coordinates(a, 1, 0, (-a[0] * inv2) % p3, (-a[2] * inv2) % p3)
 
 
 def _instar_loop(a: tuple, p: int, n: int) -> LocalData:
@@ -359,7 +339,7 @@ def _instar_loop(a: tuple, p: int, n: int) -> LocalData:
         if (a3t * a3t + 4 * a6t) % p != 0:
             c = 4 if _has_root_quadratic(1, a3t, -a6t, p) else 2
             return LocalData(p, f"I{m}*", n - 4 - m, c, "additive", n)
-        a = _translate(a, 0, 0, p**q * _double_root(1, a3t, -a6t, p))
+        a = change_coordinates(a, 1, 0, 0, p**q * _double_root(1, a3t, -a6t, p))
         # quadratic in X: (a2/p) X^2 + (a4/p^(q+1)) X + a6/p^(2q+1)
         m = 2 * q - 2
         a2t = a[1] // p
@@ -368,7 +348,7 @@ def _instar_loop(a: tuple, p: int, n: int) -> LocalData:
         if (a4t * a4t - 4 * a2t * a6t) % p != 0:
             c = 4 if _has_root_quadratic(a2t, a4t, a6t, p) else 2
             return LocalData(p, f"I{m}*", n - 4 - m, c, "additive", n)
-        a = _translate(a, p**q * _double_root(a2t, a4t, a6t, p), 0, 0)
+        a = change_coordinates(a, 1, p**q * _double_root(a2t, a4t, a6t, p), 0, 0)
         q += 1
 
 

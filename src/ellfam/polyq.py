@@ -304,24 +304,22 @@ def _as_poly(x, var: str) -> Optional[PolyQ]:
 def square_decompose_poly(p: PolyQ) -> tuple[PolyQ, PolyQ]:
     """Write p = s*s*q with q free of repeated polynomial factors.
 
-    The largest rational square dividing the content goes into s as well, and
-    s is normalized to a positive leading coefficient.
+    The content c = n/d enters as n d = root^2 free, free a squarefree
+    integer, so c = (root/d)^2 free: q has content free, and s, root/d
+    times the square part of the irreducible factors, has a positive
+    leading coefficient.
     """
     if p.is_zero():
         raise ValueError("zero polynomial")
     content, parts = p.factor()
-    sign = -1 if content < 0 else 1
-    cn, cfree_n = squarefree_decompose(abs(content.numerator))
-    cd, cfree_d = squarefree_decompose(content.denominator)
-    s = PolyQ([Fraction(cn, cd)], p.var)
-    q = PolyQ([Fraction(sign * cfree_n, cfree_d)], p.var)
+    root, free = squarefree_decompose(content.numerator * content.denominator)
+    s = PolyQ([Fraction(root, content.denominator)], p.var)
+    q = PolyQ([free], p.var)
     for f, e in parts:
         if e // 2:
             s = s * f ** (e // 2)
         if e % 2:
             q = q * f
-    if s.leading() < 0:
-        s = -s
     return s, q
 
 

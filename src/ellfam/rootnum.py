@@ -17,7 +17,7 @@ agreed, and merging them lets a key that only one of them had answer both.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 from .arith import (
@@ -56,25 +56,26 @@ class RootNumber:
         assert self.value == prod
 
 
-def _potentially_multiplicative(E: WeierstrassCurve, p: int) -> bool:
+def _potentially_multiplicative(E: WeierstrassCurve, ld: LocalData) -> bool:
     c4 = int(E.c4)
-    return c4 != 0 and 3 * valuation(c4, p) < valuation(abs(int(E.disc)), p)
+    return c4 != 0 and 3 * valuation(c4, ld.p) < ld.vp_disc_min
 
 
-def _table_key(E: WeierstrassCurve, p: int, kodaira: str) -> tuple:
+def _table_key(E: WeierstrassCurve, ld: LocalData) -> tuple:
+    p, vd = ld.p, ld.vp_disc_min
     m4, m6, md = TABLE_MODULI[p]
-    c4, c6, disc = int(E.c4), int(E.c6), int(E.disc)
+    c4, c6 = int(E.c4), int(E.c6)
     v4 = valuation(c4, p) if c4 else 99
     v6 = valuation(c6, p) if c6 else 99
-    vd = valuation(abs(disc), p)
     c4u = (c4 // p**v4) % m4 if c4 else 0
     c6u = (c6 // p**v6) % m6 if c6 else 0
-    du = (disc // p**vd) % md
-    return (kodaira, min(v4, 12), min(v6, 12), vd, c4u, c6u, du)
+    du = (int(E.disc) // p**vd) % md
+    return (ld.kodaira, min(v4, 12), min(v6, 12), vd, c4u, c6u, du)
 
 
 def local_root_number(E: WeierstrassCurve, ld: LocalData) -> int:
-    """Local root number at ld.p for a minimal integral model E."""
+    """Local root number at ld.p for a minimal integral model E, with
+    ld = tate_local(E, ld.p)."""
     if ld.reduction == "good":
         return 1
     if ld.reduction == "nonsplit-multiplicative":
@@ -82,14 +83,14 @@ def local_root_number(E: WeierstrassCurve, ld: LocalData) -> int:
     if ld.reduction == "split-multiplicative":
         return -1
     p = ld.p
-    if _potentially_multiplicative(E, p):
+    if _potentially_multiplicative(E, ld):
         # quadratic twist of a Tate curve; the sign is chi(-1) for the
         # twisting character, uniformly a Hilbert symbol
         return hilbert_symbol(-int(E.c6) * int(E.c4), -1, p)
     if p >= 5:
         return jacobi(RESIDUE_CLASS[ld.vp_disc_min] % p, p)
     table = TABLE_P2 if p == 2 else TABLE_P3
-    key = _table_key(E, p, ld.kodaira)
+    key = _table_key(E, ld)
     try:
         return table[key]
     except KeyError:

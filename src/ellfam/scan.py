@@ -33,7 +33,6 @@ from .arith import (
     DEFAULT_BUDGET,
     FactorBudget,
     rational_to_string,
-    squarefree_decompose,
 )
 from .curves import (
     CurvePoint,
@@ -42,7 +41,7 @@ from .curves import (
     torsion_subgroup,
 )
 from .families import CurveFamily, SingularMember, catalog
-from .polyq import PolyQ
+from .polyq import PolyQ, square_decompose_poly
 from .rootnum import MissingLocalCase, global_root_number
 from .sections import QuarticModel, quartic_jacobian
 
@@ -119,6 +118,12 @@ class BiquadraticCurve:
             out.append(poly)
         return tuple(out)
 
+    def discriminant(self, var: str) -> PolyQ:
+        """b^2 - 4ac of the quadratic in ``var``, a polynomial in the other
+        variable."""
+        a, b, c = self.quadratic_polys(var)
+        return b * b - 4 * a * c
+
     def quadratic_at(self, var: str, value: Scalar) -> tuple[Fraction, Fraction, Fraction]:
         """Coefficients (a, b, c) of the quadratic in ``var`` at a fixed
         value of the other variable."""
@@ -154,27 +159,6 @@ def involutions(
     return tau1, tau2
 
 
-def _square_reduced_disc(C: BiquadraticCurve, eliminate: str) -> tuple[PolyQ, PolyQ]:
-    """(q, mult) with disc = mult^2 * q, q squarefree with squarefree
-    integer content; disc is the discriminant of the quadratic in the
-    eliminated variable."""
-    a, b, c = C.quadratic_polys(eliminate)
-    disc = b * b - 4 * a * c
-    if disc.is_zero():
-        raise ValueError("degenerate correspondence: zero discriminant")
-    content, parts = disc.factor()
-    n = content.numerator * content.denominator
-    root, free = squarefree_decompose(n)
-    var = disc.var
-    q = PolyQ.const(Fraction(free), var)
-    mult = PolyQ.const(Fraction(root, content.denominator), var)
-    for f, e in parts:
-        q = q * f ** (e % 2)
-        mult = mult * f ** (e // 2)
-    assert mult * mult * q == disc
-    return q, mult
-
-
 def quartic_correspondence(
     C: BiquadraticCurve,
     eliminate: str,
@@ -189,7 +173,7 @@ def quartic_correspondence(
     eliminated variable would be rejected, so pass ``s`` for
     F = s^2 - q(r)) returns q itself.
     """
-    q, _ = _square_reduced_disc(C, eliminate)
+    _s, q = square_decompose_poly(C.discriminant(eliminate))
     return QuarticModel(q, point)
 
 
@@ -222,7 +206,7 @@ class ParameterMap:
         _, self._pm = parametrizer.transform(*iso)
         if correspondence is not None:
             a, b, _ = correspondence.quadratic_polys("s")
-            _, mult = _square_reduced_disc(correspondence, "s")
+            mult, _q = square_decompose_poly(correspondence.discriminant("s"))
             self._companion = (a, b, mult)
         else:
             self._companion = None
@@ -369,17 +353,15 @@ class ScanGrid:
             )
         return "\n".join(lines) + "\n"
 
+    def counts_by_name(self) -> dict[str, int]:
+        """counts keyed plus, minus, incomplete and skipped."""
+        return dict(zip(("plus", "minus", "incomplete", "skipped"), self.counts))
+
     def to_json(self) -> str:
-        plus, minus, incomplete, skipped = self.counts
         payload = {
             "name": self.name,
             "radius": self.radius,
-            "counts": {
-                "plus": plus,
-                "minus": minus,
-                "incomplete": incomplete,
-                "skipped": skipped,
-            },
+            "counts": self.counts_by_name(),
             "cells": [
                 {
                     "n": c.n,

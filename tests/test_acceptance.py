@@ -5,7 +5,6 @@ prints one pass/fail line per criterion.
 """
 
 import json
-import math
 import random
 from fractions import Fraction
 from pathlib import Path

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from ellfam import arith
 from ellfam.arith import (
-    DEFAULT_BUDGET,
     FactorBudget,
     Unfactored,
     FactoredInt,
@@ -388,6 +387,11 @@ class TestValuation:
         v = valuation(n, p)
         assert n % p**v == 0 and (n // p**v) % p != 0
 
+    @pytest.mark.parametrize("p", [1, -1, 0])
+    def test_non_prime_rejected(self, p):
+        with pytest.raises(ValueError):
+            valuation(12, p)
+
 
 class TestHilbertSymbol:
     def test_real_place(self):
@@ -401,6 +405,11 @@ class TestHilbertSymbol:
         assert hilbert_symbol(2, 5, 5) == -1
         assert hilbert_symbol(5, 5, 5) == 1
         assert hilbert_symbol(2, 7, 7) == 1
+
+    @pytest.mark.parametrize("p", [1, -1, 0, 4, -5])
+    def test_non_prime_rejected(self, p):
+        with pytest.raises(ValueError):
+            hilbert_symbol(3, 5, p)
 
     @given(
         st.sampled_from([-6, -5, -3, -2, -1, 1, 2, 3, 5, 6, 7, 10]),

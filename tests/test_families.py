@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from ellfam.arith import primes_below
 from ellfam.curves import CurvePoint, torsion_subgroup
 from ellfam.families import (
-    CurveFamily,
     SingularMember,
     catalog,
     model_z8,

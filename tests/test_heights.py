@@ -1,7 +1,6 @@
 """Canonical height, pairing, and independence-certificate tests."""
 
 import math
-import random
 from fractions import Fraction
 
 import pytest

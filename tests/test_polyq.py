@@ -172,6 +172,11 @@ class TestSquareDecompose:
         s, q = square_decompose_poly(p)
         assert s * s * q == p
         assert q == 4 * v**2 - 4 * v + 5
+        # the content's square class goes into q as a squarefree integer
+        u = PolyQ.variable("u")
+        assert square_decompose_poly((u * u + 1) / 2) == (PolyQ.const(Fraction(1, 2)), 2 * u * u + 2)
+        p = Fraction(-3, 8) * (u - 1) ** 2 * (u * u + 1)
+        assert square_decompose_poly(p) == ((u - 1) / 4, -6 * u * u - 6)
 
     @given(polys(3), polys(2))
     @settings(max_examples=40)
@@ -180,9 +185,13 @@ class TestSquareDecompose:
             return
         s, q = square_decompose_poly(a * a * b)
         assert s * s * q == a * a * b
-        # q has no repeated roots and squarefree integer content
-        _, parts = q.factor()
+        # q has no repeated roots and squarefree integer content, and s has a
+        # positive leading coefficient
+        content, parts = q.factor()
         assert all(e == 1 for _f, e in parts)
+        assert content.denominator == 1
+        assert all(e == 1 for e in sympy.factorint(content.numerator).values())
+        assert s.leading() > 0
 
     def test_poly_sqrt(self):
         v = PolyQ.variable("v")

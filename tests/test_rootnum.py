@@ -10,7 +10,7 @@ import pytest
 from ellfam.arith import FactorBudget, Unfactored, jacobi
 from ellfam.curves import WeierstrassCurve
 from ellfam.localdata import minimal_model, tate_local
-from ellfam.rootnum import RootNumber, global_root_number, local_root_number
+from ellfam.rootnum import global_root_number, local_root_number
 
 ORACLE = json.loads((Path(__file__).parent / "data" / "rootnum_oracle.json").read_text())
 
