@@ -383,10 +383,5 @@ def hilbert_symbol(a: Fraction | int, b: Fraction | int, p: Optional[int]) -> in
     return -1 if e % 2 else 1
 
 
-def rational_from_string(s: str) -> Fraction:
-    """Parse 'p/q' or 'p' into an exact Fraction."""
-    return Fraction(s)
-
-
 def rational_to_string(q: Fraction) -> str:
     return str(q)

@@ -21,7 +21,6 @@ from .arith import (
     FactorBudget,
     Unfactored,
     is_prime,
-    rational_from_string,
     rational_to_string,
 )
 from .curves import CurvePoint, WeierstrassCurve, torsion_subgroup
@@ -65,7 +64,7 @@ def _parse_radius(raw: str) -> int:
 
 def _parse_rational(raw: str) -> Fraction:
     try:
-        return rational_from_string(raw.strip())
+        return Fraction(raw.strip())
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"{raw!r} is not a rational 'p/q'") from None
 

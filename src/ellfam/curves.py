@@ -197,8 +197,9 @@ class WeierstrassCurve:
         while n:
             if n & 1:
                 R = self.add(R, Q, check=False)
-            Q = self.add(Q, Q, check=False)
             n >>= 1
+            if n:
+                Q = self.add(Q, Q, check=False)
         return R
 
     def point_order(self, P: CurvePoint) -> Optional[int]:
@@ -305,11 +306,19 @@ def good_odd_primes(E: WeierstrassCurve, how_many: int) -> list[int]:
 
 # -- division polynomials -------------------------------------------------
 
+def _psi2_squared(E: WeierstrassCurve) -> PolyQ:
+    """psi_2^2 = 4x^3 + b2 x^2 + 2 b4 x + b6, built once per model."""
+    c = E._cache
+    if "psi2sq" not in c:
+        x = PolyQ.variable("x")
+        c["psi2sq"] = 4 * x**3 + E.b2 * x**2 + 2 * E.b4 * x + E.b6
+    return c["psi2sq"]
+
+
 def _division_poly_cache(E: WeierstrassCurve) -> dict:
     c = E._cache
     if "divpoly" not in c:
         x = PolyQ.variable("x")
-        f = 4 * x**3 + E.b2 * x**2 + 2 * E.b4 * x + E.b6
         g3 = 3 * x**4 + E.b2 * x**3 + 3 * E.b4 * x**2 + 3 * E.b6 * x + E.b8
         g4 = (
             2 * x**6
@@ -320,7 +329,7 @@ def _division_poly_cache(E: WeierstrassCurve) -> dict:
             + (E.b2 * E.b8 - E.b4 * E.b6) * x
             + (E.b4 * E.b8 - E.b6 * E.b6)
         )
-        c["divpoly"] = {"f": f, 1: PolyQ([1], "x"), 2: PolyQ([1], "x"), 3: g3, 4: g4}
+        c["divpoly"] = {1: PolyQ([1], "x"), 2: PolyQ([1], "x"), 3: g3, 4: g4}
     return c["divpoly"]
 
 
@@ -337,7 +346,7 @@ def division_poly(E: WeierstrassCurve, n: int) -> PolyQ:
     cache = _division_poly_cache(E)
     if n in cache:
         return cache[n]
-    f = cache["f"]
+    f = _psi2_squared(E)
 
     def g(k: int) -> PolyQ:
         if k == 0:
@@ -419,10 +428,8 @@ def torsion_bound(E: WeierstrassCurve) -> int:
 
 def two_torsion_points(E: WeierstrassCurve) -> list[CurvePoint]:
     """All rational points of exact order 2."""
-    x = PolyQ.variable("x")
-    f = 4 * x**3 + E.b2 * x**2 + 2 * E.b4 * x + E.b6
     pts = []
-    for r in rational_roots(f):
+    for r in rational_roots(_psi2_squared(E)):
         y = -(E.a1 * r + E.a3) / 2
         pts.append(CurvePoint(r, y))
     return pts

@@ -30,21 +30,6 @@ def tate_normal_curve(b, c) -> WeierstrassCurve:
     return WeierstrassCurve(1 - c, -b, -b, zero, zero, check=False)
 
 
-def tate_point_multiples(b, c) -> dict[int, CurvePoint]:
-    """Multiples n*P of P = (0,0) on the Tate normal curve, |n| <= 4."""
-    E = tate_normal_curve(b, c)
-    zero = b * 0
-    P = CurvePoint(zero, zero)
-    out = {0: CurvePoint.infinity()}
-    R = P
-    for n in range(1, 5):
-        out[n] = R
-        out[-n] = E.neg(R)
-        if n < 4:
-            R = E.add(R, P, check=False)
-    return out
-
-
 def ratfunc_sqrt(f: RatFunc) -> RatFunc:
     """Exact square root in Q(u), or raise NotASquare."""
     num, den = f.num, f.den
@@ -331,11 +316,11 @@ def model_z8() -> CurveFamily:
     b = (2 * v - 1) * (v - 1)
     c = b / v
     E = tate_normal_curve(b, c)
-    mult = tate_point_multiples(b, c)
-    W, pm = to_shifted_ab(E, mult[4])
+    P = CurvePoint(zero, zero)
+    W, pm = to_shifted_ab(E, E.mul(4, P, check=False))
     # rescale (x, y) -> ((2v)^2 x, (2v)^3 y)
     W2, pm2 = W.transform(1 / (2 * v), zero, zero, zero)
-    gen = pm2.forward(pm.forward(CurvePoint(zero, zero)))
+    gen = pm2.forward(pm.forward(P))
     A, B = W2.a2, W2.a4
     if not (A.is_polynomial() and B.is_polynomial()):
         raise AssertionError("Z/8 model derivation failed")
@@ -365,8 +350,8 @@ def model_z2x6() -> CurveFamily:
     b = d + d * d
     c = d
     E = tate_normal_curve(b, c)
-    mult = tate_point_multiples(b, c)
-    W, pm = to_shifted_ab(E, mult[3])
+    P = CurvePoint(zero, zero)
+    W, pm = to_shifted_ab(E, E.mul(3, P, check=False))
     dd = PolyQ.variable("v")
     A6 = RatFunc(1 + 6 * dd - 3 * dd**2)
     lam2 = A6 / W.a2
@@ -374,7 +359,7 @@ def model_z2x6() -> CurveFamily:
     W2, pm2 = W.transform(1 / lam, zero, zero, zero)
     if W2.a2 != A6 or W2.a4 != RatFunc(-16 * dd**3):
         raise AssertionError("Z/6 model derivation failed")
-    gen6 = pm2.forward(pm.forward(CurvePoint(zero, zero)))
+    gen6 = pm2.forward(pm.forward(P))
     base = CurveFamily(
         label="Z6",
         torsion=(6,),
@@ -596,28 +581,20 @@ def catalog() -> Mapping[str, CurveFamily]:
     """
     if _CATALOG_CACHE:
         return _CATALOG
-    out: dict[str, CurveFamily] = {}
-    z8 = model_z8()
-    z26 = model_z2x6()
-    out["Z8"] = z8
-    out["Z2x6"] = z26
-    for i, (x, cond, sub) in enumerate(_z8_rank1_data(), start=1):
-        out[f"Z8-{i}"] = substitute_parameter(
-            z8, sub, label=f"Z8-{i}", rank=1, lift_sections=[x], condition=cond,
-        )
-    for i, (parent, sub, cond, hint, xs) in enumerate(_z8_rank2_data(), start=1):
-        out[f"Z8R2-{i}"] = substitute_parameter(
-            out[f"Z8-{parent}"], sub, label=f"Z8R2-{i}", rank=2,
-            sections=xs, condition=cond, spec_hint=hint,
-        )
-    for i, (x, cond, sub) in enumerate(_z2x6_rank1_data(), start=1):
-        out[f"Z2x6-{i}"] = substitute_parameter(
-            z26, sub, label=f"Z2x6-{i}", rank=1, lift_sections=[x], condition=cond,
-        )
-    for i, (parent, sub, cond, hint, xs) in enumerate(_z2x6_rank2_data(), start=1):
-        out[f"Z2x6R2-{i}"] = substitute_parameter(
-            out[f"Z2x6-{parent}"], sub, label=f"Z2x6R2-{i}", rank=2,
-            sections=xs, condition=cond, spec_hint=hint,
-        )
+    out: dict[str, CurveFamily] = {"Z8": model_z8(), "Z2x6": model_z2x6()}
+    for prefix, rank1, rank2 in (
+        ("Z8", _z8_rank1_data(), _z8_rank2_data()),
+        ("Z2x6", _z2x6_rank1_data(), _z2x6_rank2_data()),
+    ):
+        for i, (x, cond, sub) in enumerate(rank1, start=1):
+            out[f"{prefix}-{i}"] = substitute_parameter(
+                out[prefix], sub, label=f"{prefix}-{i}", rank=1,
+                lift_sections=[x], condition=cond,
+            )
+        for i, (parent, sub, cond, hint, xs) in enumerate(rank2, start=1):
+            out[f"{prefix}R2-{i}"] = substitute_parameter(
+                out[f"{prefix}-{parent}"], sub, label=f"{prefix}R2-{i}", rank=2,
+                sections=xs, condition=cond, spec_hint=hint,
+            )
     _CATALOG_CACHE.update(out)
     return _CATALOG

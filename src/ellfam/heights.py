@@ -24,8 +24,9 @@ from typing import Sequence
 import mpmath as mp
 
 from .arith import DEFAULT_BUDGET, FactorBudget, Unfactored, factor, valuation
-from .curves import CurvePoint, WeierstrassCurve
+from .curves import CurvePoint, WeierstrassCurve, division_poly
 from .localdata import minimal_model
+from .polyq import homogeneous_value
 
 # DEFAULT_EPS bounds the error of each height and pairing entry: the
 # archimedean series stops after _SERIES_TERMS = 64 duplications, so its
@@ -75,7 +76,8 @@ def _singular_corrections(
     never factored — and every prime left in it is singular.  z·log p is
     the local height's correction to log den x at p (Silverman 1988),
     from N = v_p(Δ), B = v_p(2y + a1x + a3) and
-    C = v_p(3x⁴ + b2x³ + 3b4x² + 3b6x + b8) on the minimal model E.
+    C = v_p(ψ3) on the minimal model E, with ψ3 from `division_poly`
+    homogenized at x.
 
     Q must be affine and of order above 3: 2y + a1x + a3 vanishes only at
     2-torsion, ψ3 only at 3-torsion.
@@ -112,12 +114,8 @@ def _singular_corrections(
             M = min(Fraction(B), Fraction(N, 2))
             z = M * (M - N) / N
         else:  # additive
-            b2, b4, b6, b8 = (int(E.b2), int(E.b4), int(E.b6), int(E.b8))
-            psi3 = (
-                3 * a**4 + b2 * a**3 * e2 + 3 * b4 * a * a * e2**2
-                + 3 * b6 * a * e2**3 + b8 * e2**4
-            )
-            C = valuation(psi3, p)
+            # E is integral, so ψ3 has den 1
+            C = valuation(homogeneous_value(division_poly(E, 3).ints, a, e2), p)
             z = Fraction(-2 * B, 3) if C >= 3 * B else Fraction(-C, 4)
         out.append((p, z))
     return out

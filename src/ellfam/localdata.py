@@ -233,14 +233,14 @@ def tate_local(E: WeierstrassCurve, p: int) -> LocalData:
     a = _int_invariants(E)
     p2, p3, p4, p6 = p * p, p**3, p**4, p**6
     while True:
-        _b2, _b4, _b6, _b8, c4, _c6, disc = weierstrass_invariants(*a)
+        b2, b4, b6, _b8, c4, _c6, disc = weierstrass_invariants(*a)
         assert disc != 0
         n = valuation(disc, p)
         if n == 0:
             return LocalData(p, "I0", 0, 1, "good", 0)
         # move the singular point of the reduction to (0, 0); c4 and disc
         # are unchanged by the translation
-        a = _move_singular_point(a, p)
+        a = _move_singular_point(a, p, b2, b4, b6)
         a1, a2, a3, a4, a6 = a
         if c4 % p != 0:
             # multiplicative reduction, type In
@@ -288,7 +288,8 @@ def tate_local(E: WeierstrassCurve, p: int) -> LocalData:
         a = (a1 // p, a2 // p2, a3 // p3, a4 // p4, a6 // p6)
 
 
-def _move_singular_point(a: tuple, p: int) -> tuple:
+def _move_singular_point(a: tuple, p: int, b2: int, b4: int, b6: int) -> tuple:
+    """Translate the singular point of the reduction mod p to (0, 0)."""
     if p <= 3:
         for r in range(p):
             for t in range(p):
@@ -296,7 +297,6 @@ def _move_singular_point(a: tuple, p: int) -> tuple:
                 if moved[2] % p == 0 and moved[3] % p == 0 and moved[4] % p == 0:
                     return moved
         raise RuntimeError("no singular point found")  # pragma: no cover
-    b2, b4, b6, _b8, _c4, _c6, _disc = weierstrass_invariants(*a)
     # repeated root of 4x^3 + b2 x^2 + 2 b4 x + b6 mod p
     x0, _triple = _multiple_root([b6, 2 * b4, b2, 4], p)
     y0 = (-(a[0] * x0 + a[2]) * pow(2, -1, p)) % p

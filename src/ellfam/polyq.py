@@ -487,12 +487,6 @@ class RatFunc:
             raise ZeroDivisionError(f"pole at {x}")
         return num / den
 
-    def derivative(self) -> "RatFunc":
-        return RatFunc(
-            self.num.derivative() * self.den - self.num * self.den.derivative(),
-            self.den * self.den,
-        )
-
     def __repr__(self):
         return f"RatFunc({to_string(self)!r})"
 

@@ -159,24 +159,6 @@ def involutions(
     return tau1, tau2
 
 
-def quartic_correspondence(
-    C: BiquadraticCurve,
-    eliminate: str,
-    point: Optional[tuple[Scalar, Scalar]] = None,
-) -> QuarticModel:
-    """Quartic model t^2 = q(x) whose square values give the rational
-    fibers of C over the kept variable, with ``point`` as its known point.
-
-    q is the discriminant of the quadratic in the eliminated variable,
-    reduced modulo square factors (squarefree, with squarefree integer
-    content).  A curve already of the shape t^2 = q(x) (degree < 2 in the
-    eliminated variable would be rejected, so pass ``s`` for
-    F = s^2 - q(r)) returns q itself.
-    """
-    _s, q = square_decompose_poly(C.discriminant(eliminate))
-    return QuarticModel(q, point)
-
-
 # ---------------------------------------------------------------------------
 # parameter maps
 # ---------------------------------------------------------------------------
@@ -185,9 +167,13 @@ def quartic_correspondence(
 class ParameterMap:
     """Exact map from parametrizer points to family parameter values.
 
+    The map goes through the quartic t^2 = q(r) with ``point`` on it; given
+    a biquadratic ``correspondence`` instead, one square decomposition of
+    its discriminant in s, mult^2 * q, gives both q and the companion root.
+
     ``parameter(P)`` gives the kept coordinate r; ``coordinates(P)`` also
-    returns the companion coordinate s on the attached biquadratic curve,
-    the root of its quadratic in s taken with the quartic's t.
+    returns the companion coordinate s on the correspondence, the root of
+    its quadratic in s taken with the quartic's t.
     Points sitting over the quartic's fiber at infinity raise
     DegenerateFiber.
     """
@@ -195,21 +181,24 @@ class ParameterMap:
     def __init__(
         self,
         parametrizer: WeierstrassCurve,
-        quartic: QuarticModel,
+        point: tuple[Scalar, Scalar],
+        q: Optional[PolyQ] = None,
         correspondence: Optional[BiquadraticCurve] = None,
     ):
+        if (q is None) == (correspondence is None):
+            raise ValueError("give exactly one of q and correspondence")
         self.correspondence = correspondence
-        jacobian, _fwd, self._inv = quartic_jacobian(quartic)
+        if correspondence is not None:
+            a, b, _ = correspondence.quadratic_polys("s")
+            mult, q = square_decompose_poly(correspondence.discriminant("s"))
+            self._companion = (a, b, mult)
+        else:
+            self._companion = None
+        jacobian, _fwd, self._inv = quartic_jacobian(QuarticModel(q, point))
         iso = isomorphic_over_Q(parametrizer, jacobian)
         if iso is None:
             raise ValueError("parametrizer is not isomorphic to the quartic model")
         _, self._pm = parametrizer.transform(*iso)
-        if correspondence is not None:
-            a, b, _ = correspondence.quadratic_polys("s")
-            mult, _q = square_decompose_poly(correspondence.discriminant("s"))
-            self._companion = (a, b, mult)
-        else:
-            self._companion = None
 
     def _quartic_point(self, P: CurvePoint) -> tuple[Fraction, Fraction]:
         Q = self._pm.forward(P)
@@ -338,12 +327,6 @@ class ScanGrid:
             sum(1 for c in cells if c.skipped),
         )
 
-    def cell(self, n: int, m: int) -> ScanCell:
-        for c in self.cells:
-            if (c.n, c.m) == (n, m):
-                return c
-        raise KeyError((n, m))
-
     def to_csv(self) -> str:
         lines = ["n,m,root,complete,skipped"]
         for c in self.cells:
@@ -431,10 +414,6 @@ class SymmetryReport:
     violations: tuple[tuple[tuple[int, int], tuple[int, int]], ...]
     isomorphism_samples: int
     isomorphism_failures: tuple[tuple[tuple[int, int], tuple[int, int]], ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations and not self.isomorphism_failures
 
 
 # symmetric pairs per audit whose curves are also proven Q-isomorphic
@@ -556,16 +535,13 @@ def builtin_scans(
     specs = {}
     for name, ainvs, gens, label, symmetry, q, point, C, companion in _SCANS:
         E = WeierstrassCurve(*ainvs)
-        if C is None:
-            quartic = QuarticModel(PolyQ(q, "u"), point)
-        else:
-            quartic = quartic_correspondence(C, "s", point)
+        q = None if q is None else PolyQ(q, "u")
         specs[name] = ScanSpec(
             name=name,
             parametrizer=E,
             generators=tuple(CurvePoint(Fraction(x), Fraction(y)) for x, y in gens),
             family=cat[label],
-            mapping=ParameterMap(E, quartic, C),
+            mapping=ParameterMap(E, point, q, C),
             symmetry=symmetry,
             radius=radius,
             companion_family=None if companion is None else cat[companion],

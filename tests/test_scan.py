@@ -5,12 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from ellfam import families
+from ellfam import families, scan
 from ellfam.arith import FactorBudget
 from ellfam.curves import INFINITY, isomorphic_over_Q, two_torsion_points
 from ellfam.families import SingularMember
 from ellfam.localdata import discriminant_factorization
-from ellfam.polyq import PolyQ
+from ellfam.polyq import PolyQ, square_decompose_poly
 from ellfam.rootnum import global_root_number
 from ellfam.scan import (
     CURVE_C,
@@ -22,7 +22,6 @@ from ellfam.scan import (
     builtin_scans,
     involutions,
     lattice_scan,
-    quartic_correspondence,
     symmetry_audit,
 )
 
@@ -116,27 +115,39 @@ class TestInvolutions:
         assert seen >= 60
 
 
+def _quartic(C, var):
+    """The square-reduced discriminant of C in var: the quartic of C's
+    rational fibers over the other variable."""
+    return square_decompose_poly(C.discriminant(var))[1]
+
+
 class TestQuarticCorrespondence:
     def test_first_scan_quartic(self):
         r = PolyQ.variable("r")
-        q = quartic_correspondence(CURVE_C, "s").q
-        assert q == 29 * r**4 + 62 * r * r + 3509
+        assert _quartic(CURVE_C, "s") == 29 * r**4 + 62 * r * r + 3509
 
     def test_shared_quartics(self):
-        assert (
-            quartic_correspondence(CURVE_D1, "r").q
-            == quartic_correspondence(CURVE_D2, "r").q
-        )
-        assert (
-            quartic_correspondence(CURVE_D1, "s").q
-            == quartic_correspondence(CURVE_D2, "s").q
-        )
+        assert _quartic(CURVE_D1, "r") == _quartic(CURVE_D2, "r")
+        assert _quartic(CURVE_D1, "s") == _quartic(CURVE_D2, "s")
 
     def test_explicit_square_form(self):
         # s^2 = r^2 + 3r + 1 comes back unchanged
         C = BiquadraticCurve(((-1, 0, 1), (-3, 0, 0), (-1, 0, 0)))
         r = PolyQ.variable("r")
-        assert quartic_correspondence(C, "s").q == r * r + 3 * r + 1
+        assert _quartic(C, "s") == r * r + 3 * r + 1
+
+    def test_one_decomposition_per_correspondence(self, monkeypatch):
+        # each scan's quartic and companion root come from one square
+        # decomposition: two scans carry a correspondence, one a given q
+        calls = []
+
+        def counted(p):
+            calls.append(p)
+            return square_decompose_poly(p)
+
+        monkeypatch.setattr(scan, "square_decompose_poly", counted)
+        builtin_scans(radius=0, budget=BUD)
+        assert len(calls) == 2
 
 
 class TestParameterMap:
@@ -179,7 +190,7 @@ class TestParameterMap:
 class TestLatticeScan:
     def test_origin_skipped(self, grids):
         for grid in grids.values():
-            c = grid.cell(0, 0)
+            c = next(c for c in grid.cells if (c.n, c.m) == (0, 0))
             assert c.skipped and c.root is None
 
     def test_counts_match_cells(self, grids):
