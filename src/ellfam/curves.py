@@ -277,31 +277,18 @@ def to_shifted_ab(E: WeierstrassCurve, T: CurvePoint) -> tuple[WeierstrassCurve,
 # -- point counting over F_p ---------------------------------------------
 
 def count_points_mod_p(E: WeierstrassCurve, p: int) -> int:
-    """#E(F_p) for odd p of good reduction, via the completed square."""
-    b2 = int(E.b2) % p
-    b4 = int(E.b4) % p
-    b6 = int(E.b6) % p
+    """#E(F_p) for an integral E and odd p of good reduction: y^2 over F_p
+    is counted on the completed square (2y + a1x + a3)^2 = psi_2^2(x)."""
+    c0, c1, c2, c3 = (c % p for c in _psi2_squared(E).ints)
     count = 1  # infinity
     half = (p - 1) // 2
     for x in range(p):
-        t = (((4 * x + b2) * x + 2 * b4) * x + b6) % p
+        t = (((c3 * x + c2) * x + c1) * x + c0) % p
         if t == 0:
             count += 1
         elif pow(t, half, p) == 1:
             count += 2
     return count
-
-
-def good_odd_primes(E: WeierstrassCurve, how_many: int) -> list[int]:
-    """The first how_many primes p >= 5 not dividing disc(E)."""
-    disc_num = E.disc.numerator * E.disc.denominator
-    out = []
-    p = 4
-    while len(out) < how_many:
-        p = nextprime(p)
-        if disc_num % p:
-            out.append(p)
-    return out
 
 
 # -- division polynomials -------------------------------------------------
@@ -310,25 +297,16 @@ def _psi2_squared(E: WeierstrassCurve) -> PolyQ:
     """psi_2^2 = 4x^3 + b2 x^2 + 2 b4 x + b6, built once per model."""
     c = E._cache
     if "psi2sq" not in c:
-        x = PolyQ.variable("x")
-        c["psi2sq"] = 4 * x**3 + E.b2 * x**2 + 2 * E.b4 * x + E.b6
+        c["psi2sq"] = PolyQ([E.b6, 2 * E.b4, E.b2, 4], "x")
     return c["psi2sq"]
 
 
 def _division_poly_cache(E: WeierstrassCurve) -> dict:
     c = E._cache
     if "divpoly" not in c:
-        x = PolyQ.variable("x")
-        g3 = 3 * x**4 + E.b2 * x**3 + 3 * E.b4 * x**2 + 3 * E.b6 * x + E.b8
-        g4 = (
-            2 * x**6
-            + E.b2 * x**5
-            + 5 * E.b4 * x**4
-            + 10 * E.b6 * x**3
-            + 10 * E.b8 * x**2
-            + (E.b2 * E.b8 - E.b4 * E.b6) * x
-            + (E.b4 * E.b8 - E.b6 * E.b6)
-        )
+        b2, b4, b6, b8 = E.b2, E.b4, E.b6, E.b8
+        g3 = PolyQ([b8, 3 * b6, 3 * b4, b2, 3], "x")
+        g4 = PolyQ([b4 * b8 - b6 * b6, b2 * b8 - b4 * b6, 10 * b8, 10 * b6, 5 * b4, b2, 2], "x")
         c["divpoly"] = {1: PolyQ([1], "x"), 2: PolyQ([1], "x"), 3: g3, 4: g4}
     return c["divpoly"]
 
@@ -349,10 +327,7 @@ def division_poly(E: WeierstrassCurve, n: int) -> PolyQ:
     f = _psi2_squared(E)
 
     def g(k: int) -> PolyQ:
-        if k == 0:
-            return PolyQ([], "x")
-        if k == -1:
-            return PolyQ([-1], "x")
+        # g(1)..g(4) are cached, and for k >= 5 no index below 1 is asked
         if k in cache:
             return cache[k]
         if k % 2:
@@ -416,13 +391,16 @@ class TorsionGroup:
 
 
 def torsion_bound(E: WeierstrassCurve) -> int:
-    """gcd of #E(F_p) over 16 good odd primes: the torsion order divides this."""
+    """gcd of #E(F_p) over the first 16 primes p >= 5 not dividing disc(E),
+    or fewer once it is 1: the torsion order divides this."""
     Ei, _ = E.integral_model()
-    g = 0
-    for p in good_odd_primes(Ei, 16):
-        g = math.gcd(g, count_points_mod_p(Ei, p))
-        if g == 1:
-            break
+    disc = int(Ei.disc)
+    g, p, used = 0, 3, 0
+    while used < 16 and g != 1:
+        p = nextprime(p)
+        if disc % p:
+            g = math.gcd(g, count_points_mod_p(Ei, p))
+            used += 1
     return g
 
 

@@ -67,16 +67,23 @@ class CurveFamily:
 
     label: str
     torsion: tuple[int, ...]
-    var: str
     A: PolyQ
     B: PolyQ
     torsion_points: tuple[CurvePoint, ...] = ()
     sections: tuple[CurvePoint, ...] = ()
-    rank: int = 0
     parent: Optional[str] = None
     substitution: Optional[RatFunc] = None
     condition: Optional[PolyQ] = None
     spec_hint: Optional[Fraction] = None
+
+    @property
+    def var(self) -> str:
+        return self.A.var
+
+    @property
+    def rank(self) -> int:
+        """The number of stored sections, independent over Q(t)."""
+        return len(self.sections)
 
     def curve(self) -> WeierstrassCurve:
         zero = RatFunc.const(0, self.var)
@@ -226,7 +233,6 @@ def substitute_parameter(
     family: CurveFamily,
     sub: RatFunc,
     label: str,
-    rank: Optional[int] = None,
     sections: Sequence[RatFunc] = (),
     lift_sections: Sequence[RatFunc] = (),
     condition: Optional[PolyQ] = None,
@@ -245,7 +251,6 @@ def substitute_parameter(
     y-coordinates after the substitution).
     """
     n, d = _integer_pair(sub)
-    new_var = sub.var
     s = max(-(-family.A.degree // 2), -(-family.B.degree // 4))
     # A1 = d^(2s) A(n/d) and B1 = d^(4s) B(n/d) are polynomials since
     # 2s >= deg A and 4s >= deg B
@@ -274,11 +279,9 @@ def substitute_parameter(
     new = CurveFamily(
         label=label,
         torsion=family.torsion,
-        var=new_var,
         A=Ap,
         B=Bp,
         torsion_points=tuple(transport(P) for P in family.torsion_points),
-        rank=family.rank if rank is None else rank,
         parent=family.label,
         substitution=sub,
         condition=condition,
@@ -304,6 +307,29 @@ def verify_section(family: CurveFamily, x: RatFunc | PolyQ) -> CurvePoint:
 
 # -- base models ----------------------------------------------------------
 
+def _tate_base_model(
+    label: str, torsion: tuple[int, ...], b: RatFunc, c: RatFunc, k: int, u: RatFunc
+) -> CurveFamily:
+    """The Tate normal form with parameters (b, c) as y^2 = x^3 + Ax^2 + Bx.
+
+    The 2-torsion point kP of P = (0, 0) is moved to the origin, the model
+    is rescaled by (x, y) -> (x/u^2, y/u^3), and P is carried along as the
+    torsion generator.  A and B must come out polynomial.
+    """
+    zero = b * 0
+    E = tate_normal_curve(b, c)
+    P = CurvePoint(zero, zero)
+    W, pm = to_shifted_ab(E, E.mul(k, P, check=False))
+    W2, pm2 = W.transform(u, zero, zero, zero)
+    return CurveFamily(
+        label=label,
+        torsion=torsion,
+        A=W2.a2.as_poly(),
+        B=W2.a4.as_poly(),
+        torsion_points=(pm2.forward(pm.forward(P)),),
+    )
+
+
 def model_z8() -> CurveFamily:
     """The universal Z/8 family y^2 = x^3 + A8(v) x^2 + B8(v) x.
 
@@ -312,27 +338,8 @@ def model_z8() -> CurveFamily:
     and the model is rescaled by l = 2v.
     """
     v = RatFunc.variable("v")
-    zero = RatFunc.const(0, "v")
     b = (2 * v - 1) * (v - 1)
-    c = b / v
-    E = tate_normal_curve(b, c)
-    P = CurvePoint(zero, zero)
-    W, pm = to_shifted_ab(E, E.mul(4, P, check=False))
-    # rescale (x, y) -> ((2v)^2 x, (2v)^3 y)
-    W2, pm2 = W.transform(1 / (2 * v), zero, zero, zero)
-    gen = pm2.forward(pm.forward(P))
-    A, B = W2.a2, W2.a4
-    if not (A.is_polynomial() and B.is_polynomial()):
-        raise AssertionError("Z/8 model derivation failed")
-    return CurveFamily(
-        label="Z8",
-        torsion=(8,),
-        var="v",
-        A=A.as_poly(),
-        B=B.as_poly(),
-        torsion_points=(gen,),
-        rank=0,
-    )
+    return _tate_base_model("Z8", (8,), b, b / v, 4, 1 / (2 * v))
 
 
 def model_z2x6() -> CurveFamily:
@@ -346,29 +353,7 @@ def model_z2x6() -> CurveFamily:
     yields the universal Z/2 x Z/6 model.
     """
     d = RatFunc.variable("v")
-    zero = RatFunc.const(0, "v")
-    b = d + d * d
-    c = d
-    E = tate_normal_curve(b, c)
-    P = CurvePoint(zero, zero)
-    W, pm = to_shifted_ab(E, E.mul(3, P, check=False))
-    dd = PolyQ.variable("v")
-    A6 = RatFunc(1 + 6 * dd - 3 * dd**2)
-    lam2 = A6 / W.a2
-    lam = ratfunc_sqrt(lam2)
-    W2, pm2 = W.transform(1 / lam, zero, zero, zero)
-    if W2.a2 != A6 or W2.a4 != RatFunc(-16 * dd**3):
-        raise AssertionError("Z/6 model derivation failed")
-    gen6 = pm2.forward(pm.forward(P))
-    base = CurveFamily(
-        label="Z6",
-        torsion=(6,),
-        var="v",
-        A=W2.a2.as_poly(),
-        B=W2.a4.as_poly(),
-        torsion_points=(gen6,),
-        rank=0,
-    )
+    base = _tate_base_model("Z6", (6,), d + d * d, d, 3, RatFunc.const(Fraction(1, 2), "v"))
     # d = (v^2 - 1) / (2(5 - 3v)) splits the 2-torsion completely
     v = RatFunc.variable("v")
     sub = (v * v - 1) / (2 * (5 - 3 * v))
@@ -376,7 +361,7 @@ def model_z2x6() -> CurveFamily:
     # second 2-torsion generator: a nonzero root of x^2 + Ax + B
     disc_root = poly_sqrt(fam.A * fam.A - 4 * fam.B)
     x2 = RatFunc(-1 * fam.A + disc_root) * Fraction(1, 2)
-    T2 = CurvePoint(x2, zero)
+    T2 = CurvePoint(x2, RatFunc.const(0, "v"))
     fam = replace(
         fam,
         torsion=(2, 6),
@@ -588,12 +573,12 @@ def catalog() -> Mapping[str, CurveFamily]:
     ):
         for i, (x, cond, sub) in enumerate(rank1, start=1):
             out[f"{prefix}-{i}"] = substitute_parameter(
-                out[prefix], sub, label=f"{prefix}-{i}", rank=1,
+                out[prefix], sub, label=f"{prefix}-{i}",
                 lift_sections=[x], condition=cond,
             )
         for i, (parent, sub, cond, hint, xs) in enumerate(rank2, start=1):
             out[f"{prefix}R2-{i}"] = substitute_parameter(
-                out[f"{prefix}-{parent}"], sub, label=f"{prefix}R2-{i}", rank=2,
+                out[f"{prefix}-{parent}"], sub, label=f"{prefix}R2-{i}",
                 sections=xs, condition=cond, spec_hint=hint,
             )
     _CATALOG_CACHE.update(out)

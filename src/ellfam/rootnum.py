@@ -17,6 +17,7 @@ agreed, and merging them lets a key that only one of them had answer both.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
@@ -40,20 +41,18 @@ class MissingLocalCase(Exception):
 class RootNumber:
     """Sign of the functional equation with its local decomposition.
 
-    value = (-1) * product of local_breakdown values; complete is False
-    when an unfactored discriminant residue could hide further bad primes,
-    making value a best-effort guess rather than a certified sign.
+    complete is False when an unfactored discriminant residue could hide
+    further bad primes, making value a best-effort guess rather than a
+    certified sign.
     """
 
-    value: int
     local_breakdown: Mapping[int, int]
     complete: bool
 
-    def __post_init__(self):
-        prod = -1
-        for w in self.local_breakdown.values():
-            prod *= w
-        assert self.value == prod
+    @property
+    def value(self) -> int:
+        """The archimedean factor -1 times every finite local factor."""
+        return -math.prod(self.local_breakdown.values())
 
 
 def _potentially_multiplicative(E: WeierstrassCurve, ld: LocalData) -> bool:
@@ -112,12 +111,8 @@ def global_root_number(
     """
     Emin, fi = discriminant_factorization(E, budget, parts=parts)
     breakdown: dict[int, int] = {}
-    value = -1
     for p, _e in fi.factors:
         ld = tate_local(Emin, p)
-        if ld.reduction == "good":
-            continue
-        w = local_root_number(Emin, ld)
-        breakdown[p] = w
-        value *= w
-    return RootNumber(value=value, local_breakdown=breakdown, complete=fi.complete)
+        if ld.reduction != "good":
+            breakdown[p] = local_root_number(Emin, ld)
+    return RootNumber(local_breakdown=breakdown, complete=fi.complete)

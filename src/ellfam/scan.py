@@ -410,7 +410,6 @@ def lattice_scan(spec: ScanSpec) -> ScanGrid:
 
 @dataclass(frozen=True)
 class SymmetryReport:
-    checked_pairs: int
     violations: tuple[tuple[tuple[int, int], tuple[int, int]], ...]
     isomorphism_samples: int
     isomorphism_failures: tuple[tuple[tuple[int, int], tuple[int, int]], ...]
@@ -435,7 +434,6 @@ def symmetry_audit(
     """
     a, b = symmetry
     index = {(c.n, c.m): c for c in grid.cells}
-    checked = 0
     violations = []
     sampled = 0
     iso_failures = []
@@ -445,7 +443,6 @@ def symmetry_audit(
             continue
         oc = index[o]
         if c.complete and oc.complete and c.root is not None and oc.root is not None:
-            checked += 1
             if c.root != oc.root:
                 violations.append(((c.n, c.m), o))
         if (
@@ -463,7 +460,6 @@ def symmetry_audit(
             if isomorphic_over_Q(Ea, Eb) is None:
                 iso_failures.append(((c.n, c.m), o))
     return SymmetryReport(
-        checked_pairs=checked,
         violations=tuple(violations),
         isomorphism_samples=sampled,
         isomorphism_failures=tuple(iso_failures),

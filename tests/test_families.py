@@ -9,10 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ellfam.arith import primes_below
+from ellfam.arith import primes_below, square_test
 from ellfam.curves import CurvePoint, torsion_subgroup
 from ellfam.families import (
     SingularMember,
+    _z2x6_rank1_data,
+    _z8_rank1_data,
     catalog,
     model_z8,
     model_z2x6,
@@ -23,6 +25,7 @@ from ellfam.families import (
     verify_section,
 )
 from ellfam.polyq import NotASquare, PolyQ, RatFunc, ratfunc_substitute
+from ellfam.sections import section_condition
 
 w = PolyQ.variable("w")
 u = PolyQ.variable("u")
@@ -194,10 +197,6 @@ class TestCatalogShape:
         for fam in catalog().values():
             assert fam.verify(), fam.label
 
-    def test_section_counts_match_rank(self):
-        for fam in catalog().values():
-            assert len(fam.sections) == fam.rank
-
     def test_rank1_j_invariants_distinct(self):
         cat = catalog()
         js = [cat[f"Z8-{i}"].j_invariant() for i in range(1, 19)]
@@ -214,6 +213,19 @@ class TestCatalogShape:
                 continue
             val = ratfunc_substitute(RatFunc(fam.condition), fam.substitution)
             ratfunc_sqrt(val)  # raises NotASquare on failure
+
+    @pytest.mark.parametrize(
+        "base, rows", [("Z8", _z8_rank1_data), ("Z2x6", _z2x6_rank1_data)]
+    )
+    def test_rank1_conditions_are_section_square_classes(self, base, rows):
+        # each stored condition is a rational square times the square class
+        # of x + A + B/x, for its section x on the base model
+        fam = catalog()[base]
+        for x, cond, _sub in rows():
+            core = section_condition(fam, x if isinstance(x, RatFunc) else RatFunc(x))
+            ratio = RatFunc(cond) / RatFunc(core)
+            assert ratio.is_constant(), (base, cond)
+            assert square_test(ratio.constant_value()) is not None, (base, cond)
 
 
 class TestCatalogPrintedModels:
@@ -552,6 +564,6 @@ class TestSubstituteParameter:
         fam = model_z8()
         ww = RatFunc.variable("w")
         sub = (5 - ww * ww) / (4 * (ww + 1))
-        new = substitute_parameter(fam, sub, label="t", rank=1)
+        new = substitute_parameter(fam, sub, label="t")
         E = new.curve()
         assert E.point_order(new.torsion_points[0]) == 8
