@@ -2,9 +2,10 @@
 
 Everything downstream (polynomials, curves, local data, scans) sits on top of
 this module: budgeted integer factorization, primality testing, rational
-square detection and Jacobi symbols.  All values are immutable and every
-result depends on the arguments alone; the one shared state is sympy's prime
-sieve, which factor() grows in place and which is not thread-safe.
+square detection and Jacobi symbols, all in the standard library.  All
+values are immutable and every result depends on the arguments alone; the
+one shared state is the module's prime sieve, which factor() and
+primes_below() grow in place and which is not thread-safe.
 
 Rationals are plain ``fractions.Fraction`` objects; the stdlib type already
 keeps gcd(num, den) = 1 and den >= 1, which is exactly the canonical form we
@@ -14,25 +15,126 @@ need.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from typing import Iterable, Optional
-
-from sympy import sieve
-from sympy.ntheory.primetest import isprime as _bpsw_isprime
 
 
 class Unfactored(Exception):
     """A factorization budget ran out before the answer was certain."""
 
 
-def is_prime(n: int) -> bool:
-    """Primality test: sympy's ``isprime``.
+# The shared prime sieve: _sieve_flags[n] is 1 exactly when n is prime, for
+# n < len(_sieve_flags), and _sieve_primes lists those primes in order.
+_sieve_flags = bytearray(2)
+_sieve_primes: list[int] = []
 
-    Deterministic Miller-Rabin below 3.317e24; at and above that bound,
-    Baillie-PSW (no counterexample is known).
+
+def _sieve_to(bound: int) -> None:
+    """Extend the shared sieve to cover every n < bound, by one segment."""
+    root = math.isqrt(max(bound - 1, 0))
+    if root >= len(_sieve_flags):
+        _sieve_to(root + 1)
+    lo = len(_sieve_flags)
+    if bound <= lo:
+        return
+    seg = bytearray(b"\x01") * (bound - lo)
+    for p in _sieve_primes:
+        if p > root:
+            break
+        start = max(p * p, -(-lo // p) * p) - lo
+        seg[start::p] = bytes(len(range(start, bound - lo, p)))
+    _sieve_flags.extend(seg)
+    _sieve_primes.extend(compress(range(lo, bound), seg))
+
+
+# Miller-Rabin bases, and _MR_PSI[k] the least strong pseudoprime to all of
+# _MR_BASES[:k + 1] (Jaeschke; Zhang and Tang; Sorenson and Webster): below
+# it those k + 1 bases decide primality.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_PSI = (
+    2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+    341550071728321, 341550071728321, 3825123056546413051,
+    3825123056546413051, 3825123056546413051, 318665857834031151167461,
+    3317044064679887385961981,
+)
+
+
+def is_prime(n: int) -> bool:
+    """Primality test, exact below 3.317e24.
+
+    n inside the shared sieve is looked up; above it, n is a strong
+    probable prime to as many of the prime bases 2 ... 41 as make the
+    answer certain, and from 3.317e24 up a Baillie-PSW probable prime
+    (base-2 strong probable prime, not a square, strong Lucas probable
+    prime with Selfridge's parameters; no counterexample is known).
     """
-    return _bpsw_isprime(n)
+    if n < len(_sieve_flags):
+        return n >= 0 and _sieve_flags[n] == 1
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    d = n - 1
+    s = (d & -d).bit_length() - 1
+    d >>= s
+    if n >= _MR_PSI[-1]:
+        return _strong_probable_prime(n, 2, d, s) and isqrt_exact(n) is None and _strong_lucas(n)
+    bases = _MR_BASES[: bisect_right(_MR_PSI, n) + 1]
+    return all(_strong_probable_prime(n, a, d, s) for a in bases)
+
+
+def _strong_probable_prime(n: int, a: int, d: int, s: int) -> bool:
+    """Miller-Rabin round: n - 1 = d 2^s with d odd, base a coprime to n."""
+    x = pow(a, d, n)
+    if x == 1 or x == n - 1:
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def _strong_lucas(n: int) -> bool:
+    """Strong Lucas probable-prime test for odd n > 1 that is not a square.
+
+    Selfridge's parameters: D is the first of 5, -7, 9, -11, ... with
+    (D|n) = -1, P = 1 and Q = (1 - D)/4.  With n + 1 = d 2^s, d odd, n
+    passes when U_d = 0 or V_(d 2^r) = 0 mod n for some r < s.
+    """
+    D = 5
+    while True:
+        j = jacobi(D, n)
+        if j == -1:
+            break
+        if j == 0 and abs(D) != n:
+            return False
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+    d = n + 1
+    s = (d & -d).bit_length() - 1
+    d >>= s
+
+    def half(x: int) -> int:
+        return (x + n if x & 1 else x) // 2 % n
+
+    # U_k, V_k, Q^k for k = 1, then along the bits of d (P = 1):
+    # U_2k = U_k V_k, V_2k = V_k^2 - 2Q^k, U_k+1 = (U_k + V_k)/2,
+    # V_k+1 = (D U_k + V_k)/2
+    U, V, Qk = 1, 1, Q % n
+    for bit in bin(d)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V, Qk = half(U + V), half(D * U + V), Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+        if V == 0:
+            return True
+    return False
 
 
 @dataclass(frozen=True)
@@ -99,8 +201,9 @@ class FactoredInt:
 
 
 def primes_below(bound: int) -> list[int]:
-    """The primes below bound, from sympy's shared sieve."""
-    return list(sieve.primerange(bound))
+    """The primes below bound, from the shared sieve."""
+    _sieve_to(bound)
+    return _sieve_primes[: bisect_left(_sieve_primes, bound)]
 
 
 def _brent_rho(n: int, max_iters: int) -> Optional[int]:
@@ -150,13 +253,14 @@ def factor(n: int, budget: FactorBudget = DEFAULT_BUDGET) -> FactoredInt:
     n = abs(n)
     found: dict[int, int] = {}
 
-    # walk sympy's shared sieve, which grows in place, in segments
-    # [lo, lo^2) cut at the square root of what is left of n, so that small
-    # or smooth n never make it sieve far
+    # walk the shared sieve, grown in place to exactly the bound needed, in
+    # segments [lo, lo^2) cut at the square root of what is left of n, so
+    # that small or smooth n never make it sieve far
     lo = 2
     while lo < budget.trial_bound and lo * lo <= n:
         hi = min(budget.trial_bound, math.isqrt(n) + 1, lo * lo)
-        for p in sieve.primerange(lo, hi):
+        _sieve_to(hi)
+        for p in _sieve_primes[bisect_left(_sieve_primes, lo) : bisect_left(_sieve_primes, hi)]:
             if p * p > n:
                 break
             if n % p == 0:

@@ -29,7 +29,6 @@ from .heights import independence_certificate, pairing_matrix
 from .localdata import discriminant_factorization, tate_local
 from .polyq import NotASquare
 from .rootnum import MissingLocalCase, global_root_number
-from .scan import builtin_scans, lattice_scan, symmetry_audit
 
 BUDGET_ENV = "ELLFAM_BUDGET"
 
@@ -272,6 +271,9 @@ def _cmd_sections(args) -> int:
 
 
 def _cmd_scan(args) -> int:
+    # the one command that needs the scan module, and with it sympy
+    from .scan import builtin_scans, lattice_scan, symmetry_audit
+
     specs = builtin_scans(radius=args.radius, budget=args.budget)
     if args.name not in specs:
         print(f"unknown scan: {args.name}; known: {sorted(specs)}", file=sys.stderr)

@@ -14,9 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from sympy import integer_nthroot, nextprime
-
-from .arith import square_test
+from .arith import is_prime, square_test
 from .polyq import PolyQ, RatFunc
 
 FieldElem = Union[Fraction, RatFunc]
@@ -397,8 +395,8 @@ def torsion_bound(E: WeierstrassCurve) -> int:
     disc = int(Ei.disc)
     g, p, used = 0, 3, 0
     while used < 16 and g != 1:
-        p = nextprime(p)
-        if disc % p:
+        p += 2
+        if is_prime(p) and disc % p:
             g = math.gcd(g, count_points_mod_p(Ei, p))
             used += 1
     return g
@@ -481,13 +479,26 @@ def _point_of_exact_order(E: WeierstrassCurve, n: int) -> Optional[CurvePoint]:
 
 # -- isomorphism over Q ---------------------------------------------------
 
+def _integer_nthroot(x: int, n: int) -> int:
+    """floor(x^(1/n)) for x >= 0: Newton's iteration from above, which
+    decreases to the floor."""
+    if x < 2:
+        return x
+    r = 1 << -(-x.bit_length() // n)
+    while True:
+        s = ((n - 1) * r + x // r ** (n - 1)) // n
+        if s >= r:
+            return r
+        r = s
+
+
 def _nth_root_rational(q: Fraction, n: int) -> Optional[Fraction]:
     """The positive rational n-th root of q > 0, if there is one."""
     if q <= 0:
         return None
-    num, num_exact = integer_nthroot(q.numerator, n)
-    den, den_exact = integer_nthroot(q.denominator, n)
-    return Fraction(num, den) if num_exact and den_exact else None
+    num = _integer_nthroot(q.numerator, n)
+    den = _integer_nthroot(q.denominator, n)
+    return Fraction(num, den) if num**n == q.numerator and den**n == q.denominator else None
 
 
 def _translation_for_scale(E1: WeierstrassCurve, E2: WeierstrassCurve, u):

@@ -21,8 +21,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-import mpmath as mp
-
 from .arith import DEFAULT_BUDGET, FactorBudget, Unfactored, factor, valuation
 from .curves import CurvePoint, WeierstrassCurve, division_poly
 from .localdata import minimal_model
@@ -38,13 +36,16 @@ _SERIES_TERMS = 64
 _WORK_DPS = 60
 
 
-def _lambda_inf(E: WeierstrassCurve, x0: Fraction) -> mp.mpf:
-    """Archimedean local height of a point with x-coordinate x0.
+def _lambda_inf(E: WeierstrassCurve, x0: Fraction):
+    """Archimedean local height of a point with x-coordinate x0, an mpmath
+    mpf at the caller's working precision.
 
     λ(P) = (1/4)·λ(2P) + (1/8)·log|4x³ + b2x² + 2b4x + b6| telescoped for
     _SERIES_TERMS duplications, closed with the crude bound
     λ(Q) ≈ (1/2)·log max(|x(Q)|, 1); the tail carries a 4^(-terms) factor.
     """
+    import mpmath as mp
+
     b2 = mp.mpf(int(E.b2))
     b4 = mp.mpf(int(E.b4))
     b6 = mp.mpf(int(E.b6))
@@ -137,6 +138,8 @@ def _height_on_minimal(
 ) -> float:
     """ĥ(Q) for Q on the minimal model Emin: 0 at torsion, else
     2·λ∞(x) + log den x + Σ z·log p over the singular primes."""
+    import mpmath as mp
+
     if Q.is_infinity or Emin.point_order(Q) is not None:
         return 0.0
     x = Fraction(Q.x)

@@ -11,9 +11,6 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from sympy.polys.domains import ZZ
-from sympy.polys.galoistools import gf_from_int_poly, gf_gcd, gf_pow_mod, gf_sub
-
 from .arith import (
     DEFAULT_BUDGET,
     FactorBudget,
@@ -32,6 +29,7 @@ from .curves import (
     change_coordinates,
     weierstrass_invariants,
 )
+from .polyq import gcd_mod_p
 
 
 @dataclass(frozen=True)
@@ -215,15 +213,35 @@ def _count_roots_cubic(cs: list[int], p: int) -> int:
     """Number of distinct roots in F_p of a cubic given by ascending
     coefficients, nonzero mod p: the degree of gcd(f, T^p - T).
 
-    Below p = 500, trying every residue is faster than that gcd.
+    Below p = 500, trying every residue is faster than that gcd.  Above,
+    T^p mod f is formed by squaring, on residue lists (index = degree).
     """
     d, c, b, a = (x % p for x in cs)
     if p < 500:
         return sum((((a * x + b) * x + c) * x + d) % p == 0 for x in range(p))
-    f = gf_from_int_poly([a, b, c, d], p)
-    x = [ZZ(1), ZZ(0)]
-    h = gf_sub(gf_pow_mod(x, p, f, p, ZZ), x, p, ZZ)
-    return len(gf_gcd(f, h, p, ZZ)) - 1
+    m = pow(a, -1, p)
+    f0, f1, f2 = d * m % p, c * m % p, b * m % p
+
+    def mulmod(x: list[int], y: list[int]) -> list[int]:
+        # x y mod T^3 + f2 T^2 + f1 T + f0, for x and y of degree < 3
+        z = [0] * 5
+        for i, xi in enumerate(x):
+            for j, yj in enumerate(y):
+                z[i + j] += xi * yj
+        for k in (4, 3):
+            z[k - 3] -= z[k] * f0
+            z[k - 2] -= z[k] * f1
+            z[k - 1] -= z[k] * f2
+        return [v % p for v in z[:3]]
+
+    h, sq, e = [1, 0, 0], [0, 1, 0], p
+    while e:
+        if e & 1:
+            h = mulmod(h, sq)
+        sq = mulmod(sq, sq)
+        e >>= 1
+    h[1] -= 1
+    return len(gcd_mod_p([d, c, b, a], h, p)) - 1
 
 
 def tate_local(E: WeierstrassCurve, p: int) -> LocalData:

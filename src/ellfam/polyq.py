@@ -6,13 +6,14 @@ numerators (index = degree) over one positive denominator, reduced so that
 the two share no factor; rational functions are reduced num/den pairs with
 monic denominator, so equality of canonical forms is structural equality.
 
-Heavy algebra (gcd, factorization into irreducibles over Q) is delegated to
-sympy's dense ``dup_*`` routines over ``ZZ``, applied to the integer
-numerators (highest degree first); no sympy expression is built.
-Everything else is implemented directly on the integers, with one gcd per
-result, and a rational function is normalized once per result: a
-substitution f(n/d) is formed as d^k num(n/d) / d^k den(n/d) on integer
-lists, and ``RatFunc`` takes both gcd cofactors from one ``dup_inner_gcd``.
+Everything but factorization is implemented directly on the integer
+numerators, with one gcd per result, and a rational function is normalized
+once per result: a substitution f(n/d) is formed as d^k num(n/d) /
+d^k den(n/d) on integer lists, and ``RatFunc`` divides both by one gcd in
+Z[u], a primitive remainder sequence after a coprimality test mod a prime.
+Only factorization into irreducibles over Q imports sympy, whose dense
+``dup_factor_list`` over ``ZZ`` it calls on the numerators; no sympy
+expression is built.
 """
 
 from __future__ import annotations
@@ -20,10 +21,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
-
-from sympy.polys.domains import ZZ
-from sympy.polys.euclidtools import dup_gcd, dup_inner_gcd
-from sympy.polys.factortools import dup_factor_list
 
 from .arith import isqrt_exact, squarefree_decompose
 
@@ -50,6 +47,88 @@ def _zz_mul(xs: list[int], ys: list[int]) -> list[int]:
             for j, b in enumerate(ys):
                 out[i + j] += a * b
     return out
+
+
+def _zz_primitive(xs: list[int]) -> list[int]:
+    """xs over its content, with a positive leading coefficient."""
+    g = math.gcd(*xs)
+    return [c // g for c in xs] if xs[-1] > 0 else [-c // g for c in xs]
+
+
+# a prime far above the coefficients of the catalog's polynomials, so that
+# it divides a leading coefficient only by a rare accident
+_GCD_PRIME = 2**61 - 1
+
+
+def gcd_mod_p(xs: Sequence[int], ys: Sequence[int], p: int) -> list[int]:
+    """Monic gcd mod the prime p of two integer polynomials (index =
+    degree), as residues; [] when both vanish mod p."""
+    a = [c % p for c in xs]
+    b = [c % p for c in ys]
+    while a and not a[-1]:
+        a.pop()
+    while b and not b[-1]:
+        b.pop()
+    while b:
+        inv, db = pow(b[-1], -1, p), len(b) - 1
+        while len(a) > db:
+            c = a.pop() * inv % p
+            shift = len(a) - db
+            for j in range(db):
+                a[shift + j] = (a[shift + j] - c * b[j]) % p
+            while a and not a[-1]:
+                a.pop()
+        a, b = b, a
+    if a:
+        inv = pow(a[-1], -1, p)
+        a = [c * inv % p for c in a]
+    return a
+
+
+def _zz_gcd(xs: Sequence[int], ys: Sequence[int]) -> list[int]:
+    """The primitive gcd in Z[u] of two nonzero integer polynomials (index
+    = degree), with a positive leading coefficient.
+
+    When _GCD_PRIME does not divide lc(xs), the gcd's reduction mod that
+    prime keeps its degree and divides the gcd mod the prime, so a gcd of 1
+    there proves xs and ys coprime.  Otherwise a primitive remainder
+    sequence: a pseudo-remainder scaled only as far as each step needs,
+    over its content.
+    """
+    if xs[-1] % _GCD_PRIME and len(gcd_mod_p(xs, ys, _GCD_PRIME)) == 1:
+        return [1]
+    a, b = _zz_primitive(list(xs)), _zz_primitive(list(ys))
+    if len(a) < len(b):
+        a, b = b, a
+    while len(b) > 1:
+        lb, db = b[-1], len(b) - 1
+        while len(a) > db:
+            g = math.gcd(a[-1], lb)
+            m, k = lb // g, a[-1] // g
+            shift = len(a) - 1 - db
+            a = [c * m for c in a]
+            for j, c in enumerate(b):
+                a[shift + j] -= k * c
+            while a and not a[-1]:
+                a.pop()
+        if not a:
+            return b
+        a, b = b, _zz_primitive(a)
+    return [1]
+
+
+def _zz_exquo(xs: Sequence[int], ys: Sequence[int]) -> list[int]:
+    """xs / ys for integer polynomials (index = degree) when ys divides xs
+    in Z[u]."""
+    r = list(xs)
+    dy, ly = len(ys) - 1, ys[-1]
+    q = [0] * (len(r) - dy)
+    for i in range(len(q) - 1, -1, -1):
+        c = q[i] = r[i + dy] // ly
+        if c:
+            for j, y in enumerate(ys):
+                r[i + j] -= c * y
+    return q
 
 
 class PolyQ:
@@ -208,7 +287,7 @@ class PolyQ:
         value = homogeneous_value(self.ints, x.numerator, q)
         return Fraction(value, self.den * q ** max(self.degree, 0))
 
-    # -- gcd / factorization (sympy dup_* routines) -----------------------
+    # -- gcd / factorization ----------------------------------------------
     def monic(self) -> "PolyQ":
         if self.is_zero():
             return self
@@ -219,21 +298,21 @@ class PolyQ:
             return other.monic()
         if other.is_zero():
             return self.monic()
-        var = self._join_var(other)
-        if self.is_constant() or other.is_constant():
-            return PolyQ([1], var)
-        g = dup_gcd(list(self.ints[::-1]), list(other.ints[::-1]), ZZ)
-        # int(): ZZ elements are mpz under gmpy ground types
-        return _make([int(c) for c in reversed(g)], int(g[0]), var)
+        g = _zz_gcd(self.ints, other.ints)
+        return _make(g, g[-1], self._join_var(other))
 
     def factor(self) -> tuple[Fraction, list[tuple["PolyQ", int]]]:
         """Factor into content * prod(irreducible**e) over Q.
 
         Irreducible parts are primitive with positive leading integer
-        coefficients.
+        coefficients.  The one use of sympy in this module.
         """
+        from sympy.polys.domains import ZZ
+        from sympy.polys.factortools import dup_factor_list
+
         if self.is_zero():
             raise ValueError("cannot factor the zero polynomial")
+        # int(): ZZ elements are mpz under gmpy ground types
         c, parts = dup_factor_list(list(self.ints[::-1]), ZZ)
         return Fraction(int(c), self.den), [
             (_make([int(x) for x in reversed(f)], 1, self.var), e) for f, e in parts
@@ -374,14 +453,14 @@ class RatFunc:
                 num = num * (1 / lc)
                 den = den * (1 / lc)
         else:
-            # one gcd over Z gives both cofactors: with num = xs/dn and
-            # den = ys/dd, num/den = cff dd / (cfg dn)
+            # one gcd g over Z gives both cofactors: with num = xs/dn and
+            # den = ys/dd, num/den = (xs/g) dd / ((ys/g) dn)
             var = num._join_var(den)
-            dn, dd = num.den, den.den
-            _g, cff, cfg = dup_inner_gcd(list(num.ints[::-1]), list(den.ints[::-1]), ZZ)
-            lc = int(cfg[0])  # int(): ZZ elements are mpz under gmpy ground types
-            num = _make([int(c) * dd for c in reversed(cff)], lc * dn, var)
-            den = _make([int(c) for c in reversed(cfg)], lc, var)
+            g = _zz_gcd(num.ints, den.ints)
+            cff, cfg = _zz_exquo(num.ints, g), _zz_exquo(den.ints, g)
+            lc = cfg[-1]
+            num = _make([c * den.den for c in cff], lc * num.den, var)
+            den = _make(cfg, lc, var)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 

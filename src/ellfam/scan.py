@@ -25,10 +25,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from sympy.polys.densebasic import dmp_strip, dup_strip
-from sympy.polys.domains import ZZ
-from sympy.polys.factortools import dmp_factor_list
-
 from .arith import (
     DEFAULT_BUDGET,
     FactorBudget,
@@ -83,6 +79,10 @@ class BiquadraticCurve:
             raise ValueError("the defining polynomial must be irreducible")
 
     def _is_irreducible(self) -> bool:
+        from sympy.polys.densebasic import dmp_strip, dup_strip
+        from sympy.polys.domains import ZZ
+        from sympy.polys.factortools import dmp_factor_list
+
         den = math.lcm(*(c.denominator for row in self.coeffs for c in row))
         # dense over ZZ[r][s], highest powers first; dmp_factor_list needs
         # every level stripped of leading zeros

@@ -16,9 +16,6 @@ from fractions import Fraction
 from math import gcd
 from typing import Callable, Optional, Sequence
 
-import sympy
-from sympy.solvers.diophantine.diophantine import diop_ternary_quadratic_normal
-
 from .arith import (
     DEFAULT_BUDGET,
     FactorBudget,
@@ -289,8 +286,12 @@ def solve_conic(
     """An exact projective point on the conic, or None when none exists.
 
     Emptiness is certified by a local obstruction (see local_obstruction),
-    never by giving up on a search.
+    never by giving up on a search.  Only sympy's ternary solver finds the
+    point of a diagonal conic, so this is the one use of sympy here.
     """
+    import sympy
+    from sympy.solvers.diophantine.diophantine import diop_ternary_quadratic_normal
+
     diag, T, pt = _diagonalize(C.M)
     if pt is not None:
         sol = tuple(Fraction(v) for v in pt)

@@ -28,6 +28,26 @@ from ellfam.arith import (
 )
 
 
+# psi_k, the least strong pseudoprime to all of the first k prime bases,
+# k = 1 ... 13 (OEIS A014233)
+STRONG_PSEUDOPRIMES = (
+    2047,
+    1373653,
+    25326001,
+    3215031751,
+    2152302898747,
+    3474749660383,
+    341550071728321,
+    341550071728321,
+    3825123056546413051,
+    3825123056546413051,
+    3825123056546413051,
+    318665857834031151167461,
+    3317044064679887385961981,
+)
+STRONG_LUCAS_PSEUDOPRIMES = (5459, 5777, 10877, 16109, 18971)
+
+
 class TestIsPrime:
     def test_small_values(self):
         primes = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47}
@@ -35,8 +55,8 @@ class TestIsPrime:
             assert is_prime(n) == (n in primes)
 
     def test_carmichael_numbers(self):
-        for n in (561, 1105, 1729, 2465, 2821, 6601, 8911):
-            assert not is_prime(n)
+        for n in (561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265, 321197185):
+            assert not is_prime(n) and not sympy.isprime(n)
 
     def test_large_prime_and_composite(self):
         assert is_prime(2**127 - 1)
@@ -51,6 +71,49 @@ class TestIsPrime:
         # psi_12 = 399165290221 * 798330580441 < 3.317e24 passes Miller-Rabin
         # for every base 2..37; base 41 exposes it
         assert not is_prime(318665857834031151167461)
+
+    def test_matches_sympy_below_1e5_from_the_sieve_and_without_it(self, monkeypatch):
+        expected = [n for n in range(10**5) if sympy.isprime(n)]
+        # a fresh sieve leaves every n > 1 to the Miller-Rabin rounds
+        monkeypatch.setattr(arith, "_sieve_flags", bytearray(2))
+        monkeypatch.setattr(arith, "_sieve_primes", [])
+        assert [n for n in range(10**5) if is_prime(n)] == expected
+        assert len(arith._sieve_flags) == 2
+        assert primes_below(10**5) == expected
+        assert [n for n in range(10**5) if is_prime(n)] == expected
+
+    @pytest.mark.parametrize("k,psi", list(enumerate(STRONG_PSEUDOPRIMES, 1)))
+    def test_least_strong_pseudoprimes_to_the_first_prime_bases(self, k, psi):
+        # psi passes the Miller-Rabin round for the first k prime bases ...
+        d, s = psi - 1, 0
+        while d % 2 == 0:
+            d, s = d // 2, s + 1
+        assert all(arith._strong_probable_prime(psi, a, d, s) for a in arith._MR_BASES[:k])
+        # ... and is still caught, and agrees with sympy
+        assert not is_prime(psi) and not sympy.isprime(psi)
+
+    def test_strong_lucas_pseudoprimes_below_20000(self):
+        # the strong Lucas-Selfridge test alone is fooled by exactly these
+        # odd composites below 20000 (OEIS A217255)
+        fooled = [
+            n
+            for n in range(3, 20000, 2)
+            if math.isqrt(n) ** 2 != n and not sympy.isprime(n) and arith._strong_lucas(n)
+        ]
+        assert fooled == list(STRONG_LUCAS_PSEUDOPRIMES)
+        for n in STRONG_LUCAS_PSEUDOPRIMES:
+            assert not is_prime(n) and not sympy.isprime(n)
+
+    def test_square_of_a_prime_above_the_limit(self):
+        p = sympy.nextprime(2 * 10**12)
+        assert p * p >= MR_DETERMINISTIC_LIMIT
+        assert is_prime(p) and not is_prime(p * p) and not sympy.isprime(p * p)
+
+    def test_product_of_two_mersenne_primes(self):
+        M89, M107 = 2**89 - 1, 2**107 - 1
+        assert is_prime(M89) and is_prime(M107)
+        assert not is_prime(M89 * M107) and not sympy.isprime(M89 * M107)
+
 
 
 # first-13-prime-bases Miller-Rabin is proven only below this bound (psi_13)
@@ -157,19 +220,22 @@ class TestFactor:
 
 
     def test_sieve_grows_to_the_needed_bound(self, monkeypatch):
-        # trial division walks sympy's one shared sieve only as far as
+        # trial division walks the one shared sieve only as far as
         # min(trial_bound, the square root of the cofactor left) needs
-        assert arith.sieve is sympy.sieve
-        fresh = sympy.ntheory.generate.Sieve()
-        monkeypatch.setattr(arith, "sieve", fresh)
+        monkeypatch.setattr(arith, "_sieve_flags", bytearray(2))
+        monkeypatch.setattr(arith, "_sieve_primes", [])
         smooth = 2**13 * 3**14 * 5**8  # > 10^16, as in the catalog build
         assert factor(smooth).factors == ((2, 13), (3, 14), (5, 8))
-        assert fresh._list[-1] < 100
+        assert arith._sieve_primes[-1] < 100
         assert factor(101 * 103).factors == ((101, 1), (103, 1))
-        assert fresh._list[-1] <= math.isqrt(101 * 103) + 1
+        assert arith._sieve_primes[-1] <= math.isqrt(101 * 103) + 1
         fi = factor(M61 * M89, FactorBudget(10**3, 0))
         assert fi.residue == M61 * M89
-        assert 990 < fresh._list[-1] < 10**3
+        assert 990 < arith._sieve_primes[-1] < 10**3
+        # the sieve covers exactly the bound asked for, and its flags and
+        # primes agree
+        assert len(arith._sieve_flags) == 10**3
+        assert [n for n, flag in enumerate(arith._sieve_flags) if flag] == arith._sieve_primes
 
 
     @pytest.mark.parametrize(

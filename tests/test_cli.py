@@ -372,3 +372,23 @@ def test_console_script_help():
     for sub in ("catalog", "specialize", "torsion", "local", "rootnumber",
                 "heights", "sections", "scan", "verify-all"):
         assert sub in proc.stdout
+
+
+def test_queries_import_neither_sympy_nor_mpmath():
+    # a fresh interpreter answers catalog, rootnumber and sections without
+    # sympy or mpmath, and heights without sympy
+    script = """
+import contextlib, io, sys
+from ellfam import cli
+
+def run(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(list(argv)) == 0
+    return sorted(m for m in ("sympy", "mpmath") if m in sys.modules)
+
+print(run("catalog"), run("rootnumber", "Z8R2-1", "--u", "22"), run("sections", "Z8R2-4"))
+print(run("heights", "Z8R2-1", "--u", "22"))
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[] [] []", "['mpmath']"]

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from ellfam.curves import (
     INFINITY,
+    _nth_root_rational,
     CurvePoint,
     OffCurve,
     PointMap,
@@ -347,3 +348,46 @@ class TestIsomorphism:
 
     def test_different_j_not_isomorphic(self):
         assert isomorphic_over_Q(E37(), WeierstrassCurve(1, 1, 1, -1595, -4768)) is None
+
+
+class TestNthRootRational:
+    """The scale rule's rational k-th root against sympy's integer_nthroot."""
+
+    @staticmethod
+    def reference(q, k):
+        from sympy import integer_nthroot
+
+        if q <= 0:
+            return None
+        (num, num_exact), (den, den_exact) = (
+            integer_nthroot(q.numerator, k),
+            integer_nthroot(q.denominator, k),
+        )
+        return Fraction(num, den) if num_exact and den_exact else None
+
+    @pytest.mark.parametrize("k", [2, 4, 6])
+    @given(
+        st.integers(min_value=0, max_value=10**60),
+        st.integers(min_value=1, max_value=10**40),
+        st.sampled_from([-1, 0, 1]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_integer_nthroot(self, k, a, b, shift):
+        # exact k-th powers, their neighbours and plain fractions
+        for q in (Fraction(a**k + shift, b**k), Fraction(a**k, b**k + shift or 1), Fraction(a, b)):
+            assert _nth_root_rational(q, k) == self.reference(q, k)
+
+    @pytest.mark.parametrize("k", [2, 4, 6])
+    def test_huge_and_non_power_inputs(self, k):
+        big = 3**700 * 7**301
+        for q in (
+            Fraction(big**k),
+            Fraction(big**k + 1),
+            Fraction(big**k - 1, 5**k),
+            Fraction(2**(k * 500), 3**(k * 200)),
+            Fraction(2**(k * 500 + 1)),
+            Fraction(-(2**k)),
+            Fraction(0),
+            Fraction(1, 10**k),
+        ):
+            assert _nth_root_rational(q, k) == self.reference(q, k)

@@ -253,6 +253,21 @@ class TestResidueFieldHelpers:
         cs = _cubic_from_roots(a, [r1, r2, r3])
         assert _count_roots_cubic(cs, p) == len({r1 % p, r2 % p, r3 % p})
 
+    def test_count_roots_above_500_every_prime_to_2000(self):
+        # the T^p mod f branch, against trying every residue, on cubics
+        # with 1, 2 (a double root) and 3 distinct roots, and on three more
+        # per prime, among which some have none
+        counts = set()
+        for p in [q for q in primes_below(2001) if q > 500]:
+            for a, roots in ((1, [0, 1, 2]), (7, [5, 5, p - 1]), (3, [4, 4, 4])):
+                cs = _cubic_from_roots(a, roots)
+                assert _count_roots_cubic(cs, p) == len(_roots_brute(cs, p)) == len(set(roots))
+            for k in range(3):
+                cs = [(k + 1) * 10**5 + p, -(7**k) * p - 3, 2 + k, 5 + k * p]
+                counts.add(_count_roots_cubic(cs, p))
+                assert _count_roots_cubic(cs, p) == len(_roots_brute(cs, p))
+        assert {0, 1, 3} <= counts
+
 
 def _multiple_root_brute(cs, p):
     """(r, triple) for the common root r of f and f' in F_p, None if none.

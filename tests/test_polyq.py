@@ -11,9 +11,13 @@ from hypothesis import strategies as st
 
 from ellfam.curves import WeierstrassCurve, weierstrass_invariants
 from ellfam.polyq import (
+    _GCD_PRIME,
     NotASquare,
     PolyQ,
     RatFunc,
+    _zz_exquo,
+    _zz_gcd,
+    gcd_mod_p,
     homogenized_substitute,
     poly_sqrt,
     ratfunc_substitute,
@@ -163,6 +167,78 @@ class TestDenseCore:
         ref_content, ref_parts = sympy.factor_list(sympy_poly(p))
         assert content == Fraction(int(ref_content.p), int(ref_content.q))
         assert parts == [(from_sympy_poly(f), e) for f, e in ref_parts]
+
+
+int_polys = st.lists(st.integers(min_value=-50, max_value=50), min_size=1, max_size=6).filter(
+    lambda cs: cs[-1] != 0
+)
+
+
+def _zz_mul_ref(xs, ys):
+    out = [0] * (len(xs) + len(ys) - 1)
+    for i, x in enumerate(xs):
+        for j, y in enumerate(ys):
+            out[i + j] += x * y
+    return out
+
+
+def _proportional(xs, ys):
+    """xs = c ys for a nonzero rational c."""
+    return len(xs) == len(ys) and all(x * ys[-1] == y * xs[-1] for x, y in zip(xs, ys))
+
+
+class TestIntegerGcd:
+    """The gcd in Z[u] behind PolyQ.gcd and RatFunc, against sympy's
+    dup_inner_gcd: its cofactors are sympy's up to one nonzero rational
+    factor (sympy's gcd also carries the common content), which the
+    canonical forms divide out."""
+
+    @given(int_polys, int_polys, int_polys, st.integers(-30, 30).filter(bool), st.integers(-30, 30).filter(bool))
+    @settings(max_examples=200, deadline=None)
+    def test_cofactors_match_dup_inner_gcd(self, a, b, c, k, m):
+        from sympy.polys.domains import ZZ
+        from sympy.polys.euclidtools import dup_inner_gcd
+
+        # a common content 6 and a common factor c, with the sign of each
+        # leading coefficient free
+        xs = [6 * k * x for x in _zz_mul_ref(a, c)]
+        ys = [6 * m * y for y in _zz_mul_ref(b, c)]
+        g = _zz_gcd(xs, ys)
+        cff, cfg = _zz_exquo(xs, g), _zz_exquo(ys, g)
+        assert _zz_mul_ref(cff, g) == xs and _zz_mul_ref(cfg, g) == ys
+        assert g[-1] > 0 and math.gcd(*g) == 1
+        h, sff, sfg = (
+            [int(x) for x in reversed(v)] for v in dup_inner_gcd(xs[::-1], ys[::-1], ZZ)
+        )
+        assert _proportional(g, h)
+        assert _proportional(cff, sff) and _proportional(cfg, sfg)
+        assert cff[-1] * sfg[-1] == sff[-1] * cfg[-1]
+
+    def test_common_factor_that_vanishes_mod_the_prime(self):
+        # xs = u (P u + 1) and ys = (u + 1)(P u + 1) are coprime mod P:
+        # only the remainder sequence sees their gcd
+        xs, ys = [0, 1, _GCD_PRIME], [1, _GCD_PRIME + 1, _GCD_PRIME]
+        assert len(gcd_mod_p(xs, ys, _GCD_PRIME)) == 1
+        assert _zz_gcd(xs, ys) == [1, _GCD_PRIME]
+
+    @given(int_polys, int_polys, int_polys.filter(lambda cs: len(cs) > 1))
+    @settings(max_examples=60, deadline=None)
+    def test_remainder_sequence_when_the_prime_divides_the_lead(self, a, b, c):
+        # a common factor whose leading coefficient _GCD_PRIME divides:
+        # lc(xs) = 0 mod that prime skips the coprimality test, so the
+        # remainder sequence alone must find the gcd
+        c = c[:-1] + [_GCD_PRIME * c[-1]]
+        xs, ys = _zz_mul_ref(a, c), _zz_mul_ref(b, c)
+        g = _zz_gcd(xs, ys)
+        ref = sympy.gcd(sympy.Poly(xs[::-1], U), sympy.Poly(ys[::-1], U))
+        assert _proportional(g, [int(x) for x in reversed(ref.all_coeffs())])
+
+    def test_gcd_mod_p(self):
+        # (u - 1)(u + 2) and (u - 1)(u - 3) mod 7: monic gcd u - 1
+        assert gcd_mod_p([-2, 1, 1], [3, -4, 1], 7) == [6, 1]
+        assert gcd_mod_p([1, 1], [2, 1], 7) == [1]
+        assert gcd_mod_p([7, 14], [0, 21], 7) == []
+        assert gcd_mod_p([3, 0, 2], [0], 5) == [4, 0, 1]
 
 
 class TestSquareDecompose:
