@@ -5,7 +5,8 @@ this module: budgeted integer factorization, primality testing, rational
 square detection and Jacobi symbols, all in the standard library.  All
 values are immutable and every result depends on the arguments alone; the
 one shared state is the module's prime sieve, which factor() and
-primes_below() grow in place and which is not thread-safe.
+primes_below() grow in place, with the products of its blocks of primes
+that factor() caches; neither is thread-safe.
 
 Rationals are plain ``fractions.Fraction`` objects; the stdlib type already
 keeps gcd(num, den) = 1 and den >= 1, which is exactly the canonical form we
@@ -19,7 +20,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 
 class Unfactored(Exception):
@@ -141,7 +142,7 @@ def _strong_lucas(n: int) -> bool:
 class FactorBudget:
     """Effort limit for integer factorization.
 
-    trial_bound: trial-divide by primes up to this bound.
+    trial_bound: trial-divide by the primes below this bound.
     rho_iterations: Brent-rho iteration allowance per factor() call (and
         per part in factor_with_parts()).  Each rho call may spend whatever
         is left of it, and is then charged a flat 10^4, however many
@@ -255,12 +256,15 @@ def factor(n: int, budget: FactorBudget = DEFAULT_BUDGET) -> FactoredInt:
 
     # walk the shared sieve, grown in place to exactly the bound needed, in
     # segments [lo, lo^2) cut at the square root of what is left of n, so
-    # that small or smooth n never make it sieve far
+    # that small or smooth n never make it sieve far; a segment of at least
+    # a block's length is walked block by block (_trial_primes)
     lo = 2
     while lo < budget.trial_bound and lo * lo <= n:
         hi = min(budget.trial_bound, math.isqrt(n) + 1, lo * lo)
         _sieve_to(hi)
-        for p in _sieve_primes[bisect_left(_sieve_primes, lo) : bisect_left(_sieve_primes, hi)]:
+        i, end = bisect_left(_sieve_primes, lo), bisect_left(_sieve_primes, hi)
+        ps = _sieve_primes[i:end] if end - i < _BLOCK else _trial_primes(n, i, end)
+        for p in ps:
             if p * p > n:
                 break
             if n % p == 0:
@@ -297,6 +301,39 @@ def factor(n: int, budget: FactorBudget = DEFAULT_BUDGET) -> FactoredInt:
     for p in primes:
         n, found[p] = _strip(n, p)
     return FactoredInt(sign, tuple(sorted(found.items())), n)
+
+
+# _block_products[b] is the product of the aligned block of sieve primes
+# _sieve_primes[b * _BLOCK : (b + 1) * _BLOCK], built on first use; the
+# sieve only grows at its end, so a complete block never changes
+_BLOCK = 128
+_block_products: list[int] = []
+
+
+def _block_product(b: int) -> int:
+    while len(_block_products) <= b:
+        k = len(_block_products) * _BLOCK
+        _block_products.append(math.prod(_sieve_primes[k : k + _BLOCK]))
+    return _block_products[b]
+
+
+def _trial_primes(n: int, i: int, end: int) -> Iterator[int]:
+    """The sieve primes with index i ... end - 1 that can divide n, in
+    order: all of them, except that of a whole block past the first only
+    the first prime and the others dividing the block's gcd with n.
+
+    The first prime comes before the gcd, so a caller that stops at a
+    prime p with p^2 above what is left of n skips that gcd.
+    """
+    j = min(end, max(_BLOCK, -(-i // _BLOCK) * _BLOCK))
+    yield from _sieve_primes[i:j]
+    while j + _BLOCK <= end:
+        yield _sieve_primes[j]
+        g = math.gcd(n, _block_product(j // _BLOCK))
+        if g > 1:
+            yield from [p for p in _sieve_primes[j + 1 : j + _BLOCK] if g % p == 0]
+        j += _BLOCK
+    yield from _sieve_primes[j:end]
 
 
 def _strip(n: int, p: int) -> tuple[int, int]:

@@ -15,7 +15,8 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .arith import is_prime, square_test
-from .polyq import PolyQ, RatFunc
+from .polyq import PolyQ, RatFunc, gcd_mod_p, homogeneous_value
+from .polyq import _zz_derivative, _zz_exquo, _zz_gcd, _zz_primitive
 
 FieldElem = Union[Fraction, RatFunc]
 
@@ -344,14 +345,55 @@ def division_poly(E: WeierstrassCurve, n: int) -> PolyQ:
 
 
 def rational_roots(p: PolyQ) -> list[Fraction]:
+    """The distinct rational roots of p, ordered by multiplicity, then
+    denominator, then decreasing numerator: the order of the linear factors
+    in sympy's ``dup_factor_list``, which fixes two_torsion_points' first
+    point and so the torsion generators.
+
+    The squarefree part s = f / gcd(f, f') has simple roots.  Modulo the
+    first prime q with q not dividing lc(s) and s squarefree mod q, each
+    root found by brute force lifts by Newton's iteration to a root r mod
+    q^k > 2 (|lc| + max |s_i|), which bounds |lc x| for every root x.  The
+    symmetric residue y of lc r mod q^k is then lc x for the rational root x
+    that r approximates, if there is one, and x = y / lc is kept when s
+    vanishes there exactly.  A root's multiplicity in f is the number of
+    derivatives of f that vanish at it.
+    """
     if p.is_zero():
         raise ValueError("zero polynomial")
-    _, parts = p.factor()
-    roots = []
-    for f, _e in parts:
-        if f.degree == 1:
-            roots.append(-f.coeffs[0] / f.coeffs[1])
-    return roots
+    f = list(p.ints)
+    if len(f) < 2:
+        return []
+    s = _zz_primitive(_zz_exquo(f, _zz_gcd(f, _zz_derivative(f))))
+    ds, lc = _zz_derivative(s), s[-1]
+    q = 2
+    while not (is_prime(q) and lc % q and len(gcd_mod_p(s, ds, q)) == 1):
+        q += 1
+    bound = 2 * (abs(lc) + max(map(abs, s)))
+    keyed = []
+    for r in range(q):
+        if _value_mod(s, r, q):
+            continue
+        m = q
+        while m <= bound:
+            m *= m
+            r = (r - _value_mod(s, r, m) * pow(_value_mod(ds, r, m), -1, m)) % m
+        y = lc * r % m
+        x = Fraction(y - m if 2 * y > m else y, lc)
+        if homogeneous_value(s, x.numerator, x.denominator) == 0:
+            mult, g = 0, f
+            while homogeneous_value(g, x.numerator, x.denominator) == 0:
+                mult, g = mult + 1, _zz_derivative(g)
+            keyed.append(((mult, x.denominator, -x.numerator), x))
+    return [x for _, x in sorted(keyed)]
+
+
+def _value_mod(xs: list[int], r: int, m: int) -> int:
+    """sum(xs[i] r^i) mod m, by Horner."""
+    acc = 0
+    for c in reversed(xs):
+        acc = (acc * r + c) % m
+    return acc
 
 
 def lift_x(E: WeierstrassCurve, x: Fraction) -> Optional[CurvePoint]:

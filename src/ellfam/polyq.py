@@ -49,6 +49,11 @@ def _zz_mul(xs: list[int], ys: list[int]) -> list[int]:
     return out
 
 
+def _zz_derivative(xs: Sequence[int]) -> list[int]:
+    """Derivative of an integer coefficient list (index = degree)."""
+    return [i * c for i, c in enumerate(xs)][1:]
+
+
 def _zz_primitive(xs: list[int]) -> list[int]:
     """xs over its content, with a positive leading coefficient."""
     g = math.gcd(*xs)
@@ -274,7 +279,7 @@ class PolyQ:
 
     # -- calculus-ish -----------------------------------------------------
     def derivative(self) -> "PolyQ":
-        return _make([i * c for i, c in enumerate(self.ints)][1:], self.den, self.var)
+        return _make(_zz_derivative(self.ints), self.den, self.var)
 
     def __call__(self, x):
         """Evaluate at a scalar (by Horner), a PolyQ (composition, a PolyQ)

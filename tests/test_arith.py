@@ -238,6 +238,26 @@ class TestFactor:
         assert [n for n, flag in enumerate(arith._sieve_flags) if flag] == arith._sieve_primes
 
 
+    @pytest.mark.parametrize("tb", [1000, 1621, 10**4, 54321, 65537, 10**5])
+    def test_prime_blocks_find_every_prime_below_the_bound(self, tb):
+        # trial division by gcds with blocks of 128 primes: the 128th and
+        # 129th primes (the first block's last, the second's first), the
+        # last prime below tb, squares of block primes and the primes on
+        # either side of the segment edge 2^16 are all found, and the two
+        # primes from tb up stay in the residue
+        primes = primes_below(2 * 10**5)
+        below = [p for p in primes if p < tb]
+        above = [p for p in primes if p >= tb][:2]
+        picked = {primes[127], primes[128], below[-1], 65521, 65537}
+        squared = {primes[200], primes[300], below[-2]}
+        n = math.prod(picked) * math.prod(squared) ** 2 * math.prod(above)
+        fi = factor(n, FactorBudget(tb, 0))
+        expected = {p: 1 for p in picked if p < tb}
+        expected.update({p: 2 for p in squared if p < tb})
+        assert fi.factors == tuple(sorted(expected.items()))
+        assert fi.residue == n // math.prod(p**e for p, e in expected.items())
+        assert fi.residue % math.prod(above) == 0
+
     @pytest.mark.parametrize(
         "kwargs",
         [

@@ -375,8 +375,9 @@ def test_console_script_help():
 
 
 def test_queries_import_neither_sympy_nor_mpmath():
-    # a fresh interpreter answers catalog, rootnumber and sections without
-    # sympy or mpmath, and heights without sympy
+    # a fresh interpreter answers catalog, rootnumber, sections and torsion
+    # (Z/2 x Z/6 and Z/8) without sympy or mpmath, and verify-all and
+    # heights without sympy
     script = """
 import contextlib, io, sys
 from ellfam import cli
@@ -387,8 +388,10 @@ def run(*argv):
     return sorted(m for m in ("sympy", "mpmath") if m in sys.modules)
 
 print(run("catalog"), run("rootnumber", "Z8R2-1", "--u", "22"), run("sections", "Z8R2-4"))
+print(run("torsion", "Z2x6R2-3", "--u", "22"), run("torsion", "Z8R2-1", "--u", "22"))
+print(run("verify-all"))
 print(run("heights", "Z8R2-1", "--u", "22"))
 """
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["[] [] []", "['mpmath']"]
+    assert proc.stdout.splitlines() == ["[] [] []", "[] []", "['mpmath']", "['mpmath']"]

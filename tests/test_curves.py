@@ -16,7 +16,9 @@ from ellfam.curves import (
     count_points_mod_p,
     division_poly,
     isomorphic_over_Q,
+    _psi2_squared,
     lift_x,
+    rational_roots,
     to_shifted_ab,
     torsion_bound,
     torsion_subgroup,
@@ -246,8 +248,6 @@ class TestDivisionPolys:
         g3 = division_poly(E, 3)
         # roots of g3 are x-coords of 3-torsion; 37a has none rational
         assert g3.degree == 4
-        from ellfam.curves import rational_roots
-
         for x in rational_roots(g3):
             assert lift_x(E, x) is None
 
@@ -257,6 +257,97 @@ class TestDivisionPolys:
         P = T.generators[0]
         g8 = division_poly(E, 8)
         assert g8(P.x) == 0
+
+
+def sympy_rational_roots(p: PolyQ) -> list[Fraction]:
+    """The roots of p's linear factors, in the order of sympy's factor list."""
+    from sympy.polys.domains import ZZ
+    from sympy.polys.factortools import dup_factor_list
+
+    _, parts = dup_factor_list(list(p.ints[::-1]), ZZ)
+    return [Fraction(-int(f[1]), int(f[0])) for f, _ in parts if len(f) == 2]
+
+
+# Cremona curves with torsion Z/8, Z/10, Z/12, Z/7, Z/9 and Z/2 x Z/8
+TORSION_CURVES = {
+    "15a4": (1, 1, 1, 35, -28),
+    "66c1": (1, 0, 0, -45, 81),
+    "90c3": (1, -1, 1, -122, 1721),
+    "26b1": (1, -1, 1, -3, 3),
+    "54b3": (1, -1, 1, -14, 29),
+    "210e2": (1, 0, 0, -1070, 7812),
+}
+
+# the orders torsion_subgroup asks _point_of_exact_order for, by the number
+# of rational 2-torsion points
+CANDIDATE_ORDERS = {0: (9, 7, 5, 3), 1: (12, 10, 8, 6, 4), 3: (8, 6, 4)}
+
+
+class TestRationalRoots:
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=-30, max_value=30),
+                st.integers(min_value=1, max_value=12),
+                st.integers(min_value=1, max_value=3),
+            ),
+            max_size=5,
+        ),
+        st.lists(st.integers(min_value=-(10**12), max_value=10**12), max_size=5),
+        st.fractions(max_denominator=7).filter(lambda c: c != 0),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_sympy_factor_list(self, linear, cofactor, lc):
+        x = PolyQ.variable("x")
+        p = PolyQ([lc], "x") * PolyQ(cofactor + [1], "x")
+        for num, den, mult in linear:
+            p = p * (den * x - num) ** mult
+        assert rational_roots(p) == sympy_rational_roots(p)
+
+    @pytest.mark.parametrize(
+        "coeffs, roots",
+        [
+            ([0, -1, 0, 1], [1, 0, -1]),  # x^3 - x: the root 0
+            ([0, 0, 0, 5], [0]),  # 5 x^3
+            ([1, 1, -6], [Fraction(1, 2), Fraction(-1, 3)]),  # negative lc
+            ([-4, 0, 9], [Fraction(2, 3), Fraction(-2, 3)]),  # non-unit lc
+            ([9, 6, 1], [-3]),  # (x + 3)^2
+            ([-4, 8, -5, 1], [1, 2]),  # (x - 2)^2 (x - 1): simple roots first
+            ([0, 0, 2, -3, 1], [2, 1, 0]),  # x^2 (x - 1)(x - 2): root 0 twice
+            ([Fraction(1, 3), Fraction(1, 2)], [Fraction(-2, 3)]),  # linear
+            ([5], []),  # constant
+            ([1, 0, 1], []),
+        ],
+    )
+    def test_small_inputs(self, coeffs, roots):
+        p = PolyQ(coeffs, "x")
+        assert rational_roots(p) == [Fraction(r) for r in roots] == sympy_rational_roots(p)
+
+    def test_zero_rejected(self):
+        with pytest.raises(ValueError):
+            rational_roots(PolyQ([], "x"))
+
+    def test_psi2_squared_of_the_catalog(self):
+        from ellfam.families import SingularMember, catalog
+
+        for fam in catalog().values():
+            for u in ([fam.spec_hint] if fam.spec_hint is not None else []) + [3, 5, 7]:
+                try:
+                    E = fam.specialize(u).curve()
+                except SingularMember:
+                    continue
+                f = _psi2_squared(E)
+                assert rational_roots(f) == sympy_rational_roots(f), (fam.label, u)
+                break
+            else:
+                pytest.fail(f"{fam.label} has no member tried")
+
+    @pytest.mark.parametrize("name", sorted(TORSION_CURVES))
+    def test_division_polynomials_of_torsion_curves(self, name):
+        E = WeierstrassCurve(*TORSION_CURVES[name])
+        for n in CANDIDATE_ORDERS[len(two_torsion_points(E))]:
+            g = division_poly(E, n)
+            assert rational_roots(g) == sympy_rational_roots(g), n
 
 
 class TestTorsion:
