@@ -32,10 +32,6 @@ class CurvePoint:
     x: Optional[FieldElem] = None
     y: Optional[FieldElem] = None
 
-    @staticmethod
-    def infinity() -> "CurvePoint":
-        return CurvePoint(None, None)
-
     @property
     def is_infinity(self) -> bool:
         return self.x is None
@@ -44,7 +40,7 @@ class CurvePoint:
         return "O" if self.is_infinity else f"({self.x}, {self.y})"
 
 
-INFINITY = CurvePoint.infinity()
+INFINITY = CurvePoint()
 
 
 def weierstrass_invariants(a1, a2, a3, a4, a6) -> tuple:
@@ -430,13 +426,15 @@ class TorsionGroup:
         return " x ".join(f"Z/{n}" for n in self.structure)
 
 
-def torsion_bound(E: WeierstrassCurve) -> int:
+def torsion_bound(E: WeierstrassCurve, realized: int = 1) -> int:
     """gcd of #E(F_p) over the first 16 primes p >= 5 not dividing disc(E),
-    or fewer once it is 1: the torsion order divides this."""
+    a multiple of the torsion order.  The count stops once the gcd equals
+    ``realized``, the order of a known rational subgroup: the torsion order
+    is a multiple of it and divides every partial gcd."""
     Ei, _ = E.integral_model()
     disc = int(Ei.disc)
     g, p, used = 0, 3, 0
-    while used < 16 and g != 1:
+    while used < 16 and g != realized:
         p += 2
         if is_prime(p) and disc % p:
             g = math.gcd(g, count_points_mod_p(Ei, p))
@@ -459,9 +457,9 @@ def torsion_subgroup(E: WeierstrassCurve, hints: Sequence[CurvePoint] = ()) -> T
     The #E(F_p) gcd over good primes gives an upper bound; points of the
     claimed orders (from hints, 2-torsion cubic roots, and division
     polynomial rational roots) realize it.  Mazur's classification closes the
-    remaining gap in the two ambiguous cases.
+    remaining gap in the two ambiguous cases.  Hints are checked on E; the
+    other points are on it by construction, so the group law runs unchecked.
     """
-    bound = torsion_bound(E)
     t2 = two_torsion_points(E)
     best: tuple[int, CurvePoint] = (1, INFINITY)
     for P in list(hints) + t2:
@@ -472,6 +470,9 @@ def torsion_subgroup(E: WeierstrassCurve, hints: Sequence[CurvePoint] = ()) -> T
             continue
         if n > best[0]:
             best = (n, P)
+    # the order of the subgroup generated by best[1] and the 2-torsion
+    realized = best[0] * (2 if t2 and best[0] % 2 else 1) * (2 if len(t2) == 3 else 1)
+    bound = torsion_bound(E, realized)
 
     # Search maximal cyclic orders still allowed by the gcd bound and the
     # 2-torsion count, largest first.  With full 2-torsion the group is
@@ -500,10 +501,9 @@ def torsion_subgroup(E: WeierstrassCurve, hints: Sequence[CurvePoint] = ()) -> T
     # full 2-torsion: group is Z/2 x Z/2m with 2m = max point order (>= 2)
     if n % 2:
         # odd n with full 2-torsion: combine with a 2-torsion point
-        T = t2[0]
-        P = E.add(P, T)
+        P = E.add(P, t2[0], check=False)
         n *= 2
-    half = E.mul(n // 2, P)
+    half = E.mul(n // 2, P, check=False)
     other = next(T for T in t2 if T.x != half.x)
     return TorsionGroup((2, n), (other, P))
 

@@ -20,7 +20,7 @@ from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
 from .arith import DEFAULT_BUDGET, FactorBudget, factor, valuation_fraction
-from .curves import CurvePoint, WeierstrassCurve, to_shifted_ab
+from .curves import INFINITY, CurvePoint, WeierstrassCurve, to_shifted_ab
 from .polyq import PolyQ, RatFunc, homogeneous_value, homogenized_substitute, poly_sqrt
 
 
@@ -127,7 +127,7 @@ class CurveFamily:
             try:
                 x = P.x(value)
             except ZeroDivisionError:
-                return CurvePoint.infinity()
+                return INFINITY
             return CurvePoint(lam * lam * x, lam**3 * P.y(value))
 
         return SpecializedCurve(
@@ -287,15 +287,12 @@ def substitute_parameter(
         condition=condition,
         spec_hint=None if spec_hint is None else Fraction(spec_hint),
     )
-    pts: list[CurvePoint] = []
-    for x in lift_sections:
-        pts.append(verify_section(new, scaled(x, 2)))
-    for x in sections:
-        pts.append(verify_section(new, x))
-    new = replace(new, sections=tuple(pts))
     if not new.verify():
         raise ValueError(f"transported points left the curve for {label}")
-    return new
+    # each section is proven by the exact square root that lifts it
+    pts = [verify_section(new, scaled(x, 2)) for x in lift_sections]
+    pts += [verify_section(new, x) for x in sections]
+    return replace(new, sections=tuple(pts))
 
 
 def verify_section(family: CurveFamily, x: RatFunc | PolyQ) -> CurvePoint:

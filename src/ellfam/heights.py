@@ -125,7 +125,7 @@ def _singular_corrections(
 def _on_minimal(
     E: WeierstrassCurve, pts: Sequence[CurvePoint], budget: FactorBudget
 ) -> tuple[WeierstrassCurve, list[CurvePoint]]:
-    """The minimal model of E and pts mapped onto it."""
+    """The minimal model of E and pts mapped onto it, proven on it."""
     Emin, pm = minimal_model(E, budget)
     qs = [pm.forward(P) for P in pts]
     if not all(Emin.contains(Q) for Q in qs):
@@ -211,7 +211,7 @@ def pairing_matrix(
     for i in range(n):
         entries[i][i] = heights[i]
         for j in range(i + 1, n):
-            hij = _height_on_minimal(Emin, Emin.add(qs[i], qs[j]), budget)
+            hij = _height_on_minimal(Emin, Emin.add(qs[i], qs[j], check=False), budget)
             entries[i][j] = entries[j][i] = (hij - heights[i] - heights[j]) / 2
     return HeightPairingMatrix(
         points=tuple(pts),

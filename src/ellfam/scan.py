@@ -255,8 +255,10 @@ class ScanSpec:
                 raise ValueError("the generators must lie on the parametrizer")
 
     def lattice_point(self, n: int, m: int) -> CurvePoint:
+        """n G1 + m G2; the generators were proven on the curve above."""
         E = self.parametrizer
-        return E.add(E.mul(n, self.generators[0]), E.mul(m, self.generators[1]))
+        G1, G2 = self.generators
+        return E.add(E.mul(n, G1, check=False), E.mul(m, G2, check=False), check=False)
 
     def validate(self) -> None:
         """Exact consistency checks of the parameter map.

@@ -4,8 +4,8 @@ A family y^2 = x^3 + A x^2 + B x acquires a new section at x = d whenever
 d + A + B/d is a square; more generally x = d U^2/V^2 works when the
 biquadratic form d U^4 + A U^2 V^2 + (B/d) V^4 takes a square value.  The
 degree-2 conditions are conics, solved and parametrized exactly here; the
-degree-4 conditions with a known rational point are converted to their
-Jacobian elliptic curves.
+degree-4 conditions with a known rational point, checked squarefree by a gcd
+with the derivative, are converted to their Jacobian elliptic curves.
 """
 
 from __future__ import annotations
@@ -376,8 +376,7 @@ class QuarticModel:
     def __post_init__(self):
         if self.q.degree > 4 or self.q.is_zero():
             raise ValueError("expected a nonzero polynomial of degree <= 4")
-        _content, parts = self.q.factor()
-        if any(e > 1 for _f, e in parts):
+        if self.q.gcd(self.q.derivative()).degree > 0:
             raise DegenerateQuartic(str(self.q))
         if self.known_point is not None:
             u0, t0 = self.known_point

@@ -1,6 +1,8 @@
 """Group law, torsion and isomorphism tests."""
 
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -394,6 +396,49 @@ class TestTorsion:
             E = WeierstrassCurve(0, A, 0, B, 0)
             b = torsion_bound(E)
             assert b % torsion_subgroup(E).order == 0
+
+    def test_bound_stopped_at_the_realized_order_is_the_full_bound(self):
+        # the torsion order divides every partial gcd, so a gcd that has
+        # come down to it cannot change at a later prime
+        from ellfam.families import SingularMember, catalog
+
+        cases = [(WeierstrassCurve(*a), ()) for a in TORSION_CURVES.values()]
+        for fam in catalog().values():
+            for u in ([fam.spec_hint] if fam.spec_hint is not None else []) + [2, 3, 5, 7]:
+                try:
+                    sp = fam.specialize(u)
+                except SingularMember:
+                    continue
+                cases.append((sp.curve(), sp.torsion_points))
+                break
+        assert len(cases) == 6 + 36
+        oracle = json.loads((Path(__file__).parent / "data" / "rootnum_oracle.json").read_text())
+        cases += [(WeierstrassCurve(*row["a"]), ()) for row in oracle[:100]]
+        stopped = 0
+        for E, hints in cases:
+            T = torsion_subgroup(E, hints=hints)
+            if torsion_bound(E, T.order) == T.order:
+                stopped += 1
+                assert torsion_bound(E) == T.order
+        assert stopped > 100
+
+    def test_bound_counts_no_prime_past_the_realized_order(self, monkeypatch):
+        import ellfam.curves as curves
+        from ellfam.families import catalog
+
+        sp = catalog()["Z8"].specialize(2)
+        E = sp.curve()
+        calls = []
+        real = curves.count_points_mod_p
+        monkeypatch.setattr(
+            curves, "count_points_mod_p", lambda E, p: calls.append(p) or real(E, p)
+        )
+        # the hint has order 8, so the count stops once the gcd is 8
+        assert torsion_subgroup(E, hints=sp.torsion_points).structure == (8,)
+        realized = len(calls)
+        calls.clear()
+        assert torsion_bound(E) == 8
+        assert realized < len(calls) == 16
 
     def test_two_torsion_points(self):
         E = WeierstrassCurve(0, 0, 0, -1, 0)

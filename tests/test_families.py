@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ellfam import families
 from ellfam.arith import primes_below, square_test
 from ellfam.curves import CurvePoint, torsion_subgroup
 from ellfam.families import (
@@ -567,3 +568,37 @@ class TestSubstituteParameter:
         new = substitute_parameter(fam, sub, label="t")
         E = new.curve()
         assert E.point_order(new.torsion_points[0]) == 8
+
+    def test_off_curve_torsion_rejected_before_sections_are_lifted(self):
+        # the transported torsion points are proven first, so a parent with
+        # an off-curve torsion point fails with ValueError even when the
+        # section asked for would not lift either
+        fam = model_z8()
+        (P,) = fam.torsion_points
+        bad = replace(fam, torsion_points=(CurvePoint(P.x + 1, P.y),))
+        ww = RatFunc.variable("w")
+        with pytest.raises(ValueError, match="transported points left the curve"):
+            substitute_parameter(
+                bad, (5 - ww * ww) / (4 * (ww + 1)), label="t",
+                sections=[RatFunc(PolyQ.variable("w"))],
+            )
+
+    def test_each_section_proven_once(self, monkeypatch):
+        # verify() proves the torsion points only; verify_section's square
+        # root is the one proof of each section
+        parent = catalog()["Z8-3"]
+        calls = []
+        real = families._cleared_cubic
+
+        def counted(family, xn, xd):
+            calls.append(family.label)
+            return real(family, xn, xd)
+
+        monkeypatch.setattr(families, "_cleared_cubic", counted)
+        x, cond, sub = _z8_rank1_data()[2]
+        new = substitute_parameter(
+            model_z8(), sub, label="t", lift_sections=[x], condition=cond
+        )
+        assert new == replace(parent, label="t")
+        # one torsion point and one section
+        assert len(calls) == 2

@@ -1,5 +1,6 @@
 """Lattice-scan tests: biquadratic curves, involutions, grids, audits."""
 
+import sys
 from dataclasses import replace
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ import pytest
 
 from ellfam import families, scan
 from ellfam.arith import FactorBudget
-from ellfam.curves import INFINITY, isomorphic_over_Q, two_torsion_points
+from ellfam.curves import INFINITY, WeierstrassCurve, isomorphic_over_Q, two_torsion_points
 from ellfam.families import SingularMember
 from ellfam.localdata import discriminant_factorization
 from ellfam.polyq import PolyQ, square_decompose_poly
@@ -208,6 +209,31 @@ class TestLatticeScan:
         again = lattice_scan(spec)
         assert again.to_csv() == grids["Z2x6-scan-1"].to_csv()
         assert again.to_json() == grids["Z2x6-scan-1"].to_json()
+
+    def test_counted_cell_proves_each_point_once(self, specs, grids, monkeypatch):
+        # the generators were proven in ScanSpec.__post_init__, so only
+        # torsion_subgroup's hints are checked on the curve, and no check
+        # comes from lattice_point
+        real = WeierstrassCurve.contains
+        callers = []
+        stops = {"_scan_cell", sys._getframe().f_code.co_name}
+
+        def counted(E, P):
+            f, chain = sys._getframe(1), []
+            while f.f_code.co_name not in stops:
+                chain.append(f.f_code.co_name)
+                f = f.f_back
+            callers.append(tuple(chain))
+            return real(E, P)
+
+        monkeypatch.setattr(WeierstrassCurve, "contains", counted)
+        spec = specs["Z2x6-scan-1"]
+        cell = next(c for c in grids[spec.name].cells if not c.skipped)
+        assert scan._scan_cell(spec, cell.n, cell.m) == cell
+        assert callers and all(chain == ("torsion_subgroup",) for chain in callers)
+        callers.clear()
+        spec.lattice_point(2, -1)
+        assert callers == []
 
     def test_csv_shape(self, grids):
         grid = grids["Z8-scan-1"]
