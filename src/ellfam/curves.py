@@ -146,6 +146,11 @@ class WeierstrassCurve:
     def contains(self, P: CurvePoint) -> bool:
         if P.is_infinity:
             return True
+        a, x, y = self._ints, P.x, P.y
+        if a is not None and x.denominator == 1 and y.denominator == 1:
+            a1, a2, a3, a4, a6 = a
+            x, y = x.numerator, y.numerator
+            return y * (y + a1 * x + a3) == ((x + a2) * x + a4) * x + a6
         return self.equation_value(P) == 0
 
     def _require(self, P: CurvePoint):
@@ -199,11 +204,24 @@ class WeierstrassCurve:
 
     def point_order(self, P: CurvePoint) -> Optional[int]:
         """Exact order of P if it is at most 12, else None: by Mazur's
-        theorem a rational point of larger order has infinite order."""
+        theorem a rational point of larger order has infinite order.
+
+        On an integral model every torsion point R has 4 x(R) integral
+        (Silverman, AEC VII.3.4), so the walk over the multiples of P stops
+        with None at the first R without; with a1 = a3 = 0 every torsion
+        point is integral (Nagell-Lutz), and the walk runs in ints.
+        """
+        if P.is_infinity:
+            return 1
+        a = self._ints
+        if a is not None and a[0] == 0 == a[2]:
+            return _integral_point_order(a[1], a[3], P)
         R = P
         for n in range(1, 13):
             if R.is_infinity:
                 return n
+            if a is not None and (4 * R.x).denominator != 1:
+                return None
             R = self.add(R, P, check=False)
         return None
 
@@ -228,6 +246,29 @@ class WeierstrassCurve:
             return self, PointMap(Fraction(1), 0, 0, 0)
         L = math.lcm(*(a.denominator for a in self.a_invariants()))
         return self.transform(Fraction(1, L), 0, 0, 0)
+
+
+def _integral_point_order(a2: int, a4: int, P: CurvePoint) -> Optional[int]:
+    """point_order on y^2 = x^3 + a2 x^2 + a4 x + a6 over Z, in ints: a
+    non-integral P, or a slope lam that makes the next multiple's
+    x = lam^2 - a2 - x - x1 non-integral, proves infinite order."""
+    if P.x.denominator != 1 or P.y.denominator != 1:
+        return None
+    x1, y1 = P.x.numerator, P.y.numerator
+    x, y = x1, y1  # (n - 1) P
+    for n in range(2, 13):
+        if x == x1:
+            if y == -y1:
+                return n
+            num, den = (3 * x + 2 * a2) * x + a4, 2 * y
+        else:
+            num, den = y1 - y, x1 - x
+        lam, rem = divmod(num, den)
+        if rem:
+            return None
+        x3 = lam * lam - a2 - x - x1
+        x, y = x3, lam * (x - x3) - y
+    return None
 
 
 @dataclass(frozen=True)
@@ -443,12 +484,20 @@ def torsion_bound(E: WeierstrassCurve, realized: int = 1) -> int:
 
 
 def two_torsion_points(E: WeierstrassCurve) -> list[CurvePoint]:
-    """All rational points of exact order 2."""
-    pts = []
-    for r in rational_roots(_psi2_squared(E)):
-        y = -(E.a1 * r + E.a3) / 2
-        pts.append(CurvePoint(r, y))
-    return pts
+    """All rational points of exact order 2, at the rational roots of
+    psi_2^2 in ``rational_roots``' order.  When b6 = 0 (as on y^2 = x^3 +
+    A x^2 + B x), psi_2^2 = x (4x^2 + b2 x + 2 b4), whose roots are 0 and
+    those that one square test of b2^2 - 32 b4 gives; on a nonsingular
+    model they are simple, so (denominator, -numerator) is that order."""
+    if E.b6 == 0 and E.disc != 0:
+        roots = [Fraction(0)]
+        r = square_test(E.b2 * E.b2 - 32 * E.b4)
+        if r is not None:
+            roots += [(r - E.b2) / 8, (-r - E.b2) / 8]
+        roots.sort(key=lambda x: (x.denominator, -x.numerator))
+    else:
+        roots = rational_roots(_psi2_squared(E))
+    return [CurvePoint(x, -(E.a1 * x + E.a3) / 2) for x in roots]
 
 
 def torsion_subgroup(E: WeierstrassCurve, hints: Sequence[CurvePoint] = ()) -> TorsionGroup:
@@ -457,19 +506,21 @@ def torsion_subgroup(E: WeierstrassCurve, hints: Sequence[CurvePoint] = ()) -> T
     The #E(F_p) gcd over good primes gives an upper bound; points of the
     claimed orders (from hints, 2-torsion cubic roots, and division
     polynomial rational roots) realize it.  Mazur's classification closes the
-    remaining gap in the two ambiguous cases.  Hints are checked on E; the
-    other points are on it by construction, so the group law runs unchecked.
+    remaining gap in the two ambiguous cases.  Hints are checked on E and
+    their orders found by ``point_order``; the 2-torsion points lie on E
+    with order 2 by construction, and so do the points found by the search,
+    so the group law runs unchecked.
     """
     t2 = two_torsion_points(E)
     best: tuple[int, CurvePoint] = (1, INFINITY)
-    for P in list(hints) + t2:
+    for P in hints:
         if P.is_infinity or not E.contains(P):
             continue
         n = E.point_order(P)
-        if n is None:
-            continue
-        if n > best[0]:
+        if n is not None and n > best[0]:
             best = (n, P)
+    if t2 and best[0] == 1:
+        best = (2, t2[0])
     # the order of the subgroup generated by best[1] and the 2-torsion
     realized = best[0] * (2 if t2 and best[0] % 2 else 1) * (2 if len(t2) == 3 else 1)
     bound = torsion_bound(E, realized)

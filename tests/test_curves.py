@@ -1,6 +1,7 @@
 """Group law, torsion and isomorphism tests."""
 
 import json
+import math
 from fractions import Fraction
 from pathlib import Path
 
@@ -446,6 +447,222 @@ class TestTorsion:
         assert sorted(p.x for p in pts) == [-1, 0, 1]
         for P in pts:
             assert E.mul(2, P).is_infinity
+
+
+def fraction_point_order(E, P):
+    """point_order's Fraction walk with no integrality test: the reference
+    for the int walk and the 4x test."""
+    R = P
+    for n in range(1, 13):
+        if R.is_infinity:
+            return n
+        R = E.add(R, P, check=False)
+    return None
+
+
+def psi2_two_torsion(E):
+    """two_torsion_points from the rational roots of psi_2^2: the reference
+    for the b6 = 0 square test."""
+    return [CurvePoint(x, -(E.a1 * x + E.a3) / 2) for x in rational_roots(_psi2_squared(E))]
+
+
+def tate_normal_form(n, t):
+    """Kubert's Tate normal form E(b, c) at parameter t, on which (0, 0) has
+    order n in 4..10 or 12."""
+    if n == 4:
+        b, c = t, Fraction(0)
+    elif n == 5:
+        b, c = t, t
+    elif n == 6:
+        b, c = t + t * t, t
+    elif n == 7:
+        b, c = t**3 - t * t, t * t - t
+    elif n == 8:
+        b = (2 * t - 1) * (t - 1)
+        c = b / t
+    elif n == 9:
+        c = t * t * (t - 1)
+        b = c * (t * t - t + 1)
+    elif n == 10:
+        d = t * t / (t - (t - 1) ** 2)
+        c = t * d - t
+        b = c * d
+    else:
+        m = (3 * t - 3 * t * t - 1) / (t - 1)
+        f = m / (1 - t)
+        d = m + t
+        c = f * (d - 1)
+        b = c * d
+    return WeierstrassCurve(1 - c, -b, -b, 0, 0, check=False)
+
+
+def integral_short(E, P):
+    """E with a1 = a3 = 0 and integral a-invariants, and P mapped onto it."""
+    short, pm = E.transform(1, 0, -E.a1 / 2, -E.a3 / 2)
+    Ei, pm2 = WeierstrassCurve(*short.a_invariants()).integral_model()
+    assert Ei.a1 == Ei.a3 == 0
+    return Ei, pm2.forward(pm.forward(P))
+
+
+def integral_general(E, P):
+    """E's integral model, and P mapped onto it."""
+    Ei, pm = E.integral_model()
+    return Ei, pm.forward(P)
+
+
+SMALL = st.integers(min_value=-12, max_value=12)
+ORIGIN = CurvePoint(Fraction(0), Fraction(0))
+
+
+class TestIntegerTorsion:
+    """The int paths of point_order, two_torsion_points and contains
+    against the Fraction paths they replace."""
+
+    @given(st.integers(-3, 3), SMALL, st.integers(-3, 3), SMALL, SMALL, SMALL, st.booleans())
+    @example(0, -3, 0, -6, -1, -4, True)  # infinite order: tangent slope -3/8
+    @example(0, 0, 0, 0, 3, 5, True)  # y^2 = x^3 - 2: 2P = (129/100, -383/1000)
+    @example(0, 0, 0, 0, 2, 3, True)  # y^2 = x^3 + 1: (2, 3) has order 6
+    @settings(max_examples=300, deadline=None)
+    def test_point_order_through_a_chosen_point(self, a1, a2, a3, a4, x, y, short):
+        if short:
+            a1 = a3 = 0
+        a6 = y * y + a1 * x * y + a3 * y - x**3 - a2 * x * x - a4 * x
+        E = WeierstrassCurve(a1, a2, a3, a4, a6, check=False)
+        if E.disc == 0:
+            return
+        P = CurvePoint(Fraction(x), Fraction(y))
+        assert E.contains(P)
+        # P, and 2P and 3P, which are often not integral
+        for Q in (P, E.mul(2, P), E.mul(3, P)):
+            assert E.point_order(Q) == fraction_point_order(E, Q), Q
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7, 8, 9, 10, 12])
+    @given(st.fractions(min_value=-9, max_value=9, max_denominator=6))
+    @settings(max_examples=25, deadline=None)
+    def test_point_order_on_tate_normal_forms(self, n, t):
+        try:
+            E = tate_normal_form(n, t)
+        except ZeroDivisionError:
+            return
+        if E.disc == 0:
+            return
+        # the integral short model runs in ints, the integral Tate model
+        # through the 4x test
+        for Ei, Q in (integral_short(E, ORIGIN), integral_general(E, ORIGIN)):
+            assert Ei.is_integral() and Ei.contains(Q)
+            for k in range(1, n + 1):
+                R = Ei.mul(k, Q)
+                assert Ei.point_order(R) == fraction_point_order(Ei, R) == n // math.gcd(n, k)
+
+    @pytest.mark.parametrize("ab", [(1, 1), (-3, 2), (5, -4), (Fraction(1, 4), 3)])
+    def test_point_order_two_and_three(self, ab):
+        # y^2 = x^3 + a x^2 + b x with (0, 0) of order 2, and
+        # y^2 + a xy + b y = x^3 with (0, 0) of order 3
+        a, b = map(Fraction, ab)
+        for E, n in ((WeierstrassCurve(0, a, 0, b, 0), 2), (WeierstrassCurve(a, 0, b, 0, 0), 3)):
+            for Ei, Q in (integral_short(E, ORIGIN), integral_general(E, ORIGIN)):
+                assert Ei.point_order(Q) == fraction_point_order(Ei, Q) == n
+
+    def test_non_integral_points(self):
+        # on an integral model only a point of order 2 can be non-integral,
+        # with 4x integral
+        E = WeierstrassCurve(1, 4, 0, 1, 0)
+        T = CurvePoint(Fraction(-1, 4), Fraction(1, 8))
+        assert E.contains(T) and E.point_order(T) == 2
+        E = WeierstrassCurve(0, 0, 0, 0, -2)
+        P = E.mul(2, CurvePoint(Fraction(3), Fraction(5)))
+        assert P == CurvePoint(Fraction(129, 100), Fraction(-383, 1000))
+        assert E.point_order(P) is None is fraction_point_order(E, P)
+        # a non-integral model keeps the Fraction walk
+        E = WeierstrassCurve(0, Fraction(1, 2), 0, Fraction(-3, 16), 0)
+        T = torsion_subgroup(E)
+        assert T.structure == (2, 4)
+        for P in T.generators:
+            assert E.point_order(P) == fraction_point_order(E, P)
+
+    def test_point_order_on_oracle_curves(self):
+        oracle = json.loads((Path(__file__).parent / "data" / "rootnum_oracle.json").read_text())
+        curves = [WeierstrassCurve(*r["a"]) for r in oracle if r["a"][0] == r["a"][2] == 0]
+        checked = 0
+        for E in curves:
+            T = torsion_subgroup(E)
+            pts = [E.mul(k, P) for P in T.generators for k in (1, 2, 3)]
+            pts += [P for P in (lift_x(E, Fraction(x)) for x in range(-6, 7)) if P]
+            for P in pts:
+                assert E.point_order(P) == fraction_point_order(E, P), (E, P)
+                checked += 1
+        assert checked > 1000
+
+    @given(
+        st.integers(-2, 2),
+        st.fractions(max_denominator=4).filter(lambda a: a != 0),
+        st.one_of(
+            st.tuples(
+                st.integers(-12, 12), st.sampled_from([1, 2, 4]),
+                st.integers(-12, 12), st.sampled_from([1, 2, 4]),
+            ),
+            st.tuples(st.fractions(max_denominator=8), st.fractions(max_denominator=8)),
+        ),
+    )
+    @example(0, Fraction(1), (1, 1, -1, 1))  # roots 1 and -1 of the same denominator
+    @example(1, Fraction(1, 2), (3, 4, -1, 2))
+    @settings(max_examples=300, deadline=None)
+    def test_two_torsion_when_b6_is_zero(self, a1, a3, quad):
+        if len(quad) == 4:
+            # 4x^2 + b2 x + 2 b4 = 4 (x - r1)(x - r2): three rational roots
+            r1, r2 = Fraction(quad[0], quad[1]), Fraction(quad[2], quad[3])
+            b2, b4 = -4 * (r1 + r2), 2 * r1 * r2
+        else:
+            b2, b4 = quad
+        E = WeierstrassCurve(a1, (b2 - a1 * a1) / 4, a3, (b4 - a1 * a3) / 2, -a3 * a3 / 4, check=False)
+        assert E.b6 == 0 and (E.b2, E.b4) == (b2, b4)
+        if E.disc == 0:
+            return
+        pts = two_torsion_points(E)
+        assert pts == psi2_two_torsion(E)
+        assert len(pts) in (1, 3)
+        for P in pts:
+            assert E.contains(P) and E.point_order(P) == 2
+
+    def test_two_torsion_of_the_catalog(self):
+        from ellfam.families import SingularMember, catalog
+
+        for fam in catalog().values():
+            for u in [2, 3, -5, Fraction(7, 2)]:
+                try:
+                    E = fam.specialize(u).curve()
+                except SingularMember:
+                    continue
+                assert two_torsion_points(E) == psi2_two_torsion(E), (fam.label, u)
+
+    def test_two_torsion_without_b6_zero_keeps_rational_roots(self, monkeypatch):
+        import ellfam.curves as curves
+
+        calls = []
+        real = curves.rational_roots
+        monkeypatch.setattr(curves, "rational_roots", lambda p: calls.append(p) or real(p))
+        assert len(two_torsion_points(WeierstrassCurve(*TORSION_CURVES["210e2"]))) == 3
+        assert len(calls) == 1
+        calls.clear()
+        assert len(two_torsion_points(WeierstrassCurve(0, 0, 2, -4, -1))) == 3
+        assert calls == []
+
+    @given(st.integers(-3, 3), SMALL, st.integers(-3, 3), SMALL, SMALL, SMALL, st.integers(-3, 3))
+    @settings(max_examples=200, deadline=None)
+    def test_contains_on_and_off_the_curve(self, a1, a2, a3, a4, x, y, dy):
+        a6 = y * y + a1 * x * y + a3 * y - x**3 - a2 * x * x - a4 * x
+        E = WeierstrassCurve(a1, a2, a3, a4, a6, check=False)
+        for P in (
+            CurvePoint(Fraction(x), Fraction(y)),
+            CurvePoint(Fraction(x), Fraction(y + dy)),
+            CurvePoint(Fraction(x), Fraction(2 * y + dy, 2)),
+        ):
+            assert E.contains(P) == (E.equation_value(P) == 0)
+        # the points of E over x are (x, y) and its negative
+        other = -y - a1 * x - a3
+        assert E.contains(CurvePoint(Fraction(x), Fraction(y)))
+        assert E.contains(CurvePoint(Fraction(x), Fraction(other)))
+        assert E.contains(CurvePoint(Fraction(x), Fraction(y + dy))) == (dy == 0 or y + dy == other)
 
 
 class TestIsomorphism:

@@ -4,6 +4,7 @@ import hashlib
 import math
 from dataclasses import replace
 from fractions import Fraction
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings
@@ -602,3 +603,18 @@ class TestSubstituteParameter:
         assert new == replace(parent, label="t")
         # one torsion point and one section
         assert len(calls) == 2
+
+    def test_cold_catalog_proves_each_point_once(self, monkeypatch):
+        # model_z2x6 proves nothing after substitute_parameter: its
+        # generator was proven there, and T2 is on the curve by poly_sqrt
+        calls = []
+        real = families._cleared_cubic
+        monkeypatch.setattr(
+            families, "_cleared_cubic", lambda f, xn, xd: calls.append(f.label) or real(f, xn, xd)
+        )
+        cache = {}
+        monkeypatch.setattr(families, "_CATALOG_CACHE", cache)
+        monkeypatch.setattr(families, "_CATALOG", MappingProxyType(cache))
+        assert len(families.catalog()) == 36
+        assert calls.count("Z2x6") == 1
+        assert len(calls) == 90

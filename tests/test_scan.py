@@ -235,6 +235,26 @@ class TestLatticeScan:
         spec.lattice_point(2, -1)
         assert callers == []
 
+    def test_counted_cells_find_torsion_in_ints(self, specs, grids, monkeypatch):
+        # each cell curve is y^2 = x^3 + Ax^2 + Bx over Z: its 2-torsion
+        # takes one square test, and its hints' orders an int walk
+        from ellfam import curves
+
+        roots, adds = [], []
+        real_roots, real_add = curves.rational_roots, WeierstrassCurve.add
+
+        def counted_add(E, P, Q, check=True):
+            adds.append(sys._getframe(1).f_code.co_name)
+            return real_add(E, P, Q, check)
+
+        monkeypatch.setattr(curves, "rational_roots", lambda p: roots.append(p) or real_roots(p))
+        monkeypatch.setattr(WeierstrassCurve, "add", counted_add)
+        for name, spec in specs.items():
+            cell = next(c for c in grids[name].cells if not c.skipped)
+            assert scan._scan_cell(spec, cell.n, cell.m) == cell
+        assert len(specs) == 3
+        assert roots == [] and "point_order" not in adds
+
     def test_csv_shape(self, grids):
         grid = grids["Z8-scan-1"]
         lines = grid.to_csv().strip().split("\n")
