@@ -145,8 +145,8 @@ class FactorBudget:
     trial_bound: trial-divide by the primes below this bound.
     rho_iterations: Brent-rho iteration allowance per factor() call (and
         per part in factor_with_parts()).  Each rho call may spend whatever
-        is left of it, and is then charged a flat 10^4, however many
-        iterations it actually took; rho stops once the charges use it up.
+        is left of it and is charged the iterations it took (as _brent_rho
+        counts them); rho stops once the allowance is used up.
     """
 
     trial_bound: int = 10**6
@@ -207,39 +207,59 @@ def primes_below(bound: int) -> list[int]:
     return _sieve_primes[: bisect_left(_sieve_primes, bound)]
 
 
-def _brent_rho(n: int, max_iters: int) -> Optional[int]:
-    """Brent's cycle variant of Pollard rho. Returns a nontrivial factor or None."""
+def _brent_rho(n: int, max_iters: int) -> tuple[Optional[int], int]:
+    """Brent's cycle variant of Pollard rho: a nontrivial factor of n or
+    None, and the iterations spent, at most max_iters.
+
+    An iteration is one step y -> y^2 + c mod n that multiplies |x - y|
+    into the gcd product, or one backtracking step.  Before each batch of
+    them y moves ahead by as many steps that form no product, so an
+    iteration costs at most about two steps.
+    """
     if n % 2 == 0:
-        return 2
+        return 2, 0
     seed = 1
-    iters_left = max_iters
-    while iters_left > 0:
+    left = max_iters
+    while left > 0:
         y, c, m = (seed * 2862933555777941757 + 3037000493) % n, seed % (n - 1) + 1, 128
         g, r, q = 1, 1, 1
         x = ys = y
-        while g == 1 and iters_left > 0:
+        while g == 1 and left > 0:
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
             k = 0
-            while k < r and g == 1:
+            while k < r and g == 1 and left > 0:
                 ys = y
-                for _ in range(min(m, r - k)):
+                steps = min(m, r - k, left)
+                for _ in range(steps):
                     y = (y * y + c) % n
                     q = q * abs(x - y) % n
                 g = math.gcd(q, n)
-                k += m
-                iters_left -= min(m, r - k + m)
+                k += steps
+                left -= steps
             r *= 2
         if g == n:
             g = 1
-            while g == 1:
+            while g == 1 and left > 0:
                 ys = (ys * ys + c) % n
                 g = math.gcd(abs(x - ys), n)
-                iters_left -= 1
+                left -= 1
         if 1 < g < n:
-            return g
+            return g, max_iters - left
         seed += 1
+    return None, max_iters - left
+
+
+def _power_root(m: int, t: int) -> Optional[int]:
+    """r with m = r^k for some prime k, or None, for m > 1 with no prime
+    factor below t >= 2: then m >= t^k, so only those k are tried."""
+    for k in primes_below(m.bit_length() + 1):
+        if t**k > m:
+            break
+        r = integer_nthroot(m, k)
+        if r**k == m:
+            return r
     return None
 
 
@@ -273,7 +293,7 @@ def factor(n: int, budget: FactorBudget = DEFAULT_BUDGET) -> FactoredInt:
 
     # remaining part: split it with rho until the budget runs out.  Each
     # prime is proven once and divided out of every cofactor popped after
-    # it; a perfect square is pushed once, as its root; a cofactor rho
+    # it; a perfect power is pushed once, as its root; a cofactor rho
     # cannot split is dropped, and is left in the residue below
     primes: list[int] = []
     stack = [n] if n > 1 else []
@@ -287,13 +307,13 @@ def factor(n: int, budget: FactorBudget = DEFAULT_BUDGET) -> FactoredInt:
         if is_prime(m):
             primes.append(m)
             continue
-        root = math.isqrt(m)
-        if root * root == m:
+        root = _power_root(m, max(budget.trial_bound, 2))
+        if root is not None:
             stack.append(root)
             continue
         if iters > 0:
-            d = _brent_rho(m, iters)
-            iters = max(0, iters - 10**4)
+            d, spent = _brent_rho(m, iters)
+            iters -= spent
             if d is not None:
                 # d is popped first, so a prime d is stripped from m // d
                 stack.extend([m // d, d])
@@ -402,6 +422,19 @@ def _coprime_pieces(values: list[int]) -> list[int]:
         else:
             pieces.append(x)
     return pieces
+
+
+def integer_nthroot(x: int, n: int) -> int:
+    """floor(x^(1/n)) for x >= 0: Newton's iteration from above, which
+    decreases to the floor."""
+    if x < 2:
+        return x
+    r = 1 << -(-x.bit_length() // n)
+    while True:
+        s = ((n - 1) * r + x // r ** (n - 1)) // n
+        if s >= r:
+            return r
+        r = s
 
 
 def isqrt_exact(n: int) -> Optional[int]:

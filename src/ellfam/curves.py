@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .arith import is_prime, square_test
+from .arith import integer_nthroot, is_prime, square_test
 from .polyq import PolyQ, RatFunc, gcd_mod_p, homogeneous_value
 from .polyq import _zz_derivative, _zz_exquo, _zz_gcd, _zz_primitive
 
@@ -80,10 +80,11 @@ class WeierstrassCurve:
 
     An integral model keeps its a-invariants as an int tuple (``_ints``,
     None otherwise), and its seven invariants b2 ... disc are computed once,
-    in int arithmetic, and stored as Fractions.
+    in int arithmetic (``bc_invariants``); the Fractions that
+    ``E.b2`` ... ``E.disc`` return are built from them on first read.
     """
 
-    __slots__ = ("a1", "a2", "a3", "a4", "a6", "_ints", "_invs", "_cache")
+    __slots__ = ("a1", "a2", "a3", "a4", "a6", "_ints", "_zinvs", "_invs", "_cache")
 
     def __init__(self, a1, a2, a3, a4, a6, check: bool = True):
         vals = [a1, a2, a3, a4, a6]
@@ -92,21 +93,31 @@ class WeierstrassCurve:
             object.__setattr__(self, name, v)
         integral = all(isinstance(v, Fraction) and v.denominator == 1 for v in vals)
         object.__setattr__(self, "_ints", tuple(v.numerator for v in vals) if integral else None)
+        object.__setattr__(self, "_zinvs", None)
         object.__setattr__(self, "_invs", None)
         object.__setattr__(self, "_cache", {})
-        if check and self.disc == 0:
+        if check and (self.bc_invariants()[6] if integral else self.disc) == 0:
             raise ValueError("singular model: discriminant is zero")
 
     def __setattr__(self, *a):
         raise AttributeError("WeierstrassCurve is immutable")
 
     # -- invariants -------------------------------------------------------
+    def bc_invariants(self) -> tuple[int, int, int, int, int, int, int]:
+        """(b2, b4, b6, b8, c4, c6, disc) of an integral model, as ints;
+        ValueError for a model that is not integral."""
+        if self._zinvs is None:
+            if self._ints is None:
+                raise ValueError("integral model required")
+            object.__setattr__(self, "_zinvs", weierstrass_invariants(*self._ints))
+        return self._zinvs
+
     def _invariants(self) -> tuple:
         if self._invs is None:
             if self._ints is None:
                 invs = weierstrass_invariants(*self.a_invariants())
             else:
-                invs = tuple(map(Fraction, weierstrass_invariants(*self._ints)))
+                invs = tuple(map(Fraction, self.bc_invariants()))
             object.__setattr__(self, "_invs", invs)
         return self._invs
 
@@ -473,7 +484,7 @@ def torsion_bound(E: WeierstrassCurve, realized: int = 1) -> int:
     ``realized``, the order of a known rational subgroup: the torsion order
     is a multiple of it and divides every partial gcd."""
     Ei, _ = E.integral_model()
-    disc = int(Ei.disc)
+    disc = Ei.bc_invariants()[6]
     g, p, used = 0, 3, 0
     while used < 16 and g != realized:
         p += 2
@@ -572,25 +583,12 @@ def _point_of_exact_order(E: WeierstrassCurve, n: int) -> Optional[CurvePoint]:
 
 # -- isomorphism over Q ---------------------------------------------------
 
-def _integer_nthroot(x: int, n: int) -> int:
-    """floor(x^(1/n)) for x >= 0: Newton's iteration from above, which
-    decreases to the floor."""
-    if x < 2:
-        return x
-    r = 1 << -(-x.bit_length() // n)
-    while True:
-        s = ((n - 1) * r + x // r ** (n - 1)) // n
-        if s >= r:
-            return r
-        r = s
-
-
 def _nth_root_rational(q: Fraction, n: int) -> Optional[Fraction]:
     """The positive rational n-th root of q > 0, if there is one."""
     if q <= 0:
         return None
-    num = _integer_nthroot(q.numerator, n)
-    den = _integer_nthroot(q.denominator, n)
+    num = integer_nthroot(q.numerator, n)
+    den = integer_nthroot(q.denominator, n)
     return Fraction(num, den) if num**n == q.numerator and den**n == q.denominator else None
 
 

@@ -90,7 +90,7 @@ def _curve_from_c4c6(c4: int, c6: int) -> WeierstrassCurve:
     a4 = (b4 - a1 * a3) // 2
     a6 = (b6 - a3) // 4
     E = WeierstrassCurve(a1, a2, a3, a4, a6)
-    assert (E.c4, E.c6) == (c4, c6)
+    assert E.bc_invariants()[4:6] == (c4, c6)
     return E
 
 
@@ -119,7 +119,7 @@ def _scalable_primes(E: WeierstrassCurve, budget: FactorBudget) -> list[int]:
     never factored; an unfactorable gcd residue raises Unfactored unless it
     is certifiably 4th-power-free.
     """
-    c4, c6 = int(E.c4), int(E.c6)
+    _b2, _b4, _b6, _b8, c4, c6, _disc = E.bc_invariants()
     g = math.gcd(c4, c6) if c4 and c6 else abs(c4 or c6)
     fi = factor(g, budget)
     # every prime factor of the residue exceeds the trial bound, so a hidden
@@ -136,7 +136,7 @@ def _scalable_primes(E: WeierstrassCurve, budget: FactorBudget) -> list[int]:
 def _minimize_at(E: WeierstrassCurve, primes) -> tuple[WeierstrassCurve, int]:
     """The (c4, c6)-standard model of integral E, minimal at each of primes,
     and the scale u it was reached by."""
-    c4, c6, disc = int(E.c4), int(E.c6), int(E.disc)
+    _b2, _b4, _b6, _b8, c4, c6, disc = E.bc_invariants()
     u = 1
     for p in primes:
         p4, p6, p12 = p**4, p**6, p**12
@@ -398,9 +398,9 @@ def discriminant_factorization(
     complete=False, never a wrong factorization.
     """
     E, _pm = E.integral_model()
-    disc = abs(int(E.disc))
-    if parts is None and E.a1 == E.a3 == E.a6 == 0:
-        a2, a4 = int(E.a2), int(E.a4)
+    disc = abs(E.bc_invariants()[6])
+    a1, a2, a3, a4, a6 = _int_invariants(E)
+    if parts is None and a1 == a3 == a6 == 0:
         parts = (2, a4, a2 * a2 - 4 * a4)
     fE = factor(disc, budget) if parts is None else factor_with_parts(disc, parts, budget)
     Emin, u = _minimize_at(E, fE.primes())

@@ -16,6 +16,7 @@ from ellfam.arith import (
     factor,
     factor_with_parts,
     hilbert_symbol,
+    integer_nthroot,
     is_prime,
     isqrt_exact,
     jacobi,
@@ -314,6 +315,77 @@ class TestFactor:
         for p, e in fi.factors:
             assert is_prime(p) and e >= 1
             assert math.gcd(fi.residue, p) == 1
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from([3, 101, 7919, P7, Q7, 1000003, M61, M89]),
+                st.integers(min_value=1, max_value=3),
+            ),
+            max_size=5,
+        ),
+        st.sampled_from([FactorBudget(10**2, 10**4), FactorBudget(10**3, 3 * 10**4)]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_rho_spends_at_most_its_allowance(self, powers, budget):
+        # each call gets what the earlier ones left and spends at most that
+        calls = []
+        n = math.prod(p**e for p, e in powers)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(arith, "_brent_rho", _rho_recorder(calls))
+            fi = factor(n, budget)
+        assert fi.value() == n
+        left = budget.rho_iterations
+        for allowance, spent in calls:
+            assert allowance == left and 0 <= spent <= allowance
+            left -= spent
+        assert sum(spent for _a, spent in calls) <= budget.rho_iterations
+
+    def test_failed_rho_spends_what_is_left(self, monkeypatch):
+        # P7 and Q7 split off within the allowance; M61 * M89 does not, and
+        # the last call spends exactly what the first ones left
+        calls = []
+        monkeypatch.setattr(arith, "_brent_rho", _rho_recorder(calls))
+        budget = FactorBudget(10**3, 3 * 10**4)
+        fi = factor(P7 * Q7 * M61 * M89, budget)
+        assert fi.factors == ((P7, 1), (Q7, 1)) and fi.residue == M61 * M89
+        assert len(calls) >= 2 and 0 < calls[0][1] < budget.rho_iterations
+        assert sum(spent for _a, spent in calls) == budget.rho_iterations
+
+    @pytest.mark.parametrize(
+        "base,k,rho_calls",
+        [(M61, 3, 0), (M61, 5, 0), (P7, 7, 0), (M61 * P7, 2, 1), (P7 * Q7, 3, 1)],
+    )
+    def test_perfect_power_split_before_rho(self, monkeypatch, base, k, rho_calls):
+        # a k-th power is pushed once, as its root: M61^3 used to run rho
+        # through the whole allowance and stay unfactored
+        calls = _count_rho(monkeypatch)
+        fi = factor(base**k, RHO)
+        assert fi.complete and fi.value() == base**k
+        assert all(e % k == 0 for _p, e in fi.factors)
+        assert len(calls) == rho_calls
+
+    @pytest.mark.parametrize("trial_bound", [0, 1, 2, 3])
+    def test_power_roots_with_tiny_trial_bound(self, trial_bound):
+        n = 12**5 * 35**3
+        fi = factor(n, FactorBudget(trial_bound, 10**4))
+        assert fi.complete and fi.factors == ((2, 10), (3, 5), (5, 3), (7, 3))
+
+    @given(st.integers(min_value=0, max_value=10**80), st.integers(min_value=1, max_value=13))
+    def test_integer_nthroot_matches_sympy(self, x, k):
+        assert integer_nthroot(x, k) == sympy.integer_nthroot(x, k)[0]
+
+
+def _rho_recorder(calls: list[tuple[int, int]]):
+    """_brent_rho, recording (allowance, iterations spent) of every call."""
+    rho = arith._brent_rho
+
+    def recorded(n, allowance):
+        d, spent = rho(n, allowance)
+        calls.append((allowance, spent))
+        return d, spent
+
+    return recorded
 
 
 def _count_rho(monkeypatch) -> list[int]:

@@ -1,22 +1,83 @@
 """Root-number tests against the pre-built independent oracle table."""
 
 import json
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ellfam.arith import FactorBudget, Unfactored, jacobi
+from ellfam import rootnum
+from ellfam._rootnum_tables import RESIDUE_CLASS
+from ellfam.arith import FactorBudget, Unfactored, hilbert_symbol, jacobi, valuation
 from ellfam.curves import WeierstrassCurve
-from ellfam.localdata import minimal_model, tate_local
-from ellfam.rootnum import global_root_number, local_root_number
+from ellfam.families import SingularMember
+from ellfam.localdata import discriminant_factorization, minimal_model, tate_local
+from ellfam.rootnum import _root_number_above_3, global_root_number, local_root_number
+from ellfam.scan import DegenerateFiber, builtin_scans
 
 ORACLE = json.loads((Path(__file__).parent / "data" / "rootnum_oracle.json").read_text())
 
 
 def curve(*ai):
     return WeierstrassCurve(*[Fraction(a) for a in ai])
+
+
+def tate_rule(E, ld):
+    """The local root number at p >= 5 from the reduction type that Tate's
+    algorithm finds: the reference for the invariant rule."""
+    if ld.reduction == "split-multiplicative":
+        return -1
+    if ld.reduction != "additive":
+        return 1
+    c4, c6 = int(E.c4), int(E.c6)
+    if c4 and 3 * valuation(c4, ld.p) < ld.vp_disc_min:
+        return hilbert_symbol(-c6 * c4, -1, ld.p)
+    return jacobi(RESIDUE_CLASS[ld.vp_disc_min] % ld.p, ld.p)
+
+
+def invariant_rule_mismatches(E, budget=FactorBudget(), parts=None):
+    """The places p >= 5 of E's minimal model where the invariant rule, the
+    exponent of p in disc_min or local_root_number disagree with Tate's
+    algorithm, and the number of places compared."""
+    Emin, fi = discriminant_factorization(E, budget, parts=parts)
+    _b2, _b4, _b6, _b8, c4, c6, _disc = Emin.bc_invariants()
+    bad, compared = [], 0
+    for p, e in fi.factors:
+        if p < 5:
+            continue
+        ld = tate_local(Emin, p)
+        w = _root_number_above_3(c4, c6, p, e)
+        compared += 1
+        if e != ld.vp_disc_min or w != tate_rule(Emin, ld) or w != local_root_number(Emin, ld):
+            bad.append((Emin.a_invariants(), p))
+    return bad, compared
+
+
+def _is_fundamental(d):
+    def squarefree(n):
+        return all(n % (q * q) for q in range(2, 15))
+
+    if d % 4 == 1:
+        return squarefree(d)
+    return d % 4 == 0 and (d // 4) % 4 in (2, 3) and squarefree(d // 4)
+
+
+def sweep_twists():
+    """Two quadratic twists of each oracle curve, by fundamental
+    discriminants |d| <= 200 coprime to N, drawn as the benchmark's
+    root-number sweep draws them."""
+    rng = random.Random(0)
+    discs = [d for d in range(-200, 201) if d not in (0, 1) and _is_fundamental(d)]
+    for row in ORACLE:
+        E = curve(*row["a"])
+        c4, c6 = int(E.c4), int(E.c6)
+        coprime = [d for d in discs if math.gcd(d, row["N"]) == 1]
+        for d in rng.sample(coprime, 2):
+            yield curve(0, 0, 0, -27 * c4 * d * d, -54 * c6 * d**3)
 
 
 class TestLocalDefinitional:
@@ -48,6 +109,110 @@ class TestLocalDefinitional:
         ld = tate_local(E, p)
         assert ld.reduction == "additive" and ld.vp_disc_min == e
         assert local_root_number(E, ld) == jacobi(a % p, p)
+
+
+class TestInvariantRuleAbove3:
+    """At p >= 5 the local root number is read off c4, c6 and v_p(disc_min)
+    of the minimal model; Tate's algorithm is the reference."""
+
+    def test_oracle_curves_and_sweep_twists(self):
+        curves = [curve(*row["a"]) for row in ORACLE] + list(sweep_twists())
+        assert len(curves) == 3 * len(ORACLE) == 2685
+        bad, compared = [], 0
+        for E in curves:
+            b, n = invariant_rule_mismatches(E)
+            bad += b
+            compared += n
+        assert compared > 5000
+        assert not bad, f"{len(bad)} places disagree, first: {bad[:3]}"
+
+    def test_radius1_scan_cells(self):
+        budget = FactorBudget(10**5, 2 * 10**5)
+        bad, compared = [], 0
+        for spec in builtin_scans(radius=1, budget=budget).values():
+            for n in range(-1, 2):
+                for m in range(-1, 2):
+                    try:
+                        param = spec.mapping.parameter(spec.lattice_point(n, m))
+                        sp = spec.family.specialize(param, budget)
+                    except (DegenerateFiber, SingularMember):
+                        continue
+                    parts = spec.family.discriminant_parts(sp)
+                    b, k = invariant_rule_mismatches(sp.curve(), budget, parts)
+                    bad += b
+                    compared += k
+        assert compared > 100
+        assert not bad, f"{len(bad)} places disagree, first: {bad[:3]}"
+
+    # y^2 = x^3 + A x + B reaching each type at p, from units t, s, a, b
+    # (mod p), n >= 1 and the exponents i, j: (A, B) for type I_n is
+    # (-3t^2, 2t^3 + p^n s), whose singular point is the node (t, 0), split
+    # or not by the quadratic character of 3t; I_n* is its twist by p
+    SHAPES = {
+        "In": lambda p, t, s, a, b, n, i: (-3 * t * t, 2 * t**3 + p**n * s),
+        "In*": lambda p, t, s, a, b, n, i: (-3 * t * t * p**2, p**3 * (2 * t**3 + p**n * s)),
+        "I0*": lambda p, t, s, a, b, n, i: (p**2 * a, p**3 * b),
+        "II": lambda p, t, s, a, b, n, i: (p**i * a, p * b),
+        "III": lambda p, t, s, a, b, n, i: (p * a, p ** (i + 1) * b),
+        "IV": lambda p, t, s, a, b, n, i: (p ** (i + 1) * a, p**2 * b),
+        "IV*": lambda p, t, s, a, b, n, i: (p ** (i + 2) * a, p**4 * b),
+        "III*": lambda p, t, s, a, b, n, i: (p**3 * a, p ** (i + 4) * b),
+        "II*": lambda p, t, s, a, b, n, i: (p ** (i + 3) * a, p**5 * b),
+    }
+
+    @pytest.mark.parametrize("p", [5, 7, 11, 13])
+    @pytest.mark.parametrize(
+        "kind", ["split In", "nonsplit In", "In*", "I0*", "II", "III", "IV", "IV*", "III*", "II*"]
+    )
+    @given(data=st.data())
+    @settings(max_examples=12, deadline=None)
+    def test_every_kodaira_type(self, p, kind, data):
+        unit = st.integers(-(10**6), 10**6).filter(lambda x: x % p != 0)
+        t, s, a, b = (data.draw(unit) for _ in range(4))
+        n = data.draw(st.integers(1, 6))
+        i = data.draw(st.integers(1, 3))
+        shape = kind.split()[-1]
+        if kind == "split In":
+            t = next(x for x in range(t, t + 2 * p) if jacobi(3 * x % p, p) == 1)
+        if kind == "nonsplit In":
+            t = next(x for x in range(t, t + 2 * p) if jacobi(3 * x % p, p) == -1)
+        if shape == "I0*":
+            a *= data.draw(st.sampled_from([0, 1, p]))
+            b = next(x for x in range(b, b + 4 * p) if (4 * a**3 + 27 * x * x) % p)
+        elif shape in ("II", "IV", "II*", "III", "III*"):
+            # the coefficient whose valuation does not fix the type may
+            # vanish or carry more powers of p
+            factor = data.draw(st.sampled_from([0, 1, p]))
+            if shape in ("III", "III*"):
+                b *= factor
+            else:
+                a *= factor
+        A, B = self.SHAPES[shape](p, t, s, a, b, n, i)
+        E = curve(0, 0, 0, A, B)
+        ld = tate_local(E, p)
+        expected = {"In": f"I{n}", "In*": f"I{n}*"}.get(shape, shape)
+        assert ld.kodaira == expected
+        if shape == "In":
+            assert ld.reduction == kind.split()[0] + "-multiplicative"
+        _b2, _b4, _b6, _b8, c4, c6, disc = E.bc_invariants()
+        e = valuation(disc, p)
+        assert e == ld.vp_disc_min
+        assert _root_number_above_3(c4, c6, p, e) == tate_rule(E, ld)
+        assert local_root_number(E, ld) == tate_rule(E, ld)
+
+    def test_tate_runs_at_2_and_3_only(self, monkeypatch):
+        # types II, IV, IV* and II* at 5, 7, 11 and 13, additive at 2 and 3
+        seen = []
+        tate = rootnum.tate_local
+
+        def counted(E, p):
+            seen.append(p)
+            return tate(E, p)
+
+        monkeypatch.setattr(rootnum, "tate_local", counted)
+        rn = global_root_number(curve(0, 0, 0, 0, 1331844699185))
+        assert rn.complete and sorted(rn.local_breakdown) == [2, 3, 5, 7, 11, 13]
+        assert sorted(seen) == [2, 3]
 
 
 class TestKnownGlobal:
