@@ -3,6 +3,15 @@
 All computations are exact over the integers: reductions are handled through
 p-adic valuations of the integral coefficients, never through floating point
 or truncated p-adic expansions.
+
+The root-number path runs on Python ints only and builds no
+WeierstrassCurve and no Fraction: _minimal_ints takes an integral model's
+a-invariants and returns the minimal model's a-invariants, its seven
+invariants and the factored |disc_min|, and _tate_ints is Tate's algorithm
+on an int tuple.  discriminant_factorization, minimal_model and tate_local
+wrap them on WeierstrassCurve models, for the CLI, conductor and heights.
+At p = 2 and 3 Tate's translations are closed forms, not searches (Cohen,
+GTM 138, Algorithm 7.5.1; Cremona 3.2).
 """
 
 from __future__ import annotations
@@ -55,10 +64,9 @@ class LocalData:
         return max(int(k[1:]), 1)
 
 
-def _int_invariants(E: WeierstrassCurve) -> tuple[int, int, int, int, int]:
-    if E._ints is None:
-        raise ValueError("integral model required")
-    return E._ints
+def _integral_ints(E: WeierstrassCurve) -> tuple[int, int, int, int, int]:
+    """The int a-invariants of E if integral, else of its integral model."""
+    return E._ints if E._ints is not None else E.integral_model()[0]._ints
 
 
 # ---------------------------------------------------------------------------
@@ -77,8 +85,14 @@ def _kraus_ok(c4: int, c6: int, p: int) -> bool:
     return True
 
 
-def _curve_from_c4c6(c4: int, c6: int) -> WeierstrassCurve:
-    """Integral model with the given invariants (Kraus conditions assumed)."""
+def _curve_from_c4c6(c4: int, c6: int, disc: int) -> tuple[tuple, tuple]:
+    """The a-invariants and the invariants (b2, ..., disc) of the integral
+    model with invariants c4, c6 and discriminant disc (Kraus conditions
+    assumed).
+
+    ArithmeticError when the model has other invariants, which only a wrong
+    Kraus step can cause.
+    """
     b2 = (-c6) % 12
     if b2 > 6:
         b2 -= 12
@@ -89,9 +103,31 @@ def _curve_from_c4c6(c4: int, c6: int) -> WeierstrassCurve:
     a3 = b6 % 2
     a4 = (b4 - a1 * a3) // 2
     a6 = (b6 - a3) // 4
-    E = WeierstrassCurve(a1, a2, a3, a4, a6)
-    assert E.bc_invariants()[4:6] == (c4, c6)
-    return E
+    b2, b4, b6 = a1 * a1 + 4 * a2, 2 * a4 + a1 * a3, a3 * a3 + 4 * a6
+    if b2 * b2 - 24 * b4 != c4 or -b2**3 + 36 * b2 * b4 - 216 * b6 != c6:
+        raise ArithmeticError(f"no integral model with c4 = {c4}, c6 = {c6}")
+    b8 = (b2 * b6 - b4 * b4) // 4
+    return (a1, a2, a3, a4, a6), (b2, b4, b6, b8, c4, c6, disc)
+
+
+def _minimal_ints(
+    a: tuple, budget: FactorBudget = DEFAULT_BUDGET, parts: Optional[Sequence[int]] = None
+) -> tuple[tuple, tuple, FactoredInt]:
+    """The global minimal model of the integral model with a-invariants a,
+    on ints only: its a-invariants, its invariants (b2, ..., disc) and a
+    factorization of |disc_min| (see discriminant_factorization)."""
+    invs = weierstrass_invariants(*a)
+    disc = abs(invs[6])
+    a1, a2, a3, a4, a6 = a
+    if parts is None and a1 == a3 == a6 == 0:
+        parts = (2, a4, a2 * a2 - 4 * a4)
+    fE = factor(disc, budget) if parts is None else factor_with_parts(disc, parts, budget)
+    amin, invs, u = _minimize_at(invs, fE.primes())
+    if u == 1:
+        return amin, invs, fE
+    # u is a product of primes found, so the residue is disc_min's too
+    found = ((p, e - 12 * valuation(u, p)) for p, e in fE.factors)
+    return amin, invs, FactoredInt(1, tuple((p, e) for p, e in found if e), fE.residue)
 
 
 def minimal_model(
@@ -103,15 +139,18 @@ def minimal_model(
     Unfactored when minimality cannot be certified.
     """
     Ei, pm = E.integral_model()
-    Emin, u = _minimize_at(Ei, _scalable_primes(Ei, budget))
+    invs = Ei.bc_invariants()
+    a, _invs, u = _minimize_at(invs, _scalable_primes(invs, budget))
+    Emin = WeierstrassCurve(*a)
     u *= pm.u
     check, pm = E.transform(u, *_translation_for_scale(E, Emin, u))
     assert check == Emin
     return Emin, pm
 
 
-def _scalable_primes(E: WeierstrassCurve, budget: FactorBudget) -> list[int]:
-    """Every prime that can be scaled away from the integral model E.
+def _scalable_primes(invs: tuple, budget: FactorBudget) -> list[int]:
+    """Every prime that can be scaled away from the integral model with
+    invariants invs = (b2, ..., disc).
 
     A prime p can be scaled away only when p^4 | c4 and p^6 | c6, so the
     candidate primes are read off a factorization of gcd(c4, c6) (of the
@@ -119,7 +158,7 @@ def _scalable_primes(E: WeierstrassCurve, budget: FactorBudget) -> list[int]:
     never factored; an unfactorable gcd residue raises Unfactored unless it
     is certifiably 4th-power-free.
     """
-    _b2, _b4, _b6, _b8, c4, c6, _disc = E.bc_invariants()
+    c4, c6 = invs[4], invs[5]
     g = math.gcd(c4, c6) if c4 and c6 else abs(c4 or c6)
     fi = factor(g, budget)
     # every prime factor of the residue exceeds the trial bound, so a hidden
@@ -133,10 +172,11 @@ def _scalable_primes(E: WeierstrassCurve, budget: FactorBudget) -> list[int]:
     return [p for p, e in fi.factors if p < 5 or e >= 4]
 
 
-def _minimize_at(E: WeierstrassCurve, primes) -> tuple[WeierstrassCurve, int]:
-    """The (c4, c6)-standard model of integral E, minimal at each of primes,
-    and the scale u it was reached by."""
-    _b2, _b4, _b6, _b8, c4, c6, disc = E.bc_invariants()
+def _minimize_at(invs: tuple, primes) -> tuple[tuple, tuple, int]:
+    """The (c4, c6)-standard model of the integral model with invariants
+    invs = (b2, ..., disc), minimal at each of primes: its a-invariants, its
+    invariants and the scale u it was reached by."""
+    _b2, _b4, _b6, _b8, c4, c6, disc = invs
     u = 1
     for p in primes:
         p4, p6, p12 = p**4, p**6, p**12
@@ -146,7 +186,8 @@ def _minimize_at(E: WeierstrassCurve, primes) -> tuple[WeierstrassCurve, int]:
                 break
             c4, c6, disc = nc4, nc6, disc // p12
             u *= p
-    return _curve_from_c4c6(c4, c6), u
+    a, invs = _curve_from_c4c6(c4, c6, disc)
+    return a, invs, u
 
 
 # ---------------------------------------------------------------------------
@@ -248,12 +289,19 @@ def tate_local(E: WeierstrassCurve, p: int) -> LocalData:
     """Complete local reduction data at the prime p (Tate's algorithm); ValueError otherwise."""
     if not is_prime(p):
         raise ValueError(f"not a prime: {p}")
-    a = _int_invariants(E)
+    if E._ints is None:
+        raise ValueError("integral model required")
+    return _tate_ints(E._ints, p)
+
+
+def _tate_ints(a: tuple, p: int, n: Optional[int] = None) -> LocalData:
+    """Tate's algorithm at the prime p on the int a-invariants a of an
+    integral model; n, when given, is v_p(disc) of that model."""
     p2, p3, p4, p6 = p * p, p**3, p**4, p**6
     while True:
         b2, b4, b6, _b8, c4, _c6, disc = weierstrass_invariants(*a)
-        assert disc != 0
-        n = valuation(disc, p)
+        if n is None:
+            n = valuation(disc, p)
         if n == 0:
             return LocalData(p, "I0", 0, 1, "good", 0)
         # move the singular point of the reduction to (0, 0); c4 and disc
@@ -303,22 +351,37 @@ def tate_local(E: WeierstrassCurve, p: int) -> LocalData:
             return LocalData(p, "III*", n - 7, 2, "additive", n)
         if a6 % p6 != 0:
             return LocalData(p, "II*", n - 8, 1, "additive", n)
+        # not minimal at p: unscale, which divides disc by p^12
         a = (a1 // p, a2 // p2, a3 // p3, a4 // p4, a6 // p6)
+        n -= 12
 
 
 def _move_singular_point(a: tuple, p: int, b2: int, b4: int, b6: int) -> tuple:
-    """Translate the singular point of the reduction mod p to (0, 0)."""
-    if p <= 3:
-        for r in range(p):
-            for t in range(p):
-                moved = change_coordinates(a, 1, r, 0, t)
-                if moved[2] % p == 0 and moved[3] % p == 0 and moved[4] % p == 0:
-                    return moved
-        raise RuntimeError("no singular point found")  # pragma: no cover
-    # repeated root of 4x^3 + b2 x^2 + 2 b4 x + b6 mod p
-    x0, _triple = _multiple_root([b6, 2 * b4, b2, 4], p)
-    y0 = (-(a[0] * x0 + a[2]) * pow(2, -1, p)) % p
-    moved = change_coordinates(a, 1, x0, 0, y0)
+    """Translate the singular point (r, t) of the reduction mod p, with
+    0 <= r, t < p, to (0, 0).
+
+    (0, 0) is singular exactly when p divides a3, a4 and a6.  At p = 2 that
+    fixes r and t mod 2 from the translated a3, a4 and a6 (Cohen, GTM 138,
+    Algorithm 7.5.1).  Otherwise r is the repeated root of
+    4x^3 + b2 x^2 + 2 b4 x + b6 and t = -(a1 r + a3)/2 mod p; at p = 3 that
+    cubic is x^3 + b2 x^2 - b4 x + b6, whose repeated root is -b6 when
+    3 | b2 (it is then (x + b6)^3) and b4/(2 b2) = -b2 b4 otherwise.
+    """
+    a1, a2, a3, a4, a6 = a
+    if p == 2:
+        if a1 % 2:
+            r = a3 % 2
+            t = (r + a4) % 2
+        else:
+            r = a4 % 2
+            t = (r * (1 + a2 + a4) + a6) % 2
+    elif p == 3:
+        r = -b6 % 3 if b2 % 3 == 0 else -b2 * b4 % 3
+        t = (a1 * r + a3) % 3
+    else:
+        r, _triple = _multiple_root([b6, 2 * b4, b2, 4], p)
+        t = -(a1 * r + a3) * pow(2, -1, p) % p
+    moved = change_coordinates(a, 1, r, 0, t)
     assert moved[2] % p == 0 and moved[3] % p == 0 and moved[4] % p == 0
     return moved
 
@@ -326,19 +389,11 @@ def _move_singular_point(a: tuple, p: int, b2: int, b4: int, b6: int) -> tuple:
 def _arrange_step7(a: tuple, p: int) -> tuple:
     """Translate so that p | a1, a2; p^2 | a3, a4; p^3 | a6."""
     if p == 2:
-        for r in (0, 2, 4, 6):
-            for s in (0, 1):
-                for t in range(8):
-                    T = change_coordinates(a, 1, r, s, t)
-                    if (
-                        T[0] % 2 == 0
-                        and T[1] % 2 == 0
-                        and T[2] % 4 == 0
-                        and T[3] % 4 == 0
-                        and T[4] % 8 == 0
-                    ):
-                        return T
-        raise RuntimeError("step 7 arrangement failed")  # pragma: no cover
+        # 2 | a1 and 4 | a6, 8 | b6 = a3^2 + 4 a6 give 4 | a3: s = a2 mod 2
+        # makes a2 even, and t = 0 or 2 makes a6 - t a3 - t^2 = a6 - t^2
+        # vanish mod 8; the b8 divisibility already established then gives
+        # 4 | a4 with r = 0
+        return change_coordinates(a, 1, 0, a[1] % 2, 2 * (a[4] // 4 % 2))
     # p odd: kill a1 and a3 modulo p^3; the remaining valuations then follow
     # from the b6 and b8 divisibility already established
     p3 = p**3
@@ -397,16 +452,8 @@ def discriminant_factorization(
     exact division (see factor_with_parts), so parts that miss a prime give
     complete=False, never a wrong factorization.
     """
-    E, _pm = E.integral_model()
-    disc = abs(E.bc_invariants()[6])
-    a1, a2, a3, a4, a6 = _int_invariants(E)
-    if parts is None and a1 == a3 == a6 == 0:
-        parts = (2, a4, a2 * a2 - 4 * a4)
-    fE = factor(disc, budget) if parts is None else factor_with_parts(disc, parts, budget)
-    Emin, u = _minimize_at(E, fE.primes())
-    # u is a product of primes found, so the residue is disc_min's too
-    found = ((p, e - 12 * valuation(u, p)) for p, e in fE.factors)
-    return Emin, FactoredInt(1, tuple((p, e) for p, e in found if e), fE.residue)
+    a, _invs, fi = _minimal_ints(_integral_ints(E), budget, parts)
+    return WeierstrassCurve(*a), fi
 
 
 def conductor(E: WeierstrassCurve, budget: FactorBudget = DEFAULT_BUDGET) -> FactoredInt:

@@ -17,6 +17,12 @@ decide.  So _root_number_above_3 reads the minimal model's integer c4 and
 c6 and the exponent of p in its discriminant's factorization, and
 global_root_number runs Tate's algorithm only at 2 and 3.
 
+global_root_number works on ints from the integral model to the local
+signs (localdata._minimal_ints, localdata._tate_ints with the known
+v_p(disc_min), _local_sign on the invariants tuple) and builds no
+WeierstrassCurve or Fraction; local_root_number wraps _local_sign for a
+WeierstrassCurve.
+
 A table key (_table_key) is the Kodaira type, the valuations of c4, c6 and
 disc, and their unit parts modulo TABLE_MODULI[p], which a unit change of
 model leaves fixed: at p = 2 that is (8, 8, 16).  The 2-adic table was first
@@ -30,15 +36,9 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
-from .arith import (
-    DEFAULT_BUDGET,
-    FactorBudget,
-    hilbert_symbol,
-    jacobi,
-    valuation,
-)
+from .arith import DEFAULT_BUDGET, FactorBudget, jacobi, valuation
 from .curves import WeierstrassCurve
-from .localdata import LocalData, discriminant_factorization, tate_local
+from .localdata import LocalData, _integral_ints, _minimal_ints, _tate_ints
 from ._rootnum_tables import RESIDUE_CLASS, TABLE_MODULI, TABLE_P2, TABLE_P3
 
 
@@ -73,8 +73,18 @@ def _twisted_tate_sign(c4: int, c6: int, p: int, e: int) -> Optional[int]:
     for the twisting character, uniformly a Hilbert symbol.
     """
     if c4 != 0 and 3 * valuation(c4, p) < e:
-        return hilbert_symbol(-c6 * c4, -1, p)
+        return _hilbert_minus_one(-c6 * c4, p)
     return None
+
+
+def _hilbert_minus_one(x: int, p: int) -> int:
+    """The Hilbert symbol (x, -1)_p of a nonzero integer x at a prime p:
+    at p = 2, -1 exactly when the unit part of x is 3 mod 4; at odd p,
+    (-1/p) to the power v_p(x)."""
+    v = valuation(x, p)
+    if p == 2:
+        return -1 if (x >> v) % 4 == 3 else 1
+    return jacobi(-1, p) if v % 2 else 1
 
 
 def _root_number_above_3(c4: int, c6: int, p: int, e: int) -> int:
@@ -87,10 +97,10 @@ def _root_number_above_3(c4: int, c6: int, p: int, e: int) -> int:
     return jacobi(RESIDUE_CLASS[e] % p, p) if w is None else w
 
 
-def _table_key(E: WeierstrassCurve, ld: LocalData) -> tuple:
+def _table_key(invs: tuple, ld: LocalData) -> tuple:
     p, vd = ld.p, ld.vp_disc_min
     m4, m6, md = TABLE_MODULI[p]
-    _b2, _b4, _b6, _b8, c4, c6, disc = E.bc_invariants()
+    _b2, _b4, _b6, _b8, c4, c6, disc = invs
     v4 = valuation(c4, p) if c4 else 99
     v6 = valuation(c6, p) if c6 else 99
     c4u = (c4 // p**v4) % m4 if c4 else 0
@@ -106,10 +116,16 @@ def local_root_number(E: WeierstrassCurve, ld: LocalData) -> int:
     At p >= 5 only ld.vp_disc_min is read, by _root_number_above_3; at 2
     and 3 the reduction type, then the Hilbert symbol or the tables.
     """
+    return _local_sign(E.bc_invariants(), ld)
+
+
+def _local_sign(invs: tuple, ld: LocalData) -> int:
+    """local_root_number for the minimal model with invariants
+    invs = (b2, ..., disc)."""
     if ld.reduction == "good":
         return 1
     p = ld.p
-    _b2, _b4, _b6, _b8, c4, c6, _disc = E.bc_invariants()
+    c4, c6 = invs[4], invs[5]
     if p >= 5:
         return _root_number_above_3(c4, c6, p, ld.vp_disc_min)
     if ld.reduction == "nonsplit-multiplicative":
@@ -120,7 +136,7 @@ def local_root_number(E: WeierstrassCurve, ld: LocalData) -> int:
     if w is not None:
         return w
     table = TABLE_P2 if p == 2 else TABLE_P3
-    key = _table_key(E, ld)
+    key = _table_key(invs, ld)
     try:
         return table[key]
     except KeyError:
@@ -137,17 +153,17 @@ def global_root_number(
 
     Tate's algorithm runs at 2 and 3 only; a factor at p >= 5 is read off
     the minimal model's c4 and c6 and the exponent of p in disc_min.
-    ``parts`` goes to discriminant_factorization.  When the minimal
+    ``parts`` is as in discriminant_factorization.  When the minimal
     discriminant cannot be fully factored, the value covers the known bad
     primes only and complete=False records that the sign is not certified —
     never a silent wrong sign.
     """
-    Emin, fi = discriminant_factorization(E, budget, parts=parts)
-    _b2, _b4, _b6, _b8, c4, c6, _disc = Emin.bc_invariants()
+    a, invs, fi = _minimal_ints(_integral_ints(E), budget, parts)
+    c4, c6 = invs[4], invs[5]
     breakdown: dict[int, int] = {}
     for p, e in fi.factors:
         if p >= 5:
             breakdown[p] = _root_number_above_3(c4, c6, p, e)
         else:
-            breakdown[p] = local_root_number(Emin, tate_local(Emin, p))
+            breakdown[p] = _local_sign(invs, _tate_ints(a, p, e))
     return RootNumber(local_breakdown=breakdown, complete=fi.complete)

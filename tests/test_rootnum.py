@@ -3,6 +3,8 @@
 import json
 import math
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,13 +12,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ellfam import rootnum
-from ellfam._rootnum_tables import RESIDUE_CLASS
-from ellfam.arith import FactorBudget, Unfactored, hilbert_symbol, jacobi, valuation
-from ellfam.curves import WeierstrassCurve
+from ellfam import localdata, rootnum
+from ellfam._rootnum_tables import RESIDUE_CLASS, TABLE_MODULI, TABLE_P2, TABLE_P3
+from ellfam.arith import (
+    FactorBudget,
+    FactoredInt,
+    Unfactored,
+    factor,
+    factor_with_parts,
+    hilbert_symbol,
+    jacobi,
+    valuation,
+)
+from ellfam.curves import WeierstrassCurve, change_coordinates, weierstrass_invariants
 from ellfam.families import SingularMember
 from ellfam.localdata import discriminant_factorization, minimal_model, tate_local
-from ellfam.rootnum import _root_number_above_3, global_root_number, local_root_number
+from ellfam.rootnum import (
+    MissingLocalCase,
+    _hilbert_minus_one,
+    _root_number_above_3,
+    global_root_number,
+    local_root_number,
+)
 from ellfam.scan import DegenerateFiber, builtin_scans
 
 ORACLE = json.loads((Path(__file__).parent / "data" / "rootnum_oracle.json").read_text())
@@ -203,13 +220,13 @@ class TestInvariantRuleAbove3:
     def test_tate_runs_at_2_and_3_only(self, monkeypatch):
         # types II, IV, IV* and II* at 5, 7, 11 and 13, additive at 2 and 3
         seen = []
-        tate = rootnum.tate_local
+        tate = rootnum._tate_ints
 
-        def counted(E, p):
+        def counted(a, p, n=None):
             seen.append(p)
-            return tate(E, p)
+            return tate(a, p, n)
 
-        monkeypatch.setattr(rootnum, "tate_local", counted)
+        monkeypatch.setattr(rootnum, "_tate_ints", counted)
         rn = global_root_number(curve(0, 0, 0, 0, 1331844699185))
         assert rn.complete and sorted(rn.local_breakdown) == [2, 3, 5, 7, 11, 13]
         assert sorted(seen) == [2, 3]
@@ -370,3 +387,226 @@ class TestBudget:
         assert rn.complete is True
         assert rn == global_root_number(E)
 
+
+# ---------------------------------------------------------------------------
+# reference: the root-number path on WeierstrassCurve models, with Tate's
+# translations at 2 and 3 found by search
+# ---------------------------------------------------------------------------
+
+
+def search_singular_point(a, p):
+    """The first translation (r, 0, t), 0 <= r, t < p in that order, that
+    puts the singular point of the reduction mod p at (0, 0)."""
+    for r in range(p):
+        for t in range(p):
+            moved = change_coordinates(a, 1, r, 0, t)
+            if moved[2] % p == 0 and moved[3] % p == 0 and moved[4] % p == 0:
+                return moved
+    raise AssertionError(f"no singular point mod {p}: {a}")
+
+
+def search_step7(a):
+    """The first (r, s, t), r in (0, 2, 4, 6), s < 2 and t < 8 in that
+    order, with 2 | a1, a2; 4 | a3, a4; 8 | a6 after the translation."""
+    for r in (0, 2, 4, 6):
+        for s in (0, 1):
+            for t in range(8):
+                T = change_coordinates(a, 1, r, s, t)
+                if T[0] % 2 == T[1] % 2 == T[2] % 4 == T[3] % 4 == T[4] % 8 == 0:
+                    return T
+    raise AssertionError(f"step 7 arrangement failed: {a}")
+
+
+MOVE, STEP7 = localdata._move_singular_point, localdata._arrange_step7
+
+
+def reference_move(a, p, b2, b4, b6):
+    return search_singular_point(a, p) if p <= 3 else MOVE(a, p, b2, b4, b6)
+
+
+def reference_step7(a, p):
+    return search_step7(a) if p == 2 else STEP7(a, p)
+
+
+def reference_minimal_model(E, parts=None):
+    """discriminant_factorization on WeierstrassCurve models: the
+    (c4, c6)-standard minimal model, checked by assert, and |disc_min|."""
+    E, _pm = E.integral_model()
+    _b2, _b4, _b6, _b8, c4, c6, disc = E.bc_invariants()
+    a1, a2, a3, a4, a6 = (int(x) for x in E.a_invariants())
+    if parts is None and a1 == a3 == a6 == 0:
+        parts = (2, a4, a2 * a2 - 4 * a4)
+    fE = factor(abs(disc), FactorBudget()) if parts is None else factor_with_parts(
+        abs(disc), parts, FactorBudget()
+    )
+    u = 1
+    for p in fE.primes():
+        while c4 % p**4 == 0 and c6 % p**6 == 0 and disc % p**12 == 0:
+            nc4, nc6 = c4 // p**4, c6 // p**6
+            if p in (2, 3) and not localdata._kraus_ok(nc4, nc6, p):
+                break
+            c4, c6, disc = nc4, nc6, disc // p**12
+            u *= p
+    b2 = (-c6) % 12
+    if b2 > 6:
+        b2 -= 12
+    b4 = (b2 * b2 - c4) // 24
+    b6 = (-b2**3 + 36 * b2 * b4 - c6) // 216
+    a1, a3 = b2 % 2, b6 % 2
+    Emin = WeierstrassCurve(a1, (b2 - a1) // 4, a3, (b4 - a1 * a3) // 2, (b6 - a3) // 4)
+    assert Emin.bc_invariants()[4:6] == (c4, c6)
+    found = ((p, e - 12 * valuation(u, p)) for p, e in fE.factors)
+    return Emin, FactoredInt(1, tuple((p, e) for p, e in found if e), fE.residue)
+
+
+def reference_local_sign(E, ld):
+    """local_root_number on a WeierstrassCurve, with the Hilbert symbol
+    over Q_p."""
+    if ld.reduction == "good":
+        return 1
+    p, vd = ld.p, ld.vp_disc_min
+    _b2, _b4, _b6, _b8, c4, c6, disc = E.bc_invariants()
+    if p >= 5:
+        return _root_number_above_3(c4, c6, p, vd)
+    if ld.reduction.endswith("multiplicative"):
+        return -1 if ld.reduction.startswith("split") else 1
+    if c4 != 0 and 3 * valuation(c4, p) < vd:
+        return hilbert_symbol(-c6 * c4, -1, p)
+    m4, m6, md = TABLE_MODULI[p]
+    v4 = valuation(c4, p) if c4 else 99
+    v6 = valuation(c6, p) if c6 else 99
+    key = (
+        ld.kodaira, min(v4, 12), min(v6, 12), vd,
+        (c4 // p**v4) % m4 if c4 else 0,
+        (c6 // p**v6) % m6 if c6 else 0,
+        (disc // p**vd) % md,
+    )
+    table = TABLE_P2 if p == 2 else TABLE_P3
+    if key not in table:
+        raise MissingLocalCase(f"p={p} key={key}")
+    return table[key]
+
+
+def reference_root_number(E, monkeypatch):
+    """(breakdown, complete), or the MissingLocalCase text, and the local
+    data at 2 and 3, all by the reference path."""
+    Emin, fi = reference_minimal_model(E)
+    with monkeypatch.context() as m:
+        m.setattr(localdata, "_move_singular_point", reference_move)
+        m.setattr(localdata, "_arrange_step7", reference_step7)
+        local = {p: tate_local(Emin, p) for p in fi.primes() if p < 5}
+    try:
+        breakdown = {p: reference_local_sign(Emin, local[p]) if p < 5 else
+                     _root_number_above_3(int(Emin.c4), int(Emin.c6), p, e)
+                     for p, e in fi.factors}
+    except MissingLocalCase as exc:
+        return str(exc), local
+    return (breakdown, fi.complete), local
+
+
+class TestReferencePath:
+    """The int path against the WeierstrassCurve path it replaced."""
+
+    def test_oracle_curves_and_sweep_twists(self, monkeypatch):
+        curves = [curve(*row["a"]) for row in ORACLE] + list(sweep_twists())
+        assert len(curves) == 2685
+        seen_missing = 0
+        for E in curves:
+            expected, local = reference_root_number(E, monkeypatch)
+            a, invs, fi = localdata._minimal_ints(E._ints)
+            for p, ld in local.items():
+                assert localdata._tate_ints(a, p, fi.exponent(p)) == ld
+            try:
+                rn = global_root_number(E)
+                got = (dict(rn.local_breakdown), rn.complete)
+            except MissingLocalCase as exc:
+                got = str(exc)
+                seen_missing += 1
+            assert got == expected, E
+        assert seen_missing > 0
+
+    def test_builds_no_weierstrass_curve(self, monkeypatch):
+        curves = [curve(*row["a"]) for row in ORACLE] + list(sweep_twists())
+        built = []
+        init = WeierstrassCurve.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(WeierstrassCurve, "__init__", counted)
+        for E in curves:
+            try:
+                global_root_number(E)
+            except MissingLocalCase:
+                pass
+        assert built == []
+
+    @given(
+        st.sampled_from([2, 3]),
+        st.lists(st.integers(-50, 50), min_size=5, max_size=5),
+        st.lists(st.integers(0, 4), min_size=5, max_size=5),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_closed_form_translations_match_search(self, p, xs, ks):
+        # a_i = x_i p^k_i makes additive reduction, and step 7, common
+        a = tuple(x * p**k for x, k in zip(xs, ks))
+        if weierstrass_invariants(*a)[6] == 0:
+            return
+        moves, steps = [], []
+
+        def move(a, p, b2, b4, b6):
+            moved = MOVE(a, p, b2, b4, b6)
+            moves.append((moved, search_singular_point(a, p)))
+            return moved
+
+        def step7(a, p):
+            arranged = STEP7(a, p)
+            steps.append((arranged, search_step7(a) if p == 2 else arranged))
+            return arranged
+
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(localdata, "_move_singular_point", move)
+            m.setattr(localdata, "_arrange_step7", step7)
+            localdata._tate_ints(a, p)
+        for got, expected in moves + steps:
+            assert got == expected
+
+    @pytest.mark.parametrize(
+        "a,p,branch",
+        [
+            ((0, 1, 0, 27, 3), 2, "II*"),
+            ((0, 1, 0, 4, 0), 2, "I1*"),
+            ((1, 1, 0, 0, 6), 2, "I1"),
+            ((1, -1, 1, 25, 1), 3, "II*"),
+            ((0, 0, 0, 6, 7), 3, "I1*"),
+            ((0, 0, 1, 0, -7), 3, "IV*"),
+        ],
+    )
+    def test_closed_form_branches(self, a, p, branch, monkeypatch):
+        # one curve for each branch of the closed forms (the CI pins)
+        ld = localdata._tate_ints(a, p)
+        assert ld.kodaira == branch
+        monkeypatch.setattr(localdata, "_move_singular_point", reference_move)
+        monkeypatch.setattr(localdata, "_arrange_step7", reference_step7)
+        assert localdata._tate_ints(a, p) == ld
+
+    @given(st.integers(-(10**12), 10**12).filter(bool), st.sampled_from([2, 3, 5, 7, 11, 13]))
+    @settings(max_examples=200, deadline=None)
+    def test_hilbert_minus_one(self, x, p):
+        assert _hilbert_minus_one(x, p) == hilbert_symbol(x, -1, p)
+
+    def test_wrong_kraus_step_raises_under_O(self):
+        # (c4, c6) = (1, 1) has no integral model; the check is no assert
+        script = (
+            "from ellfam.localdata import _curve_from_c4c6\n"
+            "try:\n"
+            "    _curve_from_c4c6(1, 1, 0)\n"
+            "except ArithmeticError:\n"
+            "    print('raised')\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script], capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "raised\n"
