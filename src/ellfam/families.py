@@ -7,7 +7,9 @@ shape by a symbolic change of coordinates, carrying the torsion generator
 along.  Every further family in the catalog is produced by substituting a
 rational function into the parameter and renormalizing; the section points
 (x-coordinates of infinite-order points) are the only data that cannot be
-derived and are stored explicitly.
+derived and are stored explicitly.  Transported points and lifted sections
+are formed already reduced (polyq.reduced_substitute, verify_section), so a
+substitution takes no polynomial gcd.
 """
 
 from __future__ import annotations
@@ -21,7 +23,15 @@ from typing import Mapping, Optional, Sequence
 
 from .arith import DEFAULT_BUDGET, FactorBudget, factor, valuation_fraction
 from .curves import INFINITY, CurvePoint, WeierstrassCurve, to_shifted_ab
-from .polyq import PolyQ, RatFunc, homogeneous_value, homogenized_substitute, poly_sqrt
+from .polyq import (
+    PolyQ,
+    RatFunc,
+    _make_ratfunc,
+    homogeneous_value,
+    homogenized_substitute,
+    poly_sqrt,
+    reduced_substitute,
+)
 
 
 def tate_normal_curve(b, c) -> WeierstrassCurve:
@@ -178,7 +188,7 @@ def _ratfunc(f: RatFunc | PolyQ) -> RatFunc:
 
 def _cleared_cubic(family: CurveFamily, xn: PolyQ, xd: PolyQ) -> PolyQ:
     """xd^3 (x^3 + Ax^2 + Bx) at x = xn/xd: xn(xn^2 + A xn xd + B xd^2)."""
-    return xn * (xn * xn + family.A * xn * xd + family.B * xd * xd)
+    return xn * (xn * xn + family.A * xn * xd + family.B * (xd * xd))
 
 
 def normalize_shifted_ab(
@@ -244,7 +254,8 @@ def substitute_parameter(
     (l^2 x, l^3 y) with l = d^s, where d is the integer denominator of the
     substitution and s = max(ceil(deg A / 2), ceil(deg B / 4)); the largest
     rational square content is then stripped.  Torsion generators are
-    transported; ``sections`` provides the x-coordinates of new
+    transported, each coordinate (d^s / c)^w f(n/d) formed reduced for
+    coprime n and d; ``sections`` provides the x-coordinates of new
     infinite-order points (their y-coordinates must exist in the new
     function field), and ``lift_sections`` provides x-coordinates still
     written in the parent's parameter (they only acquire rational
@@ -265,13 +276,8 @@ def substitute_parameter(
     Bp = Bp * Fraction(1, c**4)
 
     def scaled(f, w: int) -> RatFunc:
-        """(d^s / c)^w f(n/d) = d^(k+ws) fn(n/d) / (c^w d^k fd(n/d))."""
-        f = _ratfunc(f)
-        k = max(f.num.degree, f.den.degree)
-        return RatFunc(
-            homogenized_substitute(f.num, n, d, k + w * s),
-            homogenized_substitute(f.den, n, d, k) * c**w,
-        )
+        """(d^s / c)^w f(n/d), formed reduced: n and d are coprime."""
+        return reduced_substitute(f, n, d, w * s, c**w)
 
     def transport(P: CurvePoint) -> CurvePoint:
         return CurvePoint(scaled(P.x, 2), scaled(P.y, 3))
@@ -296,9 +302,16 @@ def substitute_parameter(
 
 
 def verify_section(family: CurveFamily, x: RatFunc | PolyQ) -> CurvePoint:
-    """Lift an x-coordinate to a point of the family, or raise NotASquare."""
+    """Lift an x-coordinate to a point of the family, or raise NotASquare.
+
+    For x = xn/xd reduced, C = xn(xn^2 + A xn xd + B xd^2) is xn^3 mod xd,
+    so C is coprime to xd and y^2 = C/xd^3 is already reduced: y exists
+    exactly when the monic xd is r^2 and C is a square, and then
+    y = sqrt(C)/r^3 is reduced too.  No gcd is taken.
+    """
     x = _ratfunc(x)
-    y = ratfunc_sqrt(RatFunc(_cleared_cubic(family, x.num, x.den), x.den**3))
+    r = poly_sqrt(x.den)
+    y = _make_ratfunc(poly_sqrt(_cleared_cubic(family, x.num, x.den)), r * r * r)
     return CurvePoint(x, y)
 
 

@@ -294,12 +294,17 @@ def tate_local(E: WeierstrassCurve, p: int) -> LocalData:
     return _tate_ints(E._ints, p)
 
 
-def _tate_ints(a: tuple, p: int, n: Optional[int] = None) -> LocalData:
+def _tate_ints(
+    a: tuple, p: int, n: Optional[int] = None, invs: Optional[tuple] = None
+) -> LocalData:
     """Tate's algorithm at the prime p on the int a-invariants a of an
-    integral model; n, when given, is v_p(disc) of that model."""
+    integral model; n, when given, is v_p(disc) of that model, and invs,
+    when given, is its weierstrass_invariants(*a)."""
     p2, p3, p4, p6 = p * p, p**3, p**4, p**6
     while True:
-        b2, b4, b6, _b8, c4, _c6, disc = weierstrass_invariants(*a)
+        if invs is None:
+            invs = weierstrass_invariants(*a)
+        b2, b4, b6, _b8, c4, _c6, disc = invs
         if n is None:
             n = valuation(disc, p)
         if n == 0:
@@ -354,6 +359,7 @@ def _tate_ints(a: tuple, p: int, n: Optional[int] = None) -> LocalData:
         # not minimal at p: unscale, which divides disc by p^12
         a = (a1 // p, a2 // p2, a3 // p3, a4 // p4, a6 // p6)
         n -= 12
+        invs = None
 
 
 def _move_singular_point(a: tuple, p: int, b2: int, b4: int, b6: int) -> tuple:

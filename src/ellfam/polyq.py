@@ -8,9 +8,11 @@ monic denominator, so equality of canonical forms is structural equality.
 
 Everything but factorization is implemented directly on the integer
 numerators, with one gcd per result, and a rational function is normalized
-once per result: a substitution f(n/d) is formed as d^k num(n/d) /
-d^k den(n/d) on integer lists, and ``RatFunc`` divides both by one gcd in
-Z[u], a primitive remainder sequence after a coprimality test mod a prime.
+once per result: ``RatFunc`` divides num and den by one gcd in Z[u], a
+primitive remainder sequence after a coprimality test mod a prime.  A
+substitution f(n/d) with coprime n and d needs no gcd at all:
+``reduced_substitute`` forms it on integer lists already reduced, by a
+resultant argument.  A square forms each cross term once.
 Only factorization into irreducibles over Q imports sympy, whose dense
 ``dup_factor_list`` over ``ZZ`` it calls on the numerators; no sympy
 expression is built.
@@ -37,15 +39,35 @@ def _rational(x) -> Scalar:
     raise TypeError(f"not a rational scalar: {x!r}")
 
 
-def _zz_mul(xs: list[int], ys: list[int]) -> list[int]:
-    """Product of integer coefficient lists (index = degree)."""
+def _zz_mul(xs: Sequence[int], ys: Sequence[int]) -> list[int]:
+    """Product of integer coefficient lists (index = degree); a square
+    (ys is xs) forms each cross term once."""
     if not xs or not ys:
         return []
+    if xs is ys:
+        return _zz_sqr(xs)
     out = [0] * (len(xs) + len(ys) - 1)
     for i, a in enumerate(xs):
         if a:
-            for j, b in enumerate(ys):
-                out[i + j] += a * b
+            k = i
+            for b in ys:
+                out[k] += a * b
+                k += 1
+    return out
+
+
+def _zz_sqr(xs: Sequence[int]) -> list[int]:
+    """Square of a nonempty integer coefficient list: the term x_i x_j for
+    i < j is formed once and doubled."""
+    out = [0] * (2 * len(xs) - 1)
+    for i, a in enumerate(xs):
+        if a:
+            k = 2 * i
+            out[k] += a * a
+            a2 = a + a
+            for b in xs[i + 1:]:
+                k += 1
+                out[k] += a2 * b
     return out
 
 
@@ -362,7 +384,7 @@ def _reduce_into(p: PolyQ, ints: Sequence[int], den: int, var: str) -> None:
         g = math.gcd(den, *ints)
         if den < 0:
             g = -g
-        ints = tuple(c // g for c in ints[:n])
+        ints = tuple(ints[:n]) if g == 1 else tuple(c // g for c in ints[:n])
         den //= g
     object.__setattr__(p, "ints", ints)
     object.__setattr__(p, "den", den)
@@ -578,6 +600,14 @@ class RatFunc:
         return to_string(self)
 
 
+def _make_ratfunc(num: PolyQ, den: PolyQ) -> RatFunc:
+    """The RatFunc num/den for coprime num and monic den, as given."""
+    f = object.__new__(RatFunc)
+    object.__setattr__(f, "num", num)
+    object.__setattr__(f, "den", den)
+    return f
+
+
 def _coerce(x, var: str) -> Optional[RatFunc]:
     if isinstance(x, RatFunc):
         return x
@@ -588,28 +618,25 @@ def _coerce(x, var: str) -> Optional[RatFunc]:
     return None
 
 
-def homogenized_substitute(p: PolyQ, n: PolyQ, d: PolyQ, k: int) -> PolyQ:
-    """d^k p(n/d) = sum p_i n^i d^(k-i) for deg p <= k, exactly: a
-    polynomial in the variable of n and d.
-
-    Computed on integer lists (n and d share one cleared denominator L) by
-    Horner on the homogenized form, acc -> acc*n + p_i d^(m-i) from the top
-    coefficient p_m down, then one factor d^(k-m), over the one denominator
-    den(p) L^k.
-    """
-    if p.degree > k:
-        raise ValueError(f"degree {p.degree} exceeds the homogenizing degree {k}")
-    var = n._join_var(d)
-    if p.is_zero():
-        return PolyQ([], var)
-    ps = p.ints
+def _cleared(n: PolyQ, d: PolyQ) -> tuple[list[int], list[int], int]:
+    """Integer lists L n and L d for L = lcm(den n, den d), and L."""
     L = math.lcm(n.den, d.den)
-    ns = [c * (L // n.den) for c in n.ints]
-    ds = [c * (L // d.den) for c in d.ints]
-    m = p.degree
+    return [c * (L // n.den) for c in n.ints], [c * (L // d.den) for c in d.ints], L
+
+
+def _powers(ds: list[int], top: int) -> list[list[int]]:
+    """[d^0, d^1, ..., d^top] for the integer list d."""
     dpow = [[1]]
-    for _ in range(max(m, k - m)):
+    for _ in range(top):
         dpow.append(_zz_mul(dpow[-1], ds))
+    return dpow
+
+
+def _homogeneous(ps: Sequence[int], ns: list[int], dpow: list[list[int]]) -> list[int]:
+    """d^m p(n/d) for the nonzero integer polynomial p of degree m, with
+    dpow[i] = d^i: Horner on the homogenized form, acc -> acc*n + p_i
+    d^(m-i) from the top coefficient p_m down."""
+    m = len(ps) - 1
     acc = [ps[m]]
     for i in range(m - 1, -1, -1):
         acc = _zz_mul(acc, ns)
@@ -618,19 +645,72 @@ def homogenized_substitute(p: PolyQ, n: PolyQ, d: PolyQ, k: int) -> PolyQ:
             acc += [0] * (len(term) - len(acc))
             for j, c in enumerate(term):
                 acc[j] += ps[i] * c
-    return _make(_zz_mul(acc, dpow[k - m]), p.den * L**k, var)
+    return acc
+
+
+def homogenized_substitute(p: PolyQ, n: PolyQ, d: PolyQ, k: int) -> PolyQ:
+    """d^k p(n/d) = sum p_i n^i d^(k-i) for deg p <= k, exactly: a
+    polynomial in the variable of n and d.
+
+    Computed on integer lists (n and d share one cleared denominator L):
+    d^m p(n/d) for m = deg p by _homogeneous, then one factor d^(k-m),
+    over the one denominator den(p) L^k.
+    """
+    if p.degree > k:
+        raise ValueError(f"degree {p.degree} exceeds the homogenizing degree {k}")
+    var = n._join_var(d)
+    if p.is_zero():
+        return PolyQ([], var)
+    ns, ds, L = _cleared(n, d)
+    m = p.degree
+    dpow = _powers(ds, max(m, k - m))
+    return _make(_zz_mul(_homogeneous(p.ints, ns, dpow), dpow[k - m]), p.den * L**k, var)
+
+
+def reduced_substitute(
+    f: Union[RatFunc, PolyQ], n: PolyQ, d: PolyQ, shift: int = 0, scale: int = 1
+) -> RatFunc:
+    """d^shift f(n/d) / scale for coprime n and d (scale a nonzero
+    integer), formed reduced: no gcd is taken.
+
+    Write f = fn/fd reduced, a = deg fn, b = deg fd, Hn = d^a fn(n/d) and
+    Hd = d^b fd(n/d).  Hn = lc(fn) n^a mod d, so Hn is coprime to d, and so
+    is Hd; a common factor of Hn and Hd divides Res(fn, fd) times a power
+    of n and Res(fn, fd) times a power of d (von zur Gathen and Gerhard,
+    Modern Computer Algebra, 6.8), so Hn and Hd are coprime too.  Hence the value is d^e Hn / Hd
+    with e = shift + b - a, already reduced; for e < 0, d^(-e) joins the
+    denominator.  Only making the denominator monic is left.
+    """
+    fn, fd = (f, PolyQ([1], f.var)) if isinstance(f, PolyQ) else (f.num, f.den)
+    var = n._join_var(d)
+    if fn.is_zero():
+        return _make_ratfunc(PolyQ([], var), PolyQ([1], var))
+    # with L n and L d in place of n and d, d^shift gains a factor L^shift
+    ns, ds, L = _cleared(n, d)
+    a, b = fn.degree, fd.degree
+    e = shift + b - a
+    dpow = _powers(ds, max(a, b, abs(e)))
+    hn, hd = _homogeneous(fn.ints, ns, dpow), _homogeneous(fd.ints, ns, dpow)
+    while hd and not hd[-1]:
+        hd.pop()
+    if not hd:
+        raise ZeroDivisionError("zero denominator")
+    if e >= 0:
+        hn = _zz_mul(hn, dpow[e])
+    else:
+        hd = _zz_mul(hd, dpow[-e])
+    lc = hd[-1]
+    return _make_ratfunc(
+        _make([c * fd.den for c in hn], lc * fn.den * L**shift * scale, var),
+        _make(hd, lc, var),
+    )
 
 
 def ratfunc_substitute(f: Union[RatFunc, PolyQ], sub: Union[RatFunc, PolyQ]) -> RatFunc:
-    """Compose f with u := sub(w), exactly.
-
-    For sub = n/d and k = max(deg num f, deg den f), f(sub) is
-    d^k num(n/d) / d^k den(n/d): two polynomials, normalized once.
-    """
-    num, den = (f, PolyQ([1], f.var)) if isinstance(f, PolyQ) else (f.num, f.den)
+    """Compose f with u := sub(w), exactly: sub = n/d is reduced, so
+    f(n/d) comes out reduced from reduced_substitute."""
     n, d = (sub, PolyQ([1], sub.var)) if isinstance(sub, PolyQ) else (sub.num, sub.den)
-    k = max(num.degree, den.degree)
-    return RatFunc(homogenized_substitute(num, n, d, k), homogenized_substitute(den, n, d, k))
+    return reduced_substitute(f, n, d)
 
 
 # -- textual serialization ------------------------------------------------

@@ -165,5 +165,5 @@ def global_root_number(
         if p >= 5:
             breakdown[p] = _root_number_above_3(c4, c6, p, e)
         else:
-            breakdown[p] = _local_sign(invs, _tate_ints(a, p, e))
+            breakdown[p] = _local_sign(invs, _tate_ints(a, p, e, invs))
     return RootNumber(local_breakdown=breakdown, complete=fi.complete)

@@ -15,8 +15,10 @@ from ellfam.arith import primes_below, square_test
 from ellfam.curves import CurvePoint, torsion_subgroup
 from ellfam.families import (
     SingularMember,
+    _cleared_cubic,
     _z2x6_rank1_data,
     _z8_rank1_data,
+    _z8_rank2_data,
     catalog,
     model_z8,
     model_z2x6,
@@ -26,7 +28,8 @@ from ellfam.families import (
     tate_normal_curve,
     verify_section,
 )
-from ellfam.polyq import NotASquare, PolyQ, RatFunc, ratfunc_substitute
+from ellfam import polyq
+from ellfam.polyq import NotASquare, PolyQ, RatFunc, _zz_gcd, poly_sqrt, ratfunc_substitute
 from ellfam.sections import section_condition
 
 w = PolyQ.variable("w")
@@ -182,6 +185,55 @@ class TestCatalogPin:
             for x in (P.x + 1, 4 * P.x, P.x / 2):
                 with pytest.raises(NotASquare):
                     verify_section(fam, x)
+
+
+class TestReducedByConstruction:
+    """Transported points and lifted sections are formed reduced, without a
+    gcd (see reduced_substitute and verify_section)."""
+
+    def test_catalog_coordinates_are_reduced(self):
+        for fam in catalog().values():
+            for P in fam.torsion_points + fam.sections:
+                for f in (P.x, P.y):
+                    assert f.den.leading() == 1, fam.label
+                    if f.num.is_zero():
+                        assert f.den == 1, fam.label
+                    else:
+                        assert _zz_gcd(f.num.ints, f.den.ints) == [1], fam.label
+
+    def test_section_y_matches_the_normalized_square_root(self):
+        for fam in catalog().values():
+            for P in fam.sections:
+                C = RatFunc(_cleared_cubic(fam, P.x.num, P.x.den), P.x.den**3)
+                y = ratfunc_sqrt(C)
+                assert (P.y.num, P.y.den) == (y.num, y.den), fam.label
+
+    def test_unliftable_x_raises_not_a_square(self):
+        fam = catalog()["Z8R2-1"]
+        x = fam.sections[1].x
+        assert x.den == u * u
+        # a denominator that is not a square
+        with pytest.raises(NotASquare):
+            verify_section(fam, x / u)
+        # a square denominator with C = xn(xn^2 + A xn xd + B xd^2) not a square
+        moved = x + 1
+        assert poly_sqrt(moved.den) == u
+        with pytest.raises(NotASquare):
+            verify_section(fam, moved)
+
+    def test_substitution_takes_no_polynomial_gcd(self, monkeypatch):
+        _parent, sub, cond, hint, xs = _z8_rank2_data()[0]
+        expected = catalog()["Z8R2-1"]
+
+        def no_gcd(*args):
+            raise AssertionError("substitute_parameter took a gcd")
+
+        monkeypatch.setattr(polyq, "_zz_gcd", no_gcd)
+        new = substitute_parameter(
+            catalog()["Z8-3"], sub, label="Z8R2-1", sections=xs, condition=cond,
+            spec_hint=hint,
+        )
+        assert new == expected
 
 
 class TestCatalogShape:

@@ -6,9 +6,10 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from ellfam import polyq
 from ellfam.curves import WeierstrassCurve, weierstrass_invariants
 from ellfam.polyq import (
     _GCD_PRIME,
@@ -17,10 +18,12 @@ from ellfam.polyq import (
     RatFunc,
     _zz_exquo,
     _zz_gcd,
+    _zz_mul,
     gcd_mod_p,
     homogenized_substitute,
     poly_sqrt,
     ratfunc_substitute,
+    reduced_substitute,
     square_decompose_poly,
     to_string,
 )
@@ -150,6 +153,14 @@ class TestDenseCore:
     @settings(max_examples=150)
     def test_product_is_naive_convolution(self, a, b):
         assert (a * b).coeffs == naive_product(a, b).coeffs
+
+    @given(wide_polys())
+    @settings(max_examples=100)
+    def test_square_is_naive_convolution(self, a):
+        # a * a and _zz_mul(xs, xs) take the squaring path
+        assert (a * a).coeffs == naive_product(a, a).coeffs
+        assert _zz_mul(a.ints, a.ints) == _zz_mul(a.ints, list(a.ints))
+        assert (a**3).coeffs == naive_product(naive_product(a, a), a).coeffs
 
     @given(polys(3), polys(2), polys(2))
     @settings(max_examples=100)
@@ -448,6 +459,114 @@ class TestNormalizeOnce:
     def test_homogenizing_degree_too_small(self):
         with pytest.raises(ValueError):
             homogenized_substitute(PolyQ([1, 0, 1], "u"), PolyQ([0, 1], "w"), PolyQ([1], "w"), 1)
+
+
+def normalized_substitute(f, n, d, shift, scale):
+    """RatFunc(d^(k+shift) fn(n/d), scale d^k fd(n/d)) for f = fn/fd and
+    k = max(deg fn, deg fd): the pair reduced by RatFunc's gcd."""
+    if isinstance(f, PolyQ):
+        f = RatFunc(f)
+    k = max(f.num.degree, f.den.degree)
+    return RatFunc(
+        homogenized_substitute(f.num, n, d, k + shift),
+        homogenized_substitute(f.den, n, d, k) * scale,
+    )
+
+
+def _no_gcd(*args):
+    raise AssertionError("reduced_substitute took a gcd")
+
+
+def coprime(n, d):
+    return n.gcd(d).is_constant()
+
+
+int_w_polys = st.lists(st.integers(min_value=-9, max_value=9), max_size=4).map(
+    lambda cs: PolyQ(cs, "w")
+)
+
+
+class TestReducedSubstitute:
+    """reduced_substitute forms d^shift f(n/d) / scale for coprime n, d
+    already reduced: it agrees with RatFunc's normalization of the
+    unreduced pair and takes no gcd."""
+
+    def check(self, f, n, d, shift, scale):
+        try:
+            expected = normalized_substitute(f, n, d, shift, scale)
+        except ZeroDivisionError:
+            # a constant substitution at a pole of f
+            with pytest.raises(ZeroDivisionError):
+                reduced_substitute(f, n, d, shift, scale)
+            return
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(polyq, "_zz_gcd", _no_gcd)
+            got = reduced_substitute(f, n, d, shift, scale)
+        assert (got.num.ints, got.num.den, got.den.ints, got.den.den) == (
+            expected.num.ints, expected.num.den, expected.den.ints, expected.den.den
+        )
+        assert got.den.leading() == 1
+        if not got.num.is_zero():
+            assert _zz_gcd(got.num.ints, got.den.ints) == [1]
+
+    @given(
+        polys(4),
+        polys(4).filter(lambda p: not p.is_zero()),
+        int_w_polys,
+        int_w_polys.filter(lambda p: not p.is_zero()),
+        st.integers(min_value=0, max_value=4),
+        st.integers(min_value=-12, max_value=12).filter(bool),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_normalized_pair(self, a, b, n, d, shift, scale):
+        # deg fn <, = and > deg fd, zero and constant parts all occur
+        assume(coprime(n, d))
+        self.check(RatFunc(a, b), n, d, shift, scale)
+
+    @pytest.mark.parametrize(
+        "f,n,d,shift,scale",
+        [
+            # zero numerator
+            (RatFunc(PolyQ([], "u")), PolyQ([1, 1], "w"), PolyQ([-3, 2], "w"), 2, 5),
+            # constant numerator
+            (RatFunc(PolyQ([Fraction(5, 3)], "u"), PolyQ([1, 0, 1], "u")),
+             PolyQ([0, 0, 1], "w"), PolyQ([1, 1], "w"), 0, 1),
+            # constant denominator, f a PolyQ
+            (PolyQ([0, Fraction(-2, 7), 0, 1], "u"), PolyQ([-1, 3], "w"), PolyQ([2, 0, 1], "w"), 1, 1),
+            # deg fn < deg fd
+            (RatFunc(PolyQ([1, 1], "u"), PolyQ([-2, 0, 0, 1], "u")),
+             PolyQ([0, 1], "w"), PolyQ([-1, 1], "w"), 3, 1),
+            # deg fn = deg fd, leading terms of n and d that cancel
+            (RatFunc(PolyQ([-1, 0, 2], "u"), PolyQ([1, 1, 1], "u")),
+             PolyQ([1, 0, 1], "w"), PolyQ([0, 2], "w"), 0, 6),
+            (RatFunc(PolyQ([1, 0, 1], "u"), PolyQ([0, 3, 1], "u")),
+             PolyQ([1, 2, 1], "w"), PolyQ([0, 0, -1], "w"), 1, 1),
+            # deg fn > deg fd by more than the shift: d^(-e) joins the denominator
+            (RatFunc(PolyQ([-3, 0, 0, 0, 1], "u"), PolyQ([-1, 4], "u")),
+             PolyQ([1, -1], "w"), PolyQ([3, 1, 1], "w"), 2, 4),
+            # constant d: a polynomial substitution
+            (RatFunc(PolyQ([2, 0, 1], "u"), PolyQ([1, 1], "u")),
+             PolyQ([-5, 0, 1], "w"), PolyQ([3], "w"), 2, 1),
+            # rational n and d, cleared by L = 30: d^shift gains 1/L^shift
+            (RatFunc(PolyQ([1, -2, 1], "u"), PolyQ([0, 5], "u")),
+             PolyQ([Fraction(1, 2), Fraction(1, 3)], "w"),
+             PolyQ([Fraction(2, 5), 0, 1], "w"), 2, 3),
+            # negative scale
+            (RatFunc(PolyQ([0, 1], "u"), PolyQ([1, 0, 1], "u")),
+             PolyQ([1, 1], "w"), PolyQ([0, 1], "w"), 4, -2),
+            # constant substitution, at a pole of f and off it
+            (RatFunc(PolyQ([0, -2], "u"), PolyQ([1, 0, -1], "u")), PolyQ([1], "w"), PolyQ([1], "w"), 0, 1),
+            (RatFunc(PolyQ([0, -2], "u"), PolyQ([1, 0, -1], "u")), PolyQ([3], "w"), PolyQ([2], "w"), 1, 1),
+        ],
+    )
+    def test_edge_cases(self, f, n, d, shift, scale):
+        assert coprime(n, d)
+        self.check(f, n, d, shift, scale)
+
+    def test_pole_of_a_constant_substitution(self):
+        f = RatFunc(PolyQ([1], "u"), PolyQ([-1, 1], "u"))
+        with pytest.raises(ZeroDivisionError):
+            reduced_substitute(f, PolyQ([1], "w"), PolyQ([1], "w"))
 
 
 def parse_poly(s, var):

@@ -222,14 +222,34 @@ class TestInvariantRuleAbove3:
         seen = []
         tate = rootnum._tate_ints
 
-        def counted(a, p, n=None):
+        def counted(a, p, *rest):
             seen.append(p)
-            return tate(a, p, n)
+            return tate(a, p, *rest)
 
         monkeypatch.setattr(rootnum, "_tate_ints", counted)
         rn = global_root_number(curve(0, 0, 0, 0, 1331844699185))
         assert rn.complete and sorted(rn.local_breakdown) == [2, 3, 5, 7, 11, 13]
         assert sorted(seen) == [2, 3]
+
+
+    def test_tate_reuses_the_minimal_invariants(self, monkeypatch):
+        # given the invariants of its input model, _tate_ints computes none
+        # of its own on the first pass, and finds the same local data
+        inputs = []
+        for row in ORACLE:
+            a, invs, fi = localdata._minimal_ints(curve(*row["a"])._ints)
+            inputs += [(a, p, e, invs) for p, e in fi.factors if p < 5]
+        seen = []
+        real = localdata.weierstrass_invariants
+        monkeypatch.setattr(
+            localdata, "weierstrass_invariants", lambda *b: seen.append(b) or real(*b)
+        )
+        expected = [localdata._tate_ints(a, p, e) for a, p, e, _invs in inputs]
+        recomputed = len(seen)
+        assert [localdata._tate_ints(*args) for args in inputs] == expected
+        # a minimal model takes one pass, so one call fewer per input
+        assert len(inputs) > 800
+        assert len(seen) - recomputed == recomputed - len(inputs)
 
 
 class TestKnownGlobal:
