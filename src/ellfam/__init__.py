@@ -3,9 +3,8 @@ Z/8Z and Z/2Z x Z/6Z: a certified catalog of rank-1 and rank-2 families,
 quadratic-section machinery, local reduction data, root numbers, canonical
 heights, and lattice scans over rank-2 parametrizing curves.
 
-The scan names are served on first use: importing ``ellfam.scan`` builds
-the built-in parametrizing curves, whose irreducibility check imports
-sympy, and no query but a scan needs them.
+The scan names are served on first use: importing ``ellfam.scan`` and
+``ellfam.sections`` costs 20-30 ms, and no query but a scan needs them.
 """
 
 from .arith import DEFAULT_BUDGET, FactorBudget, Unfactored

@@ -271,7 +271,7 @@ def _cmd_sections(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    # the one command that needs the scan module, and with it sympy
+    # only a scan needs ellfam.scan and ellfam.sections, 20-30 ms to import
     from .scan import builtin_scans, lattice_scan, symmetry_audit
 
     specs = builtin_scans(radius=args.radius, budget=args.budget)

@@ -410,23 +410,30 @@ def _as_poly(x, var: str) -> Optional[PolyQ]:
 def square_decompose_poly(p: PolyQ) -> tuple[PolyQ, PolyQ]:
     """Write p = s*s*q with q free of repeated polynomial factors.
 
-    The content c = n/d enters as n d = root^2 free, free a squarefree
-    integer, so c = (root/d)^2 free: q has content free, and s, root/d
-    times the square part of the irreducible factors, has a positive
-    leading coefficient.
+    p = c P with P primitive of positive leading coefficient, and c = n/d
+    enters as n d = root^2 free, free a squarefree integer.  Yun's
+    algorithm (von zur Gathen-Gerhard, Modern Computer Algebra, 14.6)
+    writes P = prod a_i^i through b_i = prod_{j >= i} a_j, primitive, so
+    S = b_2 b_4 b_6 ... is P's square part: s = root/d * S has a positive
+    leading coefficient, and q = free * P / S^2.
     """
     if p.is_zero():
         raise ValueError("zero polynomial")
-    content, parts = p.factor()
+    xs = _zz_primitive(list(p.ints))
+    content = Fraction(p.ints[-1], p.den * xs[-1])
     root, free = squarefree_decompose(content.numerator * content.denominator)
-    s = PolyQ([Fraction(root, content.denominator)], p.var)
-    q = PolyQ([free], p.var)
-    for f, e in parts:
-        if e // 2:
-            s = s * f ** (e // 2)
-        if e % 2:
-            q = q * f
-    return s, q
+    c = _zz_derivative(xs)
+    g = _zz_gcd(xs, c) if c else [1]
+    S, b, c, i = [1], _zz_exquo(xs, g), _zz_exquo(c, g), 1
+    while len(b) > 1:
+        if i % 2 == 0:
+            S = _zz_mul(S, b)
+        # d = c - b' is 0 when b = a_i, else of degree exactly deg b - 1
+        d = [x - y for x, y in zip(c, _zz_derivative(b))]
+        a = _zz_gcd(b, d) if any(d) else b
+        b, c, i = _zz_exquo(b, a), _zz_exquo(d, a), i + 1
+    q = [free * x for x in _zz_exquo(xs, _zz_mul(S, S))]
+    return _make([root * x for x in S], content.denominator, p.var), _make(q, 1, p.var)
 
 
 def poly_sqrt(p: PolyQ) -> PolyQ:

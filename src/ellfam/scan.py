@@ -20,7 +20,6 @@ deterministic for a fixed spec and budget.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
@@ -37,7 +36,7 @@ from .curves import (
     torsion_subgroup,
 )
 from .families import CurveFamily, SingularMember, catalog
-from .polyq import PolyQ, square_decompose_poly
+from .polyq import NotASquare, PolyQ, poly_sqrt, square_decompose_poly
 from .rootnum import MissingLocalCase, global_root_number
 from .sections import QuarticModel, quartic_jacobian
 
@@ -75,21 +74,21 @@ class BiquadraticCurve:
         deg_s = max((j for i in range(3) for j in range(3) if rows[i][j]), default=-1)
         if deg_r != 2 and deg_s != 2:
             raise ValueError("degree must be exactly 2 in at least one variable")
-        if not self._is_irreducible():
+        if not self._is_irreducible("s" if deg_s == 2 else "r"):
             raise ValueError("the defining polynomial must be irreducible")
 
-    def _is_irreducible(self) -> bool:
-        from sympy.polys.densebasic import dmp_strip, dup_strip
-        from sympy.polys.domains import ZZ
-        from sympy.polys.factortools import dmp_factor_list
-
-        den = math.lcm(*(c.denominator for row in self.coeffs for c in row))
-        # dense over ZZ[r][s], highest powers first; dmp_factor_list needs
-        # every level stripped of leading zeros
-        rows = [[(c * den).numerator for c in row[::-1]] for row in self.coeffs[::-1]]
-        f = dmp_strip([dup_strip(row) for row in rows], 1)
-        _const, parts = dmp_factor_list(f, 1, ZZ)
-        return len(parts) == 1 and parts[0][1] == 1
+    def _is_irreducible(self, var: str) -> bool:
+        """F = a x^2 + b x + c, x = ``var`` of degree 2, is reducible over Q
+        exactly when gcd(a, b, c) is nonconstant or b^2 - 4ac is a square
+        in Q[y] (a root in Q(y), whose factors lift by Gauss's lemma)."""
+        a, b, c = self.quadratic_polys(var)
+        if not a.gcd(b).gcd(c).is_constant():
+            return False
+        try:
+            poly_sqrt(self.discriminant(var))
+        except NotASquare:
+            return True
+        return False
 
     def value(self, r: Scalar, s: Scalar) -> Fraction:
         r, s = Fraction(r), Fraction(s)

@@ -376,8 +376,8 @@ def test_console_script_help():
 
 def test_queries_import_neither_sympy_nor_mpmath():
     # a fresh interpreter answers catalog, rootnumber, sections and torsion
-    # (Z/2 x Z/6 and Z/8) without sympy or mpmath, and verify-all and
-    # heights without sympy
+    # (Z/2 x Z/6 and Z/8) without sympy or mpmath, verify-all and heights
+    # without sympy, and builds the built-in scans without sympy
     script = """
 import contextlib, io, sys
 from ellfam import cli
@@ -391,7 +391,10 @@ print(run("catalog"), run("rootnumber", "Z8R2-1", "--u", "22"), run("sections", 
 print(run("torsion", "Z2x6R2-3", "--u", "22"), run("torsion", "Z8R2-1", "--u", "22"))
 print(run("verify-all"))
 print(run("heights", "Z8R2-1", "--u", "22"))
+from ellfam import scan; scan.builtin_scans(radius=1); print([m for m in ("sympy",) if m in sys.modules])
 """
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["[] [] []", "[] []", "['mpmath']", "['mpmath']"]
+    assert proc.stdout.splitlines() == [
+        "[] [] []", "[] []", "['mpmath']", "['mpmath']", "[]"
+    ]

@@ -265,13 +265,19 @@ class TestSquareDecompose:
         p = Fraction(-3, 8) * (u - 1) ** 2 * (u * u + 1)
         assert square_decompose_poly(p) == ((u - 1) / 4, -6 * u * u - 6)
 
-    @given(polys(3), polys(2))
-    @settings(max_examples=40)
-    def test_reconstruction(self, a, b):
-        if a.is_zero() or b.is_zero():
-            return
-        s, q = square_decompose_poly(a * a * b)
-        assert s * s * q == a * a * b
+    @given(
+        st.lists(st.tuples(polys(2), st.integers(min_value=1, max_value=5)), max_size=4),
+        small_fracs.filter(bool),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_reconstruction(self, parts, content):
+        # content * prod f^e, multiplicities up to 5, factors possibly shared
+        p = PolyQ.const(content)
+        for f, e in parts:
+            if not f.is_zero():
+                p = p * f**e
+        s, q = square_decompose_poly(p)
+        assert s * s * q == p
         # q has no repeated roots and squarefree integer content, and s has a
         # positive leading coefficient
         content, parts = q.factor()

@@ -1,10 +1,13 @@
 """Lattice-scan tests: biquadratic curves, involutions, grids, audits."""
 
+import math
 import sys
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ellfam import families, scan
 from ellfam.arith import FactorBudget
@@ -40,7 +43,50 @@ def grids(specs):
     return {name: lattice_scan(spec) for name, spec in specs.items()}
 
 
+def sympy_irreducible(rows) -> bool:
+    """Whether sum rows[i][j] r^i s^j is irreducible over Q, by sympy's
+    bivariate factor list."""
+    from sympy.polys.densebasic import dmp_strip, dup_strip
+    from sympy.polys.domains import ZZ
+    from sympy.polys.factortools import dmp_factor_list
+
+    den = math.lcm(*(F(c).denominator for row in rows for c in row))
+    # dense over ZZ[r][s], highest powers first, every level stripped
+    ints = [[int(c * den) for c in row[::-1]] for row in rows[::-1]]
+    _const, parts = dmp_factor_list(dmp_strip([dup_strip(row) for row in ints], 1), 1, ZZ)
+    return len(parts) == 1 and parts[0][1] == 1
+
+
+entries = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+bilinear = st.lists(entries, min_size=4, max_size=4)  # a + b r + c s + d r s
+
+
+def bilinear_product(fg) -> list[list[Fraction]]:
+    (a, b, c, d), (e, f, g, h) = fg
+    return [[a * e, a * g + c * e, c * g],
+            [a * f + b * e, a * h + b * g + c * f + d * e, c * h + d * g],
+            [b * f, b * h + d * f, d * h]]
+
+
+arrays = st.lists(st.lists(entries, min_size=3, max_size=3), min_size=3, max_size=3)
+# about a third of the arrays factor into two bilinear forms
+biquadratic_arrays = st.one_of(
+    arrays, arrays, st.tuples(bilinear, bilinear).map(bilinear_product)
+)
+
+
 class TestBiquadraticCurve:
+    @given(biquadratic_arrays)
+    @settings(max_examples=200, deadline=None)
+    def test_irreducibility_matches_sympy_factor_list(self, rows):
+        assume(any(rows[2]) or any(row[2] for row in rows))
+        try:
+            BiquadraticCurve(rows)
+            accepted = True
+        except ValueError:
+            accepted = False
+        assert accepted == sympy_irreducible(rows)
+
     def test_known_point(self):
         assert CURVE_C.contains((-1, 0))
 
@@ -51,11 +97,26 @@ class TestBiquadraticCurve:
         # (r - 1/2)(r s + 3) = r^2 s - r s/2 + 3r - 3/2
         with pytest.raises(ValueError):
             BiquadraticCurve(((F(-3, 2), 0, 0), (3, F(-1, 2), 0), (0, 1, 0)))
+        # s (r^2 + 1): a factor free of r, found by the gcd of the coefficients
+        with pytest.raises(ValueError):
+            BiquadraticCurve(((0, 1, 0), (0, 0, 0), (0, 1, 0)))
+        # (r + s)^2: a square
+        with pytest.raises(ValueError):
+            BiquadraticCurve(((0, 0, 1), (0, 2, 0), (1, 0, 0)))
+        # (s - r)(s + 1), of degree 2 in s only
+        with pytest.raises(ValueError):
+            BiquadraticCurve(((0, 1, 1), (-1, -1, 0), (0, 0, 0)))
 
     def test_rational_coefficients(self):
         # s^2 = r^2/4 + 3/4 is irreducible
         C = BiquadraticCurve(((F(-3, 4), 0, 1), (0, 0, 0), (F(-1, 4), 0, 0)))
         assert C.contains((1, 1))
+
+    def test_degree_two_in_one_variable(self):
+        # s^2 = r and r^2 = s are irreducible; each is quadratic in one
+        # variable only, and that variable's discriminant decides
+        assert BiquadraticCurve(((0, 0, 1), (-1, 0, 0), (0, 0, 0))).contains((4, 2))
+        assert BiquadraticCurve(((0, -1, 0), (0, 0, 0), (1, 0, 0))).contains((2, 4))
 
     def test_rejects_low_degree(self):
         # r*s + 1 has degree 1 in both variables
