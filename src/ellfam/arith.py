@@ -508,53 +508,38 @@ def valuation(n: int, p: int) -> int:
         raise ValueError("valuation of 0")
     if p < 2:
         raise ValueError(f"valuation needs p >= 2, not {p}")
-    v = 0
-    n = abs(n)
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
-
-
-def valuation_fraction(q: Fraction, p: int) -> int:
-    if q == 0:
-        raise ValueError("valuation of 0")
-    return valuation(q.numerator, p) - valuation(q.denominator, p)
+    return _strip(abs(n), p)[1]
 
 
 def hilbert_symbol(a: Fraction | int, b: Fraction | int, p: Optional[int]) -> int:
     """Hilbert symbol (a, b)_p over Q_p (p=None means the real place);
-    ValueError unless p is None or a prime."""
+    ValueError unless p is None or a prime.
+
+    A rational n/d enters as n d, a square d^2 away.  With a = p^alpha u,
+    b = p^beta v and u, v prime to p (Serre, A Course in Arithmetic, III.1.2,
+    Thm. 1) it is (-1)^(alpha beta (p-1)/2) (u|p)^beta (v|p)^alpha for odd
+    p and (-1)^(e(u) e(v) + alpha w(v) + beta w(u)) at 2, where e(x) =
+    (x-1)/2 and w(x) = (x^2-1)/8."""
     if p is not None and not is_prime(p):
         raise ValueError(f"not a prime: {p}")
-    a, b = Fraction(a), Fraction(b)
+    a, b = a.numerator * a.denominator, b.numerator * b.denominator
     if a == 0 or b == 0:
         raise ValueError("hilbert symbol needs nonzero arguments")
     if p is None:
         return -1 if a < 0 and b < 0 else 1
-    alpha = valuation_fraction(a, p)
-    beta = valuation_fraction(b, p)
-    # unit parts as integers modulo enough powers of p
-    ua = a / Fraction(p) ** alpha
-    ub = b / Fraction(p) ** beta
-    if p != 2:
-        ra = ua.numerator * pow(ua.denominator, -1, p) % p
-        rb = ub.numerator * pow(ub.denominator, -1, p) % p
-        s = 1
-        if beta % 2:
-            s *= jacobi(ra, p)
-        if alpha % 2:
-            s *= jacobi(rb, p)
-        if alpha % 2 and beta % 2 and p % 4 == 3:
-            s = -s
-        return s
-    # p = 2
-    m8 = 1 << 3
-    ra = ua.numerator * pow(ua.denominator, -1, m8) % m8
-    rb = ub.numerator * pow(ub.denominator, -1, m8) % m8
-    e = ((ra - 1) // 2) * ((rb - 1) // 2)
-    e += alpha * ((rb * rb - 1) // 8) + beta * ((ra * ra - 1) // 8)
-    return -1 if e % 2 else 1
+    u, alpha = _strip(a, p)
+    v, beta = _strip(b, p)
+    if p == 2:
+        u, v = u % 8, v % 8
+        e = (u - 1) // 2 * ((v - 1) // 2)
+        e += alpha * ((v * v - 1) // 8) + beta * ((u * u - 1) // 8)
+        return -1 if e % 2 else 1
+    s = -1 if alpha * beta * (p - 1) // 2 % 2 else 1
+    if beta % 2:
+        s *= jacobi(u, p)
+    if alpha % 2:
+        s *= jacobi(v, p)
+    return s
 
 
 def rational_to_string(q: Fraction) -> str:

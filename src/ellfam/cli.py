@@ -280,7 +280,7 @@ def _cmd_scan(args) -> int:
         return 2
     spec = specs[args.name]
     grid = lattice_scan(spec)
-    rep = symmetry_audit(grid, spec.symmetry)
+    rep = symmetry_audit(grid, spec.symmetry, spec=spec)
     out = grid.to_json() if args.format == "json" else grid.to_csv()
     if args.out:
         with open(args.out, "w") as fh:
@@ -289,6 +289,7 @@ def _cmd_scan(args) -> int:
         sys.stdout.write(out)
     summary = {
         "counts": grid.counts_by_name(),
+        "isomorphism_failures": len(rep.isomorphism_failures),
         "symmetry_violations": len(rep.violations),
     }
     print(json.dumps(summary, sort_keys=True), file=sys.stderr)

@@ -21,14 +21,13 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
-from .arith import DEFAULT_BUDGET, FactorBudget, factor, valuation_fraction
+from .arith import DEFAULT_BUDGET, FactorBudget, factor, valuation
 from .curves import INFINITY, CurvePoint, WeierstrassCurve, to_shifted_ab
 from .polyq import (
     PolyQ,
     RatFunc,
     _make_ratfunc,
     homogeneous_value,
-    homogenized_substitute,
     poly_sqrt,
     reduced_substitute,
 )
@@ -219,7 +218,7 @@ def normalize_shifted_ab(
     fg = factor(math.gcd(A1.numerator, B1.numerator), budget)
     reduce_by = 1
     for p, e in fg.factors:
-        k = min(e // 2, valuation_fraction(B1, p) // 4)
+        k = min(e // 2, valuation(B1.numerator, p) // 4)
         if k > 0:
             reduce_by *= p**k
     if reduce_by > 1:
@@ -265,8 +264,8 @@ def substitute_parameter(
     s = max(-(-family.A.degree // 2), -(-family.B.degree // 4))
     # A1 = d^(2s) A(n/d) and B1 = d^(4s) B(n/d) are polynomials since
     # 2s >= deg A and 4s >= deg B
-    Ap = homogenized_substitute(family.A, n, d, 2 * s)
-    Bp = homogenized_substitute(family.B, n, d, 4 * s)
+    Ap = reduced_substitute(family.A, n, d, 2 * s).num
+    Bp = reduced_substitute(family.B, n, d, 4 * s).num
     # strip the largest c with c^2 | A and c^4 | B coefficientwise: square
     # reducing the two contents scales them by l = 1/c
     c = normalize_shifted_ab(

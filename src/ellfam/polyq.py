@@ -304,12 +304,12 @@ class PolyQ:
         return _make(_zz_derivative(self.ints), self.den, self.var)
 
     def __call__(self, x):
-        """Evaluate at a scalar (by Horner), a PolyQ (composition, a PolyQ)
-        or a RatFunc (see ratfunc_substitute)."""
+        """Evaluate at a scalar (by Horner), a PolyQ (composition: the
+        numerator of ratfunc_substitute) or a RatFunc (ratfunc_substitute)."""
         if isinstance(x, RatFunc):
             return ratfunc_substitute(self, x)
         if isinstance(x, PolyQ):
-            return homogenized_substitute(self, x, PolyQ([1], x.var), self.degree)
+            return ratfunc_substitute(self, x).num
         q = x.denominator
         value = homogeneous_value(self.ints, x.numerator, q)
         return Fraction(value, self.den * q ** max(self.degree, 0))
@@ -653,25 +653,6 @@ def _homogeneous(ps: Sequence[int], ns: list[int], dpow: list[list[int]]) -> lis
             for j, c in enumerate(term):
                 acc[j] += ps[i] * c
     return acc
-
-
-def homogenized_substitute(p: PolyQ, n: PolyQ, d: PolyQ, k: int) -> PolyQ:
-    """d^k p(n/d) = sum p_i n^i d^(k-i) for deg p <= k, exactly: a
-    polynomial in the variable of n and d.
-
-    Computed on integer lists (n and d share one cleared denominator L):
-    d^m p(n/d) for m = deg p by _homogeneous, then one factor d^(k-m),
-    over the one denominator den(p) L^k.
-    """
-    if p.degree > k:
-        raise ValueError(f"degree {p.degree} exceeds the homogenizing degree {k}")
-    var = n._join_var(d)
-    if p.is_zero():
-        return PolyQ([], var)
-    ns, ds, L = _cleared(n, d)
-    m = p.degree
-    dpow = _powers(ds, max(m, k - m))
-    return _make(_zz_mul(_homogeneous(p.ints, ns, dpow), dpow[k - m]), p.den * L**k, var)
 
 
 def reduced_substitute(

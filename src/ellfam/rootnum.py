@@ -36,7 +36,7 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
-from .arith import DEFAULT_BUDGET, FactorBudget, jacobi, valuation
+from .arith import DEFAULT_BUDGET, FactorBudget, hilbert_symbol, jacobi, valuation
 from .curves import WeierstrassCurve
 from .localdata import LocalData, _integral_ints, _minimal_ints, _tate_ints
 from ._rootnum_tables import RESIDUE_CLASS, TABLE_MODULI, TABLE_P2, TABLE_P3
@@ -73,18 +73,8 @@ def _twisted_tate_sign(c4: int, c6: int, p: int, e: int) -> Optional[int]:
     for the twisting character, uniformly a Hilbert symbol.
     """
     if c4 != 0 and 3 * valuation(c4, p) < e:
-        return _hilbert_minus_one(-c6 * c4, p)
+        return hilbert_symbol(-c6 * c4, -1, p)
     return None
-
-
-def _hilbert_minus_one(x: int, p: int) -> int:
-    """The Hilbert symbol (x, -1)_p of a nonzero integer x at a prime p:
-    at p = 2, -1 exactly when the unit part of x is 3 mod 4; at odd p,
-    (-1/p) to the power v_p(x)."""
-    v = valuation(x, p)
-    if p == 2:
-        return -1 if (x >> v) % 4 == 3 else 1
-    return jacobi(-1, p) if v % 2 else 1
 
 
 def _root_number_above_3(c4: int, c6: int, p: int, e: int) -> int:

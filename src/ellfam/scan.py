@@ -423,15 +423,15 @@ _ISOMORPHISM_SAMPLES = 2
 def symmetry_audit(
     grid: ScanGrid,
     symmetry: tuple[int, int],
-    spec: Optional[ScanSpec] = None,
+    spec: ScanSpec,
 ) -> SymmetryReport:
     """Check that symmetric cells carry equal root numbers.
 
     ``symmetry`` is a pair (a, b), declaring the involution
     (n, m) -> (a - n, b - m).  Complete symmetric pairs with differing
-    signs are reported as violations.  When the spec is supplied, the
-    first ``_ISOMORPHISM_SAMPLES`` non-skipped symmetric pairs are additionally
-    certified by an exact Q-isomorphism of the underlying curves.
+    signs are reported as violations.  The first ``_ISOMORPHISM_SAMPLES``
+    non-skipped symmetric pairs are also certified by an exact
+    Q-isomorphism of the curves that ``spec``'s family gives them.
     """
     a, b = symmetry
     index = {(c.n, c.m): c for c in grid.cells}
@@ -447,8 +447,7 @@ def symmetry_audit(
             if c.root != oc.root:
                 violations.append(((c.n, c.m), o))
         if (
-            spec is not None
-            and sampled < _ISOMORPHISM_SAMPLES
+            sampled < _ISOMORPHISM_SAMPLES
             and o != (c.n, c.m)
             and not c.skipped
             and not oc.skipped

@@ -334,6 +334,7 @@ class TestScan:
         assert len(lines) == 10
         summary = json.loads(err.strip().split("\n")[-1])
         assert summary["symmetry_violations"] == 0
+        assert summary["isomorphism_failures"] == 0
 
     @pytest.mark.parametrize(
         "argv",

@@ -20,7 +20,6 @@ from ellfam.polyq import (
     _zz_gcd,
     _zz_mul,
     gcd_mod_p,
-    homogenized_substitute,
     poly_sqrt,
     ratfunc_substitute,
     reduced_substitute,
@@ -454,7 +453,7 @@ class TestNormalizeOnce:
     @settings(max_examples=60, deadline=None)
     def test_homogenized_is_cleared_substitution(self, p, n, d, extra):
         k = max(p.degree, 0) + extra
-        h = homogenized_substitute(p, n, d, k)
+        h = reduced_substitute(p, n, d, k).num
         assert RatFunc(h) == RatFunc(d) ** k * reference_substitute(RatFunc(p), RatFunc(n, d))
         # composition with a polynomial is the d = 1 case; Horner in PolyQ
         acc = PolyQ([], "w")
@@ -462,21 +461,13 @@ class TestNormalizeOnce:
             acc = acc * n + c
         assert p(n) == acc
 
-    def test_homogenizing_degree_too_small(self):
-        with pytest.raises(ValueError):
-            homogenized_substitute(PolyQ([1, 0, 1], "u"), PolyQ([0, 1], "w"), PolyQ([1], "w"), 1)
-
 
 def normalized_substitute(f, n, d, shift, scale):
-    """RatFunc(d^(k+shift) fn(n/d), scale d^k fd(n/d)) for f = fn/fd and
-    k = max(deg fn, deg fd): the pair reduced by RatFunc's gcd."""
+    """d^shift f(n/d) / scale in RatFunc arithmetic, each step reduced by
+    RatFunc's gcd."""
     if isinstance(f, PolyQ):
         f = RatFunc(f)
-    k = max(f.num.degree, f.den.degree)
-    return RatFunc(
-        homogenized_substitute(f.num, n, d, k + shift),
-        homogenized_substitute(f.den, n, d, k) * scale,
-    )
+    return RatFunc(d) ** shift * reference_substitute(f, RatFunc(n, d)) / scale
 
 
 def _no_gcd(*args):

@@ -29,7 +29,6 @@ from ellfam.families import SingularMember
 from ellfam.localdata import discriminant_factorization, minimal_model, tate_local
 from ellfam.rootnum import (
     MissingLocalCase,
-    _hilbert_minus_one,
     _root_number_above_3,
     global_root_number,
     local_root_number,
@@ -610,11 +609,6 @@ class TestReferencePath:
         monkeypatch.setattr(localdata, "_move_singular_point", reference_move)
         monkeypatch.setattr(localdata, "_arrange_step7", reference_step7)
         assert localdata._tate_ints(a, p) == ld
-
-    @given(st.integers(-(10**12), 10**12).filter(bool), st.sampled_from([2, 3, 5, 7, 11, 13]))
-    @settings(max_examples=200, deadline=None)
-    def test_hilbert_minus_one(self, x, p):
-        assert _hilbert_minus_one(x, p) == hilbert_symbol(x, -1, p)
 
     def test_wrong_kraus_step_raises_under_O(self):
         # (c4, c6) = (1, 1) has no integral model; the check is no assert

@@ -360,7 +360,7 @@ class TestSymmetryAudit:
             for c in grid.cells
         )
         bad = ScanGrid(name=grid.name, radius=grid.radius, cells=corrupted)
-        rep = symmetry_audit(bad, spec.symmetry)
+        rep = symmetry_audit(bad, spec.symmetry, spec=spec)
         assert len(rep.violations) == 1
 
 
