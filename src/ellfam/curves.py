@@ -299,27 +299,6 @@ class PointMap:
         y = (P.y - s * (P.x - r) - t) / (u * u * u)
         return CurvePoint(x, y)
 
-    def backward(self, P: CurvePoint) -> CurvePoint:
-        if P.is_infinity:
-            return P
-        u, r, s, t = self.u, self.r, self.s, self.t
-        x = u * u * P.x + r
-        y = u * u * u * P.y + s * u * u * P.x + t
-        return CurvePoint(x, y)
-
-
-def to_shifted_ab(E: WeierstrassCurve, T: CurvePoint) -> tuple[WeierstrassCurve, PointMap]:
-    """Move a rational 2-torsion point T to (0,0) and kill a1, a3.
-
-    Returns the y^2 = x^3 + A x^2 + B x model and the point map E -> model.
-    """
-    if T.is_infinity or 2 * T.y + E.a1 * T.x + E.a3 != 0:
-        raise ValueError("T is not a 2-torsion point")
-    short, pm1 = E.transform(1, T.x, -E.a1 / 2, -(E.a3 + E.a1 * T.x) / 2)
-    if not (short.a1 == 0 and short.a3 == 0 and short.a6 == 0):
-        raise ValueError("shift did not produce y^2 = x^3 + Ax^2 + Bx")
-    return WeierstrassCurve(*short.a_invariants()), pm1
-
 
 # -- point counting over F_p ---------------------------------------------
 

@@ -2,10 +2,11 @@
 
 The two base models are derived, not transcribed: starting from the Tate
 normal form y^2 + (1-c)xy - by = x^3 - bx^2 with the order-8 (resp. order-6)
-relations between b and c, the curve is moved to the y^2 = x^3 + Ax^2 + Bx
-shape by a symbolic change of coordinates, carrying the torsion generator
-along.  Every further family in the catalog is produced by substituting a
-rational function into the parameter and renormalizing; the section points
+relations between b and c, one change of coordinates over Q(v) moves its
+2-torsion point to the origin, kills a1 and a3 and rescales, giving the
+y^2 = x^3 + Ax^2 + Bx shape and carrying the torsion generator along.
+Every further family in the catalog is produced by substituting a rational
+function into the parameter and renormalizing; the section points
 (x-coordinates of infinite-order points) are the only data that cannot be
 derived and are stored explicitly.  Transported points and lifted sections
 are formed already reduced (polyq.reduced_substitute, verify_section), so a
@@ -22,7 +23,7 @@ from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
 from .arith import DEFAULT_BUDGET, FactorBudget, factor, valuation
-from .curves import INFINITY, CurvePoint, WeierstrassCurve, to_shifted_ab
+from .curves import INFINITY, CurvePoint, WeierstrassCurve
 from .polyq import (
     PolyQ,
     RatFunc,
@@ -321,30 +322,30 @@ def _tate_base_model(
 ) -> CurveFamily:
     """The Tate normal form with parameters (b, c) as y^2 = x^3 + Ax^2 + Bx.
 
-    The 2-torsion point kP of P = (0, 0) is moved to the origin, the model
-    is rescaled by (x, y) -> (x/u^2, y/u^3), and P is carried along as the
-    torsion generator.  A and B must come out polynomial.
+    One change of coordinates x = u^2 x' + x(T), y = u^3 y' + s u^2 x' + t
+    with s = -a1/2, t = -(a3 + a1 x(T))/2 moves the 2-torsion point T = kP
+    of P = (0, 0) to the origin, kills a1 and a3, and rescales by u: it is
+    the translation followed by the scaling (Silverman, AEC III.1).  P is
+    carried along as the torsion generator.  A and B must come out
+    polynomial, with B and A^2 - 4B nonzero.
     """
     zero = b * 0
     E = tate_normal_curve(b, c)
     P = CurvePoint(zero, zero)
-    W, pm = to_shifted_ab(E, E.mul(k, P, check=False))
-    W2, pm2 = W.transform(u, zero, zero, zero)
-    return CurveFamily(
-        label=label,
-        torsion=torsion,
-        A=W2.a2.as_poly(),
-        B=W2.a4.as_poly(),
-        torsion_points=(pm2.forward(pm.forward(P)),),
-    )
+    x_T = E.mul(k, P, check=False).x
+    W, pm = E.transform(u, x_T, -E.a1 / 2, -(E.a3 + E.a1 * x_T) / 2)
+    A, B = W.a2.as_poly(), W.a4.as_poly()
+    if not (W.a1 == W.a3 == W.a6 == 0) or B.is_zero() or (A * A - 4 * B).is_zero():
+        raise ValueError(f"{label}: kP is not a 2-torsion point of a nonsingular model")
+    return CurveFamily(label=label, torsion=torsion, A=A, B=B, torsion_points=(pm.forward(P),))
 
 
 def model_z8() -> CurveFamily:
     """The universal Z/8 family y^2 = x^3 + A8(v) x^2 + B8(v) x.
 
     Derived from the Tate normal form with b = (2v-1)(v-1), c = b/v, whose
-    point (0,0) has order 8: the 2-torsion point 4P is moved to the origin
-    and the model is rescaled by l = 2v.
+    point (0,0) has order 8: one change of coordinates moves the 2-torsion
+    point 4P to the origin and rescales by l = 2v.
     """
     v = RatFunc.variable("v")
     b = (2 * v - 1) * (v - 1)
@@ -355,7 +356,8 @@ def model_z2x6() -> CurveFamily:
     """The universal Z/2 x Z/6 family y^2 = x^3 + A26(v) x^2 + B26(v) x.
 
     The Tate normal form with b = d + d^2, c = d has a point of order 6;
-    moving the 2-torsion point 3P to the origin and rescaling by 2 gives
+    moving the 2-torsion point 3P to the origin and rescaling by 2, in one
+    change of coordinates, gives
     y^2 = x^3 + (1+6d-3d^2) x^2 - 16d^3 x, whose cubic splits completely
     exactly when (d+1)(9d+1) is a square.  Substituting
     d = (v^2-1)/(2(5-3v)), which parametrizes (d+1)(9d+1) = (3d+v)^2,

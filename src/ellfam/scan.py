@@ -31,6 +31,7 @@ from .arith import (
 )
 from .curves import (
     CurvePoint,
+    PointMap,
     WeierstrassCurve,
     isomorphic_over_Q,
     torsion_subgroup,
@@ -197,7 +198,7 @@ class ParameterMap:
         iso = isomorphic_over_Q(parametrizer, jacobian)
         if iso is None:
             raise ValueError("parametrizer is not isomorphic to the quartic model")
-        _, self._pm = parametrizer.transform(*iso)
+        self._pm = PointMap(*iso)
 
     def _quartic_point(self, P: CurvePoint) -> tuple[Fraction, Fraction]:
         Q = self._pm.forward(P)

@@ -1,11 +1,10 @@
 """Quadratic sections: divisor conditions, conics, and quartic-to-cubic maps.
 
 A family y^2 = x^3 + A x^2 + B x acquires a new section at x = d whenever
-d + A + B/d is a square; more generally x = d U^2/V^2 works when the
-biquadratic form d U^4 + A U^2 V^2 + (B/d) V^4 takes a square value.  The
-degree-2 conditions are conics, solved and parametrized exactly here; the
-degree-4 conditions with a known rational point, checked squarefree by a gcd
-with the derivative, are converted to their Jacobian elliptic curves.
+d + A + B/d is a square.  The degree-2 conditions are conics, solved and
+parametrized exactly here; the degree-4 conditions t^2 = q(u), checked
+squarefree by a gcd with the derivative and given a rational point that is
+not a root of q, are converted to their Jacobian elliptic curves.
 """
 
 from __future__ import annotations
@@ -103,26 +102,6 @@ def section_condition(family, x: RatFunc) -> PolyQ:
         raise ValueError("x is a 2-torsion abscissa, not a candidate section")
     _s, core = square_decompose_poly(val.num * val.den)
     return core
-
-
-@dataclass(frozen=True)
-class BiquadraticForm:
-    """The form d U^4 + A U^2 V^2 + (B/d) V^4 attached to a divisor d."""
-
-    d: RatFunc
-    A: RatFunc
-    B_over_d: RatFunc
-
-    def evaluate(self, U: RatFunc, V: RatFunc) -> RatFunc:
-        return (
-            self.d * U**4 + self.A * U * U * V * V + self.B_over_d * V**4
-        )
-
-
-def homogeneous_space(family, d: RatFunc) -> BiquadraticForm:
-    """Biquadratic form whose square values give sections x = d U^2 / V^2."""
-    quotient = RatFunc(family.B) / d
-    return BiquadraticForm(d, RatFunc(family.A), quotient)
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +366,8 @@ class QuarticModel:
 def quartic_jacobian(
     Q: QuarticModel,
 ) -> tuple[WeierstrassCurve, Callable, Callable]:
-    """Elliptic model of t^2 = q(u) built from the known rational point.
+    """Elliptic model of t^2 = q(u) built from the known rational point
+    (u0, t0), which must not be a root of q: t0 = 0 raises ValueError.
 
     Returns (E, forward, inverse): forward maps a point (u, t) of the
     quartic to a CurvePoint of E, inverse maps a CurvePoint back.  Both are
@@ -396,13 +376,13 @@ def quartic_jacobian(
     if Q.known_point is None:
         raise ValueError("a known rational point is required")
     u0, t0 = Fraction(Q.known_point[0]), Fraction(Q.known_point[1])
+    if t0 == 0:
+        raise ValueError("the known point must not be a root of q")
     # shift the known point to u = 0
     var = Q.q.var
     shifted = Q.q(PolyQ.variable(var) + u0)
     cs = list(shifted.coeffs) + [Fraction(0)] * (5 - len(shifted.coeffs))
     _e, d, c, b, a = cs[:5]
-    if t0 == 0:
-        return _root_case(Q, u0, a, b, c, d)
     q0 = t0
     a1 = d / q0
     a2 = c - d * d / (4 * q0 * q0)
@@ -443,38 +423,6 @@ def quartic_jacobian(
         if u == 0:
             return (u0, -q0)
         t = (X * u * u - d * u) / (2 * q0) - q0
-        assert t * t == Q.q(u + u0)
-        return (u + u0, t)
-
-    return E, forward, inverse
-
-
-def _root_case(Q: QuarticModel, u0, a, b, c, d):
-    """Known point is a root of the quartic: u |-> d/u turns t^2 = q into a
-    cubic directly."""
-    if d == 0:
-        raise DegenerateQuartic("repeated root at the known point")
-    # t^2 = a u^4 + b u^3 + c u^2 + d u  with  u = d/U, t = d V / U^2
-    # gives V^2 = U^3 + c U^2 + b d U + a d^2
-    E = WeierstrassCurve(0, c, 0, b * d, a * d * d)
-
-    def forward(u: Fraction, t: Fraction) -> CurvePoint:
-        u = Fraction(u) - u0
-        if u == 0:
-            return INFINITY
-        U = d / u
-        V = d * Fraction(t) / (u * u)
-        P = CurvePoint(U, V)
-        assert E.contains(P)
-        return P
-
-    def inverse(P: CurvePoint) -> tuple[Fraction, Fraction]:
-        if P.is_infinity:
-            return (u0, Fraction(0))
-        if P.x == 0:
-            raise ValueError("map undefined at this point")
-        u = d / P.x
-        t = P.y * u * u / d
         assert t * t == Q.q(u + u0)
         return (u + u0, t)
 

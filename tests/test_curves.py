@@ -22,7 +22,6 @@ from ellfam.curves import (
     _psi2_squared,
     lift_x,
     rational_roots,
-    to_shifted_ab,
     torsion_bound,
     torsion_subgroup,
     two_torsion_points,
@@ -168,7 +167,6 @@ class TestTransform:
         new, pm = E.transform(Fraction(2, 3), Fraction(1, 2), -4, Fraction(7, 5))
         Q = pm.forward(P)
         assert new.contains(Q)
-        assert pm.backward(Q) == P
         # invariants scale as expected
         u = Fraction(2, 3)
         assert new.c4 == E.c4 / u**4
@@ -181,7 +179,7 @@ class TestTransform:
         assert Ei is E
         assert pm == PointMap(Fraction(1), 0, 0, 0) == E.transform(Fraction(1), 0, 0, 0)[1]
         P = CurvePoint(Fraction(5), Fraction(5))
-        assert E.contains(P) and pm.forward(P) == P == pm.backward(P)
+        assert E.contains(P) and pm.forward(P) == P
 
     def test_integral_model(self):
         E = WeierstrassCurve(0, Fraction(49, 16), 0, Fraction(1, 4), 0)
@@ -190,41 +188,6 @@ class TestTransform:
         P = lift_x(E, Fraction(-2))
         if P is not None:
             assert Ei.contains(pm.forward(P))
-
-
-class TestShiftedAB:
-    def test_to_shifted_ab_moves_two_torsion_to_origin(self):
-        b, c = Fraction(3), Fraction(3, 2)
-        E = WeierstrassCurve(1 - c, -b, -b, 0, 0)
-        P = CurvePoint(Fraction(0), Fraction(0))
-        T = E.mul(4, P)
-        W, pm = to_shifted_ab(E, T)
-        assert pm.forward(T) == CurvePoint(Fraction(0), Fraction(0))
-        gen = pm.forward(P)
-        assert W.contains(gen) and W.point_order(gen) == 8
-
-    def test_symbolic_family_derivation(self):
-        # Tate normal form with order-8 relations over Q(d) lands on a
-        # quadratic-twist-free y^2 = x^3 + Ax^2 + Bx model; rescaling x, y by
-        # powers of 2d gives the reference coefficients.
-        d = RatFunc.variable("d")
-        z = RatFunc.const(0, "d")
-        b = (2 * d - 1) * (d - 1)
-        c = b / d
-        E = WeierstrassCurve(1 - c, -b, -b, z, z)
-        T = CurvePoint(d * (d - 1), d * d * (c - d + 1))
-        W, pm = to_shifted_ab(E, T)
-        v = PolyQ.variable("d")
-        A8 = RatFunc(1 - 8 * v + 16 * v**2 - 16 * v**3 + 8 * v**4)
-        B8 = RatFunc(16 * (v - 1) ** 4 * v**4)
-        lam2 = 4 * RatFunc(v) ** 2
-        assert A8 == lam2 * W.a2
-        assert B8 == lam2 * lam2 * W.a4
-
-    def test_rejects_non_two_torsion(self):
-        E = E37()
-        with pytest.raises(ValueError):
-            to_shifted_ab(E, CurvePoint(Fraction(0), Fraction(0)))
 
 
 class TestPointCounting:

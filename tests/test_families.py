@@ -16,6 +16,7 @@ from ellfam.curves import CurvePoint, torsion_subgroup
 from ellfam.families import (
     SingularMember,
     _cleared_cubic,
+    _tate_base_model,
     _z2x6_rank1_data,
     _z8_rank1_data,
     _z8_rank2_data,
@@ -110,6 +111,13 @@ class TestBaseModels:
         ]
         for s in subs:
             assert ratfunc_substitute(j, s) == j
+
+    def test_base_model_rejects_a_point_that_is_not_two_torsion(self):
+        vv = RatFunc.variable("v")
+        b = (2 * vv - 1) * (vv - 1)
+        for k in (1, 2, 3):
+            with pytest.raises(ValueError, match="not a 2-torsion point"):
+                _tate_base_model("Z8", (8,), b, b / vv, k, 1 / (2 * vv))
 
 
 class TestSections:
@@ -234,6 +242,21 @@ class TestReducedByConstruction:
             spec_hint=hint,
         )
         assert new == expected
+
+    def test_cold_catalog_gcd_count(self, monkeypatch):
+        # each base model is one change of coordinates, so a cold catalog
+        # makes at most 103 gcds over Z[u]
+        calls = []
+        real = polyq._zz_gcd
+        monkeypatch.setattr(polyq, "_zz_gcd", lambda *a: calls.append(1) or real(*a))
+        saved = dict(families._CATALOG_CACHE)
+        families._CATALOG_CACHE.clear()
+        try:
+            assert len(families.catalog()) == 36
+        finally:
+            families._CATALOG_CACHE.clear()
+            families._CATALOG_CACHE.update(saved)
+        assert len(calls) <= 103
 
 
 class TestCatalogShape:
