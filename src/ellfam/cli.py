@@ -26,7 +26,7 @@ from .arith import (
 from .curves import CurvePoint, WeierstrassCurve, torsion_subgroup
 from .families import CurveFamily, SingularMember, catalog, verify_section
 from .heights import independence_certificate, pairing_matrix
-from .localdata import discriminant_factorization, tate_local
+from .localdata import bad_places, tate_local
 from .polyq import NotASquare
 from .rootnum import MissingLocalCase, global_root_number
 
@@ -190,12 +190,11 @@ def _cmd_torsion(args) -> int:
 def _cmd_local(args) -> int:
     E, _pts, _tors = _resolve_curve(args)
     if args.prime is not None:
-        # Tate's algorithm minimizes at the prime it runs at
+        # tate_local makes the model minimal at that one prime first
         places = [tate_local(E.integral_model()[0], args.prime)]
         complete = True
     else:
-        Emin, fi = discriminant_factorization(E, args.budget)
-        places = [tate_local(Emin, p) for p in fi.primes()]
+        places, fi = bad_places(E, args.budget)
         complete = fi.complete
     data = [
         {

@@ -196,18 +196,23 @@ def normalize_shifted_ab(
 ) -> tuple[Fraction, Fraction, Fraction]:
     """Scale (A, B) -> (l^2 A, l^4 B) into integral, square-reduced form.
 
-    Returns (A', B', l).  Square reduction strips every prime p with
-    p^2 | A' and p^4 | B', keeping the model as small as the factoring
-    budget allows; an unfactored residue is simply left in place.
+    Returns (A', B', l).  l clears each denominator prime found within
+    the factoring budget to the power it needs, and l is also multiplied
+    by the unfactored residue of each denominator, which holds each of its
+    primes at least as often as the denominator does; so A' and B' are
+    integral whatever the budget.  Square reduction strips every prime p
+    with p^2 | A' and p^4 | B' that factoring gcd(A', B') finds.
     """
     if A0 == 0 or B0 == 0:
         raise ValueError("degenerate model")
     exps: dict[int, int] = {}
+    lam = Fraction(1)
     for q, weight in ((A0, 2), (B0, 4)):
-        for p, e in factor(q.denominator, budget).factors:
+        fq = factor(q.denominator, budget)
+        lam *= fq.residue
+        for p, e in fq.factors:
             need = -(-e // weight)  # ceil(e / weight)
             exps[p] = max(exps.get(p, 0), need)
-    lam = Fraction(1)
     for p, e in exps.items():
         lam *= Fraction(p) ** e
     A1 = lam * lam * A0

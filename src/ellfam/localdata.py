@@ -4,14 +4,19 @@ All computations are exact over the integers: reductions are handled through
 p-adic valuations of the integral coefficients, never through floating point
 or truncated p-adic expansions.
 
+A model is made minimal at p by Kraus's conditions only (_minimize_at;
+Cremona, Algorithms for Modular Elliptic Curves, 3.2): Tate's algorithm
+runs on a model already minimal at p.  Multiplicative reduction is split
+exactly when -c6 is a square in Q_p (_is_split).
+
 The root-number path runs on Python ints only and builds no
 WeierstrassCurve and no Fraction: _minimal_ints takes an integral model's
 a-invariants and returns the minimal model's a-invariants, its seven
 invariants and the factored |disc_min|, and _tate_ints is Tate's algorithm
-on an int tuple.  discriminant_factorization, minimal_model and tate_local
-wrap them on WeierstrassCurve models, for the CLI, conductor and heights.
-At p = 2 and 3 Tate's translations are closed forms, not searches (Cohen,
-GTM 138, Algorithm 7.5.1; Cremona 3.2).
+on an int tuple.  discriminant_factorization, minimal_model, tate_local and
+bad_places wrap them on WeierstrassCurve models, for the CLI, conductor and
+heights.  At p = 2 and 3 Tate's translations are closed forms, not searches
+(Cohen, GTM 138, Algorithm 7.5.1; Cremona 3.2).
 """
 
 from __future__ import annotations
@@ -285,104 +290,100 @@ def _count_roots_cubic(cs: list[int], p: int) -> int:
     return len(gcd_mod_p([d, c, b, a], h, p)) - 1
 
 
+def _is_split(c6: int, p: int) -> bool:
+    """Whether multiplicative reduction at p, on a model with p | disc and
+    p not dividing c4, is split: exactly when -c6 is a square in Q_p
+    (Rohrlich, Compositio Math. 87, 1993).  -c6 = b2^3 mod p is then a unit,
+    so at 2 that is -c6 = 1 mod 8 and at odd p a Jacobi symbol."""
+    return -c6 % 8 == 1 if p == 2 else jacobi(-c6, p) == 1
+
+
 def tate_local(E: WeierstrassCurve, p: int) -> LocalData:
-    """Complete local reduction data at the prime p (Tate's algorithm); ValueError otherwise."""
+    """Complete local reduction data at the prime p of the integral model
+    E (Tate's algorithm), which is first made minimal at p by Kraus's
+    conditions (Cremona 3.2); ValueError otherwise."""
     if not is_prime(p):
         raise ValueError(f"not a prime: {p}")
     if E._ints is None:
         raise ValueError("integral model required")
-    return _tate_ints(E._ints, p)
+    a, invs, _u = _minimize_at(weierstrass_invariants(*E._ints), [p])
+    return _tate_ints(a, p, None, invs)
 
 
 def _tate_ints(
     a: tuple, p: int, n: Optional[int] = None, invs: Optional[tuple] = None
 ) -> LocalData:
     """Tate's algorithm at the prime p on the int a-invariants a of an
-    integral model; n, when given, is v_p(disc) of that model, and invs,
-    when given, is its weierstrass_invariants(*a)."""
+    integral model minimal at p (ArithmeticError at step 11 otherwise); n,
+    when given, is v_p(disc) of that model, and invs, when given, is its
+    weierstrass_invariants(*a)."""
     p2, p3, p4, p6 = p * p, p**3, p**4, p**6
-    while True:
-        if invs is None:
-            invs = weierstrass_invariants(*a)
-        b2, b4, b6, _b8, c4, _c6, disc = invs
-        if n is None:
-            n = valuation(disc, p)
-        if n == 0:
-            return LocalData(p, "I0", 0, 1, "good", 0)
-        # move the singular point of the reduction to (0, 0); c4 and disc
-        # are unchanged by the translation
-        a = _move_singular_point(a, p, b2, b4, b6)
-        a1, a2, a3, a4, a6 = a
-        if c4 % p != 0:
-            # multiplicative reduction, type In
-            # split exactly when the tangents at the node, the roots of
-            # T^2 + a1 T - a2, lie in F_p; their discriminant b2 is a unit,
-            # as c4 = b2^2 mod p
-            if _has_root_quadratic(1, a1, -a2, p):
-                return LocalData(p, f"I{n}", 1, n, "split-multiplicative", n)
-            c = 2 if n % 2 == 0 else 1
-            return LocalData(p, f"I{n}", 1, c, "nonsplit-multiplicative", n)
-        _b2, _b4, b6, b8, _c4, _c6, _disc = weierstrass_invariants(*a)
-        if a6 % p2 != 0:
-            return LocalData(p, "II", n, 1, "additive", n)
-        if b8 % p3 != 0:
-            return LocalData(p, "III", n - 1, 2, "additive", n)
-        if b6 % p3 != 0:
-            # type IV: c depends on Y^2 + (a3/p) Y - a6/p^2 splitting
-            root = _has_root_quadratic(1, a3 // p, -(a6 // p2), p)
-            return LocalData(p, "IV", n - 2, 3 if root else 1, "additive", n)
-        a = _arrange_step7(a, p)
-        a1, a2, a3, a4, a6 = a
-        assert a1 % p == 0 and a2 % p == 0
-        assert a3 % p2 == 0 and a4 % p2 == 0 and a6 % p3 == 0
-        # cubic P(T) = T^3 + (a2/p) T^2 + (a4/p^2) T + a6/p^3 mod p
-        cub = [a6 // p3, a4 // p2, a2 // p, 1]
-        root = _multiple_root(cub, p)
-        if root is None:
-            c = 1 + _count_roots_cubic(cub, p)
-            return LocalData(p, "I0*", n - 4, c, "additive", n)
-        r, triple = root
-        a = change_coordinates(a, 1, p * r, 0, 0)
-        if not triple:
-            return _instar_loop(a, p, n)
-        # triple root: IV*, III*, II*, or a model that is not minimal at p
-        a3t, a6t = a[2] // p2, a[4] // p4
-        if (a3t * a3t + 4 * a6t) % p != 0:
-            root = _has_root_quadratic(1, a3t, -a6t, p)
-            return LocalData(p, "IV*", n - 6, 3 if root else 1, "additive", n)
-        a = change_coordinates(a, 1, 0, 0, p2 * _double_root(1, a3t, -a6t, p))
-        a1, a2, a3, a4, a6 = a
-        if a4 % p4 != 0:
-            return LocalData(p, "III*", n - 7, 2, "additive", n)
-        if a6 % p6 != 0:
-            return LocalData(p, "II*", n - 8, 1, "additive", n)
-        # not minimal at p: unscale, which divides disc by p^12
-        a = (a1 // p, a2 // p2, a3 // p3, a4 // p4, a6 // p6)
-        n -= 12
-        invs = None
+    if invs is None:
+        invs = weierstrass_invariants(*a)
+    b2, b4, b6, _b8, c4, c6, disc = invs
+    if n is None:
+        n = valuation(disc, p)
+    if n == 0:
+        return LocalData(p, "I0", 0, 1, "good", 0)
+    if c4 % p != 0:
+        # multiplicative reduction, type In
+        if _is_split(c6, p):
+            return LocalData(p, f"I{n}", 1, n, "split-multiplicative", n)
+        return LocalData(p, f"I{n}", 1, 2 - n % 2, "nonsplit-multiplicative", n)
+    a = _move_singular_point(a, p, b2, b4, b6)
+    _b2, _b4, b6, b8, _c4, _c6, _disc = weierstrass_invariants(*a)
+    a1, a2, a3, a4, a6 = a
+    if a6 % p2 != 0:
+        return LocalData(p, "II", n, 1, "additive", n)
+    if b8 % p3 != 0:
+        return LocalData(p, "III", n - 1, 2, "additive", n)
+    if b6 % p3 != 0:
+        # type IV: c depends on Y^2 + (a3/p) Y - a6/p^2 splitting
+        root = _has_root_quadratic(1, a3 // p, -(a6 // p2), p)
+        return LocalData(p, "IV", n - 2, 3 if root else 1, "additive", n)
+    a = _arrange_step7(a, p)
+    a1, a2, a3, a4, a6 = a
+    assert a1 % p == 0 and a2 % p == 0
+    assert a3 % p2 == 0 and a4 % p2 == 0 and a6 % p3 == 0
+    # cubic P(T) = T^3 + (a2/p) T^2 + (a4/p^2) T + a6/p^3 mod p
+    cub = [a6 // p3, a4 // p2, a2 // p, 1]
+    root = _multiple_root(cub, p)
+    if root is None:
+        c = 1 + _count_roots_cubic(cub, p)
+        return LocalData(p, "I0*", n - 4, c, "additive", n)
+    r, triple = root
+    a = change_coordinates(a, 1, p * r, 0, 0)
+    if not triple:
+        return _instar_loop(a, p, n)
+    # triple root: IV*, III* or II*
+    a3t, a6t = a[2] // p2, a[4] // p4
+    if (a3t * a3t + 4 * a6t) % p != 0:
+        root = _has_root_quadratic(1, a3t, -a6t, p)
+        return LocalData(p, "IV*", n - 6, 3 if root else 1, "additive", n)
+    a = change_coordinates(a, 1, 0, 0, p2 * _double_root(1, a3t, -a6t, p))
+    if a[3] % p4 != 0:
+        return LocalData(p, "III*", n - 7, 2, "additive", n)
+    if a[4] % p6 != 0:
+        return LocalData(p, "II*", n - 8, 1, "additive", n)
+    raise ArithmeticError(f"model {a} is not minimal at {p}")
 
 
 def _move_singular_point(a: tuple, p: int, b2: int, b4: int, b6: int) -> tuple:
-    """Translate the singular point (r, t) of the reduction mod p, with
-    0 <= r, t < p, to (0, 0).
+    """Translate the singular point (r, t) of an additive reduction mod p,
+    with 0 <= r, t < p, to (0, 0).
 
-    (0, 0) is singular exactly when p divides a3, a4 and a6.  At p = 2 that
-    fixes r and t mod 2 from the translated a3, a4 and a6 (Cohen, GTM 138,
-    Algorithm 7.5.1).  Otherwise r is the repeated root of
-    4x^3 + b2 x^2 + 2 b4 x + b6 and t = -(a1 r + a3)/2 mod p; at p = 3 that
-    cubic is x^3 + b2 x^2 - b4 x + b6, whose repeated root is -b6 when
-    3 | b2 (it is then (x + b6)^3) and b4/(2 b2) = -b2 b4 otherwise.
+    (0, 0) is singular exactly when p divides a3, a4 and a6.  At p = 2, a1
+    is even (c4 = a1^4 mod 2), and r and t mod 2 follow from the translated
+    a4 and a6 (Cohen, GTM 138, Algorithm 7.5.1).  Otherwise r is the
+    repeated root of 4x^3 + b2 x^2 + 2 b4 x + b6 and t = -(a1 r + a3)/2 mod
+    p; at p = 3, where 3 | b2, that cubic is (x + b6)^3 and r = -b6.
     """
     a1, a2, a3, a4, a6 = a
     if p == 2:
-        if a1 % 2:
-            r = a3 % 2
-            t = (r + a4) % 2
-        else:
-            r = a4 % 2
-            t = (r * (1 + a2 + a4) + a6) % 2
+        r = a4 % 2
+        t = (r * (1 + a2 + a4) + a6) % 2
     elif p == 3:
-        r = -b6 % 3 if b2 % 3 == 0 else -b2 * b4 % 3
+        r = -b6 % 3
         t = (a1 * r + a3) % 3
     else:
         r, _triple = _multiple_root([b6, 2 * b4, b2, 4], p)
@@ -462,19 +463,23 @@ def discriminant_factorization(
     return WeierstrassCurve(*a), fi
 
 
+def bad_places(
+    E: WeierstrassCurve, budget: FactorBudget = DEFAULT_BUDGET
+) -> tuple[list[LocalData], FactoredInt]:
+    """Local data at every prime found in |disc_min| and that factorization
+    (see discriminant_factorization): the model is minimized once, and
+    Tate's algorithm runs on the minimal model at each prime found."""
+    a, invs, fi = _minimal_ints(_integral_ints(E), budget)
+    return [_tate_ints(a, p, e, invs) for p, e in fi.factors], fi
+
+
 def conductor(E: WeierstrassCurve, budget: FactorBudget = DEFAULT_BUDGET) -> FactoredInt:
     """Conductor of E as a factored integer.
 
     Raises Unfactored when the minimal discriminant cannot be fully
     factored within budget (discriminant_factorization reports the residue).
     """
-    Emin, fi = discriminant_factorization(E, budget)
+    places, fi = bad_places(E, budget)
     if not fi.complete:
         raise Unfactored("discriminant factorization incomplete")
-    out = []
-    for p, _e in fi.factors:
-        ld = tate_local(Emin, p)
-        if ld.f_p:
-            out.append((p, ld.f_p))
-    return FactoredInt(1, tuple(out))
-
+    return FactoredInt(1, tuple((ld.p, ld.f_p) for ld in places if ld.f_p))

@@ -1,9 +1,11 @@
 """Command-line interface tests: exit codes, serialization, determinism."""
 
 import json
+import math
 import subprocess
 import sys
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
@@ -176,6 +178,22 @@ class TestSpecialize:
         assert code == 0
         assert json.loads(out)["u"] == "-5/6"
 
+    def test_unfactored_denominator(self, capsys):
+        # 1022117 = 1009 * 1013 is not split at this budget; A and B are
+        # still l^2 A(u) and l^4 B(u) for one rational l
+        u = Fraction(3, 1022117)
+        code, out, _ = run(capsys, "--budget", "10,0", "specialize", "Z8R2-1", "--u", str(u))
+        assert code == 0
+        payload = json.loads(out)
+        A, B = int(payload["A"]), int(payload["B"])
+        fam = catalog()["Z8R2-1"]
+        lam2 = A / fam.A(u)
+        assert B == lam2 * lam2 * fam.B(u)
+        assert all(math.isqrt(x) ** 2 == x for x in (lam2.numerator, lam2.denominator))
+        code, out, _ = run(capsys, "--budget", "10,0", "rootnumber", "Z8R2-1", "--u", str(u))
+        assert code == 0
+        assert json.loads(out)["complete"] is False
+
 
 class TestTorsion:
     def test_catalog_member(self, capsys):
@@ -224,7 +242,7 @@ class TestLocalAndRootNumber:
             return wrapper
 
         monkeypatch.setattr(localdata, "_minimize_at", counted("minimize", localdata._minimize_at))
-        monkeypatch.setattr(cli, "tate_local", counted("tate", cli.tate_local))
+        monkeypatch.setattr(localdata, "_tate_ints", counted("tate", localdata._tate_ints))
         code, out, _ = run(capsys, "local", "--curve", "0,0,0,-25,0")
         assert code == 0
         places = json.loads(out)["places"]

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ellfam import families
-from ellfam.arith import primes_below, square_test
+from ellfam.arith import FactorBudget, primes_below, square_test
 from ellfam.curves import CurvePoint, torsion_subgroup
 from ellfam.families import (
     SingularMember,
@@ -614,6 +614,18 @@ class TestSpecialization:
             assert g in factors
             product *= g**e
         assert product == fam.B
+
+    @pytest.mark.parametrize("label", ["Z8R2-1", "Z2x6R2-3"])
+    def test_unfactored_denominator_is_cleared(self, label):
+        # 1009 * 1013 is above the trial bound 10 and rho is off: the
+        # residue goes into the scale whole, so A and B stay exact
+        fam = catalog()[label]
+        u = Fraction(3, 1009 * 1013)
+        s = fam.specialize(u, FactorBudget(10, 0))
+        assert (s.A, s.B) == (s.scale**2 * fam.A(u), s.scale**4 * fam.B(u))
+        E = s.curve()
+        for P in s.points + s.torsion_points:
+            assert E.contains(P)
 
     @pytest.mark.parametrize("label", ["Z8R2-1", "Z8R2-5", "Z2x6R2-1", "Z2x6R2-5"])
     def test_rank2_specialization_torsion(self, label):

@@ -1,6 +1,7 @@
 """Every module under src/ and tests/ reads each name it imports."""
 
 import ast
+import importlib
 import pathlib
 
 import pytest
@@ -39,6 +40,27 @@ def unused_imports(source: str) -> list[str]:
                 continue
             read.update(n.id for n in ast.walk(expr) if isinstance(n, ast.Name))
     return [f"{name} (line {line})" for name, line in imported.items() if name not in read]
+
+
+def test_tracer_layers_resolve():
+    # every (module, attribute path) that perfbench/tracer.py wraps exists
+    tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text())
+    layers = next(
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "LAYERS" for t in node.targets
+        )
+    )
+    assert len(layers) > 10
+    missing = []
+    for _prefix, module, path, _spans in layers:
+        owner = importlib.import_module(module)
+        for part in path.split("."):
+            owner = getattr(owner, part, None)
+        if owner is None:
+            missing.append(f"{module}.{path}")
+    assert missing == []
 
 
 def test_scan_sees_an_unused_import():

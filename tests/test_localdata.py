@@ -1,19 +1,22 @@
 """Minimal-model, Tate-algorithm and conductor tests."""
 
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ellfam.arith import FactorBudget, FactoredInt, Unfactored, factor, primes_below
-from ellfam.curves import WeierstrassCurve, isomorphic_over_Q
+from ellfam.arith import FactorBudget, FactoredInt, Unfactored, factor, primes_below, valuation
+from ellfam.curves import WeierstrassCurve, isomorphic_over_Q, weierstrass_invariants
 from ellfam.localdata import (
     LocalData,
     _count_roots_cubic,
     _has_root_quadratic,
     _multiple_root,
+    _tate_ints,
     conductor,
     discriminant_factorization,
     minimal_model,
@@ -370,7 +373,7 @@ class TestInvariance:
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
     def test_scaling_invariance(self, p):
-        # E scaled by 1/u is not minimal at p; Tate's algorithm unscales it
+        # E scaled by 1/u is not minimal at p; tate_local minimizes it first
         rng = random.Random(p)
         for E in (E11A1, E37A, E32A, E27A3, E36A, E20A, E_CONG5,
                   curve(0, 49, 0, 256, 0), curve(1, -1, 0, -14, 29)):
@@ -379,6 +382,42 @@ class TestInvariance:
                 r, s, t = (rng.randrange(-9, 10) for _ in range(3))
                 scaled, _pm = E.transform(Fraction(1, u), r, s, t)
                 assert tate_local(scaled, p) == ld
+
+    @given(
+        st.lists(st.integers(-40, 40), min_size=5, max_size=5),
+        st.sampled_from([2, 3, 5, 7]),
+        st.lists(st.integers(-9, 9), min_size=3, max_size=3),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_scaled_model_matches_minimal_model(self, ai, u, rst):
+        # a model scaled by u is not minimal at u; at each bad prime and at
+        # u, tate_local on it equals tate_local on the minimal model
+        if weierstrass_invariants(*ai)[6] == 0:
+            return
+        Emin, fi = discriminant_factorization(curve(*ai))
+        scaled, _pm = Emin.transform(Fraction(1, u), *rst)
+        for p in sorted({u, *fi.primes()}):
+            assert tate_local(scaled, p) == tate_local(Emin, p)
+
+    @pytest.mark.parametrize("a,p", [((0, 0, 0, -625, 0), 5), ((0, 0, 0, -400, 0), 2),
+                                     ((0, 0, 0, -81, 0), 3)])
+    def test_tate_on_non_minimal_model_raises_under_O(self, a, p):
+        # y^2 = x^3 - x and y^2 = x^3 - 25x scaled by p reach step 11; the
+        # check is no assert, and tate_local minimizes first
+        script = (
+            "from ellfam.localdata import _tate_ints\n"
+            "try:\n"
+            f"    _tate_ints({a}, {p})\n"
+            "except ArithmeticError:\n"
+            "    print('raised')\n"
+        )
+        proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "raised\n"
+        with pytest.raises(ArithmeticError):
+            _tate_ints(a, p)
+        E = curve(*a)
+        assert tate_local(E, p).vp_disc_min == valuation(int(E.disc), p) - 12
 
     def test_fp_caps(self):
         for E in (E11A1, E32A, E36A, E20A, E27A3, E_CONG5):

@@ -29,7 +29,7 @@ from ellfam.families import SingularMember
 from ellfam.localdata import discriminant_factorization, minimal_model, tate_local
 from ellfam.rootnum import (
     MissingLocalCase,
-    _root_number_above_3,
+    _local_sign,
     global_root_number,
     local_root_number,
 )
@@ -60,13 +60,12 @@ def invariant_rule_mismatches(E, budget=FactorBudget(), parts=None):
     exponent of p in disc_min or local_root_number disagree with Tate's
     algorithm, and the number of places compared."""
     Emin, fi = discriminant_factorization(E, budget, parts=parts)
-    _b2, _b4, _b6, _b8, c4, c6, _disc = Emin.bc_invariants()
     bad, compared = [], 0
     for p, e in fi.factors:
         if p < 5:
             continue
         ld = tate_local(Emin, p)
-        w = _root_number_above_3(c4, c6, p, e)
+        w = _local_sign(Emin.bc_invariants(), p, e, None)
         compared += 1
         if e != ld.vp_disc_min or w != tate_rule(Emin, ld) or w != local_root_number(Emin, ld):
             bad.append((Emin.a_invariants(), p))
@@ -210,10 +209,10 @@ class TestInvariantRuleAbove3:
         assert ld.kodaira == expected
         if shape == "In":
             assert ld.reduction == kind.split()[0] + "-multiplicative"
-        _b2, _b4, _b6, _b8, c4, c6, disc = E.bc_invariants()
-        e = valuation(disc, p)
+        invs = E.bc_invariants()
+        e = valuation(invs[6], p)
         assert e == ld.vp_disc_min
-        assert _root_number_above_3(c4, c6, p, e) == tate_rule(E, ld)
+        assert _local_sign(invs, p, e, None) == tate_rule(E, ld)
         assert local_root_number(E, ld) == tate_rule(E, ld)
 
     def test_tate_runs_at_2_and_3_only(self, monkeypatch):
@@ -249,6 +248,88 @@ class TestInvariantRuleAbove3:
         # a minimal model takes one pass, so one call fewer per input
         assert len(inputs) > 800
         assert len(seen) - recomputed == recomputed - len(inputs)
+
+
+class TestOneRulePerPlace:
+    """Split reduction from -c6 alone, and Tate's algorithm only for the
+    Kodaira symbol of a table key."""
+
+    def test_split_rule_matches_tangent_test_on_sweep(self):
+        # every multiplicative place at 2 and 3 of the sweep curves
+        curves = [curve(*row["a"]) for row in ORACLE] + list(sweep_twists())
+        bad, compared = [], 0
+        for E in curves:
+            a, invs, fi = localdata._minimal_ints(E._ints)
+            for p in fi.primes():
+                if p < 5 and invs[4] % p:
+                    compared += 1
+                    if localdata._is_split(invs[5], p) != tangent_split(a, p):
+                        bad.append((a, p))
+        assert compared == 1350
+        assert not bad, f"{len(bad)} places disagree, first: {bad[:3]}"
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    @given(
+        st.lists(st.integers(-30, 30), min_size=5, max_size=5),
+        st.lists(st.integers(-30, 30), min_size=3, max_size=3),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_split_rule_matches_tangent_test(self, p, xs, rst):
+        # the node at (0, 0) mod p, moved away by a translation
+        x1, x2, x3, x4, x6 = xs
+        a = change_coordinates((x1, x2, p * x3, p * x4, p * x6), 1, *rst)
+        invs = weierstrass_invariants(*a)
+        if invs[6] == 0 or invs[4] % p == 0:
+            return
+        ld = localdata._tate_ints(a, p)
+        assert ld.reduction.endswith("multiplicative")
+        assert localdata._is_split(invs[5], p) == tangent_split(a, p)
+        assert (ld.reduction == "split-multiplicative") == tangent_split(a, p)
+
+    def test_no_tate_at_multiplicative_places(self, monkeypatch):
+        # split I4 at 3 and nonsplit I2 at 7
+        seen = []
+        monkeypatch.setattr(rootnum, "_tate_ints", lambda *args: seen.append(args))
+        rn = global_root_number(curve(1, 0, 0, -4, -1))
+        assert rn.complete and rn.local_breakdown == {3: -1, 7: 1}
+        assert seen == []
+
+    def test_tate_runs_at_potentially_good_places_only(self, monkeypatch):
+        curves = [curve(*row["a"]) for row in ORACLE] + list(sweep_twists())
+        seen = []
+        tate = rootnum._tate_ints
+
+        def counted(a, p, *rest):
+            seen.append(p)
+            return tate(a, p, *rest)
+
+        monkeypatch.setattr(rootnum, "_tate_ints", counted)
+        kinds = {"multiplicative": 0, "potentially multiplicative": 0, "potentially good": 0}
+        for E in curves:
+            _a, invs, fi = localdata._minimal_ints(E._ints)
+            good = []
+            for p, e in fi.factors:
+                if p >= 5:
+                    continue
+                if invs[4] % p:
+                    kinds["multiplicative"] += 1
+                elif invs[4] and 3 * valuation(invs[4], p) < e:
+                    kinds["potentially multiplicative"] += 1
+                else:
+                    kinds["potentially good"] += 1
+                    good.append(p)
+            seen.clear()
+            try:
+                global_root_number(E)
+            except MissingLocalCase:
+                # the loop stops at the place whose table key is missing
+                good = good[: len(seen)]
+            assert seen == good, E
+        assert kinds == {
+            "multiplicative": 1350,
+            "potentially multiplicative": 27,
+            "potentially good": 4168 - 1377,
+        }
 
 
 class TestKnownGlobal:
@@ -478,17 +559,27 @@ def reference_minimal_model(E, parts=None):
     return Emin, FactoredInt(1, tuple((p, e) for p, e in found if e), fE.residue)
 
 
+def tangent_split(a, p):
+    """Split multiplicative reduction at p of the integral model a, by
+    Tate's tangent test: with the node of the reduction mod p moved to
+    (0, 0), split exactly when the tangents there, the roots of
+    T^2 + a1 T - a2, lie in F_p (their discriminant b2 is a unit)."""
+    a1, a2, _a3, _a4, _a6 = search_singular_point(a, p)
+    return localdata._has_root_quadratic(1, a1, -a2, p)
+
+
 def reference_local_sign(E, ld):
     """local_root_number on a WeierstrassCurve, with the Hilbert symbol
-    over Q_p."""
+    over Q_p and the tangent test for split reduction at 2 and 3."""
     if ld.reduction == "good":
         return 1
     p, vd = ld.p, ld.vp_disc_min
-    _b2, _b4, _b6, _b8, c4, c6, disc = E.bc_invariants()
+    invs = E.bc_invariants()
+    _b2, _b4, _b6, _b8, c4, c6, disc = invs
     if p >= 5:
-        return _root_number_above_3(c4, c6, p, vd)
+        return _local_sign(invs, p, vd, None)
     if ld.reduction.endswith("multiplicative"):
-        return -1 if ld.reduction.startswith("split") else 1
+        return -1 if tangent_split(E._ints, p) else 1
     if c4 != 0 and 3 * valuation(c4, p) < vd:
         return hilbert_symbol(-c6 * c4, -1, p)
     m4, m6, md = TABLE_MODULI[p]
@@ -516,7 +607,7 @@ def reference_root_number(E, monkeypatch):
         local = {p: tate_local(Emin, p) for p in fi.primes() if p < 5}
     try:
         breakdown = {p: reference_local_sign(Emin, local[p]) if p < 5 else
-                     _root_number_above_3(int(Emin.c4), int(Emin.c6), p, e)
+                     _local_sign(Emin.bc_invariants(), p, e, None)
                      for p, e in fi.factors}
     except MissingLocalCase as exc:
         return str(exc), local
@@ -587,7 +678,10 @@ class TestReferencePath:
         with pytest.MonkeyPatch.context() as m:
             m.setattr(localdata, "_move_singular_point", move)
             m.setattr(localdata, "_arrange_step7", step7)
-            localdata._tate_ints(a, p)
+            try:
+                localdata._tate_ints(a, p)
+            except ArithmeticError:
+                pass  # not minimal at p, found after the moves recorded
         for got, expected in moves + steps:
             assert got == expected
 
