@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 from typing import NoReturn, Optional, Sequence
@@ -392,6 +393,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-all", help="run the full catalog verification suite")
     p.set_defaults(fn=_cmd_verify_all)
 
+    # no option starts with a digit, so "-3/4" or "-1,0,0,0,1" is a value
+    # (argparse itself only takes "-3" and "-0.5" for numbers)
+    for p in (parser, *sub.choices.values()):
+        p._negative_number_matcher = re.compile(r"^-\d")
     return parser
 
 

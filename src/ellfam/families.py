@@ -6,7 +6,9 @@ relations between b and c, one change of coordinates over Q(v) moves its
 2-torsion point to the origin, kills a1 and a3 and rescales, giving the
 y^2 = x^3 + Ax^2 + Bx shape and carrying the torsion generator along.
 Every further family in the catalog is produced by substituting a rational
-function into the parameter and renormalizing; the section points
+function into the parameter and renormalizing.  One clearing rule serves a
+substitution u = n/d and a member at a number u = p/q alike: scale by d^s
+(or q^s), then strip the square part c (square_part).  The section points
 (x-coordinates of infinite-order points) are the only data that cannot be
 derived and are stored explicitly.  Transported points and lifted sections
 are formed already reduced (polyq.reduced_substitute, verify_section), so a
@@ -56,7 +58,8 @@ class SingularMember(ValueError):
 class SpecializedCurve:
     """A member of a family at a rational parameter value, in integral form.
 
-    (A, B) = (scale^2 A(value), scale^4 B(value)).
+    (A, B) = (l^2 A(value), l^4 B(value)) and each point is mapped by
+    (x, y) -> (l^2 x, l^3 y), for the scale l = q^s / c of specialize.
     """
 
     label: str
@@ -124,14 +127,21 @@ class CurveFamily:
     def specialize(
         self, value: Fraction | int, budget: FactorBudget = DEFAULT_BUDGET
     ) -> SpecializedCurve:
-        """The member at ``value``; raises SingularMember where the model
-        degenerates.  A section with a pole at ``value`` meets the zero
-        section on this fiber and specializes to the point at infinity."""
+        """The member at ``value`` = p/q, or SingularMember where the model
+        degenerates.  A and B have integer coefficients, so a = q^(2s) A(p/q)
+        and b = q^(4s) B(p/q) are integers, and l = q^s / c for
+        c = square_part(a, b): the budget only limits that strip.  A section
+        with a pole at ``value`` meets the zero section on this fiber and
+        specializes to the point at infinity."""
         value = Fraction(value)
-        A0, B0 = self.A(value), self.B(value)
-        if A0 * B0 * (A0 * A0 - 4 * B0) == 0:
+        p, q = value.numerator, value.denominator
+        s = _clearing_exponent(self)
+        a = q ** (2 * s - self.A.degree) * homogeneous_value(self.A.ints, p, q)
+        b = q ** (4 * s - self.B.degree) * homogeneous_value(self.B.ints, p, q)
+        if a * b * (a * a - 4 * b) == 0:
             raise SingularMember(f"{self.label} degenerates at u = {value}")
-        A1, B1, lam = normalize_shifted_ab(A0, B0, budget)
+        c = square_part(a, b, budget)
+        lam = Fraction(q**s, c)
 
         def spec_point(P: CurvePoint) -> CurvePoint:
             try:
@@ -143,8 +153,8 @@ class CurveFamily:
         return SpecializedCurve(
             label=self.label,
             value=value,
-            A=int(A1),
-            B=int(B1),
+            A=a // (c * c),
+            B=b // c**4,
             points=tuple(spec_point(P) for P in self.sections),
             torsion_points=tuple(spec_point(P) for P in self.torsion_points),
             scale=lam,
@@ -168,14 +178,15 @@ class CurveFamily:
     def discriminant_parts(self, sp: SpecializedCurve) -> tuple[int, ...]:
         """Integers whose primes cover those of disc(sp.curve()).
 
-        With u = p/q and scale l, disc = 16 l^12 B(u)^2 (A^2 - 4B)(u), and
-        each factor g of B or A^2 - 4B contributes the integer
-        q^deg(g) g(p/q); the rest is 2, l, q and the two contents.  Pass
-        them to global_root_number(..., parts=...).
+        With u = p/q and scale l = q^s / c, disc = 16 l^12 B(u)^2
+        (A^2 - 4B)(u), and each factor g of B or A^2 - 4B contributes the
+        integer q^deg(g) g(p/q); the rest is 2, c, q (whose primes are those
+        of q^s) and the two contents.  Pass them to
+        global_root_number(..., parts=...).
         """
         p, q = sp.value.numerator, sp.value.denominator
         contents, factors = self.discriminant_factors
-        parts = [2, sp.scale.numerator, sp.scale.denominator, q]
+        parts = [2, sp.scale.denominator, q]
         for c in contents:
             parts += [c.numerator, c.denominator]
         parts += [homogeneous_value(g.ints, p, q) for g in factors]
@@ -191,47 +202,18 @@ def _cleared_cubic(family: CurveFamily, xn: PolyQ, xd: PolyQ) -> PolyQ:
     return xn * (xn * xn + family.A * xn * xd + family.B * (xd * xd))
 
 
-def normalize_shifted_ab(
-    A0: Fraction, B0: Fraction, budget: FactorBudget = DEFAULT_BUDGET
-) -> tuple[Fraction, Fraction, Fraction]:
-    """Scale (A, B) -> (l^2 A, l^4 B) into integral, square-reduced form.
+def _clearing_exponent(family: CurveFamily) -> int:
+    """s = max(ceil(deg A / 2), ceil(deg B / 4)): d^(2s) A(n/d) and
+    d^(4s) B(n/d) are polynomials in n and d."""
+    return max(-(-family.A.degree // 2), -(-family.B.degree // 4))
 
-    Returns (A', B', l).  l clears each denominator prime found within
-    the factoring budget to the power it needs, and l is also multiplied
-    by the unfactored residue of each denominator, which holds each of its
-    primes at least as often as the denominator does; so A' and B' are
-    integral whatever the budget.  Square reduction strips every prime p
-    with p^2 | A' and p^4 | B' that factoring gcd(A', B') finds.
-    """
-    if A0 == 0 or B0 == 0:
-        raise ValueError("degenerate model")
-    exps: dict[int, int] = {}
-    lam = Fraction(1)
-    for q, weight in ((A0, 2), (B0, 4)):
-        fq = factor(q.denominator, budget)
-        lam *= fq.residue
-        for p, e in fq.factors:
-            need = -(-e // weight)  # ceil(e / weight)
-            exps[p] = max(exps.get(p, 0), need)
-    for p, e in exps.items():
-        lam *= Fraction(p) ** e
-    A1 = lam * lam * A0
-    B1 = lam**4 * B0
-    # strip square content common to both (weighted); each such prime
-    # divides gcd(A', B'), a far smaller number than A', and its exponent
-    # e = min(v_p(A'), v_p(B')) there gives min(e//2, v_p(B')//4) =
-    # min(v_p(A')//2, v_p(B')//4)
-    fg = factor(math.gcd(A1.numerator, B1.numerator), budget)
-    reduce_by = 1
-    for p, e in fg.factors:
-        k = min(e // 2, valuation(B1.numerator, p) // 4)
-        if k > 0:
-            reduce_by *= p**k
-    if reduce_by > 1:
-        lam /= reduce_by
-        A1 /= reduce_by**2
-        B1 /= reduce_by**4
-    return A1, B1, lam
+
+def square_part(a: int, b: int, budget: FactorBudget = DEFAULT_BUDGET) -> int:
+    """The largest c with c^2 | a and c^4 | b over the primes that factoring
+    gcd(a, b) finds within the budget; at such a prime p^e,
+    min(e // 2, v_p(b) // 4) = min(v_p(a) // 2, v_p(b) // 4)."""
+    fg = factor(math.gcd(a, b), budget)
+    return math.prod(p ** min(e // 2, valuation(b, p) // 4) for p, e in fg.factors)
 
 
 def _integer_pair(sub: RatFunc) -> tuple[PolyQ, PolyQ]:
@@ -257,8 +239,9 @@ def substitute_parameter(
 
     The substituted model is cleared of denominators by (x, y) ->
     (l^2 x, l^3 y) with l = d^s, where d is the integer denominator of the
-    substitution and s = max(ceil(deg A / 2), ceil(deg B / 4)); the largest
-    rational square content is then stripped.  Torsion generators are
+    substitution and s = _clearing_exponent(family); then the square part
+    c of the two integer contents is stripped, so l = d^s / c, as in
+    CurveFamily.specialize.  Torsion generators are
     transported, each coordinate (d^s / c)^w f(n/d) formed reduced for
     coprime n and d; ``sections`` provides the x-coordinates of new
     infinite-order points (their y-coordinates must exist in the new
@@ -267,16 +250,10 @@ def substitute_parameter(
     y-coordinates after the substitution).
     """
     n, d = _integer_pair(sub)
-    s = max(-(-family.A.degree // 2), -(-family.B.degree // 4))
-    # A1 = d^(2s) A(n/d) and B1 = d^(4s) B(n/d) are polynomials since
-    # 2s >= deg A and 4s >= deg B
+    s = _clearing_exponent(family)
     Ap = reduced_substitute(family.A, n, d, 2 * s).num
     Bp = reduced_substitute(family.B, n, d, 4 * s).num
-    # strip the largest c with c^2 | A and c^4 | B coefficientwise: square
-    # reducing the two contents scales them by l = 1/c
-    c = normalize_shifted_ab(
-        Ap.content_and_primitive()[0], Bp.content_and_primitive()[0]
-    )[2].denominator
+    c = square_part(math.gcd(*Ap.ints), math.gcd(*Bp.ints))
     Ap = Ap * Fraction(1, c * c)
     Bp = Bp * Fraction(1, c**4)
 

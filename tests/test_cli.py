@@ -68,6 +68,27 @@ class TestExitCodes:
         assert exc.value.code == 2
         assert "nonnegative" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, option, value",
+        [
+            (["specialize", "Z8"], "--u", "-3/4"),
+            (["rootnumber"], "--curve", "-1,0,0,0,1"),
+            (["heights", "--curve", "0,0,0,-25,0"], "--points", "-4,6"),
+        ],
+        ids=["specialize", "rootnumber", "heights"],
+    )
+    def test_negative_value_after_option(self, capsys, command, option, value):
+        # a value that starts with "-" and a digit is a value, not an option
+        code, out, _ = run(capsys, *command, option, value)
+        assert code == 0
+        assert (code, out) == run(capsys, *command, f"{option}={value}")[:2]
+
+    def test_option_like_value_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["specialize", "Z8", "--u", "-x"])
+        assert exc.value.code == 2
+        assert "expected one argument" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["specialize", "rootnumber"])
     def test_singular_member_is_usage_error(self, capsys, command):
         # B vanishes at u = 15 on Z2x6R2-3
@@ -193,6 +214,12 @@ class TestSpecialize:
         code, out, _ = run(capsys, "--budget", "10,0", "rootnumber", "Z8R2-1", "--u", str(u))
         assert code == 0
         assert json.loads(out)["complete"] is False
+
+    def test_budget_leaves_the_member_unchanged(self, capsys):
+        # the budget only limits the square strip of gcd(A', B'), and the
+        # denominator 1009 * 1013 of u is not needed there
+        args = ["specialize", "Z8R2-1", "--u", "3/1022117"]
+        assert run(capsys, "--budget", "10,0", *args) == run(capsys, *args)
 
 
 class TestTorsion:

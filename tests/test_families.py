@@ -23,8 +23,8 @@ from ellfam.families import (
     catalog,
     model_z8,
     model_z2x6,
-    normalize_shifted_ab,
     ratfunc_sqrt,
+    square_part,
     substitute_parameter,
     tate_normal_curve,
     verify_section,
@@ -545,29 +545,62 @@ class TestSpecialization:
         for P in s.points + s.torsion_points:
             assert E.contains(P)
 
-    def test_normalize_shifted_ab(self):
-        A, B, lam = normalize_shifted_ab(Fraction(49, 16), Fraction(1))
-        assert A.denominator == 1 and B.denominator == 1
-        assert lam * lam * Fraction(49, 16) == A
-        assert lam**4 * Fraction(1) == B
+    def test_square_part(self):
         # square reduction: (4^2 A, 4^4 B) comes back down
-        A2, B2, _ = normalize_shifted_ab(Fraction(49 * 16), Fraction(256 * 256))
-        assert (A2, B2) == (49, 256)
+        assert square_part(49 * 16, 256 * 256) == 4
+        # c is bounded by v_2(a) // 2 and by v_2(b) // 4
+        assert square_part(49 * 16, 2**8) == 4
+        assert square_part(49 * 16, 2**7) == 2
+        assert square_part(-3 * 5**6, -(5**4)) == 5
+        assert square_part(49, 256) == 1
 
     @given(
-        st.fractions(-(10**6), 10**6, max_denominator=10**4).filter(bool),
-        st.fractions(-(10**6), 10**6, max_denominator=10**4).filter(bool),
+        st.integers(-(10**6), 10**6).filter(bool),
+        st.integers(-(10**6), 10**6).filter(bool),
         st.integers(min_value=1, max_value=5 * 7 * 997),
     )
     @settings(max_examples=80, deadline=None)
-    def test_normalize_shifted_ab_square_reduced(self, A0, B0, k):
+    def test_square_part_square_reduced(self, a, b, k):
         # square content k^2, k^4 must come back out
-        A0, B0 = A0 * k * k, B0 * k**4
-        A, B, lam = normalize_shifted_ab(A0, B0)
-        assert A.denominator == 1 and B.denominator == 1
-        assert (A, B) == (lam * lam * A0, lam**4 * B0)
+        a, b = a * k * k, b * k**4
+        c = square_part(a, b)
+        assert c % k == 0 and a % (c * c) == 0 and b % c**4 == 0
+        A, B = a // (c * c), b // c**4
         for p in primes_below(1000):
             assert A % (p * p) != 0 or B % p**4 != 0
+
+    @given(
+        st.integers(0, 35),
+        st.fractions(-(10**4), 10**4, max_denominator=10**3),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_specialize_square_reduced(self, index, u):
+        fam = list(catalog().values())[index]
+        try:
+            s = fam.specialize(u)
+        except SingularMember:
+            return
+        assert (s.A, s.B) == (s.scale**2 * fam.A(u), s.scale**4 * fam.B(u))
+        for p in primes_below(1000):
+            assert s.A % (p * p) != 0 or s.B % p**4 != 0
+
+    def test_catalog_is_integral(self):
+        # specialize reads A and B off their integer coefficients
+        assert len(catalog()) == 36
+        for fam in catalog().values():
+            assert fam.A.den == fam.B.den == 1
+
+    def test_factors_only_the_gcd(self, monkeypatch):
+        fam = catalog()["Z8R2-1"]
+        u = Fraction(3, 1009 * 1013)
+        calls = []
+        real = families.factor
+        monkeypatch.setattr(families, "factor", lambda n, *a: calls.append(n) or real(n, *a))
+        s = fam.specialize(u)
+        q, e = u.denominator, families._clearing_exponent(fam)
+        a, b = q ** (2 * e) * fam.A(u), q ** (4 * e) * fam.B(u)
+        assert calls == [math.gcd(int(a), int(b))]
+        assert s.scale == Fraction(q**e, square_part(int(a), int(b)))
 
     def test_scale(self):
         fam = catalog()["Z8R2-2"]
@@ -626,6 +659,14 @@ class TestSpecialization:
         E = s.curve()
         for P in s.points + s.torsion_points:
             assert E.contains(P)
+
+    @pytest.mark.parametrize("label", ["Z8R2-1", "Z2x6R2-3"])
+    def test_budget_only_limits_the_square_strip(self, label):
+        # u's denominator 1009 * 1013 is not split at this budget, and the
+        # member is the one of the default budget, field by field
+        fam = catalog()[label]
+        u = Fraction(3, 1009 * 1013)
+        assert fam.specialize(u, FactorBudget(10, 0)) == fam.specialize(u)
 
     @pytest.mark.parametrize("label", ["Z8R2-1", "Z8R2-5", "Z2x6R2-1", "Z2x6R2-5"])
     def test_rank2_specialization_torsion(self, label):

@@ -430,6 +430,6 @@ class TestSingularMembers:
         def broken(*args):
             raise ValueError("not a degenerate member")
 
-        monkeypatch.setattr(families, "normalize_shifted_ab", broken)
+        monkeypatch.setattr(families, "square_part", broken)
         with pytest.raises(ValueError, match="not a degenerate member"):
             lattice_scan(specs["Z8-scan-2"])
