@@ -402,10 +402,13 @@ def factor_with_parts(
 
 
 def _coprime_pieces(values: list[int]) -> list[int]:
-    """Pairwise coprime integers > 1 with the same prime support as values.
+    """Pairwise coprime integers > 1 with the same prime support as values,
+    every value (each > 0) a product of powers of them.
 
     Replacing two pieces x, q with g = gcd(x, q) > 1, x/g and q/g shrinks
-    their product, so the splitting ends.
+    their product, so the splitting ends; x and q stay products of the
+    three, so every value stays a product of powers of the pieces, and for
+    each piece r and each prime p of r, v_p(value) = v_r(value)·v_p(r).
     """
     pieces: list[int] = []
     todo = list(values)

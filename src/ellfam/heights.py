@@ -8,7 +8,11 @@ height is half of ``v_p(den x)·log p``, which ``log den x`` already holds.
 At the few primes where Q reduces to a singular point, Silverman's closed
 form (*Math. Comp.* 51, 1988; Cohen, *GTM* 138, Alg. 7.5.7) gives the
 correction z_p from three valuations at Q itself, so no multiple of Q has
-to be moved to nonsingular reduction first.
+to be moved to nonsingular reduction first.  Those corrections are summed
+over a coprime base with no factoring (Silverman, "Computing canonical
+heights with little (or no) factorization", *Math. Comp.* 66, 1997): the
+budget reaches heights only through `minimal_model`, the one source of
+Unfactored here.
 
 Normalization: ``ĥ(P) = lim 4^(-n) · log H(x(2^n P))`` with ``H`` the naive
 multiplicative height of the x-coordinate, so ``ĥ(2P) = 4·ĥ(P)``.
@@ -21,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .arith import DEFAULT_BUDGET, FactorBudget, Unfactored, factor, valuation
+from .arith import DEFAULT_BUDGET, FactorBudget, _coprime_pieces, valuation
 from .curves import CurvePoint, WeierstrassCurve, division_poly
 from .localdata import minimal_model
 from .polyq import homogeneous_value
@@ -67,18 +71,20 @@ def _lambda_inf(E: WeierstrassCurve, x0: Fraction):
     return lam
 
 
-def _singular_corrections(
-    E: WeierstrassCurve, Q: CurvePoint, budget: FactorBudget
-) -> list[tuple[int, Fraction]]:
-    """(p, z) at each prime p where Q reduces to a singular point.
+def _singular_corrections(E: WeierstrassCurve, Q: CurvePoint) -> list[tuple[int, Fraction]]:
+    """(r, z) over pairwise coprime r whose primes are those where Q reduces
+    to a singular point; z·log r is the local height's correction to
+    log den x at the primes of r.
 
-    Such a prime divides both integralized partial derivatives at Q, so the
-    primes come from one small gcd — the (often enormous) discriminant is
-    never factored — and every prime left in it is singular.  z·log p is
-    the local height's correction to log den x at p (Silverman 1988),
-    from N = v_p(Δ), B = v_p(2y + a1x + a3) and
-    C = v_p(ψ3) on the minimal model E, with ψ3 from `division_poly`
-    homogenized at x.
+    Such a prime divides g, the gcd of both integralized partial
+    derivatives at Q and Δ, and does not divide e = √(den x).  Silverman's
+    z_p (1988) from N = v_p(Δ), B = v_p(2y + a1x + a3) and C = v_p(ψ3),
+    with ψ3 from `division_poly` homogenized at x, is homogeneous of degree
+    1 in (N, B, C).  Over a coprime base of g, e, Δ, f_y, ψ3 and c4 every
+    prime p of a piece r has v_p(X) = v_r(X)·v_p(r) for each of them, and
+    divides c4 exactly when r shares a factor with it, so
+    Σ_{p|r} z_p·log p = z(v_r)·log r and nothing is factored (Silverman,
+    *Math. Comp.* 66, 1997).
 
     Q must be affine and of order above 3: 2y + a1x + a3 vanishes only at
     2-torsion, ψ3 only at 3-torsion.
@@ -92,33 +98,26 @@ def _singular_corrections(
     assert b.denominator == 1, "integral model denominators must be cubes"
     b = b.numerator
     a1, a2, a3, a4 = (int(E.a1), int(E.a2), int(E.a3), int(E.a4))
-    disc = int(E.disc)
+    disc, c4 = int(E.disc), int(E.c4)
     fy = 2 * b + a1 * a * e + a3 * e**3
     fx = a1 * b * e - 3 * a * a - 2 * a2 * a * e * e - a4 * e**4
     g = math.gcd(fy, fx, disc)
-    # strip denominator primes: they reduce Q to the smooth point at infinity
-    d = math.gcd(g, e)
-    while d > 1:
-        while g % d == 0:
-            g //= d
-        d = math.gcd(g, e)
-    if g == 1:
-        return []
-    fi = factor(g, budget)
-    if not fi.complete:
-        raise Unfactored("singular-prime gcd factorization incomplete")
+    # E is integral, so ψ3 has den 1
+    psi3 = homogeneous_value(division_poly(E, 3).ints, a, e2)
     out = []
-    for p, _exp in fi.factors:
-        N = valuation(disc, p)
-        B = valuation(fy, p)
-        if int(E.c4) % p:  # multiplicative
+    for r in _coprime_pieces([abs(v) for v in (g, e, disc, fy, psi3, c4) if v]):
+        # primes of e reduce Q to the smooth point at infinity
+        if g % r or math.gcd(r, e) > 1:
+            continue
+        N = valuation(disc, r)
+        B = valuation(fy, r)
+        if math.gcd(c4, r) == 1:  # multiplicative
             M = min(Fraction(B), Fraction(N, 2))
             z = M * (M - N) / N
         else:  # additive
-            # E is integral, so ψ3 has den 1
-            C = valuation(homogeneous_value(division_poly(E, 3).ints, a, e2), p)
+            C = valuation(psi3, r)
             z = Fraction(-2 * B, 3) if C >= 3 * B else Fraction(-C, 4)
-        out.append((p, z))
+        out.append((r, z))
     return out
 
 
@@ -133,11 +132,9 @@ def _on_minimal(
     return Emin, qs
 
 
-def _height_on_minimal(
-    Emin: WeierstrassCurve, Q: CurvePoint, budget: FactorBudget
-) -> float:
+def _height_on_minimal(Emin: WeierstrassCurve, Q: CurvePoint) -> float:
     """ĥ(Q) for Q on the minimal model Emin: 0 at torsion, else
-    2·λ∞(x) + log den x + Σ z·log p over the singular primes."""
+    2·λ∞(x) + log den x + Σ z·log r over the singular pieces."""
     import mpmath as mp
 
     if Q.is_infinity or Emin.point_order(Q) is not None:
@@ -145,8 +142,8 @@ def _height_on_minimal(
     x = Fraction(Q.x)
     with mp.workdps(_WORK_DPS):
         h = 2 * _lambda_inf(Emin, x) + mp.log(x.denominator)
-        for p, z in _singular_corrections(Emin, Q, budget):
-            h += mp.mpf(z.numerator) / z.denominator * mp.log(p)
+        for r, z in _singular_corrections(Emin, Q):
+            h += mp.mpf(z.numerator) / z.denominator * mp.log(r)
         return float(h)
 
 
@@ -155,12 +152,14 @@ def canonical_height(
 ) -> float:
     """Canonical height ĥ(P), within DEFAULT_EPS.
 
-    Raises Unfactored when `minimal_model` cannot certify the minimal
-    model, or when the gcd that holds the singular primes of P cannot be
-    factored within budget.
+    The corrections at singular primes are summed over a coprime base,
+    with no factoring (Silverman 1997).  The budget serves only
+    `minimal_model`, which must find the primes whose fourth power divides
+    gcd(c4, c6); Unfactored is raised only when it cannot certify the
+    minimal model within budget.
     """
     Emin, (Q,) = _on_minimal(E, [P], budget)
-    return _height_on_minimal(Emin, Q, budget)
+    return _height_on_minimal(Emin, Q)
 
 
 @dataclass(frozen=True)
@@ -203,15 +202,17 @@ class HeightPairingMatrix:
 def pairing_matrix(
     E: WeierstrassCurve, pts: Sequence[CurvePoint], budget: FactorBudget = DEFAULT_BUDGET
 ) -> HeightPairingMatrix:
-    """Néron–Tate pairing matrix ⟨Pᵢ, Pⱼ⟩ = (ĥ(Pᵢ+Pⱼ) − ĥ(Pᵢ) − ĥ(Pⱼ))/2."""
+    """Néron–Tate pairing matrix ⟨Pᵢ, Pⱼ⟩ = (ĥ(Pᵢ+Pⱼ) − ĥ(Pᵢ) − ĥ(Pⱼ))/2.
+
+    The budget serves only `minimal_model`, as in `canonical_height`."""
     Emin, qs = _on_minimal(E, pts, budget)
-    heights = [_height_on_minimal(Emin, Q, budget) for Q in qs]
+    heights = [_height_on_minimal(Emin, Q) for Q in qs]
     n = len(qs)
     entries = [[0.0] * n for _ in range(n)]
     for i in range(n):
         entries[i][i] = heights[i]
         for j in range(i + 1, n):
-            hij = _height_on_minimal(Emin, Emin.add(qs[i], qs[j], check=False), budget)
+            hij = _height_on_minimal(Emin, Emin.add(qs[i], qs[j], check=False))
             entries[i][j] = entries[j][i] = (hij - heights[i] - heights[j]) / 2
     return HeightPairingMatrix(
         points=tuple(pts),
@@ -222,7 +223,8 @@ def pairing_matrix(
 def regulator(
     E: WeierstrassCurve, pts: Sequence[CurvePoint], budget: FactorBudget = DEFAULT_BUDGET
 ) -> float:
-    """Gram determinant of the height pairing on pts."""
+    """Gram determinant of the height pairing on pts; the budget serves
+    only `minimal_model`."""
     return pairing_matrix(E, pts, budget).gram_determinant()
 
 
@@ -230,5 +232,5 @@ def independence_certificate(
     E: WeierstrassCurve, pts: Sequence[CurvePoint], budget: FactorBudget = DEFAULT_BUDGET
 ) -> str:
     """The certificate (HeightPairingMatrix.certificate) of pts' pairing
-    matrix."""
+    matrix; the budget serves only `minimal_model`."""
     return pairing_matrix(E, pts, budget).certificate()

@@ -1,4 +1,4 @@
-"""Quadratic sections: divisor conditions, conics, and quartic-to-cubic maps.
+"""Quadratic sections: section conditions, conics, and quartic-to-cubic maps.
 
 A family y^2 = x^3 + A x^2 + B x acquires a new section at x = d whenever
 d + A + B/d is a square.  The degree-2 conditions are conics, solved and
@@ -32,62 +32,8 @@ class DegenerateQuartic(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# divisor-driven conditions
+# section conditions
 # ---------------------------------------------------------------------------
-
-
-def _divisors_of(n: int) -> list[int]:
-    fi = factor(n)
-    if not fi.complete:
-        raise Unfactored(f"cannot enumerate divisors of {n}")
-    divs = [1]
-    for p, e in fi.factors:
-        divs = [d * p**k for d in divs for k in range(e + 1)]
-    return sorted(divs)
-
-
-def divisor_conditions(family, *, limit: int = 4096) -> list[tuple[RatFunc, PolyQ]]:
-    """Enumerate candidate sections x = d over the divisors d of B.
-
-    For each divisor d = unit * (product of polynomial factors of B) the
-    squarefree part of d + A + B/d is returned; a new section at x = d
-    exists exactly when that polynomial takes a square value.
-    """
-    A, B = family.A, family.B
-    content, parts = B.factor()
-    if content.denominator != 1:
-        raise ValueError("expected an integer-content B")
-    unit_divs = _divisors_of(abs(content.numerator))
-    shape = list(parts)
-    count = 2 * len(unit_divs)
-    for _f, e in shape:
-        count *= e + 1
-    if count > limit:
-        raise ValueError(
-            f"divisor enumeration would produce {count} candidates (limit {limit})"
-        )
-    out: list[tuple[RatFunc, PolyQ]] = []
-    seen: set[str] = set()
-    exp_ranges = [range(e + 1) for _f, e in shape]
-    for unit in unit_divs:
-        for sign in (1, -1):
-            for exps in itertools.product(*exp_ranges):
-                d_poly = PolyQ.const(Fraction(sign * unit), A.var)
-                for (f, _e), k in zip(shape, exps):
-                    if k:
-                        d_poly = d_poly * f**k
-                d = RatFunc(d_poly)
-                cond_rf = d + RatFunc(A) + RatFunc(B) / d
-                cond = cond_rf.as_poly()
-                if cond.is_zero():
-                    continue
-                _s, core = square_decompose_poly(cond)
-                key = str(core)
-                if key in seen:
-                    continue
-                seen.add(key)
-                out.append((d, core))
-    return out
 
 
 def section_condition(family, x: RatFunc) -> PolyQ:

@@ -455,6 +455,37 @@ class TestFactorWithParts:
             factor_with_parts(0, [2])
 
 
+# small shared primes, so that every input and every piece factors by trial
+COPRIME_POOL = (2, 3, 5, 7, 1009, 7919)
+
+
+class TestCoprimePieces:
+    @given(
+        st.lists(
+            st.lists(
+                st.integers(min_value=0, max_value=4),
+                min_size=len(COPRIME_POOL),
+                max_size=len(COPRIME_POOL),
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_base_of_shared_prime_powers(self, exps):
+        values = [math.prod(p**e for p, e in zip(COPRIME_POOL, row)) for row in exps]
+        pieces = arith._coprime_pieces(values)
+        assert all(r > 1 for r in pieces)
+        assert all(math.gcd(r, s) == 1 for i, r in enumerate(pieces) for s in pieces[:i])
+        support = {p for v in values for p in factor(v).primes()}
+        assert {p for r in pieces for p in factor(r).primes()} == support
+        # every value is homogeneous on every piece: v_p = v_r * v_p(r)
+        for v in values:
+            for r in pieces:
+                k = valuation(v, r)
+                assert all(valuation(v, p) == k * e for p, e in factor(r).factors)
+
+
 class TestSquareTest:
     def test_rational_square(self):
         assert square_test(Fraction(169, 36)) == Fraction(13, 6)

@@ -650,8 +650,8 @@ class TestSpecialization:
 
     @pytest.mark.parametrize("label", ["Z8R2-1", "Z2x6R2-3"])
     def test_unfactored_denominator_is_cleared(self, label):
-        # 1009 * 1013 is above the trial bound 10 and rho is off: the
-        # residue goes into the scale whole, so A and B stay exact
+        # 1009 * 1013 is above the trial bound 10 and rho is off, but u is
+        # cleared by q^s with no factoring, so A and B stay exact
         fam = catalog()[label]
         u = Fraction(3, 1009 * 1013)
         s = fam.specialize(u, FactorBudget(10, 0))

@@ -5,15 +5,18 @@ from fractions import Fraction
 
 import pytest
 
-from ellfam.curves import CurvePoint, WeierstrassCurve
+from ellfam.arith import DEFAULT_BUDGET, factor, valuation
+from ellfam.curves import CurvePoint, WeierstrassCurve, division_poly
 from ellfam.families import catalog
 from ellfam.heights import (
+    _singular_corrections,
     canonical_height,
     independence_certificate,
     pairing_matrix,
     regulator,
 )
 from ellfam.localdata import minimal_model
+from ellfam.polyq import homogeneous_value
 
 
 def pt(x, y):
@@ -67,6 +70,33 @@ def naive_limit_height(E, P, steps=9):
         g = math.gcd(num, den)
         a, b = num // g, den // g
     return math.log(max(abs(a), abs(b))) / 4**steps
+
+
+def prime_corrections(E, Q):
+    """{p: z_p} over the factored primes of the singular gcd g, one
+    valuation per prime (Silverman 1988): the reference that the
+    coprime-base sum must reproduce."""
+    x = Fraction(Q.x)
+    e = math.isqrt(x.denominator)
+    a, b = x.numerator, int(Q.y * e**3)
+    a1, a2, a3, a4 = (int(E.a1), int(E.a2), int(E.a3), int(E.a4))
+    disc = int(E.disc)
+    fy = 2 * b + a1 * a * e + a3 * e**3
+    fx = a1 * b * e - 3 * a * a - 2 * a2 * a * e * e - a4 * e**4
+    psi3 = homogeneous_value(division_poly(E, 3).ints, a, e * e)
+    fi = factor(math.gcd(fy, fx, disc))
+    assert fi.complete
+    out = {}
+    for p in fi.primes():
+        if e % p == 0:
+            continue
+        N, B, C = valuation(disc, p), valuation(fy, p), valuation(psi3, p)
+        if int(E.c4) % p:
+            M = min(Fraction(B), Fraction(N, 2))
+            out[p] = M * (M - N) / N
+        else:
+            out[p] = Fraction(-2 * B, 3) if C >= 3 * B else Fraction(-C, 4)
+    return out
 
 
 class TestKnownValues:
@@ -129,6 +159,39 @@ class TestQuadraticity:
         h1 = canonical_height(E389, pt(0, -1))
         h3 = canonical_height(E389, E389.mul(3, pt(0, -1)))
         assert abs(h3 - 9 * h1) < 5e-10
+
+
+class TestSingularCorrections:
+    def test_coprime_base_sum_matches_primes(self):
+        # on each rank-2 member at its spec hint, z over a piece r is each
+        # prime's z_p / v_p(r), so Σ z·log r over the pieces equals
+        # Σ z_p·log p over the primes of g, term by term
+        seen = 0
+        for label, fam in catalog().items():
+            if fam.rank != 2:
+                continue
+            sp = fam.specialize(fam.spec_hint)
+            E = sp.curve()
+            P, Q = sp.points
+            Emin, pm = minimal_model(E)
+            for R in (P, Q, E.add(P, Q)):
+                R = pm.forward(R)
+                spread = {}
+                for r, z in _singular_corrections(Emin, R):
+                    for p, k in factor(r).factors:
+                        spread[p] = z * k
+                ref = prime_corrections(Emin, R)
+                assert spread == ref, label
+                seen += len(ref)
+        assert seen > 0
+
+    def test_unsplit_singular_gcd_is_no_obstacle(self):
+        # at this member the singular gcd does not split within the default
+        # budget; the corrections need no prime of it
+        fam = catalog()["Z8R2-1"]
+        sp = fam.specialize(Fraction(-341795, 540619))
+        M = pairing_matrix(sp.curve(), list(sp.points), DEFAULT_BUDGET)
+        assert M.certificate() == "independent"
 
 
 class TestParallelogram:

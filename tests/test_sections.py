@@ -6,13 +6,12 @@ from fractions import Fraction
 import pytest
 
 from ellfam.curves import INFINITY, WeierstrassCurve, isomorphic_over_Q
-from ellfam.families import catalog, model_z8
+from ellfam.families import catalog
 from ellfam.polyq import PolyQ, RatFunc, square_decompose_poly
 from ellfam.sections import (
     Conic,
     DegenerateQuartic,
     QuarticModel,
-    divisor_conditions,
     local_obstruction,
     parametrize_conic,
     quartic_jacobian,
@@ -30,29 +29,6 @@ def same_square_class(p: PolyQ, q: PolyQ) -> bool:
 
 
 class TestDivisorConditions:
-    def test_base_family_known_conditions(self):
-        conds = divisor_conditions(model_z8())
-        cores = {str(c) for _d, c in conds}
-        # x = 4v^4 gives the condition 4v^2 - 4v + 5
-        assert any(same_square_class(c, 4 * v**2 - 4 * v + 5) for _d, c in conds)
-        # x = -(v-1)v gives a condition equivalent to 1 + v - v^2
-        assert any(same_square_class(c, 1 + v - v**2) for _d, c in conds)
-        assert cores  # non-empty enumeration
-
-    def test_dual_divisors_share_condition(self):
-        fam = model_z8()
-        conds = dict()
-        for d, c in divisor_conditions(fam):
-            conds[str(d)] = c
-        B = RatFunc(fam.B)
-        # d = 1 and d = B produce the same deduplicated condition, so B is
-        # not listed separately
-        assert str(B) not in conds or conds[str(B)] == conds["1"]
-
-    def test_limit_guard(self):
-        with pytest.raises(ValueError):
-            divisor_conditions(catalog()["Z8R2-1"], limit=10)
-
     def test_known_second_point_conditions(self):
         from ellfam.sections import section_condition
 
