@@ -8,11 +8,15 @@ y^2 = x^3 + Ax^2 + Bx shape and carrying the torsion generator along.
 Every further family in the catalog is produced by substituting a rational
 function into the parameter and renormalizing.  One clearing rule serves a
 substitution u = n/d and a member at a number u = p/q alike: scale by d^s
-(or q^s), then strip the square part c (square_part).  The section points
-(x-coordinates of infinite-order points) are the only data that cannot be
-derived and are stored explicitly.  Transported points and lifted sections
-are formed already reduced (polyq.reduced_substitute, verify_section), so a
-substitution takes no polynomial gcd.
+(or q^s), then strip the square part c (square_part).  A catalog row
+stores only what cannot be derived: its substitution and the abscissas of
+its sections, each written in the parent's parameter wherever it is a
+function of it (then the substitution transports it).  The y-coordinates
+are exact square roots, and a rank-1 row's square condition is the conic
+that its substitution parametrizes (_parametrized_conic).  Transported
+points and lifted sections are formed already reduced
+(polyq.reduced_substitute, verify_section), so a substitution takes no
+polynomial gcd.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
-from .arith import DEFAULT_BUDGET, FactorBudget, factor, valuation
+from .arith import DEFAULT_BUDGET, FactorBudget, factor, squarefree_decompose, valuation
 from .curves import INFINITY, CurvePoint, WeierstrassCurve
 from .polyq import (
     PolyQ,
@@ -88,6 +92,11 @@ class CurveFamily:
     substitution: Optional[RatFunc] = None
     condition: Optional[PolyQ] = None
     spec_hint: Optional[Fraction] = None
+
+    def __post_init__(self):
+        # specialize reads A and B off their integer coefficients
+        if self.A.den != 1 or self.B.den != 1:
+            raise ValueError(f"{self.label}: A and B must have integer coefficients")
 
     @property
     def var(self) -> str:
@@ -230,8 +239,7 @@ def substitute_parameter(
     family: CurveFamily,
     sub: RatFunc,
     label: str,
-    sections: Sequence[RatFunc] = (),
-    lift_sections: Sequence[RatFunc] = (),
+    sections: Sequence[RatFunc | PolyQ] = (),
     condition: Optional[PolyQ] = None,
     spec_hint: Optional[Fraction | int] = None,
 ) -> CurveFamily:
@@ -241,14 +249,16 @@ def substitute_parameter(
     (l^2 x, l^3 y) with l = d^s, where d is the integer denominator of the
     substitution and s = _clearing_exponent(family); then the square part
     c of the two integer contents is stripped, so l = d^s / c, as in
-    CurveFamily.specialize.  Torsion generators are
-    transported, each coordinate (d^s / c)^w f(n/d) formed reduced for
-    coprime n and d; ``sections`` provides the x-coordinates of new
-    infinite-order points (their y-coordinates must exist in the new
-    function field), and ``lift_sections`` provides x-coordinates still
-    written in the parent's parameter (they only acquire rational
-    y-coordinates after the substitution).
+    CurveFamily.specialize.  Torsion generators are transported, each
+    coordinate (d^s / c)^w f(n/d) formed reduced for coprime n and d.
+    ``sections`` gives the x-coordinates of infinite-order points, in order:
+    one written in the family's variable is transported the same way (it
+    acquires a rational y-coordinate only after the substitution), one
+    written in the substitution's variable is taken as is.  Each y is the
+    exact square root that verify_section finds.
     """
+    if sections and family.var == sub.var:
+        raise ValueError(f"{label}: the parameter must be renamed to place the sections")
     n, d = _integer_pair(sub)
     s = _clearing_exponent(family)
     Ap = reduced_substitute(family.A, n, d, 2 * s).num
@@ -278,9 +288,27 @@ def substitute_parameter(
     if not new.verify():
         raise ValueError(f"transported points left the curve for {label}")
     # each section is proven by the exact square root that lifts it
-    pts = [verify_section(new, scaled(x, 2)) for x in lift_sections]
-    pts += [verify_section(new, x) for x in sections]
+    pts = (verify_section(new, scaled(x, 2) if x.var == family.var else x) for x in sections)
     return replace(new, sections=tuple(pts))
+
+
+def _parametrized_conic(sub: RatFunc, var: str) -> PolyQ:
+    """The conic in ``var`` that the quadratic substitution var = n(w)/d(w)
+    parametrizes: n - var*d = a w^2 + b w + c has the root w0 at
+    var = n(w0)/d(w0), so its discriminant b^2 - 4ac is a square there.
+    Normalized as in sections.section_condition (free * P for P primitive
+    with a positive leading coefficient, free the squarefree part of the
+    content) by a content strip alone, with no gcd over Z[var].
+    """
+    n, d = _integer_pair(sub)
+    if max(n.degree, d.degree) > 2:
+        raise ValueError("the substitution is not quadratic")
+    (n0, n1, n2), (d0, d1, d2) = ((list(f.ints) + [0, 0])[:3] for f in (n, d))
+    disc = PolyQ([n1 * n1 - 4 * n0 * n2, 4 * (n0 * d2 + n2 * d0) - 2 * n1 * d1,
+                  d1 * d1 - 4 * d0 * d2], var)
+    g = math.gcd(*disc.ints) * (1 if disc.leading() > 0 else -1)
+    _root, free = squarefree_decompose(g)
+    return PolyQ([free * x // g for x in disc.ints], var)
 
 
 def verify_section(family: CurveFamily, x: RatFunc | PolyQ) -> CurvePoint:
@@ -363,98 +391,64 @@ def model_z2x6() -> CurveFamily:
 # -- catalog --------------------------------------------------------------
 
 def _z8_rank1_data():
-    """(section x(v), square condition c(v), substitution v(w)) per entry."""
+    """(section x(v), substitution v(w)) per entry; the square condition is
+    the conic that v(w) parametrizes."""
     v = PolyQ.variable("v")
     w = PolyQ.variable("w")
     return [
-        (4 * v**4,
-         4 * v**2 - 4 * v + 5,
-         (5 - w * w) / (4 * (w + 1))),
-        (-(v - 1) * v,
-         1 + v - v * v,
-         (w - 2) * w / (w * w + 1)),
-        (-4 * v**3 * (3 * v - 2),
-         -(2 + v) * (3 * v - 2),
-         -2 * (w - 1) * (w + 1) / (w * w + 3)),
-        (16 * (v - 1) ** 2 * v**2 * (1 - 2 * v + 2 * v * v),
-         1 - 2 * v + 2 * v * v,
-         (w - 2) * w / (w * w - 2)),
-        (-2 * v**2 * (2 * v * v - 1),
-         1 - 2 * v * v,
-         -2 * w / (w * w + 2)),
-        (-((v - 1) ** 2) * (1 - 6 * v + 4 * v * v),
-         -1 + 6 * v - 4 * v * v,
-         (w * w - 2 * w + 2) / (w * w + 4)),
-        (-4 * (v - 1) ** 4 * (6 * v - 1) / (2 * v - 3),
-         -(2 * v - 3) * (6 * v - 1),
-         (3 * w * w + 1) / (2 * (w * w + 3))),
-        (-4 * (v - 1) ** 4 * (4 * v - 1) / (4 * v - 3),
-         -(4 * v - 3) * (4 * v - 1),
-         (w * w + 3) / (4 * (w * w + 1))),
+        (4 * v**4, (5 - w * w) / (4 * (w + 1))),
+        (-(v - 1) * v, (w - 2) * w / (w * w + 1)),
+        (-4 * v**3 * (3 * v - 2), -2 * (w - 1) * (w + 1) / (w * w + 3)),
+        (16 * (v - 1) ** 2 * v**2 * (1 - 2 * v + 2 * v * v), (w - 2) * w / (w * w - 2)),
+        (-2 * v**2 * (2 * v * v - 1), -2 * w / (w * w + 2)),
+        (-((v - 1) ** 2) * (1 - 6 * v + 4 * v * v), (w * w - 2 * w + 2) / (w * w + 4)),
+        (-4 * (v - 1) ** 4 * (6 * v - 1) / (2 * v - 3), (3 * w * w + 1) / (2 * (w * w + 3))),
+        (-4 * (v - 1) ** 4 * (4 * v - 1) / (4 * v - 3), (w * w + 3) / (4 * (w * w + 1))),
         (-((v - 1) ** 4) * (8 * v - 5) * (18 * v - 5) / (4 * (3 * v - 2) ** 2),
-         -(8 * v - 5) * (18 * v - 5),
          5 * (w * w + 1) / (2 * (4 * w * w + 9))),
-        ((-4 * v * v + 4 * v + 1) * Fraction(1, 8),
-         -2 * (4 * v * v - 4 * v - 1),
-         (w * w - 4 * w + 2) / (2 * (w * w + 2))),
+        ((-4 * v * v + 4 * v + 1) * Fraction(1, 8), (w * w - 4 * w + 2) / (2 * (w * w + 2))),
         (-((v - 1) ** 2) * (2 * v - 5) ** 2 * (36 * v * v - 70 * v + 25) / (6 * v - 7) ** 2,
-         -25 + 70 * v - 36 * v * v,
          (w * w - 6 * w + 34) / (w * w + 36)),
         (-4 * (v - 1) ** 3 * v * (2 * v + 1) ** 2 / (2 * v - 3) ** 2,
-         -16 * (28 * v * v - 28 * v - 9),
          -2 * (3 * w - 14) / (w * w + 28)),
         (-4 * (v - 1) ** 3 * v * (10 * v - 1) / (10 * v - 9),
-         (10 * v - 9) * (10 * v - 1),
          (3 * w - 1) * (3 * w + 1) / (10 * (w - 1) * (w + 1))),
-        (-(v - 1) * v * Fraction(27, 2),
-         -6 * (v - 3) * (v + 2),
-         -2 * (w - 3) * (w + 3) / (w * w + 6)),
+        (-(v - 1) * v * Fraction(27, 2), -2 * (w - 3) * (w + 3) / (w * w + 6)),
         (-((16 * v * v - 16 * v + 1) ** 2) * Fraction(1, 64),
-         7 - 128 * v + 128 * v * v,
          -(w * w + 80 * w + 1152) / (8 * (w * w - 128))),
         ((v - 1) ** 2 * (4 * v - 1) ** 2 * (10 * v - 1) / (8 * (3 * v - 1)),
-         2 * (3 * v - 1) * (10 * v - 1),
          (2 * w * w - 1) / (2 * (3 * w * w - 5))),
         (-((v - 1) ** 2) * (2 * v + 1) ** 2 * (8 * v + 1) / (8 * (v - 3)),
-         -2 * (v - 3) * (8 * v + 1),
          (6 * w * w - 1) / (2 * (w * w + 4))),
         (4 * (4 * v - 3) ** 2 * (10 * v - 9) * (18 * v * v - 26 * v + 9) ** 2
          / ((6 * v - 5) ** 2 * (18 * v - 13)),
-         (10 * v - 9) * (18 * v - 13),
          (9 * w * w - 13) / (2 * (5 * w * w - 9))),
     ]
 
 
 def _z8_rank2_data():
-    """(parent index, substitution w(u), condition in w, spec value, [X1, X2])."""
+    """(parent index, substitution w(u), condition in w, spec value,
+    [x1, x2]): each section's abscissa in the parent's w where it is a
+    function of w, else in u, in the rank-2 model's coordinates."""
     u = PolyQ.variable("u")
     w = PolyQ.variable("w")
     return [
         (3, (11 - u * u) / (10 * u), 25 * w * w + 11, 22,
-         [-16 * (u - 11) ** 3 * (u - 1) * (u + 1) ** 3 * (u + 11)
-          * (3 * u**4 + 34 * u * u + 363) ** 2,
-          (u - 11) ** 2 * (u - 1) ** 2 * (u + 1) ** 2 * (u + 11) ** 2
-          * (u * u + 11) ** 2 * (7 * u**4 + 346 * u * u + 847) ** 2
-          / (64 * u * u)]),
+         [-16 * (w - 1) * (w + 1) ** 3 * (3 * w * w + 1) ** 2,
+          (w - 1) ** 2 * (w + 1) ** 2 * (7 * w * w + 5) ** 2 * (25 * w * w + 11)
+          * Fraction(1, 16)]),
         (3, (u * u - 12 * u + 29) / (u * u - 29), 29 * w * w + 7, 19,
-         [16 * (u - 6) * u * (6 * u - 29) ** 3
-          * (u**4 - 18 * u**3 + 137 * u * u - 522 * u + 841) ** 2,
-          (u - 6) ** 2 * u * u * (6 * u - 29) ** 2 * (3 * u * u - 29 * u + 87) ** 2
-          * (3 * u**4 - 66 * u**3 + 541 * u * u - 1914 * u + 2523) ** 2
-          / (4 * (u * u - 12 * u + 29) ** 2)]),
+         [-16 * (w - 1) ** 3 * (w + 1) * (3 * w * w + 1) ** 2,
+          (w - 1) ** 2 * (w + 1) ** 2 * (11 * w * w + 1) ** 2 * (29 * w * w + 7)
+          / (16 * w * w)]),
         (3, (u * u - 12 * u + 15) / (u * u - 15),
          -(w - 1) * (w + 1) * (3 * w * w + 1), 11,
-         [1728 * (u - 6) ** 3 * u**3 * (2 * u - 5) ** 3 * (u * u - 12 * u + 15) ** 2,
-          81 * (u - 6) * u * (2 * u - 5) * (u * u - 15 * u + 75) * (u * u - 3 * u + 3)
-          * (u**4 - 6 * u**3 + 21 * u * u - 90 * u + 225) ** 2]),
+         [-256 * w * w * (w - 1) ** 3 * (w + 1) ** 3,
+          -27 * (w - 1) * (w + 1) * (w * w + 3) ** 2 * (3 * w * w + 1)]),
         (12, -(u - 28) * (u + 28) / (2 * (u - 63)), None, 17,
-         [16 * (u - 63) * (u - 28) ** 3 * (u - 14) ** 3 * (u + 2) ** 3 * (u + 28) ** 3
-          * (u + 42) * (3 * u - 98)
-          * (u**4 + 24 * u**3 - 2744 * u * u - 61152 * u + 3133648) ** 2
-          / (3 * u**4 - 24 * u**3 - 3080 * u * u + 4704 * u + 1103088) ** 2,
-          -1024 * (u - 63) ** 2 * (u - 28) ** 3 * (u - 14) ** 2 * (u + 2) ** 2
-          * (u + 28) ** 3 * (u + 42) ** 3 * (3 * u - 98) ** 3
-          / (u * u - 28 * u + 980) ** 2]),
+         [-8 * w**3 * (w + 6) ** 3 * (3 * w - 14) * (w * w - 12 * w + 84) ** 2
+          / (3 * w * w + 12 * w + 28) ** 2,
+          -256 * w**3 * (w + 6) ** 2 * (3 * w - 14) ** 3 / (w + 14) ** 2]),
         (13, -(3 * u * u - 80 * u + 510) / (u * u - 170),
          10 * (17 * w * w + 7), 3,
          [-u * (3 * u - 40) * (4 * u - 51) ** 4 * (2 * u * u - 60 * u + 425)
@@ -463,12 +457,8 @@ def _z8_rank2_data():
           * (35 * u**3 - 1236 * u * u + 14620 * u - 57800) ** 2]),
         (17, 3 * (u * u - 20 * u + 60) / (2 * (u * u - 60)),
          30 * (2 * w * w + 3), -48,
-         [104976 * (u - 10) ** 2 * (u - 6) ** 2 * u * u * (u * u - 20 * u + 60) ** 2
-          * (5 * u**4 - 168 * u**3 + 2088 * u * u - 10080 * u + 18000) ** 2
-          / (u * u - 60) ** 2,
-          1944 * (u - 10) * (u - 6) * u * (u * u - 36 * u + 300)
-          * (5 * u * u - 36 * u + 60)
-          * (5 * u**4 - 72 * u**3 + 552 * u * u - 4320 * u + 18000) ** 2]),
+         [w * w * (2 * w - 3) ** 2 * (2 * w + 3) ** 2 * (7 * w * w + 3) ** 2 * Fraction(1, 4),
+          -(2 * w - 3) * (2 * w + 3) * (w * w + 4) ** 2 * (6 * w * w - 1) * Fraction(27, 2)]),
         (18, (u * u - 6 * u + 21) / (u * u - 14 * u + 21),
          7 * w * w - 3, 10,
          [(u * u - 8 * u + 3) ** 2
@@ -481,64 +471,45 @@ def _z8_rank2_data():
 
 
 def _z2x6_rank1_data():
+    """(section x(v), substitution v(w)) per entry, as for Z/8."""
     v = PolyQ.variable("v")
     w = PolyQ.variable("w")
     return [
-        (16 * (v - 2) * (1 + v) ** 2,
-         3 * (v - 2) * v,
-         -6 / (w * w - 3)),
-        (64 * (v - 1) ** 2 * (v + 1) ** 3 / (v + 5) ** 2,
-         -6 * (v - 7) * (3 + v),
-         3 * (14 * w * w - 1) / (6 * w * w + 1)),
-        ((1 + v) ** 2 * (7 - 4 * v + v * v) ** 2,
-         6 - 2 * v + v * v,
-         (2 * w * w - 4 * w - 1) / (2 * w - 3)),
+        (16 * (v - 2) * (1 + v) ** 2, -6 / (w * w - 3)),
+        (64 * (v - 1) ** 2 * (v + 1) ** 3 / (v + 5) ** 2, 3 * (14 * w * w - 1) / (6 * w * w + 1)),
+        ((1 + v) ** 2 * (7 - 4 * v + v * v) ** 2, (2 * w * w - 4 * w - 1) / (2 * w - 3)),
         ((v - 1) * (v + 1) * (3 * v - 1) ** 2 * Fraction(64, 3),
-         6 * (2 * v - 1) * (7 * v - 1),
          (6 * w * w - 1) / (12 * w * w - 7)),
     ]
 
 
 def _z2x6_rank2_data():
+    """Rows as for Z/8."""
     u = PolyQ.variable("u")
     w = PolyQ.variable("w")
     return [
         (1, 3 * (u * u - 8 * u + 14) / (u * u - 14),
          -(w * w - 3) * (7 * w * w + 9), 15,
-         [-27 * (u - 4) ** 2 * u * u * (2 * u - 7) ** 2 * (u * u - 8 * u + 14) ** 2
-          * (u**4 - 24 * u**3 + 152 * u * u - 336 * u + 196),
-          -(u - 4) ** 2 * u * u * (2 * u - 7) ** 2 * (u * u - 7 * u + 14) ** 2
-          * (u**4 - 24 * u**3 + 152 * u * u - 336 * u + 196) * Fraction(27, 4)]),
+         [-32 * w * w * (w - 3) ** 2 * (w + 3) ** 2 * (w * w - 3),
+          -((w - 3) ** 2) * (w + 3) ** 2 * (w * w - 3) * (7 * w * w + 9)]),
         (1, (u * u - 8 * u + 6) / (u * u - 6),
          (w * w - 9) * (w * w - 3) * (7 * w * w + 9), 17,
-         [(u - 3) ** 2 * (u - 2) ** 2 * (u + 1) ** 2 * (u + 6) ** 2
-          * (u * u - 8 * u + 6) ** 2
-          * (u**4 + 8 * u**3 - 56 * u * u + 48 * u + 36),
-          (u - 3) * (u - 2) * (u + 1) * (u + 6)
-          * (u**4 + 8 * u**3 - 56 * u * u + 48 * u + 36)
-          * (2 * u**4 - 14 * u**3 + 53 * u * u - 84 * u + 72) ** 2 * Fraction(1, 4)]),
+         [-32 * w * w * (w - 3) ** 2 * (w + 3) ** 2 * (w * w - 3),
+          (w - 3) * (w + 3) * (w * w - 3) * (7 * w * w + 9) ** 2]),
         (2, (u * u - 30 * u + 180) / (3 * (u * u - 180)),
          (36 * w * w + 1) * (48 * w * w - 7), 22,
-         [18432 * (u - 15) ** 2 * (u - 12) ** 2 * u * u
-          * (u**4 - 96 * u**3 + 2232 * u * u - 17280 * u + 32400) ** 3
-          * (u**4 - 24 * u**3 + 288 * u * u - 4320 * u + 32400)
-          / (u * u - 24 * u + 180) ** 4,
-          -15552 * (u - 15) ** 2 * (u - 12) ** 2 * u * u * (u * u - 24 * u + 180) ** 2
-          * (u**4 + 192 * u**3 - 5544 * u * u + 34560 * u + 32400)]),
+         [128 * (3 * w - 1) ** 2 * (3 * w + 1) ** 2 * (6 * w * w + 1) * (24 * w * w - 1) ** 3
+          / (36 * w * w + 1) ** 2,
+          4 * (3 * w - 1) ** 2 * (3 * w + 1) ** 2 * (36 * w * w + 1) * (48 * w * w - 7)]),
         (3, -(4 * u + 9) / (u * u - 3), None, 19,
-         [-4 * (u - 6) * u * (u + 2) * (3 * u + 4) * (u * u + 3 * u + 1)
-          * (u * u + 9 * u + 9)
-          * (2 * u**4 + 8 * u**3 + 22 * u * u + 48 * u + 45) ** 2,
-          (6 - u) * (2 + u) * (1 + 3 * u + u * u) * (9 + 9 * u + u * u)
-          * (3 + 4 * u + 2 * u * u) ** 3 * (21 + 12 * u + 2 * u * u)
-          * (9 + 8 * u + 3 * u * u)]),
+         [4 * (w - 3) * (w + 1) * (w * w - 3 * w + 1) * (w * w - 2 * w + 2) ** 2,
+          (w - 2) ** 3 * (w + 1) * (2 * w - 3) * (3 * w - 2) * (w * w - 3 * w + 1)]),
         (4, 4 * (u * u + 1) / (5 * (u * u - 1)),
          -(12 * w * w - 7) * (21 * w * w - 16), 20,
          [192 * (u - 3) ** 2 * (u + 3) * (3 * u + 1) * (u * u - 5 * u + 1)
           * (11 * u * u + 1) ** 2 * (u**3 + 28 * u * u + 11 * u + 8) ** 2,
-          243 * (u - 3) ** 2 * (u + 3) ** 2 * (3 * u - 1) ** 2 * (1 + 3 * u) ** 2
-          * (1 - 5 * u + u * u) * (1 + 5 * u + u * u)
-          * (17 + 734 * u * u + 17 * u**4)]),
+          -243 * (w - 1) ** 2 * (w + 1) ** 2 * (12 * w * w - 7) * (21 * w * w - 16)
+          * Fraction(1, 4)]),
     ]
 
 
@@ -549,8 +520,9 @@ _CATALOG = MappingProxyType(_CATALOG_CACHE)
 def catalog() -> Mapping[str, CurveFamily]:
     """All families keyed by label: the base models, the rank-1 entries
     obtained from them by a single quadratic-section substitution, and the
-    rank-2 entries obtained by one more.  Every call returns the same
-    read-only mapping, built on the first call.
+    rank-2 entries obtained by one more.  A rank-1 entry's condition is
+    the conic its substitution parametrizes; a rank-2 entry's is stored.
+    Every call returns the same read-only mapping, built on the first call.
     """
     if _CATALOG_CACHE:
         return _CATALOG
@@ -559,10 +531,10 @@ def catalog() -> Mapping[str, CurveFamily]:
         ("Z8", _z8_rank1_data(), _z8_rank2_data()),
         ("Z2x6", _z2x6_rank1_data(), _z2x6_rank2_data()),
     ):
-        for i, (x, cond, sub) in enumerate(rank1, start=1):
+        for i, (x, sub) in enumerate(rank1, start=1):
             out[f"{prefix}-{i}"] = substitute_parameter(
-                out[prefix], sub, label=f"{prefix}-{i}",
-                lift_sections=[x], condition=cond,
+                out[prefix], sub, label=f"{prefix}-{i}", sections=[x],
+                condition=_parametrized_conic(sub, out[prefix].var),
             )
         for i, (parent, sub, cond, hint, xs) in enumerate(rank2, start=1):
             out[f"{prefix}R2-{i}"] = substitute_parameter(

@@ -11,13 +11,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ellfam import families
-from ellfam.arith import FactorBudget, primes_below, square_test
+from ellfam.arith import FactorBudget, primes_below
 from ellfam.curves import CurvePoint, torsion_subgroup
 from ellfam.families import (
+    CurveFamily,
     SingularMember,
     _cleared_cubic,
+    _parametrized_conic,
     _tate_base_model,
     _z2x6_rank1_data,
+    _z2x6_rank2_data,
     _z8_rank1_data,
     _z8_rank2_data,
     catalog,
@@ -30,7 +33,15 @@ from ellfam.families import (
     verify_section,
 )
 from ellfam import polyq
-from ellfam.polyq import NotASquare, PolyQ, RatFunc, _zz_gcd, poly_sqrt, ratfunc_substitute
+from ellfam.polyq import (
+    NotASquare,
+    PolyQ,
+    RatFunc,
+    _zz_gcd,
+    poly_sqrt,
+    ratfunc_substitute,
+    square_decompose_poly,
+)
 from ellfam.sections import section_condition
 
 w = PolyQ.variable("w")
@@ -230,18 +241,22 @@ class TestReducedByConstruction:
             verify_section(fam, moved)
 
     def test_substitution_takes_no_polynomial_gcd(self, monkeypatch):
-        _parent, sub, cond, hint, xs = _z8_rank2_data()[0]
-        expected = catalog()["Z8R2-1"]
+        # Z8R2-1's sections are both transported from w; Z2x6R2-5 takes x1
+        # in u as is and transports x2 from w
+        cat = catalog()
+        cases = [(cat["Z8-3"], _z8_rank2_data()[0], cat["Z8R2-1"]),
+                 (cat["Z2x6-4"], _z2x6_rank2_data()[4], cat["Z2x6R2-5"])]
 
         def no_gcd(*args):
             raise AssertionError("substitute_parameter took a gcd")
 
         monkeypatch.setattr(polyq, "_zz_gcd", no_gcd)
-        new = substitute_parameter(
-            catalog()["Z8-3"], sub, label="Z8R2-1", sections=xs, condition=cond,
-            spec_hint=hint,
-        )
-        assert new == expected
+        for parent, (_i, sub, cond, hint, xs), expected in cases:
+            new = substitute_parameter(
+                parent, sub, label=expected.label, sections=xs, condition=cond,
+                spec_hint=hint,
+            )
+            assert new == expected
 
     def test_cold_catalog_gcd_count(self, monkeypatch):
         # each base model is one change of coordinates, so a cold catalog
@@ -295,14 +310,37 @@ class TestCatalogShape:
         "base, rows", [("Z8", _z8_rank1_data), ("Z2x6", _z2x6_rank1_data)]
     )
     def test_rank1_conditions_are_section_square_classes(self, base, rows):
-        # each stored condition is a rational square times the square class
-        # of x + A + B/x, for its section x on the base model
+        # the conic derived from each substitution is exactly the square
+        # class of x + A + B/x, for the row's section x on the base model
         fam = catalog()[base]
-        for x, cond, _sub in rows():
+        for i, (x, _sub) in enumerate(rows(), start=1):
             core = section_condition(fam, x if isinstance(x, RatFunc) else RatFunc(x))
-            ratio = RatFunc(cond) / RatFunc(core)
-            assert ratio.is_constant(), (base, cond)
-            assert square_test(ratio.constant_value()) is not None, (base, cond)
+            assert catalog()[f"{base}-{i}"].condition == core, (base, i)
+
+    def test_rank2_conditions(self):
+        # the stored rank-2 condition is the substitution's conic in five
+        # rows, a multiple of the square class of x2 in five, absent in two
+        cat = catalog()
+        rows = {f"Z8R2-{i}": r for i, r in enumerate(_z8_rank2_data(), start=1)}
+        rows |= {f"Z2x6R2-{i}": r for i, r in enumerate(_z2x6_rank2_data(), start=1)}
+        for label in ("Z8R2-1", "Z8R2-2", "Z8R2-5", "Z8R2-6", "Z8R2-7"):
+            assert cat[label].condition == _parametrized_conic(rows[label][1], "w"), label
+        for label, factor in (
+            ("Z2x6R2-1", 1), ("Z2x6R2-3", 1), ("Z8R2-3", Fraction(1, 3)),
+            ("Z2x6R2-5", Fraction(1, 3)), ("Z2x6R2-2", 7 * w * w + 9),
+        ):
+            x2 = RatFunc(rows[label][4][1])
+            assert x2.var == "w"
+            assert cat[label].condition == factor * square_decompose_poly(x2.num * x2.den)[1]
+        assert [fam.label for fam in cat.values() if fam.rank == 2 and fam.condition is None] == [
+            "Z8R2-4", "Z2x6R2-4",
+        ]
+
+    def test_parametrized_conic_needs_a_quadratic_substitution(self):
+        ww = RatFunc.variable("w")
+        assert _parametrized_conic(ww * ww / (ww + 1), "v") == PolyQ([0, 4, 1], "v")
+        with pytest.raises(ValueError, match="not quadratic"):
+            _parametrized_conic(ww**3 / (ww + 1), "v")
 
 
 class TestCatalogPrintedModels:
@@ -584,6 +622,15 @@ class TestSpecialization:
         for p in primes_below(1000):
             assert s.A % (p * p) != 0 or s.B % p**4 != 0
 
+    def test_rejects_non_integral_coefficients(self):
+        # specialize reads A and B off their integer coefficients, so a
+        # denominator would silently give another curve
+        t = PolyQ.variable("t")
+        with pytest.raises(ValueError, match="integer coefficients"):
+            CurveFamily("t", (1,), A=t + Fraction(1, 2), B=t * t + 3)
+        with pytest.raises(ValueError, match="integer coefficients"):
+            CurveFamily("t", (1,), A=t + 1, B=t * t * Fraction(1, 3))
+
     def test_catalog_is_integral(self):
         # specialize reads A and B off their integer coefficients
         assert len(catalog()) == 36
@@ -690,6 +737,27 @@ class TestSubstituteParameter:
                 sections=[RatFunc(PolyQ.variable("w"))],
             )
 
+    def test_sections_in_either_variable(self):
+        # Z2x6R2-5 stores x1 in u and x2 in the parent's w; x2 written as
+        # the transported function of u gives the same family
+        parent, sub, cond, hint, xs = _z2x6_rank2_data()[4]
+        fam = catalog()["Z2x6R2-5"]
+        assert [x.var for x in xs] == ["u", "w"]
+        assert fam.sections[0].x == RatFunc(xs[0])
+        in_u = [xs[0], fam.sections[1].x]
+        assert substitute_parameter(
+            catalog()[f"Z2x6-{parent}"], sub, label=fam.label, sections=in_u,
+            condition=cond, spec_hint=hint,
+        ) == fam
+
+    def test_sections_need_a_renamed_parameter(self):
+        fam = model_z8()
+        vv = RatFunc.variable("v")
+        sub = (5 - vv * vv) / (4 * (vv + 1))
+        assert substitute_parameter(fam, sub, label="t").var == "v"
+        with pytest.raises(ValueError, match="renamed"):
+            substitute_parameter(fam, sub, label="t", sections=[4 * v**4])
+
     def test_torsion_transported(self):
         fam = model_z8()
         ww = RatFunc.variable("w")
@@ -724,9 +792,9 @@ class TestSubstituteParameter:
             return real(family, xn, xd)
 
         monkeypatch.setattr(families, "_cleared_cubic", counted)
-        x, cond, sub = _z8_rank1_data()[2]
+        x, sub = _z8_rank1_data()[2]
         new = substitute_parameter(
-            model_z8(), sub, label="t", lift_sections=[x], condition=cond
+            model_z8(), sub, label="t", sections=[x], condition=parent.condition
         )
         assert new == replace(parent, label="t")
         # one torsion point and one section
