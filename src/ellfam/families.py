@@ -8,12 +8,13 @@ y^2 = x^3 + Ax^2 + Bx shape and carrying the torsion generator along.
 Every further family in the catalog is produced by substituting a rational
 function into the parameter and renormalizing.  One clearing rule serves a
 substitution u = n/d and a member at a number u = p/q alike: scale by d^s
-(or q^s), then strip the square part c (square_part).  A catalog row
-stores only what cannot be derived: its substitution and the abscissas of
-its sections, each written in the parent's parameter wherever it is a
-function of it (then the substitution transports it).  The y-coordinates
-are exact square roots, and a rank-1 row's square condition is the conic
-that its substitution parametrizes (_parametrized_conic).  Transported
+(or q^s), then strip the square part c (square_part).  Every catalog row
+has one shape and stores only what cannot be derived: its parent, its
+substitution, the abscissas of its sections, each written in the parent's
+parameter wherever it is a function of it (then the substitution
+transports it), and a specialization hint.  The y-coordinates are exact
+square roots, and every substituted family's square condition is the
+conic that its substitution parametrizes (_parametrized_conic).  Transported
 points and lifted sections are formed already reduced
 (polyq.reduced_substitute, verify_section), so a substitution takes no
 polynomial gcd.
@@ -128,7 +129,7 @@ class CurveFamily:
         for P in self.torsion_points + self.sections:
             if P.is_infinity:
                 continue
-            x, y = _ratfunc(P.x), _ratfunc(P.y)
+            x, y = RatFunc(P.x), RatFunc(P.y)
             if y.num * y.num * x.den**3 != y.den * y.den * _cleared_cubic(self, x.num, x.den):
                 return False
         return True
@@ -202,10 +203,6 @@ class CurveFamily:
         return tuple(parts)
 
 
-def _ratfunc(f: RatFunc | PolyQ) -> RatFunc:
-    return RatFunc(f) if isinstance(f, PolyQ) else f
-
-
 def _cleared_cubic(family: CurveFamily, xn: PolyQ, xd: PolyQ) -> PolyQ:
     """xd^3 (x^3 + Ax^2 + Bx) at x = xn/xd: xn(xn^2 + A xn xd + B xd^2)."""
     return xn * (xn * xn + family.A * xn * xd + family.B * (xd * xd))
@@ -240,7 +237,6 @@ def substitute_parameter(
     sub: RatFunc,
     label: str,
     sections: Sequence[RatFunc | PolyQ] = (),
-    condition: Optional[PolyQ] = None,
     spec_hint: Optional[Fraction | int] = None,
 ) -> CurveFamily:
     """Plug t := sub(new parameter) into a family and renormalize.
@@ -255,7 +251,9 @@ def substitute_parameter(
     one written in the family's variable is transported the same way (it
     acquires a rational y-coordinate only after the substitution), one
     written in the substitution's variable is taken as is.  Each y is the
-    exact square root that verify_section finds.
+    exact square root that verify_section finds.  The new family's
+    condition is the conic that the substitution parametrizes
+    (_parametrized_conic).
     """
     if sections and family.var == sub.var:
         raise ValueError(f"{label}: the parameter must be renamed to place the sections")
@@ -282,7 +280,7 @@ def substitute_parameter(
         torsion_points=tuple(transport(P) for P in family.torsion_points),
         parent=family.label,
         substitution=sub,
-        condition=condition,
+        condition=_parametrized_conic(sub, family.var),
         spec_hint=None if spec_hint is None else Fraction(spec_hint),
     )
     if not new.verify():
@@ -319,7 +317,7 @@ def verify_section(family: CurveFamily, x: RatFunc | PolyQ) -> CurvePoint:
     exactly when the monic xd is r^2 and C is a square, and then
     y = sqrt(C)/r^3 is reduced too.  No gcd is taken.
     """
-    x = _ratfunc(x)
+    x = RatFunc(x)
     r = poly_sqrt(x.den)
     y = _make_ratfunc(poly_sqrt(_cleared_cubic(family, x.num, x.den)), r * r * r)
     return CurvePoint(x, y)
@@ -390,126 +388,103 @@ def model_z2x6() -> CurveFamily:
 
 # -- catalog --------------------------------------------------------------
 
-def _z8_rank1_data():
-    """(section x(v), substitution v(w)) per entry; the square condition is
-    the conic that v(w) parametrizes."""
-    v = PolyQ.variable("v")
-    w = PolyQ.variable("w")
+def _catalog_rows():
+    """(label, parent label, substitution, section abscissas, spec hint) per
+    substituted entry, in catalog order.  An abscissa is written in the
+    parent's variable (v, resp. w) and coordinates wherever it is a
+    function of that variable, else in the entry's own u and coordinates."""
+    v, w, u = PolyQ.variable("v"), PolyQ.variable("w"), PolyQ.variable("u")
     return [
-        (4 * v**4, (5 - w * w) / (4 * (w + 1))),
-        (-(v - 1) * v, (w - 2) * w / (w * w + 1)),
-        (-4 * v**3 * (3 * v - 2), -2 * (w - 1) * (w + 1) / (w * w + 3)),
-        (16 * (v - 1) ** 2 * v**2 * (1 - 2 * v + 2 * v * v), (w - 2) * w / (w * w - 2)),
-        (-2 * v**2 * (2 * v * v - 1), -2 * w / (w * w + 2)),
-        (-((v - 1) ** 2) * (1 - 6 * v + 4 * v * v), (w * w - 2 * w + 2) / (w * w + 4)),
-        (-4 * (v - 1) ** 4 * (6 * v - 1) / (2 * v - 3), (3 * w * w + 1) / (2 * (w * w + 3))),
-        (-4 * (v - 1) ** 4 * (4 * v - 1) / (4 * v - 3), (w * w + 3) / (4 * (w * w + 1))),
-        (-((v - 1) ** 4) * (8 * v - 5) * (18 * v - 5) / (4 * (3 * v - 2) ** 2),
-         5 * (w * w + 1) / (2 * (4 * w * w + 9))),
-        ((-4 * v * v + 4 * v + 1) * Fraction(1, 8), (w * w - 4 * w + 2) / (2 * (w * w + 2))),
-        (-((v - 1) ** 2) * (2 * v - 5) ** 2 * (36 * v * v - 70 * v + 25) / (6 * v - 7) ** 2,
-         (w * w - 6 * w + 34) / (w * w + 36)),
-        (-4 * (v - 1) ** 3 * v * (2 * v + 1) ** 2 / (2 * v - 3) ** 2,
-         -2 * (3 * w - 14) / (w * w + 28)),
-        (-4 * (v - 1) ** 3 * v * (10 * v - 1) / (10 * v - 9),
-         (3 * w - 1) * (3 * w + 1) / (10 * (w - 1) * (w + 1))),
-        (-(v - 1) * v * Fraction(27, 2), -2 * (w - 3) * (w + 3) / (w * w + 6)),
-        (-((16 * v * v - 16 * v + 1) ** 2) * Fraction(1, 64),
-         -(w * w + 80 * w + 1152) / (8 * (w * w - 128))),
-        ((v - 1) ** 2 * (4 * v - 1) ** 2 * (10 * v - 1) / (8 * (3 * v - 1)),
-         (2 * w * w - 1) / (2 * (3 * w * w - 5))),
-        (-((v - 1) ** 2) * (2 * v + 1) ** 2 * (8 * v + 1) / (8 * (v - 3)),
-         (6 * w * w - 1) / (2 * (w * w + 4))),
-        (4 * (4 * v - 3) ** 2 * (10 * v - 9) * (18 * v * v - 26 * v + 9) ** 2
-         / ((6 * v - 5) ** 2 * (18 * v - 13)),
-         (9 * w * w - 13) / (2 * (5 * w * w - 9))),
-    ]
-
-
-def _z8_rank2_data():
-    """(parent index, substitution w(u), condition in w, spec value,
-    [x1, x2]): each section's abscissa in the parent's w where it is a
-    function of w, else in u, in the rank-2 model's coordinates."""
-    u = PolyQ.variable("u")
-    w = PolyQ.variable("w")
-    return [
-        (3, (11 - u * u) / (10 * u), 25 * w * w + 11, 22,
+        ("Z8-1", "Z8", (5 - w * w) / (4 * (w + 1)), [4 * v**4], None),
+        ("Z8-2", "Z8", (w - 2) * w / (w * w + 1), [-(v - 1) * v], None),
+        ("Z8-3", "Z8", -2 * (w - 1) * (w + 1) / (w * w + 3), [-4 * v**3 * (3 * v - 2)], None),
+        ("Z8-4", "Z8", (w - 2) * w / (w * w - 2),
+         [16 * (v - 1) ** 2 * v**2 * (1 - 2 * v + 2 * v * v)], None),
+        ("Z8-5", "Z8", -2 * w / (w * w + 2), [-2 * v**2 * (2 * v * v - 1)], None),
+        ("Z8-6", "Z8", (w * w - 2 * w + 2) / (w * w + 4),
+         [-((v - 1) ** 2) * (1 - 6 * v + 4 * v * v)], None),
+        ("Z8-7", "Z8", (3 * w * w + 1) / (2 * (w * w + 3)),
+         [-4 * (v - 1) ** 4 * (6 * v - 1) / (2 * v - 3)], None),
+        ("Z8-8", "Z8", (w * w + 3) / (4 * (w * w + 1)),
+         [-4 * (v - 1) ** 4 * (4 * v - 1) / (4 * v - 3)], None),
+        ("Z8-9", "Z8", 5 * (w * w + 1) / (2 * (4 * w * w + 9)),
+         [-((v - 1) ** 4) * (8 * v - 5) * (18 * v - 5) / (4 * (3 * v - 2) ** 2)], None),
+        ("Z8-10", "Z8", (w * w - 4 * w + 2) / (2 * (w * w + 2)),
+         [(-4 * v * v + 4 * v + 1) * Fraction(1, 8)], None),
+        ("Z8-11", "Z8", (w * w - 6 * w + 34) / (w * w + 36),
+         [-((v - 1) ** 2) * (2 * v - 5) ** 2 * (36 * v * v - 70 * v + 25) / (6 * v - 7) ** 2],
+         None),
+        ("Z8-12", "Z8", -2 * (3 * w - 14) / (w * w + 28),
+         [-4 * (v - 1) ** 3 * v * (2 * v + 1) ** 2 / (2 * v - 3) ** 2], None),
+        ("Z8-13", "Z8", (3 * w - 1) * (3 * w + 1) / (10 * (w - 1) * (w + 1)),
+         [-4 * (v - 1) ** 3 * v * (10 * v - 1) / (10 * v - 9)], None),
+        ("Z8-14", "Z8", -2 * (w - 3) * (w + 3) / (w * w + 6),
+         [-(v - 1) * v * Fraction(27, 2)], None),
+        ("Z8-15", "Z8", -(w * w + 80 * w + 1152) / (8 * (w * w - 128)),
+         [-((16 * v * v - 16 * v + 1) ** 2) * Fraction(1, 64)], None),
+        ("Z8-16", "Z8", (2 * w * w - 1) / (2 * (3 * w * w - 5)),
+         [(v - 1) ** 2 * (4 * v - 1) ** 2 * (10 * v - 1) / (8 * (3 * v - 1))], None),
+        ("Z8-17", "Z8", (6 * w * w - 1) / (2 * (w * w + 4)),
+         [-((v - 1) ** 2) * (2 * v + 1) ** 2 * (8 * v + 1) / (8 * (v - 3))], None),
+        ("Z8-18", "Z8", (9 * w * w - 13) / (2 * (5 * w * w - 9)),
+         [4 * (4 * v - 3) ** 2 * (10 * v - 9) * (18 * v * v - 26 * v + 9) ** 2
+          / ((6 * v - 5) ** 2 * (18 * v - 13))], None),
+        ("Z8R2-1", "Z8-3", (11 - u * u) / (10 * u),
          [-16 * (w - 1) * (w + 1) ** 3 * (3 * w * w + 1) ** 2,
           (w - 1) ** 2 * (w + 1) ** 2 * (7 * w * w + 5) ** 2 * (25 * w * w + 11)
-          * Fraction(1, 16)]),
-        (3, (u * u - 12 * u + 29) / (u * u - 29), 29 * w * w + 7, 19,
+          * Fraction(1, 16)], 22),
+        ("Z8R2-2", "Z8-3", (u * u - 12 * u + 29) / (u * u - 29),
          [-16 * (w - 1) ** 3 * (w + 1) * (3 * w * w + 1) ** 2,
           (w - 1) ** 2 * (w + 1) ** 2 * (11 * w * w + 1) ** 2 * (29 * w * w + 7)
-          / (16 * w * w)]),
-        (3, (u * u - 12 * u + 15) / (u * u - 15),
-         -(w - 1) * (w + 1) * (3 * w * w + 1), 11,
+          / (16 * w * w)], 19),
+        ("Z8R2-3", "Z8-3", (u * u - 12 * u + 15) / (u * u - 15),
          [-256 * w * w * (w - 1) ** 3 * (w + 1) ** 3,
-          -27 * (w - 1) * (w + 1) * (w * w + 3) ** 2 * (3 * w * w + 1)]),
-        (12, -(u - 28) * (u + 28) / (2 * (u - 63)), None, 17,
+          -27 * (w - 1) * (w + 1) * (w * w + 3) ** 2 * (3 * w * w + 1)], 11),
+        ("Z8R2-4", "Z8-12", -(u - 28) * (u + 28) / (2 * (u - 63)),
          [-8 * w**3 * (w + 6) ** 3 * (3 * w - 14) * (w * w - 12 * w + 84) ** 2
           / (3 * w * w + 12 * w + 28) ** 2,
-          -256 * w**3 * (w + 6) ** 2 * (3 * w - 14) ** 3 / (w + 14) ** 2]),
-        (13, -(3 * u * u - 80 * u + 510) / (u * u - 170),
-         10 * (17 * w * w + 7), 3,
+          -256 * w**3 * (w + 6) ** 2 * (3 * w - 14) ** 3 / (w + 14) ** 2], 17),
+        ("Z8R2-5", "Z8-13", -(3 * u * u - 80 * u + 510) / (u * u - 170),
          [-u * (3 * u - 40) * (4 * u - 51) ** 4 * (2 * u * u - 60 * u + 425)
           * (u**3 - 44 * u * u + 660 * u - 3400) ** 2,
           -u * (3 * u - 40) * (4 * u - 51) ** 2 * (2 * u * u - 60 * u + 425)
-          * (35 * u**3 - 1236 * u * u + 14620 * u - 57800) ** 2]),
-        (17, 3 * (u * u - 20 * u + 60) / (2 * (u * u - 60)),
-         30 * (2 * w * w + 3), -48,
+          * (35 * u**3 - 1236 * u * u + 14620 * u - 57800) ** 2], 3),
+        ("Z8R2-6", "Z8-17", 3 * (u * u - 20 * u + 60) / (2 * (u * u - 60)),
          [w * w * (2 * w - 3) ** 2 * (2 * w + 3) ** 2 * (7 * w * w + 3) ** 2 * Fraction(1, 4),
-          -(2 * w - 3) * (2 * w + 3) * (w * w + 4) ** 2 * (6 * w * w - 1) * Fraction(27, 2)]),
-        (18, (u * u - 6 * u + 21) / (u * u - 14 * u + 21),
-         7 * w * w - 3, 10,
+          -(2 * w - 3) * (2 * w + 3) * (w * w + 4) ** 2 * (6 * w * w - 1) * Fraction(27, 2)],
+         -48),
+        ("Z8R2-7", "Z8-18", (u * u - 6 * u + 21) / (u * u - 14 * u + 21),
          [(u * u - 8 * u + 3) ** 2
           * (u**4 - 32 * u**3 + 278 * u * u - 672 * u + 441)
           * (2 * u**5 - 55 * u**4 + 508 * u**3 - 1834 * u * u + 3234 * u - 3087) ** 2,
           u * u * (u * u - 56 * u + 147) ** 2 * (u * u - 8 * u + 3) ** 4
           * (u**4 - 32 * u**3 + 278 * u * u - 672 * u + 441) ** 3
-          / (u**5 - 22 * u**4 + 262 * u**3 - 1524 * u * u + 3465 * u - 2646) ** 2]),
-    ]
-
-
-def _z2x6_rank1_data():
-    """(section x(v), substitution v(w)) per entry, as for Z/8."""
-    v = PolyQ.variable("v")
-    w = PolyQ.variable("w")
-    return [
-        (16 * (v - 2) * (1 + v) ** 2, -6 / (w * w - 3)),
-        (64 * (v - 1) ** 2 * (v + 1) ** 3 / (v + 5) ** 2, 3 * (14 * w * w - 1) / (6 * w * w + 1)),
-        ((1 + v) ** 2 * (7 - 4 * v + v * v) ** 2, (2 * w * w - 4 * w - 1) / (2 * w - 3)),
-        ((v - 1) * (v + 1) * (3 * v - 1) ** 2 * Fraction(64, 3),
-         (6 * w * w - 1) / (12 * w * w - 7)),
-    ]
-
-
-def _z2x6_rank2_data():
-    """Rows as for Z/8."""
-    u = PolyQ.variable("u")
-    w = PolyQ.variable("w")
-    return [
-        (1, 3 * (u * u - 8 * u + 14) / (u * u - 14),
-         -(w * w - 3) * (7 * w * w + 9), 15,
+          / (u**5 - 22 * u**4 + 262 * u**3 - 1524 * u * u + 3465 * u - 2646) ** 2], 10),
+        ("Z2x6-1", "Z2x6", -6 / (w * w - 3), [16 * (v - 2) * (1 + v) ** 2], None),
+        ("Z2x6-2", "Z2x6", 3 * (14 * w * w - 1) / (6 * w * w + 1),
+         [64 * (v - 1) ** 2 * (v + 1) ** 3 / (v + 5) ** 2], None),
+        ("Z2x6-3", "Z2x6", (2 * w * w - 4 * w - 1) / (2 * w - 3),
+         [(1 + v) ** 2 * (7 - 4 * v + v * v) ** 2], None),
+        ("Z2x6-4", "Z2x6", (6 * w * w - 1) / (12 * w * w - 7),
+         [(v - 1) * (v + 1) * (3 * v - 1) ** 2 * Fraction(64, 3)], None),
+        ("Z2x6R2-1", "Z2x6-1", 3 * (u * u - 8 * u + 14) / (u * u - 14),
          [-32 * w * w * (w - 3) ** 2 * (w + 3) ** 2 * (w * w - 3),
-          -((w - 3) ** 2) * (w + 3) ** 2 * (w * w - 3) * (7 * w * w + 9)]),
-        (1, (u * u - 8 * u + 6) / (u * u - 6),
-         (w * w - 9) * (w * w - 3) * (7 * w * w + 9), 17,
+          -((w - 3) ** 2) * (w + 3) ** 2 * (w * w - 3) * (7 * w * w + 9)], 15),
+        ("Z2x6R2-2", "Z2x6-1", (u * u - 8 * u + 6) / (u * u - 6),
          [-32 * w * w * (w - 3) ** 2 * (w + 3) ** 2 * (w * w - 3),
-          (w - 3) * (w + 3) * (w * w - 3) * (7 * w * w + 9) ** 2]),
-        (2, (u * u - 30 * u + 180) / (3 * (u * u - 180)),
-         (36 * w * w + 1) * (48 * w * w - 7), 22,
+          (w - 3) * (w + 3) * (w * w - 3) * (7 * w * w + 9) ** 2], 17),
+        ("Z2x6R2-3", "Z2x6-2", (u * u - 30 * u + 180) / (3 * (u * u - 180)),
          [128 * (3 * w - 1) ** 2 * (3 * w + 1) ** 2 * (6 * w * w + 1) * (24 * w * w - 1) ** 3
           / (36 * w * w + 1) ** 2,
-          4 * (3 * w - 1) ** 2 * (3 * w + 1) ** 2 * (36 * w * w + 1) * (48 * w * w - 7)]),
-        (3, -(4 * u + 9) / (u * u - 3), None, 19,
+          4 * (3 * w - 1) ** 2 * (3 * w + 1) ** 2 * (36 * w * w + 1) * (48 * w * w - 7)], 22),
+        ("Z2x6R2-4", "Z2x6-3", -(4 * u + 9) / (u * u - 3),
          [4 * (w - 3) * (w + 1) * (w * w - 3 * w + 1) * (w * w - 2 * w + 2) ** 2,
-          (w - 2) ** 3 * (w + 1) * (2 * w - 3) * (3 * w - 2) * (w * w - 3 * w + 1)]),
-        (4, 4 * (u * u + 1) / (5 * (u * u - 1)),
-         -(12 * w * w - 7) * (21 * w * w - 16), 20,
+          (w - 2) ** 3 * (w + 1) * (2 * w - 3) * (3 * w - 2) * (w * w - 3 * w + 1)], 19),
+        ("Z2x6R2-5", "Z2x6-4", 4 * (u * u + 1) / (5 * (u * u - 1)),
          [192 * (u - 3) ** 2 * (u + 3) * (3 * u + 1) * (u * u - 5 * u + 1)
           * (11 * u * u + 1) ** 2 * (u**3 + 28 * u * u + 11 * u + 8) ** 2,
           -243 * (w - 1) ** 2 * (w + 1) ** 2 * (12 * w * w - 7) * (21 * w * w - 16)
-          * Fraction(1, 4)]),
+          * Fraction(1, 4)], 20),
     ]
 
 
@@ -518,28 +493,17 @@ _CATALOG = MappingProxyType(_CATALOG_CACHE)
 
 
 def catalog() -> Mapping[str, CurveFamily]:
-    """All families keyed by label: the base models, the rank-1 entries
+    """All families keyed by label: the two base models, the rank-1 entries
     obtained from them by a single quadratic-section substitution, and the
-    rank-2 entries obtained by one more.  A rank-1 entry's condition is
-    the conic its substitution parametrizes; a rank-2 entry's is stored.
-    Every call returns the same read-only mapping, built on the first call.
+    rank-2 entries obtained by one more, all built by one loop over
+    _catalog_rows.  Every entry's condition is derived: the conic that its
+    substitution parametrizes.  Every call returns the same read-only
+    mapping, built on the first call.
     """
     if _CATALOG_CACHE:
         return _CATALOG
     out: dict[str, CurveFamily] = {"Z8": model_z8(), "Z2x6": model_z2x6()}
-    for prefix, rank1, rank2 in (
-        ("Z8", _z8_rank1_data(), _z8_rank2_data()),
-        ("Z2x6", _z2x6_rank1_data(), _z2x6_rank2_data()),
-    ):
-        for i, (x, sub) in enumerate(rank1, start=1):
-            out[f"{prefix}-{i}"] = substitute_parameter(
-                out[prefix], sub, label=f"{prefix}-{i}", sections=[x],
-                condition=_parametrized_conic(sub, out[prefix].var),
-            )
-        for i, (parent, sub, cond, hint, xs) in enumerate(rank2, start=1):
-            out[f"{prefix}R2-{i}"] = substitute_parameter(
-                out[f"{prefix}-{parent}"], sub, label=f"{prefix}R2-{i}",
-                sections=xs, condition=cond, spec_hint=hint,
-            )
+    for label, parent, sub, xs, hint in _catalog_rows():
+        out[label] = substitute_parameter(out[parent], sub, label, sections=xs, spec_hint=hint)
     _CATALOG_CACHE.update(out)
     return _CATALOG

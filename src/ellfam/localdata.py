@@ -13,10 +13,11 @@ The root-number path runs on Python ints only and builds no
 WeierstrassCurve and no Fraction: _minimal_ints takes an integral model's
 a-invariants and returns the minimal model's a-invariants, its seven
 invariants and the factored |disc_min|, and _tate_ints is Tate's algorithm
-on an int tuple.  discriminant_factorization, minimal_model, tate_local and
-bad_places wrap them on WeierstrassCurve models, for the CLI, conductor and
-heights.  At p = 2 and 3 Tate's translations are closed forms, not searches
-(Cohen, GTM 138, Algorithm 7.5.1; Cremona 3.2).
+on an int tuple.  Wrappers on WeierstrassCurve models serve the other
+callers: bad_places the CLI's `local` and conductor, tate_local the CLI's
+`local --prime` and minimal_model heights; only tests call
+discriminant_factorization.  At p = 2 and 3 Tate's translations are closed
+forms, not searches (Cohen, GTM 138, Algorithm 7.5.1; Cremona 3.2).
 """
 
 from __future__ import annotations

@@ -471,6 +471,11 @@ class RatFunc:
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=None, var: str = "u"):
+        if isinstance(num, RatFunc) and den is None:
+            # already reduced with a monic denominator: keep its value and variable
+            object.__setattr__(self, "num", num.num)
+            object.__setattr__(self, "den", num.den)
+            return
         if den is None:
             den = PolyQ([1], var)
         if isinstance(num, (int, Fraction)):

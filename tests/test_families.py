@@ -16,13 +16,10 @@ from ellfam.curves import CurvePoint, torsion_subgroup
 from ellfam.families import (
     CurveFamily,
     SingularMember,
+    _catalog_rows,
     _cleared_cubic,
     _parametrized_conic,
     _tate_base_model,
-    _z2x6_rank1_data,
-    _z2x6_rank2_data,
-    _z8_rank1_data,
-    _z8_rank2_data,
     catalog,
     model_z8,
     model_z2x6,
@@ -40,7 +37,6 @@ from ellfam.polyq import (
     _zz_gcd,
     poly_sqrt,
     ratfunc_substitute,
-    square_decompose_poly,
 )
 from ellfam.sections import section_condition
 
@@ -244,19 +240,16 @@ class TestReducedByConstruction:
         # Z8R2-1's sections are both transported from w; Z2x6R2-5 takes x1
         # in u as is and transports x2 from w
         cat = catalog()
-        cases = [(cat["Z8-3"], _z8_rank2_data()[0], cat["Z8R2-1"]),
-                 (cat["Z2x6-4"], _z2x6_rank2_data()[4], cat["Z2x6R2-5"])]
+        rows = [r for r in _catalog_rows() if r[0] in ("Z8R2-1", "Z2x6R2-5")]
+        assert len(rows) == 2
 
         def no_gcd(*args):
             raise AssertionError("substitute_parameter took a gcd")
 
         monkeypatch.setattr(polyq, "_zz_gcd", no_gcd)
-        for parent, (_i, sub, cond, hint, xs), expected in cases:
-            new = substitute_parameter(
-                parent, sub, label=expected.label, sections=xs, condition=cond,
-                spec_hint=hint,
-            )
-            assert new == expected
+        for label, parent, sub, xs, hint in rows:
+            new = substitute_parameter(cat[parent], sub, label, sections=xs, spec_hint=hint)
+            assert new == cat[label]
 
     def test_cold_catalog_gcd_count(self, monkeypatch):
         # each base model is one change of coordinates, so a cold catalog
@@ -296,45 +289,34 @@ class TestCatalogShape:
             for k in range(i + 1, len(js)):
                 assert js[i] != js[k], (i + 1, k + 1)
 
-    def test_rank1_conditions_become_squares(self):
-        # the condition attached to each rank-1 entry, evaluated along the
-        # parametrization that produced it, is a square in the new function
-        # field (that is exactly why the entry has a section)
-        for fam in catalog().values():
-            if fam.rank != 1 or fam.condition is None or fam.substitution is None:
-                continue
+    def test_conditions_are_derived(self):
+        # every substituted entry's condition, evaluated along the
+        # substitution that produced it, is a square in the new function
+        # field (that is exactly why the entry has a section); and it is
+        # the square class of x + A + B/x on the parent for the row's last
+        # abscissa x, wherever x is written in the parent's variable
+        cat = catalog()
+        substituted = [fam for fam in cat.values() if fam.substitution is not None]
+        assert [fam.label for fam in substituted] == ["Z2x6"] + [r[0] for r in _catalog_rows()]
+        for fam in substituted:
             val = ratfunc_substitute(RatFunc(fam.condition), fam.substitution)
             ratfunc_sqrt(val)  # raises NotASquare on failure
+        in_parent = []
+        for label, parent, _sub, xs, _hint in _catalog_rows():
+            x = RatFunc(xs[-1])
+            if x.var == cat[parent].var:
+                assert cat[label].condition == section_condition(cat[parent], x), label
+                in_parent.append(label)
+        assert {r[0] for r in _catalog_rows()} - set(in_parent) == {"Z8R2-5", "Z8R2-7"}
+        assert cat["Z2x6"].condition == 9 * v * v + 10 * v + 1
 
-    @pytest.mark.parametrize(
-        "base, rows", [("Z8", _z8_rank1_data), ("Z2x6", _z2x6_rank1_data)]
-    )
-    def test_rank1_conditions_are_section_square_classes(self, base, rows):
-        # the conic derived from each substitution is exactly the square
-        # class of x + A + B/x, for the row's section x on the base model
-        fam = catalog()[base]
-        for i, (x, _sub) in enumerate(rows(), start=1):
-            core = section_condition(fam, x if isinstance(x, RatFunc) else RatFunc(x))
-            assert catalog()[f"{base}-{i}"].condition == core, (base, i)
-
-    def test_rank2_conditions(self):
-        # the stored rank-2 condition is the substitution's conic in five
-        # rows, a multiple of the square class of x2 in five, absent in two
-        cat = catalog()
-        rows = {f"Z8R2-{i}": r for i, r in enumerate(_z8_rank2_data(), start=1)}
-        rows |= {f"Z2x6R2-{i}": r for i, r in enumerate(_z2x6_rank2_data(), start=1)}
-        for label in ("Z8R2-1", "Z8R2-2", "Z8R2-5", "Z8R2-6", "Z8R2-7"):
-            assert cat[label].condition == _parametrized_conic(rows[label][1], "w"), label
-        for label, factor in (
-            ("Z2x6R2-1", 1), ("Z2x6R2-3", 1), ("Z8R2-3", Fraction(1, 3)),
-            ("Z2x6R2-5", Fraction(1, 3)), ("Z2x6R2-2", 7 * w * w + 9),
-        ):
-            x2 = RatFunc(rows[label][4][1])
-            assert x2.var == "w"
-            assert cat[label].condition == factor * square_decompose_poly(x2.num * x2.den)[1]
-        assert [fam.label for fam in cat.values() if fam.rank == 2 and fam.condition is None] == [
-            "Z8R2-4", "Z2x6R2-4",
-        ]
+    def test_ratfunc_of_a_ratfunc_is_itself(self):
+        # RatFunc(r) keeps r's value and variable
+        x1 = next(r for r in _catalog_rows() if r[0] == "Z8R2-4")[3][0]
+        for r in ((w + 1) / (w * w + 3), x1):
+            assert isinstance(r, RatFunc)
+            assert RatFunc(r) == r
+            assert RatFunc(r).den.var == "w"
 
     def test_parametrized_conic_needs_a_quadratic_substitution(self):
         ww = RatFunc.variable("w")
@@ -740,14 +722,13 @@ class TestSubstituteParameter:
     def test_sections_in_either_variable(self):
         # Z2x6R2-5 stores x1 in u and x2 in the parent's w; x2 written as
         # the transported function of u gives the same family
-        parent, sub, cond, hint, xs = _z2x6_rank2_data()[4]
-        fam = catalog()["Z2x6R2-5"]
+        label, parent, sub, xs, hint = next(r for r in _catalog_rows() if r[0] == "Z2x6R2-5")
+        fam = catalog()[label]
         assert [x.var for x in xs] == ["u", "w"]
         assert fam.sections[0].x == RatFunc(xs[0])
         in_u = [xs[0], fam.sections[1].x]
         assert substitute_parameter(
-            catalog()[f"Z2x6-{parent}"], sub, label=fam.label, sections=in_u,
-            condition=cond, spec_hint=hint,
+            catalog()[parent], sub, label, sections=in_u, spec_hint=hint
         ) == fam
 
     def test_sections_need_a_renamed_parameter(self):
@@ -792,10 +773,8 @@ class TestSubstituteParameter:
             return real(family, xn, xd)
 
         monkeypatch.setattr(families, "_cleared_cubic", counted)
-        x, sub = _z8_rank1_data()[2]
-        new = substitute_parameter(
-            model_z8(), sub, label="t", sections=[x], condition=parent.condition
-        )
+        _label, _parent, sub, xs, _hint = next(r for r in _catalog_rows() if r[0] == "Z8-3")
+        new = substitute_parameter(model_z8(), sub, label="t", sections=xs)
         assert new == replace(parent, label="t")
         # one torsion point and one section
         assert len(calls) == 2
