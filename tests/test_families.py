@@ -45,6 +45,19 @@ u = PolyQ.variable("u")
 v = PolyQ.variable("v")
 
 
+def _assert_condition_becomes_square(fam):
+    val = ratfunc_substitute(RatFunc(fam.condition), fam.substitution)
+    ratfunc_sqrt(val)  # raises NotASquare on failure
+
+
+def _z8_rank1_data():
+    return [r for r in _catalog_rows() if r[1] == "Z8"]
+
+
+def _z2x6_rank1_data():
+    return [r for r in _catalog_rows() if r[1] == "Z2x6"]
+
+
 class TestTateNormalForm:
     def test_multiples_table(self):
         # order-8 parameters b = (2d-1)(d-1), c = b/d at d = 3
@@ -289,26 +302,47 @@ class TestCatalogShape:
             for k in range(i + 1, len(js)):
                 assert js[i] != js[k], (i + 1, k + 1)
 
-    def test_conditions_are_derived(self):
-        # every substituted entry's condition, evaluated along the
-        # substitution that produced it, is a square in the new function
-        # field (that is exactly why the entry has a section); and it is
-        # the square class of x + A + B/x on the parent for the row's last
-        # abscissa x, wherever x is written in the parent's variable
+    def test_rank1_conditions_become_squares(self):
+        # the condition of each entry below rank 2 (Z2x6 included),
+        # evaluated along the substitution that produced it, is a square in
+        # the new function field (that is exactly why the entry has a
+        # section); rank-2 entries are checked in test_rank2_conditions
         cat = catalog()
         substituted = [fam for fam in cat.values() if fam.substitution is not None]
         assert [fam.label for fam in substituted] == ["Z2x6"] + [r[0] for r in _catalog_rows()]
         for fam in substituted:
-            val = ratfunc_substitute(RatFunc(fam.condition), fam.substitution)
-            ratfunc_sqrt(val)  # raises NotASquare on failure
+            if fam.rank < 2:
+                _assert_condition_becomes_square(fam)
+        assert cat["Z2x6"].condition == 9 * v * v + 10 * v + 1
+
+    @pytest.mark.parametrize(
+        "base, rows", [("Z8", _z8_rank1_data), ("Z2x6", _z2x6_rank1_data)]
+    )
+    def test_rank1_conditions_are_section_square_classes(self, base, rows):
+        # the conic derived from each substitution is exactly the square
+        # class of x + A + B/x, for the row's section x on the base model
+        fam = catalog()[base]
+        for label, _parent, _sub, xs, _hint in rows():
+            assert catalog()[label].condition == section_condition(fam, RatFunc(xs[-1])), label
+
+    def test_rank2_conditions(self):
+        # every rank-2 condition becomes a square along its substitution,
+        # and it is the square class of x + A + B/x on the parent for the
+        # row's second abscissa x, wherever x is written in the parent's
+        # variable
+        cat = catalog()
+        rows = [r for r in _catalog_rows() if cat[r[0]].rank == 2]
+        assert [r[0] for r in rows] == (
+            [f"Z8R2-{i}" for i in range(1, 8)] + [f"Z2x6R2-{i}" for i in range(1, 6)]
+        )
         in_parent = []
-        for label, parent, _sub, xs, _hint in _catalog_rows():
+        for label, parent, _sub, xs, _hint in rows:
+            _assert_condition_becomes_square(cat[label])
             x = RatFunc(xs[-1])
             if x.var == cat[parent].var:
                 assert cat[label].condition == section_condition(cat[parent], x), label
                 in_parent.append(label)
-        assert {r[0] for r in _catalog_rows()} - set(in_parent) == {"Z8R2-5", "Z8R2-7"}
-        assert cat["Z2x6"].condition == 9 * v * v + 10 * v + 1
+        assert {r[0] for r in rows} - set(in_parent) == {"Z8R2-5", "Z8R2-7"}
 
     def test_ratfunc_of_a_ratfunc_is_itself(self):
         # RatFunc(r) keeps r's value and variable
