@@ -374,8 +374,9 @@ def division_poly(E: WeierstrassCurve, n: int) -> PolyQ:
 def rational_roots(p: PolyQ) -> list[Fraction]:
     """The distinct rational roots of p, ordered by multiplicity, then
     denominator, then decreasing numerator: the order of the linear factors
-    in sympy's ``dup_factor_list``, which fixes two_torsion_points' first
-    point and so the torsion generators.
+    in ``PolyQ.factor`` (and in sympy's ``dup_factor_list``, which it
+    matches), which fixes two_torsion_points' first point and so the
+    torsion generators.
 
     The squarefree part s = f / gcd(f, f') has simple roots.  Modulo the
     first prime q with q not dividing lc(s) and s squarefree mod q, each

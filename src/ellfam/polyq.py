@@ -13,9 +13,11 @@ primitive remainder sequence after a coprimality test mod a prime.  A
 substitution f(n/d) with coprime n and d needs no gcd at all:
 ``reduced_substitute`` forms it on integer lists already reduced, by a
 resultant argument.  A square forms each cross term once.
-Only factorization into irreducibles over Q imports sympy, whose dense
-``dup_factor_list`` over ``ZZ`` it calls on the numerators; no sympy
-expression is built.
+Factorization into irreducibles over Q runs on the numerators in
+``zzfactor`` (Cantor-Zassenhaus with Hensel lifting), which ``PolyQ.factor``
+imports on first use.  Nothing here imports sympy, so neither does a scan,
+which factors its family's discriminant polynomials; the package's one
+sympy caller is ``sections.solve_conic``.
 """
 
 from __future__ import annotations
@@ -332,18 +334,19 @@ class PolyQ:
         """Factor into content * prod(irreducible**e) over Q.
 
         Irreducible parts are primitive with positive leading integer
-        coefficients.  The one use of sympy in this module.
+        coefficients, ordered by degree, then multiplicity, then
+        coefficients from the top (the order of sympy's
+        ``dup_factor_list``, which it reproduces).  The numerators are
+        factored in Z[u] by ``zzfactor``, imported here on first use; no
+        sympy is imported, so a scan, which calls this through
+        ``CurveFamily.discriminant_factors``, imports none.
         """
-        from sympy.polys.domains import ZZ
-        from sympy.polys.factortools import dup_factor_list
+        from .zzfactor import factor_list
 
         if self.is_zero():
             raise ValueError("cannot factor the zero polynomial")
-        # int(): ZZ elements are mpz under gmpy ground types
-        c, parts = dup_factor_list(list(self.ints[::-1]), ZZ)
-        return Fraction(int(c), self.den), [
-            (_make([int(x) for x in reversed(f)], 1, self.var), e) for f, e in parts
-        ]
+        c, parts = factor_list(self.ints)
+        return Fraction(c, self.den), [(_make(f, 1, self.var), e) for f, e in parts]
 
     def content_and_primitive(self) -> tuple[Fraction, "PolyQ"]:
         """Positive rational content c and primitive integer part p, self = c*p."""
@@ -407,13 +410,34 @@ def _as_poly(x, var: str) -> Optional[PolyQ]:
     return None
 
 
+def _zz_yun(xs: Sequence[int]) -> list[list[int]]:
+    """[b_1, b_2, ..., b_n] for a primitive integer polynomial xs of
+    positive leading coefficient: xs = prod a_i^i with the a_i squarefree
+    and pairwise coprime, a_n nonconstant, and b_i = prod_{j >= i} a_j, so
+    a_i = b_i / b_(i+1).  Every b_i is primitive with a positive leading
+    coefficient; a constant xs gives [].
+
+    Yun's algorithm (von zur Gathen-Gerhard, Modern Computer Algebra,
+    14.6) over Z: one gcd per multiplicity.
+    """
+    c = _zz_derivative(xs)
+    g = _zz_gcd(xs, c) if c else [1]
+    bs, b, c = [], _zz_exquo(xs, g), _zz_exquo(c, g)
+    while len(b) > 1:
+        bs.append(b)
+        # d = c - b' is 0 when b = a_i, else of degree exactly deg b - 1
+        d = [x - y for x, y in zip(c, _zz_derivative(b))]
+        a = _zz_gcd(b, d) if any(d) else b
+        b, c = _zz_exquo(b, a), _zz_exquo(d, a)
+    return bs
+
+
 def square_decompose_poly(p: PolyQ) -> tuple[PolyQ, PolyQ]:
     """Write p = s*s*q with q free of repeated polynomial factors.
 
     p = c P with P primitive of positive leading coefficient, and c = n/d
-    enters as n d = root^2 free, free a squarefree integer.  Yun's
-    algorithm (von zur Gathen-Gerhard, Modern Computer Algebra, 14.6)
-    writes P = prod a_i^i through b_i = prod_{j >= i} a_j, primitive, so
+    enters as n d = root^2 free, free a squarefree integer.  With
+    P = prod a_i^i and b_i = prod_{j >= i} a_j from _zz_yun,
     S = b_2 b_4 b_6 ... is P's square part: s = root/d * S has a positive
     leading coefficient, and q = free * P / S^2.
     """
@@ -422,16 +446,9 @@ def square_decompose_poly(p: PolyQ) -> tuple[PolyQ, PolyQ]:
     xs = _zz_primitive(list(p.ints))
     content = Fraction(p.ints[-1], p.den * xs[-1])
     root, free = squarefree_decompose(content.numerator * content.denominator)
-    c = _zz_derivative(xs)
-    g = _zz_gcd(xs, c) if c else [1]
-    S, b, c, i = [1], _zz_exquo(xs, g), _zz_exquo(c, g), 1
-    while len(b) > 1:
-        if i % 2 == 0:
-            S = _zz_mul(S, b)
-        # d = c - b' is 0 when b = a_i, else of degree exactly deg b - 1
-        d = [x - y for x, y in zip(c, _zz_derivative(b))]
-        a = _zz_gcd(b, d) if any(d) else b
-        b, c, i = _zz_exquo(b, a), _zz_exquo(d, a), i + 1
+    S = [1]
+    for b in _zz_yun(xs)[1::2]:
+        S = _zz_mul(S, b)
     q = [free * x for x in _zz_exquo(xs, _zz_mul(S, S))]
     return _make([root * x for x in S], content.denominator, p.var), _make(q, 1, p.var)
 
@@ -471,8 +488,11 @@ class RatFunc:
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=None, var: str = "u"):
-        if isinstance(num, RatFunc) and den is None:
-            # already reduced with a monic denominator: keep its value and variable
+        if isinstance(num, RatFunc):
+            # already reduced with a monic denominator: keep its value and
+            # variable, divided by den when one is given
+            if den is not None:
+                num = num / den
             object.__setattr__(self, "num", num.num)
             object.__setattr__(self, "den", num.den)
             return

@@ -423,7 +423,8 @@ def test_console_script_help():
 def test_queries_import_neither_sympy_nor_mpmath():
     # a fresh interpreter answers catalog, rootnumber, sections and torsion
     # (Z/2 x Z/6 and Z/8) without sympy or mpmath, verify-all and heights
-    # without sympy, and builds the built-in scans without sympy
+    # without sympy, builds the built-in scans without sympy, and runs each
+    # of them at radius 1, factoring its family's discriminant, without sympy
     script = """
 import contextlib, io, sys
 from ellfam import cli
@@ -438,9 +439,13 @@ print(run("torsion", "Z2x6R2-3", "--u", "22"), run("torsion", "Z8R2-1", "--u", "
 print(run("verify-all"))
 print(run("heights", "Z8R2-1", "--u", "22"))
 from ellfam import scan; scan.builtin_scans(radius=1); print([m for m in ("sympy",) if m in sys.modules])
+for name in ("Z8-scan-1", "Z8-scan-2", "Z2x6-scan-1"):
+    run("--budget", "100000,200000", "scan", "--name", name, "--radius", "1")
+    print(name, "sympy" in sys.modules)
 """
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
-        "[] [] []", "[] []", "['mpmath']", "['mpmath']", "[]"
+        "[] [] []", "[] []", "['mpmath']", "['mpmath']", "[]",
+        "Z8-scan-1 False", "Z8-scan-2 False", "Z2x6-scan-1 False",
     ]

@@ -6,11 +6,12 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ellfam import polyq
 from ellfam.curves import WeierstrassCurve, weierstrass_invariants
+from ellfam.families import catalog
 from ellfam.polyq import (
     _GCD_PRIME,
     NotASquare,
@@ -163,11 +164,21 @@ class TestDenseCore:
 
     @given(polys(3), polys(2), polys(2))
     @settings(max_examples=100)
+    # u^4 - 10u^2 + 1 is irreducible but splits mod every prime, so its
+    # modular factors must be recombined; so must a product of two such
+    # quartics (with u^4 - 14u^2 + 9, for sqrt 2 + sqrt 5)
+    @example(PolyQ([1, 0, -10, 0, 1]), PolyQ([1]), PolyQ([1]))
+    @example(PolyQ([1, 0, -10, 0, 1]), PolyQ([1]), PolyQ([9, 0, -14, 0, 1]))
+    @example(PolyQ([1, 0, -10, 0, 1]), PolyQ([9, 0, -14, 0, 1]), PolyQ([Fraction(-3, 2), 0, 0, 1]))
+    @example(PolyQ([5, -4, 0, -6]), PolyQ([-1, 2]), PolyQ([Fraction(7, 3)]))  # negative lc
+    @example(PolyQ([0, 0, 1]), PolyQ([0, 1]), PolyQ([0, -2]))  # -2u^5
+    @example(PolyQ([Fraction(-7, 4)]), PolyQ([1]), PolyQ([1]))  # a constant
     def test_factor_reconstructs_and_matches_sympy(self, a, b, c):
         p = a * b * b * c
         if p.is_zero():
             return
         content, parts = p.factor()
+        assert p.factor() == (content, parts)
         prod = PolyQ([content], "u")
         for f, e in parts:
             assert f.leading() > 0 and all(x.denominator == 1 for x in f.coeffs)
@@ -177,6 +188,21 @@ class TestDenseCore:
         ref_content, ref_parts = sympy.factor_list(sympy_poly(p))
         assert content == Fraction(int(ref_content.p), int(ref_content.q))
         assert parts == [(from_sympy_poly(f), e) for f, e in ref_parts]
+
+
+@pytest.mark.parametrize("which", ["B", "A^2-4B"])
+@pytest.mark.parametrize("label", list(catalog()))
+def test_factor_matches_dup_factor_list_on_catalog(label, which):
+    # the discriminant polynomials a scan factors: content, factors,
+    # multiplicities and their order are sympy's
+    from sympy.polys.domains import ZZ
+    from sympy.polys.factortools import dup_factor_list
+
+    fam = catalog()[label]
+    f = fam.B if which == "B" else fam.A * fam.A - 4 * fam.B
+    c, parts = dup_factor_list(list(f.ints[::-1]), ZZ)
+    expected = (Fraction(int(c), f.den), [(PolyQ([int(x) for x in g[::-1]]), e) for g, e in parts])
+    assert f.factor() == expected
 
 
 int_polys = st.lists(st.integers(min_value=-50, max_value=50), min_size=1, max_size=6).filter(
@@ -325,6 +351,16 @@ class TestRatFunc:
         u = PolyQ.variable("u")
         f = RatFunc(u, 2 * u + 2)
         assert f.den.leading() == 1
+
+    def test_ratfunc_over_a_denominator_is_the_quotient(self):
+        # RatFunc(r, den) with r already a RatFunc is r / den, reduced
+        w = PolyQ.variable("w")
+        r = (w + 1) / (w * w + 3)
+        f = RatFunc(r, 2)
+        assert isinstance(f.num, PolyQ) and f == r / 2
+        assert RatFunc(r, w + 1) == RatFunc(PolyQ([1], "w"), w * w + 3)
+        with pytest.raises(ZeroDivisionError):
+            RatFunc(r, 0)
 
     @given(polys(3), polys(2), polys(2))
     @settings(max_examples=40)
