@@ -4,9 +4,9 @@ Everything downstream (polynomials, curves, local data, scans) sits on top of
 this module: budgeted integer factorization, primality testing, rational
 square detection and Jacobi symbols, all in the standard library.  All
 values are immutable and every result depends on the arguments alone; the
-one shared state is the module's prime sieve, which factor() and
-primes_below() grow in place, with the products of its blocks of primes
-that factor() caches; neither is thread-safe.
+one shared state is the module's prime sieve, which the factoring
+routines and primes_below() grow in place, with the products of its blocks
+of primes that trial division caches; neither is thread-safe.
 
 Rationals are plain ``fractions.Fraction`` objects; the stdlib type already
 keeps gcd(num, den) = 1 and den >= 1, which is exactly the canonical form we
@@ -277,7 +277,9 @@ def factor(n: int, budget: FactorBudget = DEFAULT_BUDGET) -> FactoredInt:
     # walk the shared sieve, grown in place to exactly the bound needed, in
     # segments [lo, lo^2) cut at the square root of what is left of n, so
     # that small or smooth n never make it sieve far; a segment of at least
-    # a block's length is walked block by block (_trial_primes)
+    # a block's length is walked block by block (_trial_primes).  This is
+    # _trial_divide for one value, without the bookkeeping of several,
+    # which would cost a quarter of the time on small n
     lo = 2
     while lo < budget.trial_bound and lo * lo <= n:
         hi = min(budget.trial_bound, math.isqrt(n) + 1, lo * lo)
@@ -290,11 +292,53 @@ def factor(n: int, budget: FactorBudget = DEFAULT_BUDGET) -> FactoredInt:
             if n % p == 0:
                 n, found[p] = _strip(n, p)
         lo = hi
+    residue = _split_rest(n, found, budget)
+    return FactoredInt(sign, tuple(sorted(found.items())), residue)
 
-    # remaining part: split it with rho until the budget runs out.  Each
-    # prime is proven once and divided out of every cofactor popped after
-    # it; a perfect power is pushed once, as its root; a cofactor rho
-    # cannot split is dropped, and is left in the residue below
+
+def _trial_divide(values: list[int], bound: int) -> tuple[list[int], list[dict[int, int]]]:
+    """Trial division of nonzero values by the sieve primes below bound, in
+    one walk for all of them: what is left of each |value|, and for each
+    the primes found with their exponents.
+
+    The walk is factor()'s, with its segments cut at the square root of
+    the largest rest, so it stops once p^2 exceeds every rest and goes no
+    further than a walk per value would.  A prime is tried against the
+    product of the rests and, only when it divides it, against each rest; a
+    whole block of primes takes one gcd with that product (_trial_primes).
+    Each rest has no prime factor below min(p, bound) for the prime p the
+    walk stopped at, and is 1 or prime when p^2 exceeds it.
+    """
+    rests = list(map(abs, values))
+    found: list[dict[int, int]] = [{} for _ in rests]
+    prod, top = math.prod(rests), max(rests, default=1)
+    lo = 2
+    while lo < bound and lo * lo <= top:
+        hi = min(bound, math.isqrt(top) + 1, lo * lo)
+        _sieve_to(hi)
+        i, end = bisect_left(_sieve_primes, lo), bisect_left(_sieve_primes, hi)
+        ps = _sieve_primes[i:end] if end - i < _BLOCK else _trial_primes(prod, i, end)
+        for p in ps:
+            if p * p > top:
+                break
+            if prod % p == 0:
+                for k, r in enumerate(rests):
+                    if r % p == 0:
+                        rests[k], found[k][p] = _strip(r, p)
+                prod, top = math.prod(rests), max(rests)
+        lo = hi
+    return rests, found
+
+
+def _split_rest(n: int, found: dict[int, int], budget: FactorBudget) -> int:
+    """Split n, the rest that trial division left, with rho until the
+    budget's allowance runs out; the primes go into found with their
+    exponents, and what is left (1 when complete) is returned.
+
+    Each prime is proven once and divided out of every cofactor popped
+    after it; a perfect power is pushed once, as its root; a cofactor rho
+    cannot split is dropped, and is left in the residue.
+    """
     primes: list[int] = []
     stack = [n] if n > 1 else []
     iters = budget.rho_iterations
@@ -317,10 +361,10 @@ def factor(n: int, budget: FactorBudget = DEFAULT_BUDGET) -> FactoredInt:
             if d is not None:
                 # d is popped first, so a prime d is stripped from m // d
                 stack.extend([m // d, d])
-    # exponents and the residue by exact division of what trial division left
+    # exponents and the residue by exact division
     for p in primes:
         n, found[p] = _strip(n, p)
-    return FactoredInt(sign, tuple(sorted(found.items())), n)
+    return n
 
 
 # _block_products[b] is the product of the aligned block of sieve primes
@@ -370,24 +414,25 @@ def factor_with_parts(
 ) -> FactoredInt:
     """Factor ``n`` through integers ``parts`` whose primes should cover n's.
 
-    Each nonzero part is factored on its own budget; the parts' unfactored
-    residues (with the primes found) are split into pairwise coprime pieces
-    by gcds, and every piece that is prime joins the primes.  |n| is then
-    divided by each prime, and what is left is the residue.  The result is
-    exact whatever the parts are: value() == n, and it is complete only
-    when the primes leave nothing of n over.
+    The nonzero parts are trial-divided in one walk of the sieve
+    (_trial_divide), and each part's rest is then split by rho on its own
+    allowance, so every part gets what factor() would give it.  The parts'
+    unfactored residues (with the primes found) are split into pairwise
+    coprime pieces by gcds, and every piece that is prime joins the primes.
+    |n| is then divided by each prime, and what is left is the residue.
+    The result is exact whatever the parts are: value() == n, and it is
+    complete only when the primes leave nothing of n over.
     """
     if n == 0:
         raise ValueError("cannot factor 0")
     primes: set[int] = set()
     residues: list[int] = []
-    for part in parts:
-        if part == 0:
-            continue
-        fi = factor(part, budget)
-        primes.update(fi.primes())
-        if fi.residue > 1:
-            residues.append(fi.residue)
+    rests, founds = _trial_divide([part for part in parts if part], budget.trial_bound)
+    for rest, found in zip(rests, founds):
+        residue = _split_rest(rest, found, budget)
+        primes.update(found)
+        if residue > 1:
+            residues.append(residue)
     if residues:
         for q in _coprime_pieces(sorted(primes) + residues):
             if q not in primes and is_prime(q):

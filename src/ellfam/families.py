@@ -65,18 +65,35 @@ class SpecializedCurve:
 
     (A, B) = (l^2 A(value), l^4 B(value)) and each point is mapped by
     (x, y) -> (l^2 x, l^3 y), for the scale l = q^s / c of specialize.
+    The torsion points are mapped at once; ``points``, the images of the
+    family's ``sections``, on first read, since a scan cell reads only the
+    torsion points.
     """
 
     label: str
     value: Fraction
     A: int
     B: int
-    points: tuple[CurvePoint, ...]
+    sections: tuple[CurvePoint, ...]
     torsion_points: tuple[CurvePoint, ...]
     scale: Fraction
 
     def curve(self) -> WeierstrassCurve:
         return WeierstrassCurve(0, self.A, 0, self.B, 0)
+
+    @cached_property
+    def points(self) -> tuple[CurvePoint, ...]:
+        return tuple(_specialize_point(P, self.value, self.scale) for P in self.sections)
+
+
+def _specialize_point(P: CurvePoint, value: Fraction, lam: Fraction) -> CurvePoint:
+    """P at ``value``, mapped by (x, y) -> (l^2 x, l^3 y); a pole of x
+    there gives the point at infinity."""
+    try:
+        x = P.x(value)
+    except ZeroDivisionError:
+        return INFINITY
+    return CurvePoint(lam * lam * x, lam**3 * P.y(value))
 
 
 @dataclass(frozen=True)
@@ -152,21 +169,15 @@ class CurveFamily:
             raise SingularMember(f"{self.label} degenerates at u = {value}")
         c = square_part(a, b, budget)
         lam = Fraction(q**s, c)
-
-        def spec_point(P: CurvePoint) -> CurvePoint:
-            try:
-                x = P.x(value)
-            except ZeroDivisionError:
-                return INFINITY
-            return CurvePoint(lam * lam * x, lam**3 * P.y(value))
-
         return SpecializedCurve(
             label=self.label,
             value=value,
             A=a // (c * c),
             B=b // c**4,
-            points=tuple(spec_point(P) for P in self.sections),
-            torsion_points=tuple(spec_point(P) for P in self.torsion_points),
+            sections=self.sections,
+            torsion_points=tuple(
+                _specialize_point(P, value, lam) for P in self.torsion_points
+            ),
             scale=lam,
         )
 

@@ -488,9 +488,9 @@ class RatFunc:
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=None, var: str = "u"):
-        if isinstance(num, RatFunc):
-            # already reduced with a monic denominator: keep its value and
-            # variable, divided by den when one is given
+        if isinstance(num, RatFunc) or isinstance(den, RatFunc):
+            # a RatFunc is already reduced with a monic denominator: keep
+            # the value and variable of num / den
             if den is not None:
                 num = num / den
             object.__setattr__(self, "num", num.num)

@@ -13,14 +13,17 @@ families - the companion coordinate ``s`` by the quadratic formula.  The
 sign conventions are pinned so the group origin lands on a designated base
 point.
 
-Cells are computed one after another in (n, m) order, so the grid is
-deterministic for a fixed spec and budget.
+Cells are filled in (n, m) order, each lattice row walked by adding G2,
+and a cell whose symmetric partner came earlier and is complete takes the
+partner's root once the two curves are proven Q-isomorphic; every other
+cell is computed on its own.  The grid is deterministic for a fixed spec
+and budget.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -36,7 +39,7 @@ from .curves import (
     isomorphic_over_Q,
     torsion_subgroup,
 )
-from .families import CurveFamily, SingularMember, catalog
+from .families import CurveFamily, SingularMember, SpecializedCurve, catalog
 from .polyq import NotASquare, PolyQ, poly_sqrt, square_decompose_poly
 from .rootnum import MissingLocalCase, global_root_number
 from .sections import QuarticModel, quartic_jacobian
@@ -317,6 +320,9 @@ class ScanGrid:
     name: str
     radius: int
     cells: tuple[ScanCell, ...]
+    # symmetric pairs (earlier cell, later cell) whose curves lattice_scan
+    # proved Q-isomorphic, the later cell taking the earlier one's root
+    proven_pairs: tuple[tuple[tuple[int, int], tuple[int, int]], ...] = ()
 
     @property
     def counts(self) -> tuple[int, int, int, int]:
@@ -364,17 +370,32 @@ class ScanGrid:
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def _scan_cell(spec: ScanSpec, n: int, m: int) -> ScanCell:
-    T = spec.lattice_point(n, m)
+def _member(
+    spec: ScanSpec, n: int, m: int, T: CurvePoint
+) -> Union[ScanCell, SpecializedCurve]:
+    """The family member at lattice point T = n G1 + m G2, or its skipped
+    cell where the parameter map or the member degenerates."""
     try:
         param = spec.mapping.parameter(T)
     except DegenerateFiber:
         return ScanCell(n, m, root=None, complete=False, skipped=True)
     try:
-        sp = spec.family.specialize(param, spec.budget)
+        return spec.family.specialize(param, spec.budget)
     except SingularMember:
         return ScanCell(n, m, root=None, complete=False, skipped=True, parameter=param)
+
+
+def _scan_cell(
+    spec: ScanSpec, n: int, m: int, sp: Optional[SpecializedCurve] = None
+) -> ScanCell:
+    """The cell (n, m) computed on its own: its member sp (specialized here
+    from n G1 + m G2 when not given), its torsion, then its root number."""
+    if sp is None:
+        sp = _member(spec, n, m, spec.lattice_point(n, m))
+        if isinstance(sp, ScanCell):
+            return sp
     E = sp.curve()
+    param = sp.value
     tg = torsion_subgroup(E, hints=sp.torsion_points)
     if tg.structure != spec.family.torsion:
         # outside the family's generic isomorphism class
@@ -393,16 +414,42 @@ def _scan_cell(spec: ScanSpec, n: int, m: int) -> ScanCell:
 def lattice_scan(spec: ScanSpec) -> ScanGrid:
     """Run the scan over the full (2*radius+1)^2 grid.
 
-    Per-cell failures never abort the scan: degenerate parameters are
-    flagged skipped, and cells whose discriminants exceed the factoring
-    budget are flagged incomplete.  The output is deterministic.
+    Cells are filled in (n, m) order, each row walked by adding G2 to its
+    previous point.  A cell whose symmetric partner (a - n, b - m) came
+    earlier and is complete is specialized, and once isomorphic_over_Q
+    proves its curve Q-isomorphic to the partner's it takes the partner's
+    root and completeness: isomorphic curves share torsion and root number.
+    Every other cell is computed on its own (_scan_cell); a pair whose
+    proof fails is left out of the grid's ``proven_pairs``, so
+    symmetry_audit checks it again.  Per-cell failures never abort the
+    scan: degenerate parameters are flagged skipped, and cells whose
+    discriminants exceed the factoring budget are flagged incomplete.  The
+    output is deterministic.
     """
-    cells = tuple(
-        _scan_cell(spec, n, m)
-        for n in range(-spec.radius, spec.radius + 1)
-        for m in range(-spec.radius, spec.radius + 1)
-    )
-    return ScanGrid(name=spec.name, radius=spec.radius, cells=cells)
+    E = spec.parametrizer
+    G2 = spec.generators[1]
+    a, b = spec.symmetry
+    R = spec.radius
+    cells: dict[tuple[int, int], ScanCell] = {}
+    curves: dict[tuple[int, int], WeierstrassCurve] = {}
+    proven = []
+    for n in range(-R, R + 1):
+        T = spec.lattice_point(n, -R)
+        for m in range(-R, R + 1):
+            if m > -R:
+                T = E.add(T, G2, check=False)
+            member = _member(spec, n, m, T)
+            if isinstance(member, ScanCell):
+                cells[n, m] = member
+                continue
+            curves[n, m] = curve = member.curve()
+            o = (a - n, b - m)
+            if o in cells and cells[o].complete and isomorphic_over_Q(curves[o], curve):
+                proven.append((o, (n, m)))
+                cells[n, m] = replace(cells[o], n=n, m=m, parameter=member.value)
+            else:
+                cells[n, m] = _scan_cell(spec, n, m, member)
+    return ScanGrid(spec.name, R, tuple(cells.values()), tuple(proven))
 
 
 # ---------------------------------------------------------------------------
@@ -413,12 +460,8 @@ def lattice_scan(spec: ScanSpec) -> ScanGrid:
 @dataclass(frozen=True)
 class SymmetryReport:
     violations: tuple[tuple[tuple[int, int], tuple[int, int]], ...]
-    isomorphism_samples: int
+    isomorphic_pairs: int
     isomorphism_failures: tuple[tuple[tuple[int, int], tuple[int, int]], ...]
-
-
-# symmetric pairs per audit whose curves are also proven Q-isomorphic
-_ISOMORPHISM_SAMPLES = 2
 
 
 def symmetry_audit(
@@ -426,43 +469,42 @@ def symmetry_audit(
     symmetry: tuple[int, int],
     spec: ScanSpec,
 ) -> SymmetryReport:
-    """Check that symmetric cells carry equal root numbers.
+    """Check that symmetric cells carry equal root numbers and curves.
 
     ``symmetry`` is a pair (a, b), declaring the involution
     (n, m) -> (a - n, b - m).  Complete symmetric pairs with differing
-    signs are reported as violations.  The first ``_ISOMORPHISM_SAMPLES``
-    non-skipped symmetric pairs are also certified by an exact
-    Q-isomorphism of the curves that ``spec``'s family gives them.
+    signs are reported as violations.  Every symmetric pair of non-skipped
+    cells must be Q-isomorphic: the pairs in the grid's ``proven_pairs``
+    were proven by lattice_scan, and each other pair is proven here, on the
+    curves that ``spec``'s family gives the two parameters; a pair with no
+    isomorphism is reported in ``isomorphism_failures``.
     """
     a, b = symmetry
     index = {(c.n, c.m): c for c in grid.cells}
+    proven = set(grid.proven_pairs)
     violations = []
-    sampled = 0
+    isomorphic = 0
     iso_failures = []
     for c in grid.cells:
         o = (a - c.n, b - c.m)
-        if o not in index or o < (c.n, c.m):
+        if o not in index or o <= (c.n, c.m):
             continue
         oc = index[o]
         if c.complete and oc.complete and c.root is not None and oc.root is not None:
             if c.root != oc.root:
                 violations.append(((c.n, c.m), o))
-        if (
-            sampled < _ISOMORPHISM_SAMPLES
-            and o != (c.n, c.m)
-            and not c.skipped
-            and not oc.skipped
-            and c.parameter is not None
-            and oc.parameter is not None
-        ):
-            sampled += 1
+        if c.skipped or oc.skipped:
+            continue
+        if ((c.n, c.m), o) not in proven:
             Ea = spec.family.specialize(c.parameter, spec.budget).curve()
             Eb = spec.family.specialize(oc.parameter, spec.budget).curve()
             if isomorphic_over_Q(Ea, Eb) is None:
                 iso_failures.append(((c.n, c.m), o))
+                continue
+        isomorphic += 1
     return SymmetryReport(
         violations=tuple(violations),
-        isomorphism_samples=sampled,
+        isomorphic_pairs=isomorphic,
         isomorphism_failures=tuple(iso_failures),
     )
 

@@ -455,6 +455,103 @@ class TestFactorWithParts:
             factor_with_parts(0, [2])
 
 
+def per_part_reference(n: int, parts: list[int], budget: FactorBudget) -> FactoredInt:
+    """factor_with_parts with a walk per part: each nonzero part through
+    factor(), then the same gcd split of the residues and division of n."""
+    primes: set[int] = set()
+    residues = []
+    for part in parts:
+        if part:
+            fi = factor(part, budget)
+            primes.update(fi.primes())
+            if fi.residue > 1:
+                residues.append(fi.residue)
+    for q in arith._coprime_pieces(sorted(primes) + residues) if residues else ():
+        if q not in primes and is_prime(q):
+            primes.add(q)
+    m, found = abs(n), []
+    for p in sorted(primes):
+        m, e = arith._strip(m, p)
+        if e:
+            found.append((p, e))
+    return FactoredInt(-1 if n < 0 else 1, tuple(found), m)
+
+
+def _sieve_bounds(calls: list[int]):
+    """Record every bound the shared sieve is asked to grow to."""
+    grow = arith._sieve_to
+
+    def recorded(bound):
+        calls.append(bound)
+        grow(bound)
+
+    return recorded
+
+
+# 0, +-1, and signed products of powers of small primes, of primes above the
+# trial bound (P7, Q7) and of M61; with trial bound 10^3 every part with P7,
+# Q7 or M61 in it is above trial_bound^2
+walk_parts = st.one_of(
+    st.sampled_from([0, 1, -1]),
+    st.builds(
+        lambda sign, es: sign * math.prod(p**e for p, e in zip((2, 3, P7, Q7, M61), es)),
+        st.sampled_from([1, -1]),
+        st.tuples(*[st.integers(min_value=0, max_value=k) for k in (40, 12, 3, 2, 2)]),
+    ),
+)
+
+
+class TestSingleWalk:
+    """factor_with_parts walks the sieve once for all parts; every part
+    gets what factor() would give it."""
+
+    @given(
+        st.tuples(st.lists(walk_parts, max_size=6), st.integers(min_value=0, max_value=2)),
+        st.sampled_from([1, 5, M89]),
+        st.sampled_from([FactorBudget(10**3, 0), FactorBudget(10**3, 3000), FactorBudget(7, 500)]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_a_walk_per_part(self, drawn, extra, budget):
+        parts, repeats = drawn
+        parts = parts + parts[:repeats]
+        n = extra * math.prod(p for p in parts if p)
+        runs = []
+        for run in (per_part_reference, factor_with_parts):
+            rho, bounds = [], []
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(arith, "_brent_rho", _rho_recorder(rho))
+                mp.setattr(arith, "_sieve_to", _sieve_bounds(bounds))
+                runs.append((run(n, parts, budget), rho, max(bounds, default=0)))
+        (ref, ref_rho, ref_top), (fi, rho, top) = runs
+        # the same FactoredInt, rho charged per part exactly as factor()
+        # charges it, and the sieve grown no further than a part's walk
+        assert fi == ref and fi.value() == n
+        assert rho == ref_rho
+        assert top <= ref_top
+
+    def test_walk_stops_at_the_largest_part_root(self, monkeypatch):
+        # two primes near 10^7: the walk stops near their square root,
+        # 3163, not at the trial bound 10^6 (nor the product's root)
+        monkeypatch.setattr(arith, "_sieve_flags", bytearray(2))
+        monkeypatch.setattr(arith, "_sieve_primes", [])
+        bounds = []
+        monkeypatch.setattr(arith, "_sieve_to", _sieve_bounds(bounds))
+        p, q = 10**7 + 19, 10**7 + 79
+        fi = factor_with_parts(2 * p * q, [2, p, q], FactorBudget(10**6, 0))
+        assert fi.complete and fi.factors == ((2, 1), (p, 1), (q, 1))
+        assert max(bounds) <= math.isqrt(q) + 1
+        fi = factor_with_parts(p * q, [q, p], FactorBudget(10**6, 0))
+        assert fi.complete and fi.factors == ((p, 1), (q, 1))
+        assert max(bounds) <= math.isqrt(q) + 1
+        assert len(arith._sieve_flags) <= math.isqrt(q) + 1
+
+    def test_no_factor_calls(self, monkeypatch):
+        # the parts go through the one walk and the rho stage, not factor()
+        monkeypatch.setattr(arith, "factor", None)
+        fi = factor_with_parts(-(2**5) * 3 * P7, [2, 6, -P7 * 3, 0, 1], RHO)
+        assert fi == FactoredInt(-1, ((2, 5), (3, 1), (P7, 1)))
+
+
 # small shared primes, so that every input and every piece factors by trial
 COPRIME_POOL = (2, 3, 5, 7, 1009, 7919)
 

@@ -362,6 +362,17 @@ class TestRatFunc:
         with pytest.raises(ZeroDivisionError):
             RatFunc(r, 0)
 
+    def test_over_a_ratfunc_denominator_is_the_quotient(self):
+        # RatFunc(num, r) with r a RatFunc is num / r, whatever num is
+        w = PolyQ.variable("w")
+        r = (w + 1) / (w * w + 3)
+        assert RatFunc(w + 1, r) == RatFunc(w * w + 3)
+        assert RatFunc(2, r) == RatFunc(2 * (w * w + 3), w + 1)
+        assert RatFunc(Fraction(1, 2), r) == 1 / (2 * r)
+        assert RatFunc(r, r) == 1 and RatFunc(2, r).var == "w"
+        with pytest.raises(ZeroDivisionError):
+            RatFunc(1, r - r)
+
     @given(polys(3), polys(2), polys(2))
     @settings(max_examples=40)
     def test_field_axioms(self, a, b, c):

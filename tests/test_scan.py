@@ -338,7 +338,7 @@ class TestSymmetryAudit:
             rep = symmetry_audit(grid, specs[name].symmetry, spec=specs[name])
             assert rep.violations == ()
             assert rep.isomorphism_failures == ()
-            assert rep.isomorphism_samples >= 1
+            assert rep.isomorphic_pairs >= 1
 
     def test_fault_injection(self, specs, grids):
         grid = grids["Z8-scan-2"]
@@ -367,6 +367,113 @@ class TestSymmetryAudit:
 @pytest.fixture(scope="module")
 def radius2_specs():
     return builtin_scans(radius=2, budget=BUD)
+
+
+def _independent_cells(spec):
+    return tuple(
+        scan._scan_cell(spec, n, m)
+        for n in range(-spec.radius, spec.radius + 1)
+        for m in range(-spec.radius, spec.radius + 1)
+    )
+
+
+def _later_cells(grid, symmetry):
+    """(earlier partner, later cell) for each symmetric pair of cells of
+    grid, ordered as lattice_scan meets them."""
+    a, b = symmetry
+    index = {(c.n, c.m): c for c in grid.cells}
+    return [
+        (index[a - c.n, b - c.m], c)
+        for c in grid.cells
+        if (a - c.n, b - c.m) in index and (a - c.n, b - c.m) < (c.n, c.m)
+    ]
+
+
+class TestOrbits:
+    """lattice_scan computes one root number per proven symmetric pair."""
+
+    def test_grid_equals_independent_cells(self, specs, grids, radius2_specs):
+        for spec in [*specs.values(), radius2_specs["Z2x6-scan-1"]]:
+            grid = grids[spec.name] if spec.radius == 1 else lattice_scan(spec)
+            assert grid.cells == _independent_cells(spec), (spec.name, spec.radius)
+
+    def test_every_complete_partner_is_proven_and_used(self, radius2_specs, monkeypatch):
+        # a later cell with a complete partner costs one proof and no root
+        # number; every other non-skipped cell costs one root number
+        spec = radius2_specs["Z2x6-scan-1"]
+        roots = []
+        real = scan.global_root_number
+        monkeypatch.setattr(
+            scan, "global_root_number", lambda E, *a, **k: roots.append(E) or real(E, *a, **k)
+        )
+        grid = lattice_scan(spec)
+        pairs = [
+            ((o.n, o.m), (c.n, c.m))
+            for o, c in _later_cells(grid, spec.symmetry)
+            if o.complete and not c.skipped
+        ]
+        assert len(pairs) >= 5 and list(grid.proven_pairs) == pairs
+        unskipped = sum(1 for c in grid.cells if not c.skipped)
+        assert len(roots) == unskipped - len(pairs)
+        rep = symmetry_audit(grid, spec.symmetry, spec=spec)
+        assert rep.isomorphism_failures == ()
+        assert rep.isomorphic_pairs == sum(
+            1 for o, c in _later_cells(grid, spec.symmetry) if not o.skipped and not c.skipped
+        )
+
+    def test_unproven_pair_is_computed_twice_and_reported(self, radius2_specs, monkeypatch):
+        spec = radius2_specs["Z2x6-scan-1"]
+        clean = lattice_scan(spec)
+        first, later = clean.proven_pairs[0]
+        index = {(c.n, c.m): c for c in clean.cells}
+        pair = {
+            spec.family.specialize(index[cell].parameter, spec.budget).curve()
+            for cell in (first, later)
+        }
+        real = scan.isomorphic_over_Q
+
+        def failing(E1, E2):
+            return None if {E1, E2} == pair else real(E1, E2)
+
+        tested = []
+        real_torsion = scan.torsion_subgroup
+        monkeypatch.setattr(scan, "isomorphic_over_Q", failing)
+        monkeypatch.setattr(
+            scan, "torsion_subgroup", lambda E, **k: tested.append(E) or real_torsion(E, **k)
+        )
+        grid = lattice_scan(spec)
+        assert grid.cells == clean.cells
+        assert grid.proven_pairs == tuple(p for p in clean.proven_pairs if p != (first, later))
+        assert sum(1 for E in tested if E in pair) == 2
+        rep = symmetry_audit(grid, spec.symmetry, spec=spec)
+        assert rep.isomorphism_failures == ((first, later),)
+        assert rep.violations == ()
+
+    def test_partner_of_incomplete_cell_is_computed_on_its_own(self, radius2_specs):
+        # trial division to 100 and no rho leave most cells incomplete
+        spec = replace(radius2_specs["Z8-scan-2"], budget=FactorBudget(100, 0))
+        grid = lattice_scan(spec)
+        later = [
+            (o, c) for o, c in _later_cells(grid, spec.symmetry)
+            if not o.complete and not o.skipped and not c.skipped
+        ]
+        assert len(later) >= 3
+        proven = {c for _o, c in grid.proven_pairs}
+        assert all((c.n, c.m) not in proven for _o, c in later)
+        assert grid.cells == _independent_cells(spec)
+        rep = symmetry_audit(grid, spec.symmetry, spec=spec)
+        assert rep.isomorphism_failures == () and rep.isomorphic_pairs >= len(later)
+
+    def test_scan_never_reads_section_points(self, specs, monkeypatch):
+        # a scan cell needs the torsion points only
+        def unread(sp):
+            raise AssertionError(f"{sp.label} at {sp.value}: points read")
+
+        monkeypatch.setattr(families.SpecializedCurve, "points", property(unread))
+        for spec in specs.values():
+            grid = lattice_scan(spec)
+            symmetry_audit(grid, spec.symmetry, spec=spec)
+            spec.validate()
 
 
 def _members(spec):
