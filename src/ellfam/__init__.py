@@ -3,16 +3,18 @@ Z/8Z and Z/2Z x Z/6Z: a certified catalog of rank-1 and rank-2 families,
 quadratic-section machinery, local reduction data, root numbers, canonical
 heights, and lattice scans over rank-2 parametrizing curves.
 
-The scan names are served on first use: importing ``ellfam.scan`` and
-``ellfam.sections`` costs 20-30 ms, and no query but a scan needs them.
+Importing the package loads arith, polyq, curves and families, the layers
+that every CLI command needs.  The names of heights, localdata, rootnum
+and scan are served on first use, from _LAZY: a `catalog` or `specialize`
+query never reads them, and without cached bytecode each module an
+interpreter imports is compiled afresh.
 """
+
+from importlib import import_module
 
 from .arith import DEFAULT_BUDGET, FactorBudget, Unfactored
 from .curves import CurvePoint, INFINITY, WeierstrassCurve, torsion_subgroup
 from .families import CurveFamily, catalog
-from .heights import canonical_height, independence_certificate, regulator
-from .localdata import conductor, minimal_model, tate_local
-from .rootnum import global_root_number
 
 __version__ = "0.1.0"
 
@@ -40,12 +42,23 @@ __all__ = [
 ]
 
 
-_SCAN_NAMES = ("builtin_scans", "lattice_scan", "symmetry_audit")
+# name -> the module that defines it, imported when the name is first read
+_LAZY = {
+    "canonical_height": "heights",
+    "independence_certificate": "heights",
+    "regulator": "heights",
+    "conductor": "localdata",
+    "minimal_model": "localdata",
+    "tate_local": "localdata",
+    "global_root_number": "rootnum",
+    "builtin_scans": "scan",
+    "lattice_scan": "scan",
+    "symmetry_audit": "scan",
+}
 
 
 def __getattr__(name: str):
-    if name in _SCAN_NAMES:
-        from . import scan
-
-        return getattr(scan, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{module}", __name__), name)

@@ -322,7 +322,6 @@ class TestHeights:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(heights, "pairing_matrix", counted)
-        monkeypatch.setattr(cli, "pairing_matrix", counted)
         code, out, _ = run(
             capsys, "heights", "--curve", "0,0,0,-25,0", "--points=-4,6;45,300"
         )
@@ -448,4 +447,37 @@ for name in ("Z8-scan-1", "Z8-scan-2", "Z2x6-scan-1"):
     assert proc.stdout.splitlines() == [
         "[] [] []", "[] []", "['mpmath']", "['mpmath']", "[]",
         "Z8-scan-1 False", "Z8-scan-2 False", "Z2x6-scan-1 False",
+    ]
+
+
+def test_each_command_loads_only_its_layers():
+    # a fresh interpreter: importing the CLI and answering catalog load the
+    # layers every command needs; rootnumber adds local data, root numbers
+    # and their tables, and heights then adds heights
+    script = """
+import contextlib, io, sys
+
+def loaded():
+    return {m for m in sys.modules if m == "ellfam" or m.startswith("ellfam.")}
+
+def run(*argv):
+    before = loaded()
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(list(argv)) == 0
+    print(sorted(loaded() - before))
+
+from ellfam import cli
+print(sorted(loaded()))
+run("catalog")
+run("rootnumber", "Z8R2-1", "--u", "22")
+run("heights", "Z8R2-1", "--u", "22")
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "['ellfam', 'ellfam.arith', 'ellfam.cli', 'ellfam.curves', "
+        "'ellfam.families', 'ellfam.polyq']",
+        "[]",
+        "['ellfam._rootnum_tables', 'ellfam.localdata', 'ellfam.rootnum']",
+        "['ellfam.heights']",
     ]

@@ -1,6 +1,7 @@
 """Every module under src/ and tests/ reads each name it imports."""
 
 import ast
+import hashlib
 import importlib
 import pathlib
 
@@ -61,6 +62,36 @@ def test_tracer_layers_resolve():
         if owner is None:
             missing.append(f"{module}.{path}")
     assert missing == []
+
+
+def test_tables_and_public_names_survive_lazy_loading():
+    # the root-number tables, read from JSON rows, hold what the dict
+    # displays they replaced held, and every public name of the package
+    # resolves, those served on first use included
+    from ellfam import _rootnum_tables as t
+
+    def digest(table):
+        return hashlib.sha1(repr(sorted(table.items())).encode()).hexdigest()
+
+    assert {name: digest(getattr(t, name)) for name in (
+        "TABLE_P2", "TABLE_P3", "RESIDUE_CLASS", "TABLE_MODULI"
+    )} == {
+        "TABLE_P2": "48587a49fbaebe29f2b95cf16c9266445714741d",
+        "TABLE_P3": "238699f96322668004aff42746a45c0350af4fe5",
+        "RESIDUE_CLASS": "f0f931bd92b3468071b4492ca1249e262332fbaa",
+        "TABLE_MODULI": "e688d1ff5a6d17c2225f0dc85070b4c44c513b13",
+    }
+    for table in (t.TABLE_P2, t.TABLE_P3):
+        for key, sign in table.items():
+            assert type(key) is tuple and len(key) == 7
+            assert type(key[0]) is str
+            assert all(type(v) is int for v in key[1:])
+            assert sign in (1, -1) and type(sign) is int
+    namespace = {}
+    exec("from ellfam import *", namespace)
+    import ellfam
+
+    assert all(namespace[name] is getattr(ellfam, name) for name in ellfam.__all__)
 
 
 def test_scan_sees_an_unused_import():
