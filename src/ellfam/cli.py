@@ -30,7 +30,14 @@ from .arith import (
     rational_to_string,
 )
 from .curves import CurvePoint, WeierstrassCurve, torsion_subgroup
-from .families import CurveFamily, SingularMember, catalog, verify_section
+from .families import (
+    CurveFamily,
+    SingularMember,
+    catalog,
+    catalog_listing,
+    torsion_label,
+    verify_section,
+)
 from .polyq import NotASquare
 
 BUDGET_ENV = "ELLFAM_BUDGET"
@@ -99,11 +106,13 @@ def _usage_error(message: str) -> NoReturn:
 
 
 def _family(label: str) -> CurveFamily:
-    """The catalog entry for label; an unknown label is a usage error."""
-    fam = catalog().get(label)
-    if fam is None:
+    """The catalog entry for label; an unknown label is a usage error.  The
+    label is looked up before the entry is derived, so an error raised in
+    the derivation propagates as itself."""
+    cat = catalog()
+    if label not in cat:
         _usage_error(f"unknown catalog label: {label}")
-    return fam
+    return cat[label]
 
 
 def _resolve_curve(args):
@@ -132,21 +141,22 @@ def _point_json(P: CurvePoint):
 
 def _cmd_catalog(args) -> int:
     if args.label is None:
+        # read off the table: the listing derives no family
         payload = [
             {
-                "label": fam.label,
-                "torsion": fam.torsion_label(),
-                "rank": fam.rank,
-                "parent": fam.parent,
+                "label": label,
+                "torsion": torsion_label(torsion),
+                "rank": rank,
+                "parent": parent,
             }
-            for fam in catalog().values()
+            for label, torsion, rank, parent in catalog_listing()
         ]
         _emit(payload)
         return 0
     fam = _family(args.label)
     payload = {
         "label": fam.label,
-        "torsion": fam.torsion_label(),
+        "torsion": torsion_label(fam.torsion),
         "rank": fam.rank,
         "parent": fam.parent,
         "A": str(fam.A),

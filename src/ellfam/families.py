@@ -18,6 +18,12 @@ conic that its substitution parametrizes (_parametrized_conic).  Transported
 points and lifted sections are formed already reduced
 (polyq.reduced_substitute, verify_section), so a substitution takes no
 polynomial gcd.
+
+The catalog derives an entry, with its parent chain, the first time that
+entry is read: a query about one family derives one to three.  Its
+listing (label, torsion, rank, parent) is read off the table and derives
+none: a row's rank is its count of section abscissas, and the torsion and
+parent of the base models are stated once, in _BASE_MODELS.
 """
 
 from __future__ import annotations
@@ -26,8 +32,7 @@ import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 from fractions import Fraction
-from types import MappingProxyType
-from typing import Mapping, Optional, Sequence
+from typing import Iterator, Mapping, Optional, Sequence
 
 from .arith import DEFAULT_BUDGET, FactorBudget, factor, squarefree_decompose, valuation
 from .curves import INFINITY, CurvePoint, WeierstrassCurve
@@ -52,6 +57,11 @@ def ratfunc_sqrt(f: RatFunc) -> RatFunc:
     num, den = f.num, f.den
     # den is monic; f = num/den is a square iff both parts are
     return RatFunc(poly_sqrt(num * den), den)
+
+
+def torsion_label(torsion: tuple[int, ...]) -> str:
+    """(2, 6) -> "Z/2 x Z/6"."""
+    return " x ".join(f"Z/{n}" for n in torsion)
 
 
 class SingularMember(ValueError):
@@ -133,9 +143,6 @@ class CurveFamily:
 
     def j_invariant(self) -> RatFunc:
         return self.curve().j
-
-    def torsion_label(self) -> str:
-        return " x ".join(f"Z/{n}" for n in self.torsion)
 
     def verify(self) -> bool:
         """Check all stored points actually lie on the family curve.
@@ -336,6 +343,11 @@ def verify_section(family: CurveFamily, x: RatFunc | PolyQ) -> CurvePoint:
 
 # -- base models ----------------------------------------------------------
 
+# label -> (torsion, parent) of each base model.  Z2x6 is substituted from
+# the Z/6 Tate model, labelled Z6, which is no catalog entry.
+_BASE_MODELS = {"Z8": ((8,), None), "Z2x6": ((2, 6), "Z6")}
+
+
 def _tate_base_model(
     label: str, torsion: tuple[int, ...], b: RatFunc, c: RatFunc, k: int, u: RatFunc
 ) -> CurveFamily:
@@ -368,7 +380,8 @@ def model_z8() -> CurveFamily:
     """
     v = RatFunc.variable("v")
     b = (2 * v - 1) * (v - 1)
-    return _tate_base_model("Z8", (8,), b, b / v, 4, 1 / (2 * v))
+    torsion, _parent = _BASE_MODELS["Z8"]
+    return _tate_base_model("Z8", torsion, b, b / v, 4, 1 / (2 * v))
 
 
 def model_z2x6() -> CurveFamily:
@@ -382,8 +395,9 @@ def model_z2x6() -> CurveFamily:
     d = (v^2-1)/(2(5-3v)), which parametrizes (d+1)(9d+1) = (3d+v)^2,
     yields the universal Z/2 x Z/6 model.
     """
+    torsion, parent = _BASE_MODELS["Z2x6"]
     d = RatFunc.variable("v")
-    base = _tate_base_model("Z6", (6,), d + d * d, d, 3, RatFunc.const(Fraction(1, 2), "v"))
+    base = _tate_base_model(parent, (6,), d + d * d, d, 3, RatFunc.const(Fraction(1, 2), "v"))
     # d = (v^2 - 1) / (2(5 - 3v)) splits the 2-torsion completely
     v = RatFunc.variable("v")
     sub = (v * v - 1) / (2 * (5 - 3 * v))
@@ -394,7 +408,7 @@ def model_z2x6() -> CurveFamily:
     T2 = CurvePoint(x2, RatFunc.const(0, "v"))
     # substitute_parameter proved the generator, and T2 is on the curve
     # because poly_sqrt is exact
-    return replace(fam, torsion=(2, 6), torsion_points=(T2,) + fam.torsion_points)
+    return replace(fam, torsion=torsion, torsion_points=(T2,) + fam.torsion_points)
 
 
 # -- catalog --------------------------------------------------------------
@@ -499,22 +513,73 @@ def _catalog_rows():
     ]
 
 
-_CATALOG_CACHE: dict[str, CurveFamily] = {}
-_CATALOG = MappingProxyType(_CATALOG_CACHE)
+class _Catalog(Mapping[str, CurveFamily]):
+    """The catalog as a read-only mapping in catalog order.  Its labels are
+    the table's: len, in and iterating the labels derive nothing.  Reading
+    an entry derives it, with its parent chain, the first time, and keeps
+    it; values() and items() derive every entry in catalog order."""
+
+    def __init__(self) -> None:
+        # label -> None for a base model, else (parent, substitution,
+        # section abscissas, spec hint)
+        self._rows = dict.fromkeys(_BASE_MODELS)
+        self._rows.update((label, row) for label, *row in _catalog_rows())
+        self._families: dict[str, CurveFamily] = {}
+
+    def __getitem__(self, label: str) -> CurveFamily:
+        fam = self._families.get(label)
+        if fam is None:
+            row = self._rows[label]
+            if row is None:
+                fam = model_z8() if label == "Z8" else model_z2x6()
+            else:
+                parent, sub, xs, hint = row
+                fam = substitute_parameter(self[parent], sub, label, sections=xs, spec_hint=hint)
+            self._families[label] = fam
+        return fam
+
+    def __contains__(self, label: object) -> bool:
+        return label in self._rows
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._rows)
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+
+_CATALOG: Optional[_Catalog] = None
 
 
 def catalog() -> Mapping[str, CurveFamily]:
     """All families keyed by label: the two base models, the rank-1 entries
     obtained from them by a single quadratic-section substitution, and the
-    rank-2 entries obtained by one more, all built by one loop over
-    _catalog_rows.  Every entry's condition is derived: the conic that its
+    rank-2 entries obtained by one more, each derived from its _catalog_rows
+    row.  Every entry's condition is derived: the conic that its
     substitution parametrizes.  Every call returns the same read-only
-    mapping, built on the first call.
+    mapping, which derives an entry and its parent chain the first time
+    that entry is read: reading one rank-2 entry derives three families,
+    and values() or items() derive all 36.
     """
-    if _CATALOG_CACHE:
-        return _CATALOG
-    out: dict[str, CurveFamily] = {"Z8": model_z8(), "Z2x6": model_z2x6()}
-    for label, parent, sub, xs, hint in _catalog_rows():
-        out[label] = substitute_parameter(out[parent], sub, label, sections=xs, spec_hint=hint)
-    _CATALOG_CACHE.update(out)
+    global _CATALOG
+    if _CATALOG is None:
+        _CATALOG = _Catalog()
     return _CATALOG
+
+
+def catalog_listing() -> list[tuple[str, tuple[int, ...], int, Optional[str]]]:
+    """(label, torsion, rank, parent) per catalog entry, in catalog order,
+    read off the table without deriving a family: a base model's torsion
+    and parent come from _BASE_MODELS, a row's rank is its count of section
+    abscissas, and its torsion is its parent's."""
+    out = []
+    torsion: dict[str, tuple[int, ...]] = {}
+    for label, row in catalog()._rows.items():
+        if row is None:
+            torsion[label], parent = _BASE_MODELS[label]
+            rank = 0
+        else:
+            parent, _sub, xs, _hint = row
+            torsion[label], rank = torsion[parent], len(xs)
+        out.append((label, torsion[label], rank, parent))
+    return out

@@ -386,15 +386,20 @@ def _member(
 
 
 def _scan_cell(
-    spec: ScanSpec, n: int, m: int, sp: Optional[SpecializedCurve] = None
+    spec: ScanSpec,
+    n: int,
+    m: int,
+    member: Optional[tuple[SpecializedCurve, WeierstrassCurve]] = None,
 ) -> ScanCell:
-    """The cell (n, m) computed on its own: its member sp (specialized here
-    from n G1 + m G2 when not given), its torsion, then its root number."""
-    if sp is None:
+    """The cell (n, m) computed on its own: its member sp and sp's curve E
+    (specialized here from n G1 + m G2 when not given), its torsion, then
+    its root number."""
+    if member is None:
         sp = _member(spec, n, m, spec.lattice_point(n, m))
         if isinstance(sp, ScanCell):
             return sp
-    E = sp.curve()
+        member = sp, sp.curve()
+    sp, E = member
     param = sp.value
     tg = torsion_subgroup(E, hints=sp.torsion_points)
     if tg.structure != spec.family.torsion:
@@ -448,7 +453,7 @@ def lattice_scan(spec: ScanSpec) -> ScanGrid:
                 proven.append((o, (n, m)))
                 cells[n, m] = replace(cells[o], n=n, m=m, parameter=member.value)
             else:
-                cells[n, m] = _scan_cell(spec, n, m, member)
+                cells[n, m] = _scan_cell(spec, n, m, (member, curve))
     return ScanGrid(spec.name, R, tuple(cells.values()), tuple(proven))
 
 

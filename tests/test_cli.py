@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from ellfam import cli, heights, localdata
+from ellfam import cli, families, heights, localdata
 from ellfam.cli import main
 from ellfam.curves import CurvePoint
 from ellfam.families import catalog
@@ -29,14 +29,28 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "command",
-        [["catalog"], ["specialize", "--u", "3"], ["sections"], ["torsion", "--u", "3"]],
+        [["catalog"], ["specialize", "--u", "3"], ["sections"], ["torsion", "--u", "3"],
+         ["rootnumber", "--u", "1"]],
         ids=lambda command: command[0],
     )
     def test_unknown_catalog_label(self, capsys, command):
         with pytest.raises(SystemExit) as exc:
-            main([command[0], "NOPE-99", *command[1:]])
+            main([command[0], "Z9", *command[1:]])
         assert exc.value.code == 2
-        assert "NOPE-99" in capsys.readouterr().err
+        out = capsys.readouterr()
+        assert (out.out, out.err) == ("", "unknown catalog label: Z9\n")
+
+    def test_derivation_error_is_not_an_unknown_label(self, capsys, monkeypatch):
+        # the label is looked up in the table before its entry is derived,
+        # so a KeyError raised while deriving propagates as itself
+        def broken(*args, **kwargs):
+            raise KeyError("bug")
+
+        monkeypatch.setattr(families, "_CATALOG", None)
+        monkeypatch.setattr(families, "substitute_parameter", broken)
+        with pytest.raises(KeyError, match="bug"):
+            main(["rootnumber", "Z8-1", "--u", "3"])
+        assert capsys.readouterr().err == ""
 
     def test_unknown_scan_name(self, capsys):
         code, _out, err = run(capsys, "scan", "--name", "bogus", "--radius", "1")
@@ -480,4 +494,42 @@ run("heights", "Z8R2-1", "--u", "22")
         "[]",
         "['ellfam._rootnum_tables', 'ellfam.localdata', 'ellfam.rootnum']",
         "['ellfam.heights']",
+    ]
+
+
+def test_each_command_derives_only_its_parent_chain():
+    # a fresh interpreter: catalog lists the table and derives no family;
+    # rootnumber derives its entry's parent chain, and heights on the same
+    # entry derives nothing more
+    script = """
+import contextlib, io
+from ellfam import cli, families
+
+derived = []
+
+def counted(real):
+    def wrapper(*args, **kwargs):
+        fam = real(*args, **kwargs)
+        derived.append(fam.label)
+        return fam
+    return wrapper
+
+for name in ("_tate_base_model", "substitute_parameter"):
+    setattr(families, name, counted(getattr(families, name)))
+
+def run(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(list(argv)) == 0
+    print(derived)
+    derived.clear()
+
+run("catalog")
+run("rootnumber", "Z8R2-1", "--u", "22")
+run("heights", "Z8R2-1", "--u", "22")
+run("catalog", "Z2x6")
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "[]", "['Z8', 'Z8-3', 'Z8R2-1']", "[]", "['Z6', 'Z2x6']",
     ]

@@ -4,7 +4,6 @@ import hashlib
 import math
 from dataclasses import replace
 from fractions import Fraction
-from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings
@@ -215,6 +214,74 @@ class TestCatalogPin:
                     verify_section(fam, x)
 
 
+@pytest.fixture
+def derived(monkeypatch):
+    """A fresh catalog, and the label of each family that its reads derive:
+    a base model's Tate model or a substitution, in the order made."""
+    made = []
+
+    def counted(real):
+        def wrapper(*args, **kwargs):
+            fam = real(*args, **kwargs)
+            made.append(fam.label)
+            return fam
+        return wrapper
+
+    monkeypatch.setattr(families, "_CATALOG", None)
+    for name in ("_tate_base_model", "substitute_parameter"):
+        monkeypatch.setattr(families, name, counted(getattr(families, name)))
+    return made
+
+
+def _parent_chain(label):
+    """label and its ancestors, as derived: Z2x6 is substituted from Z6."""
+    parents = {base: parent for base, (_t, parent) in families._BASE_MODELS.items()}
+    parents.update((row[0], row[1]) for row in _catalog_rows())
+    chain = []
+    while label is not None:
+        chain.append(label)
+        label = parents.get(label)
+    return chain
+
+
+class TestCatalogOnFirstRead:
+    @pytest.mark.parametrize("label", list(catalog()))
+    def test_a_read_derives_its_parent_chain_once(self, derived, label):
+        cat = catalog()
+        assert len(cat) == 36 and label in cat and list(cat)[0] == "Z8"
+        assert derived == []
+        fam = cat[label]
+        assert sorted(derived) == sorted(_parent_chain(label))
+        derived.clear()
+        assert cat[label] is fam and catalog()[label] is fam
+        assert derived == []
+
+    def test_listing_reads_the_table(self, derived):
+        listing = families.catalog_listing()
+        assert derived == []
+        assert [row[0] for row in listing] == list(catalog())
+        assert listing == [
+            (fam.label, fam.torsion, fam.rank, fam.parent) for fam in catalog().values()
+        ]
+        assert len(derived) == 37  # Z6 as well
+
+    def test_derivation_order_does_not_matter(self, derived, monkeypatch):
+        cat = catalog()
+        reverse = {label: cat[label] for label in reversed(list(cat))}
+        monkeypatch.setattr(families, "_CATALOG", None)
+        forward = dict(catalog().items())
+        assert reverse == forward
+        assert catalog_content_hash(reverse) == catalog_content_hash(forward) == CATALOG_HASH
+        assert len(derived) == 2 * 37
+
+    def test_unknown_label(self, derived):
+        cat = catalog()
+        assert "Z9" not in cat
+        with pytest.raises(KeyError):
+            cat["Z9"]
+        assert derived == []
+
+
 class TestReducedByConstruction:
     """Transported points and lifted sections are formed reduced, without a
     gcd (see reduced_substitute and verify_section)."""
@@ -270,13 +337,8 @@ class TestReducedByConstruction:
         calls = []
         real = polyq._zz_gcd
         monkeypatch.setattr(polyq, "_zz_gcd", lambda *a: calls.append(1) or real(*a))
-        saved = dict(families._CATALOG_CACHE)
-        families._CATALOG_CACHE.clear()
-        try:
-            assert len(families.catalog()) == 36
-        finally:
-            families._CATALOG_CACHE.clear()
-            families._CATALOG_CACHE.update(saved)
+        monkeypatch.setattr(families, "_CATALOG", None)
+        assert len(list(families.catalog().values())) == 36
         assert len(calls) <= 103
 
 
@@ -821,9 +883,7 @@ class TestSubstituteParameter:
         monkeypatch.setattr(
             families, "_cleared_cubic", lambda f, xn, xd: calls.append(f.label) or real(f, xn, xd)
         )
-        cache = {}
-        monkeypatch.setattr(families, "_CATALOG_CACHE", cache)
-        monkeypatch.setattr(families, "_CATALOG", MappingProxyType(cache))
-        assert len(families.catalog()) == 36
+        monkeypatch.setattr(families, "_CATALOG", None)
+        assert len(list(families.catalog().values())) == 36
         assert calls.count("Z2x6") == 1
         assert len(calls) == 90
