@@ -2,11 +2,15 @@
 
 Everything downstream (polynomials, curves, local data, scans) sits on top of
 this module: budgeted integer factorization, primality testing, rational
-square detection and Jacobi symbols, all in the standard library.  All
-values are immutable and every result depends on the arguments alone; the
-one shared state is the module's prime sieve, which the factoring
-routines and primes_below() grow in place, with the products of its blocks
-of primes that trial division caches; neither is thread-safe.
+square detection and Jacobi symbols, all in the standard library.
+Factorization is trial division, then Brent's rho, which tries one Pollard
+p - 1 probe (stage 1, bound 10^4) in every call that runs 2^11 iterations
+without a split.  All values are immutable and every result depends on the
+arguments alone; the one shared state is the module's prime sieve, which
+the factoring routines and primes_below() grow in place, with the products
+of its blocks of primes that trial division caches; neither is
+thread-safe.  The probe's exponent is built from the sieve once, on first
+use.
 
 Rationals are plain ``fractions.Fraction`` objects; the stdlib type already
 keeps gcd(num, den) = 1 and den >= 1, which is exactly the canonical form we
@@ -15,6 +19,7 @@ need.
 
 from __future__ import annotations
 
+import functools
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
@@ -31,6 +36,8 @@ class Unfactored(Exception):
 # n < len(_sieve_flags), and _sieve_primes lists those primes in order.
 _sieve_flags = bytearray(2)
 _sieve_primes: list[int] = []
+# the residues mod 30 prime to 30
+_WHEEL = (1, 7, 11, 13, 17, 19, 23, 29)
 
 
 def _sieve_to(bound: int) -> None:
@@ -48,7 +55,16 @@ def _sieve_to(bound: int) -> None:
         start = max(p * p, -(-lo // p) * p) - lo
         seg[start::p] = bytes(len(range(start, bound - lo, p)))
     _sieve_flags.extend(seg)
-    _sieve_primes.extend(compress(range(lo, bound), seg))
+    if lo < 7:
+        _sieve_primes.extend(compress(range(lo, bound), seg))
+        return
+    # from 7 up a prime lies in one of the eight classes prime to 30
+    found: list[int] = []
+    for r in _WHEEL:
+        start = lo + (r - lo) % 30
+        found += compress(range(start, bound, 30), seg[start - lo :: 30])
+    found.sort()
+    _sieve_primes.extend(found)
 
 
 # Miller-Rabin bases, and _MR_PSI[k] the least strong pseudoprime to all of
@@ -146,7 +162,10 @@ class FactorBudget:
     rho_iterations: Brent-rho iteration allowance per factor() call (and
         per part in factor_with_parts()).  Each rho call may spend whatever
         is left of it and is charged the iterations it took (as _brent_rho
-        counts them); rho stops once the allowance is used up.
+        counts them); rho stops once the allowance is used up.  A rho call
+        given more than 2^11 iterations also tries one Pollard p - 1 probe
+        with bound 10^4 once it has spent 2^11 of them without a split; the
+        probe's fixed cost is not charged to the allowance.
     """
 
     trial_bound: int = 10**6
@@ -215,11 +234,19 @@ def _brent_rho(n: int, max_iters: int) -> tuple[Optional[int], int]:
     into the gcd product, or one backtracking step.  Before each batch of
     them y moves ahead by as many steps that form no product, so an
     iteration costs at most about two steps.
+
+    When max_iters exceeds _PM1_AFTER = 2^11, the first batch that brings
+    the iterations spent to 2^11 or more without a factor is followed by
+    one p - 1 probe (_pm1, stage-1 bound 10^4).  A proper divisor it finds
+    is returned with the iterations spent so far; otherwise the same
+    sequence carries on.  The probe costs one modular power of about
+    14 400 bits, is not counted as iterations, and runs at most once.
     """
     if n % 2 == 0:
         return 2, 0
     seed = 1
     left = max_iters
+    probe = max_iters > _PM1_AFTER
     while left > 0:
         y, c, m = (seed * 2862933555777941757 + 3037000493) % n, seed % (n - 1) + 1, 128
         g, r, q = 1, 1, 1
@@ -238,6 +265,11 @@ def _brent_rho(n: int, max_iters: int) -> tuple[Optional[int], int]:
                 g = math.gcd(q, n)
                 k += steps
                 left -= steps
+                if probe and g == 1 and max_iters - left >= _PM1_AFTER:
+                    probe = False
+                    d = _pm1(n)
+                    if d is not None:
+                        return d, max_iters - left
             r *= 2
         if g == n:
             g = 1
@@ -249,6 +281,34 @@ def _brent_rho(n: int, max_iters: int) -> tuple[Optional[int], int]:
             return g, max_iters - left
         seed += 1
     return None, max_iters - left
+
+
+# rho iterations after which _brent_rho tries one p - 1 probe, and the
+# probe's stage-1 bound
+_PM1_AFTER = 2**11
+_PM1_B1 = 10**4
+
+
+@functools.cache
+def _pm1_exponent() -> int:
+    """The product of the largest power of each prime below _PM1_B1 that
+    does not exceed it."""
+    e = 1
+    for p in primes_below(_PM1_B1):
+        q = p
+        while q * p <= _PM1_B1:
+            q *= p
+        e *= q
+    return e
+
+
+def _pm1(n: int) -> Optional[int]:
+    """Pollard's p - 1 stage 1 with base 2: g = gcd(2^E - 1, n) for odd n
+    and E = _pm1_exponent(), when 1 < g < n, else None.  A prime p of n
+    divides g exactly when the order of 2 mod p divides E, as it does when
+    every prime power dividing p - 1 is at most _PM1_B1."""
+    g = math.gcd(pow(2, _pm1_exponent(), n) - 1, n)
+    return g if 1 < g < n else None
 
 
 def _power_root(m: int, t: int) -> Optional[int]:

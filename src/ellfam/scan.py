@@ -2,8 +2,8 @@
 
 A scan walks lattice points ``n*G1 + m*G2`` on a rank-2 parametrizing
 elliptic curve, sends each one to a rational parameter value of a rank-2
-catalog family (where the lattice point supplies one further section), and
-records the global root number of the specialized curve in a grid.
+catalog family, and records the global root number of the specialized
+curve in a grid.
 
 The parameter map is built from a square-reduced quartic ``t^2 = q(r)``:
 the parametrizing curve is identified with the quartic's elliptic model by

@@ -238,6 +238,18 @@ class TestFactor:
         assert [n for n, flag in enumerate(arith._sieve_flags) if flag] == arith._sieve_primes
 
 
+    def test_sieve_matches_sympy_after_uneven_growth(self, monkeypatch):
+        # segments from 7 up are listed by the eight classes prime to 30;
+        # grow from scratch in steps that start and end in every class
+        monkeypatch.setattr(arith, "_sieve_flags", bytearray(2))
+        monkeypatch.setattr(arith, "_sieve_primes", [])
+        for bound in (3, 6, 7, 8, 30, 31, 97, 1000, 1001, 65537, 123457, 10**6 + 3, 2 * 10**6):
+            arith._sieve_to(bound)
+        sympy.sieve.extend(2 * 10**6)
+        assert arith._sieve_primes == list(sympy.primerange(2 * 10**6))
+        assert len(arith._sieve_flags) == 2 * 10**6
+        assert sum(arith._sieve_flags) == len(arith._sieve_primes)
+
     @pytest.mark.parametrize("tb", [1000, 1621, 10**4, 54321, 65537, 10**5])
     def test_prime_blocks_find_every_prime_below_the_bound(self, tb):
         # trial division by gcds with blocks of 128 primes: the 128th and
@@ -373,6 +385,71 @@ class TestFactor:
     @given(st.integers(min_value=0, max_value=10**80), st.integers(min_value=1, max_value=13))
     def test_integer_nthroot_matches_sympy(self, x, k):
         assert integer_nthroot(x, k) == sympy.integer_nthroot(x, k)[0]
+
+
+# the Z2x6-scan-1 radius-2 part whose factor 152122609 has a 10^4-smooth
+# p - 1 = 2^4 3^2 11 137 701; two safe primes p = 2q + 1 with q > 10^4
+SMOOTH_PART = 152122609 * 1218706571
+SAFE_P, SAFE_Q = 1000000007, 1002000047
+
+
+class TestPm1Probe:
+    def test_smooth_factor_split_by_the_probe(self, monkeypatch):
+        # rho alone spends 30 591 iterations on this part; the probe after
+        # 2^11 splits it in the batch that crosses 2^11
+        calls = []
+        monkeypatch.setattr(arith, "_brent_rho", _rho_recorder(calls))
+        fi = factor(SMOOTH_PART, FactorBudget(10**5, 2 * 10**5))
+        assert fi.complete and fi.factors == ((152122609, 1), (1218706571, 1))
+        assert len(calls) == 1 and calls[0][1] < arith._PM1_AFTER + 128
+
+    def _probe_runs(self, monkeypatch, n, budget):
+        """factor(n, budget) with the probe and with _pm1 patched to find
+        nothing: both results, rho records, and the probes' gcds."""
+        gcds = []
+        pm1 = arith._pm1
+
+        def recorded(m):
+            gcds.append(math.gcd(pow(2, arith._pm1_exponent(), m) - 1, m))
+            return pm1(m)
+
+        runs = []
+        for probe in (recorded, lambda m: None):
+            calls = []
+            with monkeypatch.context() as mp:
+                mp.setattr(arith, "_pm1", probe)
+                mp.setattr(arith, "_brent_rho", _rho_recorder(calls))
+                runs.append((factor(n, budget), calls))
+        return runs, gcds
+
+    def test_gcd_one_leaves_rho_unchanged(self, monkeypatch):
+        for p in (SAFE_P, SAFE_Q):
+            assert is_prime(p) and is_prime(p // 2)
+        runs, gcds = self._probe_runs(monkeypatch, SAFE_P * SAFE_Q, FactorBudget(10**3, 2 * 10**5))
+        assert gcds == [1]
+        (fi, calls), (ref, ref_calls) = runs
+        assert fi == ref and fi.complete
+        assert calls == ref_calls and calls[0][1] > arith._PM1_AFTER
+
+    def test_gcd_n_leaves_rho_unchanged(self, monkeypatch):
+        # 2 has order 61 mod M61 and 89 mod M89, both dividing E
+        n = M61 * M89
+        runs, gcds = self._probe_runs(monkeypatch, n, FactorBudget(10**3, 10**4))
+        assert gcds == [n]
+        (fi, calls), (ref, ref_calls) = runs
+        assert fi == ref and fi.residue == n
+        assert calls == ref_calls == [(10**4, 10**4)]
+
+    @pytest.mark.parametrize("allowance", [0, 1, 2**11 - 1, 2**11])
+    def test_small_allowances_never_probe(self, monkeypatch, allowance):
+        def refuse(m):
+            raise AssertionError("p - 1 probe within a small allowance")
+
+        monkeypatch.setattr(arith, "_pm1", refuse)
+        for n in (SMOOTH_PART, SAFE_P * SAFE_Q, M61 * M89):
+            assert arith._brent_rho(n, allowance) == (None, allowance)
+            fi = factor(n, FactorBudget(10**3, allowance))
+            assert fi.residue == n
 
 
 def _rho_recorder(calls: list[tuple[int, int]]):
