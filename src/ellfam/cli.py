@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 from fractions import Fraction
@@ -29,18 +28,15 @@ from .arith import (
     is_prime,
     rational_to_string,
 )
-from .curves import CurvePoint, WeierstrassCurve, torsion_subgroup
+from .curves import CurvePoint, WeierstrassCurve, torsion_label, torsion_subgroup
 from .families import (
     CurveFamily,
     SingularMember,
     catalog,
     catalog_listing,
-    torsion_label,
     verify_section,
 )
 from .polyq import NotASquare
-
-BUDGET_ENV = "ELLFAM_BUDGET"
 
 
 def _parse_budget(raw: str) -> FactorBudget:
@@ -289,8 +285,8 @@ def _cmd_sections(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    # scan imports sections, rootnum and localdata: 23-39 ms without cached
-    # bytecode, 11-17 ms with it
+    # scan imports sections, rootnum and localdata; only this command needs
+    # all three
     from .scan import builtin_scans, lattice_scan, symmetry_audit
 
     specs = builtin_scans(radius=args.radius, budget=args.budget)
@@ -298,14 +294,19 @@ def _cmd_scan(args) -> int:
         print(f"unknown scan: {args.name}; known: {sorted(specs)}", file=sys.stderr)
         return 2
     spec = specs[args.name]
-    grid = lattice_scan(spec)
-    rep = symmetry_audit(grid, spec.symmetry, spec=spec)
-    out = grid.to_json() if args.format == "json" else grid.to_csv()
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(out)
-    else:
-        sys.stdout.write(out)
+    # --out is opened before the scan runs, so a path that cannot be
+    # written is a usage error, not a traceback after the whole scan
+    try:
+        fh = open(args.out, "w") if args.out else sys.stdout
+    except OSError as exc:
+        _usage_error(f"cannot write --out {args.out}: {exc.strerror}")
+    try:
+        grid = lattice_scan(spec)
+        rep = symmetry_audit(grid, spec.symmetry, spec=spec)
+        fh.write(grid.to_json() if args.format == "json" else grid.to_csv())
+    finally:
+        if fh is not sys.stdout:
+            fh.close()
     summary = {
         "counts": grid.counts_by_name(),
         "isomorphism_failures": len(rep.isomorphism_failures),
@@ -363,13 +364,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact tools for elliptic-curve families with torsion "
         "Z/8 and Z/2 x Z/6 over Q(u).",
     )
-    # argparse runs a string default, such as $ELLFAM_BUDGET, through type
     parser.add_argument(
         "--budget",
         type=_parse_budget,
-        default=os.environ.get(BUDGET_ENV) or DEFAULT_BUDGET,
-        help=f"factoring budget 'trial_bound,rho_iterations' "
-        f"(default from ${BUDGET_ENV} or built-in)",
+        default=DEFAULT_BUDGET,
+        help="factoring budget 'trial_bound,rho_iterations' (default built-in)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

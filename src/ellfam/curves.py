@@ -438,6 +438,11 @@ def lift_x(E: WeierstrassCurve, x: Fraction) -> Optional[CurvePoint]:
 
 # -- torsion --------------------------------------------------------------
 
+def torsion_label(structure: tuple[int, ...]) -> str:
+    """(2, 6) -> "Z/2 x Z/6"."""
+    return " x ".join(f"Z/{n}" for n in structure)
+
+
 @dataclass(frozen=True)
 class TorsionGroup:
     """structure: (n,) for Z/n or (2, 2m) for Z/2 x Z/2m; generators included."""
@@ -453,9 +458,7 @@ class TorsionGroup:
         return out
 
     def label(self) -> str:
-        if self.structure == (1,):
-            return "trivial"
-        return " x ".join(f"Z/{n}" for n in self.structure)
+        return "trivial" if self.structure == (1,) else torsion_label(self.structure)
 
 
 def torsion_bound(E: WeierstrassCurve, realized: int = 1) -> int:

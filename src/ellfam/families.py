@@ -59,11 +59,6 @@ def ratfunc_sqrt(f: RatFunc) -> RatFunc:
     return RatFunc(poly_sqrt(num * den), den)
 
 
-def torsion_label(torsion: tuple[int, ...]) -> str:
-    """(2, 6) -> "Z/2 x Z/6"."""
-    return " x ".join(f"Z/{n}" for n in torsion)
-
-
 class SingularMember(ValueError):
     """The family's model is singular or degenerate at the parameter value:
     A(u) B(u) (A^2 - 4B)(u) = 0."""

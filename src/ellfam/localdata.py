@@ -15,9 +15,9 @@ a-invariants and returns the minimal model's a-invariants, its seven
 invariants and the factored |disc_min|, and _tate_ints is Tate's algorithm
 on an int tuple.  Wrappers on WeierstrassCurve models serve the other
 callers: bad_places the CLI's `local` and conductor, tate_local the CLI's
-`local --prime` and minimal_model heights; only tests call
-discriminant_factorization.  At p = 2 and 3 Tate's translations are closed
-forms, not searches (Cohen, GTM 138, Algorithm 7.5.1; Cremona 3.2).
+`local --prime` and minimal_model heights.  At p = 2 and 3 Tate's
+translations are closed forms, not searches (Cohen, GTM 138, Algorithm
+7.5.1; Cremona 3.2).
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from .curves import (
     change_coordinates,
     weierstrass_invariants,
 )
-from .polyq import gcd_mod_p
+from .polyq import _pow_mod, _sub_mod, gcd_mod_p
 
 
 @dataclass(frozen=True)
@@ -121,7 +121,22 @@ def _minimal_ints(
 ) -> tuple[tuple, tuple, FactoredInt]:
     """The global minimal model of the integral model with a-invariants a,
     on ints only: its a-invariants, its invariants (b2, ..., disc) and a
-    factorization of |disc_min| (see discriminant_factorization)."""
+    factorization of |disc_min|.
+
+    The discriminant of the integral model is factored once, and the model
+    is minimized at every prime found.  Every prime that can be scaled away
+    divides disc = u^12 disc_min, so the model is certified minimal, and
+    the factorization complete, exactly when that factorization is;
+    otherwise it covers the known primes (complete=False).
+
+    For y^2 = x^3 + a2 x^2 + a4 x the discriminant is 16 a4^2 (a2^2 - 4 a4),
+    so the parts 2, a4 and a2^2 - 4 a4 are factored instead of disc as one
+    number.  ``parts``, when given, replaces them: integers whose primes
+    cover those of disc (a family member passes
+    CurveFamily.discriminant_parts).  Either way the result is certified by
+    exact division (see factor_with_parts), so parts that miss a prime give
+    complete=False, never a wrong factorization.
+    """
     invs = weierstrass_invariants(*a)
     disc = abs(invs[6])
     a1, a2, a3, a4, a6 = a
@@ -257,38 +272,17 @@ def _multiple_root(cs: list[int], p: int) -> tuple[int, bool] | None:
 
 
 def _count_roots_cubic(cs: list[int], p: int) -> int:
-    """Number of distinct roots in F_p of a cubic given by ascending
-    coefficients, nonzero mod p: the degree of gcd(f, T^p - T).
-
-    Below p = 500, trying every residue is faster than that gcd.  Above,
-    T^p mod f is formed by squaring, on residue lists (index = degree).
+    """Number of distinct roots in F_p of a cubic f given by ascending
+    coefficients, its leading one a unit mod p: the degree of
+    gcd(f, T^p - T), the first step of zzfactor's distinct-degree
+    factorization.  Below p = 500, trying every residue is faster.
     """
     d, c, b, a = (x % p for x in cs)
     if p < 500:
         return sum((((a * x + b) * x + c) * x + d) % p == 0 for x in range(p))
-    m = pow(a, -1, p)
-    f0, f1, f2 = d * m % p, c * m % p, b * m % p
-
-    def mulmod(x: list[int], y: list[int]) -> list[int]:
-        # x y mod T^3 + f2 T^2 + f1 T + f0, for x and y of degree < 3
-        z = [0] * 5
-        for i, xi in enumerate(x):
-            for j, yj in enumerate(y):
-                z[i + j] += xi * yj
-        for k in (4, 3):
-            z[k - 3] -= z[k] * f0
-            z[k - 2] -= z[k] * f1
-            z[k - 1] -= z[k] * f2
-        return [v % p for v in z[:3]]
-
-    h, sq, e = [1, 0, 0], [0, 1, 0], p
-    while e:
-        if e & 1:
-            h = mulmod(h, sq)
-        sq = mulmod(sq, sq)
-        e >>= 1
-    h[1] -= 1
-    return len(gcd_mod_p([d, c, b, a], h, p)) - 1
+    f = [d, c, b, a]
+    h = _pow_mod([0, 1], p, f, p)
+    return len(gcd_mod_p(f, _sub_mod(h, [0, 1], p), p)) - 1
 
 
 def _is_split(c6: int, p: int) -> bool:
@@ -438,38 +432,12 @@ def _instar_loop(a: tuple, p: int, n: int) -> LocalData:
 # ---------------------------------------------------------------------------
 
 
-def discriminant_factorization(
-    E: WeierstrassCurve,
-    budget: FactorBudget = DEFAULT_BUDGET,
-    *,
-    parts: Optional[Sequence[int]] = None,
-) -> tuple[WeierstrassCurve, FactoredInt]:
-    """Global minimal model of E and a factorization of |disc_min|.
-
-    The discriminant of the integral model is factored once, and the model
-    is minimized at every prime found.  Every prime that can be scaled away
-    divides disc(E) = u^12 disc_min, so the model is certified minimal, and
-    the result complete, exactly when that factorization is; otherwise it
-    covers the known primes (complete=False).
-
-    For y^2 = x^3 + a2 x^2 + a4 x the discriminant is 16 a4^2 (a2^2 - 4 a4),
-    so the parts 2, a4 and a2^2 - 4 a4 are factored instead of disc(E) as
-    one number.  ``parts``, when given, replaces them: integers whose primes
-    cover those of disc(E) for the integral E (a family member passes
-    CurveFamily.discriminant_parts).  Either way the result is certified by
-    exact division (see factor_with_parts), so parts that miss a prime give
-    complete=False, never a wrong factorization.
-    """
-    a, _invs, fi = _minimal_ints(_integral_ints(E), budget, parts)
-    return WeierstrassCurve(*a), fi
-
-
 def bad_places(
     E: WeierstrassCurve, budget: FactorBudget = DEFAULT_BUDGET
 ) -> tuple[list[LocalData], FactoredInt]:
     """Local data at every prime found in |disc_min| and that factorization
-    (see discriminant_factorization): the model is minimized once, and
-    Tate's algorithm runs on the minimal model at each prime found."""
+    (see _minimal_ints): the model is minimized once, and Tate's algorithm
+    runs on the minimal model at each prime found."""
     a, invs, fi = _minimal_ints(_integral_ints(E), budget)
     return [_tate_ints(a, p, e, invs) for p, e in fi.factors], fi
 
@@ -478,7 +446,8 @@ def conductor(E: WeierstrassCurve, budget: FactorBudget = DEFAULT_BUDGET) -> Fac
     """Conductor of E as a factored integer.
 
     Raises Unfactored when the minimal discriminant cannot be fully
-    factored within budget (discriminant_factorization reports the residue).
+    factored within budget (bad_places reports the residue; see
+    _minimal_ints).
     """
     places, fi = bad_places(E, budget)
     if not fi.complete:

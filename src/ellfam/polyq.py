@@ -15,9 +15,12 @@ substitution f(n/d) with coprime n and d needs no gcd at all:
 resultant argument.  A square forms each cross term once.
 Factorization into irreducibles over Q runs on the numerators in
 ``zzfactor`` (Cantor-Zassenhaus with Hensel lifting), which ``PolyQ.factor``
-imports on first use.  Nothing here imports sympy, so neither does a scan,
-which factors its family's discriminant polynomials; the package's one
-sympy caller is ``sections.solve_conic``.
+imports on first use.  Arithmetic on residue lists mod m (division,
+powers mod a polynomial, ``gcd_mod_p``) is written once, here: ``_zz_gcd``,
+``zzfactor`` and the root count of Tate's algorithm share it.  Nothing here
+imports sympy, so neither does a scan, which factors its family's
+discriminant polynomials; the package's one sympy caller is
+``sections.solve_conic``.
 """
 
 from __future__ import annotations
@@ -84,34 +87,76 @@ def _zz_primitive(xs: list[int]) -> list[int]:
     return [c // g for c in xs] if xs[-1] > 0 else [-c // g for c in xs]
 
 
-# a prime far above the coefficients of the catalog's polynomials, so that
-# it divides a leading coefficient only by a rare accident
-_GCD_PRIME = 2**61 - 1
+def _zz_add(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] += c
+    return out
+
+
+# -- polynomials modulo m (residues in [0, m), no trailing zero) ----------
+
+def _trim(a: list[int]) -> list[int]:
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _mod(a: Sequence[int], m: int) -> list[int]:
+    return _trim([c % m for c in a])
+
+
+def _mul_mod(a: Sequence[int], b: Sequence[int], m: int) -> list[int]:
+    return _mod(_zz_mul(a, b), m)
+
+
+def _sub_mod(a: Sequence[int], b: Sequence[int], m: int) -> list[int]:
+    return _mod(_zz_add(a, [-c for c in b]), m)
+
+
+def _divmod_mod(a: Sequence[int], b: Sequence[int], m: int) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of a by b mod m, lc(b) a unit mod m."""
+    r = [c % m for c in a]
+    db = len(b) - 1
+    if len(r) <= db:
+        return [], _trim(r)
+    inv = pow(b[-1], -1, m)
+    q = [0] * (len(r) - db)
+    for i in range(len(q) - 1, -1, -1):
+        c = q[i] = r[i + db] * inv % m
+        if c:
+            for j in range(db):
+                r[i + j] = (r[i + j] - c * b[j]) % m
+    return _trim(q), _trim(r[:db])
+
+
+def _pow_mod(a: list[int], e: int, g: list[int], p: int) -> list[int]:
+    """a^e mod (g, p), by squaring from the top bit of e."""
+    out = [1]
+    for bit in bin(e)[2:]:
+        out = _divmod_mod(_zz_mul(out, out), g, p)[1]
+        if bit == "1":
+            out = _divmod_mod(_zz_mul(out, a), g, p)[1]
+    return out
 
 
 def gcd_mod_p(xs: Sequence[int], ys: Sequence[int], p: int) -> list[int]:
     """Monic gcd mod the prime p of two integer polynomials (index =
     degree), as residues; [] when both vanish mod p."""
-    a = [c % p for c in xs]
-    b = [c % p for c in ys]
-    while a and not a[-1]:
-        a.pop()
-    while b and not b[-1]:
-        b.pop()
+    a, b = _mod(xs, p), _mod(ys, p)
     while b:
-        inv, db = pow(b[-1], -1, p), len(b) - 1
-        while len(a) > db:
-            c = a.pop() * inv % p
-            shift = len(a) - db
-            for j in range(db):
-                a[shift + j] = (a[shift + j] - c * b[j]) % p
-            while a and not a[-1]:
-                a.pop()
-        a, b = b, a
+        a, b = b, _divmod_mod(a, b, p)[1]
     if a:
         inv = pow(a[-1], -1, p)
         a = [c * inv % p for c in a]
     return a
+
+
+# a prime far above the coefficients of the catalog's polynomials, so that
+# it divides a leading coefficient only by a rare accident
+_GCD_PRIME = 2**61 - 1
 
 
 def _zz_gcd(xs: Sequence[int], ys: Sequence[int]) -> list[int]:
@@ -138,8 +183,7 @@ def _zz_gcd(xs: Sequence[int], ys: Sequence[int]) -> list[int]:
             a = [c * m for c in a]
             for j, c in enumerate(b):
                 a[shift + j] -= k * c
-            while a and not a[-1]:
-                a.pop()
+            _trim(a)
         if not a:
             return b
         a, b = b, _zz_primitive(a)
@@ -246,12 +290,7 @@ class PolyQ:
             d = math.lcm(d, other.den)
             xs = [c * (d // self.den) for c in xs]
             ys = [c * (d // other.den) for c in ys]
-        if len(xs) < len(ys):
-            xs, ys = ys, xs
-        out = list(xs)
-        for i, c in enumerate(ys):
-            out[i] += c
-        return _make(out, d, var)
+        return _make(_zz_add(xs, ys), d, var)
 
     __radd__ = __add__
 
@@ -347,13 +386,6 @@ class PolyQ:
             raise ValueError("cannot factor the zero polynomial")
         c, parts = factor_list(self.ints)
         return Fraction(c, self.den), [(_make(f, 1, self.var), e) for f, e in parts]
-
-    def content_and_primitive(self) -> tuple[Fraction, "PolyQ"]:
-        """Positive rational content c and primitive integer part p, self = c*p."""
-        if self.is_zero():
-            return Fraction(0), self
-        g = math.gcd(*self.ints)
-        return Fraction(g, self.den), _make([c // g for c in self.ints], 1, self.var)
 
     # -- display ----------------------------------------------------------
     def __repr__(self):
@@ -703,9 +735,7 @@ def reduced_substitute(
     a, b = fn.degree, fd.degree
     e = shift + b - a
     dpow = _powers(ds, max(a, b, abs(e)))
-    hn, hd = _homogeneous(fn.ints, ns, dpow), _homogeneous(fd.ints, ns, dpow)
-    while hd and not hd[-1]:
-        hd.pop()
+    hn, hd = _homogeneous(fn.ints, ns, dpow), _trim(_homogeneous(fd.ints, ns, dpow))
     if not hd:
         raise ZeroDivisionError("zero denominator")
     if e >= 0:

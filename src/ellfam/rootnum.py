@@ -12,10 +12,10 @@ Compositio Math. 87, 1993; Cremona, Algorithms for Modular Elliptic Curves,
 - potentially good: at p >= 5 a Kronecker symbol driven by e, and at 2 and
   3 a frozen finite case table (see _rootnum_tables), keyed by the Kodaira
   symbol among others.
-All three rules were validated exhaustively against a numeric
-functional-equation oracle.  So global_root_number runs Tate's algorithm
-only where a table key needs the Kodaira symbol, at potentially good
-places at 2 and 3.
+The tests check all three rules against the frozen root numbers of
+tests/data/rootnum_oracle.json and the twist rule W(E^d) = chi_d(-N) W(E).
+global_root_number runs Tate's algorithm only where a table key needs the
+Kodaira symbol, at potentially good places at 2 and 3.
 
 global_root_number works on ints from the integral model to the local
 signs (localdata._minimal_ints, localdata._tate_ints, _local_sign) and
@@ -111,7 +111,7 @@ def global_root_number(
 
     Tate's algorithm runs only at potentially good places at 2 and 3, for
     the Kodaira symbol of a table key.  ``parts`` is as in
-    discriminant_factorization.  When the minimal discriminant cannot be
+    localdata._minimal_ints.  When the minimal discriminant cannot be
     fully factored, the value covers the known bad primes only and
     complete=False records that the sign is not certified — never a silent
     wrong sign.

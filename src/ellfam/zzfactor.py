@@ -8,8 +8,10 @@ equal-degree splitting; the modular factors lifted by Hensel's lemma to a
 power of p above twice the Landau-Mignotte bound; and true factors
 recovered from subsets of increasing size, each checked by exact division.
 
-Lists are indexed by degree, as in ``polyq``.  ``PolyQ.factor`` is the only
-caller and imports this module when it first runs.
+Lists are indexed by degree, as in ``polyq``, whose helpers on residue
+lists mod m (``_divmod_mod``, ``_pow_mod``, ``gcd_mod_p`` and their kin)
+this module uses.  ``PolyQ.factor`` is the only caller and imports this
+module when it first runs.
 """
 
 from __future__ import annotations
@@ -20,7 +22,20 @@ from itertools import combinations
 from typing import Optional, Sequence
 
 from .arith import is_prime
-from .polyq import _zz_derivative, _zz_exquo, _zz_mul, _zz_primitive, _zz_yun, gcd_mod_p
+from .polyq import (
+    _divmod_mod,
+    _mod,
+    _mul_mod,
+    _pow_mod,
+    _sub_mod,
+    _zz_add,
+    _zz_derivative,
+    _zz_exquo,
+    _zz_mul,
+    _zz_primitive,
+    _zz_yun,
+    gcd_mod_p,
+)
 
 # squarefree primes tried per part; the one with the fewest modular
 # factors leaves the fewest subsets to recombine
@@ -97,61 +112,6 @@ def _modular_factors(f: list[int]) -> tuple[int, list[list[int]]]:
     _count, p, parts = best
     rng = random.Random(0)
     return p, [h for g, d in parts for h in _equal_degree(g, d, p, rng)]
-
-
-# -- polynomials modulo m (residues in [0, m), no trailing zero) ----------
-
-def _trim(a: list[int]) -> list[int]:
-    while a and not a[-1]:
-        a.pop()
-    return a
-
-
-def _mod(a: Sequence[int], m: int) -> list[int]:
-    return _trim([c % m for c in a])
-
-
-def _zz_add(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, c in enumerate(b):
-        out[i] += c
-    return out
-
-
-def _mul_mod(a: Sequence[int], b: Sequence[int], m: int) -> list[int]:
-    return _mod(_zz_mul(a, b), m)
-
-
-def _sub_mod(a: Sequence[int], b: Sequence[int], m: int) -> list[int]:
-    return _mod(_zz_add(a, [-c for c in b]), m)
-
-
-def _divmod_mod(a: Sequence[int], b: Sequence[int], m: int) -> tuple[list[int], list[int]]:
-    """Quotient and remainder of a by b mod m, lc(b) a unit mod m."""
-    r = [c % m for c in a]
-    db = len(b) - 1
-    if len(r) <= db:
-        return [], _trim(r)
-    inv = pow(b[-1], -1, m)
-    q = [0] * (len(r) - db)
-    for i in range(len(q) - 1, -1, -1):
-        c = q[i] = r[i + db] * inv % m
-        if c:
-            for j in range(db):
-                r[i + j] = (r[i + j] - c * b[j]) % m
-    return _trim(q), _trim(r[:db])
-
-
-def _pow_mod(a: list[int], e: int, g: list[int], p: int) -> list[int]:
-    """a^e mod (g, p), by squaring from the top bit of e."""
-    out = [1]
-    for bit in bin(e)[2:]:
-        out = _divmod_mod(_zz_mul(out, out), g, p)[1]
-        if bit == "1":
-            out = _divmod_mod(_zz_mul(out, a), g, p)[1]
-    return out
 
 
 # -- factoring modulo a prime ---------------------------------------------

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from ellfam import cli, families, heights, localdata
+from ellfam import cli, families, heights, localdata, scan
 from ellfam.cli import main
 from ellfam.curves import CurvePoint
 from ellfam.families import catalog
@@ -62,23 +62,10 @@ class TestExitCodes:
             main(["--budget", "banana", "catalog"])
         assert exc.value.code == 2
 
-    def test_bad_env_budget_is_usage_error(self, capsys, monkeypatch):
-        monkeypatch.setenv("ELLFAM_BUDGET", "not-a-budget")
-        with pytest.raises(SystemExit) as exc:
-            main(["catalog"])
-        assert exc.value.code == 2
-
     @pytest.mark.parametrize("budget", ["-5,0", "100,-1"])
     def test_negative_budget_is_usage_error(self, capsys, budget):
         with pytest.raises(SystemExit) as exc:
             main([f"--budget={budget}", "catalog"])
-        assert exc.value.code == 2
-        assert "nonnegative" in capsys.readouterr().err
-
-    def test_negative_env_budget_is_usage_error(self, capsys, monkeypatch):
-        monkeypatch.setenv("ELLFAM_BUDGET", "-5,0")
-        with pytest.raises(SystemExit) as exc:
-            main(["catalog"])
         assert exc.value.code == 2
         assert "nonnegative" in capsys.readouterr().err
 
@@ -172,11 +159,16 @@ class TestExitCodes:
         assert code == 2
         assert message in capsys.readouterr().err
 
-    def test_env_budget_honored(self, capsys, monkeypatch):
-        monkeypatch.setenv("ELLFAM_BUDGET", "10000,10000")
-        code, out, _err = run(capsys, "torsion", "--curve", "0,0,0,0,16")
-        assert code == 0
-        assert json.loads(out)["structure"] == [3]
+    def test_environment_does_not_set_the_budget(self, capsys, monkeypatch):
+        # --budget, else the built-in budget: no variable of the
+        # environment reaches a command or its output
+        argvs = (["catalog"], ["torsion", "--curve", "0,0,0,0,16"])
+        expected = [run(capsys, *argv) for argv in argvs]
+        monkeypatch.setenv("ELLFAM_BUDGET", "not-a-budget")
+        for argv, (code, out, err) in zip(argvs, expected):
+            assert code == 0
+            assert run(capsys, *argv) == (code, out, err)
+        assert json.loads(expected[1][1])["structure"] == [3]
 
 
 class TestCatalog:
@@ -393,6 +385,22 @@ class TestScan:
         summary = json.loads(err.strip().split("\n")[-1])
         assert summary["symmetry_violations"] == 0
         assert summary["isomorphism_failures"] == 0
+
+    @pytest.mark.parametrize("where", ["directory", "missing-parent"])
+    def test_unwritable_out_is_usage_error(self, capsys, monkeypatch, tmp_path, where):
+        # the path is tried before the scan runs: exit 2 and one line
+        # naming it, no traceback after a whole scan
+        path = str(tmp_path if where == "directory" else tmp_path / "absent" / "grid.csv")
+
+        def no_scan(spec):
+            raise AssertionError("the scan ran")
+
+        monkeypatch.setattr(scan, "lattice_scan", no_scan)
+        with pytest.raises(SystemExit) as exc:
+            main(["scan", "--name", "Z8-scan-2", "--radius", "1", "--out", path])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and path in err
 
     @pytest.mark.parametrize(
         "argv",

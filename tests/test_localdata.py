@@ -15,10 +15,12 @@ from ellfam.localdata import (
     LocalData,
     _count_roots_cubic,
     _has_root_quadratic,
+    _integral_ints,
+    _minimal_ints,
     _multiple_root,
     _tate_ints,
+    bad_places,
     conductor,
-    discriminant_factorization,
     minimal_model,
     tate_local,
 )
@@ -271,6 +273,19 @@ class TestResidueFieldHelpers:
                 assert _count_roots_cubic(cs, p) == len(_roots_brute(cs, p))
         assert {0, 1, 3} <= counts
 
+    def test_count_roots_at_a_million_and_three(self):
+        # known roots r, times an irreducible quadratic T^2 - n (n not a
+        # square) or taken alone; and T^3 - 2, irreducible as 2 is not a cube
+        p = 10**6 + 3
+        n = next(x for x in range(2, p) if pow(x, (p - 1) // 2, p) == p - 1)
+        assert p % 3 == 1 and pow(2, (p - 1) // 3, p) != 1
+        for a, roots, count in ((5, [1, 2, 3], 3), (7, [9, 9, p - 4], 2), (3, [4, 4, 4], 1)):
+            assert _count_roots_cubic(_cubic_from_roots(a, roots), p) == count
+        for r in (0, 17, p - 1):
+            # (T - r)(T^2 - n)
+            assert _count_roots_cubic([r * n, -n, -r, 1], p) == 1
+        assert _count_roots_cubic([-2, 0, 0, 1], p) == 0
+
 
 def _multiple_root_brute(cs, p):
     """(r, triple) for the common root r of f and f' in F_p, None if none.
@@ -394,7 +409,8 @@ class TestInvariance:
         # u, tate_local on it equals tate_local on the minimal model
         if weierstrass_invariants(*ai)[6] == 0:
             return
-        Emin, fi = discriminant_factorization(curve(*ai))
+        a, _invs, fi = _minimal_ints(_integral_ints(curve(*ai)))
+        Emin = curve(*a)
         scaled, _pm = Emin.transform(Fraction(1, u), *rst)
         for p in sorted({u, *fi.primes()}):
             assert tate_local(scaled, p) == tate_local(Emin, p)
@@ -421,10 +437,9 @@ class TestInvariance:
 
     def test_fp_caps(self):
         for E in (E11A1, E32A, E36A, E20A, E27A3, E_CONG5):
-            Emin, fi = discriminant_factorization(E)
+            places, fi = bad_places(E)
             assert fi.complete
-            for p, _e in fi.factors:
-                ld = tate_local(Emin, p)
+            for ld in places:
                 cap = 8 if ld.p == 2 else (5 if ld.p == 3 else 2)
                 assert 0 <= ld.f_p <= cap
 
@@ -463,7 +478,7 @@ class TestConductor:
         E = curve(0, 1, 0, -(2**61 - 1) * (2**89 - 1), 0)
         with pytest.raises(Unfactored):
             conductor(E, FactorBudget(10**3, 0))
-        _Emin, fi = discriminant_factorization(E, FactorBudget(10**3, 0))
+        _a, _invs, fi = _minimal_ints(_integral_ints(E), FactorBudget(10**3, 0))
         assert not fi.complete and fi.residue == ((2**61 - 1) * (2**89 - 1)) ** 2
 
     def test_partial_when_minimality_uncertified(self):
@@ -475,7 +490,7 @@ class TestConductor:
             minimal_model(E, budget)
         with pytest.raises(Unfactored):
             conductor(E, budget)
-        _Emin, fi = discriminant_factorization(E, budget)
+        _a, _invs, fi = _minimal_ints(_integral_ints(E), budget)
         assert not fi.complete and fi.residue == M**3 and fi.primes() == (2,)
 
     def test_split_certifies_prime_cube(self):
@@ -499,7 +514,8 @@ class TestDiscriminantFactorization:
             return
         E = curve(0, lam**2 * A, 0, lam**4 * B, 0)
         budget = FactorBudget(10**4, 10**5)
-        Emin, fi = discriminant_factorization(E, budget)
+        a, _invs, fi = _minimal_ints(_integral_ints(E), budget)
+        Emin = curve(*a)
         assert Emin == minimal_model(E, budget)[0]
         assert fi.value() == abs(int(Emin.disc))
         # parts below 10^17 always factor at this budget; disc_min may not
@@ -509,11 +525,11 @@ class TestDiscriminantFactorization:
             assert fi.factors == whole.factors
 
     def test_other_models_factor_whole(self):
-        Emin, fi = discriminant_factorization(E11A1)
+        a, _invs, fi = _minimal_ints(_integral_ints(E11A1))
         assert fi == FactoredInt(1, ((11, 5),))
-        assert Emin == minimal_model(E11A1)[0]
+        assert curve(*a) == minimal_model(E11A1)[0]
 
     def test_rational_model_falls_back(self):
         E = curve(0, Fraction(1, 4), 0, Fraction(3, 16), 0)
-        Emin, fi = discriminant_factorization(E)
-        assert fi.complete and fi.value() == abs(int(Emin.disc))
+        a, _invs, fi = _minimal_ints(_integral_ints(E))
+        assert fi.complete and fi.value() == abs(int(curve(*a).disc))

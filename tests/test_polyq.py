@@ -182,7 +182,7 @@ class TestDenseCore:
         prod = PolyQ([content], "u")
         for f, e in parts:
             assert f.leading() > 0 and all(x.denominator == 1 for x in f.coeffs)
-            assert f.content_and_primitive()[0] == 1
+            assert f.den == 1 and math.gcd(*f.ints) == 1
             prod = prod * f**e
         assert prod == p
         ref_content, ref_parts = sympy.factor_list(sympy_poly(p))
@@ -275,6 +275,28 @@ class TestIntegerGcd:
         assert gcd_mod_p([1, 1], [2, 1], 7) == [1]
         assert gcd_mod_p([7, 14], [0, 21], 7) == []
         assert gcd_mod_p([3, 0, 2], [0], 5) == [4, 0, 1]
+
+    @given(
+        st.sampled_from([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, _GCD_PRIME]),
+        st.lists(st.integers(-(10**20), 10**20), max_size=6),
+        st.lists(st.integers(-(10**20), 10**20), max_size=6),
+        st.lists(st.integers(-(10**20), 10**20), min_size=1, max_size=4),
+    )
+    @example(p=7, a=[], b=[], c=[1])
+    @example(p=7, a=[3], b=[], c=[1])
+    @example(p=7, a=[14], b=[0, 0, 21], c=[1])
+    @example(p=5, a=[2], b=[1, 1], c=[1])
+    @example(p=_GCD_PRIME, a=[_GCD_PRIME + 1], b=[0, 1], c=[1])
+    @settings(max_examples=300, deadline=None)
+    def test_gcd_mod_p_matches_gf_gcd(self, p, a, b, c):
+        # a shared factor c makes the gcd nontrivial mod the large prime;
+        # empty and one-element lists give zero and constant inputs
+        from sympy.polys.domains import ZZ
+        from sympy.polys.galoistools import gf_from_int_poly, gf_gcd
+
+        xs, ys = _zz_mul_ref(a, c), _zz_mul_ref(b, c)
+        ref = gf_gcd(gf_from_int_poly(xs[::-1], p), gf_from_int_poly(ys[::-1], p), p, ZZ)
+        assert gcd_mod_p(xs, ys, p) == [int(x) for x in ref[::-1]]
 
 
 class TestSquareDecompose:

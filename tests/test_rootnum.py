@@ -26,7 +26,7 @@ from ellfam.arith import (
 )
 from ellfam.curves import WeierstrassCurve, change_coordinates, weierstrass_invariants
 from ellfam.families import SingularMember
-from ellfam.localdata import discriminant_factorization, minimal_model, tate_local
+from ellfam.localdata import _integral_ints, _minimal_ints, minimal_model, tate_local
 from ellfam.rootnum import (
     MissingLocalCase,
     _local_sign,
@@ -59,7 +59,8 @@ def invariant_rule_mismatches(E, budget=FactorBudget(), parts=None):
     """The places p >= 5 of E's minimal model where the invariant rule, the
     exponent of p in disc_min or local_root_number disagree with Tate's
     algorithm, and the number of places compared."""
-    Emin, fi = discriminant_factorization(E, budget, parts=parts)
+    a, _invs, fi = _minimal_ints(_integral_ints(E), budget, parts)
+    Emin = WeierstrassCurve(*a)
     bad, compared = [], 0
     for p, e in fi.factors:
         if p < 5:
@@ -529,7 +530,7 @@ def reference_step7(a, p):
 
 
 def reference_minimal_model(E, parts=None):
-    """discriminant_factorization on WeierstrassCurve models: the
+    """localdata._minimal_ints on WeierstrassCurve models: the
     (c4, c6)-standard minimal model, checked by assert, and |disc_min|."""
     E, _pm = E.integral_model()
     _b2, _b4, _b6, _b8, c4, c6, disc = E.bc_invariants()

@@ -13,7 +13,7 @@ from ellfam import families, scan
 from ellfam.arith import FactorBudget
 from ellfam.curves import INFINITY, WeierstrassCurve, isomorphic_over_Q, two_torsion_points
 from ellfam.families import SingularMember
-from ellfam.localdata import discriminant_factorization
+from ellfam.localdata import _integral_ints, _minimal_ints
 from ellfam.polyq import PolyQ, square_decompose_poly
 from ellfam.rootnum import global_root_number
 from ellfam.scan import (
@@ -497,9 +497,9 @@ class TestFamilyParts:
             for sp in _members(spec):
                 E = sp.curve()
                 parts = spec.family.discriminant_parts(sp)
-                Ef, ff = discriminant_factorization(E, BUD, parts=parts)
-                Eg, fg = discriminant_factorization(E, BUD)
-                assert Ef == Eg and ff.value() == fg.value()
+                af, _invs, ff = _minimal_ints(_integral_ints(E), BUD, parts)
+                ag, _invs, fg = _minimal_ints(_integral_ints(E), BUD)
+                assert af == ag and ff.value() == fg.value()
                 assert ff.complete or not fg.complete
                 if ff.complete and fg.complete:
                     assert ff == fg
