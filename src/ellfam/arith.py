@@ -230,10 +230,14 @@ def _brent_rho(n: int, max_iters: int) -> tuple[Optional[int], int]:
     """Brent's cycle variant of Pollard rho: a nontrivial factor of n or
     None, and the iterations spent, at most max_iters.
 
-    An iteration is one step y -> y^2 + c mod n that multiplies |x - y|
+    An iteration is one step y -> y^2 + c mod n that multiplies x - y
     into the gcd product, or one backtracking step.  Before each batch of
     them y moves ahead by as many steps that form no product, so an
-    iteration costs at most about two steps.
+    iteration costs at most about two steps.  A batch reduces its product
+    once every 8 steps, and the advance takes 4 steps a pass; a signed
+    difference gives the product's gcd with n that |x - y| gives, so the
+    sequence, the points where a gcd is taken and the iterations spent are
+    those of one step at a time.
 
     When max_iters exceeds _PM1_AFTER = 2^11, the first batch that brings
     the iterations spent to 2^11 or more without a factor is followed by
@@ -253,15 +257,33 @@ def _brent_rho(n: int, max_iters: int) -> tuple[Optional[int], int]:
         x = ys = y
         while g == 1 and left > 0:
             x = y
-            for _ in range(r):
+            for _ in range(r >> 2):
+                y = (y * y + c) % n
+                y = (y * y + c) % n
+                y = (y * y + c) % n
+                y = (y * y + c) % n
+            for _ in range(r & 3):
                 y = (y * y + c) % n
             k = 0
             while k < r and g == 1 and left > 0:
                 ys = y
                 steps = min(m, r - k, left)
-                for _ in range(steps):
+                for _ in range(steps >> 3):
+                    y1 = (y * y + c) % n
+                    y2 = (y1 * y1 + c) % n
+                    y3 = (y2 * y2 + c) % n
+                    y4 = (y3 * y3 + c) % n
+                    y5 = (y4 * y4 + c) % n
+                    y6 = (y5 * y5 + c) % n
+                    y7 = (y6 * y6 + c) % n
+                    y = (y7 * y7 + c) % n
+                    q = (
+                        q * (x - y1) * (x - y2) * (x - y3) * (x - y4)
+                        * (x - y5) * (x - y6) * (x - y7) * (x - y) % n
+                    )
+                for _ in range(steps & 7):
                     y = (y * y + c) % n
-                    q = q * abs(x - y) % n
+                    q = q * (x - y) % n
                 g = math.gcd(q, n)
                 k += steps
                 left -= steps
@@ -275,7 +297,7 @@ def _brent_rho(n: int, max_iters: int) -> tuple[Optional[int], int]:
             g = 1
             while g == 1 and left > 0:
                 ys = (ys * ys + c) % n
-                g = math.gcd(abs(x - ys), n)
+                g = math.gcd(x - ys, n)
                 left -= 1
         if 1 < g < n:
             return g, max_iters - left
@@ -384,8 +406,10 @@ def _trial_divide(values: list[int], bound: int) -> tuple[list[int], list[dict[i
             if prod % p == 0:
                 for k, r in enumerate(rests):
                     if r % p == 0:
-                        rests[k], found[k][p] = _strip(r, p)
-                prod, top = math.prod(rests), max(rests)
+                        rests[k], e = _strip(r, p)
+                        found[k][p] = e
+                        prod //= p**e
+                top = max(rests)
         lo = hi
     return rests, found
 

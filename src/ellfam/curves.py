@@ -112,6 +112,11 @@ class WeierstrassCurve:
             object.__setattr__(self, "_zinvs", weierstrass_invariants(*self._ints))
         return self._zinvs
 
+    def exact_invariants(self) -> tuple:
+        """(b2, b4, b6, b8, c4, c6, disc): ints on an integral model, where
+        no Fraction is built, else Fractions."""
+        return self.bc_invariants() if self._ints is not None else self._invariants()
+
     def _invariants(self) -> tuple:
         if self._invs is None:
             if self._ints is None:
@@ -215,7 +220,13 @@ class WeierstrassCurve:
 
     def point_order(self, P: CurvePoint) -> Optional[int]:
         """Exact order of P if it is at most 12, else None: by Mazur's
-        theorem a rational point of larger order has infinite order.
+        theorem a rational point of larger order has infinite order."""
+        multiples = self._multiples(P)
+        return None if multiples is None else len(multiples) + 1
+
+    def _multiples(self, P: CurvePoint) -> Optional[list[tuple]]:
+        """The coordinates (x, y) of P, 2P, ..., (n - 1)P for P of order
+        n <= 12, else None.
 
         On an integral model every torsion point R has 4 x(R) integral
         (Silverman, AEC VII.3.4), so the walk over the multiples of P stops
@@ -223,16 +234,17 @@ class WeierstrassCurve:
         point is integral (Nagell-Lutz), and the walk runs in ints.
         """
         if P.is_infinity:
-            return 1
+            return []
         a = self._ints
         if a is not None and a[0] == 0 == a[2]:
-            return _integral_point_order(a[1], a[3], P)
-        R = P
-        for n in range(1, 13):
+            return _integral_multiples(a[1], a[3], P)
+        out, R = [], P
+        for _ in range(12):
             if R.is_infinity:
-                return n
+                return out
             if a is not None and (4 * R.x).denominator != 1:
                 return None
+            out.append((R.x, R.y))
             R = self.add(R, P, check=False)
         return None
 
@@ -259,18 +271,19 @@ class WeierstrassCurve:
         return self.transform(Fraction(1, L), 0, 0, 0)
 
 
-def _integral_point_order(a2: int, a4: int, P: CurvePoint) -> Optional[int]:
-    """point_order on y^2 = x^3 + a2 x^2 + a4 x + a6 over Z, in ints: a
+def _integral_multiples(a2: int, a4: int, P: CurvePoint) -> Optional[list[tuple[int, int]]]:
+    """_multiples on y^2 = x^3 + a2 x^2 + a4 x + a6 over Z, in ints: a
     non-integral P, or a slope lam that makes the next multiple's
     x = lam^2 - a2 - x - x1 non-integral, proves infinite order."""
     if P.x.denominator != 1 or P.y.denominator != 1:
         return None
     x1, y1 = P.x.numerator, P.y.numerator
     x, y = x1, y1  # (n - 1) P
-    for n in range(2, 13):
+    out = [(x, y)]
+    for _ in range(2, 13):
         if x == x1:
             if y == -y1:
-                return n
+                return out
             num, den = (3 * x + 2 * a2) * x + a4, 2 * y
         else:
             num, den = y1 - y, x1 - x
@@ -279,6 +292,7 @@ def _integral_point_order(a2: int, a4: int, P: CurvePoint) -> Optional[int]:
             return None
         x3 = lam * lam - a2 - x - x1
         x, y = x3, lam * (x - x3) - y
+        out.append((x, y))
     return None
 
 
@@ -481,17 +495,27 @@ def two_torsion_points(E: WeierstrassCurve) -> list[CurvePoint]:
     """All rational points of exact order 2, at the rational roots of
     psi_2^2 in ``rational_roots``' order.  When b6 = 0 (as on y^2 = x^3 +
     A x^2 + B x), psi_2^2 = x (4x^2 + b2 x + 2 b4), whose roots are 0 and
-    those that one square test of b2^2 - 32 b4 gives; on a nonsingular
-    model they are simple, so (denominator, -numerator) is that order."""
-    if E.b6 == 0 and E.disc != 0:
+    those that one square test of b2^2 - 32 b4 gives, in ints on an
+    integral model; on a nonsingular model they are simple, so
+    (denominator, -numerator) is that order."""
+    b2, b4, b6, *_, disc = E.exact_invariants()
+    if b6 == 0 and disc != 0:
         roots = [Fraction(0)]
-        r = square_test(E.b2 * E.b2 - 32 * E.b4)
+        r = square_test(b2 * b2 - 32 * b4)
         if r is not None:
-            roots += [(r - E.b2) / 8, (-r - E.b2) / 8]
+            roots += [(r - b2) / 8, (-r - b2) / 8]
         roots.sort(key=lambda x: (x.denominator, -x.numerator))
     else:
         roots = rational_roots(_psi2_squared(E))
-    return [CurvePoint(x, -(E.a1 * x + E.a3) / 2) for x in roots]
+    # y = -(a1 x + a3) / 2, the same for every root when a1 = 0
+    y0 = -E.a3 / 2
+    return [CurvePoint(x, y0 - E.a1 * x / 2 if E.a1 else y0) for x in roots]
+
+
+# the orders of the groups in Mazur's list that no group in it strictly
+# contains, by their number of rational 2-torsion points: Z/5, Z/7, Z/9;
+# Z/8, Z/10, Z/12; Z/2 x Z/6, Z/2 x Z/8
+_MAZUR_MAXIMAL = {0: (5, 7, 9), 1: (8, 10, 12), 3: (12, 16)}
 
 
 def torsion_subgroup(E: WeierstrassCurve, hints: Sequence[CurvePoint] = ()) -> TorsionGroup:
@@ -504,6 +528,11 @@ def torsion_subgroup(E: WeierstrassCurve, hints: Sequence[CurvePoint] = ()) -> T
     their orders found by ``point_order``; the 2-torsion points lie on E
     with order 2 by construction, and so do the points found by the search,
     so the group law runs unchecked.
+
+    No points are counted when the hints and the 2-torsion realize a group
+    that no group in Mazur's list strictly contains (_MAZUR_MAXIMAL): it is
+    then the torsion subgroup, and its order is the bound.  A scan member's
+    hint realizes its family's Z/8 or Z/2 x Z/6, so a member counts none.
     """
     t2 = two_torsion_points(E)
     best: tuple[int, CurvePoint] = (1, INFINITY)
@@ -517,7 +546,7 @@ def torsion_subgroup(E: WeierstrassCurve, hints: Sequence[CurvePoint] = ()) -> T
         best = (2, t2[0])
     # the order of the subgroup generated by best[1] and the 2-torsion
     realized = best[0] * (2 if t2 and best[0] % 2 else 1) * (2 if len(t2) == 3 else 1)
-    bound = torsion_bound(E, realized)
+    bound = realized if realized in _MAZUR_MAXIMAL[len(t2)] else torsion_bound(E, realized)
 
     # Search maximal cyclic orders still allowed by the gcd bound and the
     # 2-torsion count, largest first.  With full 2-torsion the group is
@@ -548,8 +577,10 @@ def torsion_subgroup(E: WeierstrassCurve, hints: Sequence[CurvePoint] = ()) -> T
         # odd n with full 2-torsion: combine with a 2-torsion point
         P = E.add(P, t2[0], check=False)
         n *= 2
-    half = E.mul(n // 2, P, check=False)
-    other = next(T for T in t2 if T.x != half.x)
+    # the x of (n/2) P, from the walk over P's multiples that point_order
+    # takes (in ints on y^2 = x^3 + Ax^2 + Bx), not from the group law
+    half_x = E._multiples(P)[n // 2 - 1][0]
+    other = next(T for T in t2 if T.x != half_x)
     return TorsionGroup((2, n), (other, P))
 
 
@@ -590,23 +621,29 @@ def isomorphic_over_Q(
     """The (u, r, s, t) with transform(E1, u, r, s, t) == E2, if one exists.
 
     A scale u carries (c4, c6) to (c4/u^4, c6/u^6), so u^k = ratio with
-    (k, ratio) = (2, c4' c6 / (c4 c6')) when j is neither 0 nor 1728,
-    (4, c4 / c4') when j = 1728 (c6 = 0) and (6, c6 / c6') when j = 0
-    (c4 = 0); each of u and -u is then tried.
+    (k, ratio) = (2, c4' c6 / (c4 c6')) when c4 and c6 are nonzero,
+    (4, c4 / c4') when c6 = 0 (j = 1728) and (6, c6 / c6') when c4 = 0
+    (j = 0); curves whose (c4, c6) vanish in different places have
+    different j.  The positive rational root u certifies the isomorphism
+    once c4 = u^4 c4' and c6 = u^6 c6' (Silverman, AEC III.1.3 and Table
+    3.1): both curves are then isomorphic to the same short model, by
+    changes of coordinates whose scales differ by u.  For a given scale
+    the translation (r, s, t) is forced (_translation_for_scale).
     """
-    if E1.j != E2.j:
+    c4, c6 = E1.exact_invariants()[4:6]
+    d4, d6 = E2.exact_invariants()[4:6]
+    if (c4 == 0) != (d4 == 0) or (c6 == 0) != (d6 == 0):
         return None
-    if E1.c4 == 0:
-        k, ratio = 6, E1.c6 / E2.c6
-    elif E1.c6 == 0:
-        k, ratio = 4, E1.c4 / E2.c4
+    if c4 == 0:
+        k, ratio = 6, Fraction(c6, d6)
+    elif c6 == 0:
+        k, ratio = 4, Fraction(c4, d4)
     else:
-        k, ratio = 2, (E2.c4 * E1.c6) / (E1.c4 * E2.c6)
-    root = _nth_root_rational(ratio, k)
-    if root is None:
+        k, ratio = 2, Fraction(d4 * c6, c4 * d6)
+    u = _nth_root_rational(ratio, k)
+    if u is None:
         return None
-    for u in (root, -root):
-        r, s, t = _translation_for_scale(E1, E2, u)
-        if E1.transform(u, r, s, t)[0] == E2:
-            return (u, r, s, t)
-    return None
+    n, d = u.numerator, u.denominator
+    if c4 * d**4 != n**4 * d4 or c6 * d**6 != n**6 * d6:
+        return None
+    return (u, *_translation_for_scale(E1, E2, u))

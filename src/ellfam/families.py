@@ -92,13 +92,21 @@ class SpecializedCurve:
 
 
 def _specialize_point(P: CurvePoint, value: Fraction, lam: Fraction) -> CurvePoint:
-    """P at ``value``, mapped by (x, y) -> (l^2 x, l^3 y); a pole of x
-    there gives the point at infinity."""
-    try:
-        x = P.x(value)
-    except ZeroDivisionError:
-        return INFINITY
-    return CurvePoint(lam * lam * x, lam**3 * P.y(value))
+    """P at ``value`` = p/q, mapped by (x, y) -> (l^2 x, l^3 y).  Each
+    coordinate n/d is read off homogeneous_value on the integer
+    coefficients of n and d, as specialize reads A and B; a zero
+    denominator is a pole, which gives the point at infinity."""
+    p, q = value.numerator, value.denominator
+    coords = []
+    for f, k in ((P.x, 2), (P.y, 3)):
+        num, den = f.num, f.den
+        d = homogeneous_value(den.ints, p, q) * num.den * lam.denominator**k
+        if d == 0:
+            return INFINITY
+        n = homogeneous_value(num.ints, p, q) * den.den * lam.numerator**k
+        e = den.degree - num.degree
+        coords.append(Fraction(n * q**e, d) if e >= 0 else Fraction(n, d * q**-e))
+    return CurvePoint(*coords)
 
 
 @dataclass(frozen=True)

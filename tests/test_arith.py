@@ -452,6 +452,88 @@ class TestPm1Probe:
             assert fi.residue == n
 
 
+def reference_brent_rho(n: int, max_iters: int):
+    """_brent_rho stepping one iteration at a time, with |x - y| reduced
+    into the product at every step: the reference for its unrolled
+    batches."""
+    if n % 2 == 0:
+        return 2, 0
+    seed = 1
+    left = max_iters
+    probe = max_iters > arith._PM1_AFTER
+    while left > 0:
+        y, c, m = (seed * 2862933555777941757 + 3037000493) % n, seed % (n - 1) + 1, 128
+        g, r, q = 1, 1, 1
+        x = ys = y
+        while g == 1 and left > 0:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1 and left > 0:
+                ys = y
+                steps = min(m, r - k, left)
+                for _ in range(steps):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = math.gcd(q, n)
+                k += steps
+                left -= steps
+                if probe and g == 1 and max_iters - left >= arith._PM1_AFTER:
+                    probe = False
+                    d = arith._pm1(n)
+                    if d is not None:
+                        return d, max_iters - left
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1 and left > 0:
+                ys = (ys * ys + c) % n
+                g = math.gcd(abs(x - ys), n)
+                left -= 1
+        if 1 < g < n:
+            return g, max_iters - left
+        seed += 1
+    return None, max_iters - left
+
+
+def _rho_inputs() -> list[int]:
+    """Seeded odd composites from 10^9 to 10^20: random ones, which mostly
+    have small factors, and products of two primes, which take longer;
+    then a part that the probe splits after 2 175 iterations, and one
+    split by the batch that spends the last of an allowance of 300."""
+    import random
+
+    rng = random.Random(20)
+    out = []
+    while len(out) < 12:
+        n = rng.randrange(10**9, 10**20) | 1
+        if not is_prime(n):
+            out.append(n)
+    while len(out) < 24:
+        p = sympy.nextprime(rng.randrange(10**3, 10**8))
+        q = sympy.nextprime(rng.randrange(10**9 // p, 10**20 // p))
+        out.append(p * q)
+    return out + [185392823185963739, 16607426047649822641]
+
+
+class TestBrentRhoBatches:
+    @pytest.mark.parametrize("budget", [50, 300, 2**11 + 1, 3000])
+    def test_unrolled_batches_match_one_step_at_a_time(self, budget):
+        # the same sequence, gcd points and probe: the same divisor, found
+        # after the same iterations, or none after the whole allowance
+        for n in _rho_inputs():
+            assert arith._brent_rho(n, budget) == reference_brent_rho(n, budget), n
+
+    def test_inputs_reach_every_outcome(self):
+        # split before the probe, split by the probe, and not split
+        outcomes = [arith._brent_rho(n, 3000) for n in _rho_inputs()]
+        assert any(d is not None and spent < arith._PM1_AFTER for d, spent in outcomes)
+        assert (None, 3000) in outcomes
+        assert arith._brent_rho(185392823185963739, 3000) == (152122609, 2175)
+        assert arith._brent_rho(16607426047649822641, 300) == (23623111, 300)
+
+
 def _rho_recorder(calls: list[tuple[int, int]]):
     """_brent_rho, recording (allowance, iterations spent) of every call."""
     rho = arith._brent_rho

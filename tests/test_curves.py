@@ -9,9 +9,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ellfam import curves
 from ellfam.curves import (
     INFINITY,
     _nth_root_rational,
+    _translation_for_scale,
     CurvePoint,
     OffCurve,
     PointMap,
@@ -316,6 +318,28 @@ class TestRationalRoots:
             assert rational_roots(g) == sympy_rational_roots(g), n
 
 
+# one curve for each torsion group that no group in Mazur's list strictly
+# contains, with that group
+MAZUR_MAXIMAL_CURVES = {
+    "11a3": ((0, -1, 1, 0, 0), (5,)),
+    "26b1": ((1, -1, 1, -3, 3), (7,)),
+    "15a4": ((1, 1, 1, 35, -28), (8,)),
+    "54b3": ((1, -1, 1, -14, 29), (9,)),
+    "66c1": ((1, 0, 0, -45, 81), (10,)),
+    "90c3": ((1, -1, 1, -122, 1721), (12,)),
+    "30a2": ((1, 0, 1, -19, 26), (2, 6)),
+    "210e2": ((1, 0, 0, -1070, 7812), (2, 8)),
+}
+
+
+def refuse_count(E, p):
+    raise AssertionError("points counted past Mazur's bound")
+
+
+def generator_orders(E, T):
+    return [E.point_order(P) for P in T.generators]
+
+
 class TestTorsion:
     def test_trivial(self):
         assert torsion_subgroup(E37()).structure == (1,)
@@ -403,6 +427,66 @@ class TestTorsion:
         calls.clear()
         assert torsion_bound(E) == 8
         assert realized < len(calls) == 16
+
+    @pytest.mark.parametrize("name", sorted(MAZUR_MAXIMAL_CURVES))
+    def test_mazur_exit_matches_the_count(self, monkeypatch, name):
+        # a hint of full order realizes a group that Mazur's list cannot
+        # enlarge: no point is counted, and the group is the one that the
+        # count without hints finds
+        a, structure = MAZUR_MAXIMAL_CURVES[name]
+        E = WeierstrassCurve(*a)
+        counted = torsion_subgroup(E)
+        assert counted.structure == structure
+        with monkeypatch.context() as mp:
+            mp.setattr(curves, "count_points_mod_p", refuse_count)
+            hinted = torsion_subgroup(E, hints=[counted.generators[-1]])
+        assert hinted.structure == structure
+        assert generator_orders(E, hinted) == generator_orders(E, counted)
+
+    @pytest.mark.parametrize("name", sorted(MAZUR_MAXIMAL_CURVES))
+    def test_hints_below_full_order_still_count(self, name):
+        # 2P, 3P, ... of the generator realize a group that Mazur's list
+        # can enlarge: the count must run, and it finds the whole group
+        a, structure = MAZUR_MAXIMAL_CURVES[name]
+        E = WeierstrassCurve(*a)
+        P = torsion_subgroup(E).generators[-1]
+        for k in range(2, structure[-1]):
+            T = torsion_subgroup(E, hints=[E.mul(k, P)])
+            assert T.structure == structure, k
+
+    def test_mazur_exit_on_catalog_members(self, monkeypatch):
+        # every member at u = k/d, |k| <= 8, d <= 3: the exit gives the
+        # group and generator orders that the count on the same hints gives,
+        # and each family's first member those of the count without hints
+        # (about 10 ms a member, so not all 1220)
+        from ellfam.families import SingularMember, catalog
+
+        members, unhinted = 0, set()
+        for fam in catalog().values():
+            for d in (1, 2, 3):
+                for k in range(-8, 9):
+                    if math.gcd(k, d) != 1:
+                        continue
+                    try:
+                        sp = fam.specialize(Fraction(k, d))
+                    except SingularMember:
+                        continue
+                    E = sp.curve()
+                    with monkeypatch.context() as mp:
+                        mp.setattr(curves, "count_points_mod_p", refuse_count)
+                        hinted = torsion_subgroup(E, hints=sp.torsion_points)
+                    with monkeypatch.context() as mp:
+                        mp.setattr(curves, "_MAZUR_MAXIMAL", {0: (), 1: (), 3: ()})
+                        counted = torsion_subgroup(E, hints=sp.torsion_points)
+                    assert hinted.structure == counted.structure, (fam.label, k, d)
+                    assert generator_orders(E, hinted) == generator_orders(E, counted)
+                    if fam.label not in unhinted:
+                        unhinted.add(fam.label)
+                        T = torsion_subgroup(E)
+                        assert T.structure == hinted.structure
+                        assert generator_orders(E, T) == generator_orders(E, hinted)
+                    members += 1
+        assert members == 1220 and len(unhinted) == 36
 
     def test_two_torsion_points(self):
         E = WeierstrassCurve(0, 0, 0, -1, 0)
@@ -664,6 +748,76 @@ class TestIsomorphism:
 
     def test_different_j_not_isomorphic(self):
         assert isomorphic_over_Q(E37(), WeierstrassCurve(1, 1, 1, -1595, -4768)) is None
+
+    @staticmethod
+    def reference(E1, E2):
+        """isomorphic_over_Q comparing whole transformed curves: the j test,
+        then u and -u for the rational root u, each tried by transform."""
+        if E1.j != E2.j:
+            return None
+        if E1.c4 == 0:
+            k, ratio = 6, E1.c6 / E2.c6
+        elif E1.c6 == 0:
+            k, ratio = 4, E1.c4 / E2.c4
+        else:
+            k, ratio = 2, (E2.c4 * E1.c6) / (E1.c4 * E2.c6)
+        root = _nth_root_rational(ratio, k)
+        if root is None:
+            return None
+        for u in (root, -root):
+            r, s, t = _translation_for_scale(E1, E2, u)
+            if E1.transform(u, r, s, t)[0] == E2:
+                return (u, r, s, t)
+        return None
+
+    @staticmethod
+    def oracle_curves():
+        """40 seeded oracle curves, and 27a3 (j = 0) and 32a2 (j = 1728)."""
+        import random
+
+        rows = json.loads((Path(__file__).parent / "data" / "rootnum_oracle.json").read_text())
+        rng = random.Random(3)
+        return [WeierstrassCurve(*row["a"]) for row in rng.sample(rows, 40)] + [
+            WeierstrassCurve(0, 0, 1, 0, 0),
+            WeierstrassCurve(0, 0, 0, -1, 0),
+        ]
+
+    def test_changes_of_coordinates_are_certified(self):
+        import random
+
+        rng = random.Random(5)
+
+        def rational():
+            return Fraction(rng.randint(-50, 50), rng.randint(1, 12))
+
+        curves = self.oracle_curves()
+        assert [E.j for E in curves[-2:]] == [0, 1728]
+        for E1 in curves:
+            for _ in range(3):
+                u = rational() or Fraction(1)
+                E2, _ = E1.transform(u, rational(), rational(), rational())
+                iso = isomorphic_over_Q(E1, E2)
+                assert iso is not None and E1.transform(*iso)[0] == E2
+                assert iso == self.reference(E1, E2)
+
+    @pytest.mark.parametrize("w", [2, 4, 9])
+    def test_equal_invariant_ratio_with_a_different_j(self, w):
+        # (c4 w, c6 w) keeps c4' c6 / (c4 c6') a rational square but moves
+        # j, so only the certificate c4 = u^4 c4' rejects it
+        for E in self.oracle_curves():
+            other = WeierstrassCurve(0, 0, 0, -27 * E.c4 * w, -54 * E.c6 * w)
+            assert isomorphic_over_Q(E, other) is None
+            assert self.reference(E, other) is None
+
+    @pytest.mark.parametrize("d", [-1, 2, -3, 5, -6, 7])
+    def test_quadratic_twists_are_not_isomorphic(self, d):
+        # the twist by d of y^2 = x^3 - 27 c4 x - 54 c6; over j = 1728 the
+        # twist by -1 is trivial (the automorphism (x, y) -> (-x, iy))
+        for E in self.oracle_curves():
+            twist = WeierstrassCurve(0, 0, 0, -27 * E.c4 * d**2, -54 * E.c6 * d**3)
+            trivial = E.c6 == 0 and d == -1
+            assert (isomorphic_over_Q(E, twist) is None) != trivial
+            assert isomorphic_over_Q(E, twist) == self.reference(E, twist)
 
 
 class TestNthRootRational:

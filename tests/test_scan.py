@@ -314,7 +314,7 @@ class TestLatticeScan:
             cell = next(c for c in grids[name].cells if not c.skipped)
             assert scan._scan_cell(spec, cell.n, cell.m) == cell
         assert len(specs) == 3
-        assert roots == [] and "point_order" not in adds
+        assert roots == [] and "_multiples" not in adds
 
     def test_csv_shape(self, grids):
         grid = grids["Z8-scan-1"]
