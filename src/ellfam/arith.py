@@ -5,12 +5,15 @@ this module: budgeted integer factorization, primality testing, rational
 square detection and Jacobi symbols, all in the standard library.
 Factorization is trial division, then Brent's rho, which tries one Pollard
 p - 1 probe (stage 1, bound 10^4) in every call that runs 2^11 iterations
-without a split.  All values are immutable and every result depends on the
-arguments alone; the one shared state is the module's prime sieve, which
-the factoring routines and primes_below() grow in place, with the products
-of its blocks of primes that trial division caches; neither is
-thread-safe.  The probe's exponent is built from the sieve once, on first
-use.
+without a split.  Trial division walks the primes that the sieve already
+holds below 727, the first block of 128 primes, in one loop, and from
+there on segments cut at the square root of what is left, growing the
+sieve only when a segment reaches past it.  All values are immutable and
+every result depends on the arguments alone; the one shared state is the
+module's prime sieve, which the factoring routines and primes_below() grow
+in place, with the products of its blocks of primes that trial division
+caches; neither is thread-safe.  The probe's exponent is built from the
+sieve once, on first use.
 
 Rationals are plain ``fractions.Fraction`` objects; the stdlib type already
 keeps gcd(num, den) = 1 and den >= 1, which is exactly the canonical form we
@@ -356,16 +359,24 @@ def factor(n: int, budget: FactorBudget = DEFAULT_BUDGET) -> FactoredInt:
     n = abs(n)
     found: dict[int, int] = {}
 
-    # walk the shared sieve, grown in place to exactly the bound needed, in
-    # segments [lo, lo^2) cut at the square root of what is left of n, so
-    # that small or smooth n never make it sieve far; a segment of at least
-    # a block's length is walked block by block (_trial_primes).  This is
+    # walk the primes that the shared sieve already holds below the trial
+    # bound and _FLAT_END in one loop; from there on, walk in segments
+    # [lo, lo^2) cut at the square root of what is left of n, growing the
+    # sieve in place only when a segment is not covered yet, so that small
+    # or smooth n never make it sieve far; a segment of at least a block's
+    # length is walked block by block (_trial_primes).  This is
     # _trial_divide for one value, without the bookkeeping of several,
     # which would cost a quarter of the time on small n
-    lo = 2
+    lo = min(budget.trial_bound, len(_sieve_flags), _FLAT_END)
+    for p in _sieve_primes:
+        if p * p > n or p >= lo:
+            break
+        if n % p == 0:
+            n, found[p] = _strip(n, p)
     while lo < budget.trial_bound and lo * lo <= n:
         hi = min(budget.trial_bound, math.isqrt(n) + 1, lo * lo)
-        _sieve_to(hi)
+        if hi > len(_sieve_flags):
+            _sieve_to(hi)
         i, end = bisect_left(_sieve_primes, lo), bisect_left(_sieve_primes, hi)
         ps = _sieve_primes[i:end] if end - i < _BLOCK else _trial_primes(n, i, end)
         for p in ps:
@@ -394,10 +405,10 @@ def _trial_divide(values: list[int], bound: int) -> tuple[list[int], list[dict[i
     rests = list(map(abs, values))
     found: list[dict[int, int]] = [{} for _ in rests]
     prod, top = math.prod(rests), max(rests, default=1)
-    lo = 2
-    while lo < bound and lo * lo <= top:
-        hi = min(bound, math.isqrt(top) + 1, lo * lo)
-        _sieve_to(hi)
+    # the primes the sieve already holds below _FLAT_END are the first
+    # segment, walked without growing it
+    lo, hi = 2, min(bound, len(_sieve_flags), _FLAT_END)
+    while True:
         i, end = bisect_left(_sieve_primes, lo), bisect_left(_sieve_primes, hi)
         ps = _sieve_primes[i:end] if end - i < _BLOCK else _trial_primes(prod, i, end)
         for p in ps:
@@ -411,6 +422,11 @@ def _trial_divide(values: list[int], bound: int) -> tuple[list[int], list[dict[i
                         prod //= p**e
                 top = max(rests)
         lo = hi
+        if lo >= bound or lo * lo > top:
+            break
+        hi = min(bound, math.isqrt(top) + 1, lo * lo)
+        if hi > len(_sieve_flags):
+            _sieve_to(hi)
     return rests, found
 
 
@@ -456,6 +472,9 @@ def _split_rest(n: int, found: dict[int, int], budget: FactorBudget) -> int:
 # sieve only grows at its end, so a complete block never changes
 _BLOCK = 128
 _block_products: list[int] = []
+# the first prime past the first block: trial division walks the sieve's
+# primes below it in one loop, and whole blocks from there on
+_FLAT_END = 727
 
 
 def _block_product(b: int) -> int:

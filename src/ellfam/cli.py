@@ -112,8 +112,11 @@ def _family(label: str) -> CurveFamily:
 
 
 def _resolve_curve(args):
-    """(curve, section points, torsion points) from --curve or LABEL --u."""
+    """(curve, section points, torsion points) from --curve or LABEL --u;
+    both at once is a usage error."""
     if args.curve is not None:
+        if args.label is not None or args.u is not None:
+            _usage_error("--curve cannot be combined with a catalog label or --u")
         return args.curve, (), ()
     if not args.label:
         _usage_error("a catalog label or --curve is required")

@@ -416,104 +416,115 @@ def model_z2x6() -> CurveFamily:
 
 # -- catalog --------------------------------------------------------------
 
-def _catalog_rows():
+def _catalog_table():
     """(label, parent label, substitution, section abscissas, spec hint) per
-    substituted entry, in catalog order.  An abscissa is written in the
-    parent's variable (v, resp. w) and coordinates wherever it is a
+    substituted entry, in catalog order.  The substitution and each
+    abscissa are functions of no arguments that build the polynomial, so a
+    row builds none until its entry is derived.  An abscissa is written in
+    the parent's variable (v, resp. w) and coordinates wherever it is a
     function of that variable, else in the entry's own u and coordinates."""
     v, w, u = PolyQ.variable("v"), PolyQ.variable("w"), PolyQ.variable("u")
     return [
-        ("Z8-1", "Z8", (5 - w * w) / (4 * (w + 1)), [4 * v**4], None),
-        ("Z8-2", "Z8", (w - 2) * w / (w * w + 1), [-(v - 1) * v], None),
-        ("Z8-3", "Z8", -2 * (w - 1) * (w + 1) / (w * w + 3), [-4 * v**3 * (3 * v - 2)], None),
-        ("Z8-4", "Z8", (w - 2) * w / (w * w - 2),
-         [16 * (v - 1) ** 2 * v**2 * (1 - 2 * v + 2 * v * v)], None),
-        ("Z8-5", "Z8", -2 * w / (w * w + 2), [-2 * v**2 * (2 * v * v - 1)], None),
-        ("Z8-6", "Z8", (w * w - 2 * w + 2) / (w * w + 4),
-         [-((v - 1) ** 2) * (1 - 6 * v + 4 * v * v)], None),
-        ("Z8-7", "Z8", (3 * w * w + 1) / (2 * (w * w + 3)),
-         [-4 * (v - 1) ** 4 * (6 * v - 1) / (2 * v - 3)], None),
-        ("Z8-8", "Z8", (w * w + 3) / (4 * (w * w + 1)),
-         [-4 * (v - 1) ** 4 * (4 * v - 1) / (4 * v - 3)], None),
-        ("Z8-9", "Z8", 5 * (w * w + 1) / (2 * (4 * w * w + 9)),
-         [-((v - 1) ** 4) * (8 * v - 5) * (18 * v - 5) / (4 * (3 * v - 2) ** 2)], None),
-        ("Z8-10", "Z8", (w * w - 4 * w + 2) / (2 * (w * w + 2)),
-         [(-4 * v * v + 4 * v + 1) * Fraction(1, 8)], None),
-        ("Z8-11", "Z8", (w * w - 6 * w + 34) / (w * w + 36),
-         [-((v - 1) ** 2) * (2 * v - 5) ** 2 * (36 * v * v - 70 * v + 25) / (6 * v - 7) ** 2],
-         None),
-        ("Z8-12", "Z8", -2 * (3 * w - 14) / (w * w + 28),
-         [-4 * (v - 1) ** 3 * v * (2 * v + 1) ** 2 / (2 * v - 3) ** 2], None),
-        ("Z8-13", "Z8", (3 * w - 1) * (3 * w + 1) / (10 * (w - 1) * (w + 1)),
-         [-4 * (v - 1) ** 3 * v * (10 * v - 1) / (10 * v - 9)], None),
-        ("Z8-14", "Z8", -2 * (w - 3) * (w + 3) / (w * w + 6),
-         [-(v - 1) * v * Fraction(27, 2)], None),
-        ("Z8-15", "Z8", -(w * w + 80 * w + 1152) / (8 * (w * w - 128)),
-         [-((16 * v * v - 16 * v + 1) ** 2) * Fraction(1, 64)], None),
-        ("Z8-16", "Z8", (2 * w * w - 1) / (2 * (3 * w * w - 5)),
-         [(v - 1) ** 2 * (4 * v - 1) ** 2 * (10 * v - 1) / (8 * (3 * v - 1))], None),
-        ("Z8-17", "Z8", (6 * w * w - 1) / (2 * (w * w + 4)),
-         [-((v - 1) ** 2) * (2 * v + 1) ** 2 * (8 * v + 1) / (8 * (v - 3))], None),
-        ("Z8-18", "Z8", (9 * w * w - 13) / (2 * (5 * w * w - 9)),
-         [4 * (4 * v - 3) ** 2 * (10 * v - 9) * (18 * v * v - 26 * v + 9) ** 2
+        ("Z8-1", "Z8", lambda: (5 - w * w) / (4 * (w + 1)), [lambda: 4 * v**4], None),
+        ("Z8-2", "Z8", lambda: (w - 2) * w / (w * w + 1), [lambda: -(v - 1) * v], None),
+        ("Z8-3", "Z8", lambda: -2 * (w - 1) * (w + 1) / (w * w + 3),
+         [lambda: -4 * v**3 * (3 * v - 2)], None),
+        ("Z8-4", "Z8", lambda: (w - 2) * w / (w * w - 2),
+         [lambda: 16 * (v - 1) ** 2 * v**2 * (1 - 2 * v + 2 * v * v)], None),
+        ("Z8-5", "Z8", lambda: -2 * w / (w * w + 2), [lambda: -2 * v**2 * (2 * v * v - 1)], None),
+        ("Z8-6", "Z8", lambda: (w * w - 2 * w + 2) / (w * w + 4),
+         [lambda: -((v - 1) ** 2) * (1 - 6 * v + 4 * v * v)], None),
+        ("Z8-7", "Z8", lambda: (3 * w * w + 1) / (2 * (w * w + 3)),
+         [lambda: -4 * (v - 1) ** 4 * (6 * v - 1) / (2 * v - 3)], None),
+        ("Z8-8", "Z8", lambda: (w * w + 3) / (4 * (w * w + 1)),
+         [lambda: -4 * (v - 1) ** 4 * (4 * v - 1) / (4 * v - 3)], None),
+        ("Z8-9", "Z8", lambda: 5 * (w * w + 1) / (2 * (4 * w * w + 9)),
+         [lambda: -((v - 1) ** 4) * (8 * v - 5) * (18 * v - 5) / (4 * (3 * v - 2) ** 2)], None),
+        ("Z8-10", "Z8", lambda: (w * w - 4 * w + 2) / (2 * (w * w + 2)),
+         [lambda: (-4 * v * v + 4 * v + 1) * Fraction(1, 8)], None),
+        ("Z8-11", "Z8", lambda: (w * w - 6 * w + 34) / (w * w + 36),
+         [lambda: -((v - 1) ** 2) * (2 * v - 5) ** 2 * (36 * v * v - 70 * v + 25)
+          / (6 * v - 7) ** 2], None),
+        ("Z8-12", "Z8", lambda: -2 * (3 * w - 14) / (w * w + 28),
+         [lambda: -4 * (v - 1) ** 3 * v * (2 * v + 1) ** 2 / (2 * v - 3) ** 2], None),
+        ("Z8-13", "Z8", lambda: (3 * w - 1) * (3 * w + 1) / (10 * (w - 1) * (w + 1)),
+         [lambda: -4 * (v - 1) ** 3 * v * (10 * v - 1) / (10 * v - 9)], None),
+        ("Z8-14", "Z8", lambda: -2 * (w - 3) * (w + 3) / (w * w + 6),
+         [lambda: -(v - 1) * v * Fraction(27, 2)], None),
+        ("Z8-15", "Z8", lambda: -(w * w + 80 * w + 1152) / (8 * (w * w - 128)),
+         [lambda: -((16 * v * v - 16 * v + 1) ** 2) * Fraction(1, 64)], None),
+        ("Z8-16", "Z8", lambda: (2 * w * w - 1) / (2 * (3 * w * w - 5)),
+         [lambda: (v - 1) ** 2 * (4 * v - 1) ** 2 * (10 * v - 1) / (8 * (3 * v - 1))], None),
+        ("Z8-17", "Z8", lambda: (6 * w * w - 1) / (2 * (w * w + 4)),
+         [lambda: -((v - 1) ** 2) * (2 * v + 1) ** 2 * (8 * v + 1) / (8 * (v - 3))], None),
+        ("Z8-18", "Z8", lambda: (9 * w * w - 13) / (2 * (5 * w * w - 9)),
+         [lambda: 4 * (4 * v - 3) ** 2 * (10 * v - 9) * (18 * v * v - 26 * v + 9) ** 2
           / ((6 * v - 5) ** 2 * (18 * v - 13))], None),
-        ("Z8R2-1", "Z8-3", (11 - u * u) / (10 * u),
-         [-16 * (w - 1) * (w + 1) ** 3 * (3 * w * w + 1) ** 2,
-          (w - 1) ** 2 * (w + 1) ** 2 * (7 * w * w + 5) ** 2 * (25 * w * w + 11)
+        ("Z8R2-1", "Z8-3", lambda: (11 - u * u) / (10 * u),
+         [lambda: -16 * (w - 1) * (w + 1) ** 3 * (3 * w * w + 1) ** 2,
+          lambda: (w - 1) ** 2 * (w + 1) ** 2 * (7 * w * w + 5) ** 2 * (25 * w * w + 11)
           * Fraction(1, 16)], 22),
-        ("Z8R2-2", "Z8-3", (u * u - 12 * u + 29) / (u * u - 29),
-         [-16 * (w - 1) ** 3 * (w + 1) * (3 * w * w + 1) ** 2,
-          (w - 1) ** 2 * (w + 1) ** 2 * (11 * w * w + 1) ** 2 * (29 * w * w + 7)
+        ("Z8R2-2", "Z8-3", lambda: (u * u - 12 * u + 29) / (u * u - 29),
+         [lambda: -16 * (w - 1) ** 3 * (w + 1) * (3 * w * w + 1) ** 2,
+          lambda: (w - 1) ** 2 * (w + 1) ** 2 * (11 * w * w + 1) ** 2 * (29 * w * w + 7)
           / (16 * w * w)], 19),
-        ("Z8R2-3", "Z8-3", (u * u - 12 * u + 15) / (u * u - 15),
-         [-256 * w * w * (w - 1) ** 3 * (w + 1) ** 3,
-          -27 * (w - 1) * (w + 1) * (w * w + 3) ** 2 * (3 * w * w + 1)], 11),
-        ("Z8R2-4", "Z8-12", -(u - 28) * (u + 28) / (2 * (u - 63)),
-         [-8 * w**3 * (w + 6) ** 3 * (3 * w - 14) * (w * w - 12 * w + 84) ** 2
+        ("Z8R2-3", "Z8-3", lambda: (u * u - 12 * u + 15) / (u * u - 15),
+         [lambda: -256 * w * w * (w - 1) ** 3 * (w + 1) ** 3,
+          lambda: -27 * (w - 1) * (w + 1) * (w * w + 3) ** 2 * (3 * w * w + 1)], 11),
+        ("Z8R2-4", "Z8-12", lambda: -(u - 28) * (u + 28) / (2 * (u - 63)),
+         [lambda: -8 * w**3 * (w + 6) ** 3 * (3 * w - 14) * (w * w - 12 * w + 84) ** 2
           / (3 * w * w + 12 * w + 28) ** 2,
-          -256 * w**3 * (w + 6) ** 2 * (3 * w - 14) ** 3 / (w + 14) ** 2], 17),
-        ("Z8R2-5", "Z8-13", -(3 * u * u - 80 * u + 510) / (u * u - 170),
-         [-u * (3 * u - 40) * (4 * u - 51) ** 4 * (2 * u * u - 60 * u + 425)
+          lambda: -256 * w**3 * (w + 6) ** 2 * (3 * w - 14) ** 3 / (w + 14) ** 2], 17),
+        ("Z8R2-5", "Z8-13", lambda: -(3 * u * u - 80 * u + 510) / (u * u - 170),
+         [lambda: -u * (3 * u - 40) * (4 * u - 51) ** 4 * (2 * u * u - 60 * u + 425)
           * (u**3 - 44 * u * u + 660 * u - 3400) ** 2,
-          -u * (3 * u - 40) * (4 * u - 51) ** 2 * (2 * u * u - 60 * u + 425)
+          lambda: -u * (3 * u - 40) * (4 * u - 51) ** 2 * (2 * u * u - 60 * u + 425)
           * (35 * u**3 - 1236 * u * u + 14620 * u - 57800) ** 2], 3),
-        ("Z8R2-6", "Z8-17", 3 * (u * u - 20 * u + 60) / (2 * (u * u - 60)),
-         [w * w * (2 * w - 3) ** 2 * (2 * w + 3) ** 2 * (7 * w * w + 3) ** 2 * Fraction(1, 4),
-          -(2 * w - 3) * (2 * w + 3) * (w * w + 4) ** 2 * (6 * w * w - 1) * Fraction(27, 2)],
-         -48),
-        ("Z8R2-7", "Z8-18", (u * u - 6 * u + 21) / (u * u - 14 * u + 21),
-         [(u * u - 8 * u + 3) ** 2
+        ("Z8R2-6", "Z8-17", lambda: 3 * (u * u - 20 * u + 60) / (2 * (u * u - 60)),
+         [lambda: w * w * (2 * w - 3) ** 2 * (2 * w + 3) ** 2 * (7 * w * w + 3) ** 2
+          * Fraction(1, 4),
+          lambda: -(2 * w - 3) * (2 * w + 3) * (w * w + 4) ** 2 * (6 * w * w - 1)
+          * Fraction(27, 2)], -48),
+        ("Z8R2-7", "Z8-18", lambda: (u * u - 6 * u + 21) / (u * u - 14 * u + 21),
+         [lambda: (u * u - 8 * u + 3) ** 2
           * (u**4 - 32 * u**3 + 278 * u * u - 672 * u + 441)
           * (2 * u**5 - 55 * u**4 + 508 * u**3 - 1834 * u * u + 3234 * u - 3087) ** 2,
-          u * u * (u * u - 56 * u + 147) ** 2 * (u * u - 8 * u + 3) ** 4
+          lambda: u * u * (u * u - 56 * u + 147) ** 2 * (u * u - 8 * u + 3) ** 4
           * (u**4 - 32 * u**3 + 278 * u * u - 672 * u + 441) ** 3
           / (u**5 - 22 * u**4 + 262 * u**3 - 1524 * u * u + 3465 * u - 2646) ** 2], 10),
-        ("Z2x6-1", "Z2x6", -6 / (w * w - 3), [16 * (v - 2) * (1 + v) ** 2], None),
-        ("Z2x6-2", "Z2x6", 3 * (14 * w * w - 1) / (6 * w * w + 1),
-         [64 * (v - 1) ** 2 * (v + 1) ** 3 / (v + 5) ** 2], None),
-        ("Z2x6-3", "Z2x6", (2 * w * w - 4 * w - 1) / (2 * w - 3),
-         [(1 + v) ** 2 * (7 - 4 * v + v * v) ** 2], None),
-        ("Z2x6-4", "Z2x6", (6 * w * w - 1) / (12 * w * w - 7),
-         [(v - 1) * (v + 1) * (3 * v - 1) ** 2 * Fraction(64, 3)], None),
-        ("Z2x6R2-1", "Z2x6-1", 3 * (u * u - 8 * u + 14) / (u * u - 14),
-         [-32 * w * w * (w - 3) ** 2 * (w + 3) ** 2 * (w * w - 3),
-          -((w - 3) ** 2) * (w + 3) ** 2 * (w * w - 3) * (7 * w * w + 9)], 15),
-        ("Z2x6R2-2", "Z2x6-1", (u * u - 8 * u + 6) / (u * u - 6),
-         [-32 * w * w * (w - 3) ** 2 * (w + 3) ** 2 * (w * w - 3),
-          (w - 3) * (w + 3) * (w * w - 3) * (7 * w * w + 9) ** 2], 17),
-        ("Z2x6R2-3", "Z2x6-2", (u * u - 30 * u + 180) / (3 * (u * u - 180)),
-         [128 * (3 * w - 1) ** 2 * (3 * w + 1) ** 2 * (6 * w * w + 1) * (24 * w * w - 1) ** 3
-          / (36 * w * w + 1) ** 2,
-          4 * (3 * w - 1) ** 2 * (3 * w + 1) ** 2 * (36 * w * w + 1) * (48 * w * w - 7)], 22),
-        ("Z2x6R2-4", "Z2x6-3", -(4 * u + 9) / (u * u - 3),
-         [4 * (w - 3) * (w + 1) * (w * w - 3 * w + 1) * (w * w - 2 * w + 2) ** 2,
-          (w - 2) ** 3 * (w + 1) * (2 * w - 3) * (3 * w - 2) * (w * w - 3 * w + 1)], 19),
-        ("Z2x6R2-5", "Z2x6-4", 4 * (u * u + 1) / (5 * (u * u - 1)),
-         [192 * (u - 3) ** 2 * (u + 3) * (3 * u + 1) * (u * u - 5 * u + 1)
+        ("Z2x6-1", "Z2x6", lambda: -6 / (w * w - 3), [lambda: 16 * (v - 2) * (1 + v) ** 2], None),
+        ("Z2x6-2", "Z2x6", lambda: 3 * (14 * w * w - 1) / (6 * w * w + 1),
+         [lambda: 64 * (v - 1) ** 2 * (v + 1) ** 3 / (v + 5) ** 2], None),
+        ("Z2x6-3", "Z2x6", lambda: (2 * w * w - 4 * w - 1) / (2 * w - 3),
+         [lambda: (1 + v) ** 2 * (7 - 4 * v + v * v) ** 2], None),
+        ("Z2x6-4", "Z2x6", lambda: (6 * w * w - 1) / (12 * w * w - 7),
+         [lambda: (v - 1) * (v + 1) * (3 * v - 1) ** 2 * Fraction(64, 3)], None),
+        ("Z2x6R2-1", "Z2x6-1", lambda: 3 * (u * u - 8 * u + 14) / (u * u - 14),
+         [lambda: -32 * w * w * (w - 3) ** 2 * (w + 3) ** 2 * (w * w - 3),
+          lambda: -((w - 3) ** 2) * (w + 3) ** 2 * (w * w - 3) * (7 * w * w + 9)], 15),
+        ("Z2x6R2-2", "Z2x6-1", lambda: (u * u - 8 * u + 6) / (u * u - 6),
+         [lambda: -32 * w * w * (w - 3) ** 2 * (w + 3) ** 2 * (w * w - 3),
+          lambda: (w - 3) * (w + 3) * (w * w - 3) * (7 * w * w + 9) ** 2], 17),
+        ("Z2x6R2-3", "Z2x6-2", lambda: (u * u - 30 * u + 180) / (3 * (u * u - 180)),
+         [lambda: 128 * (3 * w - 1) ** 2 * (3 * w + 1) ** 2 * (6 * w * w + 1)
+          * (24 * w * w - 1) ** 3 / (36 * w * w + 1) ** 2,
+          lambda: 4 * (3 * w - 1) ** 2 * (3 * w + 1) ** 2 * (36 * w * w + 1)
+          * (48 * w * w - 7)], 22),
+        ("Z2x6R2-4", "Z2x6-3", lambda: -(4 * u + 9) / (u * u - 3),
+         [lambda: 4 * (w - 3) * (w + 1) * (w * w - 3 * w + 1) * (w * w - 2 * w + 2) ** 2,
+          lambda: (w - 2) ** 3 * (w + 1) * (2 * w - 3) * (3 * w - 2) * (w * w - 3 * w + 1)], 19),
+        ("Z2x6R2-5", "Z2x6-4", lambda: 4 * (u * u + 1) / (5 * (u * u - 1)),
+         [lambda: 192 * (u - 3) ** 2 * (u + 3) * (3 * u + 1) * (u * u - 5 * u + 1)
           * (11 * u * u + 1) ** 2 * (u**3 + 28 * u * u + 11 * u + 8) ** 2,
-          -243 * (w - 1) ** 2 * (w + 1) ** 2 * (12 * w * w - 7) * (21 * w * w - 16)
+          lambda: -243 * (w - 1) ** 2 * (w + 1) ** 2 * (12 * w * w - 7) * (21 * w * w - 16)
           * Fraction(1, 4)], 20),
     ]
+
+
+def _catalog_rows():
+    """The rows of _catalog_table with their polynomials built."""
+    return [(label, parent, sub(), [x() for x in xs], hint)
+            for label, parent, sub, xs, hint in _catalog_table()]
 
 
 class _Catalog(Mapping[str, CurveFamily]):
@@ -524,9 +535,9 @@ class _Catalog(Mapping[str, CurveFamily]):
 
     def __init__(self) -> None:
         # label -> None for a base model, else (parent, substitution,
-        # section abscissas, spec hint)
+        # section abscissas, spec hint), the polynomials not yet built
         self._rows = dict.fromkeys(_BASE_MODELS)
-        self._rows.update((label, row) for label, *row in _catalog_rows())
+        self._rows.update((label, row) for label, *row in _catalog_table())
         self._families: dict[str, CurveFamily] = {}
 
     def __getitem__(self, label: str) -> CurveFamily:
@@ -537,7 +548,9 @@ class _Catalog(Mapping[str, CurveFamily]):
                 fam = model_z8() if label == "Z8" else model_z2x6()
             else:
                 parent, sub, xs, hint = row
-                fam = substitute_parameter(self[parent], sub, label, sections=xs, spec_hint=hint)
+                fam = substitute_parameter(
+                    self[parent], sub(), label, sections=[x() for x in xs], spec_hint=hint
+                )
             self._families[label] = fam
         return fam
 
@@ -557,9 +570,9 @@ _CATALOG: Optional[_Catalog] = None
 def catalog() -> Mapping[str, CurveFamily]:
     """All families keyed by label: the two base models, the rank-1 entries
     obtained from them by a single quadratic-section substitution, and the
-    rank-2 entries obtained by one more, each derived from its _catalog_rows
-    row.  Every entry's condition is derived: the conic that its
-    substitution parametrizes.  Every call returns the same read-only
+    rank-2 entries obtained by one more, each derived from its
+    _catalog_table row.  Every entry's condition is derived: the conic that
+    its substitution parametrizes.  Every call returns the same read-only
     mapping, which derives an entry and its parent chain the first time
     that entry is read: reading one rank-2 entry derives three families,
     and values() or items() derive all 36.
@@ -572,9 +585,10 @@ def catalog() -> Mapping[str, CurveFamily]:
 
 def catalog_listing() -> list[tuple[str, tuple[int, ...], int, Optional[str]]]:
     """(label, torsion, rank, parent) per catalog entry, in catalog order,
-    read off the table without deriving a family: a base model's torsion
-    and parent come from _BASE_MODELS, a row's rank is its count of section
-    abscissas, and its torsion is its parent's."""
+    read off the table without deriving a family or building a
+    polynomial: a base model's torsion and parent come from _BASE_MODELS, a
+    row's rank is its count of section abscissas, and its torsion is its
+    parent's."""
     out = []
     torsion: dict[str, tuple[int, ...]] = {}
     for label, row in catalog()._rows.items():

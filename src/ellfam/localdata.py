@@ -124,10 +124,11 @@ def _minimal_ints(
     factorization of |disc_min|.
 
     The discriminant of the integral model is factored once, and the model
-    is minimized at every prime found.  Every prime that can be scaled away
-    divides disc = u^12 disc_min, so the model is certified minimal, and
-    the factorization complete, exactly when that factorization is;
-    otherwise it covers the known primes (complete=False).
+    is minimized at every prime found with p^12 | disc: every prime that
+    can be scaled away has p^12 | disc = u^12 disc_min, so the model is
+    certified minimal, and the factorization complete, exactly when that
+    factorization is; otherwise it covers the known primes
+    (complete=False).
 
     For y^2 = x^3 + a2 x^2 + a4 x the discriminant is 16 a4^2 (a2^2 - 4 a4),
     so the parts 2, a4 and a2^2 - 4 a4 are factored instead of disc as one
@@ -143,11 +144,12 @@ def _minimal_ints(
     if parts is None and a1 == a3 == a6 == 0:
         parts = (2, a4, a2 * a2 - 4 * a4)
     fE = factor(disc, budget) if parts is None else factor_with_parts(disc, parts, budget)
-    amin, invs, u = _minimize_at(invs, fE.primes())
+    amin, invs, u = _minimize_at(invs, [p for p, e in fE.factors if e >= 12])
     if u == 1:
         return amin, invs, fE
-    # u is a product of primes found, so the residue is disc_min's too
-    found = ((p, e - 12 * valuation(u, p)) for p, e in fE.factors)
+    # u is a product of primes found with e >= 12, so the residue is
+    # disc_min's too, and only those exponents drop
+    found = ((p, e - 12 * valuation(u, p) if e >= 12 else e) for p, e in fE.factors)
     return amin, invs, FactoredInt(1, tuple((p, e) for p, e in found if e), fE.residue)
 
 
@@ -315,7 +317,7 @@ def _tate_ints(
     p2, p3, p4, p6 = p * p, p**3, p**4, p**6
     if invs is None:
         invs = weierstrass_invariants(*a)
-    b2, b4, b6, _b8, c4, c6, disc = invs
+    b2, b4, b6, b8, c4, c6, disc = invs
     if n is None:
         n = valuation(disc, p)
     if n == 0:
@@ -325,8 +327,12 @@ def _tate_ints(
         if _is_split(c6, p):
             return LocalData(p, f"I{n}", 1, n, "split-multiplicative", n)
         return LocalData(p, f"I{n}", 1, 2 - n % 2, "nonsplit-multiplicative", n)
-    a = _move_singular_point(a, p, b2, b4, b6)
-    _b2, _b4, b6, b8, _c4, _c6, _disc = weierstrass_invariants(*a)
+    a, r = _move_singular_point(a, p, b2, b4, b6)
+    # b6 and b8 after x -> x + r (a translation in y moves no b_i)
+    b6, b8 = (
+        b6 + r * (2 * b4 + r * (b2 + 4 * r)),
+        b8 + r * (3 * b6 + r * (3 * b4 + r * (b2 + 3 * r))),
+    )
     a1, a2, a3, a4, a6 = a
     if a6 % p2 != 0:
         return LocalData(p, "II", n, 1, "additive", n)
@@ -363,9 +369,9 @@ def _tate_ints(
     raise ArithmeticError(f"model {a} is not minimal at {p}")
 
 
-def _move_singular_point(a: tuple, p: int, b2: int, b4: int, b6: int) -> tuple:
+def _move_singular_point(a: tuple, p: int, b2: int, b4: int, b6: int) -> tuple[tuple, int]:
     """Translate the singular point (r, t) of an additive reduction mod p,
-    with 0 <= r, t < p, to (0, 0).
+    with 0 <= r, t < p, to (0, 0): the moved a-invariants and r.
 
     (0, 0) is singular exactly when p divides a3, a4 and a6.  At p = 2, a1
     is even (c4 = a1^4 mod 2), and r and t mod 2 follow from the translated
@@ -385,7 +391,7 @@ def _move_singular_point(a: tuple, p: int, b2: int, b4: int, b6: int) -> tuple:
         t = -(a1 * r + a3) * pow(2, -1, p) % p
     moved = change_coordinates(a, 1, r, 0, t)
     assert moved[2] % p == 0 and moved[3] % p == 0 and moved[4] % p == 0
-    return moved
+    return moved, r
 
 
 def _arrange_step7(a: tuple, p: int) -> tuple:

@@ -63,31 +63,29 @@ class RootNumber:
         return -math.prod(self.local_breakdown.values())
 
 
-def _potentially_good(c4: int, p: int, e: int) -> bool:
-    """Whether a minimal model with invariant c4 and e = v_p(disc_min) has
-    potentially good reduction at p, that is v_p(j) >= 0."""
-    return c4 == 0 or 3 * valuation(c4, p) >= e
-
-
-def _local_sign(invs: tuple, p: int, e: int, kodaira: Optional[str]) -> int:
-    """Local root number at p of the minimal model with invariants
-    invs = (b2, ..., disc), e = v_p(disc_min).  kodaira, the Kodaira symbol
-    at p, is read only for a table key at 2 and 3; elsewhere it may be None.
+def _local_sign(invs: tuple, p: int, e: int, a: Optional[tuple]) -> int:
+    """Local root number at p of the minimal model with a-invariants a and
+    invariants invs = (b2, ..., disc), e = v_p(disc_min).  v_p(c4) is taken
+    once, at an additive place; a is read only for a table key at 2 and 3,
+    whose Kodaira symbol Tate's algorithm finds on it, and elsewhere may be
+    None.
     """
     _b2, _b4, _b6, _b8, c4, c6, disc = invs
     if e == 0:
         return 1
     if c4 % p:
         return -1 if _is_split(c6, p) else 1
-    if not _potentially_good(c4, p, e):
+    v4 = valuation(c4, p) if c4 else 99
+    if c4 and 3 * v4 < e:
+        # potentially multiplicative: v_p(j) < 0
         return hilbert_symbol(-c6 * c4, -1, p)
     if p >= 5:
         return jacobi(RESIDUE_CLASS[e] % p, p)
     m4, m6, md = TABLE_MODULI[p]
-    v4 = valuation(c4, p) if c4 else 99
     v6 = valuation(c6, p) if c6 else 99
     c4u = (c4 // p**v4) % m4 if c4 else 0
     c6u = (c6 // p**v6) % m6 if c6 else 0
+    kodaira = _tate_ints(a, p, e, invs).kodaira
     key = (kodaira, min(v4, 12), min(v6, 12), e, c4u, c6u, (disc // p**e) % md)
     try:
         return (TABLE_P2 if p == 2 else TABLE_P3)[key]
@@ -98,7 +96,7 @@ def _local_sign(invs: tuple, p: int, e: int, kodaira: Optional[str]) -> int:
 def local_root_number(E: WeierstrassCurve, ld: LocalData) -> int:
     """Local root number at ld.p for an integral model E minimal at ld.p,
     with ld = tate_local(E, ld.p)."""
-    return _local_sign(E.bc_invariants(), ld.p, ld.vp_disc_min, ld.kodaira)
+    return _local_sign(E.bc_invariants(), ld.p, ld.vp_disc_min, E._ints)
 
 
 def global_root_number(
@@ -117,10 +115,5 @@ def global_root_number(
     wrong sign.
     """
     a, invs, fi = _minimal_ints(_integral_ints(E), budget, parts)
-    breakdown: dict[int, int] = {}
-    for p, e in fi.factors:
-        kodaira = None
-        if p < 5 and _potentially_good(invs[4], p, e):
-            kodaira = _tate_ints(a, p, e, invs).kodaira
-        breakdown[p] = _local_sign(invs, p, e, kodaira)
+    breakdown = {p: _local_sign(invs, p, e, a) for p, e in fi.factors}
     return RootNumber(local_breakdown=breakdown, complete=fi.complete)

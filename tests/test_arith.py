@@ -1,5 +1,6 @@
 """Integer/rational arithmetic kernel tests."""
 
+import bisect
 import math
 from fractions import Fraction
 
@@ -709,6 +710,108 @@ class TestSingleWalk:
         monkeypatch.setattr(arith, "factor", None)
         fi = factor_with_parts(-(2**5) * 3 * P7, [2, 6, -P7 * 3, 0, 1], RHO)
         assert fi == FactoredInt(-1, ((2, 5), (3, 1), (P7, 1)))
+
+
+def segment_walk_reference(n: int, budget: FactorBudget) -> FactoredInt:
+    """factor() with the sieve walked in segments [lo, lo^2) from 2 up,
+    each grown by _sieve_to, as before the flat loop over the primes the
+    sieve already holds."""
+    sign = -1 if n < 0 else 1
+    n = abs(n)
+    found: dict[int, int] = {}
+    lo = 2
+    while lo < budget.trial_bound and lo * lo <= n:
+        hi = min(budget.trial_bound, math.isqrt(n) + 1, lo * lo)
+        arith._sieve_to(hi)
+        primes = arith._sieve_primes
+        i, end = bisect.bisect_left(primes, lo), bisect.bisect_left(primes, hi)
+        ps = primes[i:end] if end - i < arith._BLOCK else arith._trial_primes(n, i, end)
+        for p in ps:
+            if p * p > n:
+                break
+            if n % p == 0:
+                n, found[p] = arith._strip(n, p)
+        lo = hi
+    residue = arith._split_rest(n, found, budget)
+    return FactoredInt(sign, tuple(sorted(found.items())), residue)
+
+
+def _flat_walk_inputs() -> list[int]:
+    """Seeded smooth numbers, products of primes on both sides of the flat
+    loop's end 727 (the first prime past the first block), and primes
+    above it, alone and times small ones."""
+    import random
+
+    rng = random.Random(42)
+    small = primes_below(1100)
+    inputs = [1, -1, 2, -6, 719, 727, 733, 719 * 719, 727 * 727, 719 * 727, -(727**3) * 733]
+    for _ in range(24):
+        k = rng.randint(1, 6)
+        n = math.prod(rng.choice(small) ** rng.randint(1, 4) for _ in range(k))
+        inputs.append(n * rng.choice((1, -1)))
+    near = [701, 709, 719, 727, 733, 739, 1009, 1021, 1031]
+    for _ in range(12):
+        inputs.append(math.prod(rng.sample(near, rng.randint(2, 4))) * rng.choice((1, 2, 12, 30)))
+    above = [1033, 65537, 10**6 + 3, P7, Q7]
+    inputs += above + [3 * P7**2, 727 * 65537, 719 * (10**6 + 3) ** 2, P7 * Q7, 2**7 * 1033 * P7]
+    return inputs
+
+
+FLAT_WALK_INPUTS = _flat_walk_inputs()
+
+
+class TestFlatWalk:
+    """factor() walks the primes the sieve already holds below 727 in one
+    loop; its factorizations and rho charges are those of the segment
+    walk, whatever the sieve holds when it is called."""
+
+    @pytest.mark.parametrize("grown", [0, 100, 2**10, 10**6])
+    @pytest.mark.parametrize(
+        "budget",
+        [
+            FactorBudget(7, 500),
+            FactorBudget(10**3, 0),
+            FactorBudget(10**5, 2 * 10**5),
+            FactorBudget(),
+        ],
+        ids=["7-500", "1e3-0", "1e5-2e5", "default"],
+    )
+    def test_matches_the_segment_walk(self, monkeypatch, grown, budget):
+        primes_below(max(grown, 2))
+        flags = bytes(arith._sieve_flags[: max(grown, 2)])
+        held = arith._sieve_primes[: bisect.bisect_left(arith._sieve_primes, grown)]
+        for n in FLAT_WALK_INPUTS:
+            runs = []
+            for run in (factor, segment_walk_reference):
+                # the same sieve, grown to `grown`, before each run
+                rho: list[tuple[int, int]] = []
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(arith, "_sieve_flags", bytearray(flags))
+                    mp.setattr(arith, "_sieve_primes", list(held))
+                    mp.setattr(arith, "_brent_rho", _rho_recorder(rho))
+                    runs.append((run(n, budget), rho))
+            (fi, rho), (ref, ref_rho) = runs
+            assert fi == ref, n
+            assert rho == ref_rho, n
+            assert fi.value() == n
+
+    def test_flat_end_is_the_first_prime_past_the_first_block(self):
+        assert primes_below(1000)[arith._BLOCK] == arith._FLAT_END == 727
+
+    def test_covered_sieve_is_not_asked_to_grow(self, monkeypatch):
+        # with the sieve grown to 10^6, a walk that stays inside it makes
+        # no _sieve_to call (the inputs whose rest after trial division is
+        # composite are left out: _power_root asks primes_below for the
+        # exponents it tries)
+        primes_below(10**6)
+        bounds: list[int] = []
+        monkeypatch.setattr(arith, "_sieve_to", _sieve_bounds(bounds))
+        composite_rest = (3 * P7**2, 719 * (10**6 + 3) ** 2, P7 * Q7)
+        for n in FLAT_WALK_INPUTS:
+            if n not in composite_rest:
+                factor(n)
+                factor_with_parts(n, [n, 6])
+        assert bounds == []
 
 
 # small shared primes, so that every input and every piece factors by trial

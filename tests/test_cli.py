@@ -159,6 +159,29 @@ class TestExitCodes:
         assert code == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["rootnumber", "Z8R2-1", "--curve", "0,0,0,-25,0"],
+            ["rootnumber", "--curve", "0,0,0,-25,0", "--u", "22"],
+            ["local", "--curve", "0,0,0,-25,0", "--u", "5"],
+            ["local", "Z8", "--curve", "0,0,0,-25,0", "--prime", "2"],
+            ["torsion", "Z8", "--u", "3", "--curve", "0,0,0,-25,0"],
+            ["torsion", "--curve", "0,0,0,-25,0", "--u", "3"],
+            ["heights", "Z8R2-1", "--u", "22", "--curve", "0,0,0,0,100", "--points", "5,15"],
+            ["heights", "Z8R2-1", "--curve", "0,0,0,0,100", "--points", "5,15"],
+        ],
+    )
+    def test_curve_with_label_or_u_is_usage_error(self, capsys, argv):
+        # --curve names the curve alone: with a catalog label or --u it
+        # would silently override them
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "--curve cannot be combined with a catalog label or --u\n"
+
     def test_environment_does_not_set_the_budget(self, capsys, monkeypatch):
         # --budget, else the built-in budget: no variable of the
         # environment reaches a command or its output

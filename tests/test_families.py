@@ -265,6 +265,31 @@ class TestCatalogOnFirstRead:
         ]
         assert len(derived) == 37  # Z6 as well
 
+    def test_rows_build_their_polynomials_on_derivation(self, derived, monkeypatch):
+        # the listing and the labels build no row's substitution or
+        # abscissas; a read builds those of its chain's rows, once
+        built = []
+        table = families._catalog_table
+
+        def recorded(label, build):
+            return lambda: built.append(label) or build()
+
+        def recorded_table():
+            return [
+                (label, parent, recorded(label, sub), [recorded(label, x) for x in xs], hint)
+                for label, parent, sub, xs, hint in table()
+            ]
+
+        monkeypatch.setattr(families, "_catalog_table", recorded_table)
+        families.catalog_listing()
+        assert len(catalog()) == 36 and "Z8R2-1" in catalog()
+        assert built == []
+        catalog()["Z8R2-1"]
+        assert built == ["Z8-3"] * 2 + ["Z8R2-1"] * 3
+        built.clear()
+        catalog()["Z8R2-1"]
+        assert built == []
+
     def test_derivation_order_does_not_matter(self, derived, monkeypatch):
         cat = catalog()
         reverse = {label: cat[label] for label in reversed(list(cat))}

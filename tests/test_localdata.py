@@ -1,14 +1,17 @@
 """Minimal-model, Tate-algorithm and conductor tests."""
 
+import json
 import random
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ellfam import localdata
 from ellfam.arith import FactorBudget, FactoredInt, Unfactored, factor, primes_below, valuation
 from ellfam.curves import WeierstrassCurve, isomorphic_over_Q, weierstrass_invariants
 from ellfam.localdata import (
@@ -533,3 +536,68 @@ class TestDiscriminantFactorization:
         E = curve(0, Fraction(1, 4), 0, Fraction(3, 16), 0)
         a, _invs, fi = _minimal_ints(_integral_ints(E))
         assert fi.complete and fi.value() == abs(int(curve(*a).disc))
+
+
+ORACLE_A = [
+    tuple(int(x) for x in row["a"])
+    for row in json.loads((Path(__file__).parent / "data" / "rootnum_oracle.json").read_text())
+]
+# minimal models where p^4 | c4, p^6 | c6 and p^12 | disc, yet Kraus's
+# conditions stop the scaling: at 2 for the first two, at 3 for the rest
+KRAUS_STOPS = [(0, -1, 0, -9, 9), (0, 0, 0, 4, 0), (0, 0, 0, 405, -486), (1, -1, 1, 25, 1)]
+
+
+def _scaled(a, u):
+    """The model a_i u^i, isomorphic to a and not minimal at u's primes."""
+    return tuple(x * u**k for x, k in zip(a, (1, 2, 3, 4, 6)))
+
+
+class TestMinimizeWhereP12DividesDisc:
+    """_minimal_ints hands _minimize_at only the primes with p^12 | disc."""
+
+    def test_kraus_stops_are_minimal(self):
+        for a in KRAUS_STOPS:
+            _b2, _b4, _b6, _b8, c4, c6, disc = weierstrass_invariants(*a)
+            p = 2 if a in KRAUS_STOPS[:2] else 3
+            assert c4 % p**4 == 0 and c6 % p**6 == 0 and disc % p**12 == 0
+            amin, invs, _fi = _minimal_ints(a)
+            assert invs[6] == disc
+            assert isomorphic_over_Q(curve(*amin), curve(*a))
+
+    @pytest.mark.parametrize("u", [2, 3, 5, 6, 35])
+    def test_scaled_models_reach_the_same_minimal_model(self, monkeypatch, u):
+        # the (c4, c6)-standard minimal model and the factored |disc_min|
+        # do not depend on the model they start from
+        handed = []
+        real = localdata._minimize_at
+
+        def recorded(invs, primes):
+            handed.append((invs[6], list(primes)))
+            return real(invs, primes)
+
+        monkeypatch.setattr(localdata, "_minimize_at", recorded)
+        for a in ORACLE_A + KRAUS_STOPS:
+            assert _minimal_ints(_scaled(a, u)) == _minimal_ints(a), a
+        assert handed
+        for disc, primes in handed:
+            assert all(disc % p**12 == 0 for p in primes)
+            assert primes == sorted(primes)
+
+    def test_primes_below_p12_are_not_handed(self, monkeypatch):
+        # the exponents of disc found (e < 12 at most primes) against what
+        # _minimize_at is handed
+        handed = []
+        real = localdata._minimize_at
+
+        def recorded(invs, primes):
+            handed.append(list(primes))
+            return real(invs, primes)
+
+        monkeypatch.setattr(localdata, "_minimize_at", recorded)
+        below = 0
+        for a in ORACLE_A:
+            _a, _invs, _fi = _minimal_ints(a)
+            fE = factor(abs(weierstrass_invariants(*a)[6]))
+            assert handed.pop() == [p for p, e in fE.factors if e >= 12]
+            below += sum(e < 12 for _p, e in fE.factors)
+        assert below > 2000
