@@ -4,15 +4,17 @@ Everything downstream (polynomials, curves, local data, scans) sits on top of
 this module: budgeted integer factorization, primality testing, rational
 square detection and Jacobi symbols, all in the standard library.
 Factorization is trial division, then Brent's rho, which tries one Pollard
-p - 1 probe (stage 1, bound 10^4) in every call that runs 2^11 iterations
-without a split.  Trial division walks the primes that the sieve already
-holds below 727, the first block of 128 primes, in one loop, and from
-there on segments cut at the square root of what is left, growing the
-sieve only when a segment reaches past it.  All values are immutable and
-every result depends on the arguments alone; the one shared state is the
-module's prime sieve, which the factoring routines and primes_below() grow
-in place, with the products of its blocks of primes that trial division
-caches; neither is thread-safe.  The probe's exponent is built from the
+p - 1 probe (stage 1, bound 10^4, with a gcd checkpoint at 10^3) in every
+call that runs 2^11 iterations without a split.  Trial division walks the
+primes that the sieve already holds below 727, the first block of 128
+primes, in one loop, and from there on segments cut at the square root of
+what is left, growing the sieve only when a segment reaches past it.  All
+values are immutable and every result depends on the arguments alone; the
+one shared state is the module's prime sieve, which the factoring routines
+and primes_below() grow in place, with the products of its blocks of
+primes that trial division caches, and the memo of rests that rho has
+split, which lives only inside a split_memo() block (one lattice scan);
+none of them is thread-safe.  The probe's exponents are built from the
 sieve once, on first use.
 
 Rationals are plain ``fractions.Fraction`` objects; the stdlib type already
@@ -22,6 +24,7 @@ need.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 from bisect import bisect_left, bisect_right
@@ -168,7 +171,8 @@ class FactorBudget:
         counts them); rho stops once the allowance is used up.  A rho call
         given more than 2^11 iterations also tries one Pollard p - 1 probe
         with bound 10^4 once it has spent 2^11 of them without a split; the
-        probe's fixed cost is not charged to the allowance.
+        probe stops early where a gcd at bound 10^3 already decides it, and
+        its cost is not charged to the allowance.
     """
 
     trial_bound: int = 10**6
@@ -246,8 +250,10 @@ def _brent_rho(n: int, max_iters: int) -> tuple[Optional[int], int]:
     the iterations spent to 2^11 or more without a factor is followed by
     one p - 1 probe (_pm1, stage-1 bound 10^4).  A proper divisor it finds
     is returned with the iterations spent so far; otherwise the same
-    sequence carries on.  The probe costs one modular power of about
-    14 400 bits, is not counted as iterations, and runs at most once.
+    sequence carries on.  The probe costs a modular power of about 1 400
+    bits and a gcd, its checkpoint at bound 10^3, and only when that gcd
+    is 1 a second power that completes the 14 400 bits of bound 10^4; it
+    is not counted as iterations, and runs at most once.
     """
     if n % 2 == 0:
         return 2, 0
@@ -308,20 +314,21 @@ def _brent_rho(n: int, max_iters: int) -> tuple[Optional[int], int]:
     return None, max_iters - left
 
 
-# rho iterations after which _brent_rho tries one p - 1 probe, and the
-# probe's stage-1 bound
+# rho iterations after which _brent_rho tries one p - 1 probe, the probe's
+# stage-1 bound, and the bound of its gcd checkpoint
 _PM1_AFTER = 2**11
 _PM1_B1 = 10**4
+_PM1_CHECKPOINT = 10**3
 
 
 @functools.cache
-def _pm1_exponent() -> int:
-    """The product of the largest power of each prime below _PM1_B1 that
-    does not exceed it."""
+def _pm1_exponent(bound: int = _PM1_B1) -> int:
+    """The product of the largest power of each prime below bound that
+    does not exceed it; for a smaller bound it divides this one."""
     e = 1
-    for p in primes_below(_PM1_B1):
+    for p in primes_below(bound):
         q = p
-        while q * p <= _PM1_B1:
+        while q * p <= bound:
             q *= p
         e *= q
     return e
@@ -331,8 +338,23 @@ def _pm1(n: int) -> Optional[int]:
     """Pollard's p - 1 stage 1 with base 2: g = gcd(2^E - 1, n) for odd n
     and E = _pm1_exponent(), when 1 < g < n, else None.  A prime p of n
     divides g exactly when the order of 2 mod p divides E, as it does when
-    every prime power dividing p - 1 is at most _PM1_B1."""
-    g = math.gcd(pow(2, _pm1_exponent(), n) - 1, n)
+    every prime power dividing p - 1 is at most _PM1_B1.
+
+    The power stops at a gcd checkpoint: a = 2^E1 mod n with E1 the
+    exponent of bound _PM1_CHECKPOINT, which divides E and has a tenth of
+    its bits.  A proper gcd(a - 1, n) is returned; gcd n means a = 1 mod n,
+    so 2^E gives n as well, and None is returned; only at gcd 1 does the
+    probe go on to a^(E / E1) = 2^E.  So its answer differs from that of
+    the single power 2^E only where that one finds n, and there the
+    checkpoint may split n.  Where the checkpoint's gcd is 1 the two powers
+    take about a tenth longer than the single one (CPython's pow multiplies
+    by powers of a full residue a, not of 2); where it is not, they take a
+    tenth as long."""
+    first = _pm1_exponent(_PM1_CHECKPOINT)
+    a = pow(2, first, n)
+    g = math.gcd(a - 1, n)
+    if g == 1:
+        g = math.gcd(pow(a, _pm1_exponent() // first, n) - 1, n)
     return g if 1 < g < n else None
 
 
@@ -430,10 +452,47 @@ def _trial_divide(values: list[int], bound: int) -> tuple[list[int], list[dict[i
     return rests, found
 
 
+# (rest, budget) -> (the primes _split_rest found in the rest, with their
+# exponents, and its residue), for the rests split within one lattice scan
+# (split_memo); None outside one
+_split_memo: Optional[dict[tuple[int, FactorBudget], tuple[tuple, int]]] = None
+
+
+@contextlib.contextmanager
+def split_memo() -> Iterator[None]:
+    """Within the block, _split_rest splits each (rest, budget) once and
+    hands a repeat the same primes and residue; the memo is dropped on
+    leaving the block.  _split_rest depends on its arguments alone, so a
+    repeat's answer needs no proof."""
+    global _split_memo
+    outer = _split_memo
+    _split_memo = {}
+    try:
+        yield
+    finally:
+        _split_memo = outer
+
+
 def _split_rest(n: int, found: dict[int, int], budget: FactorBudget) -> int:
     """Split n, the rest that trial division left, with rho until the
-    budget's allowance runs out; the primes go into found with their
-    exponents, and what is left (1 when complete) is returned.
+    budget's allowance runs out (_rho_split); the primes go into found with
+    their exponents, and what is left (1 when complete) is returned.
+    Within split_memo a rest already split is not split again."""
+    memo = _split_memo
+    if memo is None or n == 1:
+        return _rho_split(n, found, budget)
+    key = (n, budget)
+    if key not in memo:
+        primes: dict[int, int] = {}
+        residue = _rho_split(n, primes, budget)
+        memo[key] = (tuple(primes.items()), residue)
+    primes_found, residue = memo[key]
+    found.update(primes_found)
+    return residue
+
+
+def _rho_split(n: int, found: dict[int, int], budget: FactorBudget) -> int:
+    """_split_rest without the memo.
 
     Each prime is proven once and divided out of every cofactor popped
     after it; a perfect power is pushed once, as its root; a cofactor rho

@@ -81,7 +81,9 @@ class WeierstrassCurve:
     An integral model keeps its a-invariants as an int tuple (``_ints``,
     None otherwise), and its seven invariants b2 ... disc are computed once,
     in int arithmetic (``bc_invariants``); the Fractions that
-    ``E.b2`` ... ``E.disc`` return are built from them on first read.
+    ``E.b2`` ... ``E.disc`` return are built from them on first read.  Its
+    group law runs in ints too (_integral_add), one reduction per
+    coordinate.
     """
 
     __slots__ = ("a1", "a2", "a3", "a4", "a6", "_ints", "_zinvs", "_invs", "_cache")
@@ -186,6 +188,8 @@ class WeierstrassCurve:
             return Q
         if Q.is_infinity:
             return P
+        if self._ints is not None:
+            return _integral_add(self._ints, P, Q)
         x1, y1, x2, y2 = P.x, P.y, Q.x, Q.y
         if x1 - x2 == 0:
             if y1 + y2 + self.a1 * x2 + self.a3 == 0:
@@ -269,6 +273,41 @@ class WeierstrassCurve:
             return self, PointMap(Fraction(1), 0, 0, 0)
         L = math.lcm(*(a.denominator for a in self.a_invariants()))
         return self.transform(Fraction(1, L), 0, 0, 0)
+
+
+def _integral_add(a: tuple[int, ...], P: CurvePoint, Q: CurvePoint) -> CurvePoint:
+    """P + Q for finite points of the integral model with a-invariants a,
+    in ints.
+
+    A rational point of an integral model is x = X/Z^2, y = Y/Z^3 with
+    Z > 0 (the denominators of y^2 and x^3 agree).  The slope is L/Z3,
+    and x1 Z3^2 = A, y1 Z3^3 = B, (x1 + x2) Z3^2 = C are integers, so the
+    chord-and-tangent formulas give x3 = X3/Z3^2 and y3 = Y3/Z3^3 with
+    X3, Y3 integers, each reduced once.
+    """
+    a1, a2, a3, a4, _a6 = a
+    X1, Y1, X2, Y2 = P.x.numerator, P.y.numerator, Q.x.numerator, Q.y.numerator
+    Z1, Z2 = math.isqrt(P.x.denominator), math.isqrt(Q.x.denominator)
+    Z1s, Z2s = Z1 * Z1, Z2 * Z2
+    U1, U2 = X1 * Z2s, X2 * Z1s
+    if U1 == U2:
+        # x1 = x2, so Z1 = Z2 and Q = P or -P
+        D = 2 * Y1 + (a1 * X1 + a3 * Z1s) * Z1
+        if Y2 - Y1 + D == 0:
+            return INFINITY
+        L = 3 * X1 * X1 + (2 * a2 * X1 + a4 * Z1s) * Z1s - a1 * Y1 * Z1
+        Z3, A, B = Z1 * D, X1 * D * D, Y1 * D * D * D
+        C = 2 * A
+    else:
+        H = U2 - U1
+        S1 = Y1 * Z2s * Z2
+        L = Y2 * Z1s * Z1 - S1
+        H2 = H * H
+        Z3, A, B, C = Z1 * Z2 * H, U1 * H2, S1 * H2 * H, (U1 + U2) * H2
+    Z3s = Z3 * Z3
+    X3 = L * L + a1 * L * Z3 - a2 * Z3s - C
+    Y3 = L * (A - X3) - B - (a1 * X3 + a3 * Z3s) * Z3
+    return CurvePoint(Fraction(X3, Z3s), Fraction(Y3, Z3s * Z3))
 
 
 def _integral_multiples(a2: int, a4: int, P: CurvePoint) -> Optional[list[tuple[int, int]]]:

@@ -7,22 +7,28 @@ curve in a grid.
 
 The parameter map is built from a square-reduced quartic ``t^2 = q(r)``:
 the parametrizing curve is identified with the quartic's elliptic model by
-an exact Q-isomorphism, a point then determines ``r`` through the inverse
-quartic map, and - when a biquadratic compatibility curve links two
+an exact Q-isomorphism, and the inverse quartic map, pulled back through
+it once, is one linear-fractional form in the parametrizer's coordinates
+with integer coefficients; a point then determines ``r`` (and ``t``) in
+integer arithmetic, and - when a biquadratic compatibility curve links two
 families - the companion coordinate ``s`` by the quadratic formula.  The
-sign conventions are pinned so the group origin lands on a designated base
-point.
+points where the form's denominator vanishes lie over the quartic's fiber
+at infinity and raise DegenerateFiber.  The sign conventions are pinned so
+the group origin lands on a designated base point.
 
-Cells are filled in (n, m) order, each lattice row walked by adding G2,
-and a cell whose symmetric partner came earlier and is complete takes the
-partner's root once the two curves are proven Q-isomorphic; every other
-cell is computed on its own.  The grid is deterministic for a fixed spec
+Cells are filled in (n, m) order: each row's first point is the previous
+row's plus G1 and the row is walked by adding G2, so a cell costs one
+group-law addition.  A cell whose symmetric partner came earlier and is
+complete takes the partner's root once the two curves are proven
+Q-isomorphic; every other cell is computed on its own, and rho splits each
+unfactored rest once per scan.  The grid is deterministic for a fixed spec
 and budget.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Union
@@ -31,6 +37,7 @@ from .arith import (
     DEFAULT_BUDGET,
     FactorBudget,
     rational_to_string,
+    split_memo,
 )
 from .curves import (
     CurvePoint,
@@ -174,11 +181,19 @@ class ParameterMap:
     a biquadratic ``correspondence`` instead, one square decomposition of
     its discriminant in s, mult^2 * q, gives both q and the companion root.
 
+    The quartic's inverse map (sections.QuarticInverse) is pulled back
+    once, here, through the isomorphism from the parametrizer to the
+    quartic's Jacobian: r is then one linear-fractional form in the
+    parametrizer's coordinates, with integer coefficients, and t comes from
+    the same forms.  The parametrizer is integral, so a point is
+    x = X/e^2, y = Y/e^3, and both are evaluated in integers, with
+    t^2 = q(r) checked on them.
+
     ``parameter(P)`` gives the kept coordinate r; ``coordinates(P)`` also
     returns the companion coordinate s on the correspondence, the root of
     its quadratic in s taken with the quartic's t.
-    Points sitting over the quartic's fiber at infinity raise
-    DegenerateFiber.
+    Points where the form's denominator vanishes, those over the quartic's
+    fiber at infinity, raise DegenerateFiber.
     """
 
     def __init__(
@@ -190,6 +205,8 @@ class ParameterMap:
     ):
         if (q is None) == (correspondence is None):
             raise ValueError("give exactly one of q and correspondence")
+        if not parametrizer.is_integral():
+            raise ValueError("the parametrizer must be an integral model")
         self.correspondence = correspondence
         if correspondence is not None:
             a, b, _ = correspondence.quadratic_polys("s")
@@ -197,18 +214,20 @@ class ParameterMap:
             self._companion = (a, b, mult)
         else:
             self._companion = None
-        jacobian, _fwd, self._inv = quartic_jacobian(QuarticModel(q, point))
+        jacobian, _fwd, inv = quartic_jacobian(QuarticModel(q, point))
         iso = isomorphic_over_Q(parametrizer, jacobian)
         if iso is None:
             raise ValueError("parametrizer is not isomorphic to the quartic model")
-        self._pm = PointMap(*iso)
+        self._inv = inv.pull_back(PointMap(*iso))
 
     def _quartic_point(self, P: CurvePoint) -> tuple[Fraction, Fraction]:
-        Q = self._pm.forward(P)
-        try:
-            return self._inv(Q)
-        except ValueError:
-            raise DegenerateFiber("point lies over the fiber at infinity") from None
+        if P.is_infinity:
+            return self._inv(P)
+        x, y = P.x, P.y
+        rt = self._inv.at(x.numerator, y.numerator, math.isqrt(x.denominator))
+        if rt is None:
+            raise DegenerateFiber("point lies over the fiber at infinity")
+        return rt
 
     def parameter(self, P: CurvePoint) -> Fraction:
         """The family parameter carried by P."""
@@ -419,8 +438,13 @@ def _scan_cell(
 def lattice_scan(spec: ScanSpec) -> ScanGrid:
     """Run the scan over the full (2*radius+1)^2 grid.
 
-    Cells are filled in (n, m) order, each row walked by adding G2 to its
-    previous point.  A cell whose symmetric partner (a - n, b - m) came
+    Cells are filled in (n, m) order: the first row starts at
+    lattice_point(-R, -R), each later row at the previous row's first point
+    plus G1, and each row is walked by adding G2 to its previous point.
+    Within the scan (arith.split_memo) rho splits each distinct rest of a
+    discriminant part once, so cells that share a part, such as an
+    incomplete symmetric pair, pay its allowance once; the memo is dropped
+    when the scan returns.  A cell whose symmetric partner (a - n, b - m) came
     earlier and is complete is specialized, and once isomorphic_over_Q
     proves its curve Q-isomorphic to the partner's it takes the partner's
     root and completeness: isomorphic curves share torsion and root number.
@@ -432,28 +456,32 @@ def lattice_scan(spec: ScanSpec) -> ScanGrid:
     output is deterministic.
     """
     E = spec.parametrizer
-    G2 = spec.generators[1]
+    G1, G2 = spec.generators
     a, b = spec.symmetry
     R = spec.radius
     cells: dict[tuple[int, int], ScanCell] = {}
     curves: dict[tuple[int, int], WeierstrassCurve] = {}
     proven = []
-    for n in range(-R, R + 1):
-        T = spec.lattice_point(n, -R)
-        for m in range(-R, R + 1):
-            if m > -R:
-                T = E.add(T, G2, check=False)
-            member = _member(spec, n, m, T)
-            if isinstance(member, ScanCell):
-                cells[n, m] = member
-                continue
-            curves[n, m] = curve = member.curve()
-            o = (a - n, b - m)
-            if o in cells and cells[o].complete and isomorphic_over_Q(curves[o], curve):
-                proven.append((o, (n, m)))
-                cells[n, m] = replace(cells[o], n=n, m=m, parameter=member.value)
-            else:
-                cells[n, m] = _scan_cell(spec, n, m, (member, curve))
+    with split_memo():
+        start = spec.lattice_point(-R, -R)
+        for n in range(-R, R + 1):
+            if n > -R:
+                start = E.add(start, G1, check=False)
+            T = start
+            for m in range(-R, R + 1):
+                if m > -R:
+                    T = E.add(T, G2, check=False)
+                member = _member(spec, n, m, T)
+                if isinstance(member, ScanCell):
+                    cells[n, m] = member
+                    continue
+                curves[n, m] = curve = member.curve()
+                o = (a - n, b - m)
+                if o in cells and cells[o].complete and isomorphic_over_Q(curves[o], curve):
+                    proven.append((o, (n, m)))
+                    cells[n, m] = replace(cells[o], n=n, m=m, parameter=member.value)
+                else:
+                    cells[n, m] = _scan_cell(spec, n, m, (member, curve))
     return ScanGrid(spec.name, R, tuple(cells.values()), tuple(proven))
 
 

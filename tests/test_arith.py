@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ellfam import arith
@@ -392,6 +392,11 @@ class TestFactor:
 # p - 1 = 2^4 3^2 11 137 701; two safe primes p = 2q + 1 with q > 10^4
 SMOOTH_PART = 152122609 * 1218706571
 SAFE_P, SAFE_Q = 1000000007, 1002000047
+# primes for p - 1 probe inputs: 2 has order dividing the checkpoint's
+# exponent (152122609, M61, M89), dividing the full exponent only (M1279),
+# or neither (the safe primes)
+M1279 = 2**1279 - 1
+PM1_PRIMES = (152122609, 1218706571, SAFE_P, SAFE_Q, M61, M89, P7, Q7, 1000003)
 
 
 class TestPm1Probe:
@@ -451,6 +456,60 @@ class TestPm1Probe:
             assert arith._brent_rho(n, allowance) == (None, allowance)
             fi = factor(n, FactorBudget(10**3, allowance))
             assert fi.residue == n
+
+    def test_smooth_part_split_at_the_checkpoint(self, monkeypatch):
+        # every prime power of 152122609 - 1 is below 10^3, so the probe
+        # stops at the checkpoint's gcd and never takes the full power
+        exponents = []
+
+        def recorded(base, exp, mod):
+            exponents.append(exp)
+            return pow(base, exp, mod)
+
+        monkeypatch.setattr(arith, "pow", recorded, raising=False)
+        assert arith._pm1(SMOOTH_PART) == 152122609
+        assert exponents == [arith._pm1_exponent(arith._PM1_CHECKPOINT)]
+
+    def test_checkpoint_exponent_divides_the_full_one(self):
+        first, full = arith._pm1_exponent(arith._PM1_CHECKPOINT), arith._pm1_exponent()
+        assert full % first == 0 and first.bit_length() < full.bit_length() // 8
+
+    def test_checkpoint_splits_where_the_full_power_finds_n(self):
+        # 2 has order 61 mod M61, within the checkpoint's exponent, and
+        # order 1279 mod M1279, within the full exponent only: the full
+        # power finds n, the checkpoint M61
+        n = M61 * M1279
+        assert pm1_single_stage_gcd(n) == n
+        assert arith._pm1(n) == M61
+
+    @given(
+        st.one_of(
+            st.lists(st.sampled_from(PM1_PRIMES), min_size=2, max_size=3).map(math.prod),
+            st.integers(min_value=10**6, max_value=10**40).map(lambda n: n | 1),
+        )
+    )
+    @example(SMOOTH_PART)
+    @example(SAFE_P * SAFE_Q)
+    @example(M61 * M89)
+    @example(M61 * M1279)
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_single_stage_probe(self, n):
+        # the checkpoint changes nothing where the single-stage gcd is 1,
+        # finds a divisor of a proper gcd, and may split n where it is n
+        assume(not is_prime(n))
+        g, d = pm1_single_stage_gcd(n), arith._pm1(n)
+        if g == 1:
+            assert d is None
+        elif g < n:
+            assert d is not None and 1 < d < n and g % d == 0
+        else:
+            assert d is None or (1 < d < n and n % d == 0)
+
+
+def pm1_single_stage_gcd(n: int) -> int:
+    """gcd(2^E - 1, n) for the full exponent E: the probe without its
+    checkpoint."""
+    return math.gcd(pow(2, arith._pm1_exponent(), n) - 1, n)
 
 
 def reference_brent_rho(n: int, max_iters: int):
@@ -533,6 +592,51 @@ class TestBrentRhoBatches:
         assert (None, 3000) in outcomes
         assert arith._brent_rho(185392823185963739, 3000) == (152122609, 2175)
         assert arith._brent_rho(16607426047649822641, 300) == (23623111, 300)
+
+
+class TestSplitMemo:
+    """Within split_memo each (rest, budget) is split once."""
+
+    @pytest.mark.parametrize(
+        "n,budget",
+        [
+            (SMOOTH_PART, FactorBudget(10**5, 2 * 10**5)),
+            (P7 * Q7 * M61 * M89, FactorBudget(10**3, 3 * 10**4)),
+            (3 * P7**2 * Q7, RHO),
+        ],
+    )
+    def test_hit_matches_recomputing(self, monkeypatch, n, budget):
+        # a hit hands back the same FactoredInt, with no rho call; the
+        # first split is charged exactly as without the memo
+        calls = []
+        monkeypatch.setattr(arith, "_brent_rho", _rho_recorder(calls))
+        ref = factor(n, budget)
+        ref_calls = list(calls)
+        with arith.split_memo():
+            fi = factor(n, budget)
+            first = calls[len(ref_calls):]
+            hit = factor(n, budget)
+        assert fi == hit == ref and ref_calls
+        assert first == ref_calls and len(calls) == 2 * len(ref_calls)
+
+    def test_memo_is_dropped_on_leaving(self, monkeypatch):
+        calls = _count_rho(monkeypatch)
+        budget = FactorBudget(10**3, 10**4)
+        for _ in range(2):
+            with arith.split_memo():
+                factor(M61 * M89, budget)
+                factor_with_parts(M61 * M89, [M61 * M89], budget)
+            assert arith._split_memo is None
+        assert calls == [M61 * M89, M61 * M89]
+        factor(M61 * M89, budget)
+        assert len(calls) == 3
+
+    def test_keyed_by_budget(self, monkeypatch):
+        calls = _count_rho(monkeypatch)
+        with arith.split_memo():
+            small = factor(SMOOTH_PART, FactorBudget(10**3, 100))
+            large = factor(SMOOTH_PART, FactorBudget(10**3, 10**4))
+        assert not small.complete and large.complete and len(calls) == 2
 
 
 def _rho_recorder(calls: list[tuple[int, int]]):

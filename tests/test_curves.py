@@ -162,6 +162,49 @@ class TestGroupLaw:
         assert E.mul(4, P) == CurvePoint(d * (d - 1), d * d * (c - d + 1))
 
 
+def fraction_add(E, P, Q):
+    """The chord-and-tangent law in Fractions: the reference for add's
+    integer path on integral models."""
+    if P.is_infinity or Q.is_infinity:
+        return Q if P.is_infinity else P
+    a1, a2, a3, a4, _a6 = E.a_invariants()
+    if P.x == Q.x:
+        if P.y + Q.y + a1 * Q.x + a3 == 0:
+            return INFINITY
+        lam = (3 * P.x**2 + 2 * a2 * P.x + a4 - a1 * P.y) / (2 * P.y + a1 * P.x + a3)
+    else:
+        lam = (Q.y - P.y) / (Q.x - P.x)
+    x3 = lam * lam + a1 * lam - a2 - P.x - Q.x
+    return CurvePoint(x3, lam * (P.x - x3) - P.y - a1 * x3 - a3)
+
+
+class TestIntegralAdd:
+    @pytest.mark.parametrize(
+        "ainvs,gens",
+        [
+            ((0, 0, 1, -1, 0), [(0, 0)]),
+            ((1, 1, 1, -1595, -4768), [(Fraction(-57, 4), Fraction(1043, 8)), (42, -89), (-3, 1)]),
+            ((0, 0, 0, -105987, 11743634), [(-77, -4410), (805, 21168)]),
+            ((0, -1, 0, -456, 3456), [(20, -44), (Fraction(4, 9), Fraction(-1540, 27))]),
+            ((1, 0, 1, -19, 26), [(1, 2), (3, -2)]),
+        ],
+    )
+    def test_matches_the_fraction_law(self, ainvs, gens):
+        # sums, doublings, P + (-P) and 2-torsion doubled, on models with
+        # and without a1, a3
+        E = WeierstrassCurve(*ainvs)
+        pts = [CurvePoint(Fraction(x), Fraction(y)) for x, y in gens]
+        pts += two_torsion_points(E)
+        for P in list(pts):
+            pts += [fraction_add(E, P, P), E.neg(P)]
+        pts += [fraction_add(E, P, Q) for P, Q in zip(pts, pts[1:])]
+        pts = [P for P in pts if not P.is_infinity]
+        assert all(E.contains(P) for P in pts)
+        for P in pts:
+            for Q in pts:
+                assert E.add(P, Q) == fraction_add(E, P, Q)
+
+
 class TestTransform:
     def test_round_trip(self):
         E = WeierstrassCurve(1, 1, 1, -1595, -4768)

@@ -9,9 +9,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ellfam import families, scan
+from ellfam import arith, families, scan
 from ellfam.arith import FactorBudget
-from ellfam.curves import INFINITY, WeierstrassCurve, isomorphic_over_Q, two_torsion_points
+from ellfam.curves import (
+    INFINITY,
+    PointMap,
+    WeierstrassCurve,
+    isomorphic_over_Q,
+    two_torsion_points,
+)
 from ellfam.families import SingularMember
 from ellfam.localdata import _integral_ints, _minimal_ints
 from ellfam.polyq import PolyQ, square_decompose_poly
@@ -28,6 +34,7 @@ from ellfam.scan import (
     lattice_scan,
     symmetry_audit,
 )
+from ellfam.sections import QuarticInverse, QuarticModel, quartic_jacobian
 
 F = Fraction
 BUD = FactorBudget(10**4, 10**4)
@@ -249,6 +256,109 @@ class TestParameterMap:
             assert checked >= 2, name
 
 
+def reference_map(spec):
+    """P -> (r, t), or None over the fiber at infinity, for a built-in
+    scan: PointMap.forward onto the quartic's Jacobian followed by the
+    quartic inverse in Fractions, as the parameter map computed them before
+    its integer form."""
+    row = next(row for row in scan._SCANS if row[0] == spec.name)
+    q, point, C = row[5], row[6], row[7]
+    q = square_decompose_poly(C.discriminant("s"))[1] if q is None else PolyQ(q, "u")
+    jacobian = quartic_jacobian(QuarticModel(q, point))[0]
+    pm = PointMap(*isomorphic_over_Q(spec.parametrizer, jacobian))
+    u0, q0 = F(point[0]), F(point[1])
+    cs = list(q(PolyQ.variable(q.var) + u0).coeffs) + [F(0)] * 5
+    d, c = cs[1], cs[2]
+
+    def quartic_point(P):
+        Q = pm.forward(P)
+        if Q.is_infinity:
+            return u0, q0
+        denom = 2 * q0 * Q.y
+        if denom == 0:
+            return None
+        u = (4 * q0 * q0 * (Q.x + c) - d * d) / denom
+        if u == 0:
+            return u0, -q0
+        return u + u0, (Q.x * u * u - d * u) / (2 * q0) - q0
+
+    return quartic_point
+
+
+def reference_companion(C, r, t):
+    """s on the correspondence C over r, taken with the quartic's t."""
+    a, b, _ = C.quadratic_polys("s")
+    mult = square_decompose_poly(C.discriminant("s"))[0]
+    return (-b(r) + mult(r) * t) / (2 * a(r))
+
+
+@pytest.fixture(scope="module")
+def radius3_specs():
+    return builtin_scans(radius=3, budget=BUD)
+
+
+class TestIntegerMap:
+    """The parameter map is one integer linear-fractional form."""
+
+    def test_matches_point_map_and_quartic_inverse(self, radius3_specs):
+        degenerate = 0
+        for spec in radius3_specs.values():
+            ref, C = reference_map(spec), spec.mapping.correspondence
+            points = [INFINITY] + [
+                spec.lattice_point(n, m) for n in range(-3, 4) for m in range(-3, 4)
+            ]
+            for P in points:
+                expected = ref(P)
+                if expected is None:
+                    degenerate += 1
+                    with pytest.raises(DegenerateFiber):
+                        spec.mapping.parameter(P)
+                    if C is not None:
+                        with pytest.raises(DegenerateFiber):
+                            spec.mapping.coordinates(P)
+                    continue
+                r, t = expected
+                assert spec.mapping.parameter(P) == r
+                if C is not None:
+                    assert spec.mapping.coordinates(P) == (r, reference_companion(C, r, t))
+        # (1, 0) of Z8-scan-2 and (1, 1) of Z2x6-scan-1 lie over the
+        # quartic's fiber at infinity
+        assert degenerate == 2
+
+    def test_value_error_in_the_map_propagates(self, specs, monkeypatch):
+        # a fault inside the map is not a degenerate fiber: the scan stops
+        class Broken:
+            def __call__(self, *args):
+                raise ValueError("fault in the map")
+
+            at = __call__
+
+        spec = specs["Z8-scan-2"]
+        monkeypatch.setattr(spec.mapping, "_inv", Broken())
+        with pytest.raises(ValueError, match="fault in the map"):
+            lattice_scan(spec)
+
+    def test_corrupted_coefficient_trips_the_quartic_check(self, specs):
+        spec = specs["Z8-scan-1"]
+        inv = spec.mapping._inv
+        (xx, xy, x1), num, (dx, dy, d1) = inv.forms
+        P = spec.lattice_point(1, 1)
+        assert spec.mapping.parameter(P) == inv(P)[0]
+        for bad in (
+            QuarticInverse(inv.q, inv.u0, inv.t0, inv.d + 1, *inv.forms),
+            QuarticInverse(inv.q, inv.u0, inv.t0, inv.d, (xx, xy, x1 + 1), num, (dx, dy, d1)),
+            QuarticInverse(inv.q, inv.u0, inv.t0, inv.d, (xx, xy, x1), num, (dx, dy + 1, d1)),
+        ):
+            with pytest.raises(AssertionError, match="q\\(u\\) fails"):
+                bad(P)
+
+    def test_parametrizer_must_be_integral(self):
+        spec = builtin_scans(radius=0, budget=BUD)["Z8-scan-2"]
+        E, _pm = spec.parametrizer.transform(F(2), 0, 0, 0)
+        with pytest.raises(ValueError, match="integral"):
+            scan.ParameterMap(E, (0, 87), spec.mapping._inv.q)
+
+
 class TestLatticeScan:
     def test_origin_skipped(self, grids):
         for grid in grids.values():
@@ -463,6 +573,27 @@ class TestOrbits:
         assert grid.cells == _independent_cells(spec)
         rep = symmetry_audit(grid, spec.symmetry, spec=spec)
         assert rep.isomorphism_failures == () and rep.isomorphic_pairs >= len(later)
+
+    def test_each_rest_split_once_per_scan(self, radius2_specs, monkeypatch):
+        # symmetric partners and other cells share parts: within one scan
+        # each rest > 1 is split once, the next scan starts over, and the
+        # grid is the one the cells give computed on their own
+        spec = radius2_specs["Z8-scan-2"]
+        calls = []
+        real = arith._rho_split
+        monkeypatch.setattr(
+            arith, "_rho_split", lambda n, found, budget: calls.append(n) or real(n, found, budget)
+        )
+        runs = []
+        for _ in range(2):
+            grid = lattice_scan(spec)
+            runs.append([n for n in calls if n > 1])
+            calls.clear()
+            assert arith._split_memo is None
+        assert grid.cells == _independent_cells(spec)
+        alone = [n for n in calls if n > 1]
+        assert runs[0] == runs[1] and len(set(runs[0])) == len(runs[0])
+        assert set(alone) == set(runs[0]) and len(alone) > len(runs[0])
 
     def test_scan_never_reads_section_points(self, specs, monkeypatch):
         # a scan cell needs the torsion points only
