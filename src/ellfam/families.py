@@ -144,9 +144,6 @@ class CurveFamily:
             zero, RatFunc(self.A), zero, RatFunc(self.B), zero, check=False
         )
 
-    def j_invariant(self) -> RatFunc:
-        return self.curve().j
-
     def verify(self) -> bool:
         """Check all stored points actually lie on the family curve.
 
@@ -519,12 +516,6 @@ def _catalog_table():
           lambda: -243 * (w - 1) ** 2 * (w + 1) ** 2 * (12 * w * w - 7) * (21 * w * w - 16)
           * Fraction(1, 4)], 20),
     ]
-
-
-def _catalog_rows():
-    """The rows of _catalog_table with their polynomials built."""
-    return [(label, parent, sub(), [x() for x in xs], hint)
-            for label, parent, sub, xs, hint in _catalog_table()]
 
 
 class _Catalog(Mapping[str, CurveFamily]):

@@ -18,9 +18,8 @@ Factorization into irreducibles over Q runs on the numerators in
 imports on first use.  Arithmetic on residue lists mod m (division,
 powers mod a polynomial, ``gcd_mod_p``) is written once, here: ``_zz_gcd``,
 ``zzfactor`` and the root count of Tate's algorithm share it.  Nothing here
-imports sympy, so neither does a scan, which factors its family's
-discriminant polynomials; the package's one sympy caller is
-``sections.solve_conic``.
+imports sympy, and nothing else in the package does: sympy is a test
+dependency only, the reference that the tests compare against.
 """
 
 from __future__ import annotations

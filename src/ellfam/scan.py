@@ -59,7 +59,7 @@ class DegenerateFiber(Exception):
 
 
 # ---------------------------------------------------------------------------
-# biquadratic curves and their involutions
+# biquadratic curves
 # ---------------------------------------------------------------------------
 
 
@@ -101,17 +101,6 @@ class BiquadraticCurve:
             return True
         return False
 
-    def value(self, r: Scalar, s: Scalar) -> Fraction:
-        r, s = Fraction(r), Fraction(s)
-        return sum(
-            c * r**i * s**j
-            for i, row in enumerate(self.coeffs)
-            for j, c in enumerate(row)
-        )
-
-    def contains(self, pt: tuple[Scalar, Scalar]) -> bool:
-        return self.value(*pt) == 0
-
     def quadratic_polys(self, var: str) -> tuple[PolyQ, PolyQ, PolyQ]:
         """(a, b, c) with F = a*x^2 + b*x + c, x the eliminated variable
         ``var`` and a, b, c polynomials in the other variable."""
@@ -133,40 +122,6 @@ class BiquadraticCurve:
         variable."""
         a, b, c = self.quadratic_polys(var)
         return b * b - 4 * a * c
-
-    def quadratic_at(self, var: str, value: Scalar) -> tuple[Fraction, Fraction, Fraction]:
-        """Coefficients (a, b, c) of the quadratic in ``var`` at a fixed
-        value of the other variable."""
-        a, b, c = self.quadratic_polys(var)
-        v = Fraction(value)
-        return a(v), b(v), c(v)
-
-
-def involutions(
-    C: BiquadraticCurve, pt: tuple[Scalar, Scalar]
-) -> tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]:
-    """The two fiber-swap images (tau1(pt), tau2(pt)) of a point of C.
-
-    tau1 fixes r and replaces s by the second root of the quadratic in s;
-    tau2 does the same with the roles of r and s exchanged.  Both images
-    lie on C exactly and each map is an involution.
-
-    Raises DegenerateFiber when the relevant leading coefficient vanishes
-    at the point, and ValueError when the point is not on the curve.
-    """
-    r, s = Fraction(pt[0]), Fraction(pt[1])
-    if C.value(r, s) != 0:
-        raise ValueError("point is not on the curve")
-    a_s, b_s, _ = C.quadratic_at("s", r)
-    if a_s == 0:
-        raise DegenerateFiber("the quadratic in s degenerates at this point")
-    tau1 = (r, -b_s / a_s - s)
-    a_r, b_r, _ = C.quadratic_at("r", s)
-    if a_r == 0:
-        raise DegenerateFiber("the quadratic in r degenerates at this point")
-    tau2 = (-b_r / a_r - r, s)
-    assert C.value(*tau1) == 0 and C.value(*tau2) == 0
-    return tau1, tau2
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +162,6 @@ class ParameterMap:
             raise ValueError("give exactly one of q and correspondence")
         if not parametrizer.is_integral():
             raise ValueError("the parametrizer must be an integral model")
-        self.correspondence = correspondence
         if correspondence is not None:
             a, b, _ = correspondence.quadratic_polys("s")
             mult, q = square_decompose_poly(correspondence.discriminant("s"))
@@ -281,45 +235,6 @@ class ScanSpec:
         E = self.parametrizer
         G1, G2 = self.generators
         return E.add(E.mul(n, G1, check=False), E.mul(m, G2, check=False), check=False)
-
-    def validate(self) -> None:
-        """Exact consistency checks of the parameter map.
-
-        The base cell lands on the designated base point of the
-        correspondence; a generator's image satisfies the biquadratic
-        equation exactly; and when a companion family is attached, the two
-        coordinates specialize both families to Q-isomorphic curves.
-        """
-        E = self.parametrizer
-        G = None
-        for cand in (
-            self.generators[0],
-            self.generators[1],
-            E.add(self.generators[0], self.generators[1]),
-        ):
-            try:
-                self.mapping.parameter(cand)
-            except DegenerateFiber:
-                continue
-            G = cand
-            break
-        if G is None:
-            raise AssertionError("no test point avoids the degenerate fibers")
-        C = self.mapping.correspondence
-        if C is not None:
-            r, s = self.mapping.coordinates(G)
-            if C.value(r, s) != 0:
-                raise AssertionError("generator image misses the correspondence")
-            if self.companion_family is not None:
-                Ea = self.family.specialize(r, self.budget).curve()
-                Eb = self.companion_family.specialize(s, self.budget).curve()
-                if isomorphic_over_Q(Ea, Eb) is None:
-                    raise AssertionError(
-                        "companion family member is not isomorphic at the mapped pair"
-                    )
-        else:
-            r = self.mapping.parameter(G)
-            self.family.specialize(r, self.budget)
 
 
 @dataclass(frozen=True)
@@ -555,20 +470,12 @@ CURVE_C = BiquadraticCurve((
     (Fraction(-29), Fraction(0), Fraction(1)),
 ))
 
-# Two equivalent compatibility curves linking the parameters of Z2x6R2-3
-# (variable r) and Z2x6R2-1 (variable s).  Their discriminants with respect
-# to either variable agree up to square factors, so they parametrize the
-# same set of (r, s) pairs.
+# Compatibility curve linking the parameters of Z2x6R2-3 (variable r) and
+# Z2x6R2-1 (variable s), in the same sense.
 CURVE_D1 = BiquadraticCurve((
     (Fraction(5040), Fraction(-2700), Fraction(360)),
     (Fraction(-336), Fraction(168), Fraction(-24)),
     (Fraction(0), Fraction(1), Fraction(0)),
-))
-
-CURVE_D2 = BiquadraticCurve((
-    (Fraction(0), Fraction(90), Fraction(0)),
-    (Fraction(-168), Fraction(84), Fraction(-12)),
-    (Fraction(14), Fraction(-15, 2), Fraction(1)),
 ))
 
 
@@ -590,8 +497,8 @@ _SCANS = (
     ("Z8-scan-2", (0, 0, 0, -105987, 11743634), ((-77, -4410), (805, 21168)),
      "Z8R2-2", (-1, 0), (7569, -2610, 453, -90, 9), (0, 87), None, None),
     # Z2x6R2-3 members with a second independent section.  Parameter pairs
-    # live on CURVE_D1 (equivalently CURVE_D2), and the base cell maps to
-    # its point (0, 4).  Cells (n, m) and (1-n, 1-m) carry the same curve.
+    # live on CURVE_D1, and the base cell maps to its point (0, 4).  Cells
+    # (n, m) and (1-n, 1-m) carry the same curve.
     ("Z2x6-scan-1", (0, -1, 0, -456, 3456),
      ((20, -44), (Fraction(4, 9), Fraction(-1540, 27))),
      "Z2x6R2-3", (1, 1), None, (0, 180), CURVE_D1, "Z2x6R2-1"),

@@ -1,28 +1,20 @@
-"""Quadratic sections: section conditions, conics, and quartic-to-cubic maps.
+"""Quadratic sections: section conditions and quartic-to-cubic maps.
 
 A family y^2 = x^3 + A x^2 + B x acquires a new section at x = d whenever
-d + A + B/d is a square.  The degree-2 conditions are conics, solved and
-parametrized exactly here; the degree-4 conditions t^2 = q(u), checked
-squarefree by a gcd with the derivative and given a rational point that is
-not a root of q, are converted to their Jacobian elliptic curves.
+d + A + B/d is a square; section_condition gives that square class.  The
+catalog derives each family's condition from its substitution
+(families._parametrized_conic), and the degree-4 conditions t^2 = q(u),
+checked squarefree by a gcd with the derivative and given a rational point
+that is not a root of q, are converted to their Jacobian elliptic curves.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
-from typing import Callable, Optional, Sequence
+from math import lcm
+from typing import Callable, Optional
 
-from .arith import (
-    DEFAULT_BUDGET,
-    FactorBudget,
-    Unfactored,
-    factor,
-    hilbert_symbol,
-    squarefree_decompose,
-)
 from .curves import INFINITY, CurvePoint, PointMap, WeierstrassCurve
 from .polyq import PolyQ, RatFunc, homogeneous_value, square_decompose_poly
 
@@ -48,242 +40,6 @@ def section_condition(family, x: RatFunc) -> PolyQ:
         raise ValueError("x is a 2-torsion abscissa, not a candidate section")
     _s, core = square_decompose_poly(val.num * val.den)
     return core
-
-
-# ---------------------------------------------------------------------------
-# conics
-# ---------------------------------------------------------------------------
-
-
-def _content_reduce_matrix(M) -> tuple[tuple[int, ...], ...]:
-    entries = [int(x) for row in M for x in row]
-    g = 0
-    for x in entries:
-        g = gcd(g, abs(x))
-    g = g or 1
-    return tuple(tuple(int(x) // g for x in row) for row in M)
-
-
-@dataclass(frozen=True)
-class Conic:
-    """Projective conic x^T M x = 0 with a symmetric integer matrix M."""
-
-    M: tuple[tuple[int, ...], ...]
-
-    def __init__(self, M: Sequence[Sequence[int]]):
-        rows = tuple(tuple(int(x) for x in row) for row in M)
-        if len(rows) != 3 or any(len(r) != 3 for r in rows):
-            raise ValueError("conic matrix must be 3x3")
-        for i in range(3):
-            for j in range(3):
-                if rows[i][j] != rows[j][i]:
-                    raise ValueError("conic matrix must be symmetric")
-        rows = _content_reduce_matrix(rows)
-        if _det3(rows) == 0:
-            raise ValueError("degenerate conic")
-        object.__setattr__(self, "M", rows)
-
-    def value(self, pt: Sequence[Fraction]) -> Fraction:
-        x = [Fraction(c) for c in pt]
-        return sum(
-            self.M[i][j] * x[i] * x[j] for i in range(3) for j in range(3)
-        )
-
-    @staticmethod
-    def from_quadratic(a: int, b: int, c: int, d: int, e: int, f: int) -> "Conic":
-        """Conic of a x^2 + b y^2 + c z^2 + d xy + e xz + f yz = 0."""
-        return Conic(
-            [
-                [2 * a, d, e],
-                [d, 2 * b, f],
-                [e, f, 2 * c],
-            ]
-        )
-
-
-def _det3(M) -> int:
-    return (
-        M[0][0] * (M[1][1] * M[2][2] - M[1][2] * M[2][1])
-        - M[0][1] * (M[1][0] * M[2][2] - M[1][2] * M[2][0])
-        + M[0][2] * (M[1][0] * M[2][1] - M[1][1] * M[2][0])
-    )
-
-
-def _diagonalize(M) -> tuple[list[Fraction], list[list[Fraction]], Optional[tuple]]:
-    """Congruence-diagonalize M over Q.
-
-    Returns (diag, T, point) where x = T y maps diagonal solutions back to M,
-    or point is an immediate rational solution discovered along the way
-    (an isotropic basis vector).
-    """
-    A = [[Fraction(M[i][j]) for j in range(3)] for i in range(3)]
-    T = [[Fraction(int(i == j)) for j in range(3)] for i in range(3)]
-    for k in range(3):
-        if A[k][k] == 0:
-            # find a later index with nonzero diagonal to swap in
-            swap = next((i for i in range(k + 1, 3) if A[i][i] != 0), None)
-            if swap is None:
-                # all remaining diagonal entries vanish: basis vector e_k of
-                # the current coordinates is on the conic
-                pt = tuple(T[i][k] for i in range(3))
-                return [], [], pt
-            for i in range(3):
-                A[k][i], A[swap][i] = A[swap][i], A[k][i]
-            for i in range(3):
-                A[i][k], A[i][swap] = A[i][swap], A[i][k]
-            for i in range(3):
-                T[i][k], T[i][swap] = T[i][swap], T[i][k]
-        for i in range(k + 1, 3):
-            if A[k][i] != 0:
-                lam = -A[k][i] / A[k][k]
-                # column operation C_i += lam C_k, and same row operation
-                for j in range(3):
-                    A[j][i] += lam * A[j][k]
-                for j in range(3):
-                    A[i][j] += lam * A[k][j]
-                for j in range(3):
-                    T[j][i] += lam * T[j][k]
-    return [A[0][0], A[1][1], A[2][2]], T, None
-
-
-def _squarefree_diagonal(diag, budget: FactorBudget) -> tuple[list[int], list[Fraction]]:
-    """Lists sf, scale with diag[i] = sf[i] * scale[i]^2, each sf[i] a squarefree integer."""
-    parts = [squarefree_decompose(q.numerator * q.denominator, budget) for q in diag]
-    return [f for _s, f in parts], [Fraction(s, q.denominator) for (s, _f), q in zip(parts, diag)]
-
-
-REAL_PLACE = "real"
-
-
-def local_obstruction(C: Conic, budget: FactorBudget = DEFAULT_BUDGET):
-    """Return a place obstructing solvability (REAL_PLACE or a prime), or
-    None when the conic is locally solvable everywhere."""
-    diag, _T, pt = _diagonalize(C.M)
-    if pt is not None:
-        return None
-    return _diagonal_obstruction(_squarefree_diagonal(diag, budget)[0], budget)
-
-
-def _diagonal_obstruction(sf: Sequence[int], budget: FactorBudget):
-    """local_obstruction of sum(sf[i] * x[i]^2) = 0 for squarefree integers sf[i]."""
-    a, b, c = sf
-    # a x^2 + b y^2 + c z^2 = 0  <=>  (-a c) X^2 + (-b c) Y^2 = Z^2
-    places = {None, 2}
-    for n in (a, b, c):
-        fi = factor(abs(n), budget)
-        if not fi.complete:
-            raise Unfactored(f"cannot certify conic solvability: {n}")
-        places.update(fi.primes())
-    for p in sorted(places, key=lambda x: (x is not None, x or 0)):
-        if hilbert_symbol(-a * c, -b * c, p) != 1:
-            return REAL_PLACE if p is None else p
-    return None
-
-
-def _make_pairwise_coprime(sf: list[int], scales: list[Fraction]) -> None:
-    """Rewrite sum(sf[i] * v[i]^2) = 0, v[i] = scales[i] * y[i], in place so
-    the squarefree sf[i] are pairwise coprime, which sympy's ternary solver
-    assumes without checking.
-
-    With g = gcd(sf[i], sf[j]) and k the third index, g times the form is
-    (sf[i]/g)(g v[i])^2 + (sf[j]/g)(g v[j])^2 + (g sf[k]) v[k]^2: the
-    coefficients stay squarefree and |sf[0] sf[1] sf[2]| drops by g.
-    """
-    g = gcd(*sf)
-    sf[:] = [f // g for f in sf]
-    while True:
-        for i, j in itertools.combinations(range(3), 2):
-            g = gcd(sf[i], sf[j])
-            if g > 1:
-                break
-        else:
-            return
-        sf[i] //= g
-        sf[j] //= g
-        sf[3 - i - j] *= g
-        scales[i] *= g
-        scales[j] *= g
-
-
-def solve_conic(
-    C: Conic, budget: FactorBudget = DEFAULT_BUDGET
-) -> Optional[tuple[Fraction, Fraction, Fraction]]:
-    """An exact projective point on the conic, or None when none exists.
-
-    Emptiness is certified by a local obstruction (see local_obstruction),
-    never by giving up on a search.  Only sympy's ternary solver finds the
-    point of a diagonal conic, so this is the one use of sympy here.
-    """
-    import sympy
-    from sympy.solvers.diophantine.diophantine import diop_ternary_quadratic_normal
-
-    diag, T, pt = _diagonalize(C.M)
-    if pt is not None:
-        sol = tuple(Fraction(v) for v in pt)
-        assert C.value(sol) == 0
-        return sol
-    # sum(sf[i] * (scales[i] * y[i])^2) = 0 in the diagonal coordinates y,
-    # with each sf[i] a squarefree integer
-    sf, scales = _squarefree_diagonal(diag, budget)
-    if _diagonal_obstruction(sf, budget) is not None:
-        return None
-    _make_pairwise_coprime(sf, scales)
-    x, y, z = sympy.symbols("x y z", integer=True)
-    vals = diop_ternary_quadratic_normal(sf[0] * x**2 + sf[1] * y**2 + sf[2] * z**2)
-    # undo the squarefree scaling, then the diagonalizing change of basis
-    yvec = [int(v) / s for v, s in zip(vals, scales)]
-    out = tuple(
-        sum(T[i][j] * yvec[j] for j in range(3)) for i in range(3)
-    )
-    assert C.value(out) == 0 and any(out)
-    return out
-
-
-def parametrize_conic(
-    C: Conic, p0: Sequence[Fraction], var: str = "t"
-) -> tuple[PolyQ, PolyQ, PolyQ]:
-    """Sweep the lines through p0: degree-2 polynomials (x(t), y(t), z(t))
-    with x^T M x identically zero and p0 among the values."""
-    p = [Fraction(c) for c in p0]
-    if C.value(p) != 0:
-        raise ValueError("base point is not on the conic")
-
-    def bilinear(u, w):
-        return sum(C.M[i][j] * u[i] * w[j] for i in range(3) for j in range(3))
-
-    # direction r(t) = e_i + t e_j with p, e_i, e_j independent and the
-    # tangency parameter B(p, r(t)) = 0 attainable (so p0 itself is swept)
-    basis = [
-        [Fraction(int(i == k)) for i in range(3)] for k in range(3)
-    ]
-    choice = None
-    for i, j in itertools.permutations(range(3), 2):
-        e_i, e_j = basis[i], basis[j]
-        if bilinear(p, e_j) == 0:
-            continue
-        det = _det3([p, e_i, e_j])
-        if det != 0:
-            choice = (e_i, e_j)
-            break
-    if choice is None:  # pragma: no cover - impossible for nondegenerate conics
-        raise RuntimeError("no sweeping direction found")
-    e_i, e_j = choice
-    t = PolyQ.variable(var)
-    r = [PolyQ.const(e_i[k], var) + t * e_j[k] for k in range(3)]
-    # second intersection of the line p + s r with the conic:
-    # Q(r) p - 2 B(p, r) r
-    Qr = sum(
-        r[a] * r[b] * C.M[a][b] for a in range(3) for b in range(3)
-    )
-    Bpr = sum(
-        r[b] * C.M[a][b] * p[a] for a in range(3) for b in range(3)
-    )
-    out = tuple(Qr * PolyQ.const(p[k], var) - 2 * Bpr * r[k] for k in range(3))
-    check = sum(
-        out[a] * out[b] * C.M[a][b] for a in range(3) for b in range(3)
-    )
-    assert check.is_zero()
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-import sympy
 
 from ellfam.arith import FactorBudget, factor, is_prime, jacobi, square_test
 from ellfam.curves import (
@@ -33,14 +32,12 @@ from ellfam.rootnum import global_root_number
 from ellfam.scan import (
     CURVE_C,
     CURVE_D1,
-    CURVE_D2,
     DegenerateFiber,
     builtin_scans,
-    involutions,
     lattice_scan,
     symmetry_audit,
 )
-from ellfam.sections import Conic, QuarticModel, parametrize_conic, quartic_jacobian, solve_conic
+from ellfam.sections import QuarticModel, quartic_jacobian
 
 DATA = Path(__file__).parent / "data"
 SCAN_BUDGET = FactorBudget(10**5, 2 * 10**5)
@@ -107,9 +104,9 @@ def test_criterion_02_base_models_and_j_symmetries():
     assert f26.A == 37 - 84 * v + 102 * v**2 - 36 * v**3 - 3 * v**4
     assert f26.B == 32 * (v - 1) ** 3 * (v + 1) ** 3 * (3 * v - 5)
     vv = RatFunc.variable("v")
-    j8 = f8.j_invariant()
+    j8 = f8.curve().j
     assert ratfunc_substitute(j8, 1 - vv) == j8
-    j26 = f26.j_invariant()
+    j26 = f26.curve().j
     for sub in [
         2 - vv,
         (vv - 7) / (3 * vv - 5),
@@ -120,7 +117,7 @@ def test_criterion_02_base_models_and_j_symmetries():
         assert ratfunc_substitute(j26, sub) == j26
 
 
-def test_criterion_03_worked_square_condition_example():
+def test_criterion_03_worked_square_condition_example(cat):
     # x = 4v^4 on the Z/8 base model: the cubic value splits off the square
     # (4v^4(2v-1))^2, leaving the quadratic condition 4v^2 - 4v + 5
     fam = model_z8()
@@ -129,28 +126,34 @@ def test_criterion_03_worked_square_condition_example():
     s, q = square_decompose_poly(f)
     assert s == 4 * v**4 * (2 * v - 1)
     assert q == 4 * v * v - 4 * v + 5
-    # t^2 = 4v^2 - 4v + 5 as a conic in (v, t, z); solve and sweep lines
-    C = Conic.from_quadratic(4, -1, 5, 0, -4, 0)
-    base = solve_conic(C)
-    assert base is not None and C.value(base) == 0
-    X, _T, Z = parametrize_conic(C, base)
-    _s2, core = square_decompose_poly(4 * X * X - 4 * X * Z + 5 * Z * Z)
-    assert core == 1  # the swept substitution v = X/Z makes the condition square
-    # the recorded substitution (5 - w^2)/(4(w + 1)) does the same ...
+    # the catalog derives exactly this condition for Z8-1, whose recorded
+    # substitution (5 - w^2)/(4(w + 1)) makes it a square
     ww = RatFunc.variable("w")
     v1 = (5 - ww * ww) / (4 * (ww + 1))
-    val = ratfunc_substitute(RatFunc(4 * v * v - 4 * v + 5), v1)
+    assert cat["Z8-1"].condition == q and cat["Z8-1"].substitution == v1
+    val = ratfunc_substitute(RatFunc(q), v1)
     rt = ratfunc_sqrt(val)
     assert rt * rt == val
-    # ... and both parametrize the same conic: every value of the recorded
-    # substitution is attained by the swept one at a rational parameter
-    t_sym = sympy.Symbol("t")
-    Xp = sum(sympy.Rational(c) * t_sym**k for k, c in enumerate(X.coeffs))
-    Zp = sum(sympy.Rational(c) * t_sym**k for k, c in enumerate(Z.coeffs))
+    # t^2 = 4v^2 - 4vz + 5z^2 as a conic in (v, t, z): the line through its
+    # point p = (1, 4, 2) in direction d = (1, k, 0) meets it again at
+    # Q(d) p - 2 B(p, d) d, and v = X/Z there makes the condition a square
+    k = PolyQ.variable("k")
+
+    def bilinear(a, b):
+        return 4 * a[0] * b[0] - a[1] * b[1] + 5 * a[2] * b[2] - 2 * (a[0] * b[2] + a[2] * b[0])
+
+    p, d = (1, 4, 2), (1, k, 0)
+    X, T, Z = (bilinear(d, d) * p[i] - 2 * bilinear(p, d) * d[i] for i in range(3))
+    assert bilinear((X, T, Z), (X, T, Z)).is_zero()
+    _s2, core = square_decompose_poly(4 * X * X - 4 * X * Z + 5 * Z * Z)
+    assert core == 1
+    # both parametrize the same conic: the recorded substitution's point
+    # (v1(w0), rt(w0), 1) is the sweep's at the rational slope k0 of the
+    # line through p and it; at w0 = 1 it is p, at the tangent slope 0
     for w0 in [F(0), F(1), F(3), F(-2), F(5, 7)]:
-        target = sympy.Rational(v1(w0))
-        sols = sympy.solve(sympy.expand(Xp - target * Zp), t_sym)
-        assert any(s0.is_rational for s0 in sols), w0
+        v0, t0 = v1(w0), rt(w0)
+        k0 = 0 if (2 * v0, t0) == (1, 2) else (2 * t0 - 4) / (2 * v0 - 1)
+        assert X(k0) / Z(k0) == v0, w0
 
 
 def test_criterion_04_torsion_certification(cat):
@@ -242,10 +245,12 @@ def test_criterion_07_root_numbers(cat):
 
 
 def test_criterion_08_involutions():
+    from test_scan import CURVE_D2, involutions, on_curve
+
     # the recorded image of the base point, exactly on-curve
     tau1, tau2 = involutions(CURVE_C, (F(-1), F(0)))
     assert tau1 == (F(-1), F(6))
-    assert CURVE_C.contains(tau1) and CURVE_C.contains(tau2)
+    assert on_curve(CURVE_C, tau1) and on_curve(CURVE_C, tau2)
     # both involutions square to the identity on >= 100 sampled points
     rng = random.Random(8)
     specs = builtin_scans(radius=2, budget=FactorBudget(10**4, 10**4))
@@ -261,7 +266,7 @@ def test_criterion_08_involutions():
     # the second biquadratic of the third scan has a rational fiber over the
     # same r-values as the first (shared square-reduced discriminant)
     for r0, _s0 in list(pools["D1"]):
-        a, b, c = CURVE_D2.quadratic_at("s", r0)
+        a, b, c = (p(r0) for p in CURVE_D2.quadratic_polys("s"))
         if a == 0:
             continue
         root = square_test(b * b - 4 * a * c)
@@ -272,7 +277,7 @@ def test_criterion_08_involutions():
     for key, curve in (("C", CURVE_C), ("D1", CURVE_D1), ("D2", CURVE_D2)):
         assert len(pools[key]) >= 20, key
         for point in pools[key]:
-            assert curve.contains(point)
+            assert on_curve(curve, point)
             try:
                 t1, t2 = involutions(curve, point)
             except DegenerateFiber:

@@ -465,33 +465,36 @@ def test_console_script_help():
 
 
 def test_queries_import_neither_sympy_nor_mpmath():
-    # a fresh interpreter answers catalog, rootnumber, sections and torsion
-    # (Z/2 x Z/6 and Z/8) without sympy or mpmath, verify-all and heights
-    # without sympy, builds the built-in scans without sympy, and runs each
-    # of them at radius 1, factoring its family's discriminant, without sympy
+    # a fresh interpreter in which importing sympy raises runs all nine
+    # commands: catalog, rootnumber, sections, torsion (Z/2 x Z/6 and Z/8),
+    # specialize and local without mpmath either, verify-all and heights
+    # with mpmath, and each built-in scan at radius 1, factoring its
+    # family's discriminant, as CSV and as JSON
     script = """
 import contextlib, io, sys
+sys.modules["sympy"] = None  # from here on, "import sympy" raises ImportError
 from ellfam import cli
 
 def run(*argv):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(list(argv)) == 0
-    return sorted(m for m in ("sympy", "mpmath") if m in sys.modules)
+    return [m for m in ("mpmath",) if m in sys.modules]
 
 print(run("catalog"), run("rootnumber", "Z8R2-1", "--u", "22"), run("sections", "Z8R2-4"))
 print(run("torsion", "Z2x6R2-3", "--u", "22"), run("torsion", "Z8R2-1", "--u", "22"))
+print(run("specialize", "Z8R2-1", "--u", "22"), run("local", "--curve", "0,-1,1,-10,-20"))
 print(run("verify-all"))
 print(run("heights", "Z8R2-1", "--u", "22"))
-from ellfam import scan; scan.builtin_scans(radius=1); print([m for m in ("sympy",) if m in sys.modules])
 for name in ("Z8-scan-1", "Z8-scan-2", "Z2x6-scan-1"):
-    run("--budget", "100000,200000", "scan", "--name", name, "--radius", "1")
-    print(name, "sympy" in sys.modules)
+    for fmt in ("csv", "json"):
+        run("--budget", "100000,200000", "scan", "--format", fmt, "--name", name, "--radius", "1")
+    print(name, sys.modules["sympy"])
 """
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
-        "[] [] []", "[] []", "['mpmath']", "['mpmath']", "[]",
-        "Z8-scan-1 False", "Z8-scan-2 False", "Z2x6-scan-1 False",
+        "[] [] []", "[] []", "[] []", "['mpmath']", "['mpmath']",
+        "Z8-scan-1 None", "Z8-scan-2 None", "Z2x6-scan-1 None",
     ]
 
 

@@ -15,7 +15,6 @@ from ellfam.curves import CurvePoint, torsion_subgroup
 from ellfam.families import (
     CurveFamily,
     SingularMember,
-    _catalog_rows,
     _cleared_cubic,
     _parametrized_conic,
     _tate_base_model,
@@ -42,6 +41,12 @@ from ellfam.sections import section_condition
 w = PolyQ.variable("w")
 u = PolyQ.variable("u")
 v = PolyQ.variable("v")
+
+
+def _catalog_rows():
+    """The rows of the catalog table with their polynomials built."""
+    return [(label, parent, sub(), [x() for x in xs], hint)
+            for label, parent, sub, xs, hint in families._catalog_table()]
 
 
 def _assert_condition_becomes_square(fam):
@@ -101,7 +106,7 @@ class TestBaseModels:
 
     def test_z8_j_symmetry(self):
         fam = model_z8()
-        j = fam.j_invariant()
+        j = fam.curve().j
         vv = RatFunc.variable("v")
         assert ratfunc_substitute(j, 1 - vv) == j
 
@@ -119,7 +124,7 @@ class TestBaseModels:
 
     def test_z2x6_j_symmetries(self):
         fam = model_z2x6()
-        j = fam.j_invariant()
+        j = fam.curve().j
         vv = RatFunc.variable("v")
         subs = [
             2 - vv,
@@ -384,7 +389,7 @@ class TestCatalogShape:
 
     def test_rank1_j_invariants_distinct(self):
         cat = catalog()
-        js = [cat[f"Z8-{i}"].j_invariant() for i in range(1, 19)]
+        js = [cat[f"Z8-{i}"].curve().j for i in range(1, 19)]
         for i in range(len(js)):
             for k in range(i + 1, len(js)):
                 assert js[i] != js[k], (i + 1, k + 1)

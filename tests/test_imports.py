@@ -1,4 +1,5 @@
-"""Every module under src/ and tests/ reads each name it imports."""
+"""Every module under src/ and tests/ reads each name it imports, and no
+module under src/ imports sympy."""
 
 import ast
 import hashlib
@@ -41,6 +42,44 @@ def unused_imports(source: str) -> list[str]:
                 continue
             read.update(n.id for n in ast.walk(expr) if isinstance(n, ast.Name))
     return [f"{name} (line {line})" for name, line in imported.items() if name not in read]
+
+
+def sympy_imports(source: str) -> list[int]:
+    """Lines of every import of sympy or a sympy submodule, function-local
+    ones included."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        if any(name.split(".")[0] == "sympy" for name in names):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_sympy_scan_sees_every_import_form():
+    source = (
+        "import os, sympy.ntheory as nt\n"
+        "from sympy import Symbol\n"
+        "from .sympy import x\n"
+        "import sympyx\n"
+        "def f():\n"
+        "    from sympy.solvers import solve\n"
+    )
+    assert sympy_imports(source) == [1, 2, 6]
+
+
+@pytest.mark.parametrize(
+    "path",
+    [p for p in MODULES if p.is_relative_to(ROOT / "src")],
+    ids=lambda p: str(p.relative_to(ROOT)),
+)
+def test_src_imports_no_sympy(path):
+    # sympy is a test dependency only; the package runs without it
+    assert sympy_imports(path.read_text()) == []
 
 
 def test_tracer_layers_resolve():

@@ -25,12 +25,10 @@ from ellfam.rootnum import global_root_number
 from ellfam.scan import (
     CURVE_C,
     CURVE_D1,
-    CURVE_D2,
     BiquadraticCurve,
     DegenerateFiber,
     ScanGrid,
     builtin_scans,
-    involutions,
     lattice_scan,
     symmetry_audit,
 )
@@ -48,6 +46,46 @@ def specs():
 @pytest.fixture(scope="module")
 def grids(specs):
     return {name: lattice_scan(spec) for name, spec in specs.items()}
+
+
+# A second compatibility curve for the parameters of Z2x6R2-3 and Z2x6R2-1:
+# its discriminants agree with CURVE_D1's up to square factors, so it
+# parametrizes the same set of (r, s) pairs.
+CURVE_D2 = BiquadraticCurve((
+    (0, 90, 0),
+    (-168, 84, -12),
+    (14, F(-15, 2), 1),
+))
+
+
+def on_curve(C, pt) -> bool:
+    """Whether (r, s) = pt satisfies F(r, s) = 0 for the biquadratic curve C."""
+    r, s = map(F, pt)
+    return sum(c * r**i * s**j for i, row in enumerate(C.coeffs) for j, c in enumerate(row)) == 0
+
+
+def involutions(C, pt):
+    """The two fiber-swap images (tau1(pt), tau2(pt)) of a point of C.
+
+    tau1 fixes r and replaces s by the other root of the quadratic in s,
+    -b/a - s; tau2 does the same with r and s exchanged.  Raises ValueError
+    off the curve and DegenerateFiber where a quadratic drops degree.
+    """
+    r, s = map(F, pt)
+    if not on_curve(C, (r, s)):
+        raise ValueError("point is not on the curve")
+    a_s, b_s, _ = (p(r) for p in C.quadratic_polys("s"))
+    a_r, b_r, _ = (p(s) for p in C.quadratic_polys("r"))
+    if a_s == 0 or a_r == 0:
+        raise DegenerateFiber("a quadratic degenerates at this point")
+    tau1, tau2 = (r, -b_s / a_s - s), (-b_r / a_r - r, s)
+    assert on_curve(C, tau1) and on_curve(C, tau2)
+    return tau1, tau2
+
+
+def scan_row(name):
+    """The _SCANS row of the built-in scan ``name``."""
+    return next(row for row in scan._SCANS if row[0] == name)
 
 
 def sympy_irreducible(rows) -> bool:
@@ -95,7 +133,7 @@ class TestBiquadraticCurve:
         assert accepted == sympy_irreducible(rows)
 
     def test_known_point(self):
-        assert CURVE_C.contains((-1, 0))
+        assert on_curve(CURVE_C, (-1, 0))
 
     def test_rejects_reducible(self):
         # r^2 - s^2 factors
@@ -117,13 +155,13 @@ class TestBiquadraticCurve:
     def test_rational_coefficients(self):
         # s^2 = r^2/4 + 3/4 is irreducible
         C = BiquadraticCurve(((F(-3, 4), 0, 1), (0, 0, 0), (F(-1, 4), 0, 0)))
-        assert C.contains((1, 1))
+        assert on_curve(C, (1, 1))
 
     def test_degree_two_in_one_variable(self):
         # s^2 = r and r^2 = s are irreducible; each is quadratic in one
         # variable only, and that variable's discriminant decides
-        assert BiquadraticCurve(((0, 0, 1), (-1, 0, 0), (0, 0, 0))).contains((4, 2))
-        assert BiquadraticCurve(((0, -1, 0), (0, 0, 0), (1, 0, 0))).contains((2, 4))
+        assert on_curve(BiquadraticCurve(((0, 0, 1), (-1, 0, 0), (0, 0, 0))), (4, 2))
+        assert on_curve(BiquadraticCurve(((0, -1, 0), (0, 0, 0), (1, 0, 0))), (2, 4))
 
     def test_rejects_low_degree(self):
         # r*s + 1 has degree 1 in both variables
@@ -131,7 +169,7 @@ class TestBiquadraticCurve:
             BiquadraticCurve(((1, 0, 0), (0, 1, 0), (0, 0, 0)))
 
     def test_quadratic_at(self):
-        a, b, c = CURVE_C.quadratic_at("s", -1)
+        a, b, c = (p(-1) for p in CURVE_C.quadratic_polys("s"))
         assert (a, b, c) == (F(-20), F(120), F(0))
 
 
@@ -139,7 +177,7 @@ class TestInvolutions:
     def test_printed_image(self):
         tau1, tau2 = involutions(CURVE_C, (-1, 0))
         assert tau1 == (F(-1), F(6))
-        assert CURVE_C.contains(tau1) and CURVE_C.contains(tau2)
+        assert on_curve(CURVE_C, tau1) and on_curve(CURVE_C, tau2)
 
     def test_involutive(self):
         pt = (F(-1), F(0))
@@ -154,7 +192,7 @@ class TestInvolutions:
     def test_degenerate_fiber(self):
         # at r = 1 the quadratic in s drops degree; (1, 29/6) is on the curve
         pt = (F(1), F(29, 6))
-        assert CURVE_C.contains(pt)
+        assert on_curve(CURVE_C, pt)
         with pytest.raises(DegenerateFiber):
             involutions(CURVE_C, pt)
 
@@ -173,7 +211,7 @@ class TestInvolutions:
                     except DegenerateFiber:
                         continue
             for pt in pts:
-                assert curve.contains(pt)
+                assert on_curve(curve, pt)
                 try:
                     tau1, tau2 = involutions(curve, pt)
                 except DegenerateFiber:
@@ -226,8 +264,28 @@ class TestParameterMap:
         assert specs["Z2x6-scan-1"].mapping.coordinates(INFINITY) == (F(0), F(4))
 
     def test_validate(self, specs):
-        for spec in specs.values():
-            spec.validate()
+        # the origin lands on the row's known point; the first of G1, G2 and
+        # G1 + G2 off the degenerate fibers maps onto the correspondence,
+        # and there the companion member is Q-isomorphic to the family's
+        for name, spec in specs.items():
+            point, C = scan_row(name)[6:8]
+            assert spec.mapping.parameter(INFINITY) == point[0]
+            G1, G2 = spec.generators
+            for G in (G1, G2, spec.parametrizer.add(G1, G2)):
+                try:
+                    r = spec.mapping.parameter(G)
+                    break
+                except DegenerateFiber:
+                    continue
+            else:
+                pytest.fail(f"{name}: no generator image avoids the degenerate fibers")
+            Ea = spec.family.specialize(r, BUD).curve()
+            if C is None:
+                continue
+            r_c, s = spec.mapping.coordinates(G)
+            assert r_c == r and on_curve(C, (r, s))
+            Eb = spec.companion_family.specialize(s, BUD).curve()
+            assert isomorphic_over_Q(Ea, Eb) is not None, name
 
     def test_images_on_correspondence(self, specs):
         for name, curve in [("Z8-scan-1", CURVE_C), ("Z2x6-scan-1", CURVE_D1)]:
@@ -237,7 +295,7 @@ class TestParameterMap:
                     pt = spec.mapping.coordinates(spec.lattice_point(n, m))
                 except DegenerateFiber:
                     continue
-                assert curve.contains(pt)
+                assert on_curve(curve, pt)
 
     def test_torsion_translates_give_isomorphic_members(self, specs):
         for name, spec in specs.items():
@@ -261,8 +319,7 @@ def reference_map(spec):
     scan: PointMap.forward onto the quartic's Jacobian followed by the
     quartic inverse in Fractions, as the parameter map computed them before
     its integer form."""
-    row = next(row for row in scan._SCANS if row[0] == spec.name)
-    q, point, C = row[5], row[6], row[7]
+    q, point, C = scan_row(spec.name)[5:8]
     q = square_decompose_poly(C.discriminant("s"))[1] if q is None else PolyQ(q, "u")
     jacobian = quartic_jacobian(QuarticModel(q, point))[0]
     pm = PointMap(*isomorphic_over_Q(spec.parametrizer, jacobian))
@@ -303,7 +360,7 @@ class TestIntegerMap:
     def test_matches_point_map_and_quartic_inverse(self, radius3_specs):
         degenerate = 0
         for spec in radius3_specs.values():
-            ref, C = reference_map(spec), spec.mapping.correspondence
+            ref, C = reference_map(spec), scan_row(spec.name)[7]
             points = [INFINITY] + [
                 spec.lattice_point(n, m) for n in range(-3, 4) for m in range(-3, 4)
             ]
@@ -604,7 +661,6 @@ class TestOrbits:
         for spec in specs.values():
             grid = lattice_scan(spec)
             symmetry_audit(grid, spec.symmetry, spec=spec)
-            spec.validate()
 
 
 def _members(spec):

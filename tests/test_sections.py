@@ -1,6 +1,5 @@
-"""Quadratic-section engine tests: conditions, conics, quartic Jacobians."""
+"""Quadratic-section engine tests: conditions and quartic Jacobians."""
 
-import random
 from fractions import Fraction
 
 import pytest
@@ -8,17 +7,8 @@ import pytest
 from ellfam.curves import INFINITY, WeierstrassCurve, isomorphic_over_Q
 from ellfam.families import catalog
 from ellfam.polyq import PolyQ, RatFunc, square_decompose_poly
-from ellfam.sections import (
-    Conic,
-    DegenerateQuartic,
-    QuarticModel,
-    local_obstruction,
-    parametrize_conic,
-    quartic_jacobian,
-    solve_conic,
-)
+from ellfam.sections import DegenerateQuartic, QuarticModel, quartic_jacobian
 
-v = PolyQ.variable("v")
 w = PolyQ.variable("w")
 u = PolyQ.variable("u")
 
@@ -45,130 +35,6 @@ class TestDivisorConditions:
         )
         c18 = section_condition(catalog()["Z8-18"], x18)
         assert same_square_class(c18, 7 * w**2 - 3)
-
-
-class TestConic:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            Conic([[1, 0, 0], [0, 1, 0], [1, 0, 1]])  # not symmetric
-        with pytest.raises(ValueError):
-            Conic([[1, 0, 0], [0, 1, 0], [0, 0, 0]])  # degenerate
-
-    def test_solvable_example(self):
-        # x^2 + y^2 = 2 z^2
-        C = Conic.from_quadratic(1, 1, -2, 0, 0, 0)
-        pt = solve_conic(C)
-        assert pt is not None and C.value(pt) == 0 and any(pt)
-
-    def test_insolvable_example_with_witness(self):
-        # x^2 + y^2 = 3 z^2 has no rational point
-        C = Conic.from_quadratic(1, 1, -3, 0, 0, 0)
-        assert solve_conic(C) is None
-        p = local_obstruction(C)
-        assert p in (2, 3)
-
-    def test_real_obstruction(self):
-        from ellfam.sections import REAL_PLACE
-
-        C = Conic.from_quadratic(1, 1, 1, 0, 0, 0)
-        assert solve_conic(C) is None
-        assert local_obstruction(C) == REAL_PLACE
-
-    def test_section_condition_conic(self):
-        # t^2 = 4v^2 - 4v + 5, projectively 4v^2 - 4vz + 5z^2 - t^2 = 0
-        C = Conic.from_quadratic(4, -1, 5, 0, -4, 0)  # vars (v, t, z)
-        pt = solve_conic(C)
-        assert pt is not None and C.value(pt) == 0
-
-    @pytest.mark.parametrize(
-        "coeffs, point",
-        [
-            # sympy's solver, given coefficients with a common factor,
-            # returns (7, 48, 1), which is not on the conic
-            ((6, -14, 3486), (112, 75, 1)),
-            # and here finds no point at all
-            ((17, 15, -139910), (175, 51, 2)),
-        ],
-    )
-    def test_diagonal_with_shared_factors(self, coeffs, point):
-        C = Conic.from_quadratic(*coeffs, 0, 0, 0)
-        assert C.value(point) == 0
-        pt = solve_conic(C)
-        assert pt is not None and C.value(pt) == 0 and any(pt)
-
-    def test_every_locally_solvable_conic_is_solved(self):
-        rng = random.Random(1)
-        solved = 0
-        for _ in range(200):
-            try:
-                C = Conic.from_quadratic(*(rng.randint(-20, 20) for _ in range(6)))
-            except ValueError:
-                continue  # degenerate
-            pt = solve_conic(C)
-            if local_obstruction(C) is None:
-                assert pt is not None and C.value(pt) == 0 and any(pt)
-                solved += 1
-            else:
-                assert pt is None
-        assert solved > 100
-
-    def test_zero_diagonal_gives_instant_point(self):
-        # xy = z^2 has the obvious point (1, 0, 0)
-        C = Conic([[0, 1, 0], [1, 0, 0], [0, 0, -2]])
-        pt = solve_conic(C)
-        assert pt is not None and C.value(pt) == 0
-
-
-class TestParametrizeConic:
-    def test_unit_circle(self):
-        C = Conic.from_quadratic(1, 1, -1, 0, 0, 0)
-        x, y, z = parametrize_conic(C, (1, 0, 1))
-        assert (x * x + y * y - z * z).is_zero()
-        # base point attained at a rational parameter value
-        assert self._attains(C, (x, y, z), (Fraction(1), Fraction(0), Fraction(1)))
-
-    def test_section_conic_recovers_parametrization(self):
-        # lines through (1, 4, 2), i.e. v = 1/2, t = 2, on t^2 = 4v^2 - 4v + 5;
-        # the swept v/z is an alternative form of the parametrization attached
-        # to the first rank-1 entry
-        C = Conic.from_quadratic(4, -1, 5, 0, -4, 0)
-        x, t, z = parametrize_conic(C, (1, 4, 2))
-        val = sum(
-            a * b * m
-            for (a, b, m) in [
-                (x, x, 4), (x, z, -4), (z, z, 5), (t, t, -1),
-            ]
-        )
-        assert val.is_zero()
-        # substituting the swept value v(t)/z(t) into the condition gives a
-        # perfect square, as the catalog's printed substitution does
-        cond = 4 * x * x - 4 * x * z + 5 * z * z
-        _s, core = square_decompose_poly(cond)
-        assert core == 1
-
-    def test_off_conic_point_rejected(self):
-        C = Conic.from_quadratic(1, 1, -1, 0, 0, 0)
-        with pytest.raises(ValueError):
-            parametrize_conic(C, (2, 0, 1))
-
-    @staticmethod
-    def _attains(C, param, p0):
-        x, y, z = param
-        import sympy
-
-        t = sympy.Symbol("t")
-        # solve for t where the parametrized point is proportional to p0
-        exprs = [x, y, z]
-        vals = [p0[0], p0[1], p0[2]]
-        # cross-ratios: find t with x(t) * p0[1] == y(t) * p0[0] etc.
-        eqs = []
-        for i in range(3):
-            for j in range(i + 1, 3):
-                pi = sum(sympy.Rational(c) * t**k for k, c in enumerate(exprs[i].coeffs))
-                pj = sum(sympy.Rational(c) * t**k for k, c in enumerate(exprs[j].coeffs))
-                eqs.append(sympy.expand(pi * sympy.Rational(vals[j]) - pj * sympy.Rational(vals[i])))
-        sols = sympy.solve(eqs, t)
-        return bool(sols)
 
 
 class TestQuarticJacobian:
