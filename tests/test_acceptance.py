@@ -134,17 +134,12 @@ def test_criterion_03_worked_square_condition_example(cat):
     val = ratfunc_substitute(RatFunc(q), v1)
     rt = ratfunc_sqrt(val)
     assert rt * rt == val
-    # t^2 = 4v^2 - 4vz + 5z^2 as a conic in (v, t, z): the line through its
-    # point p = (1, 4, 2) in direction d = (1, k, 0) meets it again at
-    # Q(d) p - 2 B(p, d) d, and v = X/Z there makes the condition a square
-    k = PolyQ.variable("k")
+    from test_sections import conic_line_sweep, section_conic
 
-    def bilinear(a, b):
-        return 4 * a[0] * b[0] - a[1] * b[1] + 5 * a[2] * b[2] - 2 * (a[0] * b[2] + a[2] * b[0])
-
-    p, d = (1, 4, 2), (1, k, 0)
-    X, T, Z = (bilinear(d, d) * p[i] - 2 * bilinear(p, d) * d[i] for i in range(3))
-    assert bilinear((X, T, Z), (X, T, Z)).is_zero()
+    # t^2 = 4v^2 - 4vz + 5z^2 as a conic in (v, t, z): the lines through its
+    # point p = (1, 4, 2) meet it again where v = X/Z makes the condition a square
+    X, T, Z = conic_line_sweep(section_conic, (1, 4, 2))
+    assert section_conic((X, T, Z), (X, T, Z)).is_zero()
     _s2, core = square_decompose_poly(4 * X * X - 4 * X * Z + 5 * Z * Z)
     assert core == 1
     # both parametrize the same conic: the recorded substitution's point

@@ -37,6 +37,32 @@ class TestDivisorConditions:
         assert same_square_class(c18, 7 * w**2 - 3)
 
 
+def conic_line_sweep(bilinear, p):
+    """Second intersections of the conic B(x, x) = 0 with the lines through
+    its point p in the directions (1, k, 0): Q(d) p - 2 B(p, d) d, in k."""
+    k = PolyQ.variable("k")
+    d = (1, k, 0)
+    return tuple(bilinear(d, d) * p[i] - 2 * bilinear(p, d) * d[i] for i in range(3))
+
+
+def section_conic(a, b):
+    # t^2 = 4v^2 - 4vz + 5z^2, the Z8-1 condition as a conic in (v, t, z)
+    return 4 * a[0] * b[0] - a[1] * b[1] + 5 * a[2] * b[2] - 2 * (a[0] * b[2] + a[2] * b[0])
+
+
+class TestParametrizeConic:
+    def test_section_conic_recovers_parametrization(self):
+        # lines through (1, 4, 2), i.e. v = 1/2, t = 2, on t^2 = 4v^2 - 4v + 5;
+        # the swept v/z is an alternative form of the parametrization attached
+        # to the first rank-1 entry
+        x, t, z = conic_line_sweep(section_conic, (1, 4, 2))
+        assert section_conic((x, t, z), (x, t, z)).is_zero()
+        # substituting the swept value v(k)/z(k) into the condition gives a
+        # perfect square, as the catalog's printed substitution does
+        _s, core = square_decompose_poly(4 * x * x - 4 * x * z + 5 * z * z)
+        assert core == 1
+
+
 class TestQuarticJacobian:
     def test_validation(self):
         with pytest.raises(DegenerateQuartic):
