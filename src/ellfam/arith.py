@@ -28,10 +28,9 @@ import contextlib
 import functools
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 
 class Unfactored(Exception):
@@ -160,8 +159,12 @@ def _strong_lucas(n: int) -> bool:
     return False
 
 
-@dataclass(frozen=True)
-class FactorBudget:
+class _BudgetFields(NamedTuple):
+    trial_bound: int = 10**6
+    rho_iterations: int = 2 * 10**6
+
+
+class FactorBudget(_BudgetFields):
     """Effort limit for integer factorization.
 
     trial_bound: trial-divide by the primes below this bound.
@@ -175,19 +178,22 @@ class FactorBudget:
         its cost is not charged to the allowance.
     """
 
-    trial_bound: int = 10**6
-    rho_iterations: int = 2 * 10**6
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.trial_bound < 0 or self.rho_iterations < 0:
             raise ValueError("trial_bound and rho_iterations must be nonnegative")
+        return self
+
+    # _replace copies through _make, so a changed copy is checked too
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
 DEFAULT_BUDGET = FactorBudget()
 
 
-@dataclass(frozen=True)
-class FactoredInt:
+class FactoredInt(NamedTuple):
     """A partially factored integer: value = sign * prod(p**e) * residue.
 
     ``residue`` is 1 when the factorization is complete; otherwise it is the
@@ -476,10 +482,13 @@ def split_memo() -> Iterator[None]:
 def _split_rest(n: int, found: dict[int, int], budget: FactorBudget) -> int:
     """Split n, the rest that trial division left, with rho until the
     budget's allowance runs out (_rho_split); the primes go into found with
-    their exponents, and what is left (1 when complete) is returned.
-    Within split_memo a rest already split is not split again."""
+    their exponents, and what is left (1 when complete) is returned; a
+    rest of 1 is returned at once.  Within split_memo a rest already split
+    is not split again."""
+    if n == 1:
+        return 1
     memo = _split_memo
-    if memo is None or n == 1:
+    if memo is None:
         return _rho_split(n, found, budget)
     key = (n, budget)
     if key not in memo:
@@ -492,14 +501,14 @@ def _split_rest(n: int, found: dict[int, int], budget: FactorBudget) -> int:
 
 
 def _rho_split(n: int, found: dict[int, int], budget: FactorBudget) -> int:
-    """_split_rest without the memo.
+    """_split_rest without the memo, for n > 1.
 
     Each prime is proven once and divided out of every cofactor popped
     after it; a perfect power is pushed once, as its root; a cofactor rho
     cannot split is dropped, and is left in the residue.
     """
     primes: list[int] = []
-    stack = [n] if n > 1 else []
+    stack = [n]
     iters = budget.rho_iterations
     while stack:
         m = stack.pop()

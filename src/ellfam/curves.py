@@ -10,9 +10,8 @@ isomorphism testing apply to curves over Q.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 from .arith import integer_nthroot, is_prime, square_test
 from .polyq import PolyQ, RatFunc, gcd_mod_p, homogeneous_value
@@ -25,8 +24,7 @@ class OffCurve(Exception):
     """A point failed the curve equation."""
 
 
-@dataclass(frozen=True)
-class CurvePoint:
+class CurvePoint(NamedTuple):
     """Affine point (x, y) or the point at infinity (x = y = None)."""
 
     x: Optional[FieldElem] = None
@@ -335,8 +333,7 @@ def _integral_multiples(a2: int, a4: int, P: CurvePoint) -> Optional[list[tuple[
     return None
 
 
-@dataclass(frozen=True)
-class PointMap:
+class PointMap(NamedTuple):
     """The point part of a Weierstrass change of coordinates (old -> new)."""
 
     u: FieldElem
@@ -496,8 +493,7 @@ def torsion_label(structure: tuple[int, ...]) -> str:
     return " x ".join(f"Z/{n}" for n in structure)
 
 
-@dataclass(frozen=True)
-class TorsionGroup:
+class TorsionGroup(NamedTuple):
     """structure: (n,) for Z/n or (2, 2m) for Z/2 x Z/2m; generators included."""
 
     structure: tuple[int, ...]

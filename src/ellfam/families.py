@@ -29,10 +29,9 @@ parent of the base models are stated once, in _BASE_MODELS.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from functools import cached_property
 from fractions import Fraction
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .arith import DEFAULT_BUDGET, FactorBudget, factor, squarefree_decompose, valuation
 from .curves import INFINITY, CurvePoint, WeierstrassCurve
@@ -64,8 +63,17 @@ class SingularMember(ValueError):
     A(u) B(u) (A^2 - 4B)(u) = 0."""
 
 
-@dataclass(frozen=True)
-class SpecializedCurve:
+class _MemberFields(NamedTuple):
+    label: str
+    value: Fraction
+    A: int
+    B: int
+    sections: tuple[CurvePoint, ...]
+    torsion_points: tuple[CurvePoint, ...]
+    scale: Fraction
+
+
+class SpecializedCurve(_MemberFields):
     """A member of a family at a rational parameter value, in integral form.
 
     (A, B) = (l^2 A(value), l^4 B(value)) and each point is mapped by
@@ -75,13 +83,8 @@ class SpecializedCurve:
     torsion points.
     """
 
-    label: str
-    value: Fraction
-    A: int
-    B: int
-    sections: tuple[CurvePoint, ...]
-    torsion_points: tuple[CurvePoint, ...]
-    scale: Fraction
+    def __setattr__(self, *a):
+        raise AttributeError("SpecializedCurve is immutable")
 
     def curve(self) -> WeierstrassCurve:
         return WeierstrassCurve(0, self.A, 0, self.B, 0)
@@ -109,10 +112,7 @@ def _specialize_point(P: CurvePoint, value: Fraction, lam: Fraction) -> CurvePoi
     return CurvePoint(*coords)
 
 
-@dataclass(frozen=True)
-class CurveFamily:
-    """y^2 = x^3 + A(t)x^2 + B(t)x over Q(t) with prescribed torsion."""
-
+class _FamilyFields(NamedTuple):
     label: str
     torsion: tuple[int, ...]
     A: PolyQ
@@ -124,10 +124,22 @@ class CurveFamily:
     condition: Optional[PolyQ] = None
     spec_hint: Optional[Fraction] = None
 
-    def __post_init__(self):
+
+class CurveFamily(_FamilyFields):
+    """y^2 = x^3 + A(t)x^2 + B(t)x over Q(t) with prescribed torsion."""
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         # specialize reads A and B off their integer coefficients
         if self.A.den != 1 or self.B.den != 1:
             raise ValueError(f"{self.label}: A and B must have integer coefficients")
+        return self
+
+    # _replace copies through _make, so a changed copy is checked too
+    _make = classmethod(lambda cls, fields: cls(*fields))
+
+    def __setattr__(self, *a):
+        raise AttributeError("CurveFamily is immutable")
 
     @property
     def var(self) -> str:
@@ -305,7 +317,7 @@ def substitute_parameter(
         raise ValueError(f"transported points left the curve for {label}")
     # each section is proven by the exact square root that lifts it
     pts = (verify_section(new, scaled(x, 2) if x.var == family.var else x) for x in sections)
-    return replace(new, sections=tuple(pts))
+    return new._replace(sections=tuple(pts))
 
 
 def _parametrized_conic(sub: RatFunc, var: str) -> PolyQ:
@@ -408,7 +420,7 @@ def model_z2x6() -> CurveFamily:
     T2 = CurvePoint(x2, RatFunc.const(0, "v"))
     # substitute_parameter proved the generator, and T2 is on the curve
     # because poly_sqrt is exact
-    return replace(fam, torsion=torsion, torsion_points=(T2,) + fam.torsion_points)
+    return fam._replace(torsion=torsion, torsion_points=(T2,) + fam.torsion_points)
 
 
 # -- catalog --------------------------------------------------------------

@@ -21,9 +21,8 @@ multiplicative height of the x-coordinate, so ``ĥ(2P) = 4·ĥ(P)``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .arith import DEFAULT_BUDGET, FactorBudget, _coprime_pieces, valuation
 from .curves import CurvePoint, WeierstrassCurve, division_poly
@@ -162,8 +161,7 @@ def canonical_height(
     return _height_on_minimal(Emin, Q)
 
 
-@dataclass(frozen=True)
-class HeightPairingMatrix:
+class HeightPairingMatrix(NamedTuple):
     points: tuple[CurvePoint, ...]
     entries: tuple[tuple[float, ...], ...]
 

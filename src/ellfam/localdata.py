@@ -23,8 +23,7 @@ translations are closed forms, not searches (Cohen, GTM 138, Algorithm
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .arith import (
     DEFAULT_BUDGET,
@@ -47,8 +46,7 @@ from .curves import (
 from .polyq import _pow_mod, _sub_mod, gcd_mod_p
 
 
-@dataclass(frozen=True)
-class LocalData:
+class LocalData(NamedTuple):
     """Reduction data of a minimal model at one prime."""
 
     p: int

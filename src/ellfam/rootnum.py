@@ -32,8 +32,7 @@ agreed, and merging them lets a key that only one of them had answer both.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .arith import DEFAULT_BUDGET, FactorBudget, hilbert_symbol, jacobi, valuation
 from .curves import WeierstrassCurve
@@ -45,8 +44,7 @@ class MissingLocalCase(Exception):
     """An additive configuration at p in {2, 3} outside the frozen tables."""
 
 
-@dataclass(frozen=True)
-class RootNumber:
+class RootNumber(NamedTuple):
     """Sign of the functional equation with its local decomposition.
 
     complete is False when an unfactored discriminant residue could hide

@@ -29,9 +29,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .arith import (
     DEFAULT_BUDGET,
@@ -63,8 +62,11 @@ class DegenerateFiber(Exception):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BiquadraticCurve:
+class _BiquadraticFields(NamedTuple):
+    coeffs: tuple[tuple[Fraction, Fraction, Fraction], ...]
+
+
+class BiquadraticCurve(_BiquadraticFields):
     """F(r, s) = sum coeffs[i][j] * r^i * s^j = 0 with degree <= 2 per variable.
 
     Invariants: F is irreducible over Q and has degree exactly 2 in at
@@ -72,21 +74,25 @@ class BiquadraticCurve:
     involution.
     """
 
-    coeffs: tuple[tuple[Fraction, Fraction, Fraction], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, coeffs):
         rows = tuple(
-            tuple(Fraction(c) for c in row) for row in self.coeffs
+            tuple(Fraction(c) for c in row) for row in coeffs
         )
         if len(rows) != 3 or any(len(row) != 3 for row in rows):
             raise ValueError("expected a 3 x 3 coefficient array")
-        object.__setattr__(self, "coeffs", rows)
+        self = super().__new__(cls, rows)
         deg_r = max((i for i in range(3) for j in range(3) if rows[i][j]), default=-1)
         deg_s = max((j for i in range(3) for j in range(3) if rows[i][j]), default=-1)
         if deg_r != 2 and deg_s != 2:
             raise ValueError("degree must be exactly 2 in at least one variable")
         if not self._is_irreducible("s" if deg_s == 2 else "r"):
             raise ValueError("the defining polynomial must be irreducible")
+        return self
+
+    # _replace copies through _make, so a changed copy is checked too
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def _is_irreducible(self, var: str) -> bool:
         """F = a x^2 + b x + c, x = ``var`` of degree 2, is reducible over Q
@@ -205,14 +211,7 @@ class ParameterMap:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ScanSpec:
-    """Everything needed to run one lattice scan.
-
-    ``symmetry = (a, b)`` declares that the cells (n, m) and (a-n, b-m)
-    carry Q-isomorphic curves.
-    """
-
+class _SpecFields(NamedTuple):
     name: str
     parametrizer: WeierstrassCurve
     generators: tuple[CurvePoint, CurvePoint]
@@ -223,12 +222,27 @@ class ScanSpec:
     companion_family: Optional[CurveFamily] = None
     budget: FactorBudget = DEFAULT_BUDGET
 
-    def __post_init__(self):
+
+class ScanSpec(_SpecFields):
+    """Everything needed to run one lattice scan.
+
+    ``symmetry = (a, b)`` declares that the cells (n, m) and (a-n, b-m)
+    carry Q-isomorphic curves.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.radius < 0:
             raise ValueError("radius must be nonnegative")
         for P in self.generators:
             if not self.parametrizer.contains(P):
                 raise ValueError("the generators must lie on the parametrizer")
+        return self
+
+    # _replace copies through _make, so a changed copy is checked too
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def lattice_point(self, n: int, m: int) -> CurvePoint:
         """n G1 + m G2; the generators were proven on the curve above."""
@@ -237,8 +251,7 @@ class ScanSpec:
         return E.add(E.mul(n, G1, check=False), E.mul(m, G2, check=False), check=False)
 
 
-@dataclass(frozen=True)
-class ScanCell:
+class ScanCell(NamedTuple):
     n: int
     m: int
     root: Optional[int]
@@ -247,8 +260,7 @@ class ScanCell:
     parameter: Optional[Fraction] = None
 
 
-@dataclass(frozen=True)
-class ScanGrid:
+class ScanGrid(NamedTuple):
     """Scan results: one cell per lattice point."""
 
     name: str
@@ -394,7 +406,7 @@ def lattice_scan(spec: ScanSpec) -> ScanGrid:
                 o = (a - n, b - m)
                 if o in cells and cells[o].complete and isomorphic_over_Q(curves[o], curve):
                     proven.append((o, (n, m)))
-                    cells[n, m] = replace(cells[o], n=n, m=m, parameter=member.value)
+                    cells[n, m] = cells[o]._replace(n=n, m=m, parameter=member.value)
                 else:
                     cells[n, m] = _scan_cell(spec, n, m, (member, curve))
     return ScanGrid(spec.name, R, tuple(cells.values()), tuple(proven))
@@ -405,8 +417,7 @@ def lattice_scan(spec: ScanSpec) -> ScanGrid:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SymmetryReport:
+class SymmetryReport(NamedTuple):
     violations: tuple[tuple[tuple[int, int], tuple[int, int]], ...]
     isomorphic_pairs: int
     isomorphism_failures: tuple[tuple[tuple[int, int], tuple[int, int]], ...]

@@ -10,10 +10,9 @@ that is not a root of q, are converted to their Jacobian elliptic curves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .curves import INFINITY, CurvePoint, PointMap, WeierstrassCurve
 from .polyq import PolyQ, RatFunc, homogeneous_value, square_decompose_poly
@@ -47,14 +46,18 @@ def section_condition(family, x: RatFunc) -> PolyQ:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class QuarticModel:
-    """t^2 = q(u) with q of degree at most 4 and an optional known point."""
-
+class _QuarticFields(NamedTuple):
     q: PolyQ
     known_point: Optional[tuple[Fraction, Fraction]] = None
 
-    def __post_init__(self):
+
+class QuarticModel(_QuarticFields):
+    """t^2 = q(u) with q of degree at most 4 and an optional known point."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.q.degree > 4 or self.q.is_zero():
             raise ValueError("expected a nonzero polynomial of degree <= 4")
         if self.q.gcd(self.q.derivative()).degree > 0:
@@ -63,6 +66,10 @@ class QuarticModel:
             u0, t0 = self.known_point
             if Fraction(t0) ** 2 != self.q(Fraction(u0)):
                 raise ValueError("known point does not satisfy the equation")
+        return self
+
+    # _replace copies through _make, so a changed copy is checked too
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
 class QuarticInverse:

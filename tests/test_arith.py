@@ -638,6 +638,50 @@ class TestSplitMemo:
             large = factor(SMOOTH_PART, FactorBudget(10**3, 10**4))
         assert not small.complete and large.complete and len(calls) == 2
 
+    def test_rest_of_one_is_not_split(self, monkeypatch):
+        # a rest of 1 returns at once, with or without the memo, and leaves
+        # the memo empty
+        def never(*args):
+            raise AssertionError("_rho_split called")
+
+        monkeypatch.setattr(arith, "_rho_split", never)
+        found = {}
+        assert arith._split_rest(1, found, RHO) == 1
+        with arith.split_memo():
+            assert arith._split_rest(1, found, RHO) == 1
+            assert arith._split_memo == {}
+        assert found == {}
+        assert factor(2**5 * 3**3, RHO) == FactoredInt(1, ((2, 5), (3, 3)))
+
+
+class TestRecords:
+    def test_budget_checks_every_copy(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            FactorBudget(-1, 0)
+        with pytest.raises(ValueError, match="nonnegative"):
+            FactorBudget(rho_iterations=-1)
+        with pytest.raises(ValueError, match="nonnegative"):
+            FactorBudget()._replace(trial_bound=-1)
+        assert FactorBudget(5)._replace(rho_iterations=0) == FactorBudget(5, 0)
+        assert FactorBudget() == FactorBudget(10**6, 2 * 10**6)
+
+    def test_equal_budgets_are_one_key(self):
+        a, b = FactorBudget(10**3, 10**4), FactorBudget(trial_bound=10**3, rho_iterations=10**4)
+        assert a == b and hash(a) == hash(b) and len({(7, a), (7, b)}) == 1
+        assert a != FactorBudget(10**3, 10**4 + 1)
+
+    @pytest.mark.parametrize("name", ["trial_bound", "other"])
+    def test_setting_an_attribute_raises(self, name):
+        for record in (FactorBudget(), FactoredInt(1, ((2, 1),))):
+            with pytest.raises(AttributeError):
+                setattr(record, name, 0)
+
+    def test_factored_int_text(self):
+        assert str(FactoredInt(-1, ((2, 3), (5, 1)), 77)) == "-2^3*5*[77]"
+        assert str(FactoredInt(1, ())) == "1"
+        fi = FactoredInt(sign=1, factors=((3, 2),))
+        assert fi.complete and fi.value() == 9 and fi.residue == 1
+
 
 def _rho_recorder(calls: list[tuple[int, int]]):
     """_brent_rho, recording (allowance, iterations spent) of every call."""

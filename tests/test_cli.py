@@ -4,7 +4,6 @@ import json
 import math
 import subprocess
 import sys
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -382,7 +381,7 @@ class TestSections:
     def test_unliftable_section_is_reported(self, capsys, monkeypatch):
         fam = catalog()["Z8R2-1"]
         P = fam.sections[0]
-        wrong = replace(fam, sections=(CurvePoint(P.x + 1, P.y),) + fam.sections[1:])
+        wrong = fam._replace(sections=(CurvePoint(P.x + 1, P.y),) + fam.sections[1:])
         monkeypatch.setattr(cli, "catalog", lambda: {"Z8R2-1": wrong})
         code, out, _ = run(capsys, "sections", "Z8R2-1")
         assert code == 1
@@ -465,14 +464,16 @@ def test_console_script_help():
 
 
 def test_queries_import_neither_sympy_nor_mpmath():
-    # a fresh interpreter in which importing sympy raises runs all nine
-    # commands: catalog, rootnumber, sections, torsion (Z/2 x Z/6 and Z/8),
-    # specialize and local without mpmath either, verify-all and heights
-    # with mpmath, and each built-in scan at radius 1, factoring its
-    # family's discriminant, as CSV and as JSON
+    # a fresh interpreter in which importing sympy or dataclasses raises
+    # runs all nine commands: catalog, rootnumber, sections, torsion
+    # (Z/2 x Z/6 and Z/8), specialize and local without mpmath either, and
+    # catalog and rootnumber without inspect, verify-all and heights with
+    # mpmath, and each built-in scan at radius 1, factoring its family's
+    # discriminant, as CSV and as JSON
     script = """
 import contextlib, io, sys
-sys.modules["sympy"] = None  # from here on, "import sympy" raises ImportError
+# from here on, "import sympy" and "import dataclasses" raise ImportError
+sys.modules["sympy"] = sys.modules["dataclasses"] = None
 from ellfam import cli
 
 def run(*argv):
@@ -480,7 +481,8 @@ def run(*argv):
         assert cli.main(list(argv)) == 0
     return [m for m in ("mpmath",) if m in sys.modules]
 
-print(run("catalog"), run("rootnumber", "Z8R2-1", "--u", "22"), run("sections", "Z8R2-4"))
+print(run("catalog"), run("rootnumber", "Z8R2-1", "--u", "22"), "inspect" in sys.modules)
+print(run("sections", "Z8R2-4"))
 print(run("torsion", "Z2x6R2-3", "--u", "22"), run("torsion", "Z8R2-1", "--u", "22"))
 print(run("specialize", "Z8R2-1", "--u", "22"), run("local", "--curve", "0,-1,1,-10,-20"))
 print(run("verify-all"))
@@ -493,7 +495,7 @@ for name in ("Z8-scan-1", "Z8-scan-2", "Z2x6-scan-1"):
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
-        "[] [] []", "[] []", "[] []", "['mpmath']", "['mpmath']",
+        "[] [] False", "[]", "[] []", "[] []", "['mpmath']", "['mpmath']",
         "Z8-scan-1 None", "Z8-scan-2 None", "Z2x6-scan-1 None",
     ]
 

@@ -383,6 +383,23 @@ def generator_orders(E, T):
     return [E.point_order(P) for P in T.generators]
 
 
+class TestRecords:
+    def test_point_text(self):
+        assert str(CurvePoint(Fraction(-1, 2), Fraction(3))) == "(-1/2, 3)"
+        assert str(INFINITY) == "O" and INFINITY == CurvePoint() and INFINITY.is_infinity
+
+    @pytest.mark.parametrize("name", ["x", "u", "structure", "other"])
+    def test_setting_an_attribute_raises(self, name):
+        T = torsion_subgroup(WeierstrassCurve(0, 49, 0, 256, 0))
+        for record in (CurvePoint(Fraction(1), Fraction(2)), PointMap(2, 0, 0, 0), T):
+            with pytest.raises(AttributeError):
+                setattr(record, name, 0)
+
+    def test_equal_points_hash_equal(self):
+        P, Q = CurvePoint(Fraction(5), Fraction(5)), CurvePoint(x=Fraction(5), y=Fraction(5))
+        assert P == Q and hash(P) == hash(Q) and len({P, Q, INFINITY}) == 2
+
+
 class TestTorsion:
     def test_trivial(self):
         assert torsion_subgroup(E37()).structure == (1,)

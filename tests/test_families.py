@@ -2,7 +2,6 @@
 
 import hashlib
 import math
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -202,12 +201,12 @@ class TestCatalogPin:
         fam = catalog()[label]
         for i, P in enumerate(fam.sections):
             moved = fam.sections[:i] + (move(P),) + fam.sections[i + 1:]
-            assert not replace(fam, sections=moved).verify()
+            assert not fam._replace(sections=moved).verify()
         for i, P in enumerate(fam.torsion_points):
             if move(P) == P:  # a 2-torsion point has y = 2y = 0
                 continue
             moved = fam.torsion_points[:i] + (move(P),) + fam.torsion_points[i + 1:]
-            assert not replace(fam, torsion_points=moved).verify()
+            assert not fam._replace(torsion_points=moved).verify()
 
     def test_verify_section_rejects_moved_x(self):
         # Z8R2-1's second section has x-denominator u^2
@@ -803,6 +802,19 @@ class TestSpecialization:
             product *= g**e
         assert product == fam.B
 
+    def test_discriminant_factors_computed_once_per_family(self, monkeypatch):
+        # a copy is a new family object, which factors once on first read;
+        # the original keeps its own
+        fam = catalog()["Z2x6R2-3"]
+        cached = fam.discriminant_factors
+        calls = []
+        real = PolyQ.factor
+        monkeypatch.setattr(PolyQ, "factor", lambda f, *a: calls.append(f) or real(f, *a))
+        copy = fam._replace(label="copy")
+        assert copy.discriminant_factors == cached
+        assert copy.discriminant_factors is copy.discriminant_factors
+        assert len(calls) == 2 and fam.discriminant_factors is cached and len(calls) == 2
+
     @pytest.mark.parametrize("label", ["Z8R2-1", "Z2x6R2-3"])
     def test_unfactored_denominator_is_cleared(self, label):
         # 1009 * 1013 is above the trial bound 10 and rho is off, but u is
@@ -832,6 +844,25 @@ class TestSpecialization:
             assert E.contains(P)
         T = torsion_subgroup(E, hints=s.torsion_points)
         assert T.structure == ((8,) if label.startswith("Z8") else (2, 6))
+
+
+class TestRecords:
+    def test_copy_checks_integer_coefficients(self):
+        fam = catalog()["Z8-1"]
+        with pytest.raises(ValueError, match="integer coefficients"):
+            fam._replace(A=fam.A + Fraction(1, 2))
+        copy = fam._replace(label=fam.label)
+        assert copy == fam and hash(copy) == hash(fam) and copy is not fam
+
+    @pytest.mark.parametrize("name", ["label", "discriminant_factors", "points", "other"])
+    def test_setting_an_attribute_raises(self, name):
+        fam = catalog()["Z8R2-1"]
+        member = fam.specialize(22)
+        assert fam.discriminant_factors and member.points  # both cached
+        for record in (fam, member):
+            with pytest.raises(AttributeError):
+                setattr(record, name, 0)
+        assert member.points == fam.specialize(22).points
 
 
 class TestSubstituteParameter:
@@ -879,7 +910,7 @@ class TestSubstituteParameter:
         # section asked for would not lift either
         fam = model_z8()
         (P,) = fam.torsion_points
-        bad = replace(fam, torsion_points=(CurvePoint(P.x + 1, P.y),))
+        bad = fam._replace(torsion_points=(CurvePoint(P.x + 1, P.y),))
         ww = RatFunc.variable("w")
         with pytest.raises(ValueError, match="transported points left the curve"):
             substitute_parameter(
@@ -901,7 +932,7 @@ class TestSubstituteParameter:
         monkeypatch.setattr(families, "_cleared_cubic", counted)
         _label, _parent, sub, xs, _hint = next(r for r in _catalog_rows() if r[0] == "Z8-3")
         new = substitute_parameter(model_z8(), sub, label="t", sections=xs)
-        assert new == replace(parent, label="t")
+        assert new == parent._replace(label="t")
         # one torsion point and one section
         assert len(calls) == 2
 

@@ -1,5 +1,5 @@
 """Every module under src/ and tests/ reads each name it imports, and no
-module under src/ imports sympy."""
+module under src/ imports sympy or dataclasses."""
 
 import ast
 import hashlib
@@ -44,9 +44,9 @@ def unused_imports(source: str) -> list[str]:
     return [f"{name} (line {line})" for name, line in imported.items() if name not in read]
 
 
-def sympy_imports(source: str) -> list[int]:
-    """Lines of every import of sympy or a sympy submodule, function-local
-    ones included."""
+def module_imports(source: str, module: str) -> list[int]:
+    """Lines of every import of ``module`` or one of its submodules,
+    function-local ones included."""
     lines = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
@@ -55,7 +55,7 @@ def sympy_imports(source: str) -> list[int]:
             names = [node.module]
         else:
             continue
-        if any(name.split(".")[0] == "sympy" for name in names):
+        if any(name.split(".")[0] == module for name in names):
             lines.append(node.lineno)
     return lines
 
@@ -69,17 +69,31 @@ def test_sympy_scan_sees_every_import_form():
         "def f():\n"
         "    from sympy.solvers import solve\n"
     )
-    assert sympy_imports(source) == [1, 2, 6]
+    assert module_imports(source, "sympy") == [1, 2, 6]
+    source = (
+        "import dataclasses as dc\n"
+        "from dataclasses import field\n"
+        "from typing import NamedTuple\n"
+        "def f():\n"
+        "    import dataclasses\n"
+    )
+    assert module_imports(source, "dataclasses") == [1, 2, 5]
 
 
-@pytest.mark.parametrize(
-    "path",
-    [p for p in MODULES if p.is_relative_to(ROOT / "src")],
-    ids=lambda p: str(p.relative_to(ROOT)),
-)
+SRC_MODULES = [p for p in MODULES if p.is_relative_to(ROOT / "src")]
+
+
+@pytest.mark.parametrize("path", SRC_MODULES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_src_imports_no_sympy(path):
     # sympy is a test dependency only; the package runs without it
-    assert sympy_imports(path.read_text()) == []
+    assert module_imports(path.read_text(), "sympy") == []
+
+
+@pytest.mark.parametrize("path", SRC_MODULES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_src_imports_no_dataclasses(path):
+    # records are NamedTuples or slotted classes: importing dataclasses
+    # would load inspect, and its records generate their methods at import
+    assert module_imports(path.read_text(), "dataclasses") == []
 
 
 def test_tracer_layers_resolve():

@@ -2,7 +2,6 @@
 
 import math
 import sys
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -13,6 +12,7 @@ from ellfam import arith, families, scan
 from ellfam.arith import FactorBudget
 from ellfam.curves import (
     INFINITY,
+    CurvePoint,
     PointMap,
     WeierstrassCurve,
     isomorphic_over_Q,
@@ -416,6 +416,29 @@ class TestIntegerMap:
             scan.ParameterMap(E, (0, 87), spec.mapping._inv.q)
 
 
+class TestRecords:
+    def test_copies_are_checked(self, specs):
+        spec = specs["Z8-scan-1"]
+        G1, G2 = spec.generators
+        with pytest.raises(ValueError, match="must lie on the parametrizer"):
+            spec._replace(generators=(CurvePoint(G1.x + 1, G1.y), G2))
+        with pytest.raises(ValueError, match="radius must be nonnegative"):
+            spec._replace(radius=-1)
+        assert spec._replace(radius=3).radius == 3
+        # r^2 - s^2 factors
+        with pytest.raises(ValueError, match="irreducible"):
+            CURVE_C._replace(coeffs=((0, 0, -1), (0, 0, 0), (1, 0, 0)))
+        # a copy coerces as the constructor does
+        assert CURVE_C._replace(coeffs=[[int(c) for c in row] for row in CURVE_C.coeffs]) == CURVE_C
+
+    @pytest.mark.parametrize("name", ["radius", "coeffs", "root", "other"])
+    def test_setting_an_attribute_raises(self, specs, grids, name):
+        grid = grids["Z2x6-scan-1"]
+        for record in (specs["Z2x6-scan-1"], CURVE_C, grid, grid.cells[0]):
+            with pytest.raises(AttributeError):
+                setattr(record, name, 0)
+
+
 class TestLatticeScan:
     def test_origin_skipped(self, grids):
         for grid in grids.values():
@@ -439,7 +462,7 @@ class TestLatticeScan:
         assert again.to_json() == grids["Z2x6-scan-1"].to_json()
 
     def test_counted_cell_proves_each_point_once(self, specs, grids, monkeypatch):
-        # the generators were proven in ScanSpec.__post_init__, so only
+        # the generators were proven in the ScanSpec constructor, so only
         # torsion_subgroup's hints are checked on the curve, and no check
         # comes from lattice_point
         real = WeierstrassCurve.contains
@@ -523,7 +546,7 @@ class TestSymmetryAudit:
             and index[(a - c.n, b - c.m)].root is not None
         )
         corrupted = tuple(
-            replace(c, root=-c.root) if (c.n, c.m) == (target.n, target.m) else c
+            c._replace(root=-c.root) if (c.n, c.m) == (target.n, target.m) else c
             for c in grid.cells
         )
         bad = ScanGrid(name=grid.name, radius=grid.radius, cells=corrupted)
@@ -618,7 +641,7 @@ class TestOrbits:
 
     def test_partner_of_incomplete_cell_is_computed_on_its_own(self, radius2_specs):
         # trial division to 100 and no rho leave most cells incomplete
-        spec = replace(radius2_specs["Z8-scan-2"], budget=FactorBudget(100, 0))
+        spec = radius2_specs["Z8-scan-2"]._replace(budget=FactorBudget(100, 0))
         grid = lattice_scan(spec)
         later = [
             (o, c) for o, c in _later_cells(grid, spec.symmetry)

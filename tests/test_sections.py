@@ -70,6 +70,16 @@ class TestQuarticJacobian:
         with pytest.raises(ValueError):
             QuarticModel(u**4 + 1, (Fraction(1), Fraction(1)))
 
+    def test_copies_are_checked(self):
+        model = QuarticModel(u**4 + 1, known_point=(Fraction(0), Fraction(1)))
+        with pytest.raises(DegenerateQuartic):
+            model._replace(q=(u - 1) ** 2 * (u + 2), known_point=None)
+        with pytest.raises(ValueError, match="known point"):
+            model._replace(known_point=(Fraction(1), Fraction(1)))
+        with pytest.raises(AttributeError):
+            model.q = u
+        assert model._replace(known_point=None) == QuarticModel(u**4 + 1)
+
     def test_known_cubic_models(self):
         r = PolyQ.variable("r")
         cases = [
