@@ -8,14 +8,18 @@ p - 1 probe (stage 1, bound 10^4, with a gcd checkpoint at 10^3) in every
 call that runs 2^11 iterations without a split.  Trial division walks the
 primes that the sieve already holds below 727, the first block of 128
 primes, in one loop, and from there on segments cut at the square root of
-what is left, growing the sieve only when a segment reaches past it.  All
-values are immutable and every result depends on the arguments alone; the
-one shared state is the module's prime sieve, which the factoring routines
-and primes_below() grow in place, with the products of its blocks of
-primes that trial division caches, and the memo of rests that rho has
-split, which lives only inside a split_memo() block (one lattice scan);
-none of them is thread-safe.  The probe's exponents are built from the
-sieve once, on first use.
+what is left, growing the sieve to a segment's end only when the segment
+reaches past it: a walk that stops in the segment [lo, hi) leaves the sieve
+at least hi long, and hi is at most lo^2.  A rest 1 < n < lo^2 left where
+the walk ends at lo has had every prime up to its square root tried: it is
+prime, and joins the factors with exponent 1; only a larger rest goes on to
+is_prime and rho.  All values are immutable and every result depends on the
+arguments alone; the one shared state is the module's prime sieve, which the
+factoring routines and primes_below() grow in place, with the products of
+its blocks of primes that trial division caches, and the memo of rests that
+rho has split, which lives only inside a split_memo() block (one lattice
+scan); none of them is thread-safe.  The probe's exponents are built from
+the sieve once, on first use.
 
 Rationals are plain ``fractions.Fraction`` objects; the stdlib type already
 keeps gcd(num, den) = 1 and den >= 1, which is exactly the canonical form we
@@ -198,8 +202,9 @@ class FactoredInt(NamedTuple):
 
     ``residue`` is 1 when the factorization is complete; otherwise it is the
     unfactored leftover (from factor(), with no prime factor below the
-    trial bound that was used).  Every prime listed in
-    ``factors`` has passed ``is_prime``.
+    trial bound that was used).  Every prime listed in ``factors`` has
+    passed ``is_prime``, or has been proven prime by trial division: a rest
+    of the walk below the square of where it stopped.
     """
 
     sign: int
@@ -413,6 +418,10 @@ def factor(n: int, budget: FactorBudget = DEFAULT_BUDGET) -> FactoredInt:
             if n % p == 0:
                 n, found[p] = _strip(n, p)
         lo = hi
+    if 1 < n < lo * lo:
+        # every prime below lo, or below a p with p^2 > n, has been tried
+        found[n] = 1
+        n = 1
     residue = _split_rest(n, found, budget)
     return FactoredInt(sign, tuple(sorted(found.items())), residue)
 
@@ -428,7 +437,9 @@ def _trial_divide(values: list[int], bound: int) -> tuple[list[int], list[dict[i
     product of the rests and, only when it divides it, against each rest; a
     whole block of primes takes one gcd with that product (_trial_primes).
     Each rest has no prime factor below min(p, bound) for the prime p the
-    walk stopped at, and is 1 or prime when p^2 exceeds it.
+    walk stopped at; a rest that this proves prime (one below lo^2, with
+    every prime below the walk's end lo tried) joins its found primes with
+    exponent 1, and its rest is 1.
     """
     rests = list(map(abs, values))
     found: list[dict[int, int]] = [{} for _ in rests]
@@ -455,6 +466,11 @@ def _trial_divide(values: list[int], bound: int) -> tuple[list[int], list[dict[i
         hi = min(bound, math.isqrt(top) + 1, lo * lo)
         if hi > len(_sieve_flags):
             _sieve_to(hi)
+    # a rest below lo^2 is prime, as in factor()
+    for k, r in enumerate(rests):
+        if 1 < r < lo * lo:
+            found[k][r] = 1
+            rests[k] = 1
     return rests, found
 
 
@@ -727,7 +743,11 @@ def valuation(n: int, p: int) -> int:
         raise ValueError("valuation of 0")
     if p < 2:
         raise ValueError(f"valuation needs p >= 2, not {p}")
-    return _strip(abs(n), p)[1]
+    e = 0
+    while n % p == 0:
+        n //= p
+        e += 1
+    return e
 
 
 def hilbert_symbol(a: Fraction | int, b: Fraction | int, p: Optional[int]) -> int:

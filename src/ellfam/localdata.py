@@ -326,14 +326,14 @@ def _tate_ints(
             return LocalData(p, f"I{n}", 1, n, "split-multiplicative", n)
         return LocalData(p, f"I{n}", 1, 2 - n % 2, "nonsplit-multiplicative", n)
     a, r = _move_singular_point(a, p, b2, b4, b6)
+    if a[4] % p2 != 0:
+        return LocalData(p, "II", n, 1, "additive", n)
     # b6 and b8 after x -> x + r (a translation in y moves no b_i)
     b6, b8 = (
         b6 + r * (2 * b4 + r * (b2 + 4 * r)),
         b8 + r * (3 * b6 + r * (3 * b4 + r * (b2 + 3 * r))),
     )
     a1, a2, a3, a4, a6 = a
-    if a6 % p2 != 0:
-        return LocalData(p, "II", n, 1, "additive", n)
     if b8 % p3 != 0:
         return LocalData(p, "III", n - 1, 2, "additive", n)
     if b6 % p3 != 0:

@@ -175,6 +175,8 @@ M61, M89, M107, M127 = 2**61 - 1, 2**89 - 1, 2**107 - 1, 2**127 - 1
 P7, Q7 = 10000019, 20000003  # primes above the trial bounds below
 NO_RHO = FactorBudget(10**3, 0)
 RHO = FactorBudget(10**3, 10**6)
+# trial bounds at which the walk tries no prime, or only a few
+TINY_BOUNDS = tuple(FactorBudget(tb, 10**4) for tb in (0, 1, 2, 10))
 
 
 class TestFactor:
@@ -311,14 +313,24 @@ class TestFactor:
     @given(
         st.lists(
             st.tuples(
-                st.sampled_from([2, 3, 101, 7919, P7, Q7, 1000003, M61]),
+                st.sampled_from([2, 3, 7, 11, 97, 101, 7919, P7, Q7, 1000003, M61]),
                 st.integers(min_value=1, max_value=4),
             ),
             max_size=5,
         ),
         st.integers(min_value=1, max_value=10**20),
-        st.sampled_from([NO_RHO, FactorBudget(10**2, 10**4), RHO]),
+        st.sampled_from([NO_RHO, FactorBudget(10**2, 10**4), RHO, *TINY_BOUNDS]),
     )
+    # the walk ends at lo = trial_bound: rests just below lo^2 are proven
+    # prime by it, rests at lo^2 (4 = 2^2, 121 = 11^2) and above are not
+    @example([(3, 1)], 1, FactorBudget(2, 10**4))
+    @example([(2, 2)], 1, FactorBudget(2, 10**4))
+    @example([(97, 1)], 2 * 3 * 5 * 7, FactorBudget(10, 10**4))
+    @example([(101, 1)], 2 * 3 * 5 * 7, FactorBudget(10, 10**4))
+    @example([(11, 2)], 2 * 3 * 5 * 7, FactorBudget(11, 10**4))
+    @example([(7919, 1)], 1, FactorBudget(89, 10**4))
+    @example([(3, 1), (7, 1)], 1, FactorBudget(0, 10**4))
+    @example([(3, 1), (7, 1)], 1, FactorBudget(1, 10**4))
     @settings(max_examples=80, deadline=None)
     def test_primes_proven_and_coprime_to_residue(self, powers, cofactor, budget):
         n = cofactor * math.prod(p**e for p, e in powers)
@@ -327,6 +339,38 @@ class TestFactor:
         for p, e in fi.factors:
             assert is_prime(p) and e >= 1
             assert math.gcd(fi.residue, p) == 1
+        # the answer of a walk that sends every rest to is_prime and rho
+        assert fi == segment_walk_reference(n, budget)
+
+    @pytest.mark.parametrize(
+        "n,budget,proven",
+        [
+            (3, FactorBudget(2, 0), True),  # lo = 2, 3 < lo^2
+            (4, FactorBudget(2, 0), False),  # 4 = lo^2
+            (2 * 97, FactorBudget(10, 0), True),  # lo = 10, 97 < lo^2
+            (2 * 101, FactorBudget(10, 0), False),
+            (121, FactorBudget(11, 0), False),  # 121 = lo^2
+            (5 * 7, FactorBudget(0, 10**4), False),  # no prime tried
+            (5 * 7, FactorBudget(1, 10**4), False),
+            (3 * 999983, FactorBudget(10**3, 0), True),  # 999983 < lo^2 = 10^6
+            (3 * 1000003, FactorBudget(10**3, 0), False),
+        ],
+    )
+    def test_rest_below_the_walk_square_skips_is_prime(self, monkeypatch, n, budget, proven):
+        # a rest 1 < n < lo^2 has had every prime up to its root tried: it
+        # joins the factors with no is_prime call
+        asked = []
+        is_prime_ = arith.is_prime
+
+        def recorded(m):
+            asked.append(m)
+            return is_prime_(m)
+
+        monkeypatch.setattr(arith, "is_prime", recorded)
+        fi = factor(n, budget)
+        assert fi.complete and fi.value() == n
+        assert (asked == []) == proven
+        assert fi == segment_walk_reference(n, budget)
 
     @given(
         st.lists(
@@ -796,15 +840,18 @@ def _sieve_bounds(calls: list[int]):
     return recorded
 
 
-# 0, +-1, and signed products of powers of small primes, of primes above the
-# trial bound (P7, Q7) and of M61; with trial bound 10^3 every part with P7,
-# Q7 or M61 in it is above trial_bound^2
+# 0, +-1, and signed products of powers of small primes, of primes on either
+# side of 10^2 and of primes above the trial bound (P7, Q7) and of M61; with
+# trial bound 10^3 every part with P7, Q7 or M61 in it is above
+# trial_bound^2, and with trial bound 7 or 10 a rest 7^2, 97 or 101 lies
+# below, at or above the square of where the walk ends
+WALK_PRIMES = (2, 3, 7, 97, 101, P7, Q7, M61)
 walk_parts = st.one_of(
     st.sampled_from([0, 1, -1]),
     st.builds(
-        lambda sign, es: sign * math.prod(p**e for p, e in zip((2, 3, P7, Q7, M61), es)),
+        lambda sign, es: sign * math.prod(p**e for p, e in zip(WALK_PRIMES, es)),
         st.sampled_from([1, -1]),
-        st.tuples(*[st.integers(min_value=0, max_value=k) for k in (40, 12, 3, 2, 2)]),
+        st.tuples(*[st.integers(min_value=0, max_value=k) for k in (40, 12, 2, 1, 1, 3, 2, 2)]),
     ),
 )
 
@@ -816,8 +863,13 @@ class TestSingleWalk:
     @given(
         st.tuples(st.lists(walk_parts, max_size=6), st.integers(min_value=0, max_value=2)),
         st.sampled_from([1, 5, M89]),
-        st.sampled_from([FactorBudget(10**3, 0), FactorBudget(10**3, 3000), FactorBudget(7, 500)]),
+        st.sampled_from(
+            [FactorBudget(10**3, 0), FactorBudget(10**3, 3000)]
+            + [FactorBudget(7, 500), FactorBudget(10, 500)]
+        ),
     )
+    @example(([49, 2 * 97, 3 * 101], 0), 1, FactorBudget(7, 500))
+    @example(([49, 2 * 97, 3 * 101], 0), 1, FactorBudget(10, 500))
     @settings(max_examples=80, deadline=None)
     def test_matches_a_walk_per_part(self, drawn, extra, budget):
         parts, repeats = drawn
