@@ -15,9 +15,9 @@ a-invariants and returns the minimal model's a-invariants, its seven
 invariants and the factored |disc_min|, and _tate_ints is Tate's algorithm
 on an int tuple.  Wrappers on WeierstrassCurve models serve the other
 callers: bad_places the CLI's `local` and conductor, tate_local the CLI's
-`local --prime` and minimal_model heights.  At p = 2 and 3 Tate's
-translations are closed forms, not searches (Cohen, GTM 138, Algorithm
-7.5.1; Cremona 3.2).
+`local --prime`, and minimal_model heights and the scans' parametrizers.
+At p = 2 and 3 Tate's translations are closed forms, not searches (Cohen,
+GTM 138, Algorithm 7.5.1; Cremona 3.2).
 """
 
 from __future__ import annotations

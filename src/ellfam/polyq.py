@@ -254,11 +254,6 @@ class PolyQ:
     def leading(self) -> Fraction:
         return Fraction(self.ints[-1], self.den) if self.ints else Fraction(0)
 
-    def constant_value(self) -> Fraction:
-        if not self.is_constant():
-            raise ValueError("not a constant polynomial")
-        return self.leading()
-
     def __hash__(self):
         # == ignores the variable, and a constant equals its scalar
         if self.is_constant():
@@ -582,9 +577,6 @@ class RatFunc:
         if not self.is_polynomial():
             raise ValueError(f"not a polynomial: denominator {self.den}")
         return self.num  # den is monic, so a constant den is 1
-
-    def constant_value(self) -> Fraction:
-        return self.as_poly().constant_value()
 
     def __hash__(self):
         # den is monic, so a constant den is 1 and self equals its numerator

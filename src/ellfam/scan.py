@@ -5,16 +5,16 @@ elliptic curve, sends each one to a rational parameter value of a rank-2
 catalog family, and records the global root number of the specialized
 curve in a grid.
 
-The parameter map is built from a square-reduced quartic ``t^2 = q(r)``:
-the parametrizing curve is identified with the quartic's elliptic model by
-an exact Q-isomorphism, and the inverse quartic map, pulled back through
-it once, is one linear-fractional form in the parametrizer's coordinates
-with integer coefficients; a point then determines ``r`` (and ``t``) in
-integer arithmetic, and - when a biquadratic compatibility curve links two
-families - the companion coordinate ``s`` by the quadratic formula.  The
-points where the form's denominator vanishes lie over the quartic's fiber
-at infinity and raise DegenerateFiber.  The sign conventions are pinned so
-the group origin lands on a designated base point.
+The parametrizing curve is the global minimal model of the Jacobian of a
+square-reduced quartic ``t^2 = q(r)``, its origin over the quartic's known
+point (u0, t0).  The inverse quartic map, pulled back onto it once, is one
+linear-fractional form with integer coefficients; a point then determines
+``r`` (and ``t``) in integer arithmetic, and - when a biquadratic
+compatibility curve links two families - the companion coordinate ``s`` by
+the quadratic formula.  Points where the form's denominator vanishes lie
+over the quartic's fiber at infinity and raise DegenerateFiber.  As t -> -t
+is P -> Q0 - P, Q0 over (u0, -t0), builtin_scans pairs the cells (n, m)
+and (a - n, b - m) for the (a, b) with Q0 = a G1 + b G2 up to torsion.
 
 Cells are filled in (n, m) order: each row's first point is the previous
 row's plus G1 and the row is walked by adding G2, so a cell costs one
@@ -46,6 +46,7 @@ from .curves import (
     torsion_subgroup,
 )
 from .families import CurveFamily, SingularMember, SpecializedCurve, catalog
+from .localdata import minimal_model
 from .polyq import NotASquare, PolyQ, poly_sqrt, square_decompose_poly
 from .rootnum import MissingLocalCase, global_root_number
 from .sections import QuarticModel, quartic_jacobian
@@ -141,6 +142,9 @@ class ParameterMap:
     The map goes through the quartic t^2 = q(r) with ``point`` on it; given
     a biquadratic ``correspondence`` instead, one square decomposition of
     its discriminant in s, mult^2 * q, gives both q and the companion root.
+    ``parametrizer`` is the quartic Jacobian's global minimal model
+    (localdata.minimal_model), its origin over ``point`` = (u0, t0), and
+    P and ``q0`` - P carry the same r, q0 the point over (u0, -t0).
 
     The quartic's inverse map (sections.QuarticInverse) is pulled back
     once, here, through the isomorphism from the parametrizer to the
@@ -159,26 +163,23 @@ class ParameterMap:
 
     def __init__(
         self,
-        parametrizer: WeierstrassCurve,
         point: tuple[Scalar, Scalar],
         q: Optional[PolyQ] = None,
         correspondence: Optional[BiquadraticCurve] = None,
     ):
         if (q is None) == (correspondence is None):
             raise ValueError("give exactly one of q and correspondence")
-        if not parametrizer.is_integral():
-            raise ValueError("the parametrizer must be an integral model")
         if correspondence is not None:
             a, b, _ = correspondence.quadratic_polys("s")
             mult, q = square_decompose_poly(correspondence.discriminant("s"))
             self._companion = (a, b, mult)
         else:
             self._companion = None
-        jacobian, _fwd, inv = quartic_jacobian(QuarticModel(q, point))
-        iso = isomorphic_over_Q(parametrizer, jacobian)
-        if iso is None:
-            raise ValueError("parametrizer is not isomorphic to the quartic model")
-        self._inv = inv.pull_back(PointMap(*iso))
+        jacobian, fwd, inv = quartic_jacobian(QuarticModel(q, point))
+        self.parametrizer, to_min = minimal_model(jacobian)
+        self.q0 = to_min.forward(fwd(point[0], -point[1]))
+        # both maps have a positive scale, so this one inverts to_min
+        self._inv = inv.pull_back(PointMap(*isomorphic_over_Q(self.parametrizer, jacobian)))
 
     def _quartic_point(self, P: CurvePoint) -> tuple[Fraction, Fraction]:
         if P.is_infinity:
@@ -213,7 +214,6 @@ class ParameterMap:
 
 class _SpecFields(NamedTuple):
     name: str
-    parametrizer: WeierstrassCurve
     generators: tuple[CurvePoint, CurvePoint]
     family: CurveFamily
     mapping: ParameterMap
@@ -224,13 +224,14 @@ class _SpecFields(NamedTuple):
 
 
 class ScanSpec(_SpecFields):
-    """Everything needed to run one lattice scan.
+    """Everything needed to run one lattice scan on mapping.parametrizer.
 
     ``symmetry = (a, b)`` declares that the cells (n, m) and (a-n, b-m)
-    carry Q-isomorphic curves.
+    carry Q-isomorphic curves (builtin_scans derives it: _symmetry).
     """
 
     __slots__ = ()
+    parametrizer = property(lambda self: self.mapping.parametrizer)
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
@@ -490,30 +491,38 @@ CURVE_D1 = BiquadraticCurve((
 ))
 
 
-# One row per built-in scan: name, parametrizer a-invariants, generators,
-# family, symmetry (a, b) as in ScanSpec, the quartic t^2 = q (None: the
-# correspondence's discriminant in s) with its known point, the
-# correspondence, and the family of its second coordinate.
+# One row per built-in scan: name, generators, family, the quartic t^2 = q
+# (None: the correspondence's discriminant in s) with its known point, the
+# correspondence, and the family of its second coordinate.  ParameterMap
+# derives the parametrizer, and _symmetry the pair (a, b) of ScanSpec.
 _SCANS = (
     # Z8R2-1 members with a second independent section.  Parameter pairs
-    # live on CURVE_C, and the base cell maps to its point (-1, 0).  Cells
-    # (n, m) and (1-n, -1-m) carry the same curve, as do lattice points
-    # that differ by a 2-torsion point.
-    ("Z8-scan-1", (1, 1, 1, -1595, -4768),
-     ((Fraction(-57, 4), Fraction(1043, 8)), (42, -89)),
-     "Z8R2-1", (1, -1), None, (-1, 60), CURVE_C, "Z8R2-2"),
+    # live on CURVE_C, and the base cell maps to its point (-1, 0).
+    ("Z8-scan-1", ((Fraction(-57, 4), Fraction(1043, 8)), (42, -89)),
+     "Z8R2-1", None, (-1, 60), CURVE_C, "Z8R2-2"),
     # Z8R2-2 members with a second independent section.  The condition is
     # the single quartic t^2 = q(u), and the base cell maps to u = 0.
-    # Cells (n, m) and (-1-n, -m) carry the same curve.
-    ("Z8-scan-2", (0, 0, 0, -105987, 11743634), ((-77, -4410), (805, 21168)),
-     "Z8R2-2", (-1, 0), (7569, -2610, 453, -90, 9), (0, 87), None, None),
+    ("Z8-scan-2", ((-77, -4410), (805, 21168)),
+     "Z8R2-2", (7569, -2610, 453, -90, 9), (0, 87), None, None),
     # Z2x6R2-3 members with a second independent section.  Parameter pairs
-    # live on CURVE_D1, and the base cell maps to its point (0, 4).  Cells
-    # (n, m) and (1-n, 1-m) carry the same curve.
-    ("Z2x6-scan-1", (0, -1, 0, -456, 3456),
-     ((20, -44), (Fraction(4, 9), Fraction(-1540, 27))),
-     "Z2x6R2-3", (1, 1), None, (0, 180), CURVE_D1, "Z2x6R2-1"),
+    # live on CURVE_D1, and the base cell maps to its point (0, 4).
+    ("Z2x6-scan-1", ((20, -44), (Fraction(4, 9), Fraction(-1540, 27))),
+     "Z2x6R2-3", None, (0, 180), CURVE_D1, "Z2x6R2-1"),
 )
+
+
+def _symmetry(E: WeierstrassCurve, G1: CurvePoint, G2: CurvePoint, q0: CurvePoint):
+    """The one (a, b) with |a|, |b| <= 2 and a G1 + b G2 - q0 of finite
+    order (point_order: by Mazur's theorem, at most 12); ValueError unless
+    exactly one pair in that box fits."""
+    box = range(-2, 3)
+    aG1 = [E.mul(a, G1) for a in box]
+    rest = [E.sub(E.mul(b, G2), q0) for b in box]
+    fits = [(a, b) for a, P in zip(box, aG1) for b, Q in zip(box, rest)
+            if E.point_order(E.add(P, Q, check=False)) is not None]
+    if len(fits) != 1:
+        raise ValueError(f"expected one symmetry (a, b) with |a|, |b| <= 2, found {fits}")
+    return fits[0]
 
 
 def builtin_scans(
@@ -523,16 +532,15 @@ def builtin_scans(
     """The three shipped scan setups keyed by name."""
     cat = catalog()
     specs = {}
-    for name, ainvs, gens, label, symmetry, q, point, C, companion in _SCANS:
-        E = WeierstrassCurve(*ainvs)
-        q = None if q is None else PolyQ(q, "u")
+    for name, gens, label, q, point, C, companion in _SCANS:
+        mapping = ParameterMap(point, None if q is None else PolyQ(q, "u"), C)
+        gens = tuple(CurvePoint(Fraction(x), Fraction(y)) for x, y in gens)
         specs[name] = ScanSpec(
             name=name,
-            parametrizer=E,
-            generators=tuple(CurvePoint(Fraction(x), Fraction(y)) for x, y in gens),
+            generators=gens,
             family=cat[label],
-            mapping=ParameterMap(E, point, q, C),
-            symmetry=symmetry,
+            mapping=mapping,
+            symmetry=_symmetry(mapping.parametrizer, *gens, mapping.q0),
             radius=radius,
             companion_family=None if companion is None else cat[companion],
             budget=budget,

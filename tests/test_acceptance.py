@@ -218,8 +218,10 @@ def test_criterion_07_root_numbers(cat):
             kinds.add((p, red))
     assert (2, "additive") in kinds and (3, "additive") in kinds
     # radius-2 sub-grid of each lattice scan: every budget-complete cell
-    # carries the frozen sign, and the grid symmetry shows no violations
+    # carries the frozen sign, and the grid symmetry shows no violations;
+    # the pair counts are absolute, so a wrong symmetry pair shows too
     scan_oracle = json.loads((DATA / "scan_oracle.json").read_text())
+    pair_counts = {"Z8-scan-1": (7, 7), "Z8-scan-2": (8, 7), "Z2x6-scan-1": (7, 7)}
     specs = builtin_scans(radius=2, budget=SCAN_BUDGET)
     for name, spec in specs.items():
         frozen = scan_oracle[name]
@@ -237,6 +239,7 @@ def test_criterion_07_root_numbers(cat):
         report = symmetry_audit(grid, spec.symmetry, spec=spec)
         assert report.violations == (), name
         assert report.isomorphism_failures == (), name
+        assert (report.isomorphic_pairs, len(grid.proven_pairs)) == pair_counts[name]
 
 
 def test_criterion_08_involutions():

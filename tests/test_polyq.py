@@ -843,7 +843,7 @@ class TestHashAgreesWithEq:
             pool += [PolyQ(cs, "u"), PolyQ(cs, "v"), RatFunc(PolyQ(cs, "u") * 2, PolyQ.const(2, "u"))]
             p = PolyQ(cs, "u")
             if p.is_constant():
-                k = p.constant_value()
+                k = p.leading()
                 pool += [k] + ([int(k)] if k.denominator == 1 else [])
             if not p.is_zero():
                 pool.append(RatFunc(PolyQ([1], "u"), p))

@@ -3,6 +3,7 @@
 import math
 import sys
 from fractions import Fraction
+from typing import NamedTuple, Optional
 
 import pytest
 from hypothesis import assume, given, settings
@@ -83,9 +84,19 @@ def involutions(C, pt):
     return tau1, tau2
 
 
+class ScanRow(NamedTuple):
+    name: str
+    generators: tuple
+    family: str
+    q: Optional[tuple]
+    point: tuple
+    correspondence: Optional[BiquadraticCurve]
+    companion: Optional[str]
+
+
 def scan_row(name):
-    """The _SCANS row of the built-in scan ``name``."""
-    return next(row for row in scan._SCANS if row[0] == name)
+    """The _SCANS row of the built-in scan ``name``, read by field."""
+    return ScanRow(*next(row for row in scan._SCANS if row[0] == name))
 
 
 def sympy_irreducible(rows) -> bool:
@@ -257,6 +268,38 @@ class TestQuarticCorrespondence:
         assert len(calls) == 2
 
 
+class TestDerivedSpecs:
+    """builtin_scans derives each parametrizer and symmetry pair."""
+
+    def test_parametrizers_and_symmetries(self, specs):
+        expected = {
+            "Z8-scan-1": ((1, 1, 1, -1595, -4768), (1, -1), 2),
+            "Z8-scan-2": ((0, 0, 0, -105987, 11743634), (-1, 0), 1),
+            "Z2x6-scan-1": ((0, -1, 0, -456, 3456), (1, 1), 2),
+        }
+        for name, (ainvs, symmetry, order) in expected.items():
+            spec = specs[name]
+            E, (G1, G2), (a, b) = spec.parametrizer, spec.generators, spec.symmetry
+            assert E == WeierstrassCurve(*ainvs) and spec.symmetry == symmetry
+            # q0 lies over (u0, -t0) in the frame the inverse map reads
+            u0, t0 = scan_row(name).point
+            assert spec.mapping._inv(spec.mapping.q0) == (u0, -t0)
+            # q0 = a G1 + b G2 + T with T torsion of the stated order
+            rest = E.sub(spec.mapping.q0, E.add(E.mul(a, G1), E.mul(b, G2)))
+            assert E.point_order(rest) == order, name
+
+    def test_symmetry_search_needs_exactly_one_pair(self, specs):
+        spec = specs["Z8-scan-2"]
+        E, (G1, G2) = spec.parametrizer, spec.generators
+        assert scan._symmetry(E, G1, G2, spec.mapping.q0) == (-1, 0)
+        # 5 G1 lies outside the box |a|, |b| <= 2
+        with pytest.raises(ValueError, match="found \\[\\]"):
+            scan._symmetry(E, G1, G2, E.mul(5, G1))
+        # dependent generators: every a + b = -1 in the box fits
+        with pytest.raises(ValueError, match="found \\[\\(-2, 1\\), "):
+            scan._symmetry(E, G1, G1, spec.mapping.q0)
+
+
 class TestParameterMap:
     def test_base_points(self, specs):
         assert specs["Z8-scan-1"].mapping.coordinates(INFINITY) == (F(-1), F(0))
@@ -268,7 +311,8 @@ class TestParameterMap:
         # G1 + G2 off the degenerate fibers maps onto the correspondence,
         # and there the companion member is Q-isomorphic to the family's
         for name, spec in specs.items():
-            point, C = scan_row(name)[6:8]
+            row = scan_row(name)
+            point, C = row.point, row.correspondence
             assert spec.mapping.parameter(INFINITY) == point[0]
             G1, G2 = spec.generators
             for G in (G1, G2, spec.parametrizer.add(G1, G2)):
@@ -319,7 +363,8 @@ def reference_map(spec):
     scan: PointMap.forward onto the quartic's Jacobian followed by the
     quartic inverse in Fractions, as the parameter map computed them before
     its integer form."""
-    q, point, C = scan_row(spec.name)[5:8]
+    row = scan_row(spec.name)
+    q, point, C = row.q, row.point, row.correspondence
     q = square_decompose_poly(C.discriminant("s"))[1] if q is None else PolyQ(q, "u")
     jacobian = quartic_jacobian(QuarticModel(q, point))[0]
     pm = PointMap(*isomorphic_over_Q(spec.parametrizer, jacobian))
@@ -360,7 +405,7 @@ class TestIntegerMap:
     def test_matches_point_map_and_quartic_inverse(self, radius3_specs):
         degenerate = 0
         for spec in radius3_specs.values():
-            ref, C = reference_map(spec), scan_row(spec.name)[7]
+            ref, C = reference_map(spec), scan_row(spec.name).correspondence
             points = [INFINITY] + [
                 spec.lattice_point(n, m) for n in range(-3, 4) for m in range(-3, 4)
             ]
@@ -408,12 +453,6 @@ class TestIntegerMap:
         ):
             with pytest.raises(AssertionError, match="q\\(u\\) fails"):
                 bad(P)
-
-    def test_parametrizer_must_be_integral(self):
-        spec = builtin_scans(radius=0, budget=BUD)["Z8-scan-2"]
-        E, _pm = spec.parametrizer.transform(F(2), 0, 0, 0)
-        with pytest.raises(ValueError, match="integral"):
-            scan.ParameterMap(E, (0, 87), spec.mapping._inv.q)
 
 
 class TestRecords:
