@@ -2,7 +2,9 @@
 
 Everything downstream (polynomials, curves, local data, scans) sits on top of
 this module: budgeted integer factorization, primality testing, rational
-square detection and Jacobi symbols, all in the standard library.
+square detection, Jacobi symbols and Legendre symbols (from tables of
+the quadratic residues mod each odd prime below 2^9, built on first use),
+all in the standard library.
 Factorization is trial division, then Brent's rho, which tries one Pollard
 p - 1 probe (stage 1, bound 10^4, with a gcd checkpoint at 10^3) in every
 call that runs 2^11 iterations without a split.  Trial division walks the
@@ -10,13 +12,15 @@ primes that the sieve already holds below 727, the first block of 128
 primes, in one loop, and from there on segments cut at the square root of
 what is left, growing the sieve to a segment's end only when the segment
 reaches past it: a walk that stops in the segment [lo, hi) leaves the sieve
-at least hi long, and hi is at most lo^2.  A rest 1 < n < lo^2 left where
+at least hi long, and hi is at most lo^2, and where the segment grows the
+sieve, at most twice its length or 2^14.  A rest 1 < n < lo^2 left where
 the walk ends at lo has had every prime up to its square root tried: it is
 prime, and joins the factors with exponent 1; only a larger rest goes on to
 is_prime and rho.  All values are immutable and every result depends on the
 arguments alone; the one shared state is the module's prime sieve, which the
 factoring routines and primes_below() grow in place, with the products of
-its blocks of primes that trial division caches, and the memo of rests that
+its blocks of primes that trial division caches, the tables of quadratic
+residues that Legendre symbols read, and the memo of rests that
 rho has split, which lives only inside a split_memo() block (one lattice
 scan); none of them is thread-safe.  The probe's exponents are built from
 the sieve once, on first use.
@@ -395,9 +399,10 @@ def factor(n: int, budget: FactorBudget = DEFAULT_BUDGET) -> FactoredInt:
     # walk the primes that the shared sieve already holds below the trial
     # bound and _FLAT_END in one loop; from there on, walk in segments
     # [lo, lo^2) cut at the square root of what is left of n, growing the
-    # sieve in place only when a segment is not covered yet, so that small
-    # or smooth n never make it sieve far; a segment of at least a block's
-    # length is walked block by block (_trial_primes).  This is
+    # sieve in place only when a segment is not covered yet, and then by at
+    # most doubling it (_grow_sieve), so that small or smooth n never make
+    # it sieve far; a segment of at least a block's length is walked block
+    # by block (_trial_primes).  This is
     # _trial_divide for one value, without the bookkeeping of several,
     # which would cost a quarter of the time on small n
     lo = min(budget.trial_bound, len(_sieve_flags), _FLAT_END)
@@ -409,7 +414,7 @@ def factor(n: int, budget: FactorBudget = DEFAULT_BUDGET) -> FactoredInt:
     while lo < budget.trial_bound and lo * lo <= n:
         hi = min(budget.trial_bound, math.isqrt(n) + 1, lo * lo)
         if hi > len(_sieve_flags):
-            _sieve_to(hi)
+            hi = _grow_sieve(hi)
         i, end = bisect_left(_sieve_primes, lo), bisect_left(_sieve_primes, hi)
         ps = _sieve_primes[i:end] if end - i < _BLOCK else _trial_primes(n, i, end)
         for p in ps:
@@ -424,6 +429,21 @@ def factor(n: int, budget: FactorBudget = DEFAULT_BUDGET) -> FactoredInt:
         n = 1
     residue = _split_rest(n, found, budget)
     return FactoredInt(sign, tuple(sorted(found.items())), residue)
+
+
+# a segment that grows the shared sieve ends at most at the larger of
+# twice its length and _SIEVE_STEP
+_SIEVE_STEP = 2**14
+
+
+def _grow_sieve(hi: int) -> int:
+    """Grow the shared sieve to end = min(hi, max(2 len, _SIEVE_STEP)) and
+    return end, the end of the segment to walk: a walk that stops early
+    pays for a sieve at most about twice as long as it needed, not one up
+    to lo^2."""
+    hi = min(hi, max(2 * len(_sieve_flags), _SIEVE_STEP))
+    _sieve_to(hi)
+    return hi
 
 
 def _trial_divide(values: list[int], bound: int) -> tuple[list[int], list[dict[int, int]]]:
@@ -465,7 +485,7 @@ def _trial_divide(values: list[int], bound: int) -> tuple[list[int], list[dict[i
             break
         hi = min(bound, math.isqrt(top) + 1, lo * lo)
         if hi > len(_sieve_flags):
-            _sieve_to(hi)
+            hi = _grow_sieve(hi)
     # a rest below lo^2 is prime, as in factor()
     for k, r in enumerate(rests):
         if 1 < r < lo * lo:
@@ -588,7 +608,11 @@ def _trial_primes(n: int, i: int, end: int) -> Iterator[int]:
 
 
 def _strip(n: int, p: int) -> tuple[int, int]:
-    """(n / p^e, e) with p^e the exact power of p dividing n."""
+    """(n / p^e, e) with p^e the exact power of p dividing n, for n != 0;
+    for p = 2, e is the index of n's lowest set bit, negative n too."""
+    if p == 2:
+        e = (n & -n).bit_length() - 1
+        return n >> e, e
     e = 0
     while n % p == 0:
         n //= p
@@ -737,12 +761,36 @@ def jacobi(a: int, n: int) -> int:
     return result if n == 1 else 0
 
 
+# legendre_is_square reads _residue_tables[p], the quadratic residues mod p
+# as a table of length p, for odd primes p below _RESIDUE_TABLE_BOUND; a
+# table is built on first use and never changes
+_RESIDUE_TABLE_BOUND = 2**9
+_residue_tables: list[Optional[bytes]] = [None] * _RESIDUE_TABLE_BOUND
+
+
+def legendre_is_square(a: int, p: int) -> bool:
+    """Whether a is a nonzero square mod the odd prime p, that is whether
+    the Legendre symbol (a|p) is 1: read off a table of the residues mod p
+    below _RESIDUE_TABLE_BOUND, and by jacobi above it."""
+    if p >= _RESIDUE_TABLE_BOUND:
+        return jacobi(a, p) == 1
+    table = _residue_tables[p]
+    if table is None:
+        flags = bytearray(p)
+        for x in range(1, (p + 1) // 2):
+            flags[x * x % p] = 1
+        table = _residue_tables[p] = bytes(flags)
+    return table[a % p] == 1
+
+
 def valuation(n: int, p: int) -> int:
     """p-adic valuation of a nonzero integer, for an integer p >= 2."""
     if n == 0:
         raise ValueError("valuation of 0")
     if p < 2:
         raise ValueError(f"valuation needs p >= 2, not {p}")
+    if p == 2:
+        return (n & -n).bit_length() - 1
     e = 0
     while n % p == 0:
         n //= p
@@ -774,10 +822,10 @@ def hilbert_symbol(a: Fraction | int, b: Fraction | int, p: Optional[int]) -> in
         e += alpha * ((v * v - 1) // 8) + beta * ((u * u - 1) // 8)
         return -1 if e % 2 else 1
     s = -1 if alpha * beta * (p - 1) // 2 % 2 else 1
-    if beta % 2:
-        s *= jacobi(u, p)
-    if alpha % 2:
-        s *= jacobi(v, p)
+    if beta % 2 and not legendre_is_square(u, p):
+        s = -s
+    if alpha % 2 and not legendre_is_square(v, p):
+        s = -s
     return s
 
 

@@ -202,8 +202,9 @@ class WeierstrassCurve:
         y3 = lam * (x1 - x3) - y1 - self.a1 * x3 - self.a3
         return CurvePoint(x3, y3)
 
-    def sub(self, P: CurvePoint, Q: CurvePoint) -> CurvePoint:
-        return self.add(P, self.neg(Q))
+    def sub(self, P: CurvePoint, Q: CurvePoint, check: bool = True) -> CurvePoint:
+        # -Q satisfies the curve equation exactly when Q does
+        return self.add(P, self.neg(Q), check=check)
 
     def mul(self, n: int, P: CurvePoint, check: bool = True) -> CurvePoint:
         if check:
@@ -348,6 +349,12 @@ class PointMap(NamedTuple):
         x = (P.x - r) / (u * u)
         y = (P.y - s * (P.x - r) - t) / (u * u * u)
         return CurvePoint(x, y)
+
+    def inverse(self) -> "PointMap":
+        """The map new -> old: the change of coordinates with scale 1/u
+        that carries the new model back onto the old one."""
+        u, r, s, t = self.u, self.r, self.s, self.t
+        return PointMap(1 / u, -r / (u * u), -s / u, (r * s - t) / (u * u * u))
 
 
 # -- point counting over F_p ---------------------------------------------

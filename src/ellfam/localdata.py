@@ -11,9 +11,13 @@ exactly when -c6 is a square in Q_p (_is_split).
 
 The root-number path runs on Python ints only and builds no
 WeierstrassCurve and no Fraction: _minimal_ints takes an integral model's
-a-invariants and returns the minimal model's a-invariants, its seven
-invariants and the factored |disc_min|, and _tate_ints is Tate's algorithm
-on an int tuple.  Wrappers on WeierstrassCurve models serve the other
+a-invariants, with its seven invariants when the caller has them, and
+returns the minimal model's a-invariants, its seven invariants and the
+factored |disc_min|, and _tate_ints is Tate's algorithm on an int tuple.
+An integral curve's invariants are computed once, by its constructor's
+singularity check (WeierstrassCurve.bc_invariants): _integral_ints hands
+them on, and bad_places and global_root_number pass them to _minimal_ints
+as ``invs``.  Wrappers on WeierstrassCurve models serve the other
 callers: bad_places the CLI's `local` and conductor, tate_local the CLI's
 `local --prime`, and minimal_model heights and the scans' parametrizers.
 At p = 2 and 3 Tate's translations are closed forms, not searches (Cohen,
@@ -33,7 +37,7 @@ from .arith import (
     factor,
     factor_with_parts,
     is_prime,
-    jacobi,
+    legendre_is_square,
     valuation,
 )
 from .curves import (
@@ -68,9 +72,12 @@ class LocalData(NamedTuple):
         return max(int(k[1:]), 1)
 
 
-def _integral_ints(E: WeierstrassCurve) -> tuple[int, int, int, int, int]:
-    """The int a-invariants of E if integral, else of its integral model."""
-    return E._ints if E._ints is not None else E.integral_model()[0]._ints
+def _integral_ints(E: WeierstrassCurve) -> tuple[tuple, tuple]:
+    """The int a-invariants and invariants (b2, ..., disc) of E if
+    integral, else of its integral model: an integral E hands on the
+    invariants its constructor computed (bc_invariants)."""
+    Ei = E if E._ints is not None else E.integral_model()[0]
+    return Ei._ints, Ei.bc_invariants()
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +122,10 @@ def _curve_from_c4c6(c4: int, c6: int, disc: int) -> tuple[tuple, tuple]:
 
 
 def _minimal_ints(
-    a: tuple, budget: FactorBudget = DEFAULT_BUDGET, parts: Optional[Sequence[int]] = None
+    a: tuple,
+    budget: FactorBudget = DEFAULT_BUDGET,
+    parts: Optional[Sequence[int]] = None,
+    invs: Optional[tuple] = None,
 ) -> tuple[tuple, tuple, FactoredInt]:
     """The global minimal model of the integral model with a-invariants a,
     on ints only: its a-invariants, its invariants (b2, ..., disc) and a
@@ -134,9 +144,11 @@ def _minimal_ints(
     cover those of disc (a family member passes
     CurveFamily.discriminant_parts).  Either way the result is certified by
     exact division (see factor_with_parts), so parts that miss a prime give
-    complete=False, never a wrong factorization.
+    complete=False, never a wrong factorization.  ``invs``, when given, is
+    weierstrass_invariants(*a), which is then not computed again.
     """
-    invs = weierstrass_invariants(*a)
+    if invs is None:
+        invs = weierstrass_invariants(*a)
     disc = abs(invs[6])
     a1, a2, a3, a4, a6 = a
     if parts is None and a1 == a3 == a6 == 0:
@@ -227,7 +239,7 @@ def _has_root_quadratic(a: int, b: int, c: int, p: int) -> bool:
     if p == 2:
         return c % 2 == 0 or (a + b + c) % 2 == 0
     d = (b * b - 4 * a * c) % p
-    return d == 0 or jacobi(d, p) == 1
+    return d == 0 or legendre_is_square(d, p)
 
 
 def _double_root(a: int, b: int, c: int, p: int) -> int:
@@ -289,8 +301,8 @@ def _is_split(c6: int, p: int) -> bool:
     """Whether multiplicative reduction at p, on a model with p | disc and
     p not dividing c4, is split: exactly when -c6 is a square in Q_p
     (Rohrlich, Compositio Math. 87, 1993).  -c6 = b2^3 mod p is then a unit,
-    so at 2 that is -c6 = 1 mod 8 and at odd p a Jacobi symbol."""
-    return -c6 % 8 == 1 if p == 2 else jacobi(-c6, p) == 1
+    so at 2 that is -c6 = 1 mod 8 and at odd p a Legendre symbol."""
+    return -c6 % 8 == 1 if p == 2 else legendre_is_square(-c6, p)
 
 
 def tate_local(E: WeierstrassCurve, p: int) -> LocalData:
@@ -301,7 +313,7 @@ def tate_local(E: WeierstrassCurve, p: int) -> LocalData:
         raise ValueError(f"not a prime: {p}")
     if E._ints is None:
         raise ValueError("integral model required")
-    a, invs, _u = _minimize_at(weierstrass_invariants(*E._ints), [p])
+    a, invs, _u = _minimize_at(E.bc_invariants(), [p])
     return _tate_ints(a, p, None, invs)
 
 
@@ -442,7 +454,8 @@ def bad_places(
     """Local data at every prime found in |disc_min| and that factorization
     (see _minimal_ints): the model is minimized once, and Tate's algorithm
     runs on the minimal model at each prime found."""
-    a, invs, fi = _minimal_ints(_integral_ints(E), budget)
+    a, invs = _integral_ints(E)
+    a, invs, fi = _minimal_ints(a, budget, invs=invs)
     return [_tate_ints(a, p, e, invs) for p, e in fi.factors], fi
 
 

@@ -19,8 +19,12 @@ Kodaira symbol, at potentially good places at 2 and 3.
 
 global_root_number works on ints from the integral model to the local
 signs (localdata._minimal_ints, localdata._tate_ints, _local_sign) and
-builds no WeierstrassCurve or Fraction; local_root_number wraps _local_sign
-for a WeierstrassCurve and its LocalData.
+builds no WeierstrassCurve or Fraction; it hands the integral model's
+invariants, which the curve's constructor computed, to _minimal_ints as
+``invs``, so the call does not compute them again.  The Legendre symbols
+at odd primes are arith.legendre_is_square, a table lookup below 2^9.
+local_root_number wraps _local_sign for a WeierstrassCurve and its
+LocalData.
 
 A table key is the Kodaira type, the valuations of c4, c6 and disc, and
 their unit parts modulo TABLE_MODULI[p], which a unit change of model
@@ -34,7 +38,7 @@ from __future__ import annotations
 import math
 from typing import Mapping, NamedTuple, Optional, Sequence
 
-from .arith import DEFAULT_BUDGET, FactorBudget, hilbert_symbol, jacobi, valuation
+from .arith import DEFAULT_BUDGET, FactorBudget, hilbert_symbol, legendre_is_square, valuation
 from .curves import WeierstrassCurve
 from .localdata import LocalData, _integral_ints, _is_split, _minimal_ints, _tate_ints
 from ._rootnum_tables import RESIDUE_CLASS, TABLE_MODULI, TABLE_P2, TABLE_P3
@@ -78,7 +82,7 @@ def _local_sign(invs: tuple, p: int, e: int, a: Optional[tuple]) -> int:
         # potentially multiplicative: v_p(j) < 0
         return hilbert_symbol(-c6 * c4, -1, p)
     if p >= 5:
-        return jacobi(RESIDUE_CLASS[e] % p, p)
+        return 1 if legendre_is_square(RESIDUE_CLASS[e], p) else -1
     m4, m6, md = TABLE_MODULI[p]
     v6 = valuation(c6, p) if c6 else 99
     c4u = (c4 // p**v4) % m4 if c4 else 0
@@ -112,6 +116,7 @@ def global_root_number(
     complete=False records that the sign is not certified — never a silent
     wrong sign.
     """
-    a, invs, fi = _minimal_ints(_integral_ints(E), budget, parts)
+    a, invs = _integral_ints(E)
+    a, invs, fi = _minimal_ints(a, budget, parts, invs)
     breakdown = {p: _local_sign(invs, p, e, a) for p, e in fi.factors}
     return RootNumber(local_breakdown=breakdown, complete=fi.complete)

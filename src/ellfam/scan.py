@@ -40,7 +40,6 @@ from .arith import (
 )
 from .curves import (
     CurvePoint,
-    PointMap,
     WeierstrassCurve,
     isomorphic_over_Q,
     torsion_subgroup,
@@ -148,7 +147,8 @@ class ParameterMap:
 
     The quartic's inverse map (sections.QuarticInverse) is pulled back
     once, here, through the isomorphism from the parametrizer to the
-    quartic's Jacobian: r is then one linear-fractional form in the
+    quartic's Jacobian, the inverse of the one minimal_model returned
+    (PointMap.inverse): r is then one linear-fractional form in the
     parametrizer's coordinates, with integer coefficients, and t comes from
     the same forms.  The parametrizer is integral, so a point is
     x = X/e^2, y = Y/e^3, and both are evaluated in integers, with
@@ -178,8 +178,7 @@ class ParameterMap:
         jacobian, fwd, inv = quartic_jacobian(QuarticModel(q, point))
         self.parametrizer, to_min = minimal_model(jacobian)
         self.q0 = to_min.forward(fwd(point[0], -point[1]))
-        # both maps have a positive scale, so this one inverts to_min
-        self._inv = inv.pull_back(PointMap(*isomorphic_over_Q(self.parametrizer, jacobian)))
+        self._inv = inv.pull_back(to_min.inverse())
 
     def _quartic_point(self, P: CurvePoint) -> tuple[Fraction, Fraction]:
         if P.is_infinity:
@@ -514,10 +513,13 @@ _SCANS = (
 def _symmetry(E: WeierstrassCurve, G1: CurvePoint, G2: CurvePoint, q0: CurvePoint):
     """The one (a, b) with |a|, |b| <= 2 and a G1 + b G2 - q0 of finite
     order (point_order: by Mazur's theorem, at most 12); ValueError unless
-    exactly one pair in that box fits."""
+    exactly one pair in that box fits.  The three points are proven on E
+    once, and the group law then runs unchecked."""
+    for P in (G1, G2, q0):
+        E._require(P)
     box = range(-2, 3)
-    aG1 = [E.mul(a, G1) for a in box]
-    rest = [E.sub(E.mul(b, G2), q0) for b in box]
+    aG1 = [E.mul(a, G1, check=False) for a in box]
+    rest = [E.sub(E.mul(b, G2, check=False), q0, check=False) for b in box]
     fits = [(a, b) for a, P in zip(box, aG1) for b, Q in zip(box, rest)
             if E.point_order(E.add(P, Q, check=False)) is not None]
     if len(fits) != 1:

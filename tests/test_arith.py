@@ -21,6 +21,7 @@ from ellfam.arith import (
     is_prime,
     isqrt_exact,
     jacobi,
+    legendre_is_square,
     primes_below,
     rational_to_string,
     square_test,
@@ -252,6 +253,38 @@ class TestFactor:
         assert arith._sieve_primes == list(sympy.primerange(2 * 10**6))
         assert len(arith._sieve_flags) == 2 * 10**6
         assert sum(arith._sieve_flags) == len(arith._sieve_primes)
+
+    def test_sieve_growth_is_capped(self, monkeypatch):
+        # from an empty sieve, every segment grows it to at most twice its
+        # length or 2^14, and the factorizations are those of sympy; a
+        # walk that stops near a prime p leaves a sieve below 2 p + 2^14
+        expected = {}
+        inputs = [
+            482017 * 1000003, 250013 * P7, 21751 * 51109 * Q7, 3**5 * 727 * 65537, 10**6 + 3,
+        ]
+        for n in inputs:
+            expected[n] = tuple(sorted(sympy.factorint(n).items()))
+        monkeypatch.setattr(arith, "_sieve_flags", bytearray(2))
+        monkeypatch.setattr(arith, "_sieve_primes", [])
+        grows = []
+        sieve_to = arith._sieve_to
+
+        def recorded(bound):
+            grows.append((len(arith._sieve_flags), bound))
+            sieve_to(bound)
+
+        monkeypatch.setattr(arith, "_sieve_to", recorded)
+        budget = FactorBudget(10**6, 10**5)
+        for n in inputs:
+            assert factor(n, budget).factors == expected[n]
+        assert len(arith._sieve_flags) < 2 * 482017 + 2**14 < 10**6
+        # a rest above the trial bound's square walks to the bound
+        assert factor(2 * P7 * Q7, budget).factors == ((2, 1), (P7, 1), (Q7, 1))
+        assert len(arith._sieve_flags) == 10**6
+        parts = [21751 * 3, 51109 * 7, Q7]
+        fi = factor_with_parts(math.prod(parts), parts, budget)
+        assert fi.complete and fi.factors == tuple(sorted(sympy.factorint(math.prod(parts)).items()))
+        assert grows and all(bound <= max(2 * length, 2**14) for length, bound in grows)
 
     @pytest.mark.parametrize("tb", [1000, 1621, 10**4, 54321, 65537, 10**5])
     def test_prime_blocks_find_every_prime_below_the_bound(self, tb):
@@ -1121,7 +1154,58 @@ class TestJacobi:
             jacobi(3, 10)
 
 
+class TestLegendreIsSquare:
+    def test_every_residue_below_the_table_bound(self):
+        # the tables cover every odd prime below the bound; a and a shifted
+        # by -p and 5p read the same entry
+        primes = primes_below(arith._RESIDUE_TABLE_BOUND)[1:]
+        assert primes[-1] > arith._RESIDUE_TABLE_BOUND // 2
+        for p in primes:
+            for a in range(p):
+                expected = jacobi(a, p) == 1
+                assert legendre_is_square(a, p) == expected, (a, p)
+                assert legendre_is_square(a - p, p) == legendre_is_square(a + 5 * p, p) == expected
+            assert arith._residue_tables[p] == bytes(jacobi(a, p) == 1 for a in range(p))
+
+    @given(
+        st.integers(min_value=-(10**30), max_value=10**30),
+        st.sampled_from([521, 523, 1021, 7919, 65537, M61]),
+    )
+    @settings(max_examples=200)
+    def test_matches_jacobi_above_the_bound(self, a, p):
+        assert legendre_is_square(a, p) == (jacobi(a, p) == 1)
+
+    def test_tables_depend_on_p_alone(self, monkeypatch):
+        # built on first use, in whatever order the primes come
+        monkeypatch.setattr(arith, "_residue_tables", [None] * arith._RESIDUE_TABLE_BOUND)
+        for p in reversed(primes_below(arith._RESIDUE_TABLE_BOUND)[1:]):
+            legendre_is_square(-3, p)
+            assert arith._residue_tables[p] == bytes(jacobi(a, p) == 1 for a in range(p))
+
+
+def division_strip(n: int, p: int) -> tuple[int, int]:
+    """(n / p^e, e) by dividing p out one at a time: the reference for the
+    2-adic strip by bit count."""
+    e = 0
+    while n % p == 0:
+        n //= p
+        e += 1
+    return n, e
+
+
 class TestValuation:
+    @given(
+        st.integers(min_value=-(10**40), max_value=10**40).filter(bool),
+        st.integers(min_value=0, max_value=300),
+    )
+    @example(-1, 0)
+    @example(-(2**64), 0)
+    @example(3, 200)
+    def test_two_adic_strip_matches_division(self, m, k):
+        n = m << k
+        assert arith._strip(n, 2) == division_strip(n, 2)
+        assert valuation(n, 2) == division_strip(n, 2)[1]
+
     def test_basic(self):
         assert valuation(48, 2) == 4
         assert valuation(48, 3) == 1
@@ -1150,7 +1234,8 @@ hilbert_args = st.builds(
     st.lists(st.integers(min_value=-2, max_value=3), min_size=4, max_size=4),
     st.sampled_from([1, 11, 13, 17, 19, 101]),
 )
-hilbert_places = st.sampled_from([None, 2, 3, 5, 7, 11, 13, 101])
+# 521 lies above the Legendre symbol's table bound, the others below it
+hilbert_places = st.sampled_from([None, 2, 3, 5, 7, 11, 13, 101, 521])
 
 
 class TestHilbertSymbol:

@@ -122,6 +122,15 @@ class TestGroupLaw:
         with pytest.raises(OffCurve):
             E37().add(CurvePoint(Fraction(1), Fraction(1)), INFINITY)
 
+    def test_sub_checks_unless_told_not_to(self):
+        E = E37()
+        P = CurvePoint(Fraction(0), Fraction(0))
+        off = CurvePoint(Fraction(1), Fraction(1))
+        for args in ((P, off), (off, P)):
+            with pytest.raises(OffCurve):
+                E.sub(*args)
+        assert E.sub(E.mul(3, P), P, check=False) == E.sub(E.mul(3, P), P) == E.mul(2, P)
+
     def test_known_multiples_37a(self):
         E = E37()
         P = CurvePoint(Fraction(0), Fraction(0))
@@ -217,6 +226,17 @@ class TestTransform:
         assert new.c4 == E.c4 / u**4
         assert new.disc == E.disc / u**12
         assert new.j == E.j
+
+    def test_inverse_carries_the_new_model_back(self):
+        E = WeierstrassCurve(1, 1, 1, -1595, -4768)
+        P = CurvePoint(Fraction(42), Fraction(-89))
+        new, pm = E.transform(Fraction(2, 3), Fraction(1, 2), -4, Fraction(7, 5))
+        inv = pm.inverse()
+        back, _ = new.transform(inv.u, inv.r, inv.s, inv.t)
+        assert back == E
+        assert inv.forward(pm.forward(P)) == P
+        # the isomorphism with positive scale is unique for this j
+        assert tuple(inv) == isomorphic_over_Q(new, E)
 
     def test_integral_model_of_integral_curve_is_itself(self):
         E = WeierstrassCurve(0, -1, 1, -10, -20)

@@ -412,7 +412,7 @@ class TestInvariance:
         # u, tate_local on it equals tate_local on the minimal model
         if weierstrass_invariants(*ai)[6] == 0:
             return
-        a, _invs, fi = _minimal_ints(_integral_ints(curve(*ai)))
+        a, _invs, fi = _minimal_ints(_integral_ints(curve(*ai))[0])
         Emin = curve(*a)
         scaled, _pm = Emin.transform(Fraction(1, u), *rst)
         for p in sorted({u, *fi.primes()}):
@@ -481,7 +481,7 @@ class TestConductor:
         E = curve(0, 1, 0, -(2**61 - 1) * (2**89 - 1), 0)
         with pytest.raises(Unfactored):
             conductor(E, FactorBudget(10**3, 0))
-        _a, _invs, fi = _minimal_ints(_integral_ints(E), FactorBudget(10**3, 0))
+        _a, _invs, fi = _minimal_ints(_integral_ints(E)[0], FactorBudget(10**3, 0))
         assert not fi.complete and fi.residue == ((2**61 - 1) * (2**89 - 1)) ** 2
 
     def test_partial_when_minimality_uncertified(self):
@@ -493,7 +493,7 @@ class TestConductor:
             minimal_model(E, budget)
         with pytest.raises(Unfactored):
             conductor(E, budget)
-        _a, _invs, fi = _minimal_ints(_integral_ints(E), budget)
+        _a, _invs, fi = _minimal_ints(_integral_ints(E)[0], budget)
         assert not fi.complete and fi.residue == M**3 and fi.primes() == (2,)
 
     def test_split_certifies_prime_cube(self):
@@ -517,7 +517,7 @@ class TestDiscriminantFactorization:
             return
         E = curve(0, lam**2 * A, 0, lam**4 * B, 0)
         budget = FactorBudget(10**4, 10**5)
-        a, _invs, fi = _minimal_ints(_integral_ints(E), budget)
+        a, _invs, fi = _minimal_ints(_integral_ints(E)[0], budget)
         Emin = curve(*a)
         assert Emin == minimal_model(E, budget)[0]
         assert fi.value() == abs(int(Emin.disc))
@@ -528,13 +528,13 @@ class TestDiscriminantFactorization:
             assert fi.factors == whole.factors
 
     def test_other_models_factor_whole(self):
-        a, _invs, fi = _minimal_ints(_integral_ints(E11A1))
+        a, _invs, fi = _minimal_ints(_integral_ints(E11A1)[0])
         assert fi == FactoredInt(1, ((11, 5),))
         assert curve(*a) == minimal_model(E11A1)[0]
 
     def test_rational_model_falls_back(self):
         E = curve(0, Fraction(1, 4), 0, Fraction(3, 16), 0)
-        a, _invs, fi = _minimal_ints(_integral_ints(E))
+        a, _invs, fi = _minimal_ints(_integral_ints(E)[0])
         assert fi.complete and fi.value() == abs(int(curve(*a).disc))
 
 
@@ -582,6 +582,10 @@ class TestMinimizeWhereP12DividesDisc:
         for disc, primes in handed:
             assert all(disc % p**12 == 0 for p in primes)
             assert primes == sorted(primes)
+
+    def test_handed_invariants_give_the_same_answer(self):
+        for a in ORACLE_A + KRAUS_STOPS + [_scaled(a, 6) for a in KRAUS_STOPS]:
+            assert _minimal_ints(a, invs=weierstrass_invariants(*a)) == _minimal_ints(a), a
 
     def test_primes_below_p12_are_not_handed(self, monkeypatch):
         # the exponents of disc found (e < 12 at most primes) against what

@@ -59,7 +59,7 @@ def invariant_rule_mismatches(E, budget=FactorBudget(), parts=None):
     """The places p >= 5 of E's minimal model where the invariant rule, the
     exponent of p in disc_min or local_root_number disagree with Tate's
     algorithm, and the number of places compared."""
-    a, _invs, fi = _minimal_ints(_integral_ints(E), budget, parts)
+    a, _invs, fi = _minimal_ints(_integral_ints(E)[0], budget, parts)
     Emin = WeierstrassCurve(*a)
     bad, compared = [], 0
     for p, e in fi.factors:
@@ -94,6 +94,38 @@ def sweep_twists():
         coprime = [d for d in discs if math.gcd(d, row["N"]) == 1]
         for d in rng.sample(coprime, 2):
             yield curve(0, 0, 0, -27 * c4 * d * d, -54 * c6 * d**3)
+
+
+class TestInvariantsOnce:
+    """An integral curve's seven invariants are computed once, by its
+    constructor, and handed on to the minimization and Tate's algorithm."""
+
+    def test_one_invariants_call_per_curve(self, monkeypatch):
+        from ellfam import curves as curves_module
+
+        calls = []
+        real = weierstrass_invariants
+
+        def counted(*a):
+            calls.append(a)
+            return real(*a)
+
+        monkeypatch.setattr(curves_module, "weierstrass_invariants", counted)
+        monkeypatch.setattr(localdata, "weierstrass_invariants", counted)
+        rows = [row["a"] for row in ORACLE]
+        twists = [E.a_invariants() for E in sweep_twists()]
+        answered = 0
+        for a in rows + twists:
+            del calls[:]
+            E = curve(*a)
+            try:
+                global_root_number(E)
+                answered += 1
+            except MissingLocalCase:
+                pass
+            localdata.bad_places(E)
+            assert calls == [E._ints], a
+        assert answered > 2000
 
 
 class TestLocalDefinitional:
@@ -815,7 +847,7 @@ class TestNoRepeatedWork:
         assert len(curves) == 2685
         missing = 0
         for E in curves:
-            a = _integral_ints(E)
+            a = _integral_ints(E)[0]
             assert _minimal_ints(a) == all_primes_minimal_ints(a), E
             got = root_number_or_missing(E)
             assert got == root_number_reference(a), E
@@ -842,7 +874,7 @@ class TestNoRepeatedWork:
         monkeypatch.setattr(rootnum, "valuation", lambda n, p: calls.append((n, p)) or real(n, p))
         compared = 0
         for E in curves:
-            _a, invs, fi = _minimal_ints(_integral_ints(E))
+            _a, invs, fi = _minimal_ints(_integral_ints(E)[0])
             c4 = invs[4]
             if invs[5] == c4:
                 # c6 = c4 (y^2 = x^3 - x^2 - 7x + 2): a valuation of c6

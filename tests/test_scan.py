@@ -300,6 +300,37 @@ class TestDerivedSpecs:
             scan._symmetry(E, G1, G1, spec.mapping.q0)
 
 
+class TestSetUpProvesOnce:
+    """Building the scans solves no isomorphism that minimal_model already
+    gave, and _symmetry proves its three points on the curve once."""
+
+    def test_inverse_map_needs_no_isomorphism_search(self, monkeypatch, specs):
+        def refuse(*args):
+            raise AssertionError("isomorphic_over_Q called while building the scans")
+
+        monkeypatch.setattr(scan, "isomorphic_over_Q", refuse)
+        for name, spec in builtin_scans(radius=1, budget=BUD).items():
+            built = specs[name]
+            assert spec.mapping._inv.forms == built.mapping._inv.forms
+            assert spec.symmetry == built.symmetry and spec.parametrizer == built.parametrizer
+
+    def test_symmetry_checks_each_point_once(self, monkeypatch, specs):
+        for spec in specs.values():
+            E, (G1, G2) = spec.parametrizer, spec.generators
+            checked = []
+            real = WeierstrassCurve.contains
+
+            def counted(curve, P):
+                checked.append(P)
+                return real(curve, P)
+
+            with monkeypatch.context() as mp:
+                mp.setattr(WeierstrassCurve, "contains", counted)
+                pair = scan._symmetry(E, G1, G2, spec.mapping.q0)
+            assert pair == spec.symmetry
+            assert checked == [G1, G2, spec.mapping.q0]
+
+
 class TestParameterMap:
     def test_base_points(self, specs):
         assert specs["Z8-scan-1"].mapping.coordinates(INFINITY) == (F(-1), F(0))
@@ -746,8 +777,8 @@ class TestFamilyParts:
             for sp in _members(spec):
                 E = sp.curve()
                 parts = spec.family.discriminant_parts(sp)
-                af, _invs, ff = _minimal_ints(_integral_ints(E), BUD, parts)
-                ag, _invs, fg = _minimal_ints(_integral_ints(E), BUD)
+                af, _invs, ff = _minimal_ints(_integral_ints(E)[0], BUD, parts)
+                ag, _invs, fg = _minimal_ints(_integral_ints(E)[0], BUD)
                 assert af == ag and ff.value() == fg.value()
                 assert ff.complete or not fg.complete
                 if ff.complete and fg.complete:
