@@ -427,7 +427,7 @@ def factor(n: int, budget: FactorBudget = DEFAULT_BUDGET) -> FactoredInt:
         # every prime below lo, or below a p with p^2 > n, has been tried
         found[n] = 1
         n = 1
-    residue = _split_rest(n, found, budget)
+    residue = _split_rest(n, found, budget) if n > 1 else 1
     return FactoredInt(sign, tuple(sorted(found.items())), residue)
 
 

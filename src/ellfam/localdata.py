@@ -21,7 +21,10 @@ as ``invs``.  Wrappers on WeierstrassCurve models serve the other
 callers: bad_places the CLI's `local` and conductor, tate_local the CLI's
 `local --prime`, and minimal_model heights and the scans' parametrizers.
 At p = 2 and 3 Tate's translations are closed forms, not searches (Cohen,
-GTM 138, Algorithm 7.5.1; Cremona 3.2).
+GTM 138, Algorithm 7.5.1; Cremona 3.2).  _tate_ints decides types II, III
+and IV on the a6, b8 and b6 of the model translated by the singular point
+(_singular_point) before that model is built, and builds it only from
+step 6 on.
 """
 
 from __future__ import annotations
@@ -158,9 +161,16 @@ def _minimal_ints(
     if u == 1:
         return amin, invs, fE
     # u is a product of primes found with e >= 12, so the residue is
-    # disc_min's too, and only those exponents drop
-    found = ((p, e - 12 * valuation(u, p) if e >= 12 else e) for p, e in fE.factors)
-    return amin, invs, FactoredInt(1, tuple((p, e) for p, e in found if e), fE.residue)
+    # disc_min's too, and only those exponents drop: by 12 for each time
+    # p divides u
+    found = []
+    for p, e in fE.factors:
+        while e >= 12 and u % p == 0:
+            u //= p
+            e -= 12
+        if e:
+            found.append((p, e))
+    return amin, invs, FactoredInt(1, tuple(found), fE.residue)
 
 
 def minimal_model(
@@ -205,6 +215,12 @@ def _scalable_primes(invs: tuple, budget: FactorBudget) -> list[int]:
     return [p for p, e in fi.factors if p < 5 or e >= 4]
 
 
+# the powers of 2 and 3 that Kraus's conditions and Tate's algorithm divide
+# by, looked up at the two primes where they run on most curves
+_KRAUS_POWERS = {p: (p**4, p**6, p**12) for p in (2, 3)}
+_TATE_POWERS = {p: (p**2, p**3, p**4, p**6) for p in (2, 3)}
+
+
 def _minimize_at(invs: tuple, primes) -> tuple[tuple, tuple, int]:
     """The (c4, c6)-standard model of the integral model with invariants
     invs = (b2, ..., disc), minimal at each of primes: its a-invariants, its
@@ -212,7 +228,7 @@ def _minimize_at(invs: tuple, primes) -> tuple[tuple, tuple, int]:
     _b2, _b4, _b6, _b8, c4, c6, disc = invs
     u = 1
     for p in primes:
-        p4, p6, p12 = p**4, p**6, p**12
+        p4, p6, p12 = _KRAUS_POWERS[p] if p < 5 else (p**4, p**6, p**12)
         while c4 % p4 == 0 and c6 % p6 == 0 and disc % p12 == 0:
             nc4, nc6 = c4 // p4, c6 // p6
             if p in (2, 3) and not _kraus_ok(nc4, nc6, p):
@@ -323,8 +339,13 @@ def _tate_ints(
     """Tate's algorithm at the prime p on the int a-invariants a of an
     integral model minimal at p (ArithmeticError at step 11 otherwise); n,
     when given, is v_p(disc) of that model, and invs, when given, is its
-    weierstrass_invariants(*a)."""
-    p2, p3, p4, p6 = p * p, p**3, p**4, p**6
+    weierstrass_invariants(*a).
+
+    Types II, III and IV are decided on the a6, b8 and b6 of the model
+    translated by the singular point (r, t) before that model is built
+    (IV's quadratic reads the translated a3 and a6): it is built only from
+    step 6 on.
+    """
     if invs is None:
         invs = weierstrass_invariants(*a)
     b2, b4, b6, b8, c4, c6, disc = invs
@@ -337,22 +358,29 @@ def _tate_ints(
         if _is_split(c6, p):
             return LocalData(p, f"I{n}", 1, n, "split-multiplicative", n)
         return LocalData(p, f"I{n}", 1, 2 - n % 2, "nonsplit-multiplicative", n)
-    a, r = _move_singular_point(a, p, b2, b4, b6)
-    if a[4] % p2 != 0:
+    p2, p3, p4, p6 = _TATE_POWERS[p] if p < 5 else (p * p, p**3, p**4, p**6)
+    r, t = _singular_point(a, p, b2, b4, b6)
+    # a3, a4 and a6 of change_coordinates(a, 1, r, 0, t): (r, t) is the
+    # singular point exactly when p divides all three
+    a1, a2, a3, a4, a6 = a
+    a6 += r * (a4 + r * (a2 + r)) - t * (a3 + t + r * a1)
+    a4 += r * (2 * a2 + 3 * r) - t * a1
+    a3 += r * a1 + 2 * t
+    assert a3 % p == 0 and a4 % p == 0 and a6 % p == 0
+    if a6 % p2 != 0:
         return LocalData(p, "II", n, 1, "additive", n)
     # b6 and b8 after x -> x + r (a translation in y moves no b_i)
     b6, b8 = (
         b6 + r * (2 * b4 + r * (b2 + 4 * r)),
         b8 + r * (3 * b6 + r * (3 * b4 + r * (b2 + 3 * r))),
     )
-    a1, a2, a3, a4, a6 = a
     if b8 % p3 != 0:
         return LocalData(p, "III", n - 1, 2, "additive", n)
     if b6 % p3 != 0:
         # type IV: c depends on Y^2 + (a3/p) Y - a6/p^2 splitting
         root = _has_root_quadratic(1, a3 // p, -(a6 // p2), p)
         return LocalData(p, "IV", n - 2, 3 if root else 1, "additive", n)
-    a = _arrange_step7(a, p)
+    a = _arrange_step7((a1, a2 + 3 * r, a3, a4, a6), p)
     a1, a2, a3, a4, a6 = a
     assert a1 % p == 0 and a2 % p == 0
     assert a3 % p2 == 0 and a4 % p2 == 0 and a6 % p3 == 0
@@ -379,29 +407,26 @@ def _tate_ints(
     raise ArithmeticError(f"model {a} is not minimal at {p}")
 
 
-def _move_singular_point(a: tuple, p: int, b2: int, b4: int, b6: int) -> tuple[tuple, int]:
-    """Translate the singular point (r, t) of an additive reduction mod p,
-    with 0 <= r, t < p, to (0, 0): the moved a-invariants and r.
+def _singular_point(a: tuple, p: int, b2: int, b4: int, b6: int) -> tuple[int, int]:
+    """The singular point (r, t), 0 <= r, t < p, of an additive reduction
+    mod p of the model with a-invariants a: change_coordinates(a, 1, r, 0,
+    t) moves it to (0, 0).
 
-    (0, 0) is singular exactly when p divides a3, a4 and a6.  At p = 2, a1
-    is even (c4 = a1^4 mod 2), and r and t mod 2 follow from the translated
-    a4 and a6 (Cohen, GTM 138, Algorithm 7.5.1).  Otherwise r is the
-    repeated root of 4x^3 + b2 x^2 + 2 b4 x + b6 and t = -(a1 r + a3)/2 mod
-    p; at p = 3, where 3 | b2, that cubic is (x + b6)^3 and r = -b6.
+    At p = 2, a1 is even (c4 = a1^4 mod 2), and r and t mod 2 follow from
+    the translated a4 and a6 (Cohen, GTM 138, Algorithm 7.5.1).  Otherwise
+    r is the repeated root of 4x^3 + b2 x^2 + 2 b4 x + b6 and t = -(a1 r +
+    a3)/2 mod p; at p = 3, where 3 | b2, that cubic is (x + b6)^3 and
+    r = -b6.
     """
     a1, a2, a3, a4, a6 = a
     if p == 2:
         r = a4 % 2
-        t = (r * (1 + a2 + a4) + a6) % 2
-    elif p == 3:
+        return r, (r * (1 + a2 + a4) + a6) % 2
+    if p == 3:
         r = -b6 % 3
-        t = (a1 * r + a3) % 3
-    else:
-        r, _triple = _multiple_root([b6, 2 * b4, b2, 4], p)
-        t = -(a1 * r + a3) * pow(2, -1, p) % p
-    moved = change_coordinates(a, 1, r, 0, t)
-    assert moved[2] % p == 0 and moved[3] % p == 0 and moved[4] % p == 0
-    return moved, r
+        return r, (a1 * r + a3) % 3
+    r, _triple = _multiple_root([b6, 2 * b4, b2, 4], p)
+    return r, -(a1 * r + a3) * pow(2, -1, p) % p
 
 
 def _arrange_step7(a: tuple, p: int) -> tuple:

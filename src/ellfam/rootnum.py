@@ -72,9 +72,9 @@ def _local_sign(invs: tuple, p: int, e: int, a: Optional[tuple]) -> int:
     whose Kodaira symbol Tate's algorithm finds on it, and elsewhere may be
     None.
     """
-    _b2, _b4, _b6, _b8, c4, c6, disc = invs
     if e == 0:
         return 1
+    c4, c6 = invs[4], invs[5]
     if c4 % p:
         return -1 if _is_split(c6, p) else 1
     v4 = valuation(c4, p) if c4 else 99
@@ -85,10 +85,15 @@ def _local_sign(invs: tuple, p: int, e: int, a: Optional[tuple]) -> int:
         return 1 if legendre_is_square(RESIDUE_CLASS[e], p) else -1
     m4, m6, md = TABLE_MODULI[p]
     v6 = valuation(c6, p) if c6 else 99
-    c4u = (c4 // p**v4) % m4 if c4 else 0
-    c6u = (c6 // p**v6) % m6 if c6 else 0
+    if p == 2:
+        # x >> k is x // 2^k for negative x too, and 0 >> 99 is 0
+        c4u, c6u, du = (c4 >> v4) % m4, (c6 >> v6) % m6, (invs[6] >> e) % md
+    else:
+        c4u = (c4 // 3**v4) % m4 if c4 else 0
+        c6u = (c6 // 3**v6) % m6 if c6 else 0
+        du = (invs[6] // 3**e) % md
     kodaira = _tate_ints(a, p, e, invs).kodaira
-    key = (kodaira, min(v4, 12), min(v6, 12), e, c4u, c6u, (disc // p**e) % md)
+    key = (kodaira, min(v4, 12), min(v6, 12), e, c4u, c6u, du)
     try:
         return (TABLE_P2 if p == 2 else TABLE_P3)[key]
     except KeyError:
@@ -118,5 +123,7 @@ def global_root_number(
     """
     a, invs = _integral_ints(E)
     a, invs, fi = _minimal_ints(a, budget, parts, invs)
-    breakdown = {p: _local_sign(invs, p, e, a) for p, e in fi.factors}
-    return RootNumber(local_breakdown=breakdown, complete=fi.complete)
+    breakdown = {}
+    for p, e in fi.factors:
+        breakdown[p] = _local_sign(invs, p, e, a)
+    return RootNumber(breakdown, fi.complete)

@@ -9,7 +9,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ellfam import localdata, rootnum
@@ -550,16 +550,17 @@ def search_step7(a):
     raise AssertionError(f"step 7 arrangement failed: {a}")
 
 
-MOVE, STEP7 = localdata._move_singular_point, localdata._arrange_step7
+SINGULAR, STEP7 = localdata._singular_point, localdata._arrange_step7
 
 
-def reference_move(a, p, b2, b4, b6):
-    """_move_singular_point by search at 2 and 3: the moved model and its
-    r, read off b2 + 12 r."""
+def reference_singular_point(a, p, b2, b4, b6):
+    """_singular_point by search at 2 and 3: (r, t) read off the moved
+    model, whose a2 is a2 + 3 r and a3 is a3 + r a1 + 2 t."""
     if p > 3:
-        return MOVE(a, p, b2, b4, b6)
+        return SINGULAR(a, p, b2, b4, b6)
     moved = search_singular_point(a, p)
-    return moved, (moved[0] ** 2 + 4 * moved[1] - b2) // 12
+    r = (moved[1] - a[1]) // 3
+    return r, (moved[2] - a[2] - r * a[0]) // 2
 
 
 def reference_step7(a, p):
@@ -640,7 +641,7 @@ def reference_root_number(E, monkeypatch):
     data at 2 and 3, all by the reference path."""
     Emin, fi = reference_minimal_model(E)
     with monkeypatch.context() as m:
-        m.setattr(localdata, "_move_singular_point", reference_move)
+        m.setattr(localdata, "_singular_point", reference_singular_point)
         m.setattr(localdata, "_arrange_step7", reference_step7)
         local = {p: tate_local(Emin, p) for p in fi.primes() if p < 5}
     try:
@@ -703,10 +704,10 @@ class TestReferencePath:
             return
         moves, steps = [], []
 
-        def move(a, p, b2, b4, b6):
-            moved, r = MOVE(a, p, b2, b4, b6)
-            moves.append(((moved, r), reference_move(a, p, b2, b4, b6)))
-            return moved, r
+        def singular(a, p, b2, b4, b6):
+            r, t = SINGULAR(a, p, b2, b4, b6)
+            moves.append((change_coordinates(a, 1, r, 0, t), search_singular_point(a, p)))
+            return r, t
 
         def step7(a, p):
             arranged = STEP7(a, p)
@@ -714,7 +715,7 @@ class TestReferencePath:
             return arranged
 
         with pytest.MonkeyPatch.context() as m:
-            m.setattr(localdata, "_move_singular_point", move)
+            m.setattr(localdata, "_singular_point", singular)
             m.setattr(localdata, "_arrange_step7", step7)
             try:
                 localdata._tate_ints(a, p)
@@ -738,7 +739,7 @@ class TestReferencePath:
         # one curve for each branch of the closed forms (the CI pins)
         ld = localdata._tate_ints(a, p)
         assert ld.kodaira == branch
-        monkeypatch.setattr(localdata, "_move_singular_point", reference_move)
+        monkeypatch.setattr(localdata, "_singular_point", reference_singular_point)
         monkeypatch.setattr(localdata, "_arrange_step7", reference_step7)
         assert localdata._tate_ints(a, p) == ld
 
@@ -854,10 +855,11 @@ class TestNoRepeatedWork:
             missing += isinstance(got, str)
         assert missing > 0
 
-    @pytest.mark.parametrize("u", [2, 3, 5, 6, 35])
+    @pytest.mark.parametrize("u", [2, 3, 4, 5, 6, 12, 35, 36])
     def test_scaled_models(self, u):
         # a_i u^i is not minimal at u's primes; its root number and local
-        # factors are those of the minimal model
+        # factors are those of the minimal model.  At u = 4, 12 and 36 a
+        # prime is scaled out twice, and its exponent drops by 24
         for a in [tuple(row["a"]) for row in ORACLE[::7]] + KRAUS_STOPS:
             scaled = tuple(x * u**k for x, k in zip(a, (1, 2, 3, 4, 6)))
             assert _minimal_ints(scaled) == all_primes_minimal_ints(scaled), a
@@ -890,3 +892,130 @@ class TestNoRepeatedWork:
             assert seen == additive, E
             compared += len(additive)
         assert compared > 2000
+
+
+# ---------------------------------------------------------------------------
+# reference: Tate's algorithm as it was before it decided types II, III and
+# IV on the translated a6, b8 and b6: the whole moved model first
+# ---------------------------------------------------------------------------
+
+
+def whole_model_move(a, p, b2, b4, b6):
+    """The moved a-invariants of the singular point's translation and r."""
+    a1, a2, a3, a4, a6 = a
+    if p == 2:
+        r = a4 % 2
+        t = (r * (1 + a2 + a4) + a6) % 2
+    elif p == 3:
+        r = -b6 % 3
+        t = (a1 * r + a3) % 3
+    else:
+        r, _triple = localdata._multiple_root([b6, 2 * b4, b2, 4], p)
+        t = -(a1 * r + a3) * pow(2, -1, p) % p
+    moved = change_coordinates(a, 1, r, 0, t)
+    assert moved[2] % p == 0 and moved[3] % p == 0 and moved[4] % p == 0
+    return moved, r
+
+
+def whole_model_tate_ints(a, p):
+    """localdata._tate_ints with the moved model built before type II."""
+    LocalData = localdata.LocalData
+    p2, p3, p4, p6 = p * p, p**3, p**4, p**6
+    b2, b4, b6, b8, c4, c6, disc = weierstrass_invariants(*a)
+    n = valuation(disc, p)
+    if n == 0:
+        return LocalData(p, "I0", 0, 1, "good", 0)
+    if c4 % p != 0:
+        if localdata._is_split(c6, p):
+            return LocalData(p, f"I{n}", 1, n, "split-multiplicative", n)
+        return LocalData(p, f"I{n}", 1, 2 - n % 2, "nonsplit-multiplicative", n)
+    a, r = whole_model_move(a, p, b2, b4, b6)
+    if a[4] % p2 != 0:
+        return LocalData(p, "II", n, 1, "additive", n)
+    b6, b8 = (
+        b6 + r * (2 * b4 + r * (b2 + 4 * r)),
+        b8 + r * (3 * b6 + r * (3 * b4 + r * (b2 + 3 * r))),
+    )
+    a1, a2, a3, a4, a6 = a
+    if b8 % p3 != 0:
+        return LocalData(p, "III", n - 1, 2, "additive", n)
+    if b6 % p3 != 0:
+        root = localdata._has_root_quadratic(1, a3 // p, -(a6 // p2), p)
+        return LocalData(p, "IV", n - 2, 3 if root else 1, "additive", n)
+    a = localdata._arrange_step7(a, p)
+    a1, a2, a3, a4, a6 = a
+    assert a1 % p == 0 and a2 % p == 0
+    assert a3 % p2 == 0 and a4 % p2 == 0 and a6 % p3 == 0
+    cub = [a6 // p3, a4 // p2, a2 // p, 1]
+    root = localdata._multiple_root(cub, p)
+    if root is None:
+        c = 1 + localdata._count_roots_cubic(cub, p)
+        return LocalData(p, "I0*", n - 4, c, "additive", n)
+    r, triple = root
+    a = change_coordinates(a, 1, p * r, 0, 0)
+    if not triple:
+        return localdata._instar_loop(a, p, n)
+    a3t, a6t = a[2] // p2, a[4] // p4
+    if (a3t * a3t + 4 * a6t) % p != 0:
+        root = localdata._has_root_quadratic(1, a3t, -a6t, p)
+        return LocalData(p, "IV*", n - 6, 3 if root else 1, "additive", n)
+    a = change_coordinates(a, 1, 0, 0, p2 * localdata._double_root(1, a3t, -a6t, p))
+    if a[3] % p4 != 0:
+        return LocalData(p, "III*", n - 7, 2, "additive", n)
+    if a[4] % p6 != 0:
+        return LocalData(p, "II*", n - 8, 1, "additive", n)
+    raise ArithmeticError(f"model {a} is not minimal at {p}")
+
+
+def tate_or_error(tate, a, p):
+    try:
+        return tate(a, p)
+    except ArithmeticError as exc:
+        return str(exc)
+
+
+# oracle curves that end Tate's algorithm at type II, III or IV, at 2 and 3
+EARLY_EXITS = [
+    ((0, 1, 0, 1, 0), 2, "II"),
+    ((0, 0, 1, 0, 0), 3, "II"),
+    ((0, -1, 0, 1, 0), 2, "III"),
+    ((0, 0, 0, 0, 1), 3, "III"),
+    ((0, 0, 0, 0, 1), 2, "IV"),
+    ((1, -1, 0, -6, 8), 3, "IV"),
+]
+
+
+@st.composite
+def additive_models(draw):
+    """(a, p): a_i = x_i p^k_i, p in {2, 3, 5, 7}, which makes additive
+    reduction at p, and the later steps, common."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    xs = draw(st.lists(st.integers(-50, 50), min_size=5, max_size=5))
+    ks = draw(st.lists(st.integers(0, 4), min_size=5, max_size=5))
+    return tuple(x * p**k for x, k in zip(xs, ks)), p
+
+
+class TestEarlyExits:
+    """Tate's algorithm that decides II-IV before it builds the moved model,
+    against the copy that built it first."""
+
+    @given(additive_models())
+    @example(EARLY_EXITS[0][:2])
+    @example(EARLY_EXITS[1][:2])
+    @example(EARLY_EXITS[2][:2])
+    @example(EARLY_EXITS[3][:2])
+    @example(EARLY_EXITS[4][:2])
+    @example(EARLY_EXITS[5][:2])
+    @settings(max_examples=300, deadline=None)
+    def test_matches_whole_model_first(self, model):
+        a, p = model
+        invs = weierstrass_invariants(*a)
+        assume(invs[6] != 0 and invs[6] % p == 0 and invs[4] % p == 0)
+        expected = tate_or_error(whole_model_tate_ints, a, p)
+        assert tate_or_error(localdata._tate_ints, a, p) == expected
+
+    @pytest.mark.parametrize("a,p,kodaira", EARLY_EXITS)
+    def test_oracle_examples_end_early(self, a, p, kodaira):
+        assert any(tuple(row["a"]) == a for row in ORACLE)
+        ld = localdata._tate_ints(a, p)
+        assert ld.kodaira == kodaira and ld == whole_model_tate_ints(a, p)
