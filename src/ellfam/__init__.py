@@ -29,8 +29,7 @@ __all__ = [
     "CurveFamily",
     "catalog",
     "canonical_height",
-    "independence_certificate",
-    "regulator",
+    "pairing_matrix",
     "conductor",
     "minimal_model",
     "tate_local",
@@ -45,8 +44,7 @@ __all__ = [
 # name -> the module that defines it, imported when the name is first read
 _LAZY = {
     "canonical_height": "heights",
-    "independence_certificate": "heights",
-    "regulator": "heights",
+    "pairing_matrix": "heights",
     "conductor": "localdata",
     "minimal_model": "localdata",
     "tate_local": "localdata",

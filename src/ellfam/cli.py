@@ -320,7 +320,7 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_verify_all(args) -> int:
-    from .heights import independence_certificate
+    from .heights import pairing_matrix
 
     failures = 0
     for label, fam in catalog().items():
@@ -336,7 +336,7 @@ def _cmd_verify_all(args) -> int:
                     problems.append(
                         f"torsion {tg.structure} != expected {fam.torsion}"
                     )
-                cert = independence_certificate(E, list(sp.points), args.budget)
+                cert = pairing_matrix(E, list(sp.points), args.budget).certificate()
                 if cert != "independent":
                     problems.append(f"independence certificate: {cert}")
             except (SingularMember, Unfactored) as exc:

@@ -77,14 +77,15 @@ class WeierstrassCurve:
     """y^2 + a1 x y + a3 y = x^3 + a2 x^2 + a4 x + a6 with nonzero discriminant.
 
     An integral model keeps its a-invariants as an int tuple (``_ints``,
-    None otherwise), and its seven invariants b2 ... disc are computed once,
-    in int arithmetic (``bc_invariants``); the Fractions that
-    ``E.b2`` ... ``E.disc`` return are built from them on first read.  Its
-    group law runs in ints too (_integral_add), one reduction per
-    coordinate.
+    None otherwise).  ``bc_invariants`` is the one accessor for the seven
+    invariants (b2, b4, b6, b8, c4, c6, disc), computed once: ints on an
+    integral model, in int arithmetic; on any other model, elements of the
+    a-invariants' field.  The Fractions that ``E.b2`` ... ``E.disc`` return
+    are built from them on first read.  An integral model's group law runs
+    in ints too (_integral_add), one reduction per coordinate.
     """
 
-    __slots__ = ("a1", "a2", "a3", "a4", "a6", "_ints", "_zinvs", "_invs", "_cache")
+    __slots__ = ("a1", "a2", "a3", "a4", "a6", "_ints", "_bcinvs", "_invs", "_cache")
 
     def __init__(self, a1, a2, a3, a4, a6, check: bool = True):
         vals = [a1, a2, a3, a4, a6]
@@ -93,37 +94,29 @@ class WeierstrassCurve:
             object.__setattr__(self, name, v)
         integral = all(isinstance(v, Fraction) and v.denominator == 1 for v in vals)
         object.__setattr__(self, "_ints", tuple(v.numerator for v in vals) if integral else None)
-        object.__setattr__(self, "_zinvs", None)
+        object.__setattr__(self, "_bcinvs", None)
         object.__setattr__(self, "_invs", None)
         object.__setattr__(self, "_cache", {})
-        if check and (self.bc_invariants()[6] if integral else self.disc) == 0:
+        if check and self.bc_invariants()[6] == 0:
             raise ValueError("singular model: discriminant is zero")
 
     def __setattr__(self, *a):
         raise AttributeError("WeierstrassCurve is immutable")
 
     # -- invariants -------------------------------------------------------
-    def bc_invariants(self) -> tuple[int, int, int, int, int, int, int]:
-        """(b2, b4, b6, b8, c4, c6, disc) of an integral model, as ints;
-        ValueError for a model that is not integral."""
-        if self._zinvs is None:
-            if self._ints is None:
-                raise ValueError("integral model required")
-            object.__setattr__(self, "_zinvs", weierstrass_invariants(*self._ints))
-        return self._zinvs
-
-    def exact_invariants(self) -> tuple:
+    def bc_invariants(self) -> tuple:
         """(b2, b4, b6, b8, c4, c6, disc): ints on an integral model, where
-        no Fraction is built, else Fractions."""
-        return self.bc_invariants() if self._ints is not None else self._invariants()
+        no Fraction is built, else elements of the a-invariants' field."""
+        if self._bcinvs is None:
+            a = self._ints if self._ints is not None else self.a_invariants()
+            object.__setattr__(self, "_bcinvs", weierstrass_invariants(*a))
+        return self._bcinvs
 
     def _invariants(self) -> tuple:
+        if self._ints is None:
+            return self.bc_invariants()
         if self._invs is None:
-            if self._ints is None:
-                invs = weierstrass_invariants(*self.a_invariants())
-            else:
-                invs = tuple(map(Fraction, self.bc_invariants()))
-            object.__setattr__(self, "_invs", invs)
+            object.__setattr__(self, "_invs", tuple(map(Fraction, self.bc_invariants())))
         return self._invs
 
     b2, b4, b6, b8, c4, c6, disc = map(_invariant, range(7))
@@ -540,7 +533,7 @@ def two_torsion_points(E: WeierstrassCurve) -> list[CurvePoint]:
     those that one square test of b2^2 - 32 b4 gives, in ints on an
     integral model; on a nonsingular model they are simple, so
     (denominator, -numerator) is that order."""
-    b2, b4, b6, *_, disc = E.exact_invariants()
+    b2, b4, b6, *_, disc = E.bc_invariants()
     if b6 == 0 and disc != 0:
         roots = [Fraction(0)]
         r = square_test(b2 * b2 - 32 * b4)
@@ -672,8 +665,8 @@ def isomorphic_over_Q(
     changes of coordinates whose scales differ by u.  For a given scale
     the translation (r, s, t) is forced (_translation_for_scale).
     """
-    c4, c6 = E1.exact_invariants()[4:6]
-    d4, d6 = E2.exact_invariants()[4:6]
+    c4, c6 = E1.bc_invariants()[4:6]
+    d4, d6 = E2.bc_invariants()[4:6]
     if (c4 == 0) != (d4 == 0) or (c6 == 0) != (d6 == 0):
         return None
     if c4 == 0:

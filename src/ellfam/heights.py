@@ -49,10 +49,7 @@ def _lambda_inf(E: WeierstrassCurve, x0: Fraction):
     """
     import mpmath as mp
 
-    b2 = mp.mpf(int(E.b2))
-    b4 = mp.mpf(int(E.b4))
-    b6 = mp.mpf(int(E.b6))
-    b8 = mp.mpf(int(E.b8))
+    b2, b4, b6, b8 = map(mp.mpf, E.bc_invariants()[:4])
     x = mp.mpf(x0.numerator) / mp.mpf(x0.denominator)
     lam = mp.mpf(0)
     scale = mp.mpf(1)
@@ -96,8 +93,8 @@ def _singular_corrections(E: WeierstrassCurve, Q: CurvePoint) -> list[tuple[int,
     b = y * e**3
     assert b.denominator == 1, "integral model denominators must be cubes"
     b = b.numerator
-    a1, a2, a3, a4 = (int(E.a1), int(E.a2), int(E.a3), int(E.a4))
-    disc, c4 = int(E.disc), int(E.c4)
+    a1, a2, a3, a4, _a6 = E._ints
+    _b2, _b4, _b6, _b8, c4, _c6, disc = E.bc_invariants()
     fy = 2 * b + a1 * a * e + a3 * e**3
     fx = a1 * b * e - 3 * a * a - 2 * a2 * a * e * e - a4 * e**4
     g = math.gcd(fy, fx, disc)
@@ -216,19 +213,3 @@ def pairing_matrix(
         points=tuple(pts),
         entries=tuple(tuple(row) for row in entries),
     )
-
-
-def regulator(
-    E: WeierstrassCurve, pts: Sequence[CurvePoint], budget: FactorBudget = DEFAULT_BUDGET
-) -> float:
-    """Gram determinant of the height pairing on pts; the budget serves
-    only `minimal_model`."""
-    return pairing_matrix(E, pts, budget).gram_determinant()
-
-
-def independence_certificate(
-    E: WeierstrassCurve, pts: Sequence[CurvePoint], budget: FactorBudget = DEFAULT_BUDGET
-) -> str:
-    """The certificate (HeightPairingMatrix.certificate) of pts' pairing
-    matrix; the budget serves only `minimal_model`."""
-    return pairing_matrix(E, pts, budget).certificate()

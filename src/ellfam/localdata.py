@@ -215,12 +215,6 @@ def _scalable_primes(invs: tuple, budget: FactorBudget) -> list[int]:
     return [p for p, e in fi.factors if p < 5 or e >= 4]
 
 
-# the powers of 2 and 3 that Kraus's conditions and Tate's algorithm divide
-# by, looked up at the two primes where they run on most curves
-_KRAUS_POWERS = {p: (p**4, p**6, p**12) for p in (2, 3)}
-_TATE_POWERS = {p: (p**2, p**3, p**4, p**6) for p in (2, 3)}
-
-
 def _minimize_at(invs: tuple, primes) -> tuple[tuple, tuple, int]:
     """The (c4, c6)-standard model of the integral model with invariants
     invs = (b2, ..., disc), minimal at each of primes: its a-invariants, its
@@ -228,12 +222,13 @@ def _minimize_at(invs: tuple, primes) -> tuple[tuple, tuple, int]:
     _b2, _b4, _b6, _b8, c4, c6, disc = invs
     u = 1
     for p in primes:
-        p4, p6, p12 = _KRAUS_POWERS[p] if p < 5 else (p**4, p**6, p**12)
-        while c4 % p4 == 0 and c6 % p6 == 0 and disc % p12 == 0:
+        p4 = p * p * p * p
+        p6 = p4 * p * p
+        while c4 % p4 == 0 and c6 % p6 == 0 and disc % (p6 * p6) == 0:
             nc4, nc6 = c4 // p4, c6 // p6
             if p in (2, 3) and not _kraus_ok(nc4, nc6, p):
                 break
-            c4, c6, disc = nc4, nc6, disc // p12
+            c4, c6, disc = nc4, nc6, disc // (p6 * p6)
             u *= p
     a, invs = _curve_from_c4c6(c4, c6, disc)
     return a, invs, u
@@ -274,25 +269,21 @@ def _multiple_root(cs: list[int], p: int) -> tuple[int, bool] | None:
     A multiple root of a cubic over F_p lies in F_p, so the cubic is
     a (T - r)^2 (T - s).  Then b^2 - 3ac = a^2 (r - s)^2, so the root is
     triple exactly when b^2 - 3ac vanishes, in every characteristic.  For
-    p >= 5, 9ad - bc = 2 a^2 r (r - s)^2 gives the double root as their
-    quotient over 2, and a triple root is -b/(3a); for p <= 3 the residue
-    with f(r) = f'(r) = 0 is found by trial.
+    p <= 3 the residue with f(r) = f'(r) = 0 is found by trial, which alone
+    decides: no such residue means no multiple root.  For p >= 5,
+    9ad - bc = 2 a^2 r (r - s)^2 gives the double root as their quotient
+    over 2, and a triple root is -b/(3a).
     """
     d, c, b, a = (x % p for x in cs)
-    disc = (
-        18 * a * b * c * d - 4 * b**3 * d + b * b * c * c - 4 * a * c**3 - 27 * a * a * d * d
-    )
-    if disc % p:
-        return None
     h = (b * b - 3 * a * c) % p
     if p <= 3:
-        r = next(
-            x
-            for x in range(p)
-            if (((a * x + b) * x + c) * x + d) % p == 0
-            and ((3 * a * x + 2 * b) * x + c) % p == 0
-        )
-    elif h == 0:
+        for r in range(p):
+            if (((a * r + b) * r + c) * r + d) % p == 0 and ((3 * a * r + 2 * b) * r + c) % p == 0:
+                return r, h == 0
+        return None
+    if (18 * a * b * c * d - 4 * b**3 * d + b * b * c * c - 4 * a * c**3 - 27 * a * a * d * d) % p:
+        return None
+    if h == 0:
         r = -b * pow(3 * a, -1, p) % p
     else:
         r = (9 * a * d - b * c) * pow(2 * h, -1, p) % p
@@ -358,7 +349,7 @@ def _tate_ints(
         if _is_split(c6, p):
             return LocalData(p, f"I{n}", 1, n, "split-multiplicative", n)
         return LocalData(p, f"I{n}", 1, 2 - n % 2, "nonsplit-multiplicative", n)
-    p2, p3, p4, p6 = _TATE_POWERS[p] if p < 5 else (p * p, p**3, p**4, p**6)
+    p2, p3 = p * p, p * p * p
     r, t = _singular_point(a, p, b2, b4, b6)
     # a3, a4 and a6 of change_coordinates(a, 1, r, 0, t): (r, t) is the
     # singular point exactly when p divides all three
@@ -395,14 +386,14 @@ def _tate_ints(
     if not triple:
         return _instar_loop(a, p, n)
     # triple root: IV*, III* or II*
-    a3t, a6t = a[2] // p2, a[4] // p4
+    a3t, a6t = a[2] // p2, a[4] // (p2 * p2)
     if (a3t * a3t + 4 * a6t) % p != 0:
         root = _has_root_quadratic(1, a3t, -a6t, p)
         return LocalData(p, "IV*", n - 6, 3 if root else 1, "additive", n)
     a = change_coordinates(a, 1, 0, 0, p2 * _double_root(1, a3t, -a6t, p))
-    if a[3] % p4 != 0:
+    if a[3] % (p2 * p2) != 0:
         return LocalData(p, "III*", n - 7, 2, "additive", n)
-    if a[4] % p6 != 0:
+    if a[4] % (p3 * p3) != 0:
         return LocalData(p, "II*", n - 8, 1, "additive", n)
     raise ArithmeticError(f"model {a} is not minimal at {p}")
 

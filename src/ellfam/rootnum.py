@@ -24,7 +24,8 @@ invariants, which the curve's constructor computed, to _minimal_ints as
 ``invs``, so the call does not compute them again.  The Legendre symbols
 at odd primes are arith.legendre_is_square, a table lookup below 2^9.
 local_root_number wraps _local_sign for a WeierstrassCurve and its
-LocalData.
+LocalData; no command calls it, and it is kept only because
+perfbench/tracer.py binds it (ROADMAP item 10).
 
 A table key is the Kodaira type, the valuations of c4, c6 and disc, and
 their unit parts modulo TABLE_MODULI[p], which a unit change of model

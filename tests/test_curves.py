@@ -27,6 +27,7 @@ from ellfam.curves import (
     torsion_bound,
     torsion_subgroup,
     two_torsion_points,
+    weierstrass_invariants,
 )
 from ellfam.polyq import PolyQ, RatFunc
 
@@ -67,6 +68,10 @@ class TestInvariants:
         assert got == textbook_invariants(*map(Fraction, a))
         assert all(type(v) is Fraction for v in got)
         assert E.c4**3 - E.c6**2 == 1728 * E.disc
+        # the one accessor: ints on an integral model, no Fraction built
+        ints = E.bc_invariants()
+        assert ints == weierstrass_invariants(*E._ints) == textbook_invariants(*a)
+        assert all(type(v) is int for v in ints)
 
     @given(st.lists(st.fractions(max_denominator=10**6), min_size=5, max_size=5))
     @example([Fraction(1, 2), Fraction(-1, 3), Fraction(3, 5), Fraction(-7), Fraction(5, 9)])
@@ -78,6 +83,9 @@ class TestInvariants:
         assert got == textbook_invariants(*a)
         assert all(type(v) is Fraction for v in got)
         assert E.c4**3 - E.c6**2 == 1728 * E.disc
+        assert E.bc_invariants() == got
+        kind = int if E.is_integral() else Fraction
+        assert all(type(v) is kind for v in E.bc_invariants())
 
     def test_family_invariants_match_textbook(self):
         from ellfam.families import catalog
@@ -86,6 +94,7 @@ class TestInvariants:
         got = curve_invariants(E)
         assert all(isinstance(v, RatFunc) for v in got)
         assert got == textbook_invariants(*E.a_invariants())
+        assert E.bc_invariants() == got
         assert E.c4**3 - E.c6**2 == 1728 * E.disc
 
     def test_known_discriminants(self):

@@ -116,6 +116,14 @@ class TestTateMultiplicative:
         with pytest.raises(ValueError):
             tate_local(E37A, p)
 
+    def test_non_integral_model_rejected(self):
+        # a1 = 1/2: the model is not integral, so Tate's algorithm has no
+        # int a-invariants to run on
+        E = curve(Fraction(1, 2), 0, 0, -1, 0)
+        assert not E.is_integral()
+        with pytest.raises(ValueError, match="integral model required"):
+            tate_local(E, 5)
+
     def test_family_specialization_at_17(self):
         E = curve(0, 49, 0, 256, 0)
         Emin, _ = minimal_model(E)
@@ -245,6 +253,23 @@ class TestResidueFieldHelpers:
                         seen.add(None if got is None else got[1])
         assert seen == {None, False, True}
 
+    @pytest.mark.parametrize("p, count", [(2, 8), (3, 54)])
+    def test_multiple_root_small_p_matches_discriminant_first(self, p, count):
+        # every cubic mod p with a unit leading coefficient, its
+        # coefficients also lifted by p: the residue trial alone answers
+        # as the discriminant test followed by the trial does
+        cubics = [
+            [d, c, b, a]
+            for a in range(1, p)
+            for b in range(p)
+            for c in range(p)
+            for d in range(p)
+        ]
+        assert len(cubics) == count
+        for cs in cubics:
+            for lifted in (cs, [x + (i + 1) * p for i, x in enumerate(cs)]):
+                assert _multiple_root(lifted, p) == _multiple_root_discriminant_first(lifted, p)
+
     @given(st.sampled_from(COUNT_PRIMES), COEFF, COEFF, COEFF, COEFF)
     @settings(max_examples=300, deadline=None)
     def test_count_roots_random_cubic(self, p, a, b, c, d):
@@ -303,6 +328,26 @@ def _multiple_root_brute(cs, p):
     (r,) = common
     cube = _cubic_from_roots(cs[3], [r, r, r])
     return r, all((x - y) % p == 0 for x, y in zip(cs, cube))
+
+
+def _multiple_root_discriminant_first(cs, p):
+    """_multiple_root at p <= 3 decided by the discriminant first: None when
+    18abcd - 4b^3 d + b^2 c^2 - 4ac^3 - 27a^2 d^2 is a unit mod p, else the
+    residue with f(r) = f'(r) = 0, and whether b^2 - 3ac vanishes."""
+    d, c, b, a = (x % p for x in cs)
+    disc = (
+        18 * a * b * c * d - 4 * b**3 * d + b * b * c * c - 4 * a * c**3 - 27 * a * a * d * d
+    )
+    if disc % p:
+        return None
+    h = (b * b - 3 * a * c) % p
+    r = next(
+        x
+        for x in range(p)
+        if (((a * x + b) * x + c) * x + d) % p == 0
+        and ((3 * a * x + 2 * b) * x + c) % p == 0
+    )
+    return r, h == 0
 
 
 def _non_residue(p):
