@@ -504,15 +504,14 @@ _split_memo: Optional[dict[tuple[int, FactorBudget], tuple[tuple, int]]] = None
 def split_memo() -> Iterator[None]:
     """Within the block, _split_rest splits each (rest, budget) once and
     hands a repeat the same primes and residue; the memo is dropped on
-    leaving the block.  _split_rest depends on its arguments alone, so a
-    repeat's answer needs no proof."""
+    leaving the block, and blocks do not nest.  _split_rest depends on its
+    arguments alone, so a repeat's answer needs no proof."""
     global _split_memo
-    outer = _split_memo
     _split_memo = {}
     try:
         yield
     finally:
-        _split_memo = outer
+        _split_memo = None
 
 
 def _split_rest(n: int, found: dict[int, int], budget: FactorBudget) -> int:

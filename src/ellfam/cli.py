@@ -205,7 +205,7 @@ def _cmd_local(args) -> int:
     E, _pts, _tors = _resolve_curve(args)
     if args.prime is not None:
         # tate_local makes the model minimal at that one prime first
-        places = [tate_local(E.integral_model()[0], args.prime)]
+        places = [tate_local(E, args.prime)]
         complete = True
     else:
         places, fi = bad_places(E, args.budget)

@@ -70,7 +70,11 @@ def change_coordinates(a: tuple, u, r, s, t) -> tuple:
 
 
 def _invariant(i: int) -> property:
-    return property(lambda E: E._invariants()[i])
+    def read(E):
+        v = E.bc_invariants()[i]
+        return Fraction(v) if isinstance(v, int) else v
+
+    return property(read)
 
 
 class WeierstrassCurve:
@@ -80,12 +84,13 @@ class WeierstrassCurve:
     None otherwise).  ``bc_invariants`` is the one accessor for the seven
     invariants (b2, b4, b6, b8, c4, c6, disc), computed once: ints on an
     integral model, in int arithmetic; on any other model, elements of the
-    a-invariants' field.  The Fractions that ``E.b2`` ... ``E.disc`` return
-    are built from them on first read.  An integral model's group law runs
-    in ints too (_integral_add), one reduction per coordinate.
+    a-invariants' field.  ``E.b2`` ... ``E.disc`` read them as field
+    elements, a Fraction built on each read on an integral model.  An
+    integral model's group law runs in ints too (_integral_add), one
+    reduction per coordinate.
     """
 
-    __slots__ = ("a1", "a2", "a3", "a4", "a6", "_ints", "_bcinvs", "_invs", "_cache")
+    __slots__ = ("a1", "a2", "a3", "a4", "a6", "_ints", "_bcinvs", "_cache")
 
     def __init__(self, a1, a2, a3, a4, a6, check: bool = True):
         vals = [a1, a2, a3, a4, a6]
@@ -95,7 +100,6 @@ class WeierstrassCurve:
         integral = all(isinstance(v, Fraction) and v.denominator == 1 for v in vals)
         object.__setattr__(self, "_ints", tuple(v.numerator for v in vals) if integral else None)
         object.__setattr__(self, "_bcinvs", None)
-        object.__setattr__(self, "_invs", None)
         object.__setattr__(self, "_cache", {})
         if check and self.bc_invariants()[6] == 0:
             raise ValueError("singular model: discriminant is zero")
@@ -111,13 +115,6 @@ class WeierstrassCurve:
             a = self._ints if self._ints is not None else self.a_invariants()
             object.__setattr__(self, "_bcinvs", weierstrass_invariants(*a))
         return self._bcinvs
-
-    def _invariants(self) -> tuple:
-        if self._ints is None:
-            return self.bc_invariants()
-        if self._invs is None:
-            object.__setattr__(self, "_invs", tuple(map(Fraction, self.bc_invariants())))
-        return self._invs
 
     b2, b4, b6, b8, c4, c6, disc = map(_invariant, range(7))
 

@@ -2,11 +2,19 @@
 
 For a point Q = (x, y) of infinite order on the minimal model,
 ``ĥ(Q) = 2·λ∞(x) + log den x + Σ z_p·log p``.  The archimedean part is a
-telescoping duplication series with error below ``4^(-terms)``, far inside
-DEFAULT_EPS.  At a prime where Q reduces to a nonsingular point the local
-height is half of ``v_p(den x)·log p``, which ``log den x`` already holds.
-At the few primes where Q reduces to a singular point, Silverman's closed
-form (*Math. Comp.* 51, 1988; Cohen, *GTM* 138, Alg. 7.5.7) gives the
+telescoping duplication series, whose tail is below ``4^(-terms)``.  Where
+x(2^k Q) lies near a root of 4x³ + b2x² + 2b4x + b6, a step cancels digits
+that no fixed precision bounds, so the series owns its precision: it runs
+at _WORK_DPS / 2 and _WORK_DPS digits, and at twice the precision again
+until two runs agree within DEFAULT_EPS; the later run is then more
+accurate by the digits added.  A run in which that cubic rounds to zero
+agrees with none, since no multiple of a point of infinite order is
+2-torsion.
+
+At a prime where Q reduces to a nonsingular point the local height is half
+of ``v_p(den x)·log p``, which ``log den x`` already holds.  At the few
+primes where Q reduces to a singular point, Silverman's closed form
+(*Math. Comp.* 51, 1988; Cohen, *GTM* 138, Alg. 7.5.7) gives the
 correction z_p from three valuations at Q itself, so no multiple of Q has
 to be moved to nonsingular reduction first.  Those corrections are summed
 over a coprime base with no factoring (Silverman, "Computing canonical
@@ -31,8 +39,9 @@ from .polyq import homogeneous_value
 
 # DEFAULT_EPS bounds the error of each height and pairing entry: the
 # archimedean series stops after _SERIES_TERMS = 64 duplications, so its
-# tail is below 4^-64 (about 3e-39); it is summed with _WORK_DPS = 60
-# digits; and the float64 result is off by a relative 2^-53 (about 1e-16).
+# tail is below 4^-64 (about 3e-39); its precision is raised until it holds
+# (see the module docstring); and the float64 result is off by a relative
+# 2^-53 (about 1e-16).
 DEFAULT_EPS = 1e-10
 INDEPENDENCE_THRESHOLD = 1e-6
 _SERIES_TERMS = 64
@@ -40,31 +49,44 @@ _WORK_DPS = 60
 
 
 def _lambda_inf(E: WeierstrassCurve, x0: Fraction):
-    """Archimedean local height of a point with x-coordinate x0, an mpmath
-    mpf at the caller's working precision.
+    """Archimedean local height of a point of infinite order with
+    x-coordinate x0, an mpmath mpf: the later of the first two runs of the
+    duplication series, doubling its precision, that agree within
+    DEFAULT_EPS."""
+    dps = _WORK_DPS // 2
+    last = _duplication_series(E, x0, dps)
+    while True:
+        dps *= 2
+        lam = _duplication_series(E, x0, dps)
+        if lam is not None and last is not None and abs(lam - last) < DEFAULT_EPS:
+            return lam
+        last = lam
 
-    λ(P) = (1/4)·λ(2P) + (1/8)·log|4x³ + b2x² + 2b4x + b6| telescoped for
-    _SERIES_TERMS duplications, closed with the crude bound
+
+def _duplication_series(E: WeierstrassCurve, x0: Fraction, dps: int):
+    """λ(P) = (1/4)·λ(2P) + (1/8)·log|4x³ + b2x² + 2b4x + b6| telescoped for
+    _SERIES_TERMS duplications at dps digits, closed with the crude bound
     λ(Q) ≈ (1/2)·log max(|x(Q)|, 1); the tail carries a 4^(-terms) factor.
     """
     import mpmath as mp
 
-    b2, b4, b6, b8 = map(mp.mpf, E.bc_invariants()[:4])
-    x = mp.mpf(x0.numerator) / mp.mpf(x0.denominator)
-    lam = mp.mpf(0)
-    scale = mp.mpf(1)
-    for _ in range(_SERIES_TERMS):
-        dup_den = ((4 * x + b2) * x + 2 * b4) * x + b6
-        dup_num = ((x * x - b4) * x - 2 * b6) * x - b8
-        if dup_den == 0:
-            # numerically exact 2-division point: the point was (numerically)
-            # torsion, which callers exclude; stop the telescope here
-            break
-        lam += scale * mp.log(abs(dup_den)) / 8
-        x = dup_num / dup_den
-        scale /= 4
-    lam += scale * mp.log(max(abs(x), mp.mpf(1))) / 2
-    return lam
+    with mp.workdps(dps):
+        b2, b4, b6, b8 = map(mp.mpf, E.bc_invariants()[:4])
+        x = mp.mpf(x0.numerator) / mp.mpf(x0.denominator)
+        lam = mp.mpf(0)
+        scale = mp.mpf(1)
+        for _ in range(_SERIES_TERMS):
+            dup_den = ((4 * x + b2) * x + 2 * b4) * x + b6
+            dup_num = ((x * x - b4) * x - 2 * b6) * x - b8
+            if dup_den == 0:
+                # callers exclude torsion, so no multiple of the point is
+                # 2-torsion: the cancellation took every digit
+                return None
+            lam += scale * mp.log(abs(dup_den)) / 8
+            x = dup_num / dup_den
+            scale /= 4
+        lam += scale * mp.log(max(abs(x), mp.mpf(1))) / 2
+        return lam
 
 
 def _singular_corrections(E: WeierstrassCurve, Q: CurvePoint) -> list[tuple[int, Fraction]]:

@@ -11,15 +11,17 @@ exactly when -c6 is a square in Q_p (_is_split).
 
 The root-number path runs on Python ints only and builds no
 WeierstrassCurve and no Fraction: _minimal_ints takes an integral model's
-a-invariants, with its seven invariants when the caller has them, and
-returns the minimal model's a-invariants, its seven invariants and the
-factored |disc_min|, and _tate_ints is Tate's algorithm on an int tuple.
-An integral curve's invariants are computed once, by its constructor's
-singularity check (WeierstrassCurve.bc_invariants): _integral_ints hands
-them on, and bad_places and global_root_number pass them to _minimal_ints
-as ``invs``.  Wrappers on WeierstrassCurve models serve the other
-callers: bad_places the CLI's `local` and conductor, tate_local the CLI's
-`local --prime`, and minimal_model heights and the scans' parametrizers.
+a-invariants and its seven invariants and returns the minimal model's
+a-invariants, its seven invariants and the factored |disc_min|, and
+_tate_ints is Tate's algorithm on an int tuple, given v_p(disc) and the
+invariants.  An integral curve's invariants are computed once, by its
+constructor's singularity check (WeierstrassCurve.bc_invariants).  The
+wrappers on WeierstrassCurve models take any model and start from
+_integral_ints, which hands on the a-invariants and invariants of E or of
+its integral model: bad_places serves the CLI's `local` and conductor,
+tate_local the CLI's `local --prime`, and rootnum.global_root_number
+starts there too.  minimal_model, which also returns the point map,
+serves heights and the scans' parametrizers.
 At p = 2 and 3 Tate's translations are closed forms, not searches (Cohen,
 GTM 138, Algorithm 7.5.1; Cremona 3.2).  _tate_ints decides types II, III
 and IV on the a6, b8 and b6 of the model translated by the singular point
@@ -48,7 +50,6 @@ from .curves import (
     WeierstrassCurve,
     _translation_for_scale,
     change_coordinates,
-    weierstrass_invariants,
 )
 from .polyq import _pow_mod, _sub_mod, gcd_mod_p
 
@@ -126,13 +127,14 @@ def _curve_from_c4c6(c4: int, c6: int, disc: int) -> tuple[tuple, tuple]:
 
 def _minimal_ints(
     a: tuple,
+    invs: tuple,
     budget: FactorBudget = DEFAULT_BUDGET,
     parts: Optional[Sequence[int]] = None,
-    invs: Optional[tuple] = None,
 ) -> tuple[tuple, tuple, FactoredInt]:
-    """The global minimal model of the integral model with a-invariants a,
-    on ints only: its a-invariants, its invariants (b2, ..., disc) and a
-    factorization of |disc_min|.
+    """The global minimal model of the integral model with a-invariants a
+    and invariants invs = weierstrass_invariants(*a), on ints only: its
+    a-invariants, its invariants (b2, ..., disc) and a factorization of
+    |disc_min|.
 
     The discriminant of the integral model is factored once, and the model
     is minimized at every prime found with p^12 | disc: every prime that
@@ -147,11 +149,8 @@ def _minimal_ints(
     cover those of disc (a family member passes
     CurveFamily.discriminant_parts).  Either way the result is certified by
     exact division (see factor_with_parts), so parts that miss a prime give
-    complete=False, never a wrong factorization.  ``invs``, when given, is
-    weierstrass_invariants(*a), which is then not computed again.
+    complete=False, never a wrong factorization.
     """
-    if invs is None:
-        invs = weierstrass_invariants(*a)
     disc = abs(invs[6])
     a1, a2, a3, a4, a6 = a
     if parts is None and a1 == a3 == a6 == 0:
@@ -313,23 +312,19 @@ def _is_split(c6: int, p: int) -> bool:
 
 
 def tate_local(E: WeierstrassCurve, p: int) -> LocalData:
-    """Complete local reduction data at the prime p of the integral model
-    E (Tate's algorithm), which is first made minimal at p by Kraus's
-    conditions (Cremona 3.2); ValueError otherwise."""
+    """Complete local reduction data at the prime p of E (Tate's
+    algorithm), run on E's integral model made minimal at p by Kraus's
+    conditions (Cremona 3.2)."""
     if not is_prime(p):
         raise ValueError(f"not a prime: {p}")
-    if E._ints is None:
-        raise ValueError("integral model required")
-    a, invs, _u = _minimize_at(E.bc_invariants(), [p])
-    return _tate_ints(a, p, None, invs)
+    a, invs, _u = _minimize_at(_integral_ints(E)[1], [p])
+    return _tate_ints(a, p, valuation(invs[6], p), invs)
 
 
-def _tate_ints(
-    a: tuple, p: int, n: Optional[int] = None, invs: Optional[tuple] = None
-) -> LocalData:
+def _tate_ints(a: tuple, p: int, n: int, invs: tuple) -> LocalData:
     """Tate's algorithm at the prime p on the int a-invariants a of an
-    integral model minimal at p (ArithmeticError at step 11 otherwise); n,
-    when given, is v_p(disc) of that model, and invs, when given, is its
+    integral model minimal at p (ArithmeticError at step 11 otherwise),
+    with n = v_p(disc) of that model and invs its
     weierstrass_invariants(*a).
 
     Types II, III and IV are decided on the a6, b8 and b6 of the model
@@ -337,11 +332,7 @@ def _tate_ints(
     (IV's quadratic reads the translated a3 and a6): it is built only from
     step 6 on.
     """
-    if invs is None:
-        invs = weierstrass_invariants(*a)
-    b2, b4, b6, b8, c4, c6, disc = invs
-    if n is None:
-        n = valuation(disc, p)
+    b2, b4, b6, b8, c4, c6, _disc = invs
     if n == 0:
         return LocalData(p, "I0", 0, 1, "good", 0)
     if c4 % p != 0:
@@ -470,8 +461,7 @@ def bad_places(
     """Local data at every prime found in |disc_min| and that factorization
     (see _minimal_ints): the model is minimized once, and Tate's algorithm
     runs on the minimal model at each prime found."""
-    a, invs = _integral_ints(E)
-    a, invs, fi = _minimal_ints(a, budget, invs=invs)
+    a, invs, fi = _minimal_ints(*_integral_ints(E), budget)
     return [_tate_ints(a, p, e, invs) for p, e in fi.factors], fi
 
 

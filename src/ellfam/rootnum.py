@@ -19,13 +19,12 @@ Kodaira symbol, at potentially good places at 2 and 3.
 
 global_root_number works on ints from the integral model to the local
 signs (localdata._minimal_ints, localdata._tate_ints, _local_sign) and
-builds no WeierstrassCurve or Fraction; it hands the integral model's
-invariants, which the curve's constructor computed, to _minimal_ints as
-``invs``, so the call does not compute them again.  The Legendre symbols
-at odd primes are arith.legendre_is_square, a table lookup below 2^9.
-local_root_number wraps _local_sign for a WeierstrassCurve and its
-LocalData; no command calls it, and it is kept only because
-perfbench/tracer.py binds it (ROADMAP item 10).
+builds no WeierstrassCurve or Fraction; it hands _minimal_ints the
+integral model's invariants, which the curve's constructor computed.  The
+Legendre symbols at odd primes are arith.legendre_is_square, a table
+lookup below 2^9.  local_root_number wraps _local_sign for a
+WeierstrassCurve and its LocalData; no command calls it, and it is kept
+only because perfbench/tracer.py binds it (ROADMAP item 16).
 
 A table key is the Kodaira type, the valuations of c4, c6 and disc, and
 their unit parts modulo TABLE_MODULI[p], which a unit change of model
@@ -66,12 +65,11 @@ class RootNumber(NamedTuple):
         return -math.prod(self.local_breakdown.values())
 
 
-def _local_sign(invs: tuple, p: int, e: int, a: Optional[tuple]) -> int:
+def _local_sign(invs: tuple, p: int, e: int, a: tuple) -> int:
     """Local root number at p of the minimal model with a-invariants a and
     invariants invs = (b2, ..., disc), e = v_p(disc_min).  v_p(c4) is taken
     once, at an additive place; a is read only for a table key at 2 and 3,
-    whose Kodaira symbol Tate's algorithm finds on it, and elsewhere may be
-    None.
+    whose Kodaira symbol Tate's algorithm finds on it.
     """
     if e == 0:
         return 1
@@ -122,8 +120,7 @@ def global_root_number(
     complete=False records that the sign is not certified — never a silent
     wrong sign.
     """
-    a, invs = _integral_ints(E)
-    a, invs, fi = _minimal_ints(a, budget, parts, invs)
+    a, invs, fi = _minimal_ints(*_integral_ints(E), budget, parts)
     breakdown = {}
     for p, e in fi.factors:
         breakdown[p] = _local_sign(invs, p, e, a)

@@ -48,7 +48,7 @@ from .families import CurveFamily, SingularMember, SpecializedCurve, catalog
 from .localdata import minimal_model
 from .polyq import NotASquare, PolyQ, poly_sqrt, square_decompose_poly
 from .rootnum import MissingLocalCase, global_root_number
-from .sections import QuarticModel, quartic_jacobian
+from .sections import quartic_jacobian
 
 Scalar = Union[int, Fraction]
 
@@ -175,7 +175,7 @@ class ParameterMap:
             self._companion = (a, b, mult)
         else:
             self._companion = None
-        jacobian, fwd, inv = quartic_jacobian(QuarticModel(q, point))
+        jacobian, fwd, inv = quartic_jacobian(q, point)
         self.parametrizer, to_min = minimal_model(jacobian)
         self.q0 = to_min.forward(fwd(point[0], -point[1]))
         self._inv = inv.pull_back(to_min.inverse())

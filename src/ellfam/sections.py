@@ -4,22 +4,18 @@ A family y^2 = x^3 + A x^2 + B x acquires a new section at x = d whenever
 d + A + B/d is a square; section_condition gives that square class.  The
 catalog derives each family's condition from its substitution
 (families._parametrized_conic), and the degree-4 conditions t^2 = q(u),
-checked squarefree by a gcd with the derivative and given a rational point
-that is not a root of q, are converted to their Jacobian elliptic curves.
+given a rational point that is not a root of q, are converted to their
+Jacobian elliptic curves.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Optional
 
 from .curves import INFINITY, CurvePoint, PointMap, WeierstrassCurve
 from .polyq import PolyQ, RatFunc, homogeneous_value, square_decompose_poly
-
-
-class DegenerateQuartic(ValueError):
-    """Raised when a quartic model is singular (not squarefree)."""
 
 
 # ---------------------------------------------------------------------------
@@ -44,32 +40,6 @@ def section_condition(family, x: RatFunc) -> PolyQ:
 # ---------------------------------------------------------------------------
 # quartics with a rational point
 # ---------------------------------------------------------------------------
-
-
-class _QuarticFields(NamedTuple):
-    q: PolyQ
-    known_point: Optional[tuple[Fraction, Fraction]] = None
-
-
-class QuarticModel(_QuarticFields):
-    """t^2 = q(u) with q of degree at most 4 and an optional known point."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if self.q.degree > 4 or self.q.is_zero():
-            raise ValueError("expected a nonzero polynomial of degree <= 4")
-        if self.q.gcd(self.q.derivative()).degree > 0:
-            raise DegenerateQuartic(str(self.q))
-        if self.known_point is not None:
-            u0, t0 = self.known_point
-            if Fraction(t0) ** 2 != self.q(Fraction(u0)):
-                raise ValueError("known point does not satisfy the equation")
-        return self
-
-    # _replace copies through _make, so a changed copy is checked too
-    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
 class QuarticInverse:
@@ -161,56 +131,59 @@ class QuarticInverse:
 
 
 def quartic_jacobian(
-    Q: QuarticModel,
+    q: PolyQ, point: tuple[Fraction, Fraction]
 ) -> tuple[WeierstrassCurve, Callable, QuarticInverse]:
-    """Elliptic model of t^2 = q(u) built from the known rational point
-    (u0, t0), which must not be a root of q: t0 = 0 raises ValueError.
+    """Elliptic model of t^2 = q(u), deg q <= 4, built from the rational
+    point (u0, t0) on it, which must not be a root of q: t0 = 0 raises
+    ValueError, as do deg q > 4 and a point off the curve.
 
+    The model's discriminant is a nonzero multiple of disc q, so a repeated
+    root of q raises WeierstrassCurve's "singular model" ValueError.
     Returns (E, forward, inverse): forward maps a point (u, t) of the
     quartic to a CurvePoint of E, inverse (a QuarticInverse) maps a
     CurvePoint back.  Both are exact and mutually inverse wherever defined.
     """
-    if Q.known_point is None:
-        raise ValueError("a known rational point is required")
-    u0, t0 = Fraction(Q.known_point[0]), Fraction(Q.known_point[1])
+    if q.degree > 4:
+        raise ValueError("expected a polynomial of degree <= 4")
+    u0, t0 = Fraction(point[0]), Fraction(point[1])
+    if t0 * t0 != q(u0):
+        raise ValueError("the known point does not satisfy t^2 = q(u)")
     if t0 == 0:
         raise ValueError("the known point must not be a root of q")
     # shift the known point to u = 0
-    var = Q.q.var
-    shifted = Q.q(PolyQ.variable(var) + u0)
+    shifted = q(PolyQ.variable(q.var) + u0)
     cs = list(shifted.coeffs) + [Fraction(0)] * (5 - len(shifted.coeffs))
     _e, d, c, b, a = cs[:5]
-    q0 = t0
-    a1 = d / q0
-    a2 = c - d * d / (4 * q0 * q0)
-    a3 = 2 * q0 * b
-    a4 = -4 * q0 * q0 * a
-    a6 = a * (d * d - 4 * q0 * q0 * c)
+    a1 = d / t0
+    a2 = c - d * d / (4 * t0 * t0)
+    a3 = 2 * t0 * b
+    a4 = -4 * t0 * t0 * a
+    a6 = a * (d * d - 4 * t0 * t0 * c)
     E = WeierstrassCurve(a1, a2, a3, a4, a6)
 
     def forward(u: Fraction, t: Fraction) -> CurvePoint:
         u = Fraction(u) - u0
         t = Fraction(t)
         if u == 0:
-            if t == q0:
+            if t == t0:
                 return INFINITY
-            # the point (u0, -q0) maps to the limit of the generic formula
-            X = d * d / (4 * q0 * q0) - c
+            # the point (u0, -t0) maps to the limit of the generic formula
+            X = d * d / (4 * t0 * t0) - c
             P = CurvePoint(X, -a1 * X - a3)
             assert E.contains(P)
             return P
-        X = (2 * q0 * (t + q0) + d * u) / (u * u)
+        X = (2 * t0 * (t + t0) + d * u) / (u * u)
         Y = (
-            4 * q0 * q0 * (t + q0)
-            + 2 * q0 * (d * u + c * u * u)
-            - d * d * u * u / (2 * q0)
+            4 * t0 * t0 * (t + t0)
+            + 2 * t0 * (d * u + c * u * u)
+            - d * d * u * u / (2 * t0)
         ) / (u**3)
         P = CurvePoint(X, Y)
         assert E.contains(P)
         return P
 
-    four = 4 * q0 * q0
+    four = 4 * t0 * t0
     inverse = QuarticInverse(
-        Q.q, u0, q0, d, (1, 0, 0), (four, 0, four * c - d * d), (0, 2 * q0, 0)
+        q, u0, t0, d, (1, 0, 0), (four, 0, four * c - d * d), (0, 2 * t0, 0)
     )
     return E, forward, inverse

@@ -37,7 +37,7 @@ from ellfam.scan import (
     lattice_scan,
     symmetry_audit,
 )
-from ellfam.sections import QuarticModel, quartic_jacobian
+from ellfam.sections import quartic_jacobian
 
 DATA = Path(__file__).parent / "data"
 SCAN_BUDGET = FactorBudget(10**5, 2 * 10**5)
@@ -198,8 +198,7 @@ def test_criterion_06_quartic_to_cubic_models():
         (4 * u**4 - 66 * u**3 + 383 * u**2 - 924 * u + 784, (0, 28), []),
     ]
     for q, (u0, t0), expected_models in cases:
-        Q = QuarticModel(q, (F(u0), F(t0)))
-        E, fwd, _inv = quartic_jacobian(Q)
+        E, fwd, _inv = quartic_jacobian(q, (F(u0), F(t0)))
         assert fwd(F(u0), F(t0)) == INFINITY
         for model in expected_models:
             assert isomorphic_over_Q(E, model) is not None, str(q)

@@ -9,12 +9,14 @@ from ellfam.arith import DEFAULT_BUDGET, factor, valuation
 from ellfam.curves import CurvePoint, WeierstrassCurve, division_poly
 from ellfam.families import catalog
 from ellfam.heights import (
+    DEFAULT_EPS,
     _singular_corrections,
     canonical_height,
     pairing_matrix,
 )
 from ellfam.localdata import minimal_model
 from ellfam.polyq import homogeneous_value
+from ellfam.scan import builtin_scans
 
 
 def pt(x, y):
@@ -157,6 +159,28 @@ class TestQuadraticity:
         h1 = canonical_height(E389, pt(0, -1))
         h3 = canonical_height(E389, E389.mul(3, pt(0, -1)))
         assert abs(h3 - 9 * h1) < 5e-10
+
+    @pytest.mark.parametrize("u", [10**9 + 7, 10**12 + 39])
+    def test_large_members_keep_the_error_bound(self, u):
+        # a multiple of the first section lies where the duplication series
+        # cancels more than 60 digits (ROADMAP item 14)
+        sp = catalog()["Z8R2-5"].specialize(Fraction(u))
+        assert_quadratic(sp.curve(), sp.points[0])
+
+    def test_large_scan_cell_keeps_the_error_bound(self):
+        # Z8-scan-1 at (3, 3): 1 475-digit invariants and no cancellation
+        spec = builtin_scans(radius=3)["Z8-scan-1"]
+        u = spec.mapping.parameter(spec.lattice_point(3, 3))
+        sp = spec.family.specialize(u, spec.budget)
+        assert_quadratic(sp.curve(), sp.points[0])
+
+
+def assert_quadratic(E, P):
+    """ĥ(nP) = n²ĥ(P) within DEFAULT_EPS for n = 2 and 3."""
+    h1 = canonical_height(E, P)
+    assert h1 > 0
+    for n in (2, 3):
+        assert abs(canonical_height(E, E.mul(n, P)) - n * n * h1) < DEFAULT_EPS, n
 
 
 class TestSingularCorrections:

@@ -33,6 +33,18 @@ def curve(*ai):
     return WeierstrassCurve(*[Fraction(a) for a in ai])
 
 
+def minimal_of(a, *args):
+    """_minimal_ints on the int a-invariants a, with their invariants."""
+    return _minimal_ints(a, weierstrass_invariants(*a), *args)
+
+
+def tate_of(a, p):
+    """_tate_ints at p on the int a-invariants a, with v_p(disc) and their
+    invariants."""
+    invs = weierstrass_invariants(*a)
+    return _tate_ints(a, p, valuation(invs[6], p), invs)
+
+
 # classic curves with well-known local data
 E11A1 = curve(0, -1, 1, -10, -20)  # disc -11^5
 E11A3 = curve(0, -1, 1, 0, 0)  # disc -11
@@ -116,13 +128,21 @@ class TestTateMultiplicative:
         with pytest.raises(ValueError):
             tate_local(E37A, p)
 
-    def test_non_integral_model_rejected(self):
-        # a1 = 1/2: the model is not integral, so Tate's algorithm has no
-        # int a-invariants to run on
-        E = curve(Fraction(1, 2), 0, 0, -1, 0)
-        assert not E.is_integral()
-        with pytest.raises(ValueError, match="integral model required"):
-            tate_local(E, 5)
+    def test_non_integral_model_reads_its_integral_model(self):
+        # tate_local runs on the integral model, so at each bad prime it
+        # reads the same on a model that is not integral
+        for ai in [
+            (Fraction(1, 2), 0, 0, -1, 0),
+            (0, Fraction(1, 2), 0, Fraction(-3, 16), 0),
+            (0, Fraction(1, 4), 0, Fraction(3, 16), 0),
+        ]:
+            E = curve(*ai)
+            assert not E.is_integral()
+            Ei = E.integral_model()[0]
+            places, fi = bad_places(Ei)
+            assert fi.complete and places
+            for ld in places:
+                assert tate_local(E, ld.p) == tate_local(Ei, ld.p) == ld, (ai, ld.p)
 
     def test_family_specialization_at_17(self):
         E = curve(0, 49, 0, 256, 0)
@@ -457,7 +477,7 @@ class TestInvariance:
         # u, tate_local on it equals tate_local on the minimal model
         if weierstrass_invariants(*ai)[6] == 0:
             return
-        a, _invs, fi = _minimal_ints(_integral_ints(curve(*ai))[0])
+        a, _invs, fi = _minimal_ints(*_integral_ints(curve(*ai)))
         Emin = curve(*a)
         scaled, _pm = Emin.transform(Fraction(1, u), *rst)
         for p in sorted({u, *fi.primes()}):
@@ -469,9 +489,12 @@ class TestInvariance:
         # y^2 = x^3 - x and y^2 = x^3 - 25x scaled by p reach step 11; the
         # check is no assert, and tate_local minimizes first
         script = (
+            "from ellfam.arith import valuation\n"
+            "from ellfam.curves import weierstrass_invariants\n"
             "from ellfam.localdata import _tate_ints\n"
+            f"invs = weierstrass_invariants(*{a})\n"
             "try:\n"
-            f"    _tate_ints({a}, {p})\n"
+            f"    _tate_ints({a}, {p}, valuation(invs[6], {p}), invs)\n"
             "except ArithmeticError:\n"
             "    print('raised')\n"
         )
@@ -479,7 +502,7 @@ class TestInvariance:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "raised\n"
         with pytest.raises(ArithmeticError):
-            _tate_ints(a, p)
+            tate_of(a, p)
         E = curve(*a)
         assert tate_local(E, p).vp_disc_min == valuation(int(E.disc), p) - 12
 
@@ -526,7 +549,7 @@ class TestConductor:
         E = curve(0, 1, 0, -(2**61 - 1) * (2**89 - 1), 0)
         with pytest.raises(Unfactored):
             conductor(E, FactorBudget(10**3, 0))
-        _a, _invs, fi = _minimal_ints(_integral_ints(E)[0], FactorBudget(10**3, 0))
+        _a, _invs, fi = _minimal_ints(*_integral_ints(E), FactorBudget(10**3, 0))
         assert not fi.complete and fi.residue == ((2**61 - 1) * (2**89 - 1)) ** 2
 
     def test_partial_when_minimality_uncertified(self):
@@ -538,7 +561,7 @@ class TestConductor:
             minimal_model(E, budget)
         with pytest.raises(Unfactored):
             conductor(E, budget)
-        _a, _invs, fi = _minimal_ints(_integral_ints(E)[0], budget)
+        _a, _invs, fi = _minimal_ints(*_integral_ints(E), budget)
         assert not fi.complete and fi.residue == M**3 and fi.primes() == (2,)
 
     def test_split_certifies_prime_cube(self):
@@ -562,7 +585,7 @@ class TestDiscriminantFactorization:
             return
         E = curve(0, lam**2 * A, 0, lam**4 * B, 0)
         budget = FactorBudget(10**4, 10**5)
-        a, _invs, fi = _minimal_ints(_integral_ints(E)[0], budget)
+        a, _invs, fi = _minimal_ints(*_integral_ints(E), budget)
         Emin = curve(*a)
         assert Emin == minimal_model(E, budget)[0]
         assert fi.value() == abs(int(Emin.disc))
@@ -573,13 +596,13 @@ class TestDiscriminantFactorization:
             assert fi.factors == whole.factors
 
     def test_other_models_factor_whole(self):
-        a, _invs, fi = _minimal_ints(_integral_ints(E11A1)[0])
+        a, _invs, fi = _minimal_ints(*_integral_ints(E11A1))
         assert fi == FactoredInt(1, ((11, 5),))
         assert curve(*a) == minimal_model(E11A1)[0]
 
     def test_rational_model_falls_back(self):
         E = curve(0, Fraction(1, 4), 0, Fraction(3, 16), 0)
-        a, _invs, fi = _minimal_ints(_integral_ints(E)[0])
+        a, _invs, fi = _minimal_ints(*_integral_ints(E))
         assert fi.complete and fi.value() == abs(int(curve(*a).disc))
 
 
@@ -605,7 +628,7 @@ class TestMinimizeWhereP12DividesDisc:
             _b2, _b4, _b6, _b8, c4, c6, disc = weierstrass_invariants(*a)
             p = 2 if a in KRAUS_STOPS[:2] else 3
             assert c4 % p**4 == 0 and c6 % p**6 == 0 and disc % p**12 == 0
-            amin, invs, _fi = _minimal_ints(a)
+            amin, invs, _fi = minimal_of(a)
             assert invs[6] == disc
             assert isomorphic_over_Q(curve(*amin), curve(*a))
 
@@ -622,15 +645,17 @@ class TestMinimizeWhereP12DividesDisc:
 
         monkeypatch.setattr(localdata, "_minimize_at", recorded)
         for a in ORACLE_A + KRAUS_STOPS:
-            assert _minimal_ints(_scaled(a, u)) == _minimal_ints(a), a
+            assert minimal_of(_scaled(a, u)) == minimal_of(a), a
         assert handed
         for disc, primes in handed:
             assert all(disc % p**12 == 0 for p in primes)
             assert primes == sorted(primes)
 
     def test_handed_invariants_give_the_same_answer(self):
+        # the invariants a curve's constructor computed, as _integral_ints
+        # hands them on, are those of the a-invariants
         for a in ORACLE_A + KRAUS_STOPS + [_scaled(a, 6) for a in KRAUS_STOPS]:
-            assert _minimal_ints(a, invs=weierstrass_invariants(*a)) == _minimal_ints(a), a
+            assert _minimal_ints(*_integral_ints(curve(*a))) == minimal_of(a), a
 
     def test_primes_below_p12_are_not_handed(self, monkeypatch):
         # the exponents of disc found (e < 12 at most primes) against what
@@ -645,7 +670,7 @@ class TestMinimizeWhereP12DividesDisc:
         monkeypatch.setattr(localdata, "_minimize_at", recorded)
         below = 0
         for a in ORACLE_A:
-            _a, _invs, _fi = _minimal_ints(a)
+            _a, _invs, _fi = minimal_of(a)
             fE = factor(abs(weierstrass_invariants(*a)[6]))
             assert handed.pop() == [p for p, e in fE.factors if e >= 12]
             below += sum(e < 12 for _p, e in fE.factors)

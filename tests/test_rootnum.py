@@ -42,6 +42,18 @@ def curve(*ai):
     return WeierstrassCurve(*[Fraction(a) for a in ai])
 
 
+def minimal_of(a):
+    """_minimal_ints on the int a-invariants a, with their invariants."""
+    return _minimal_ints(a, weierstrass_invariants(*a))
+
+
+def tate_of(a, p):
+    """localdata._tate_ints at p on the int a-invariants a, with v_p(disc)
+    and their invariants."""
+    invs = weierstrass_invariants(*a)
+    return localdata._tate_ints(a, p, valuation(invs[6], p), invs)
+
+
 def tate_rule(E, ld):
     """The local root number at p >= 5 from the reduction type that Tate's
     algorithm finds: the reference for the invariant rule."""
@@ -59,14 +71,14 @@ def invariant_rule_mismatches(E, budget=FactorBudget(), parts=None):
     """The places p >= 5 of E's minimal model where the invariant rule, the
     exponent of p in disc_min or local_root_number disagree with Tate's
     algorithm, and the number of places compared."""
-    a, _invs, fi = _minimal_ints(_integral_ints(E)[0], budget, parts)
+    a, _invs, fi = _minimal_ints(*_integral_ints(E), budget, parts)
     Emin = WeierstrassCurve(*a)
     bad, compared = [], 0
     for p, e in fi.factors:
         if p < 5:
             continue
         ld = tate_local(Emin, p)
-        w = _local_sign(Emin.bc_invariants(), p, e, None)
+        w = _local_sign(Emin.bc_invariants(), p, e, Emin._ints)
         compared += 1
         if e != ld.vp_disc_min or w != tate_rule(Emin, ld) or w != local_root_number(Emin, ld):
             bad.append((Emin.a_invariants(), p))
@@ -111,7 +123,9 @@ class TestInvariantsOnce:
             return real(*a)
 
         monkeypatch.setattr(curves_module, "weierstrass_invariants", counted)
-        monkeypatch.setattr(localdata, "weierstrass_invariants", counted)
+        # the local kernels take the invariants and have no way to compute
+        # their own
+        assert not hasattr(localdata, "weierstrass_invariants")
         rows = [row["a"] for row in ORACLE]
         twists = [E.a_invariants() for E in sweep_twists()]
         answered = 0
@@ -124,6 +138,7 @@ class TestInvariantsOnce:
             except MissingLocalCase:
                 pass
             localdata.bad_places(E)
+            tate_local(E, 2)
             assert calls == [E._ints], a
         assert answered > 2000
 
@@ -245,7 +260,7 @@ class TestInvariantRuleAbove3:
         invs = E.bc_invariants()
         e = valuation(invs[6], p)
         assert e == ld.vp_disc_min
-        assert _local_sign(invs, p, e, None) == tate_rule(E, ld)
+        assert _local_sign(invs, p, e, E._ints) == tate_rule(E, ld)
         assert local_root_number(E, ld) == tate_rule(E, ld)
 
     def test_tate_runs_at_2_and_3_only(self, monkeypatch):
@@ -263,24 +278,18 @@ class TestInvariantRuleAbove3:
         assert sorted(seen) == [2, 3]
 
 
-    def test_tate_reuses_the_minimal_invariants(self, monkeypatch):
-        # given the invariants of its input model, _tate_ints computes none
-        # of its own on the first pass, and finds the same local data
+    def test_tate_reuses_the_minimal_invariants(self):
+        # _tate_ints reads the invariants and exponents _minimal_ints hands
+        # on, computes none of its own, and finds the same local data as on
+        # invariants computed afresh
         inputs = []
         for row in ORACLE:
-            a, invs, fi = localdata._minimal_ints(curve(*row["a"])._ints)
+            a, invs, fi = localdata._minimal_ints(*_integral_ints(curve(*row["a"])))
             inputs += [(a, p, e, invs) for p, e in fi.factors if p < 5]
-        seen = []
-        real = localdata.weierstrass_invariants
-        monkeypatch.setattr(
-            localdata, "weierstrass_invariants", lambda *b: seen.append(b) or real(*b)
-        )
-        expected = [localdata._tate_ints(a, p, e) for a, p, e, _invs in inputs]
-        recomputed = len(seen)
-        assert [localdata._tate_ints(*args) for args in inputs] == expected
-        # a minimal model takes one pass, so one call fewer per input
         assert len(inputs) > 800
-        assert len(seen) - recomputed == recomputed - len(inputs)
+        assert not hasattr(localdata, "weierstrass_invariants")
+        expected = [tate_of(a, p) for a, p, _e, _invs in inputs]
+        assert [localdata._tate_ints(*args) for args in inputs] == expected
 
 
 class TestOneRulePerPlace:
@@ -292,7 +301,7 @@ class TestOneRulePerPlace:
         curves = [curve(*row["a"]) for row in ORACLE] + list(sweep_twists())
         bad, compared = [], 0
         for E in curves:
-            a, invs, fi = localdata._minimal_ints(E._ints)
+            a, invs, fi = localdata._minimal_ints(*_integral_ints(E))
             for p in fi.primes():
                 if p < 5 and invs[4] % p:
                     compared += 1
@@ -314,7 +323,7 @@ class TestOneRulePerPlace:
         invs = weierstrass_invariants(*a)
         if invs[6] == 0 or invs[4] % p == 0:
             return
-        ld = localdata._tate_ints(a, p)
+        ld = tate_of(a, p)
         assert ld.reduction.endswith("multiplicative")
         assert localdata._is_split(invs[5], p) == tangent_split(a, p)
         assert (ld.reduction == "split-multiplicative") == tangent_split(a, p)
@@ -339,7 +348,7 @@ class TestOneRulePerPlace:
         monkeypatch.setattr(rootnum, "_tate_ints", counted)
         kinds = {"multiplicative": 0, "potentially multiplicative": 0, "potentially good": 0}
         for E in curves:
-            _a, invs, fi = localdata._minimal_ints(E._ints)
+            _a, invs, fi = localdata._minimal_ints(*_integral_ints(E))
             good = []
             for p, e in fi.factors:
                 if p >= 5:
@@ -616,7 +625,7 @@ def reference_local_sign(E, ld):
     invs = E.bc_invariants()
     _b2, _b4, _b6, _b8, c4, c6, disc = invs
     if p >= 5:
-        return _local_sign(invs, p, vd, None)
+        return _local_sign(invs, p, vd, E._ints)
     if ld.reduction.endswith("multiplicative"):
         return -1 if tangent_split(E._ints, p) else 1
     if c4 != 0 and 3 * valuation(c4, p) < vd:
@@ -646,7 +655,7 @@ def reference_root_number(E, monkeypatch):
         local = {p: tate_local(Emin, p) for p in fi.primes() if p < 5}
     try:
         breakdown = {p: reference_local_sign(Emin, local[p]) if p < 5 else
-                     _local_sign(Emin.bc_invariants(), p, e, None)
+                     _local_sign(Emin.bc_invariants(), p, e, Emin._ints)
                      for p, e in fi.factors}
     except MissingLocalCase as exc:
         return str(exc), local
@@ -662,9 +671,9 @@ class TestReferencePath:
         seen_missing = 0
         for E in curves:
             expected, local = reference_root_number(E, monkeypatch)
-            a, invs, fi = localdata._minimal_ints(E._ints)
+            a, invs, fi = localdata._minimal_ints(*_integral_ints(E))
             for p, ld in local.items():
-                assert localdata._tate_ints(a, p, fi.exponent(p)) == ld
+                assert localdata._tate_ints(a, p, fi.exponent(p), invs) == ld
             try:
                 rn = global_root_number(E)
                 got = (dict(rn.local_breakdown), rn.complete)
@@ -718,7 +727,7 @@ class TestReferencePath:
             m.setattr(localdata, "_singular_point", singular)
             m.setattr(localdata, "_arrange_step7", step7)
             try:
-                localdata._tate_ints(a, p)
+                tate_of(a, p)
             except ArithmeticError:
                 pass  # not minimal at p, found after the moves recorded
         for got, expected in moves + steps:
@@ -737,11 +746,11 @@ class TestReferencePath:
     )
     def test_closed_form_branches(self, a, p, branch, monkeypatch):
         # one curve for each branch of the closed forms (the CI pins)
-        ld = localdata._tate_ints(a, p)
+        ld = tate_of(a, p)
         assert ld.kodaira == branch
         monkeypatch.setattr(localdata, "_singular_point", reference_singular_point)
         monkeypatch.setattr(localdata, "_arrange_step7", reference_step7)
-        assert localdata._tate_ints(a, p) == ld
+        assert tate_of(a, p) == ld
 
     def test_wrong_kraus_step_raises_under_O(self):
         # (c4, c6) = (1, 1) has no integral model; the check is no assert
@@ -849,7 +858,7 @@ class TestNoRepeatedWork:
         missing = 0
         for E in curves:
             a = _integral_ints(E)[0]
-            assert _minimal_ints(a) == all_primes_minimal_ints(a), E
+            assert minimal_of(a) == all_primes_minimal_ints(a), E
             got = root_number_or_missing(E)
             assert got == root_number_reference(a), E
             missing += isinstance(got, str)
@@ -862,7 +871,7 @@ class TestNoRepeatedWork:
         # prime is scaled out twice, and its exponent drops by 24
         for a in [tuple(row["a"]) for row in ORACLE[::7]] + KRAUS_STOPS:
             scaled = tuple(x * u**k for x, k in zip(a, (1, 2, 3, 4, 6)))
-            assert _minimal_ints(scaled) == all_primes_minimal_ints(scaled), a
+            assert minimal_of(scaled) == all_primes_minimal_ints(scaled), a
             expected = root_number_reference(scaled)
             assert root_number_or_missing(curve(*scaled)) == expected, a
             assert root_number_or_missing(curve(*a)) == expected, a
@@ -876,7 +885,7 @@ class TestNoRepeatedWork:
         monkeypatch.setattr(rootnum, "valuation", lambda n, p: calls.append((n, p)) or real(n, p))
         compared = 0
         for E in curves:
-            _a, invs, fi = _minimal_ints(_integral_ints(E)[0])
+            _a, invs, fi = _minimal_ints(*_integral_ints(E))
             c4 = invs[4]
             if invs[5] == c4:
                 # c6 = c4 (y^2 = x^3 - x^2 - 7x + 2): a valuation of c6
@@ -1012,10 +1021,10 @@ class TestEarlyExits:
         invs = weierstrass_invariants(*a)
         assume(invs[6] != 0 and invs[6] % p == 0 and invs[4] % p == 0)
         expected = tate_or_error(whole_model_tate_ints, a, p)
-        assert tate_or_error(localdata._tate_ints, a, p) == expected
+        assert tate_or_error(tate_of, a, p) == expected
 
     @pytest.mark.parametrize("a,p,kodaira", EARLY_EXITS)
     def test_oracle_examples_end_early(self, a, p, kodaira):
         assert any(tuple(row["a"]) == a for row in ORACLE)
-        ld = localdata._tate_ints(a, p)
+        ld = tate_of(a, p)
         assert ld.kodaira == kodaira and ld == whole_model_tate_ints(a, p)

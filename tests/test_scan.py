@@ -33,7 +33,7 @@ from ellfam.scan import (
     lattice_scan,
     symmetry_audit,
 )
-from ellfam.sections import QuarticInverse, QuarticModel, quartic_jacobian
+from ellfam.sections import QuarticInverse, quartic_jacobian
 
 F = Fraction
 BUD = FactorBudget(10**4, 10**4)
@@ -397,7 +397,7 @@ def reference_map(spec):
     row = scan_row(spec.name)
     q, point, C = row.q, row.point, row.correspondence
     q = square_decompose_poly(C.discriminant("s"))[1] if q is None else PolyQ(q, "u")
-    jacobian = quartic_jacobian(QuarticModel(q, point))[0]
+    jacobian = quartic_jacobian(q, point)[0]
     pm = PointMap(*isomorphic_over_Q(spec.parametrizer, jacobian))
     u0, q0 = F(point[0]), F(point[1])
     cs = list(q(PolyQ.variable(q.var) + u0).coeffs) + [F(0)] * 5
@@ -777,8 +777,8 @@ class TestFamilyParts:
             for sp in _members(spec):
                 E = sp.curve()
                 parts = spec.family.discriminant_parts(sp)
-                af, _invs, ff = _minimal_ints(_integral_ints(E)[0], BUD, parts)
-                ag, _invs, fg = _minimal_ints(_integral_ints(E)[0], BUD)
+                af, _invs, ff = _minimal_ints(*_integral_ints(E), BUD, parts)
+                ag, _invs, fg = _minimal_ints(*_integral_ints(E), BUD)
                 assert af == ag and ff.value() == fg.value()
                 assert ff.complete or not fg.complete
                 if ff.complete and fg.complete:
