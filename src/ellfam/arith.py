@@ -19,11 +19,10 @@ prime, and joins the factors with exponent 1; only a larger rest goes on to
 is_prime and rho.  All values are immutable and every result depends on the
 arguments alone; the one shared state is the module's prime sieve, which the
 factoring routines and primes_below() grow in place, with the products of
-its blocks of primes that trial division caches, the tables of quadratic
-residues that Legendre symbols read, and the memo of rests that
-rho has split, which lives only inside a split_memo() block (one lattice
-scan); none of them is thread-safe.  The probe's exponents are built from
-the sieve once, on first use.
+its blocks of primes that trial division caches, and the tables of
+quadratic residues that Legendre symbols read; none of them is
+thread-safe.  The probe's exponents are built from the sieve once, on
+first use.
 
 Rationals are plain ``fractions.Fraction`` objects; the stdlib type already
 keeps gcd(num, den) = 1 and den >= 1, which is exactly the canonical form we
@@ -32,7 +31,6 @@ need.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import math
 from bisect import bisect_left, bisect_right
@@ -427,7 +425,7 @@ def factor(n: int, budget: FactorBudget = DEFAULT_BUDGET) -> FactoredInt:
         # every prime below lo, or below a p with p^2 > n, has been tried
         found[n] = 1
         n = 1
-    residue = _split_rest(n, found, budget) if n > 1 else 1
+    residue = _split_rest(n, found, budget)
     return FactoredInt(sign, tuple(sorted(found.items())), residue)
 
 
@@ -494,49 +492,11 @@ def _trial_divide(values: list[int], bound: int) -> tuple[list[int], list[dict[i
     return rests, found
 
 
-# (rest, budget) -> (the primes _split_rest found in the rest, with their
-# exponents, and its residue), for the rests split within one lattice scan
-# (split_memo); None outside one
-_split_memo: Optional[dict[tuple[int, FactorBudget], tuple[tuple, int]]] = None
-
-
-@contextlib.contextmanager
-def split_memo() -> Iterator[None]:
-    """Within the block, _split_rest splits each (rest, budget) once and
-    hands a repeat the same primes and residue; the memo is dropped on
-    leaving the block, and blocks do not nest.  _split_rest depends on its
-    arguments alone, so a repeat's answer needs no proof."""
-    global _split_memo
-    _split_memo = {}
-    try:
-        yield
-    finally:
-        _split_memo = None
-
-
 def _split_rest(n: int, found: dict[int, int], budget: FactorBudget) -> int:
     """Split n, the rest that trial division left, with rho until the
-    budget's allowance runs out (_rho_split); the primes go into found with
-    their exponents, and what is left (1 when complete) is returned; a
-    rest of 1 is returned at once.  Within split_memo a rest already split
-    is not split again."""
-    if n == 1:
-        return 1
-    memo = _split_memo
-    if memo is None:
-        return _rho_split(n, found, budget)
-    key = (n, budget)
-    if key not in memo:
-        primes: dict[int, int] = {}
-        residue = _rho_split(n, primes, budget)
-        memo[key] = (tuple(primes.items()), residue)
-    primes_found, residue = memo[key]
-    found.update(primes_found)
-    return residue
-
-
-def _rho_split(n: int, found: dict[int, int], budget: FactorBudget) -> int:
-    """_split_rest without the memo, for n > 1.
+    budget's allowance runs out; the primes go into found with their
+    exponents, and what is left (1 when complete) is returned.  A rest of 1
+    is returned as it is, with no rho call.
 
     Each prime is proven once and divided out of every cofactor popped
     after it; a perfect power is pushed once, as its root; a cofactor rho

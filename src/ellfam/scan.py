@@ -19,10 +19,9 @@ and (a - n, b - m) for the (a, b) with Q0 = a G1 + b G2 up to torsion.
 Cells are filled in (n, m) order: each row's first point is the previous
 row's plus G1 and the row is walked by adding G2, so a cell costs one
 group-law addition.  A cell whose symmetric partner came earlier and is
-complete takes the partner's root once the two curves are proven
-Q-isomorphic; every other cell is computed on its own, and rho splits each
-unfactored rest once per scan.  The grid is deterministic for a fixed spec
-and budget.
+not skipped takes the partner's cell once the two curves are proven
+Q-isomorphic, complete or not; every other cell is computed on its own.
+The grid is deterministic for a fixed spec and budget.
 """
 
 from __future__ import annotations
@@ -32,12 +31,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple, Optional, Union
 
-from .arith import (
-    DEFAULT_BUDGET,
-    FactorBudget,
-    rational_to_string,
-    split_memo,
-)
+from .arith import DEFAULT_BUDGET, FactorBudget, rational_to_string
 from .curves import (
     CurvePoint,
     WeierstrassCurve,
@@ -267,7 +261,8 @@ class ScanGrid(NamedTuple):
     radius: int
     cells: tuple[ScanCell, ...]
     # symmetric pairs (earlier cell, later cell) whose curves lattice_scan
-    # proved Q-isomorphic, the later cell taking the earlier one's root
+    # proved Q-isomorphic, the later cell taking the earlier one's root and
+    # completeness; a pair with a skipped cell is never listed
     proven_pairs: tuple[tuple[tuple[int, int], tuple[int, int]], ...] = ()
 
     @property
@@ -368,19 +363,27 @@ def lattice_scan(spec: ScanSpec) -> ScanGrid:
     Cells are filled in (n, m) order: the first row starts at
     lattice_point(-R, -R), each later row at the previous row's first point
     plus G1, and each row is walked by adding G2 to its previous point.
-    Within the scan (arith.split_memo) rho splits each distinct rest of a
-    discriminant part once, so cells that share a part, such as an
-    incomplete symmetric pair, pay its allowance once; the memo is dropped
-    when the scan returns.  A cell whose symmetric partner (a - n, b - m) came
-    earlier and is complete is specialized, and once isomorphic_over_Q
-    proves its curve Q-isomorphic to the partner's it takes the partner's
-    root and completeness: isomorphic curves share torsion and root number.
-    Every other cell is computed on its own (_scan_cell); a pair whose
-    proof fails is left out of the grid's ``proven_pairs``, so
-    symmetry_audit checks it again.  Per-cell failures never abort the
-    scan: degenerate parameters are flagged skipped, and cells whose
-    discriminants exceed the factoring budget are flagged incomplete.  The
-    output is deterministic.
+    A cell whose symmetric partner (a - n, b - m) came earlier and is not
+    skipped is specialized, and once isomorphic_over_Q proves its curve
+    Q-isomorphic to the partner's it takes the partner's root and
+    completeness: isomorphic curves share torsion and root number.  Every
+    other cell is computed on its own (_scan_cell); a pair whose proof
+    fails is left out of the grid's ``proven_pairs``, so symmetry_audit
+    checks it again.
+
+    Per-cell failures never abort the scan: degenerate parameters are
+    flagged skipped, and cells whose discriminants exceed the factoring
+    budget are flagged incomplete.  The output is deterministic.
+
+    That a borrowed complete cell equals the cell computed on its own
+    follows from the isomorphism.  For an incomplete partner it is
+    measured, not proven, since the budget runs on each cell's own
+    discriminant parts.  For Z8-scan-2, a G1 + b G2 - Q0 is O and the
+    partners share their parameter; for Z8-scan-1 and Z2x6-scan-1 it is a
+    point of order 2, and the partners' parameters and parts differ.  The
+    built-in scans give the grid of their cells computed on their own at
+    radius 1-3 at the acceptance budget, and at radius 2-5 under
+    FactorBudget(100, 0), (1000, 0) and (10^4, 0).
     """
     E = spec.parametrizer
     G1, G2 = spec.generators
@@ -389,26 +392,25 @@ def lattice_scan(spec: ScanSpec) -> ScanGrid:
     cells: dict[tuple[int, int], ScanCell] = {}
     curves: dict[tuple[int, int], WeierstrassCurve] = {}
     proven = []
-    with split_memo():
-        start = spec.lattice_point(-R, -R)
-        for n in range(-R, R + 1):
-            if n > -R:
-                start = E.add(start, G1, check=False)
-            T = start
-            for m in range(-R, R + 1):
-                if m > -R:
-                    T = E.add(T, G2, check=False)
-                member = _member(spec, n, m, T)
-                if isinstance(member, ScanCell):
-                    cells[n, m] = member
-                    continue
-                curves[n, m] = curve = member.curve()
-                o = (a - n, b - m)
-                if o in cells and cells[o].complete and isomorphic_over_Q(curves[o], curve):
-                    proven.append((o, (n, m)))
-                    cells[n, m] = cells[o]._replace(n=n, m=m, parameter=member.value)
-                else:
-                    cells[n, m] = _scan_cell(spec, n, m, (member, curve))
+    start = spec.lattice_point(-R, -R)
+    for n in range(-R, R + 1):
+        if n > -R:
+            start = E.add(start, G1, check=False)
+        T = start
+        for m in range(-R, R + 1):
+            if m > -R:
+                T = E.add(T, G2, check=False)
+            member = _member(spec, n, m, T)
+            if isinstance(member, ScanCell):
+                cells[n, m] = member
+                continue
+            curves[n, m] = curve = member.curve()
+            o = (a - n, b - m)
+            if o in cells and not cells[o].skipped and isomorphic_over_Q(curves[o], curve):
+                proven.append((o, (n, m)))
+                cells[n, m] = cells[o]._replace(n=n, m=m, parameter=member.value)
+            else:
+                cells[n, m] = _scan_cell(spec, n, m, (member, curve))
     return ScanGrid(spec.name, R, tuple(cells.values()), tuple(proven))
 
 
@@ -434,9 +436,10 @@ def symmetry_audit(
     (n, m) -> (a - n, b - m).  Complete symmetric pairs with differing
     signs are reported as violations.  Every symmetric pair of non-skipped
     cells must be Q-isomorphic: the pairs in the grid's ``proven_pairs``
-    were proven by lattice_scan, and each other pair is proven here, on the
-    curves that ``spec``'s family gives the two parameters; a pair with no
-    isomorphism is reported in ``isomorphism_failures``.
+    were proven by lattice_scan, which tries every such pair, so only a
+    pair whose proof failed there is proven again here, on the curves that
+    ``spec``'s family gives the two parameters; a pair with no isomorphism
+    is reported in ``isomorphism_failures``.
     """
     a, b = symmetry
     index = {(c.n, c.m): c for c in grid.cells}

@@ -220,7 +220,7 @@ def test_criterion_07_root_numbers(cat):
     # carries the frozen sign, and the grid symmetry shows no violations;
     # the pair counts are absolute, so a wrong symmetry pair shows too
     scan_oracle = json.loads((DATA / "scan_oracle.json").read_text())
-    pair_counts = {"Z8-scan-1": (7, 7), "Z8-scan-2": (8, 7), "Z2x6-scan-1": (7, 7)}
+    pair_counts = {"Z8-scan-1": (7, 7), "Z8-scan-2": (8, 8), "Z2x6-scan-1": (7, 7)}
     specs = builtin_scans(radius=2, budget=SCAN_BUDGET)
     for name, spec in specs.items():
         frozen = scan_oracle[name]

@@ -460,6 +460,15 @@ class TestFactor:
         fi = factor(n, FactorBudget(trial_bound, 10**4))
         assert fi.complete and fi.factors == ((2, 10), (3, 5), (5, 3), (7, 3))
 
+    def test_rest_of_one_is_not_split(self, monkeypatch):
+        # a rest of 1 is returned as it is, with no rho call
+        calls = _count_rho(monkeypatch)
+        found = {}
+        assert arith._split_rest(1, found, RHO) == 1
+        assert calls == [] and found == {}
+        assert factor(2**5 * 3**3, RHO) == FactoredInt(1, ((2, 5), (3, 3)))
+        assert calls == []
+
     @given(st.integers(min_value=0, max_value=10**80), st.integers(min_value=1, max_value=13))
     def test_integer_nthroot_matches_sympy(self, x, k):
         assert integer_nthroot(x, k) == sympy.integer_nthroot(x, k)[0]
@@ -669,66 +678,6 @@ class TestBrentRhoBatches:
         assert (None, 3000) in outcomes
         assert arith._brent_rho(185392823185963739, 3000) == (152122609, 2175)
         assert arith._brent_rho(16607426047649822641, 300) == (23623111, 300)
-
-
-class TestSplitMemo:
-    """Within split_memo each (rest, budget) is split once."""
-
-    @pytest.mark.parametrize(
-        "n,budget",
-        [
-            (SMOOTH_PART, FactorBudget(10**5, 2 * 10**5)),
-            (P7 * Q7 * M61 * M89, FactorBudget(10**3, 3 * 10**4)),
-            (3 * P7**2 * Q7, RHO),
-        ],
-    )
-    def test_hit_matches_recomputing(self, monkeypatch, n, budget):
-        # a hit hands back the same FactoredInt, with no rho call; the
-        # first split is charged exactly as without the memo
-        calls = []
-        monkeypatch.setattr(arith, "_brent_rho", _rho_recorder(calls))
-        ref = factor(n, budget)
-        ref_calls = list(calls)
-        with arith.split_memo():
-            fi = factor(n, budget)
-            first = calls[len(ref_calls):]
-            hit = factor(n, budget)
-        assert fi == hit == ref and ref_calls
-        assert first == ref_calls and len(calls) == 2 * len(ref_calls)
-
-    def test_memo_is_dropped_on_leaving(self, monkeypatch):
-        calls = _count_rho(monkeypatch)
-        budget = FactorBudget(10**3, 10**4)
-        for _ in range(2):
-            with arith.split_memo():
-                factor(M61 * M89, budget)
-                factor_with_parts(M61 * M89, [M61 * M89], budget)
-            assert arith._split_memo is None
-        assert calls == [M61 * M89, M61 * M89]
-        factor(M61 * M89, budget)
-        assert len(calls) == 3
-
-    def test_keyed_by_budget(self, monkeypatch):
-        calls = _count_rho(monkeypatch)
-        with arith.split_memo():
-            small = factor(SMOOTH_PART, FactorBudget(10**3, 100))
-            large = factor(SMOOTH_PART, FactorBudget(10**3, 10**4))
-        assert not small.complete and large.complete and len(calls) == 2
-
-    def test_rest_of_one_is_not_split(self, monkeypatch):
-        # a rest of 1 returns at once, with or without the memo, and leaves
-        # the memo empty
-        def never(*args):
-            raise AssertionError("_rho_split called")
-
-        monkeypatch.setattr(arith, "_rho_split", never)
-        found = {}
-        assert arith._split_rest(1, found, RHO) == 1
-        with arith.split_memo():
-            assert arith._split_rest(1, found, RHO) == 1
-            assert arith._split_memo == {}
-        assert found == {}
-        assert factor(2**5 * 3**3, RHO) == FactoredInt(1, ((2, 5), (3, 3)))
 
 
 class TestRecords:

@@ -657,22 +657,31 @@ class TestOrbits:
             grid = grids[spec.name] if spec.radius == 1 else lattice_scan(spec)
             assert grid.cells == _independent_cells(spec), (spec.name, spec.radius)
 
-    def test_every_complete_partner_is_proven_and_used(self, radius2_specs, monkeypatch):
-        # a later cell with a complete partner costs one proof and no root
-        # number; every other non-skipped cell costs one root number
-        spec = radius2_specs["Z2x6-scan-1"]
+    @pytest.mark.parametrize(
+        "name,budget,incomplete",
+        [("Z2x6-scan-1", BUD, 0), ("Z8-scan-1", FactorBudget(100, 0), 6)],
+        ids=["Z2x6-scan-1", "Z8-scan-1-trial-100"],
+    )
+    def test_every_unskipped_partner_is_proven_and_used(
+        self, radius2_specs, monkeypatch, name, budget, incomplete
+    ):
+        # a later cell with an unskipped partner, complete or not, costs one
+        # proof and no root number; every other non-skipped cell costs one
+        # root number
+        spec = radius2_specs[name]._replace(budget=budget)
         roots = []
         real = scan.global_root_number
         monkeypatch.setattr(
             scan, "global_root_number", lambda E, *a, **k: roots.append(E) or real(E, *a, **k)
         )
         grid = lattice_scan(spec)
-        pairs = [
-            ((o.n, o.m), (c.n, c.m))
-            for o, c in _later_cells(grid, spec.symmetry)
-            if o.complete and not c.skipped
-        ]
+        later = [(o, c) for o, c in _later_cells(grid, spec.symmetry) if not o.skipped]
+        pairs = [((o.n, o.m), (c.n, c.m)) for o, c in later if not c.skipped]
         assert len(pairs) >= 5 and list(grid.proven_pairs) == pairs
+        # Z8-scan-1's incomplete partners carry different parameters
+        borrowed = [(o, c) for o, c in later if not o.complete and not c.skipped]
+        assert len(borrowed) == incomplete
+        assert all(o.parameter != c.parameter for o, c in borrowed)
         unskipped = sum(1 for c in grid.cells if not c.skipped)
         assert len(roots) == unskipped - len(pairs)
         rep = symmetry_audit(grid, spec.symmetry, spec=spec)
@@ -709,8 +718,10 @@ class TestOrbits:
         assert rep.isomorphism_failures == ((first, later),)
         assert rep.violations == ()
 
-    def test_partner_of_incomplete_cell_is_computed_on_its_own(self, radius2_specs):
-        # trial division to 100 and no rho leave most cells incomplete
+    def test_partner_of_incomplete_cell_is_borrowed(self, radius2_specs):
+        # trial division to 100 and no rho leave most cells incomplete; the
+        # later cell of an incomplete pair takes its partner's cell, which
+        # equals the cell computed on its own
         spec = radius2_specs["Z8-scan-2"]._replace(budget=FactorBudget(100, 0))
         grid = lattice_scan(spec)
         later = [
@@ -719,31 +730,51 @@ class TestOrbits:
         ]
         assert len(later) >= 3
         proven = {c for _o, c in grid.proven_pairs}
-        assert all((c.n, c.m) not in proven for _o, c in later)
+        assert all((c.n, c.m) in proven for _o, c in later)
         assert grid.cells == _independent_cells(spec)
         rep = symmetry_audit(grid, spec.symmetry, spec=spec)
         assert rep.isomorphism_failures == () and rep.isomorphic_pairs >= len(later)
 
     def test_each_rest_split_once_per_scan(self, radius2_specs, monkeypatch):
-        # symmetric partners and other cells share parts: within one scan
-        # each rest > 1 is split once, the next scan starts over, and the
-        # grid is the one the cells give computed on their own
+        # symmetric partners share parts, and a borrowed cell factors
+        # nothing: within one scan each rest > 1 is split once, the next
+        # scan splits the same rests again, and the grid is the one the
+        # cells give computed on their own
         spec = radius2_specs["Z8-scan-2"]
         calls = []
-        real = arith._rho_split
+        real = arith._split_rest
         monkeypatch.setattr(
-            arith, "_rho_split", lambda n, found, budget: calls.append(n) or real(n, found, budget)
+            arith, "_split_rest", lambda n, found, budget: calls.append(n) or real(n, found, budget)
         )
         runs = []
         for _ in range(2):
             grid = lattice_scan(spec)
             runs.append([n for n in calls if n > 1])
             calls.clear()
-            assert arith._split_memo is None
         assert grid.cells == _independent_cells(spec)
         alone = [n for n in calls if n > 1]
         assert runs[0] == runs[1] and len(set(runs[0])) == len(runs[0])
         assert set(alone) == set(runs[0]) and len(alone) > len(runs[0])
+
+    @pytest.mark.parametrize(
+        "budget,counts",
+        [
+            (FactorBudget(100, 0), {"Z8-scan-1": 16, "Z2x6-scan-1": 13, "Z8-scan-2": 19}),
+            (FactorBudget(1000, 0), {"Z8-scan-1": 13, "Z2x6-scan-1": 9, "Z8-scan-2": 19}),
+        ],
+        ids=["trial-100", "trial-1000"],
+    )
+    def test_borrowed_incomplete_pairs_at_radius_3(self, radius3_specs, budget, counts):
+        # the borrowed cells of incomplete pairs equal the cells computed on
+        # their own; the counts are absolute, so a borrow rule that stops
+        # borrowing them shows
+        for name, expected in counts.items():
+            spec = radius3_specs[name]._replace(budget=budget)
+            grid = lattice_scan(spec)
+            index = {(c.n, c.m): c for c in grid.cells}
+            borrowed = [p for p in grid.proven_pairs if not index[p[0]].complete]
+            assert len(borrowed) == expected, name
+            assert grid.cells == _independent_cells(spec), name
 
     def test_scan_never_reads_section_points(self, specs, monkeypatch):
         # a scan cell needs the torsion points only
