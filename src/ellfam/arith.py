@@ -2,7 +2,7 @@
 
 Everything downstream (polynomials, curves, local data, scans) sits on top of
 this module: budgeted integer factorization, primality testing, rational
-square detection, Jacobi symbols and Legendre symbols (from tables of
+n-th roots, Jacobi symbols and Legendre symbols (from tables of
 the quadratic residues mod each odd prime below 2^9, built on first use),
 all in the standard library.
 Factorization is trial division, then Brent's rho, which tries one Pollard
@@ -643,10 +643,12 @@ def _coprime_pieces(values: list[int]) -> list[int]:
 
 
 def integer_nthroot(x: int, n: int) -> int:
-    """floor(x^(1/n)) for x >= 0: Newton's iteration from above, which
-    decreases to the floor."""
+    """floor(x^(1/n)) for x >= 0: math.isqrt for n = 2, else Newton's
+    iteration from above, which decreases to the floor."""
     if x < 2:
         return x
+    if n == 2:
+        return math.isqrt(x)
     r = 1 << -(-x.bit_length() // n)
     while True:
         s = ((n - 1) * r + x // r ** (n - 1)) // n
@@ -663,18 +665,13 @@ def isqrt_exact(n: int) -> Optional[int]:
     return r if r * r == n else None
 
 
-def square_test(q: Fraction | int) -> Optional[Fraction]:
-    """Return r >= 0 with r*r == q when q is a rational square, else None."""
+def rational_nth_root(q: Fraction | int, n: int) -> Optional[Fraction]:
+    """The r >= 0 with r^n == q for a rational q >= 0 that has one, else None."""
     q = Fraction(q)
     if q < 0:
         return None
-    rn = isqrt_exact(q.numerator)
-    if rn is None:
-        return None
-    rd = isqrt_exact(q.denominator)
-    if rd is None:
-        return None
-    return Fraction(rn, rd)
+    rn, rd = integer_nthroot(q.numerator, n), integer_nthroot(q.denominator, n)
+    return Fraction(rn, rd) if rn**n == q.numerator and rd**n == q.denominator else None
 
 
 def squarefree_decompose(n: int, budget: FactorBudget = DEFAULT_BUDGET) -> tuple[int, int]:

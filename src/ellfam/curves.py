@@ -13,7 +13,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence, Union
 
-from .arith import integer_nthroot, is_prime, square_test
+from .arith import is_prime, rational_nth_root
 from .polyq import PolyQ, RatFunc, gcd_mod_p, homogeneous_value
 from .polyq import _zz_derivative, _zz_exquo, _zz_gcd, _zz_primitive
 
@@ -447,12 +447,12 @@ def rational_roots(p: PolyQ) -> list[Fraction]:
     bound = 2 * (abs(lc) + max(map(abs, s)))
     keyed = []
     for r in range(q):
-        if _value_mod(s, r, q):
+        if homogeneous_value(s, r, 1) % q:
             continue
         m = q
         while m <= bound:
             m *= m
-            r = (r - _value_mod(s, r, m) * pow(_value_mod(ds, r, m), -1, m)) % m
+            r = (r - homogeneous_value(s, r, 1) * pow(homogeneous_value(ds, r, 1), -1, m)) % m
         y = lc * r % m
         x = Fraction(y - m if 2 * y > m else y, lc)
         if homogeneous_value(s, x.numerator, x.denominator) == 0:
@@ -463,21 +463,13 @@ def rational_roots(p: PolyQ) -> list[Fraction]:
     return [x for _, x in sorted(keyed)]
 
 
-def _value_mod(xs: list[int], r: int, m: int) -> int:
-    """sum(xs[i] r^i) mod m, by Horner."""
-    acc = 0
-    for c in reversed(xs):
-        acc = (acc * r + c) % m
-    return acc
-
-
 def lift_x(E: WeierstrassCurve, x: Fraction) -> Optional[CurvePoint]:
     """A rational point of E with the given x-coordinate, if one exists."""
     # y^2 + (a1 x + a3) y - (x^3 + a2 x^2 + a4 x + a6) = 0
     b = E.a1 * x + E.a3
     c = -(x**3 + E.a2 * x * x + E.a4 * x + E.a6)
     disc = b * b - 4 * c
-    r = square_test(disc)
+    r = rational_nth_root(disc, 2)
     if r is None:
         return None
     return CurvePoint(x, (-b + r) / 2)
@@ -533,7 +525,7 @@ def two_torsion_points(E: WeierstrassCurve) -> list[CurvePoint]:
     b2, b4, b6, *_, disc = E.bc_invariants()
     if b6 == 0 and disc != 0:
         roots = [Fraction(0)]
-        r = square_test(b2 * b2 - 32 * b4)
+        r = rational_nth_root(b2 * b2 - 32 * b4, 2)
         if r is not None:
             roots += [(r - b2) / 8, (-r - b2) / 8]
         roots.sort(key=lambda x: (x.denominator, -x.numerator))
@@ -629,15 +621,6 @@ def _point_of_exact_order(E: WeierstrassCurve, n: int) -> Optional[CurvePoint]:
 
 # -- isomorphism over Q ---------------------------------------------------
 
-def _nth_root_rational(q: Fraction, n: int) -> Optional[Fraction]:
-    """The positive rational n-th root of q > 0, if there is one."""
-    if q <= 0:
-        return None
-    num = integer_nthroot(q.numerator, n)
-    den = integer_nthroot(q.denominator, n)
-    return Fraction(num, den) if num**n == q.numerator and den**n == q.denominator else None
-
-
 def _translation_for_scale(E1: WeierstrassCurve, E2: WeierstrassCurve, u):
     """The (r, s, t) that, with scale u, carry E1 onto E2 when some change
     of coordinates with that scale does."""
@@ -672,7 +655,7 @@ def isomorphic_over_Q(
         k, ratio = 4, Fraction(c4, d4)
     else:
         k, ratio = 2, Fraction(d4 * c6, c4 * d6)
-    u = _nth_root_rational(ratio, k)
+    u = rational_nth_root(ratio, k)
     if u is None:
         return None
     n, d = u.numerator, u.denominator

@@ -32,6 +32,8 @@ import math
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
+import mpmath as mp
+
 from .arith import DEFAULT_BUDGET, FactorBudget, _coprime_pieces, valuation
 from .curves import CurvePoint, WeierstrassCurve, division_poly
 from .localdata import minimal_model
@@ -68,8 +70,6 @@ def _duplication_series(E: WeierstrassCurve, x0: Fraction, dps: int):
     _SERIES_TERMS duplications at dps digits, closed with the crude bound
     λ(Q) ≈ (1/2)·log max(|x(Q)|, 1); the tail carries a 4^(-terms) factor.
     """
-    import mpmath as mp
-
     with mp.workdps(dps):
         b2, b4, b6, b8 = map(mp.mpf, E.bc_invariants()[:4])
         x = mp.mpf(x0.numerator) / mp.mpf(x0.denominator)
@@ -153,8 +153,6 @@ def _on_minimal(
 def _height_on_minimal(Emin: WeierstrassCurve, Q: CurvePoint) -> float:
     """ĥ(Q) for Q on the minimal model Emin: 0 at torsion, else
     2·λ∞(x) + log den x + Σ z·log r over the singular pieces."""
-    import mpmath as mp
-
     if Q.is_infinity or Emin.point_order(Q) is not None:
         return 0.0
     x = Fraction(Q.x)

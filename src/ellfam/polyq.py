@@ -15,11 +15,13 @@ substitution f(n/d) with coprime n and d needs no gcd at all:
 resultant argument.  A square forms each cross term once.
 Factorization into irreducibles over Q runs on the numerators in
 ``zzfactor`` (Cantor-Zassenhaus with Hensel lifting), which ``PolyQ.factor``
-imports on first use.  Arithmetic on residue lists mod m (division,
-powers mod a polynomial, ``gcd_mod_p``) is written once, here: ``_zz_gcd``,
-``zzfactor`` and the root count of Tate's algorithm share it.  Nothing here
-imports sympy, and nothing else in the package does: sympy is a test
-dependency only, the reference that the tests compare against.
+imports on first use.  Written once, here: arithmetic on residue lists
+mod m (division, powers mod a polynomial, ``gcd_mod_p``), which
+``_zz_gcd``, ``zzfactor`` and the root count of Tate's algorithm share;
+the checked exact division in Z[u], ``_zz_exquo``, None on a remainder;
+and Horner's rule, ``homogeneous_value``.  Nothing here imports sympy,
+and nothing else in the package does: sympy is a test dependency only,
+the reference that the tests compare against.
 """
 
 from __future__ import annotations
@@ -189,18 +191,24 @@ def _zz_gcd(xs: Sequence[int], ys: Sequence[int]) -> list[int]:
     return [1]
 
 
-def _zz_exquo(xs: Sequence[int], ys: Sequence[int]) -> list[int]:
-    """xs / ys for integer polynomials (index = degree) when ys divides xs
-    in Z[u]."""
-    r = list(xs)
+def _zz_exquo(xs: Sequence[int], ys: Sequence[int]) -> Optional[list[int]]:
+    """xs / ys for nonzero integer polynomials (index = degree, no
+    trailing zero) when ys divides xs in Z[u], else None.  The degrees and
+    the leading and constant coefficients rule most non-divisors out before
+    any step; each quotient coefficient and the remainder are checked."""
     dy, ly = len(ys) - 1, ys[-1]
-    q = [0] * (len(r) - dy)
+    if len(xs) <= dy or xs[-1] % ly or (xs[0] % ys[0] if ys[0] else xs[0]):
+        return None
+    r, q = list(xs), [0] * (len(xs) - dy)
     for i in range(len(q) - 1, -1, -1):
-        c = q[i] = r[i + dy] // ly
+        c, rem = divmod(r[i + dy], ly)
+        if rem:
+            return None
         if c:
+            q[i] = c
             for j, y in enumerate(ys):
                 r[i + j] -= c * y
-    return q
+    return None if any(r[:dy]) else q
 
 
 class PolyQ:

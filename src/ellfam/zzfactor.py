@@ -8,10 +8,12 @@ equal-degree splitting; the modular factors lifted by Hensel's lemma to a
 power of p above twice the Landau-Mignotte bound; and true factors
 recovered from subsets of increasing size, each checked by exact division.
 
-Lists are indexed by degree, as in ``polyq``, whose helpers on residue
-lists mod m (``_divmod_mod``, ``_pow_mod``, ``gcd_mod_p`` and their kin)
-this module uses.  ``PolyQ.factor`` is the only caller and imports this
-module when it first runs.
+Lists are indexed by degree, as in ``polyq``, whose helpers this module
+uses: those on residue lists mod m (``_divmod_mod``, ``_pow_mod``,
+``gcd_mod_p`` and their kin) and the checked exact division in Z[u],
+``_zz_exquo``, which tells a true factor from a false one.
+``PolyQ.factor`` is the only caller and imports this module when it first
+runs.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 import math
 import random
 from itertools import combinations
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .arith import is_prime
 from .polyq import (
@@ -209,24 +211,6 @@ def _hensel_lift(f: list[int], gs: list[list[int]], p: int, l: int) -> list[list
     return _hensel_lift(g, gs[:k], p, l) + _hensel_lift(h, gs[k:], p, l)
 
 
-def _exact_quotient(xs: list[int], ys: list[int]) -> Optional[list[int]]:
-    """xs / ys in Z[u] when ys divides xs there, else None."""
-    dy, ly = len(ys) - 1, ys[-1]
-    if len(xs) <= dy or xs[-1] % ly or (xs[0] % ys[0] if ys[0] else xs[0]):
-        return None
-    r = list(xs)
-    q = [0] * (len(r) - dy)
-    for i in range(len(q) - 1, -1, -1):
-        c, rem = divmod(r[i + dy], ly)
-        if rem:
-            return None
-        q[i] = c
-        if c:
-            for j, y in enumerate(ys):
-                r[i + j] -= c * y
-    return None if any(r[:dy]) else q
-
-
 def _recombine(f: list[int], gs: list[list[int]], m: int) -> list[list[int]]:
     """The irreducible factors of f over Z from the monic factors gs of f
     mod m (f = lc(f) prod gs mod m, m above twice the bound).
@@ -244,7 +228,7 @@ def _recombine(f: list[int], gs: list[list[int]], m: int) -> list[list[int]]:
             for i in S:
                 G = _mul_mod(G, gs[i], m)
             G = _zz_primitive([c - m if 2 * c > m else c for c in G])
-            q = _exact_quotient(f, G)
+            q = _zz_exquo(f, G)
             if q is not None:
                 factors.append(G)
                 f = q

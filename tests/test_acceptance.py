@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from ellfam.arith import FactorBudget, factor, is_prime, jacobi, square_test
+from ellfam.arith import FactorBudget, factor, is_prime, jacobi, rational_nth_root
 from ellfam.curves import (
     CurvePoint,
     INFINITY,
@@ -266,7 +266,7 @@ def test_criterion_08_involutions():
         a, b, c = (p(r0) for p in CURVE_D2.quadratic_polys("s"))
         if a == 0:
             continue
-        root = square_test(b * b - 4 * a * c)
+        root = rational_nth_root(b * b - 4 * a * c, 2)
         if root is not None:
             for sgn in (1, -1):
                 pools["D2"].add((r0, (-b + sgn * root) / (2 * a)))
@@ -325,7 +325,7 @@ def test_criterion_09_property_suites():
     # exact square detection on 1000 random rationals
     for _ in range(1000):
         q = F(rng.randint(-10**6, 10**6), rng.randint(1, 10**4))
-        assert square_test(q * q) == abs(q)
+        assert rational_nth_root(q * q, 2) == abs(q)
     # jacobi multiplicativity
     for _ in range(200):
         n = 2 * rng.randint(1, 10**4) + 1

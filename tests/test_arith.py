@@ -23,8 +23,8 @@ from ellfam.arith import (
     jacobi,
     legendre_is_square,
     primes_below,
+    rational_nth_root,
     rational_to_string,
-    square_test,
     squarefree_decompose,
     valuation,
 )
@@ -1028,19 +1028,22 @@ class TestCoprimePieces:
 
 
 class TestSquareTest:
+    """rational_nth_root(q, 2), the square test of lift_x and
+    two_torsion_points."""
+
     def test_rational_square(self):
-        assert square_test(Fraction(169, 36)) == Fraction(13, 6)
-        assert square_test(3600) == 60
-        assert square_test(0) == 0
+        assert rational_nth_root(Fraction(169, 36), 2) == Fraction(13, 6)
+        assert rational_nth_root(3600, 2) == 60
+        assert rational_nth_root(0, 2) == 0
 
     def test_non_squares(self):
-        assert square_test(5) is None
-        assert square_test(Fraction(-4)) is None
-        assert square_test(Fraction(2, 3)) is None
+        assert rational_nth_root(5, 2) is None
+        assert rational_nth_root(Fraction(-4), 2) is None
+        assert rational_nth_root(Fraction(2, 3), 2) is None
 
     @given(st.fractions(max_denominator=1000))
     def test_square_always_detected(self, q):
-        r = square_test(q * q)
+        r = rational_nth_root(q * q, 2)
         assert r == abs(q)
 
     def test_isqrt_exact(self):

@@ -299,6 +299,40 @@ class TestIntegerGcd:
         assert gcd_mod_p(xs, ys, p) == [int(x) for x in ref[::-1]]
 
 
+class TestExactDivision:
+    """_zz_exquo, the one checked division in Z[u]: the quotient when ys
+    divides xs, else None, never a wrong quotient."""
+
+    def test_early_exits(self):
+        assert _zz_exquo([1, 1], [1, 0, 1]) is None  # deg xs < deg ys
+        assert _zz_exquo([2, 3], [1, 2]) is None  # lc(ys) does not divide lc(xs)
+        assert _zz_exquo([3, 0, 2], [2, 1]) is None  # ys(0) does not divide xs(0)
+        assert _zz_exquo([1, 1], [0, 1]) is None  # u divides ys, not xs
+
+    def test_nonzero_remainder(self):
+        # both pass the early exits: u^2 + 2 = (u - 1)(u + 1) + 3, and
+        # 2u^2 + u + 2 stops at a quotient coefficient -1/2
+        assert _zz_exquo([2, 0, 1], [1, 1]) is None
+        assert _zz_exquo([2, 1, 2], [2, 2]) is None
+
+    @given(int_polys, int_polys)
+    @settings(max_examples=200, deadline=None)
+    def test_divisible(self, q, ys):
+        xs = _zz_mul_ref(q, ys)
+        got = _zz_exquo(xs, ys)
+        assert got == q and _zz_mul(got, ys) == xs
+
+    @given(int_polys, int_polys.filter(lambda cs: len(cs) > 1), int_polys)
+    @settings(max_examples=200, deadline=None)
+    def test_remainder_is_seen(self, q, ys, r):
+        # xs = q ys + r with 0 != r of lower degree than ys
+        r = r[: len(ys) - 1]
+        assume(any(r))
+        xs = _zz_mul_ref(q, ys)
+        xs[: len(r)] = [x + c for x, c in zip(xs, r)]
+        assert _zz_exquo(xs, ys) is None
+
+
 class TestSquareDecompose:
     def test_known_decomposition(self):
         v = PolyQ.variable("v")
